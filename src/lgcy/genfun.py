@@ -142,7 +142,8 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
     Independent route: correlators come from ``psi_integral_oracle`` and the
     moduli non-emptiness criterion, duals from the untwisted pairing, not
-    from the closed-form product formula.
+    from the closed-form product formula.  Every dual sector g0 is scanned
+    through ``is_nonempty``; none is solved for.
     """
     for cj in pair.fermat.weights:
         if c * cj >= pair.fermat.degree:
@@ -151,13 +152,15 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
     jc = pair.grading ** c
-    j2c = jc * jc
+    shifted = [g * jc for g in elements]
+    j2c_inverse = (jc * jc).inverse()
+    duals = [g0.inverse() * j2c_inverse for g0 in elements]
     terms: dict = {}
 
     def put(sector, z, degs, coeff):
         if z < z_min or z > z_max or coeff == 0:
             return
-        key = (sector.exps, z, tuple(degs))
+        key = (sector.exps, z, degs)
         value = ring.scalar(coeff)
         terms[key] = terms[key] + value if key in terms else value
 
@@ -165,25 +168,23 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     for i, g in enumerate(elements):
         degs = [0] * len(elements)
         degs[i] = 1
-        put(g, 0, degs, Fraction(1))
+        put(g, 0, tuple(degs), Fraction(1))
     dual_norm = pair.period ** pair.fermat.n_variables
     for total in range(2, orders.t_order + 1):
+        # n = total + 1 points: the dimension condition leaves only psi^(n-3)
+        a = total - 2
+        if -a - 1 < z_min:
+            break
+        corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
         for degs in _multidegrees(len(elements), total):
             insertions = []
             coeff = Fraction(1)
-            for g, a in zip(elements, degs):
-                insertions.extend([g * jc] * a)
-                coeff /= factorial(a)
-            for g0 in elements:
-                for a in range(total):
-                    if 1 + a > -z_min:
-                        break
-                    if psi_integral_oracle((a,) + (0,) * total) == 0:
-                        continue
-                    if not pair.is_nonempty(c, 0, [g0 * jc] + insertions):
-                        continue
-                    corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
-                    dual_sector = g0.inverse() * j2c.inverse()
+            for g_jc, k in zip(shifted, degs):
+                if k:
+                    insertions.extend([g_jc] * k)
+                    coeff /= factorial(k)
+            for g0_jc, dual_sector in zip(shifted, duals):
+                if pair.is_nonempty(c, 0, [g0_jc] + insertions):
                     put(dual_sector, -a - 1, degs, coeff * corr * dual_norm)
     return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
                      terms, (), c_twist=c)

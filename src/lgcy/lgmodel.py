@@ -5,12 +5,18 @@ diagonal symmetries (one always containing the grading element j with
 multiplicities c_j/d).  Everything is bookkeeping on exponent vectors:
 the element acting by exp(2 pi i k_j c_j / d) on the j-th coordinate is
 stored as the tuple (k_1, ..., k_N) with 0 <= k_j < d/c_j.
+
+Because m_j(g) = k_j(g) c_j / d, the moduli selection rule is integer
+arithmetic: the j-th line bundle degree (c c_j/d)(2h-2+n) - sum_i m_j(g_i)
+equals (c_j/d)(c(2h-2+n) - sum_i k_j(g_i)), and it is an integer exactly
+when d/c_j divides c(2h-2+n) - sum_i k_j(g_i).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 
@@ -56,7 +62,7 @@ class FermatData:
     def n_variables(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(self.degree // c for c in self.weights)
 
@@ -69,7 +75,9 @@ class GroupElement:
     """Diagonal symmetry by exponent vector; multiplicity m_j = k_j c_j / d.
 
     Since 0 <= k_j < d/c_j the fraction k_j c_j / d already lies in [0, 1),
-    so no fractional-part reduction is ever needed.
+    so no fractional-part reduction is ever needed.  The public constructor
+    checks that range; products, inverses and powers are reduced mod d/c_j
+    by construction, so they build their results through ``_unchecked``.
     """
 
     __slots__ = ("fermat", "exps", "_hash")
@@ -81,6 +89,16 @@ class GroupElement:
         for k, bound in zip(exps, fermat.exponents):
             if not 0 <= k < bound:
                 raise ValueError(f"exponent {k} out of range [0, {bound})")
+        self._store(fermat, exps)
+
+    @classmethod
+    def _unchecked(cls, fermat: FermatData, exps: tuple[int, ...]) -> "GroupElement":
+        """An element whose exponent tuple is already reduced into range."""
+        element = object.__new__(cls)
+        element._store(fermat, exps)
+        return element
+
+    def _store(self, fermat: FermatData, exps: tuple[int, ...]) -> None:
         object.__setattr__(self, "fermat", fermat)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_hash", hash(exps))
@@ -104,17 +122,17 @@ class GroupElement:
         return all(k == 0 for k in self.exps)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.fermat,
-                            ((a + b) % m for a, b, m
-                             in zip(self.exps, other.exps, self.fermat.exponents)))
+        return GroupElement._unchecked(
+            self.fermat, tuple((a + b) % m for a, b, m
+                               in zip(self.exps, other.exps, self.fermat.exponents)))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.fermat,
-                            ((-a) % m for a, m in zip(self.exps, self.fermat.exponents)))
+        return GroupElement._unchecked(
+            self.fermat, tuple((-a) % m for a, m in zip(self.exps, self.fermat.exponents)))
 
     def __pow__(self, n: int) -> "GroupElement":
-        return GroupElement(self.fermat,
-                            ((a * n) % m for a, m in zip(self.exps, self.fermat.exponents)))
+        return GroupElement._unchecked(
+            self.fermat, tuple((a * n) % m for a, m in zip(self.exps, self.fermat.exponents)))
 
     def order(self) -> int:
         result = 1
@@ -199,6 +217,7 @@ class LGPair:
         if d % dbar != 0 and dbar % d != 0:
             raise ValueError("period incompatible with degree")
         self.scaled_weights = tuple(Fraction(c * dbar, d) for c in self.fermat.weights)
+        self.identity = GroupElement(self.fermat, (0,) * self.fermat.n_variables)
         self._narrow = tuple(g for g in group.elements
                              if (g * group.grading).fixed_dim() == 0)
         self._narrow_set = frozenset(self._narrow)
@@ -215,10 +234,6 @@ class LGPair:
     @property
     def grading(self) -> GroupElement:
         return self.group.grading
-
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self.fermat, (0,) * self.fermat.n_variables)
 
     def narrow_sectors(self) -> tuple[GroupElement, ...]:
         """Elements g such that g*j fixes only the origin."""
@@ -254,13 +269,20 @@ class LGPair:
 
     # -- moduli numerology ------------------------------------------------------
     def line_bundle_degree(self, c: int, j: int, h: int, insertions) -> Fraction:
-        """(c c_j / d)(2h - 2 + n) - sum_i m_j(g_i)."""
-        n = len(insertions)
-        base = Fraction(c * self.fermat.weights[j], self.fermat.degree) * (2 * h - 2 + n)
-        return base - sum((g.multiplicity(j) for g in insertions), Fraction(0))
+        """(c c_j / d)(2h - 2 + n) - sum_i m_j(g_i).
+
+        Summed in integers as (c_j / d)(c(2h - 2 + n) - sum_i k_j(g_i)), which
+        is exact since m_j(g) = k_j(g) c_j / d.
+        """
+        numerator = c * (2 * h - 2 + len(insertions)) - sum(g.exps[j] for g in insertions)
+        return Fraction(numerator * self.fermat.weights[j], self.fermat.degree)
 
     def is_nonempty(self, c: int, h: int, insertions) -> bool:
-        """Moduli non-emptiness: integral line bundle degrees for every j."""
+        """Moduli non-emptiness: integral line bundle degrees for every j.
+
+        By the integer form of ``line_bundle_degree`` this asks that d/c_j
+        divide c(2h - 2 + n) - sum_i k_j(g_i) for every j.
+        """
         if not insertions:
             raise ValueError("need at least one insertion")
         return all(self.line_bundle_degree(c, j, h, insertions).denominator == 1

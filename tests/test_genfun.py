@@ -1,12 +1,14 @@
 """Generating functions: J and its oracle, I^X, I^Y, H-sides, continuation."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from lgcy.catalog import cubic, quartic, quintic, sextic
+from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
 from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
 from lgcy.genfun import (
@@ -86,6 +88,49 @@ def test_oracle_equals_closed_form(pair):
         closed = untwisted_j(pair, c, orders)
         oracle = untwisted_j_oracle(pair, c, orders)
         assert closed.compare(oracle) is None
+
+
+# sha256 of the sorted-key JSON of serialize_series; the closed form and the
+# oracle agree, so one digest covers both routes.  "cN" is twist N at
+# Orders(t_order=6, lam_order=0); "T8" is c=0 at recommended_orders(p, 8, 4).
+J_GOLDEN = {
+    ("quintic", "c0"): "54ea0c4ec276510b491768bd22f01c1779d9fa41c7bb9b0627a1099b4b8f8a6e",
+    ("quintic", "c1"): "aa0b86a37ae81f61ecd32e4e0d9a6a7d96ac423f6cbab94febf80e3f5c3c8982",
+    ("quintic", "c2"): "72f5ff038475f852eb6a5e69a41db9e5881875ec070c43d146d214c3ea6cf03f",
+    ("quintic", "c3"): "195edae34d9ce3b6e9dbf72781d0a3e256906e81a5e90f4b4c83b5f266e6ec5f",
+    ("quintic", "c4"): "4c956df7b28c3ba9f4a5f1577e0d2ddb6d98e89783686888ed4e14e1cfbe2cd9",
+    ("quintic", "T8"): "7d58c21b887b3a69a5e5e05f5d027559183132b14e62b308e1dab807d6025a60",
+    ("cubic", "c0"): "5a687a828d8e258a87a470ee6f291fa2c6fba3133f12161acc44e048132c2b54",
+    ("cubic", "c1"): "2196914fd6effcecf5e4db5bc9c2483322dd290d444783b20d3cca2336e2fee6",
+    ("cubic", "c2"): "7b656881b9eb3ed1f1df570a377fab1a94c3b85be8ddfb354c0420bfd27ef0be",
+    ("cubic", "T8"): "561af959f6677175d3b7c10c60e2018e1366bcca1707ac62522c376e0e2cc49c",
+    ("quartic", "c0"): "ab9b51503c193c5f478f1d0805d9f8737a818ee0a13b3da738c208764b5ca2df",
+    ("quartic", "c1"): "3c790482698493ab3cf393e16e3124676f9b1c32c82429b9d0dd05be06da294c",
+    ("quartic", "c2"): "bc24a1b36a2d429f28f5e5dc05d9fc1cd4b91e414bd5270812b87d547d27944c",
+    ("quartic", "c3"): "6238b823a27ced90347addfc5f68b4997b724f86ef27eca4bff9c5385dd0a07f",
+    ("sextic", "c0"): "e259e8c4032e248dc18874a0197b653de2d3c3d430e66a5289c48866dc6b6db4",
+    ("sextic", "c1"): "a1efa96f60da0f415f657bc1d65a6e65c0f1df9cea8b44df2896216b2db8697c",
+}
+
+
+def test_j_golden_covers_every_valid_twist():
+    for name, pair in shipped_pairs().items():
+        labels = {label for (n, label) in J_GOLDEN if n == name} - {"T8"}
+        assert labels == {f"c{c}" for c in pair.valid_twists()}
+
+
+@pytest.mark.parametrize("name,label", sorted(J_GOLDEN),
+                         ids=[f"{n}-{l}" for n, l in sorted(J_GOLDEN)])
+def test_j_routes_golden_digests(name, label):
+    pair = shipped_pairs()[name]
+    if label == "T8":
+        c, orders = 0, recommended_orders(pair, 8, 4)
+    else:
+        c, orders = int(label[1:]), Orders(t_order=6, lam_order=0)
+    for build in (untwisted_j, untwisted_j_oracle):
+        text = json.dumps(serialize_series(build(pair, c, orders)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == J_GOLDEN[name, label], \
+            build.__name__
 
 
 def test_string_equation():

@@ -6,11 +6,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcy.catalog import cubic, quartic, quintic, sextic
 from lgcy.lgmodel import (
     PAIRING_SPECIALIZATIONS,
     FermatData,
+    GroupElement,
     SectorBasisElement,
     group_from_generators,
     load_pair,
@@ -19,6 +22,7 @@ from lgcy.lgmodel import (
 )
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
+TWISTED_PAIRS = [(pair, c) for pair in ALL_PAIRS for c in pair.valid_twists()]
 
 
 # -- data validation -----------------------------------------------------------
@@ -34,6 +38,7 @@ def test_fermat_data_validation():
         FermatData((1, 5), 5)        # exponent d/c = 1
     data = FermatData((1, 1, 1, 3), 6)
     assert data.exponents == (6, 6, 6, 2)
+    assert data.exponents is data.exponents      # built once
     assert data.is_calabi_yau
     assert not FermatData((1, 1, 2, 3), 6).is_calabi_yau
 
@@ -58,6 +63,48 @@ def test_group_from_generators_cubic_noncyclic():
 def test_generator_out_of_range():
     with pytest.raises(ValueError):
         group_from_generators(FermatData((1,) * 4, 4), [(0, 4, 0, 0)])
+    with pytest.raises(ValueError):
+        load_pair({"weights": [1, 1, 1, 1], "degree": 4, "generators": [[0, 4, 0, 0]]})
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_group_operations_match_checked_constructor(pair):
+    fermat = pair.fermat
+    bounds = fermat.exponents
+
+    def checked(exps):
+        return GroupElement(fermat, exps)
+
+    for a in pair.group.elements:
+        results = [(a.inverse(), checked((-x) % m for x, m in zip(a.exps, bounds)))]
+        results += [(a ** n, checked((x * n) % m for x, m in zip(a.exps, bounds)))
+                    for n in range(-2, 2 * fermat.degree)]
+        results += [(a * b, checked((x + y) % m for x, y, m in zip(a.exps, b.exps, bounds)))
+                    for b in pair.group.elements]
+        for got, expected in results:
+            assert got == expected and hash(got) == hash(expected)
+            assert type(got) is GroupElement and got.fermat is fermat
+    with pytest.raises(AttributeError):
+        a.inverse().exps = a.exps
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_checked_constructor_rejects_bad_input(pair):
+    fermat = pair.fermat
+    n, bounds = fermat.n_variables, fermat.exponents
+    for j, bound in enumerate(bounds):
+        for k in (-1, bound):
+            exps = [0] * n
+            exps[j] = k
+            with pytest.raises(ValueError):
+                GroupElement(fermat, exps)
+    with pytest.raises(ValueError):
+        GroupElement(fermat, (0,) * (n + 1))
+    non_member = next(exps for exps in itertools.product(*map(range, bounds))
+                      if GroupElement(fermat, exps) not in pair.group)
+    with pytest.raises(ValueError):
+        pair.element(non_member)
+    assert pair.identity is pair.identity and pair.identity.is_identity()
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
@@ -169,6 +216,23 @@ def test_is_nonempty_examples():
     assert q.is_nonempty(1, 0, [j2, j2, j2])
     assert not q.is_nonempty(1, 0, [j2, j2, j3])
     assert q.is_nonempty(0, 0, [j2, j3])
+
+
+@pytest.mark.parametrize("pair,c", TWISTED_PAIRS,
+                         ids=[f"{p.name}-c{c}" for p, c in TWISTED_PAIRS])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_selection_rule_matches_definition(pair, c, data):
+    h = data.draw(st.integers(0, 2), label="h")
+    insertions = data.draw(st.lists(st.sampled_from(pair.group.elements),
+                                    min_size=1, max_size=8), label="insertions")
+    d, n = pair.fermat.degree, len(insertions)
+    degrees = []
+    for j, cj in enumerate(pair.fermat.weights):
+        expected = F(c * cj, d) * (2 * h - 2 + n) - sum(g.multiplicity(j) for g in insertions)
+        assert pair.line_bundle_degree(c, j, h, insertions) == expected
+        degrees.append(expected)
+    assert pair.is_nonempty(c, h, insertions) == all(x.denominator == 1 for x in degrees)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
