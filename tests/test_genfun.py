@@ -19,6 +19,7 @@ from lgcy.genfun import (
     h_continued,
     h_factorization,
     h_function_x,
+    h_function_y,
     i_function_x,
     i_function_y,
     modification_factor,
@@ -32,7 +33,7 @@ from lgcy.genfun import (
     z_ddt_distinguished,
 )
 from lgcy.lgmodel import GroupElement
-from lgcy.verify import recommended_orders
+from lgcy.verify import ALL_CHECKS, recommended_orders, run_checks
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
@@ -131,6 +132,59 @@ def test_j_routes_golden_digests(name, label):
         text = json.dumps(serialize_series(build(pair, c, orders)), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == J_GOLDEN[name, label], \
             build.__name__
+
+
+# The same digest for the I- and H-builders at recommended_orders(p, 6, 3).
+IH_GOLDEN = {
+    ("quintic", "i_function_x"): "9ffd2c351214ede26fe74d520faa10fd01229a9e4d1b13fe90a6847367adede3",
+    ("quintic", "i_function_y"): "719f8bfb213f3590e1b63e0db5e9258c21179386ba0c9c1acaf37d7367f206da",
+    ("quintic", "h_function_x"): "a2c7bb6fb921d45d97f2a971e32f8a38931d5ae34d9c031357bd921a71700c79",
+    ("quintic", "h_function_y"): "b239b75117bb2579b0198742e2554e56354a80c31392b1b62caf0791944baff8",
+    ("quintic", "h_continued"): "fa69f47d95a6af86048bdfcbf33159e299933489a1ef8950868b6525b09e8461",
+    ("quintic", "fjrw_i_function"): "c55a752ee8fff34ed3e6bbce3b2b5dbba1314a173581709009ca92f7e5e641c2",
+    ("cubic", "i_function_x"): "eb7f932b869ce5cd2e9df9635317578de476641b4c234f945466e6c71edf52ea",
+    ("cubic", "i_function_y"): "f18c5ff50bc1d3cecacb3abd0e9ab298ceb58d2d21a00e77d0b6a9c28f6d418a",
+    ("cubic", "h_function_x"): "e0fbef504a7fb0c51d18d2aa8ebb5fc524fd34b15215bc848d639dec6f81057d",
+    ("cubic", "h_function_y"): "5945f3ba73f169076f9d8b6f24689f0e1115b755d65471203bbe42d506d740fe",
+    ("cubic", "h_continued"): "48d208fe4c37dd4abb56fb6f340d56b50d9837a18e7c471af2fa474320091f0d",
+    ("cubic", "fjrw_i_function"): "49ba03550ece0f1f5862d10b5b47ebe6cf2e84ee476146d69b0832e588bf8afd",
+    ("quartic", "i_function_x"): "6d992ce3368f25f9ad023f1f44c9bad121c07fe70603f10c2c72437ec3f2836b",
+    ("quartic", "i_function_y"): "fcdc31c1a1392879626e752ebfe3c995f0574af14480fa965a90b04be32cca98",
+    ("quartic", "h_function_x"): "4ba0dbd95f0cbe675ad54d526a27dbc1e5b1df0e6b5e7e1191e47497b2dcb9d5",
+    ("quartic", "h_function_y"): "20cdcdf40fd880192ecf1df899139fe661f7fed16f125ea0044efaa167f08db4",
+    ("quartic", "h_continued"): "a4332afc4811a82e35e5eb5f3c095e29a1fda9f441b6e2bff7d408a0de708b5e",
+    ("quartic", "fjrw_i_function"): "5a12930feeca91de45d417a16fa2fb1cf2beccc64cbcd58946d671c1a41e159a",
+    ("sextic", "i_function_x"): "596ad739c9a42ac7d54bd3600b7737c14641c7863af1056f0b6e3c0f1f3b946c",
+    ("sextic", "i_function_y"): "b5a94a932d7db79cfc251dbe733a54116ed336481fa37f515a15593e9d60db9a",
+    ("sextic", "h_function_x"): "5bd1b62be65d92706446da4503f6b46b9866b5db6d220c69a9491465922ea036",
+    ("sextic", "h_function_y"): "539ac7a5f4cd9bf2aca8c2af091a7aa9279d612b813723e1f9143a823e8bfe4c",
+    ("sextic", "h_continued"): "40ee94f7df2bd2f7144b6a917d630ccbba6023bd91a9baf1de015ad5ff932151",
+    ("sextic", "fjrw_i_function"): "a3edcf6f5a8d782406c43db2e3ea8cdb3806513c2ee9ea7b13caab9bd44c5d16",
+}
+IH_BUILDERS = {fn.__name__: fn for fn in (i_function_x, i_function_y, h_function_x,
+                                          h_function_y, h_continued, fjrw_i_function)}
+
+# sha256 of the sorted-key JSON of [[check, status, witness], ...] from
+# run_checks(p, ALL_CHECKS, recommended_orders(p, 5, 3)); every check passes
+# on every shipped pair, so the digest is the same for all four.
+CHECKS_GOLDEN = "3d86b0a80f877dba439e42799b09f36ab053753a8178d1baf1c886ce232153b4"
+
+
+@pytest.mark.parametrize("name,builder", sorted(IH_GOLDEN),
+                         ids=[f"{n}-{b}" for n, b in sorted(IH_GOLDEN)])
+def test_ih_builders_golden_digests(name, builder):
+    pair = shipped_pairs()[name]
+    series = IH_BUILDERS[builder](pair, recommended_orders(pair, 6, 3))
+    text = json.dumps(serialize_series(series), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == IH_GOLDEN[name, builder]
+
+
+@pytest.mark.parametrize("name", sorted(shipped_pairs()))
+def test_check_reports_golden_digest(name):
+    pair = shipped_pairs()[name]
+    reports = run_checks(pair, ALL_CHECKS, recommended_orders(pair, 5, 3))
+    text = json.dumps([[r.check, r.status, r.witness] for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECKS_GOLDEN
 
 
 def test_string_equation():
