@@ -19,7 +19,7 @@ from .genfun import (
     serialize_series,
 )
 from .lgmodel import LGPair, load_pair
-from .verify import ALL_CHECKS, recommended_orders, run_checks
+from .verify import ALL_CHECKS, recommended_orders, run_checks, self_test
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,7 +171,12 @@ def cmd_verify(args) -> int:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
     if args.self_test:
-        return _self_test(pair, orders, args)
+        attempts = self_test(pair, orders)
+        detected = sum(1 for r in attempts if not r.ok())
+        _emit({"pair": pair.name, "injected": len(attempts), "detected": detected,
+               "reports": [r.to_dict() for r in attempts]}, args)
+        print(f"self-test: {detected}/{len(attempts)} injected faults detected")
+        return 0 if detected == len(attempts) else 1
     reports = run_checks(pair, names, orders)
     payload = {"pair": pair.name, "reports": [r.to_dict() for r in reports]}
     _emit(payload, args)
@@ -181,51 +186,6 @@ def cmd_verify(args) -> int:
     if args.dump:
         _write_dump(args.dump, f"{pair.name}-verify.json", payload)
     return 0 if all(r.ok() for r in reports) else 1
-
-
-def _self_test(pair: LGPair, orders: Orders, args) -> int:
-    """Inject one fault per check; every injection must be detected."""
-    from . import verify as v
-    from .genfun import i_function_x, h_factorization, untwisted_j_oracle
-    from .transforms import u_bar
-
-    small = Orders(t_order=min(orders.t_order, 5),
-                   lam_order=min(orders.lam_order, 3))
-    oracle = untwisted_j_oracle(pair, 0, small)
-    key_oracle = sorted(oracle.terms)[len(oracle.terms) // 2]
-    ix = i_function_x(pair, v.recommended_orders(pair, small.t_order, small.lam_order))
-    _, hx = h_factorization(pair, ix, "x")
-    pushed = u_bar(pair, small.lam_order).apply(hx)
-    key_cont = sorted(pushed.terms)[len(pushed.terms) // 2]
-    g_in = pair.grading.exps
-    g_out = pair.identity.exps
-    attempts = [
-        v.check_oracle_equivalence(pair, n_max=4,
-                                   _tamper=sorted(untwisted_j_oracle(pair, 0, Orders(t_order=4, lam_order=0)).terms)[0]),
-        v.check_mlk_untwisted(pair, pair.valid_twists()[-1], small, _tamper=key_oracle),
-        v.check_mlk_operator(pair, _tamper_sector=pair.grading.exps),
-        v.check_gamma_factorization(pair, small, _tamper_side="x"),
-        v.check_continuation(pair, v.recommended_orders(pair, small.t_order, small.lam_order),
-                             _tamper=key_cont),
-        v.check_rctc_conditions(pair, 4, _tamper_block=(g_in, g_out)),
-        v.check_fjrw_pipeline(pair, small,
-                              _tamper=(pair.identity.exps, 1,
-                                       tuple(0 for _ in ix.variables)),
-                              _tamper_stage="result"),
-        v.check_kernel_compatibility(pair, small,
-                                     _tamper=(g_out, 0, tuple([1] + [0] * (len(ix.variables) - 1)))),
-        v.check_residue_lemma(pair, _tamper=True),
-    ]
-    detected = sum(1 for r in attempts if not r.ok())
-    payload = {
-        "pair": pair.name,
-        "injected": len(attempts),
-        "detected": detected,
-        "reports": [r.to_dict() for r in attempts],
-    }
-    _emit(payload, args)
-    print(f"self-test: {detected}/{len(attempts)} injected faults detected")
-    return 0 if detected == len(attempts) else 1
 
 
 def _write_dump(directory: str, filename: str, payload: dict) -> None:

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from .exactalg import SectorValue, SeriesRing, ZLaurentSeries
 from .lgmodel import GroupElement, LGPair
 
-__all__ = ["Orders", "CohSeries", "TOKEN_T_LAMBDA", "TOKEN_Q_H", "SeriesKey"]
+__all__ = ["Orders", "CohSeries", "TOKEN_T_LAMBDA", "TOKEN_Q_H"]
 
 TOKEN_T_LAMBDA = "t^(d*lam/tau)"
 TOKEN_Q_H = "q^(H/tau)"
-
-SeriesKey = tuple  # (sector exps, z exponent, degree tuple)
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,8 @@ class CohSeries:
         return CohSeries(self.side, self.pair, self.variables, self.orders,
                          terms, self.tokens, self.c_twist)
 
-    def map_values(self, fn) -> "CohSeries":
-        return self._replace_terms({k: fn(k, v) for k, v in self.terms.items()})
-
     def filter_terms(self, pred) -> "CohSeries":
         return self._replace_terms({k: v for k, v in self.terms.items() if pred(k, v)})
-
-    def with_tokens(self, tokens) -> "CohSeries":
-        return CohSeries(self.side, self.pair, self.variables, self.orders,
-                         dict(self.terms), tokens, self.c_twist)
 
     # -- queries ---------------------------------------------------------------
     def coefficient(self, exps, z: int, degs) -> SectorValue:
@@ -119,17 +110,8 @@ class CohSeries:
             return self.terms[key]
         return self.ring_for(tuple(exps)).zero()
 
-    def sectors(self) -> set[tuple]:
-        return {k[0] for k in self.terms}
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def z_slice(self, z: int) -> dict:
-        return {k: v for k, v in self.terms.items() if k[1] == z}
-
-    def total_degree(self, key: SeriesKey) -> int:
-        return sum(d for d in key[2] if d > 0)
 
     # -- calculus -----------------------------------------------------------------
     def z_ddt_var(self, var_index: int, prefactor_lam_multiple: int = 0) -> "CohSeries":

@@ -280,11 +280,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return self.coeffs[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
@@ -588,20 +583,11 @@ class SectorValue:
         return self.terms.get((lam, h, tau, tuple(sorted(atoms))),
                               Cyclotomic.zero(self.ring.order))
 
-    def has_atoms(self) -> bool:
-        return any(key[3] for key in self.terms)
-
-    def atom_multiset(self) -> set:
-        return {key[3] for key in self.terms}
-
     def lambda_valuation(self) -> int:
         """Largest k with lam^k dividing every monomial; inf -> lam_order+1."""
         if not self.terms:
             return self.ring.lam_order + 1
         return min(key[0] for key in self.terms)
-
-    def h_exponents(self) -> set[int]:
-        return {key[1] for key in self.terms}
 
     def nonequivariant_limit(self) -> "SectorValue":
         """Set lam to 0: keep only lam-degree-zero monomials."""
@@ -832,10 +818,6 @@ class ZLaurentSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def map_values(self, fn) -> "ZLaurentSeries":
-        return ZLaurentSeries(self.ring, self.z_min, self.z_max,
-                              {z: fn(v) for z, v in self.terms.items()})
 
     def with_window(self, z_min: int, z_max: int) -> "ZLaurentSeries":
         return ZLaurentSeries(self.ring, z_min, z_max, dict(self.terms))

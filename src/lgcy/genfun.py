@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .exactalg import (
     Cyclotomic,
@@ -24,17 +25,17 @@ from .exactalg import (
     SeriesRing,
     ZLaurentSeries,
     gamma_shift_product,
-    series_exp,
-    series_invert,
 )
 from .cohseries import (
     CohSeries,
     Orders,
     TOKEN_Q_H,
     TOKEN_T_LAMBDA,
+    _sector_nilpotency,
     zlaurent_to_terms,
 )
-from .lgmodel import GroupElement, LGPair
+from .lgmodel import GroupElement, LGPair, load_pair, pair_to_dict
+from .transforms import delta_circ, gamma_class_op, ubar_block
 
 __all__ = [
     "IdentityError",
@@ -50,7 +51,6 @@ __all__ = [
     "h_function_y",
     "h_factorization",
     "h_continued",
-    "ubar_block",
     "residue_unit_check",
     "fjrw_i_function",
     "z_ddt_distinguished",
@@ -87,9 +87,7 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
     Variables are all group coordinates, in element order.
     """
-    for cj in pair.fermat.weights:
-        if c * cj >= pair.fermat.degree:
-            raise ValueError("twist out of range: c*c_j < d required")
+    pair.require_twist(c)
     elements = pair.group.elements
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
@@ -145,9 +143,7 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     from the closed-form product formula.  Every dual sector g0 is scanned
     through ``is_nonempty``; none is solved for.
     """
-    for cj in pair.fermat.weights:
-        if c * cj >= pair.fermat.degree:
-            raise ValueError("twist out of range: c*c_j < d required")
+    pair.require_twist(c)
     elements = pair.group.elements
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
@@ -191,32 +187,71 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
 
 # ---------------------------------------------------------------------------
+# the index table shared by every I/H walk
+# ---------------------------------------------------------------------------
+
+class IndexTerm(NamedTuple):
+    """One index (k0, k) with k0 + sum(k) <= T and the bookkeeping it carries.
+
+    degs = (k0,) + k; base = prod_s g_s^{k_s}; comb_k = prod_s 1/k_s! and
+    comb = comb_k / k0!; a_vec = a(k).  ``ages`` pairs each indexing sector
+    g_s with its age and is shared by every term of one table.
+    """
+
+    k0: int
+    k: tuple[int, ...]
+    degs: tuple[int, ...]
+    base: GroupElement
+    comb_k: Fraction
+    comb: Fraction
+    a_vec: tuple[Fraction, ...]
+    ages: tuple
+
+    def z_shift(self) -> int:
+        """sum_s (age(g_s) - 1) k_s; the ages of the indexing sectors must be
+        integers for the z-grading bookkeeping to make sense."""
+        shift = 0
+        for (g, age), mult in zip(self.ages, self.k):
+            if mult:
+                if age.denominator != 1:
+                    raise IdentityError(f"non-integral age on sector {g}")
+                shift += (int(age) - 1) * mult
+        return shift
+
+
+def _index_terms(pair: LGPair, t_order: int):
+    """The IndexTerm of every (k0, k), by total degree, then lexicographic.
+
+    Exponents and ages of the positive-dimensional sectors are read once per
+    table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in integers.
+    """
+    sectors = pair.positive_dim_sectors()
+    ages = tuple((g, g.age()) for g in sectors)
+    weights, d = pair.fermat.weights, pair.fermat.degree
+    for total in range(t_order + 1):
+        for degs in _multidegrees(1 + len(sectors), total):
+            k = degs[1:]
+            base = pair.identity
+            comb_k = Fraction(1)
+            sums = [0] * len(weights)
+            for g, mult in zip(sectors, k):
+                if mult:
+                    base = base * (g ** mult)
+                    comb_k /= factorial(mult)
+                    for j, e in enumerate(g.exps):
+                        sums[j] += mult * e
+            a_vec = tuple(Fraction(s * cj, d) for s, cj in zip(sums, weights))
+            yield IndexTerm(degs[0], k, degs, base, comb_k,
+                            comb_k / factorial(degs[0]), a_vec, ages)
+
+
+# ---------------------------------------------------------------------------
 # the hypergeometric I-functions
 # ---------------------------------------------------------------------------
 
-def _index_tuples(pair: LGPair, t_order: int):
-    """(k0, k) with k0 + sum(k) <= T, plus the sector data they index."""
-    sectors = pair.positive_dim_sectors()
-    for total in range(t_order + 1):
-        for degs in _multidegrees(1 + len(sectors), total):
-            yield degs[0], degs[1:], sectors
-
-
-def _a_vector(pair: LGPair, sectors, k) -> tuple[Fraction, ...]:
-    n = pair.fermat.n_variables
-    out = [Fraction(0)] * n
-    for g, mult in zip(sectors, k):
-        if mult:
-            for j in range(n):
-                out[j] += mult * g.multiplicity(j)
-    return tuple(out)
-
-
-def modification_factor(pair: LGPair, k0: int, k, ring: SeriesRing,
+def modification_factor(pair: LGPair, k0: int, a_vec, ring: SeriesRing,
                         z_min: int, z_max: int) -> ZLaurentSeries:
     """M(k0, k) = prod_j prod_{l < floor(r_j)} (-c_j lam - (frac(r_j) + l) z)."""
-    sectors = pair.positive_dim_sectors()
-    a_vec = _a_vector(pair, sectors, k)
     d = pair.fermat.degree
     result = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
     for j, cj in enumerate(pair.fermat.weights):
@@ -231,6 +266,13 @@ def modification_factor(pair: LGPair, k0: int, k, ring: SeriesRing,
     return result
 
 
+def _i_x_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
+               z_min: int, z_max: int) -> ZLaurentSeries:
+    """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k)."""
+    m_factor = modification_factor(pair, term.k0, term.a_vec, ring, z_min, z_max)
+    return (m_factor * ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
+
+
 def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     """The hypergeometric point on the local quotient-stack cone.
 
@@ -238,23 +280,14 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     M(k0,k) t^{k0} / (z^{k0} k0!) on the sector j^{k0} prod g_s^{k_s}.
     """
     pair.require_cy()
-    d = pair.fermat.degree
-    ring = SeriesRing(d, orders.lam_order, 1)
+    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
     wide_min = min(z_min, -(orders.t_order + 2) - orders.t_order)
     terms: dict = {}
-    for k0, k, sectors in _index_tuples(pair, orders.t_order):
-        sector = pair.grading ** k0
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
-        m_factor = modification_factor(pair, k0, k, ring, wide_min, z_max + orders.t_order)
-        comb = Fraction(1, factorial(k0))
-        for mult in k:
-            comb /= factorial(mult)
-        value = (m_factor * ring.scalar(comb)).shift(1 - k0 - sum(k))
-        value = value.with_window(z_min, z_max)
-        zlaurent_to_terms(sector.exps, (k0,) + tuple(k), value, terms)
+    for term in _index_terms(pair, orders.t_order):
+        sector = pair.grading ** term.k0 * term.base
+        value = _i_x_value(pair, term, ring, wide_min, z_max + orders.t_order)
+        zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
     variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("x", pair, variables, orders, terms,
                      ((TOKEN_T_LAMBDA, 1),))
@@ -307,6 +340,30 @@ def _inverse_linear_h_z(ring: SeriesRing, h_coeff: Fraction, level: Fraction,
     return ZLaurentSeries(ring, z_min, z_max, terms)
 
 
+def _i_y_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
+               z_min: int, z_max: int) -> ZLaurentSeries:
+    """The I^Y coefficient of one index: the k0 fiber factors, the ray
+    factors of every j, comb_k and z^(1 - sum k)."""
+    d = pair.fermat.degree
+    value = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
+    for l in range(term.k0):
+        value = value * ZLaurentSeries(
+            ring, z_min, z_max,
+            {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
+             1: ring.scalar(Fraction(-l))})
+    for j, cj in enumerate(pair.fermat.weights):
+        numerator_levels, denominator_levels = \
+            y_ray_levels(Fraction(term.k0 * cj, d) - term.a_vec[j])
+        for level in numerator_levels:
+            value = value * ZLaurentSeries(
+                ring, z_min, z_max,
+                {0: ring.monomial(h=1, coeff=Fraction(cj)),
+                 1: ring.scalar(level)})
+        for level in denominator_levels:
+            value = value * _inverse_linear_h_z(ring, Fraction(cj), level, z_min, z_max)
+    return (value * ring.scalar(term.comb_k)).shift(1 - sum(term.k))
+
+
 def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     """The toric I-function of the canonical-bundle total space, in q.
 
@@ -314,45 +371,17 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     The multidegree slot 0 is the exponent of q^(1/d).
     """
     pair.require_cy()
-    d = pair.fermat.degree
     z_min, z_max = orders.z_window
     wide_min = z_min - 2 * orders.t_order - 2 * pair.fermat.n_variables
     terms: dict = {}
-    for k0, k, sectors in _index_tuples(pair, orders.t_order):
-        sector = (pair.grading ** k0).inverse()
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
+    for term in _index_terms(pair, orders.t_order):
+        sector = (pair.grading ** term.k0).inverse() * term.base
         n_g = sector.fixed_dim()
         if n_g == 0:
             continue
-        ring = SeriesRing(d, orders.lam_order, n_g)
-        a_vec = _a_vector(pair, sectors, k)
-        value = ZLaurentSeries.constant(ring, wide_min, z_max + orders.t_order,
-                                        ring.one())
-        for l in range(k0):
-            factor = ZLaurentSeries(
-                ring, wide_min, z_max + orders.t_order,
-                {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
-                 1: ring.scalar(Fraction(-l))})
-            value = value * factor
-        for j, cj in enumerate(pair.fermat.weights):
-            v = Fraction(k0 * cj, d) - a_vec[j]
-            numerator_levels, denominator_levels = y_ray_levels(v)
-            for level in numerator_levels:
-                value = value * ZLaurentSeries(
-                    ring, wide_min, z_max + orders.t_order,
-                    {0: ring.monomial(h=1, coeff=Fraction(cj)),
-                     1: ring.scalar(level)})
-            for level in denominator_levels:
-                value = value * _inverse_linear_h_z(ring, Fraction(cj), level,
-                                                    wide_min, z_max + orders.t_order)
-        comb = Fraction(1)
-        for mult in k:
-            comb /= factorial(mult)
-        value = (value * ring.scalar(comb)).shift(1 - sum(k))
-        value = value.with_window(z_min, z_max)
-        zlaurent_to_terms(sector.exps, (k0,) + tuple(k), value, terms)
+        ring = SeriesRing(pair.fermat.degree, orders.lam_order, n_g)
+        value = _i_y_value(pair, term, ring, wide_min, z_max + orders.t_order)
+        zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
     variables = ("q^(1/d)",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("y", pair, variables, orders, terms, ((TOKEN_Q_H, 1),))
 
@@ -361,58 +390,44 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # H-functions and the Gamma factorization
 # ---------------------------------------------------------------------------
 
-def _x_atoms(pair: LGPair, k0: int, a_vec) -> tuple:
+def _x_atoms(pair: LGPair, term: IndexTerm) -> tuple:
     d = pair.fermat.degree
     atoms: dict[GammaAtom, int] = {}
     for j, cj in enumerate(pair.fermat.weights):
-        atom = GammaAtom(Fraction(cj), Fraction(k0 * cj, d) + a_vec[j])
+        atom = GammaAtom(Fraction(cj), Fraction(term.k0 * cj, d) + term.a_vec[j])
         atoms[atom] = atoms.get(atom, 0) - 1
     return tuple(sorted(atoms.items()))
 
 
-def _age_shift(sectors, k) -> int:
-    """sum_s (age(g_s) - 1) k_s; the ages of the indexing sectors must be
-    integers for the z-grading bookkeeping to make sense."""
-    shift = 0
-    for g, mult in zip(sectors, k):
-        if mult:
-            age = g.age()
-            if age.denominator != 1:
-                raise IdentityError(f"non-integral age on sector {g}")
-            shift += (int(age) - 1) * mult
-    return shift
+def _y_atoms(pair: LGPair, term: IndexTerm) -> tuple:
+    d = pair.fermat.degree
+    atoms: dict[GammaAtom, int] = {
+        GammaAtom(Fraction(d), Fraction(term.k0), Fraction(d)): -1}
+    for j, cj in enumerate(pair.fermat.weights):
+        atom = GammaAtom(Fraction(0), term.a_vec[j] - Fraction(term.k0 * cj, d),
+                         Fraction(-cj))
+        atoms[atom] = atoms.get(atom, 0) - 1
+    return tuple(sorted(atoms.items()))
+
+
+def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
+    """The H closed form of one index: comb times the Gamma-atom monomial."""
+    return SectorValue(ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
 
 
 def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
     pair.require_cy()
-    d = pair.fermat.degree
-    ring = SeriesRing(d, orders.lam_order, 1)
+    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     terms: dict = {}
-    for k0, k, sectors in _index_tuples(pair, orders.t_order):
-        sector = pair.grading ** k0
-        comb = Fraction(1, factorial(k0))
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
-                comb /= factorial(mult)
-        a_vec = _a_vector(pair, sectors, k)
-        value = SectorValue(ring, {(0, 0, 0, _x_atoms(pair, k0, a_vec)):
-                                   Cyclotomic.from_rational(d, comb)})
-        key = (sector.exps, _age_shift(sectors, k), (k0,) + tuple(k))
+    for term in _index_terms(pair, orders.t_order):
+        sector = pair.grading ** term.k0 * term.base
+        value = _atom_value(ring, _x_atoms(pair, term), term.comb)
+        key = (sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
     variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("x", pair, variables, orders, terms,
                      ((TOKEN_T_LAMBDA, 1),))
-
-
-def _y_atoms(pair: LGPair, k0: int, a_vec) -> tuple:
-    d = pair.fermat.degree
-    atoms: dict[GammaAtom, int] = {GammaAtom(Fraction(d), Fraction(k0), Fraction(d)): -1}
-    for j, cj in enumerate(pair.fermat.weights):
-        atom = GammaAtom(Fraction(0), a_vec[j] - Fraction(k0 * cj, d), Fraction(-cj))
-        atoms[atom] = atoms.get(atom, 0) - 1
-    return tuple(sorted(atoms.items()))
 
 
 def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
@@ -422,27 +437,15 @@ def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     the Gamma-class operator and is not stored here.
     """
     pair.require_cy()
-    d = pair.fermat.degree
     terms: dict = {}
-    for k0, k, sectors in _index_tuples(pair, orders.t_order):
-        sector = (pair.grading ** k0).inverse()
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
+    for term in _index_terms(pair, orders.t_order):
+        sector = (pair.grading ** term.k0).inverse() * term.base
         n_g = sector.fixed_dim()
         if n_g == 0:
             continue
-        ring = SeriesRing(d, orders.lam_order, n_g)
-        z_shift = 0
-        comb = Fraction(1)
-        for g, mult in zip(sectors, k):
-            if mult:
-                z_shift += (int(g.age()) - 1) * mult
-                comb /= factorial(mult)
-        a_vec = _a_vector(pair, sectors, k)
-        value = SectorValue(ring, {(0, 0, 0, _y_atoms(pair, k0, a_vec)):
-                                   Cyclotomic.from_rational(d, comb)})
-        key = (sector.exps, z_shift, (k0,) + tuple(k))
+        ring = SeriesRing(pair.fermat.degree, orders.lam_order, n_g)
+        value = _atom_value(ring, _y_atoms(pair, term), term.comb_k)
+        key = (sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
     variables = ("q^(1/d)",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("y", pair, variables, orders, terms, ((TOKEN_Q_H, 1),))
@@ -456,8 +459,6 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     polynomial rewrite and insists on an identically zero residual;
     the first bad coefficient is carried on the raised IdentityError.
     """
-    from .transforms import gamma_class_op  # local to avoid a module cycle
-
     pair.require_cy()
     if side == "x":
         h_series = h_function_x(pair, series.orders)
@@ -476,26 +477,41 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
     return z_min - pad, z_max + pad
 
 
-def _collect_zlaurent(series: CohSeries, sector: tuple, degs: tuple,
-                      ring: SeriesRing, window) -> ZLaurentSeries:
-    terms = {}
-    for (exps, z, d2), value in series.terms.items():
-        if exps == sector and d2 == degs:
-            terms[z] = value.with_ring(ring)
-    return ZLaurentSeries(ring, window[0], window[1], terms)
-
-
 def _assert_is_clamp(series: CohSeries, sector, degs, wide: ZLaurentSeries,
                      label: str):
     """The stored series must be the window clamp of the wide recomputation."""
     z_min, z_max = series.orders.z_window
     ring = wide.ring
-    stored = _collect_zlaurent(series, sector, degs, ring,
-                               (wide.z_min, wide.z_max))
+    keys = [(sector, z, degs) for z in range(z_min, z_max + 1)]
+    stored = ZLaurentSeries(ring, wide.z_min, wide.z_max,
+                            {key[1]: series.terms[key].with_ring(ring)
+                             for key in keys if key in series.terms})
     clamped = wide.with_window(z_min, z_max).with_window(wide.z_min, wide.z_max)
     if stored != clamped:
         raise IdentityError(f"{label}: stored series is not the declared clamp",
                             {"sector": list(sector), "degree": list(degs)})
+
+
+def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
+                   expected: SectorValue):
+    """The stored H term must be its closed form wherever the window keeps it."""
+    z_min, z_max = h_series.orders.z_window
+    if z_min <= shift <= z_max and h_series.coefficient(sector, shift, degs) != expected:
+        raise IdentityError("H-function term disagrees with its closed form",
+                            {"sector": list(sector), "degree": list(degs)})
+
+
+def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
+                        sector, degs):
+    """The two sides of the factorization must agree at every z."""
+    diff = lhs - rhs
+    if not diff.is_zero():
+        z_bad = sorted(diff.terms)[0]
+        raise IdentityError(
+            f"Gamma factorization residual on the {side} side",
+            {"sector": list(sector), "z": z_bad, "degree": list(degs),
+             "left": str(lhs.coefficient(z_bad)),
+             "right": str(rhs.coefficient(z_bad))})
 
 
 def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeries):
@@ -507,39 +523,24 @@ def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeri
     d = pair.fermat.degree
     ring = SeriesRing(d, i_series.orders.lam_order, 1)
     window = _wide_window(i_series.orders, pair)
-    for k0, k, sectors in _index_tuples(pair, i_series.orders.t_order):
-        sector = pair.grading ** k0
-        comb = Fraction(1, factorial(k0))
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
-                comb /= factorial(mult)
-        degs = (k0,) + tuple(k)
-        a_vec = _a_vector(pair, sectors, k)
+    for term in _index_terms(pair, i_series.orders.t_order):
+        sector = pair.grading ** term.k0 * term.base
         age = sector.age()
         if age.denominator != 1:
             raise IdentityError("z-grading needs integral ages (SL group)")
-        shift = _age_shift(sectors, k)
+        shift = term.z_shift()
 
-        i_value = (modification_factor(pair, k0, k, ring, *window)
-                   * ring.scalar(comb)).shift(1 - k0 - sum(k))
-        _assert_is_clamp(i_series, sector.exps, degs, i_value, "I^X")
-
-        h_stored = h_series.coefficient(sector.exps, shift, degs)
-        expected_atoms = _x_atoms(pair, k0, a_vec)
-        expected_h = SectorValue(
-            ring, {(0, 0, 0, expected_atoms): Cyclotomic.from_rational(d, comb)})
-        z_min, z_max = h_series.orders.z_window
-        if (z_min <= shift <= z_max) and h_stored != expected_h:
-            raise IdentityError("H-function term disagrees with its closed form",
-                                {"sector": list(sector.exps), "degree": list(degs)})
+        i_value = _i_x_value(pair, term, ring, *window)
+        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^X")
+        _assert_h_term(h_series, sector.exps, shift, term.degs,
+                       _atom_value(ring, _x_atoms(pair, term), term.comb))
 
         # operator side: z^(1 - age), Gamma-class atoms cancel the H atoms
         # through the integer-gap rewrite, one polynomial block per j.
-        recon = ZLaurentSeries.constant(ring, *window, ring.scalar(comb))
+        recon = ZLaurentSeries.constant(ring, *window, ring.scalar(term.comb))
         recon = recon.shift(shift + 1 - int(age))
         for j, cj in enumerate(pair.fermat.weights):
-            r = Fraction(k0 * cj, d) + a_vec[j]
+            r = Fraction(term.k0 * cj, d) + term.a_vec[j]
             gap = r.numerator // r.denominator
             frac = r - gap
             if frac != sector.multiplicity(j):
@@ -548,14 +549,7 @@ def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeri
             recon = recon * gamma_shift_product(Fraction(cj), Fraction(0), frac,
                                                 gap, ring, *window)
             recon = recon.shift(-gap)
-        diff = i_value - recon
-        if not diff.is_zero():
-            z_bad = sorted(diff.terms)[0]
-            raise IdentityError(
-                "Gamma factorization residual on the X side",
-                {"sector": list(sector.exps), "z": z_bad, "degree": list(degs),
-                 "left": str(i_value.coefficient(z_bad)),
-                 "right": str(recon.coefficient(z_bad))})
+        _assert_no_residual(i_value, recon, "X", sector.exps, term.degs)
 
 
 def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeries):
@@ -563,64 +557,33 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
     cross-multiplied: I * prod_j (level factors) against the fiber ratio."""
     d = pair.fermat.degree
     window = _wide_window(i_series.orders, pair)
-    for k0, k, sectors in _index_tuples(pair, i_series.orders.t_order):
-        sector = (pair.grading ** k0).inverse()
-        comb = Fraction(1)
-        for g, mult in zip(sectors, k):
-            if mult:
-                sector = sector * (g ** mult)
-                comb /= factorial(mult)
+    for term in _index_terms(pair, i_series.orders.t_order):
+        sector = (pair.grading ** term.k0).inverse() * term.base
         n_g = sector.fixed_dim()
         if n_g == 0:
             continue
         ring = SeriesRing(d, i_series.orders.lam_order, n_g)
-        degs = (k0,) + tuple(k)
-        a_vec = _a_vector(pair, sectors, k)
         age = sector.age()
         if age.denominator != 1:
             raise IdentityError("z-grading needs integral ages (SL group)")
-        shift = _age_shift(sectors, k)
+        shift = term.z_shift()
 
-        i_value = ZLaurentSeries.constant(ring, *window, ring.one())
-        for l in range(k0):
-            i_value = i_value * ZLaurentSeries(
-                ring, *window,
-                {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
-                 1: ring.scalar(Fraction(-l))})
-        for j, cj in enumerate(pair.fermat.weights):
-            v = Fraction(k0 * cj, d) - a_vec[j]
-            numerator_levels, denominator_levels = y_ray_levels(v)
-            for level in numerator_levels:
-                i_value = i_value * ZLaurentSeries(
-                    ring, *window,
-                    {0: ring.monomial(h=1, coeff=Fraction(cj)),
-                     1: ring.scalar(level)})
-            for level in denominator_levels:
-                i_value = i_value * _inverse_linear_h_z(ring, Fraction(cj), level,
-                                                        *window)
-        i_value = (i_value * ring.scalar(comb)).shift(1 - sum(k))
-        _assert_is_clamp(i_series, sector.exps, degs, i_value, "I^Y")
-
-        h_stored = h_series.coefficient(sector.exps, shift, degs)
-        expected_atoms = _y_atoms(pair, k0, a_vec)
-        expected_h = SectorValue(
-            ring, {(0, 0, 0, expected_atoms): Cyclotomic.from_rational(d, comb)})
-        z_min, z_max = h_series.orders.z_window
-        if (z_min <= shift <= z_max) and h_stored != expected_h:
-            raise IdentityError("H-function term disagrees with its closed form",
-                                {"sector": list(sector.exps), "degree": list(degs)})
+        i_value = _i_y_value(pair, term, ring, *window)
+        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^Y")
+        _assert_h_term(h_series, sector.exps, shift, term.degs,
+                       _atom_value(ring, _y_atoms(pair, term), term.comb_k))
 
         # cross-multiplied identity: a per-j atom ratio of gap n rewrites as
         # z^-n prod(...); negative gaps multiply the I side, positive
         # gaps (net numerator factors) multiply the operator side.
         lhs = i_value
-        rhs = ZLaurentSeries.constant(ring, *window, ring.scalar(comb))
+        rhs = ZLaurentSeries.constant(ring, *window, ring.scalar(term.comb_k))
         rhs = rhs.shift(shift + 1 - int(age))
         rhs = rhs * gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
-                                        k0, ring, *window)
-        rhs = rhs.shift(-k0)
+                                        term.k0, ring, *window)
+        rhs = rhs.shift(-term.k0)
         for j, cj in enumerate(pair.fermat.weights):
-            v = Fraction(k0 * cj, d) - a_vec[j]
+            v = Fraction(term.k0 * cj, d) - term.a_vec[j]
             numerator_levels, denominator_levels = y_ray_levels(v)
             gap = -v - sector.multiplicity(j)
             if gap.denominator != 1 or \
@@ -639,37 +602,12 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                 lhs = lhs * gamma_shift_product(Fraction(0), Fraction(-cj),
                                                 -v, -int(gap), ring, *window)
                 lhs = lhs.shift(int(gap))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            z_bad = sorted(diff.terms)[0]
-            raise IdentityError(
-                "Gamma factorization residual on the Y side",
-                {"sector": list(sector.exps), "z": z_bad, "degree": list(degs),
-                 "left": str(lhs.coefficient(z_bad)),
-                 "right": str(rhs.coefficient(z_bad))})
+        _assert_no_residual(lhs, rhs, "Y", sector.exps, term.degs)
 
 
 # ---------------------------------------------------------------------------
-# the continued series H^Y' and its building blocks
+# the continued series H^Y'
 # ---------------------------------------------------------------------------
-
-def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
-    """(e^{d(lam+H)} - 1) / (d (e^{lam+H} xi^b - 1)) in the given ring.
-
-    For xi^b = 1 the quotient is the geometric sum (1/d) sum_a e^{a(lam+H)}.
-    """
-    d = pair.fermat.degree
-    b = xi_power % d
-    x = ring.lam() + ring.hyperplane()
-    if b == 0:
-        total = ring.zero()
-        for a in range(d):
-            total = total + series_exp(x * a)
-        return total * Fraction(1, d)
-    numerator = series_exp(x * d) - 1
-    denominator = (series_exp(x) * ring.root(b) - 1) * d
-    return numerator * series_invert(denominator)
-
 
 def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     """The analytic continuation H^Y' as a closed-form t-series.
@@ -683,28 +621,20 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     d = pair.fermat.degree
     terms: dict = {}
     block_cache: dict = {}
-    for m, k, sectors in _index_tuples(pair, orders.t_order):
-        base_sector = pair.identity
-        comb = Fraction(1, factorial(m))
-        for g, mult in zip(sectors, k):
-            if mult:
-                base_sector = base_sector * (g ** mult)
-                comb /= factorial(mult)
-        a_vec = _a_vector(pair, sectors, k)
-        atoms = _x_atoms(pair, m, a_vec)
-        z_shift = _age_shift(sectors, k)
+    for term in _index_terms(pair, orders.t_order):
+        atoms = _x_atoms(pair, term)
+        z_shift = term.z_shift()
         for b in range(d):
-            sector = base_sector * ((pair.grading ** b).inverse())
+            sector = term.base * ((pair.grading ** b).inverse())
             n_g = sector.fixed_dim()
             if n_g == 0:
                 continue
             ring = SeriesRing(d, orders.lam_order, n_g)
-            cache_key = ((b + m) % d, n_g)
+            cache_key = ((b + term.k0) % d, n_g)
             if cache_key not in block_cache:
-                block_cache[cache_key] = ubar_block(pair, b + m, ring)
-            block = block_cache[cache_key]
-            value = block.scale_atoms(atoms) * ring.scalar(comb)
-            key = (sector.exps, z_shift, (m,) + tuple(k))
+                block_cache[cache_key] = ubar_block(pair, b + term.k0, ring)
+            value = block_cache[cache_key].scale_atoms(atoms) * ring.scalar(term.comb)
+            key = (sector.exps, z_shift, term.degs)
             terms[key] = terms[key] + value if key in terms else value
     variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("y", pair, variables, orders, terms,
@@ -770,8 +700,6 @@ def fjrw_i_function(pair: LGPair, orders: Orders,
     The limit exists because every N_g > 0 coefficient is divisible by
     lam^{N_g} (checked, not assumed); the result is narrow-supported.
     """
-    from .transforms import delta_circ
-
     pair.require_cy()
     pair.require_sl()
     derivative = z_ddt_distinguished(i_function_x(pair, orders))
@@ -819,8 +747,6 @@ def _value_from_json(data: dict, ring: SeriesRing) -> SectorValue:
 
 def serialize_series(series: CohSeries) -> dict:
     """Structured-text dump: {sector, z-exp, t-multidegree} -> coefficient."""
-    from .lgmodel import pair_to_dict
-
     return {
         "side": series.side,
         "c_twist": series.c_twist,
@@ -838,9 +764,6 @@ def serialize_series(series: CohSeries) -> dict:
 
 
 def deserialize_series(data: dict) -> CohSeries:
-    from .cohseries import _sector_nilpotency
-    from .lgmodel import load_pair
-
     pair = load_pair(data["pair"])
     orders = Orders(t_order=data["orders"]["T"], lam_order=data["orders"]["lambda"],
                     z_min=data["orders"]["zWindow"][0],

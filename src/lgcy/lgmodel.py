@@ -267,6 +267,10 @@ class LGPair:
         if not self.is_sl:
             raise ValueError(f"{self.name}: group must lie in SL(N)")
 
+    def require_twist(self, c: int):
+        if c not in self.valid_twists():
+            raise ValueError(f"{self.name}: twist c={c} outside 0 <= c*c_j < d")
+
     # -- moduli numerology ------------------------------------------------------
     def line_bundle_degree(self, c: int, j: int, h: int, insertions) -> Fraction:
         """(c c_j / d)(2h - 2 + n) - sum_i m_j(g_i).
@@ -352,10 +356,7 @@ def pair_twisted(pair: LGPair, c: int, g1: GroupElement, g2: GroupElement,
     """
     if spec not in PAIRING_SPECIALIZATIONS:
         raise ValueError(f"unknown specialization {spec!r}")
-    d = pair.fermat.degree
-    for cj in pair.fermat.weights:
-        if c * cj >= d:
-            raise ValueError(f"twist c={c} violates c*c_j < d")
+    pair.require_twist(c)
     dual = (g1 * (pair.grading ** (2 * c))).inverse()
     if g2 != dual:
         return PairingValue(Fraction(0))

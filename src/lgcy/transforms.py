@@ -22,6 +22,8 @@ from .exactalg import (
     ZLaurentSeries,
     bernoulli_poly,
     divide_by_lambda_plus_h,
+    series_exp,
+    series_invert,
 )
 from .cohseries import CohSeries
 from .lgmodel import GroupElement, LGPair, SectorBasisElement
@@ -57,8 +59,7 @@ class Transform:
     """
 
     def __init__(self, pair: LGPair, side_in: str, side_out: str, blocks: dict,
-                 name: str = "", twist_in=None, twist_out=None,
-                 symplectic_claimed: bool = False):
+                 name: str = "", twist_in=None, twist_out=None):
         self.pair = pair
         self.side_in = side_in
         self.side_out = side_out
@@ -66,7 +67,6 @@ class Transform:
         self.name = name
         self.twist_in = twist_in
         self.twist_out = twist_out
-        self.symplectic_claimed = symplectic_claimed
 
     def _out_ring(self, exps: tuple, lam_order: int) -> SeriesRing:
         nilp = 1
@@ -110,37 +110,8 @@ class Transform:
                          series.orders, out_terms, series.tokens,
                          c_twist=self.twist_out)
 
-    def entry(self, in_exps: tuple, out_exps: tuple):
-        for element, value in self.blocks.get(tuple(in_exps), ()):
-            if element.g.exps == tuple(out_exps):
-                return value
-        return None
-
     def __repr__(self):
         return f"Transform({self.name}, {self.side_in}->{self.side_out})"
-
-    def dump(self) -> dict:
-        """Per input basis element, the list of (output element, entry)."""
-        from .genfun import _value_to_json
-
-        def entry_json(entry):
-            if isinstance(entry, ZLaurentSeries):
-                return {"zWindow": [entry.z_min, entry.z_max],
-                        "coefficients": {str(z): _value_to_json(v)
-                                         for z, v in sorted(entry.terms.items())}}
-            return _value_to_json(entry)
-
-        return {
-            "name": self.name,
-            "sides": [self.side_in, self.side_out],
-            "blocks": [
-                {"input": list(exps),
-                 "outputs": [{"sector": list(el.g.exps), "side": el.side,
-                              "entry": entry_json(entry)}
-                             for el, entry in outputs]}
-                for exps, outputs in sorted(self.blocks.items())
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +120,14 @@ class Transform:
 
 def i_c(pair: LGPair, c: int) -> Transform:
     """phi^0_g -> phi^c_{g j^-c}; a pairing-preserving basis permutation."""
-    d = pair.fermat.degree
-    for cj in pair.fermat.weights:
-        if c * cj >= d:
-            raise ValueError("i_c requires c*c_j < d")
+    pair.require_twist(c)
     shift = (pair.grading ** c).inverse()
     blocks = {
         g.exps: ((SectorBasisElement("lg", g * shift), 1),)
         for g in pair.group.elements
     }
     return Transform(pair, "lg", "lg", blocks, name=f"i_{c}",
-                     twist_in=0, twist_out=c, symplectic_claimed=True)
+                     twist_in=0, twist_out=c)
 
 
 def delta_circ(pair: LGPair, sign_convention: str = "display") -> Transform:
@@ -182,8 +150,7 @@ def delta_circ(pair: LGPair, sign_convention: str = "display") -> Transform:
         base = g if sign_convention == "display" else g * pair.grading
         sign = (-1) ** int(base.age())
         blocks[g.exps] = ((SectorBasisElement("fjrw", target), sign),)
-    return Transform(pair, "x", "fjrw", blocks, name="delta_circ",
-                     symplectic_claimed=True)
+    return Transform(pair, "x", "fjrw", blocks, name="delta_circ")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +158,21 @@ def delta_circ(pair: LGPair, sign_convention: str = "display") -> Transform:
 # ---------------------------------------------------------------------------
 
 def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
-    from .genfun import ubar_block as _block
-    return _block(pair, xi_power, ring)
+    """(e^{d(lam+H)} - 1) / (d (e^{lam+H} xi^b - 1)) in the given ring.
+
+    For xi^b = 1 the quotient is the geometric sum (1/d) sum_a e^{a(lam+H)}.
+    """
+    d = pair.fermat.degree
+    b = xi_power % d
+    x = ring.lam() + ring.hyperplane()
+    if b == 0:
+        total = ring.zero()
+        for a in range(d):
+            total = total + series_exp(x * a)
+        return total * Fraction(1, d)
+    numerator = series_exp(x * d) - 1
+    denominator = (series_exp(x) * ring.root(b) - 1) * d
+    return numerator * series_invert(denominator)
 
 
 def u_bar(pair: LGPair, lam_order: int) -> Transform:
@@ -218,8 +198,7 @@ def u_bar(pair: LGPair, lam_order: int) -> Transform:
                 cache[key] = ubar_block(pair, b, ring)
             outputs.append((SectorBasisElement("y", target), cache[key]))
         blocks[g.exps] = tuple(outputs)
-    return Transform(pair, "x", "y", blocks, name="u_bar",
-                     symplectic_claimed=True)
+    return Transform(pair, "x", "y", blocks, name="u_bar")
 
 
 def gamma_class_op(pair: LGPair, side: str, inverse: bool = False) -> Transform:
@@ -553,10 +532,7 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
     ``scale`` substitutes s -> scale*s, giving an exact handle on the
     multiplicativity law Delta(s + s') = Delta(s) Delta(s').
     """
-    d = pair.fermat.degree
-    for cj in pair.fermat.weights:
-        if c * cj >= d:
-            raise ValueError("delta_c requires c*c_j < d")
+    pair.require_twist(c)
     entries = {}
     for g in pair.group.elements:
         log_entries = delta_c_log_entry(pair, c, g, k_max)
@@ -616,10 +592,7 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
     """
     if spec not in ("euler-inverse", "euler-inverse-signed"):
         raise ValueError("spec must be one of the euler specializations")
-    d = pair.fermat.degree
-    for cj in pair.fermat.weights:
-        if c * cj >= d:
-            raise ValueError("delta_c requires c*c_j < d")
+    pair.require_twist(c)
     entries = {}
     for g in pair.group.elements:
         shifted = g * (pair.grading ** c)

@@ -16,7 +16,6 @@ from .cohseries import CohSeries, Orders
 from .exactalg import (
     Cyclotomic,
     ExactDivisionError,
-    SectorValue,
     SeriesRing,
     series_exp,
 )
@@ -28,7 +27,6 @@ from .genfun import (
     i_function_x,
     i_function_y,
     residue_unit_check,
-    ubar_block,
     untwisted_j,
     untwisted_j_oracle,
     z_ddt_distinguished,
@@ -43,6 +41,7 @@ from .transforms import (
     i_c,
     pullback_to_z,
     u_bar,
+    ubar_block,
 )
 
 __all__ = [
@@ -59,6 +58,7 @@ __all__ = [
     "check_residue_lemma",
     "ALL_CHECKS",
     "run_checks",
+    "self_test",
 ]
 
 
@@ -517,3 +517,34 @@ def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
         else:
             raise ValueError(f"unknown check {name!r}")
     return reports
+
+
+def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
+    """Inject one fault per check, in ``ALL_CHECKS`` order; every report
+    must come back failing with a witness."""
+    small = Orders(t_order=min(orders.t_order, 5),
+                   lam_order=min(orders.lam_order, 3))
+    wide = recommended_orders(pair, small.t_order, small.lam_order)
+    oracle = untwisted_j_oracle(pair, 0, small)
+    key_oracle = sorted(oracle.terms)[len(oracle.terms) // 2]
+    key_first = sorted(untwisted_j_oracle(pair, 0, Orders(t_order=4, lam_order=0)).terms)[0]
+    ix = i_function_x(pair, wide)
+    _, hx = h_factorization(pair, ix, "x")
+    pushed = u_bar(pair, small.lam_order).apply(hx)
+    key_cont = sorted(pushed.terms)[len(pushed.terms) // 2]
+    g_in = pair.grading.exps
+    g_out = pair.identity.exps
+    n_vars = len(ix.variables)
+    return [
+        check_oracle_equivalence(pair, n_max=4, _tamper=key_first),
+        check_mlk_untwisted(pair, pair.valid_twists()[-1], small, _tamper=key_oracle),
+        check_mlk_operator(pair, _tamper_sector=g_in),
+        check_gamma_factorization(pair, small, _tamper_side="x"),
+        check_continuation(pair, wide, _tamper=key_cont),
+        check_rctc_conditions(pair, 4, _tamper_block=(g_in, g_out)),
+        check_fjrw_pipeline(pair, small, _tamper=(g_out, 1, (0,) * n_vars),
+                            _tamper_stage="result"),
+        check_kernel_compatibility(pair, small,
+                                   _tamper=(g_out, 0, (1,) + (0,) * (n_vars - 1))),
+        check_residue_lemma(pair, _tamper=True),
+    ]

@@ -26,13 +26,13 @@ from lgcy.genfun import (
     psi_integral_oracle,
     residue_unit_check,
     serialize_series,
-    ubar_block,
     untwisted_j,
     untwisted_j_oracle,
     y_ray_levels,
     z_ddt_distinguished,
 )
-from lgcy.lgmodel import GroupElement
+from lgcy.lgmodel import GroupElement, load_pair
+from lgcy.transforms import ubar_block
 from lgcy.verify import ALL_CHECKS, recommended_orders, run_checks
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
@@ -202,7 +202,7 @@ def test_string_equation():
 def test_modification_factor_m70():
     q = quintic()
     ring = SeriesRing(5, 6, 1)
-    factor = modification_factor(q, 7, (0,), ring, -20, 20)
+    factor = modification_factor(q, 7, (F(0),) * 5, ring, -20, 20)
     expected = ZLaurentSeries.constant(ring, -20, 20, ring.one())
     linear = ZLaurentSeries(ring, -20, 20, {0: -ring.lam(), 1: ring.scalar(F(-2, 5))})
     for _ in range(5):
@@ -314,6 +314,18 @@ def test_h_function_age_z_bookkeeping():
     degs = tuple(2 if i == idx else 0 for i in range(len(series.variables)))
     keys = [k for k in series.terms if k[2] == degs]
     assert keys and all(k[1] == 2 for k in keys)
+
+
+def test_non_integral_ages_refused_by_every_h_builder():
+    # generator (1,0,0,0,0) puts non-integral ages on the indexing sectors;
+    # the I-functions still build, every H-builder refuses the z-grading
+    non_sl = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
+    orders = Orders(t_order=1, lam_order=1)
+    assert not non_sl.is_sl
+    assert i_function_x(non_sl, orders).terms and i_function_y(non_sl, orders).terms
+    for build in (h_function_x, h_function_y, h_continued):
+        with pytest.raises(IdentityError, match="non-integral age"):
+            build(non_sl, orders)
 
 
 def test_h_factorization_detects_corruption():

@@ -1,0 +1,49 @@
+"""Module layering of ``lgcy``: no function-local imports, no import cycles."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lgcy"
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _relative_targets(node: ast.ImportFrom) -> set[str]:
+    """Sibling modules named by ``from .x import ...`` or ``from . import x``."""
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
+def test_no_relative_import_inside_a_function():
+    offenders = []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    offenders.append(f"{name}.{fn.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {
+        name: {target for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level
+               for target in _relative_targets(node)} & set(MODULES)
+        for name, tree in MODULES.items()
+    }
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        assert name not in path, " -> ".join(path + (name,))
+        if name in done:
+            return
+        for target in sorted(graph[name]):
+            visit(target, path + (name,))
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, ())

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgcy.catalog import cubic, quartic, quintic, sextic
+from lgcy.cohseries import Orders
+from lgcy.genfun import untwisted_j, untwisted_j_oracle
 from lgcy.lgmodel import (
     PAIRING_SPECIALIZATIONS,
     FermatData,
@@ -20,6 +22,7 @@ from lgcy.lgmodel import (
     pair_to_dict,
     pair_twisted,
 )
+from lgcy.transforms import delta_c_generic, delta_c_specialized, i_c
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 TWISTED_PAIRS = [(pair, c) for pair in ALL_PAIRS for c in pair.valid_twists()]
@@ -317,3 +320,23 @@ def test_pair_file_round_trip(tmp_path):
 def test_degenerate_degree_rejected_upstream():
     with pytest.raises(ValueError):
         load_pair({"weights": [1], "degree": 1})
+
+
+TWIST_ENTRY_POINTS = {
+    "untwisted_j": lambda p, c: untwisted_j(p, c, Orders(t_order=1, lam_order=0)),
+    "untwisted_j_oracle": lambda p, c: untwisted_j_oracle(p, c, Orders(t_order=1, lam_order=0)),
+    "i_c": i_c,
+    "delta_c_generic": lambda p, c: delta_c_generic(p, c, k_max=1, z_order=1),
+    "delta_c_specialized": lambda p, c: delta_c_specialized(p, c, "euler-inverse", k_max=1),
+    "pair_twisted": lambda p, c: pair_twisted(p, c, p.identity, p.identity),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TWIST_ENTRY_POINTS))
+@pytest.mark.parametrize("pair", [quintic(), sextic()], ids=lambda p: p.name)
+def test_out_of_range_twists_rejected_everywhere(pair, entry):
+    build = TWIST_ENTRY_POINTS[entry]
+    for c in (-1, max(pair.valid_twists()) + 1):
+        with pytest.raises(ValueError, match="twist"):
+            build(pair, c)
+    build(pair, max(pair.valid_twists()))

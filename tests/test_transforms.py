@@ -14,7 +14,6 @@ from lgcy.exactalg import (
     SectorValue,
     SeriesRing,
 )
-from lgcy.genfun import ubar_block
 from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, load_pair, pair_twisted
 from lgcy.transforms import (
     SPoly,
@@ -30,6 +29,7 @@ from lgcy.transforms import (
     i_c,
     pullback_to_z,
     u_bar,
+    ubar_block,
     z_grading,
 )
 

@@ -23,6 +23,7 @@ from lgcy.verify import (
     check_residue_lemma,
     recommended_orders,
     run_checks,
+    self_test,
 )
 
 SMALL = Orders(t_order=4, lam_order=3)
@@ -198,3 +199,12 @@ def test_mlk_untwisted_self_test():
     key = sorted(oracle.terms)[3]
     report = check_mlk_untwisted(q, 1, orders, _tamper=key)
     assert not report.ok() and report.witness["kind"] == "coefficient"
+
+
+def test_self_test_detects_every_fault_on_the_non_cyclic_group():
+    pair = quartic()
+    reports = self_test(pair, Orders(t_order=4, lam_order=3))
+    assert [r.check.split("(")[0] for r in reports] == list(ALL_CHECKS)
+    for report in reports:
+        assert not report.ok(), report.check
+        assert report.witness, report.check
