@@ -223,7 +223,6 @@ def test_i_function_x_terms():
 
 
 def test_i_function_x_requires_cy():
-    from lgcy.lgmodel import load_pair
     non_cy = load_pair({"weights": [1, 1, 2, 3], "degree": 6})
     with pytest.raises(ValueError):
         i_function_x(non_cy, Orders(t_order=2, lam_order=2))
