@@ -164,6 +164,10 @@ def cmd_ifun(args) -> int:
 
 def cmd_verify(args) -> int:
     pair = _load(args.pair)
+    # every check assumes a CY pair with an SL group: refuse others up front
+    # instead of failing mid-run and losing the reports made so far
+    pair.require_cy()
+    pair.require_sl()
     orders = _orders(args, pair)
     names = ALL_CHECKS if args.checks == "all" else \
         tuple(name.strip() for name in args.checks.split(","))

@@ -62,6 +62,7 @@ class ExactDivisionError(ArithmeticError):
 # cyclotomic polynomials and the field Q(xi_n)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     m = n
@@ -146,17 +147,28 @@ def _as_fraction(value) -> Fraction:
 class Cyclotomic:
     """Element of Q(xi_n) in reduced canonical form.
 
-    ``coeffs`` always has length phi(n); two values are equal iff their
-    coefficient tuples are equal, so reduction gives free equality tests.
+    ``coeffs`` always has length phi(n) and holds only ``Fraction``s; two
+    values are equal iff their coefficient tuples are equal, so reduction
+    gives free equality tests.  The public constructor checks both; ring
+    operations build their already-canonical results through ``_unchecked``.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != phi:
+        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
+        self._store(order, coeffs)
+
+    @classmethod
+    def _unchecked(cls, order: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+        """A value whose coefficients are already phi(order) Fractions."""
+        value = object.__new__(cls)
+        value._store(order, coeffs)
+        return value
+
+    def _store(self, order: int, coeffs: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -166,9 +178,8 @@ class Cyclotomic:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rational(order: int, value) -> "Cyclotomic":
-        value = _as_fraction(value)
-        phi = euler_phi(order)
-        return Cyclotomic(order, (value,) + (Fraction(0),) * (phi - 1))
+        return Cyclotomic._unchecked(
+            order, (_as_fraction(value),) + (Fraction(0),) * (euler_phi(order) - 1))
 
     @staticmethod
     def zero(order: int) -> "Cyclotomic":
@@ -186,8 +197,8 @@ class Cyclotomic:
         if power < phi:
             coeffs = [Fraction(0)] * phi
             coeffs[power] = Fraction(1)
-            return Cyclotomic(order, coeffs)
-        return Cyclotomic(order, _power_reduction(order)[power - phi])
+            return Cyclotomic._unchecked(order, tuple(coeffs))
+        return Cyclotomic._unchecked(order, _power_reduction(order)[power - phi])
 
     # -- ring structure ----------------------------------------------------
     def _coerce(self, other):
@@ -200,13 +211,20 @@ class Cyclotomic:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Cyclotomic(self.order,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        # a rational operand only moves the constant coefficient
+        if not any(b[1:]):
+            coeffs = (a[0] + b[0],) + a[1:]
+        elif not any(a[1:]):
+            coeffs = (a[0] + b[0],) + b[1:]
+        else:
+            coeffs = tuple(x + y for x, y in zip(a, b))
+        return Cyclotomic._unchecked(self.order, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic._unchecked(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -216,13 +234,22 @@ class Cyclotomic:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        phi = len(self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        # a rational operand scales the other's coefficients: no convolution
+        # and no reduction; both rational touches the constant alone.
+        if not any(b[1:]):
+            if not any(a[1:]):
+                return Cyclotomic._unchecked(self.order, (a[0] * b[0],) + a[1:])
+            return Cyclotomic._unchecked(self.order, _scaled(a, b[0]))
+        if not any(a[1:]):
+            return Cyclotomic._unchecked(self.order, _scaled(b, a[0]))
+        phi = len(a)
         conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
         out = conv[:phi]
         table = _power_reduction(self.order)
         for m in range(phi, len(conv)):
@@ -232,7 +259,7 @@ class Cyclotomic:
                 for i in range(phi):
                     if row[i]:
                         out[i] += c * row[i]
-        return Cyclotomic(self.order, out)
+        return Cyclotomic._unchecked(self.order, tuple(out))
 
     __rmul__ = __mul__
 
@@ -252,7 +279,7 @@ class Cyclotomic:
                 inv = 1 / r1[0]
                 coeffs = [c * inv for c in s1]
                 coeffs += [Fraction(0)] * (len(self.coeffs) - len(coeffs))
-                return Cyclotomic(self.order, coeffs[: len(self.coeffs)])
+                return Cyclotomic._unchecked(self.order, tuple(coeffs[: len(self.coeffs)]))
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
@@ -275,10 +302,10 @@ class Cyclotomic:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -305,6 +332,11 @@ class Cyclotomic:
             else:
                 parts.append(f"{c}*xi^{i}" if c != 1 else f"xi^{i}")
         return " + ".join(parts) if parts else "0"
+
+
+def _scaled(coeffs: tuple[Fraction, ...], s: Fraction) -> tuple[Fraction, ...]:
+    """Every coefficient times the rational s; zero coefficients are kept."""
+    return tuple(c * s if c else c for c in coeffs)
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -343,13 +375,6 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
             for i, d in enumerate(b):
                 a[k + i] -= coeff * d
     return q, _poly_trim(a[: len(b) - 1])
-
-
-def cyclo_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """Product in reduced canonical form; orders must agree."""
-    if not isinstance(b, Cyclotomic) or a.order != b.order:
-        raise OrderMismatchError("cyclotomic orders differ")
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +444,7 @@ class SeriesRing:
             raise ValueError("invalid ring parameters")
 
     def zero(self) -> "SectorValue":
-        return SectorValue(self, {})
+        return SectorValue._unchecked(self, {})
 
     def one(self) -> "SectorValue":
         return self.scalar(1)
@@ -429,7 +454,8 @@ class SeriesRing:
             value = Cyclotomic.from_rational(self.order, value)
         elif value.order != self.order:
             raise OrderMismatchError("scalar has wrong cyclotomic order")
-        return SectorValue(self, {(0, 0, 0, ()): value})
+        return SectorValue._unchecked(
+            self, {} if value.is_zero() else {(0, 0, 0, ()): value})
 
     def root(self, power: int = 1) -> "SectorValue":
         return self.scalar(Cyclotomic.root(self.order, power))
@@ -460,6 +486,8 @@ class SectorValue:
     bounded by the ring's lam_order (negative or fractional lam powers are
     rejected at construction); h < nilpotency; tau any integer (the 2*pi*i
     token is invertible); atoms a canonical multiset of GammaAtom powers.
+    The public constructor truncates, coerces and merges; ring operations
+    whose results are already truncated and zero-free use ``_unchecked``.
     """
 
     __slots__ = ("ring", "terms")
@@ -484,15 +512,25 @@ class SectorValue:
                 clean.pop(key, None)
             else:
                 clean[key] = coeff
+        self._store(ring, clean)
+
+    @classmethod
+    def _unchecked(cls, ring: SeriesRing, terms: dict) -> "SectorValue":
+        """A value whose terms are already truncated, coerced and nonzero."""
+        value = object.__new__(cls)
+        value._store(ring, terms)
+        return value
+
+    def _store(self, ring: SeriesRing, terms: dict) -> None:
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("SectorValue is immutable")
 
     # -- helpers -------------------------------------------------------------
     def _check(self, other: "SectorValue"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise OrderMismatchError(
                 f"ring mismatch: {self.ring} vs {other.ring}")
 
@@ -513,12 +551,12 @@ class SectorValue:
                 terms.pop(key, None)
             else:
                 terms[key] = total
-        return SectorValue(self.ring, terms)
+        return SectorValue._unchecked(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SectorValue(self.ring, {k: -c for k, c in self.terms.items()})
+        return SectorValue._unchecked(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -529,6 +567,10 @@ class SectorValue:
     def __mul__(self, other):
         other = self._coerce(other)
         ring = self.ring
+        if len(other.terms) == 1:
+            return self._times_monomial(other)
+        if len(self.terms) == 1:
+            return other._times_monomial(self)
         out: dict = {}
         for (l1, h1, t1, a1), c1 in self.terms.items():
             for (l2, h2, t2, a2), c2 in other.terms.items():
@@ -544,9 +586,28 @@ class SectorValue:
                     out.pop(key, None)
                 else:
                     out[key] = total
-        return SectorValue(ring, out)
+        return SectorValue._unchecked(ring, out)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, mono: "SectorValue") -> "SectorValue":
+        """self * mono for a one-term mono: each key maps to one key.
+
+        Adding a fixed monomial is injective on keys and a product of
+        nonzero field elements is nonzero, so there is nothing to merge and
+        nothing to drop but the truncation.
+        """
+        ring = self.ring
+        lam_order, nilpotency = ring.lam_order, ring.nilpotency
+        ((l2, h2, t2, a2), c2), = mono.terms.items()
+        out: dict = {}
+        for (l1, h1, t1, a1), c1 in self.terms.items():
+            lam = l1 + l2
+            h = h1 + h2
+            if lam + h > lam_order or h >= nilpotency:
+                continue
+            out[(lam, h, t1 + t2, _merge_atoms(a1, a2))] = c1 * c2
+        return SectorValue._unchecked(ring, out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -737,6 +798,8 @@ class ZLaurentSeries:
 
     The window is part of the value: products clamp to it, so identities
     are checked per fixed truncation.  Windows of operands must agree.
+    The public constructor clamps, coerces and drops zeros; ring operations
+    that do so themselves use ``_unchecked``.
     """
 
     __slots__ = ("ring", "z_min", "z_max", "terms")
@@ -753,10 +816,21 @@ class ZLaurentSeries:
             if value.is_zero():
                 continue
             clean[z] = value
+        self._store(ring, z_min, z_max, clean)
+
+    @classmethod
+    def _unchecked(cls, ring: SeriesRing, z_min: int, z_max: int,
+                   terms: dict) -> "ZLaurentSeries":
+        """A series whose terms are already inside the window and nonzero."""
+        series = object.__new__(cls)
+        series._store(ring, z_min, z_max, terms)
+        return series
+
+    def _store(self, ring: SeriesRing, z_min: int, z_max: int, terms: dict) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "z_min", z_min)
         object.__setattr__(self, "z_max", z_max)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("ZLaurentSeries is immutable")
@@ -766,7 +840,8 @@ class ZLaurentSeries:
         return ZLaurentSeries(ring, z_min, z_max, {0: value})
 
     def _check(self, other: "ZLaurentSeries"):
-        if (self.ring, self.z_min, self.z_max) != (other.ring, other.z_min, other.z_max):
+        if (self.z_min, self.z_max) != (other.z_min, other.z_max) or \
+                (self.ring is not other.ring and self.ring != other.ring):
             raise OrderMismatchError("z-window or ring mismatch")
 
     def __add__(self, other):
@@ -781,8 +856,8 @@ class ZLaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return ZLaurentSeries(self.ring, self.z_min, self.z_max,
-                              {z: -v for z, v in self.terms.items()})
+        return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
+                                         {z: -v for z, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ZLaurentSeries):
@@ -805,7 +880,8 @@ class ZLaurentSeries:
                     continue
                 prod = v1 * v2
                 out[z] = out[z] + prod if z in out else prod
-        return ZLaurentSeries(self.ring, self.z_min, self.z_max, out)
+        return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
+                                         {z: v for z, v in out.items() if v.terms})
 
     __rmul__ = __mul__
 

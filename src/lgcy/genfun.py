@@ -194,7 +194,8 @@ class IndexTerm(NamedTuple):
     """One index (k0, k) with k0 + sum(k) <= T and the bookkeeping it carries.
 
     degs = (k0,) + k; base = prod_s g_s^{k_s}; comb_k = prod_s 1/k_s! and
-    comb = comb_k / k0!; a_vec = a(k).  ``ages`` pairs each indexing sector
+    comb = comb_k / k0!; a_vec = a(k), r_vec = (k0 c_j / d + a(k)^j)_j and
+    v_vec = (k0 c_j / d - a(k)^j)_j.  ``ages`` pairs each indexing sector
     g_s with its age and is shared by every term of one table.
     """
 
@@ -205,6 +206,8 @@ class IndexTerm(NamedTuple):
     comb_k: Fraction
     comb: Fraction
     a_vec: tuple[Fraction, ...]
+    r_vec: tuple[Fraction, ...]
+    v_vec: tuple[Fraction, ...]
     ages: tuple
 
     def z_shift(self) -> int:
@@ -223,7 +226,8 @@ def _index_terms(pair: LGPair, t_order: int):
     """The IndexTerm of every (k0, k), by total degree, then lexicographic.
 
     Exponents and ages of the positive-dimensional sectors are read once per
-    table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in integers.
+    table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in integers, and
+    so are r_j and v_j.
     """
     sectors = pair.positive_dim_sectors()
     ages = tuple((g, g.age()) for g in sectors)
@@ -240,9 +244,12 @@ def _index_terms(pair: LGPair, t_order: int):
                     comb_k /= factorial(mult)
                     for j, e in enumerate(g.exps):
                         sums[j] += mult * e
+            k0 = degs[0]
             a_vec = tuple(Fraction(s * cj, d) for s, cj in zip(sums, weights))
-            yield IndexTerm(degs[0], k, degs, base, comb_k,
-                            comb_k / factorial(degs[0]), a_vec, ages)
+            r_vec = tuple(Fraction((k0 + s) * cj, d) for s, cj in zip(sums, weights))
+            v_vec = tuple(Fraction((k0 - s) * cj, d) for s, cj in zip(sums, weights))
+            yield IndexTerm(k0, k, degs, base, comb_k, comb_k / factorial(k0),
+                            a_vec, r_vec, v_vec, ages)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +274,16 @@ def modification_factor(pair: LGPair, k0: int, a_vec, ring: SeriesRing,
 
 
 def _i_x_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
-               z_min: int, z_max: int) -> ZLaurentSeries:
-    """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k)."""
-    m_factor = modification_factor(pair, term.k0, term.a_vec, ring, z_min, z_max)
+               z_min: int, z_max: int, products: dict) -> ZLaurentSeries:
+    """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k).
+
+    M(k0, k) depends on r alone; ``products`` keeps it per r for the span
+    of one walk over the index table.
+    """
+    m_factor = products.get(term.r_vec)
+    if m_factor is None:
+        m_factor = products[term.r_vec] = \
+            modification_factor(pair, term.k0, term.a_vec, ring, z_min, z_max)
     return (m_factor * ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
 
 
@@ -284,9 +298,11 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     z_min, z_max = orders.z_window
     wide_min = min(z_min, -(orders.t_order + 2) - orders.t_order)
     terms: dict = {}
+    products: dict = {}
     for term in _index_terms(pair, orders.t_order):
         sector = pair.grading ** term.k0 * term.base
-        value = _i_x_value(pair, term, ring, wide_min, z_max + orders.t_order)
+        value = _i_x_value(pair, term, ring, wide_min, z_max + orders.t_order,
+                           products)
         zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
     variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("x", pair, variables, orders, terms,
@@ -341,19 +357,33 @@ def _inverse_linear_h_z(ring: SeriesRing, h_coeff: Fraction, level: Fraction,
 
 
 def _i_y_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
-               z_min: int, z_max: int) -> ZLaurentSeries:
+               z_min: int, z_max: int, products: dict) -> ZLaurentSeries:
     """The I^Y coefficient of one index: the k0 fiber factors, the ray
-    factors of every j, comb_k and z^(1 - sum k)."""
+    factors of every j, comb_k and z^(1 - sum k).
+
+    The factors depend on (n_g, k0, v) alone; ``products`` keeps their
+    product under that key for the span of one walk over the index table.
+    """
+    key = (ring.nilpotency, term.k0, term.v_vec)
+    value = products.get(key)
+    if value is None:
+        value = products[key] = \
+            _i_y_factors(pair, term.k0, term.v_vec, ring, z_min, z_max)
+    return (value * ring.scalar(term.comb_k)).shift(1 - sum(term.k))
+
+
+def _i_y_factors(pair: LGPair, k0: int, v_vec, ring: SeriesRing,
+                 z_min: int, z_max: int) -> ZLaurentSeries:
+    """The k0 fiber factors times the ray factors of every j."""
     d = pair.fermat.degree
     value = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
-    for l in range(term.k0):
+    for l in range(k0):
         value = value * ZLaurentSeries(
             ring, z_min, z_max,
             {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
              1: ring.scalar(Fraction(-l))})
-    for j, cj in enumerate(pair.fermat.weights):
-        numerator_levels, denominator_levels = \
-            y_ray_levels(Fraction(term.k0 * cj, d) - term.a_vec[j])
+    for cj, v in zip(pair.fermat.weights, v_vec):
+        numerator_levels, denominator_levels = y_ray_levels(v)
         for level in numerator_levels:
             value = value * ZLaurentSeries(
                 ring, z_min, z_max,
@@ -361,7 +391,7 @@ def _i_y_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
                  1: ring.scalar(level)})
         for level in denominator_levels:
             value = value * _inverse_linear_h_z(ring, Fraction(cj), level, z_min, z_max)
-    return (value * ring.scalar(term.comb_k)).shift(1 - sum(term.k))
+    return value
 
 
 def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
@@ -374,13 +404,15 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     z_min, z_max = orders.z_window
     wide_min = z_min - 2 * orders.t_order - 2 * pair.fermat.n_variables
     terms: dict = {}
+    products: dict = {}
     for term in _index_terms(pair, orders.t_order):
         sector = (pair.grading ** term.k0).inverse() * term.base
         n_g = sector.fixed_dim()
         if n_g == 0:
             continue
         ring = SeriesRing(pair.fermat.degree, orders.lam_order, n_g)
-        value = _i_y_value(pair, term, ring, wide_min, z_max + orders.t_order)
+        value = _i_y_value(pair, term, ring, wide_min, z_max + orders.t_order,
+                           products)
         zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
     variables = ("q^(1/d)",) + tuple(g.exps for g in pair.positive_dim_sectors())
     return CohSeries("y", pair, variables, orders, terms, ((TOKEN_Q_H, 1),))
@@ -391,10 +423,9 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # ---------------------------------------------------------------------------
 
 def _x_atoms(pair: LGPair, term: IndexTerm) -> tuple:
-    d = pair.fermat.degree
     atoms: dict[GammaAtom, int] = {}
-    for j, cj in enumerate(pair.fermat.weights):
-        atom = GammaAtom(Fraction(cj), Fraction(term.k0 * cj, d) + term.a_vec[j])
+    for cj, r in zip(pair.fermat.weights, term.r_vec):
+        atom = GammaAtom(Fraction(cj), r)
         atoms[atom] = atoms.get(atom, 0) - 1
     return tuple(sorted(atoms.items()))
 
@@ -403,9 +434,8 @@ def _y_atoms(pair: LGPair, term: IndexTerm) -> tuple:
     d = pair.fermat.degree
     atoms: dict[GammaAtom, int] = {
         GammaAtom(Fraction(d), Fraction(term.k0), Fraction(d)): -1}
-    for j, cj in enumerate(pair.fermat.weights):
-        atom = GammaAtom(Fraction(0), term.a_vec[j] - Fraction(term.k0 * cj, d),
-                         Fraction(-cj))
+    for cj, v in zip(pair.fermat.weights, term.v_vec):
+        atom = GammaAtom(Fraction(0), -v, Fraction(-cj))
         atoms[atom] = atoms.get(atom, 0) - 1
     return tuple(sorted(atoms.items()))
 
@@ -519,10 +549,14 @@ def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeri
 
     Both closed forms are recomputed on a wide z-window so clamping cannot
     mask a residual; the stored series are asserted to be their clamps.
+    Each side keeps its own products per r-vector, which fixes them; every
+    term still runs every check.
     """
     d = pair.fermat.degree
     ring = SeriesRing(d, i_series.orders.lam_order, 1)
     window = _wide_window(i_series.orders, pair)
+    i_products: dict = {}
+    op_blocks: dict = {}
     for term in _index_terms(pair, i_series.orders.t_order):
         sector = pair.grading ** term.k0 * term.base
         age = sector.age()
@@ -530,33 +564,46 @@ def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeri
             raise IdentityError("z-grading needs integral ages (SL group)")
         shift = term.z_shift()
 
-        i_value = _i_x_value(pair, term, ring, *window)
+        i_value = _i_x_value(pair, term, ring, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^X")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
                        _atom_value(ring, _x_atoms(pair, term), term.comb))
 
         # operator side: z^(1 - age), Gamma-class atoms cancel the H atoms
         # through the integer-gap rewrite, one polynomial block per j.
-        recon = ZLaurentSeries.constant(ring, *window, ring.scalar(term.comb))
-        recon = recon.shift(shift + 1 - int(age))
-        for j, cj in enumerate(pair.fermat.weights):
-            r = Fraction(term.k0 * cj, d) + term.a_vec[j]
+        steps = []
+        for j, r in enumerate(term.r_vec):
             gap = r.numerator // r.denominator
             frac = r - gap
             if frac != sector.multiplicity(j):
                 raise IdentityError("fractional part disagrees with the sector",
                                     {"sector": list(sector.exps), "j": j})
-            recon = recon * gamma_shift_product(Fraction(cj), Fraction(0), frac,
-                                                gap, ring, *window)
-            recon = recon.shift(-gap)
+            steps.append((frac, gap))
+        block = op_blocks.get(term.r_vec)
+        if block is None:
+            block = ZLaurentSeries.constant(ring, *window, ring.one())
+            for cj, (frac, gap) in zip(pair.fermat.weights, steps):
+                block = block * gamma_shift_product(Fraction(cj), Fraction(0), frac,
+                                                    gap, ring, *window)
+                block = block.shift(-gap)
+            op_blocks[term.r_vec] = block
+        recon = (block * ring.scalar(term.comb)).shift(shift + 1 - int(age))
         _assert_no_residual(i_value, recon, "X", sector.exps, term.degs)
 
 
 def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeries):
     """Y-side analogue; per-j gaps are non-positive, so the check is
-    cross-multiplied: I * prod_j (level factors) against the fiber ratio."""
+    cross-multiplied: I * prod_j (level factors) against the fiber ratio.
+
+    The products of each side are kept per (n_g, k0, v), which fixes them:
+    the I product, its gap < 0 factors and the operator blocks each in a
+    dict of their own.  Every term still runs every check.
+    """
     d = pair.fermat.degree
     window = _wide_window(i_series.orders, pair)
+    i_products: dict = {}
+    i_blocks: dict = {}
+    op_blocks: dict = {}
     for term in _index_terms(pair, i_series.orders.t_order):
         sector = (pair.grading ** term.k0).inverse() * term.base
         n_g = sector.fixed_dim()
@@ -568,7 +615,7 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
             raise IdentityError("z-grading needs integral ages (SL group)")
         shift = term.z_shift()
 
-        i_value = _i_y_value(pair, term, ring, *window)
+        i_value = _i_y_value(pair, term, ring, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^Y")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
                        _atom_value(ring, _y_atoms(pair, term), term.comb_k))
@@ -576,14 +623,8 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
         # cross-multiplied identity: a per-j atom ratio of gap n rewrites as
         # z^-n prod(...); negative gaps multiply the I side, positive
         # gaps (net numerator factors) multiply the operator side.
-        lhs = i_value
-        rhs = ZLaurentSeries.constant(ring, *window, ring.scalar(term.comb_k))
-        rhs = rhs.shift(shift + 1 - int(age))
-        rhs = rhs * gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
-                                        term.k0, ring, *window)
-        rhs = rhs.shift(-term.k0)
-        for j, cj in enumerate(pair.fermat.weights):
-            v = Fraction(term.k0 * cj, d) - term.a_vec[j]
+        gaps = []
+        for j, v in enumerate(term.v_vec):
             numerator_levels, denominator_levels = y_ray_levels(v)
             gap = -v - sector.multiplicity(j)
             if gap.denominator != 1 or \
@@ -593,15 +634,31 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                     {"sector": list(sector.exps), "j": j, "gap": str(gap),
                      "numerator": [str(l) for l in numerator_levels],
                      "denominator": [str(l) for l in denominator_levels]})
-            if gap >= 0:
-                rhs = rhs * gamma_shift_product(Fraction(0), Fraction(-cj),
-                                                sector.multiplicity(j),
-                                                int(gap), ring, *window)
-                rhs = rhs.shift(-int(gap))
-            else:
-                lhs = lhs * gamma_shift_product(Fraction(0), Fraction(-cj),
-                                                -v, -int(gap), ring, *window)
-                lhs = lhs.shift(int(gap))
+            gaps.append(int(gap))
+        key = (n_g, term.k0, term.v_vec)
+        i_block = i_blocks.get(key)
+        if i_block is None:
+            i_block = ZLaurentSeries.constant(ring, *window, ring.one())
+            for cj, v, gap in zip(pair.fermat.weights, term.v_vec, gaps):
+                if gap < 0:
+                    i_block = i_block * gamma_shift_product(
+                        Fraction(0), Fraction(-cj), -v, -gap, ring, *window)
+                    i_block = i_block.shift(gap)
+            i_blocks[key] = i_block
+        block = op_blocks.get(key)
+        if block is None:
+            block = gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
+                                        term.k0, ring, *window)
+            block = block.shift(-term.k0)
+            for j, (cj, gap) in enumerate(zip(pair.fermat.weights, gaps)):
+                if gap >= 0:
+                    block = block * gamma_shift_product(
+                        Fraction(0), Fraction(-cj), sector.multiplicity(j),
+                        gap, ring, *window)
+                    block = block.shift(-gap)
+            op_blocks[key] = block
+        lhs = i_value * i_block
+        rhs = (block * ring.scalar(term.comb_k)).shift(shift + 1 - int(age))
         _assert_no_residual(lhs, rhs, "Y", sector.exps, term.degs)
 
 

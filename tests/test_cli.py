@@ -49,6 +49,25 @@ def test_non_cy_pair_refuses_geometry_subcommands(tmp_path, capsys):
     assert "Calabi-Yau" in err
 
 
+def test_verify_refuses_non_sl_pair_up_front(tmp_path, capsys, monkeypatch):
+    from lgcy import cli
+
+    def no_checks(*_):
+        raise AssertionError("checks ran on a pair that should be refused")
+
+    monkeypatch.setattr(cli, "run_checks", no_checks)
+    monkeypatch.setattr(cli, "self_test", no_checks)
+    pair_file = tmp_path / "nonsl.json"
+    pair_file.write_text(json.dumps({"weights": [1, 1, 1, 1, 1], "degree": 5,
+                                     "generators": [[1, 0, 0, 0, 0]]}))
+    for extra in ((), ("--self-test",)):
+        code, out, err = run_cli(capsys, "verify", "--pair", str(pair_file),
+                                 "--T", "2", "--lambda-order", "1", *extra)
+        assert code == 2
+        assert "SL" in err
+        assert out == ""
+
+
 def test_ifun_lg_modification_factor_visible(capsys):
     code, out, _ = run_cli(capsys, "ifun", "--pair", "quintic", "--side", "lg",
                            "--T", "7", "--lambda-order", "5",

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lgcy.exactalg import (
     Cyclotomic,
@@ -12,11 +14,11 @@ from lgcy.exactalg import (
     GammaAtom,
     NonUnitError,
     OrderMismatchError,
+    SectorValue,
     SeriesRing,
     ZLaurentSeries,
     bernoulli_number,
     bernoulli_poly,
-    cyclo_mul,
     cyclotomic_polynomial,
     divide_by_lambda_plus_h,
     euler_phi,
@@ -59,12 +61,12 @@ def test_cyclo_mul_canonical_independent_of_representation():
     b = Cyclotomic.root(5, 2)
     assert a == b
     c = Cyclotomic.root(5, 3) + Cyclotomic.root(5, 4)
-    assert cyclo_mul(a, c) == cyclo_mul(b, c)
+    assert a * c == b * c
 
 
 def test_cyclo_mul_order_mismatch():
     with pytest.raises(OrderMismatchError):
-        cyclo_mul(Cyclotomic.root(5), Cyclotomic.root(3))
+        Cyclotomic.root(5) * Cyclotomic.root(3)
 
 
 def test_cyclotomic_inverse():
@@ -96,6 +98,88 @@ def test_cyclotomic_ring_axioms_random():
             assert a * b == b * a
 
 
+def test_cyclotomic_constructor_is_exact():
+    with pytest.raises(TypeError):
+        Cyclotomic(3, (0.5, 0))
+    with pytest.raises(TypeError):
+        Cyclotomic(3, ("1", 0))
+    one = Cyclotomic(3, (1, 0))
+    assert one == Cyclotomic.one(3)
+    assert all(type(c) is F for c in one.coeffs)
+
+
+# -- property tests of the rational fast paths ---------------------------------
+
+def _reference_mul(a: Cyclotomic, b: Cyclotomic) -> tuple:
+    """Schoolbook product: convolve, then reduce modulo Phi_d by long division."""
+    phi = euler_phi(a.order)
+    poly = cyclotomic_polynomial(a.order)
+    conv = [F(0)] * (2 * phi - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    for m in range(len(conv) - 1, phi - 1, -1):
+        lead = conv[m]
+        for i, p in enumerate(poly):
+            conv[m - phi + i] -= lead * p
+    return tuple(conv[:phi])
+
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _cyclotomics(data, order: int) -> Cyclotomic:
+    """A rational value, or one with a nonzero xi coefficient."""
+    phi = euler_phi(order)
+    const = data.draw(_small_fractions)
+    if data.draw(st.booleans()):
+        return Cyclotomic(order, (const,) + (F(0),) * (phi - 1))
+    rest = data.draw(st.lists(_small_fractions, min_size=phi - 1, max_size=phi - 1))
+    assume(any(rest))
+    return Cyclotomic(order, [const] + rest)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(order=st.integers(min_value=3, max_value=6), data=st.data())
+def test_cyclotomic_fast_paths_match_reference(order, data):
+    a, b, c = (_cyclotomics(data, order) for _ in range(3))
+    assert (a * b).coeffs == _reference_mul(a, b)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    n = data.draw(st.integers(min_value=-3, max_value=3))
+    for value in (a * b, a + b, b + a, a - b, -a, a * n, n * a, a + n):
+        assert all(type(x) is F for x in value.coeffs)
+        assert len(value.coeffs) == euler_phi(order)
+
+
+_atom_keys = st.sampled_from(
+    [(), ((GammaAtom(F(1), F(2, 5)), 1),), ((GammaAtom(F(1), F(2, 5)), -1),),
+     ((GammaAtom(F(0), F(1), F(-1)), -1),)])
+
+
+def _monomials(data, ring: SeriesRing) -> SectorValue:
+    h = data.draw(st.integers(min_value=0, max_value=ring.nilpotency - 1))
+    lam = data.draw(st.integers(min_value=0, max_value=ring.lam_order - h))
+    tau = data.draw(st.integers(min_value=-1, max_value=1))
+    coeff = _cyclotomics(data, ring.order)
+    assume(not coeff.is_zero())
+    return ring.monomial(lam=lam, h=h, tau=tau, atoms=data.draw(_atom_keys),
+                         coeff=coeff)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(order=st.integers(min_value=3, max_value=6), data=st.data())
+def test_sector_value_monomial_path_matches_general(order, data):
+    ring = SeriesRing(order, 3, 3)
+    x = sum((_monomials(data, ring) for _ in range(data.draw(
+        st.integers(min_value=1, max_value=4)))), ring.zero())
+    m = _monomials(data, ring)
+    y = _monomials(data, ring) + _monomials(data, ring) + _monomials(data, ring)
+    assume(len((m + y).terms) > 1 and len(y.terms) > 1)
+    assert x * m == x * (m + y) - x * y
+    assert m * x == x * m
+
+
 # -- sector values ------------------------------------------------------------
 
 def _random_value(rng, ring):
@@ -109,7 +193,6 @@ def _random_value(rng, ring):
         coeff = Cyclotomic.root(ring.order, rng.randint(0, ring.order - 1)) \
             * F(rng.randint(-3, 3))
         terms[(lam, h, tau, ())] = coeff
-    from lgcy.exactalg import SectorValue
     return SectorValue(ring, terms)
 
 
@@ -125,7 +208,6 @@ def test_sector_value_ring_axioms_random():
 
 
 def test_constructor_rejects_negative_or_fractional_lam():
-    from lgcy.exactalg import SectorValue
     ring = SeriesRing(5, 3, 1)
     with pytest.raises(ValueError):
         SectorValue(ring, {(-1, 0, 0, ()): Cyclotomic.one(5)})

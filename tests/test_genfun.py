@@ -13,6 +13,7 @@ from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
 from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
 from lgcy.genfun import (
     IdentityError,
+    _index_terms,
     assert_lambda_divisibility,
     deserialize_series,
     fjrw_i_function,
@@ -336,6 +337,49 @@ def test_h_factorization_detects_corruption():
                                     key: series.terms[key] * 2})
     with pytest.raises(IdentityError):
         h_factorization(q, broken, "x")
+
+
+def _first_repeated(terms, key_of):
+    """The first index term whose product key an earlier term already had."""
+    seen = set()
+    for term in terms:
+        key = key_of(term)
+        if key is None:
+            continue
+        if key in seen:
+            return term
+        seen.add(key)
+    raise AssertionError("no repeated product key")
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_factorization_checks_terms_whose_product_is_reused(side):
+    """A term whose product comes out of the per-walk dict is still checked:
+    tampering its stored I coefficient must fail naming its sector and degree."""
+    p = quartic()
+    orders = recommended_orders(p, 6, 3)
+
+    def sector_of(term):
+        if side == "x":
+            return p.grading ** term.k0 * term.base
+        return (p.grading ** term.k0).inverse() * term.base
+
+    def key_of(term):
+        if side == "x":
+            return term.r_vec
+        n_g = sector_of(term).fixed_dim()
+        return (n_g, term.k0, term.v_vec) if n_g else None
+
+    target = _first_repeated(_index_terms(p, orders.t_order), key_of)
+    sector = sector_of(target).exps
+    series = (i_function_x if side == "x" else i_function_y)(p, orders)
+    key = next(k for k in sorted(series.terms)
+               if k[0] == sector and k[2] == target.degs)
+    broken = series._replace_terms({**series.terms, key: series.terms[key] * 2})
+    with pytest.raises(IdentityError) as caught:
+        h_factorization(p, broken, side)
+    assert caught.value.witness["sector"] == list(sector)
+    assert caught.value.witness["degree"] == list(target.degs)
 
 
 # -- the continued series -------------------------------------------------------------
