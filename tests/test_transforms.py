@@ -1,12 +1,14 @@
 """The symplectic operators: relabelings, twists, continuation, dressings."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lgcy.catalog import cubic, quartic, quintic, sextic
+from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import CohSeries, Orders
 from lgcy.exactalg import (
     Cyclotomic,
@@ -142,6 +144,69 @@ def test_delta_c_specialized_rational_lam_exponents():
     assert entry.mu == (F(3, 10),) * 5
     assert entry.lam_exponent() == F(3, 2)
     assert entry.series[0] == 1
+
+
+# -- golden digests of the operator layer ------------------------------------------
+
+def _dump_generic(pair):
+    """Every delta_c_generic entry at AC2's orders, terms sorted."""
+    return [[c, list(exps), [[[[list(var), e] for var, e in mono], z, str(coeff)]
+                             for (mono, z), coeff in sorted(entry.terms.items())]]
+            for c in pair.valid_twists()
+            for exps, entry in sorted(delta_c_generic(pair, c, 4, 2, 6).entries.items())]
+
+
+def _dump_specialized(spec):
+    def dump(pair):
+        return [[c, list(exps), str(entry.half_turns), [str(m) for m in entry.mu],
+                 [str(v) for v in entry.series]]
+                for c in pair.valid_twists()
+                for exps, entry in sorted(delta_c_specialized(pair, c, spec, 4).items())]
+    return dump
+
+
+def _dump_u_bar(pair):
+    """The str of every u_bar(pair, 6) block, keyed by input and output sector."""
+    transform = u_bar(pair, 6)
+    return [[list(exps), list(element.g.exps), str(entry)]
+            for exps in sorted(transform.blocks)
+            for element, entry in transform.blocks[exps]]
+
+
+OPERATOR_DUMPS = {
+    "delta_c_generic": _dump_generic,
+    "euler-inverse": _dump_specialized("euler-inverse"),
+    "euler-inverse-signed": _dump_specialized("euler-inverse-signed"),
+    "u_bar": _dump_u_bar,
+}
+
+# sha256 of the JSON of each dump above, per shipped pair (every valid c).
+OPERATOR_GOLDEN = {
+    ("cubic", "delta_c_generic"): "4ca6981c8a85722e152d42a7b1454015a64b087e10e8122591ce68e16e9306b4",
+    ("cubic", "euler-inverse"): "8a5d623b31aa74b0f11fe8fd88edf36e4111b69bae5cd42e8aa07eb473ca0a18",
+    ("cubic", "euler-inverse-signed"): "51497605aaa793b60a1ab1c43f5b7a18cf69ce862265fbadb68f8a7d06951c17",
+    ("cubic", "u_bar"): "1056b79130d5359ded02c7a699ca4bcf1342db389de04a7246a208563a5b1c19",
+    ("quartic", "delta_c_generic"): "7859e2f1b4536ee71d553e77e0d2210ef9d5b1f4727eaf321f03a2f8ae36faa8",
+    ("quartic", "euler-inverse"): "b396f5bddf06a6aab8e03563f48ef7cc757eff94cbbe82884c3ce05d5e61256d",
+    ("quartic", "euler-inverse-signed"): "ad9eb63df8b39d89f974eee1fdd0e9cdfbf8701782cee346a844e985d270aaf6",
+    ("quartic", "u_bar"): "d38cf43b77b517eefcad62d12a10961e4292324c26cf72e06a2817b534472dfa",
+    ("quintic", "delta_c_generic"): "a3db0dbc426d404dd6a2e1277aa862e1d1d20ffe623e318fd1d891fd9feeff3b",
+    ("quintic", "euler-inverse"): "5b01c857c8fac9a87b20f3fbb90ce9230f02dbbd94795b71471ee08c7a599655",
+    ("quintic", "euler-inverse-signed"): "21366a2676b845a69fdcdd7a02d3b1472829f86018bbc276f6b0c042f9dbcfa4",
+    ("quintic", "u_bar"): "b989cf8c747c5ff26e571b8fa4c9891ef40456eebc54f82939dac9a7c2a54b34",
+    ("sextic", "delta_c_generic"): "6b86577c7b858820a40fe71db15dbe09a1d202c416b1fe89979b09bc2793fecb",
+    ("sextic", "euler-inverse"): "2843d5f4e353d6b8523a695aebfbde1fb559a5a56d8717657e5c747c23ac3be6",
+    ("sextic", "euler-inverse-signed"): "e0482fdf7d9c82bdefb30dd36c562618c0895b3ff81314e3a590dbf8447c3494",
+    ("sextic", "u_bar"): "f9d3c2c77f34967baa4d3c668a08ef700e219f51e24c7031d1f7bf152a4a87ba",
+}
+
+
+@pytest.mark.parametrize("name,operator", sorted(OPERATOR_GOLDEN),
+                         ids=[f"{n}-{o}" for n, o in sorted(OPERATOR_GOLDEN)])
+def test_operator_golden_digests(name, operator):
+    pair = shipped_pairs()[name]
+    text = json.dumps(OPERATOR_DUMPS[operator](pair))
+    assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_GOLDEN[name, operator]
 
 
 # -- Delta-circle -------------------------------------------------------------------
