@@ -14,6 +14,7 @@ when d/c_j divides c(2h-2+n) - sum_i k_j(g_i).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -376,22 +377,49 @@ def pair_twisted(pair: LGPair, c: int, g1: GroupElement, g2: GroupElement,
 
 # -- pair definition records ---------------------------------------------------
 
+def _pair_int(value, what: str) -> int:
+    """A pair-file integer: bools, floats and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"pair {what} must be an integer, got {value!r}")
+    return value
+
+
+def _pair_ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"pair {what} must be a list of integers, got {value!r}")
+    return tuple(_pair_int(v, what) for v in value)
+
+
 def load_pair(source) -> LGPair:
     """Build an LGPair from {"weights": [...], "degree": d, "generators": [...]}.
 
     ``source`` may be a mapping, a JSON string, or a path to a JSON file.
-    The grading element is implicit and always adjoined.
+    The grading element is implicit and always adjoined.  Anything but an
+    object whose numbers are integers and whose name is a string raises
+    ValueError.
     """
     if isinstance(source, (str, Path)) and Path(str(source)).exists():
         data = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         data = json.loads(source)
     else:
-        data = dict(source)
-    fermat = FermatData(tuple(int(c) for c in data["weights"]), int(data["degree"]))
-    generators = [tuple(int(k) for k in g) for g in data.get("generators", [])]
-    group = group_from_generators(fermat, generators)
-    return LGPair(group, name=data.get("name"))
+        data = source
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a pair must be a JSON object, got {type(data).__name__}")
+    for key in ("weights", "degree"):
+        if key not in data:
+            raise ValueError(f"pair has no {key!r}")
+    generators = data.get("generators", [])
+    if not isinstance(generators, (list, tuple)):
+        raise ValueError(f"pair generators must be a list, got {generators!r}")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"pair name must be a string, got {name!r}")
+    fermat = FermatData(_pair_ints(data["weights"], "weights"),
+                        _pair_int(data["degree"], "degree"))
+    group = group_from_generators(
+        fermat, [_pair_ints(g, "generator") for g in generators])
+    return LGPair(group, name=name)
 
 
 def pair_to_dict(pair: LGPair) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .exactalg import (
     ExactDivisionError,
@@ -161,18 +161,29 @@ def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
     """(e^{d(lam+H)} - 1) / (d (e^{lam+H} xi^b - 1)) in the given ring.
 
     For xi^b = 1 the quotient is the geometric sum (1/d) sum_a e^{a(lam+H)}.
+    The block is a series in x = lam + H alone, so it is computed in one
+    variable (x^(lam_order+1) = 0) and then expanded binomially,
+    x^n = sum_h C(n, h) lam^(n-h) H^h with h < nilpotency: x -> lam + H is a
+    ring map of the truncations, so the expansion is exact.
     """
     d = pair.fermat.degree
     b = xi_power % d
-    x = ring.lam() + ring.hyperplane()
+    line = SeriesRing(ring.order, ring.lam_order, 1)
+    x = line.lam()
     if b == 0:
-        total = ring.zero()
+        total = line.zero()
         for a in range(d):
             total = total + series_exp(x * a)
-        return total * Fraction(1, d)
-    numerator = series_exp(x * d) - 1
-    denominator = (series_exp(x) * ring.root(b) - 1) * d
-    return numerator * series_invert(denominator)
+        block = total * Fraction(1, d)
+    else:
+        numerator = series_exp(x * d) - 1
+        denominator = (series_exp(x) * line.root(b) - 1) * d
+        block = numerator * series_invert(denominator)
+    terms = {}
+    for (n, _h, _tau, _atoms), coeff in block.terms.items():
+        for h in range(min(n, ring.nilpotency - 1) + 1):
+            terms[(n - h, h, 0, ())] = coeff * comb(n, h)
+    return SectorValue(ring, terms)
 
 
 def u_bar(pair: LGPair, lam_order: int) -> Transform:
@@ -460,19 +471,41 @@ class SPoly:
         return SPoly(self.s_degree, self.z_order, out)
 
     def exp(self) -> "SPoly":
-        """exp of an s-linear form (no constant term), truncated."""
-        if any(not mono for (mono, _z) in self.terms):
-            raise ValueError("exp needs a zero constant term")
-        result = SPoly.constant(self.s_degree, self.z_order, 1)
-        power = SPoly.constant(self.s_degree, self.z_order, 1)
-        fact = 1
-        for n in range(1, self.s_degree + 1):
-            power = power * self
-            if not power.terms:
-                break
-            fact *= n
-            result = result + power * Fraction(1, fact)
-        return result
+        """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
+
+        exp(L) = sum over multisets {y_i^(e_i)} of prod_i c_i^(e_i) / e_i!
+        * y_i^(e_i), whose s-degree is sum_i e_i: each multiset of at most
+        s_degree terms is visited once, and one whose z-degree passes
+        z_order is skipped (z-degrees are non-negative, so no extension of
+        it survives either).
+        """
+        linear = []
+        for (mono, z), coeff in sorted(self.terms.items()):
+            if len(mono) != 1 or mono[0][1] != 1 or z < 0:
+                raise ValueError("exp needs an s-linear form with z-powers >= 0")
+            linear.append((mono[0][0], z, coeff))
+        one = Fraction(1)
+        out: dict = {((), 0): one}
+        # a multiset: (index of its last term, multiplicity of that term,
+        # variable counts, z-degree, coefficient)
+        level = [(0, 0, {}, 0, one)]
+        for _ in range(self.s_degree):
+            grown = []
+            for last, run, counts, z, coeff in level:
+                for i in range(last, len(linear)):
+                    var, k, c = linear[i]
+                    z_i = z + k
+                    if z_i > self.z_order:
+                        continue
+                    run_i = run + 1 if i == last else 1
+                    coeff_i = coeff * c / run_i
+                    counts_i = dict(counts)
+                    counts_i[var] = counts_i.get(var, 0) + 1
+                    key = (tuple(sorted(counts_i.items())), z_i)
+                    out[key] = out.get(key, 0) + coeff_i
+                    grown.append((i, run_i, counts_i, z_i, coeff_i))
+            level = grown
+        return SPoly(self.s_degree, self.z_order, out)
 
     def __eq__(self, other):
         return (isinstance(other, SPoly) and self.terms == other.terms
@@ -514,15 +547,26 @@ class GenericSTransform:
         return all(entry == one for entry in self.entries.values())
 
 
-def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
-                      k_max: int = 4) -> dict:
-    """(j, k) -> B_{k+1}(m_j(phi^c_g)) / (k+1)! with m_j(phi^c_g) = m_j(g j^c)."""
-    shifted = g * (pair.grading ** c)
+def _bernoulli(table: dict, k: int, m: Fraction) -> Fraction:
+    """B_{k+1}(m) through ``table``, a dict that lives for one operator build."""
+    value = table.get((k, m))
+    if value is None:
+        value = table[k, m] = bernoulli_poly(k + 1, m)
+    return value
+
+
+def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int, table: dict) -> dict:
     return {
-        (j, k): bernoulli_poly(k + 1, shifted.multiplicity(j)) / factorial(k + 1)
+        (j, k): _bernoulli(table, k, shifted.multiplicity(j)) / factorial(k + 1)
         for j in range(pair.fermat.n_variables)
         for k in range(k_max + 1)
     }
+
+
+def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
+                      k_max: int = 4) -> dict:
+    """(j, k) -> B_{k+1}(m_j(phi^c_g)) / (k+1)! with m_j(phi^c_g) = m_j(g j^c)."""
+    return _log_entry(pair, g * (pair.grading ** c), k_max, {})
 
 
 def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
@@ -533,16 +577,16 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
     multiplicativity law Delta(s + s') = Delta(s) Delta(s').
     """
     pair.require_twist(c)
+    shift = pair.grading ** c
+    table: dict = {}
     entries = {}
     for g in pair.group.elements:
-        log_entries = delta_c_log_entry(pair, c, g, k_max)
-        log_form = SPoly(s_degree, z_order, {})
-        for (j, k), coeff in sorted(log_entries.items()):
+        log_terms = {}
+        for (j, k), coeff in _log_entry(pair, g * shift, k_max, table).items():
             coeff = coeff * scale
             if coeff:
-                log_form = log_form + SPoly(
-                    s_degree, z_order, {((((j, k), 1),), k): coeff})
-        entries[g.exps] = log_form.exp()
+                log_terms[((((j, k), 1),), k)] = coeff
+        entries[g.exps] = SPoly(s_degree, z_order, log_terms).exp()
     return GenericSTransform(pair, c, entries, k_max, s_degree, z_order)
 
 
@@ -564,23 +608,8 @@ class SpecializedEntry:
     mu: tuple[Fraction, ...]
     series: tuple[Fraction, ...]
 
-    def __mul__(self, other: "SpecializedEntry") -> "SpecializedEntry":
-        n = len(self.series)
-        conv = [Fraction(0)] * n
-        for i, a in enumerate(self.series):
-            for k, b in enumerate(other.series):
-                if i + k < n:
-                    conv[i + k] += a * b
-        return SpecializedEntry(self.half_turns + other.half_turns,
-                                tuple(a + b for a, b in zip(self.mu, other.mu)),
-                                tuple(conv))
-
     def lam_exponent(self) -> Fraction:
         return sum(self.mu, Fraction(0))
-
-    def is_identity(self) -> bool:
-        return (self.half_turns == 0 and all(m == 0 for m in self.mu)
-                and self.series[0] == 1 and all(c == 0 for c in self.series[1:]))
 
 
 def delta_c_specialized(pair: LGPair, c: int, spec: str,
@@ -593,44 +622,27 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
     if spec not in ("euler-inverse", "euler-inverse-signed"):
         raise ValueError("spec must be one of the euler specializations")
     pair.require_twist(c)
+    shift = pair.grading ** c
+    table: dict = {}
     entries = {}
     for g in pair.group.elements:
-        shifted = g * (pair.grading ** c)
+        shifted = g * shift
         mu = []
         half = Fraction(0)
-        series = [Fraction(0)] * (k_max + 1)
-        series[0] = Fraction(1)
+        log_series = [Fraction(0)] * (k_max + 1)
         for j, cj in enumerate(pair.fermat.weights):
             m = shifted.multiplicity(j)
             exponent = Fraction(1, 2) - m  # -B_1(m)
             mu.append(exponent)
             if spec == "euler-inverse":
                 half += exponent
-            log_coeffs = [Fraction(0)] * (k_max + 1)
             for k in range(1, k_max + 1):
-                log_coeffs[k] = (bernoulli_poly(k + 1, m) * factorial(k - 1)
-                                 / (factorial(k + 1) * Fraction(cj) ** k))
-            exp_series = [Fraction(0)] * (k_max + 1)
-            exp_series[0] = Fraction(1)
-            power = [Fraction(0)] * (k_max + 1)
-            power[0] = Fraction(1)
-            fact = 1
-            for n in range(1, k_max + 1):
-                nxt = [Fraction(0)] * (k_max + 1)
-                for i, a in enumerate(power):
-                    if a:
-                        for k2, b in enumerate(log_coeffs):
-                            if b and i + k2 <= k_max:
-                                nxt[i + k2] += a * b
-                power = nxt
-                fact *= n
-                for i in range(k_max + 1):
-                    exp_series[i] += power[i] / fact
-            conv = [Fraction(0)] * (k_max + 1)
-            for i, a in enumerate(series):
-                for k2, b in enumerate(exp_series):
-                    if i + k2 <= k_max:
-                        conv[i + k2] += a * b
-            series = conv
+                log_series[k] += (_bernoulli(table, k, m) * factorial(k - 1)
+                                  / (factorial(k + 1) * Fraction(cj) ** k))
+        # one exp of the summed log series: n e_n = sum_{k=1..n} k l_k e_{n-k}
+        series = [Fraction(1)]
+        for n in range(1, k_max + 1):
+            series.append(sum((k * log_series[k] * series[n - k]
+                               for k in range(1, n + 1)), Fraction(0)) / n)
         entries[g.exps] = SpecializedEntry(half, tuple(mu), tuple(series))
     return entries

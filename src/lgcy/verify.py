@@ -157,9 +157,14 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
     orders = Orders(t_order=0, lam_order=0, z_max=z_order)
 
     def body():
+        # the left sides, i_c . Delta^0, permute one Delta^0 for every c;
+        # every right side Delta^c, c = 0 included, is built on its own
+        specs = ("euler-inverse", "euler-inverse-signed")
+        delta_0 = delta_c_generic(pair, 0, k_max, s_degree, z_order)
+        specialized_0 = {spec: delta_c_specialized(pair, 0, spec, k_max)
+                         for spec in specs}
         for c in pair.valid_twists():
             shift = pair.grading ** c
-            delta_0 = delta_c_generic(pair, 0, k_max, s_degree, z_order)
             delta_c = delta_c_generic(pair, c, k_max, s_degree, z_order)
             for g in pair.group.elements:
                 left = delta_0.entry(g * shift)
@@ -168,8 +173,8 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
                     right = right * Fraction(2)
                 if left != right:
                     return {"kind": "generic-s", "c": c, "sector": list(g.exps)}
-            for spec in ("euler-inverse", "euler-inverse-signed"):
-                e0 = delta_c_specialized(pair, 0, spec, k_max)
+            for spec in specs:
+                e0 = specialized_0[spec]
                 ec = delta_c_specialized(pair, c, spec, k_max)
                 for g in pair.group.elements:
                     if e0[(g * shift).exps] != ec[g.exps]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from lgcy.cli import main
 from lgcy.genfun import deserialize_series, serialize_series
 
@@ -36,6 +38,26 @@ def test_missing_pair_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "describe", "--pair", "/no/such/file.json")
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("payload,reason", [
+    ({"weights": [1, 1, 1], "degree": 3.5}, "degree must be an integer"),
+    ({"weights": [1, 1, 1], "degree": 3, "generators": [[0.5, 0, 0]]},
+     "generator must be an integer"),
+    ({"weights": "111", "degree": 3}, "weights must be a list"),
+    ({"weights": [1, 1, 1], "degree": "3"}, "degree must be an integer"),
+    ({"weights": [1, 1, True], "degree": 3}, "weights must be an integer"),
+    ([{"weights": [1, 1, 1], "degree": 3}], "must be a JSON object"),
+    ({"weights": [1, 1, 1], "degree": 3, "name": {"a": 1}}, "name must be a string"),
+], ids=["float-degree", "float-generator", "string-weights", "string-degree",
+        "bool-weight", "top-level-list", "object-name"])
+def test_malformed_pair_file_exit_2(tmp_path, capsys, payload, reason):
+    pair_file = tmp_path / "bad.json"
+    pair_file.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "describe", "--pair", str(pair_file))
+    assert code == 2
+    assert reason in err
+    assert out == ""
 
 
 def test_non_cy_pair_refuses_geometry_subcommands(tmp_path, capsys):

@@ -351,3 +351,9 @@ def test_bernoulli_values():
     for n in range(1, 8):
         for x in (F(0), F(1, 3), F(7, 5)):
             assert bernoulli_poly(n, x + 1) - bernoulli_poly(n, x) == n * x ** (n - 1)
+
+
+def test_bernoulli_poly_refuses_floats_after_an_exact_call():
+    assert bernoulli_poly(2, F(1, 2)) == F(-1, 12)
+    with pytest.raises(TypeError):
+        bernoulli_poly(2, 0.5)

@@ -5,8 +5,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import CohSeries, Orders
@@ -15,6 +18,9 @@ from lgcy.exactalg import (
     ExactDivisionError,
     SectorValue,
     SeriesRing,
+    bernoulli_poly,
+    series_exp,
+    series_invert,
 )
 from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, load_pair, pair_twisted
 from lgcy.transforms import (
@@ -426,3 +432,97 @@ def test_spoly_exp_requires_linear():
     p = SPoly.constant(2, 4, 1)
     with pytest.raises(ValueError):
         p.exp()
+    square = SPoly(2, 4, {((((0, 1), 2),), 1): F(1)})
+    mixed = SPoly(2, 4, {((((0, 1), 1), ((1, 0), 1)), 1): F(1)})
+    for form in (square, mixed):
+        with pytest.raises(ValueError):
+            form.exp()
+
+
+# -- the closed forms against the routes they replace ------------------------------
+
+def _exp_by_powers(form):
+    """sum_n L^n / n! through SPoly.__mul__, up to the s-degree."""
+    result = SPoly.constant(form.s_degree, form.z_order, 1)
+    power = SPoly.constant(form.s_degree, form.z_order, 1)
+    for n in range(1, form.s_degree + 1):
+        power = power * form
+        result = result + power * F(1, factorial(n))
+    return result
+
+
+def test_spoly_exp_one_variable_at_two_z_powers():
+    # s z + 2 s z^2 - s z^3: the multisets {z, z^3} and {z^2, z^2} share the key s^2 z^4
+    var = (0, 1)
+    form = SPoly(3, 6, {(((var, 1),), 1): F(1), (((var, 1),), 2): F(2),
+                        (((var, 1),), 3): F(-1)})
+    assert form.exp() == _exp_by_powers(form)
+    assert form.exp().terms[(((var, 2),), 4)] == F(1) * F(-1) + F(2) ** 2 / 2
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(s_degree=st.integers(0, 3), z_order=st.integers(0, 5),
+       linear=st.dictionaries(
+           st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 2)), st.integers(0, 6)),
+           st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6))
+def test_spoly_exp_matches_power_sum(s_degree, z_order, linear):
+    form = SPoly(s_degree, z_order,
+                 {(((var, 1),), z): coeff for (var, z), coeff in linear.items()})
+    assert form.exp() == _exp_by_powers(form)
+
+
+def _ubar_two_variable(d, b, ring):
+    """The continuation block written out in (lam, H)."""
+    x = ring.lam() + ring.hyperplane()
+    if b % d == 0:
+        total = ring.zero()
+        for a in range(d):
+            total = total + series_exp(x * a)
+        return total * F(1, d)
+    numerator = series_exp(x * d) - 1
+    return numerator * series_invert((series_exp(x) * ring.root(b % d) - 1) * d)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(pair=st.sampled_from(ALL_PAIRS), data=st.data(),
+       lam_order=st.integers(0, 7), nilpotency=st.integers(1, 5))
+def test_ubar_block_matches_two_variable_definition(pair, data, lam_order, nilpotency):
+    d = pair.fermat.degree
+    b = data.draw(st.integers(-1, 2 * d - 1))
+    ring = SeriesRing(d, lam_order, nilpotency)
+    assert ubar_block(pair, b, ring) == _ubar_two_variable(d, b, ring)
+
+
+def _specialized_by_products(pair, c, spec, k_max):
+    """Per sector: the product over j of truncated exps of the j-th log series."""
+    def mul(a, b):
+        return [sum((a[i] * b[n - i] for i in range(n + 1)), F(0)) for n in range(k_max + 1)]
+
+    entries = {}
+    for g in pair.group.elements:
+        shifted = g * (pair.grading ** c)
+        series = [F(1)] + [F(0)] * k_max
+        mu = []
+        for j, cj in enumerate(pair.fermat.weights):
+            m = shifted.multiplicity(j)
+            mu.append(F(1, 2) - m)
+            log = [F(0)] + [bernoulli_poly(k + 1, m) * factorial(k - 1)
+                            / (factorial(k + 1) * F(cj) ** k) for k in range(1, k_max + 1)]
+            exp, power = [F(1)] + [F(0)] * k_max, [F(1)] + [F(0)] * k_max
+            for n in range(1, k_max + 1):
+                power = mul(power, log)
+                exp = [e + p / factorial(n) for e, p in zip(exp, power)]
+            series = mul(series, exp)
+        half = sum(mu, F(0)) if spec == "euler-inverse" else F(0)
+        entries[g.exps] = (half, tuple(mu), tuple(series))
+    return entries
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pair=st.sampled_from(ALL_PAIRS), data=st.data(), k_max=st.integers(0, 6),
+       spec=st.sampled_from(["euler-inverse", "euler-inverse-signed"]))
+def test_delta_c_specialized_matches_per_j_products(pair, data, k_max, spec):
+    c = data.draw(st.sampled_from(pair.valid_twists()))
+    reference = _specialized_by_products(pair, c, spec, k_max)
+    for exps, entry in delta_c_specialized(pair, c, spec, k_max).items():
+        assert (entry.half_turns, entry.mu, entry.series) == reference[exps]
