@@ -15,7 +15,7 @@ def main():
         print(f"== {name}: d = {pair.fermat.degree}, "
               f"weights = {pair.fermat.weights}, |G| = {len(pair.group)}")
         print(f"   Calabi-Yau: {pair.is_calabi_yau}, SL: {pair.is_sl}, "
-              f"period: {pair.period}")
+              f"period: {pair.fermat.degree}")
         for g in pair.group.elements:
             mults = ", ".join(str(m) for m in g.multiplicities())
             tag = "narrow" if pair.is_narrow(g) else "broad "

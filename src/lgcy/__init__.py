@@ -16,7 +16,6 @@ from .exactalg import (
     ZLaurentSeries,
     bernoulli_number,
     bernoulli_poly,
-    gamma_ratio_rewrite,
     series_exp,
     series_invert,
 )
@@ -43,7 +42,6 @@ from .genfun import (
     untwisted_j,
 )
 from .transforms import (
-    big_u,
     delta_c_generic,
     delta_c_specialized,
     delta_circ,

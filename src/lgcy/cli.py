@@ -124,7 +124,7 @@ def cmd_describe(args) -> int:
         "weights": list(pair.fermat.weights),
         "degree": pair.fermat.degree,
         "groupOrder": len(pair.group),
-        "period": pair.period,
+        "period": pair.fermat.degree,
         "calabiYau": pair.is_calabi_yau,
         "sl": pair.is_sl,
         "narrowCount": len(pair.narrow_sectors()),

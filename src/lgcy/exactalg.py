@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 Rational = Fraction
 
@@ -37,7 +38,6 @@ __all__ = [
     "series_exp",
     "series_invert",
     "divide_by_lambda_plus_h",
-    "gamma_ratio_rewrite",
     "gamma_shift_product",
     "bernoulli_number",
     "bernoulli_poly",
@@ -938,13 +938,6 @@ def gamma_shift_product(lam_weight: Fraction, h_weight: Fraction, base: Fraction
     return result
 
 
-def gamma_ratio_rewrite(weight: Fraction, base: Fraction, steps: int,
-                        ring: SeriesRing, z_min: int = -2, z_max: int = 8) -> ZLaurentSeries:
-    """Spec-facing wrapper: x = -weight*lam - base*z, product over the gap."""
-    return gamma_shift_product(_as_fraction(weight), Fraction(0),
-                               _as_fraction(base), steps, ring, z_min, z_max)
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli data for the Delta^c operator
 # ---------------------------------------------------------------------------
@@ -955,7 +948,6 @@ def bernoulli_number(n: int) -> Fraction:
 
     Recurrence sum_{k<=n} C(n+1,k) B_k = 0, exact.
     """
-    from math import comb
     if n == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -966,7 +958,6 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """B_n(x) = sum C(n,k) B_k x^{n-k}, exact."""
-    from math import comb
     x = _as_fraction(x)
     return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
                 for k in range(n + 1)), Fraction(0))

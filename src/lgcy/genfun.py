@@ -165,7 +165,7 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         degs = [0] * len(elements)
         degs[i] = 1
         put(g, 0, tuple(degs), Fraction(1))
-    dual_norm = pair.period ** pair.fermat.n_variables
+    dual_norm = pair.fermat.degree ** pair.fermat.n_variables
     for total in range(2, orders.t_order + 1):
         # n = total + 1 points: the dimension condition leaves only psi^(n-3)
         a = total - 2
@@ -750,8 +750,7 @@ def assert_lambda_divisibility(series: CohSeries) -> None:
                  "required": required, "found": value.lambda_valuation()})
 
 
-def fjrw_i_function(pair: LGPair, orders: Orders,
-                    sign_convention: str = "display") -> CohSeries:
+def fjrw_i_function(pair: LGPair, orders: Orders) -> CohSeries:
     """lim_{lam->0} Delta-circ(z d/dt I^X), asserted divisible first.
 
     The limit exists because every N_g > 0 coefficient is divisible by
@@ -762,7 +761,7 @@ def fjrw_i_function(pair: LGPair, orders: Orders,
     derivative = z_ddt_distinguished(i_function_x(pair, orders))
     assert_lambda_divisibility(derivative)
     limited = derivative.nonequivariant_limit()
-    result = delta_circ(pair, sign_convention=sign_convention).apply(limited)
+    result = delta_circ(pair).apply(limited)
     for (exps, _, _) in result.terms:
         if not pair.is_narrow(GroupElement(pair.fermat, exps)):
             raise IdentityError("FJRW output not narrow-supported",

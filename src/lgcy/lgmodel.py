@@ -197,11 +197,6 @@ class AdmissibleGroup:
         return len(self.elements)
 
     @property
-    def period(self) -> int:
-        """Max element order; equals d whenever the grading element is present."""
-        return max(g.order() for g in self.elements)
-
-    @property
     def is_sl(self) -> bool:
         return all(g.age().denominator == 1 for g in self.elements)
 
@@ -213,11 +208,6 @@ class LGPair:
         self.fermat = group.fermat
         self.group = group
         self.name = name or f"fermat(d={self.fermat.degree};c={','.join(map(str, self.fermat.weights))})"
-        self.period = group.period
-        d, dbar = self.fermat.degree, self.period
-        if d % dbar != 0 and dbar % d != 0:
-            raise ValueError("period incompatible with degree")
-        self.scaled_weights = tuple(Fraction(c * dbar, d) for c in self.fermat.weights)
         self.identity = GroupElement(self.fermat, (0,) * self.fermat.n_variables)
         self._narrow = tuple(g for g in group.elements
                              if (g * group.grading).fixed_dim() == 0)
@@ -261,8 +251,6 @@ class LGPair:
     def require_cy(self):
         if not self.is_calabi_yau:
             raise ValueError(f"{self.name}: Calabi-Yau condition sum(c_j) = d required")
-        if self.period != self.fermat.degree:
-            raise ValueError(f"{self.name}: period {self.period} != degree (unsupported)")
 
     def require_sl(self):
         if not self.is_sl:
@@ -361,7 +349,7 @@ def pair_twisted(pair: LGPair, c: int, g1: GroupElement, g2: GroupElement,
     dual = (g1 * (pair.grading ** (2 * c))).inverse()
     if g2 != dual:
         return PairingValue(Fraction(0))
-    norm = Fraction(1, pair.period ** pair.fermat.n_variables)
+    norm = Fraction(1, pair.fermat.degree ** pair.fermat.n_variables)
     if spec == "untwisted":
         return PairingValue(norm)
     shifted = g1 * (pair.grading ** c)

@@ -2,10 +2,9 @@
 
 A plain ``Transform`` stores, per input sector, a list of (output basis
 element, entry) with z-Laurent entries; ``apply`` is linear and exact.
-The graded operators z^Gr and tau^(deg0/2) shift exponents per monomial,
-so they get dedicated classes, as do the two operators whose entries are
-not series at all: the generic-s twist operator (entries are exponentials
-of s-linear forms) and its euler specializations (entries carry rational
+The two operators whose entries are not series at all get dedicated
+classes: the generic-s twist operator (entries are exponentials of
+s-linear forms) and its euler specializations (entries carry rational
 lam-exponents, which never enter a CohSeries untested).
 """
 from __future__ import annotations
@@ -35,9 +34,6 @@ __all__ = [
     "u_bar",
     "ubar_block",
     "gamma_class_op",
-    "z_grading",
-    "deg0_scaling",
-    "big_u",
     "pullback_to_z",
     "divide_or_none",
     "DeltaDiamond",
@@ -130,16 +126,9 @@ def i_c(pair: LGPair, c: int) -> Transform:
                      twist_in=0, twist_out=c)
 
 
-def delta_circ(pair: LGPair, sign_convention: str = "display") -> Transform:
-    """1_g -> (-1)^(sum_j m_j(g)) phi_{g j^-1}, zero on broad images.
-
-    ``sign_convention="shifted"`` uses exponent sum_j m_j(g j) instead; the
-    two differ by the constant (-1)^age(j), which no cone-membership
-    statement can see.
-    """
+def delta_circ(pair: LGPair) -> Transform:
+    """1_g -> (-1)^(sum_j m_j(g)) phi_{g j^-1}, zero on broad images."""
     pair.require_sl()
-    if sign_convention not in ("display", "shifted"):
-        raise ValueError("sign_convention must be 'display' or 'shifted'")
     j_inv = pair.grading.inverse()
     blocks = {}
     for g in pair.group.elements:
@@ -147,8 +136,7 @@ def delta_circ(pair: LGPair, sign_convention: str = "display") -> Transform:
         if not pair.is_narrow(target):
             blocks[g.exps] = ()
             continue
-        base = g if sign_convention == "display" else g * pair.grading
-        sign = (-1) ** int(base.age())
+        sign = (-1) ** int(g.age())
         blocks[g.exps] = ((SectorBasisElement("fjrw", target), sign),)
     return Transform(pair, "x", "fjrw", blocks, name="delta_circ")
 
@@ -212,13 +200,12 @@ def u_bar(pair: LGPair, lam_order: int) -> Transform:
     return Transform(pair, "x", "y", blocks, name="u_bar")
 
 
-def gamma_class_op(pair: LGPair, side: str, inverse: bool = False) -> Transform:
+def gamma_class_op(pair: LGPair, side: str) -> Transform:
     """Diagonal Gamma-class: atom-valued entries, never evaluated.
 
     X side: prod_j Gamma(1 - m_j(g) - c_j beta).  Y side additionally
     Gamma(1 - d(lam+H)/tau), with the per-j atoms carrying H.
     """
-    exponent = -1 if inverse else 1
     blocks = {}
     for g in pair.group.elements:
         if side == "x":
@@ -226,7 +213,7 @@ def gamma_class_op(pair: LGPair, side: str, inverse: bool = False) -> Transform:
             atoms: dict[GammaAtom, int] = {}
             for j, cj in enumerate(pair.fermat.weights):
                 atom = GammaAtom(Fraction(cj), g.multiplicity(j))
-                atoms[atom] = atoms.get(atom, 0) + exponent
+                atoms[atom] = atoms.get(atom, 0) + 1
             value = ring.monomial(atoms=tuple(sorted(atoms.items())))
             blocks[g.exps] = ((SectorBasisElement("x", g), value),)
         elif side == "y":
@@ -236,95 +223,15 @@ def gamma_class_op(pair: LGPair, side: str, inverse: bool = False) -> Transform:
                 continue
             ring = SeriesRing(pair.fermat.degree, 0, n_g)
             atoms = {GammaAtom(Fraction(pair.fermat.degree), Fraction(0),
-                               Fraction(pair.fermat.degree)): exponent}
+                               Fraction(pair.fermat.degree)): 1}
             for j, cj in enumerate(pair.fermat.weights):
                 atom = GammaAtom(Fraction(0), g.multiplicity(j), Fraction(-cj))
-                atoms[atom] = atoms.get(atom, 0) + exponent
+                atoms[atom] = atoms.get(atom, 0) + 1
             value = ring.monomial(atoms=tuple(sorted(atoms.items())))
             blocks[g.exps] = ((SectorBasisElement("y", g), value),)
         else:
             raise ValueError("side must be 'x' or 'y'")
-    suffix = "^-1" if inverse else ""
-    return Transform(pair, side, side, blocks, name=f"gamma_class_{side}{suffix}")
-
-
-class GradedOperator:
-    """Monomial-graded diagonal operator: z or tau exponent shifts.
-
-    z^Gr multiplies lam^a H^b on sector g by z^(a + b + age(g));
-    tau^(deg0/2) multiplies by tau^(a + b).  ``weight`` = +1 or -1 picks
-    the operator or its inverse.
-    """
-
-    def __init__(self, pair: LGPair, kind: str, weight: int = 1):
-        if kind not in ("z_grading", "deg0"):
-            raise ValueError("kind must be 'z_grading' or 'deg0'")
-        self.pair = pair
-        self.kind = kind
-        self.weight = weight
-        self.name = f"{kind}^{weight}"
-
-    def apply(self, series: CohSeries) -> CohSeries:
-        z_min, z_max = series.orders.z_window
-        out: dict = {}
-        for (exps, z, degs), value in series.terms.items():
-            if self.kind == "z_grading":
-                age = GroupElement(series.pair.fermat, exps).age()
-                if age.denominator != 1:
-                    raise ValueError("z-grading needs integral sector ages")
-                for (lam, h, tau, atoms), coeff in value.terms.items():
-                    z_out = z + self.weight * (lam + h + int(age))
-                    if z_out < z_min or z_out > z_max:
-                        continue
-                    key = (exps, z_out, degs)
-                    piece = SectorValue(value.ring, {(lam, h, tau, atoms): coeff})
-                    out[key] = out[key] + piece if key in out else piece
-            else:
-                mapped = value.map_monomials(
-                    lambda k, c: ((k[0], k[1], k[2] + self.weight * (k[0] + k[1]),
-                                   k[3]), c))
-                key = (exps, z, degs)
-                out[key] = out[key] + mapped if key in out else mapped
-        return CohSeries(series.side, series.pair, series.variables,
-                         series.orders, out, series.tokens, series.c_twist)
-
-
-def z_grading(pair: LGPair, weight: int = 1) -> GradedOperator:
-    return GradedOperator(pair, "z_grading", weight)
-
-
-def deg0_scaling(pair: LGPair, weight: int = 1) -> GradedOperator:
-    return GradedOperator(pair, "deg0", weight)
-
-
-class CompositeTransform:
-    """Apply a fixed sequence of operators left to right."""
-
-    def __init__(self, stages, name: str):
-        self.stages = tuple(stages)
-        self.name = name
-
-    def apply(self, series: CohSeries) -> CohSeries:
-        for stage in self.stages:
-            series = stage.apply(series)
-        return series
-
-
-def big_u(pair: LGPair, lam_order: int) -> CompositeTransform:
-    """U = z^-Gr GammaClass(Y) tau^(deg0/2) Ubar tau^(-deg0/2) GammaClass(X)^-1 z^Gr."""
-    pair.require_cy()
-    return CompositeTransform(
-        [
-            z_grading(pair, +1),
-            gamma_class_op(pair, "x", inverse=True),
-            deg0_scaling(pair, -1),
-            u_bar(pair, lam_order),
-            deg0_scaling(pair, +1),
-            gamma_class_op(pair, "y"),
-            z_grading(pair, -1),
-        ],
-        name="big_u",
-    )
+    return Transform(pair, side, side, blocks, name=f"gamma_class_{side}")
 
 
 class PullbackToZ:
@@ -375,9 +282,6 @@ class DeltaDiamond:
         self.pair = pair
         self.rank_sign = -1
         self.name = "delta_diamond"
-
-    def euler_factor(self, ring: SeriesRing) -> SectorValue:
-        return (ring.lam() + ring.hyperplane()) * self.pair.fermat.degree
 
     def sign_exponential(self, ring: SeriesRing, z_min: int, z_max: int) -> ZLaurentSeries:
         """e^(pi i d H / z) = sum_k (d H)^k (tau/2)^k z^-k / k!, finite in H."""

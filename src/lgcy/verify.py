@@ -357,10 +357,8 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
 # FJRW pipeline and the kernel compatibility square
 # ---------------------------------------------------------------------------
 
-def check_fjrw_pipeline(pair: LGPair, orders: Orders,
-                        sign_convention: str = "display",
-                        _tamper=None, _tamper_stage: str = "derivative"
-                        ) -> VerificationReport:
+def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
+                        _tamper_stage: str = "derivative") -> VerificationReport:
     """Divisibility, narrow support, and the signed-unit leading term."""
     def body():
         pair.require_cy()
@@ -370,7 +368,7 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders,
             derivative = _tamper_series(derivative, _tamper)
         assert_lambda_divisibility(derivative)
         limited = derivative.nonequivariant_limit()
-        result = delta_circ(pair, sign_convention=sign_convention).apply(limited)
+        result = delta_circ(pair).apply(limited)
         if _tamper is not None and _tamper_stage == "result":
             result = _tamper_series(result, _tamper)
         for (exps, _z, _degs) in result.terms:
@@ -378,7 +376,7 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders,
                 return {"kind": "narrow-support", "sector": list(exps)}
         # leading term: the z^1, t-degree-0 coefficient is the unit up to
         # the documented global sign of the Delta-circ convention
-        unit_sign = _delta_circ_sign(pair, pair.grading, sign_convention)
+        unit_sign = _delta_circ_sign(pair.grading)
         zero_degs = tuple(0 for _ in result.variables)
         lead = result.coefficient(pair.identity.exps, 1, zero_degs)
         ring = result.ring_for(pair.identity.exps)
@@ -393,7 +391,7 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders,
             image = base * pair.grading.inverse()
             degs = tuple(1 if i == idx else 0 for i in range(len(result.variables)))
             if pair.is_narrow(image):
-                expected = _delta_circ_sign(pair, base, sign_convention)
+                expected = _delta_circ_sign(base)
                 found = result.coefficient(image.exps, 0, degs)
                 if found != result.ring_for(image.exps).scalar(expected):
                     return {"kind": "mirror-map-shape", "variable": idx,
@@ -408,9 +406,8 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders,
     return _timed("fjrw-pipeline", pair, orders, body)
 
 
-def _delta_circ_sign(pair: LGPair, g: GroupElement, sign_convention: str) -> int:
-    base = g if sign_convention == "display" else g * pair.grading
-    return (-1) ** int(base.age())
+def _delta_circ_sign(g: GroupElement) -> int:
+    return (-1) ** int(g.age())
 
 
 def check_kernel_compatibility(pair: LGPair, orders: Orders,

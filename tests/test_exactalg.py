@@ -22,7 +22,6 @@ from lgcy.exactalg import (
     cyclotomic_polynomial,
     divide_by_lambda_plus_h,
     euler_phi,
-    gamma_ratio_rewrite,
     gamma_shift_product,
     series_exp,
     series_invert,
@@ -268,12 +267,12 @@ def test_series_invert_involution_random():
 
 def test_gamma_ratio_rewrite_examples():
     ring = SeriesRing(5, 4, 1)
-    empty = gamma_ratio_rewrite(F(1), F(0), 0, ring)
+    empty = gamma_shift_product(F(1), F(0), F(0), 0, ring, -2, 8)
     assert empty.coefficient(0) == ring.one() and len(empty.terms) == 1
-    single = gamma_ratio_rewrite(F(1), F(0), 1, ring)
+    single = gamma_shift_product(F(1), F(0), F(0), 1, ring, -2, 8)
     assert single.coefficient(0) == -ring.lam()
     assert single.coefficient(1).is_zero()
-    quintic_factor = gamma_ratio_rewrite(F(1), F(2, 5), 1, ring)
+    quintic_factor = gamma_shift_product(F(1), F(0), F(2, 5), 1, ring, -2, 8)
     assert quintic_factor.coefficient(0) == -ring.lam()
     assert quintic_factor.coefficient(1) == ring.scalar(F(-2, 5))
 
@@ -284,9 +283,9 @@ def test_gamma_ratio_telescoping():
         for base in (F(0), F(2, 5), F(7, 3)):
             for m in range(4):
                 for n in range(4):
-                    whole = gamma_ratio_rewrite(weight, base, m + n, ring, -2, 10)
-                    left = gamma_ratio_rewrite(weight, base, m, ring, -2, 10)
-                    right = gamma_ratio_rewrite(weight, base + m, n, ring, -2, 10)
+                    whole = gamma_shift_product(weight, F(0), base, m + n, ring, -2, 10)
+                    left = gamma_shift_product(weight, F(0), base, m, ring, -2, 10)
+                    right = gamma_shift_product(weight, F(0), base + m, n, ring, -2, 10)
                     assert whole == left * right
 
 

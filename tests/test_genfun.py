@@ -484,8 +484,6 @@ def test_fjrw_leading_term_and_sign_conventions():
     zero = tuple(0 for _ in series.variables)
     ring = series.ring_for((0,) * 5)
     assert series.coefficient(q.identity.exps, 1, zero) == ring.scalar(-1)
-    shifted = fjrw_i_function(q, orders, sign_convention="shifted")
-    assert shifted.coefficient(q.identity.exps, 1, zero) == ring.one()
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)

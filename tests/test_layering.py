@@ -16,14 +16,14 @@ def _relative_targets(node: ast.ImportFrom) -> set[str]:
     return {alias.name for alias in node.names}
 
 
-def test_no_relative_import_inside_a_function():
+def test_no_import_inside_a_function():
     offenders = []
     for name, tree in MODULES.items():
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.ImportFrom) and node.level:
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
                     offenders.append(f"{name}.{fn.name}:{node.lineno}")
     assert not offenders, offenders
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -122,7 +123,24 @@ def test_group_laws_random(pair):
     for g in elements:
         assert len(pair.group) % g.order() == 0  # Lagrange bookkeeping
         assert g ** g.order() == pair.identity
-    assert pair.period == pair.fermat.degree
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_element_orders_divide_degree(data):
+    """c_j | d and gcd(c_j) = 1 bound every order by lcm(d/c_j) = d; j has order d."""
+    d = data.draw(st.integers(2, 8), label="d")
+    divisors = [c for c in range(1, d) if d % c == 0]
+    weights = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5)
+                        .filter(lambda ws: gcd(*ws) == 1), label="weights")
+    fermat = FermatData(tuple(weights), d)
+    generators = data.draw(st.lists(
+        st.tuples(*(st.integers(0, m - 1) for m in fermat.exponents)), max_size=2),
+        label="generators")
+    group = group_from_generators(fermat, generators)
+    for g in group.elements:
+        assert d % g.order() == 0
+    assert group.grading.order() == d
 
 
 # -- ages, fixed loci, narrow sectors ----------------------------------------------

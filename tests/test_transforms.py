@@ -16,7 +16,6 @@ from lgcy.cohseries import CohSeries, Orders
 from lgcy.exactalg import (
     Cyclotomic,
     ExactDivisionError,
-    SectorValue,
     SeriesRing,
     bernoulli_poly,
     series_exp,
@@ -25,8 +24,6 @@ from lgcy.exactalg import (
 from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, load_pair, pair_twisted
 from lgcy.transforms import (
     SPoly,
-    big_u,
-    deg0_scaling,
     delta_c_generic,
     delta_c_log_entry,
     delta_c_specialized,
@@ -38,7 +35,6 @@ from lgcy.transforms import (
     pullback_to_z,
     u_bar,
     ubar_block,
-    z_grading,
 )
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
@@ -328,53 +324,6 @@ def test_gamma_class_op_entries():
     assert len(fiber) == 1 and atoms[fiber[0]] == 1
 
 
-def test_gamma_class_inverse_cancels():
-    q = quintic()
-    orders = Orders(t_order=1, lam_order=2)
-    series = basis_series(q, q.grading, orders)
-    dressed = gamma_class_op(q, "x").apply(series)
-    assert gamma_class_op(q, "x", inverse=True).apply(dressed).compare(series) is None
-
-
-def test_z_grading_and_deg0():
-    q = quintic()
-    orders = Orders(t_order=1, lam_order=3)
-    # Gr on the untwisted sector with no lam/H: identity
-    series = basis_series(q, q.identity, orders)
-    assert z_grading(q, 1).apply(series).compare(series) is None
-    # CR degree of 1_g: entry z^{age(g)}
-    twisted = basis_series(q, q.grading ** 2, orders)
-    out = z_grading(q, 1).apply(twisted)
-    [(key, _)] = list(out.terms.items())
-    assert key[1] == 2
-    # deg0 of H^k: tau^k
-    ring = SeriesRing(5, 3, 5)
-    y_series = basis_series(q, q.identity, orders, side="y",
-                            value=ring.hyperplane(3))
-    [(key, value)] = list(deg0_scaling(q, 1).apply(y_series).terms.items())
-    [(mono, _)] = list(value.terms.items())
-    assert mono[1] == 3 and mono[2] == 3
-
-
-def test_big_u_zero_and_structure():
-    q = quintic()
-    orders = Orders(t_order=1, lam_order=4)
-    composite = big_u(q, orders.lam_order)
-    zero = basis_series(q, q.identity, orders).scale(0)
-    assert composite.apply(zero).is_zero()
-    # rCTC(2) inheritance: off-diagonal output blocks stay (lam+H)-divisible
-    for g in q.group.elements:
-        out = composite.apply(basis_series(q, g, orders))
-        for (exps, z, degs), value in out.terms.items():
-            if exps == g.exps:
-                continue
-            by_atoms: dict = {}
-            for (lam, h, tau, atoms), coeff in value.terms.items():
-                by_atoms.setdefault((tau, atoms), {})[(lam, h, 0, ())] = coeff
-            for (tau, atoms), component in by_atoms.items():
-                assert divide_or_none(SectorValue(value.ring, component)) is not None
-
-
 # -- Delta-diamond and the ambient pullback -----------------------------------------------
 
 def test_delta_diamond_symbolic_pieces():
@@ -382,7 +331,6 @@ def test_delta_diamond_symbolic_pieces():
     dd = delta_diamond(q)
     assert dd.rank_sign == -1
     ring = SeriesRing(5, 3, 5)
-    assert dd.euler_factor(ring) == (ring.lam() + ring.hyperplane()) * 5
     sign = dd.sign_exponential(ring, -6, 2)
     assert sign.coefficient(0) == ring.one()
     # z^-1 coefficient: (tau/2) * 5H

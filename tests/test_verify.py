@@ -178,10 +178,7 @@ def test_fjrw_self_test_and_sign_insensitivity():
     bad = check_fjrw_pipeline(
         q, orders, _tamper=((2, 2, 2, 2, 2), 0, (1, 0)), _tamper_stage="derivative")
     assert not bad.ok()
-    # flipped global sign: divisibility and narrow support are insensitive,
-    # and the leading term is still the unit up to the documented sign
-    for convention in ("display", "shifted"):
-        assert check_fjrw_pipeline(q, orders, sign_convention=convention).ok()
+    assert check_fjrw_pipeline(q, orders).ok()
 
 
 def test_kernel_self_test():
