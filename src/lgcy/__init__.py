@@ -10,7 +10,6 @@ truncated formal series over cyclotomic rationals.
 from .exactalg import (
     Cyclotomic,
     GammaAtom,
-    Rational,
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
@@ -42,13 +41,13 @@ from .genfun import (
     untwisted_j,
 )
 from .transforms import (
+    DeltaDiamond,
+    PullbackToZ,
     delta_c_generic,
     delta_c_specialized,
     delta_circ,
-    delta_diamond,
     gamma_class_op,
     i_c,
-    pullback_to_z,
     u_bar,
 )
 from .verify import ALL_CHECKS, VerificationReport, recommended_orders, run_checks

@@ -2,7 +2,7 @@
 
 Everything downstream runs on four layers built here:
 
-* ``Fraction`` (re-exported as ``Rational``) for exact rationals,
+* ``Fraction`` for exact rationals,
 * ``Cyclotomic`` for elements of Q(xi) with xi a primitive root of unity,
   kept in the canonical basis 1, xi, ..., xi^(phi(n)-1) modulo the n-th
   cyclotomic polynomial,
@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-
-Rational = Fraction
+from math import comb, gcd
 
 __all__ = [
-    "Rational",
     "NonUnitError",
     "OrderMismatchError",
     "ExactDivisionError",
@@ -263,26 +260,39 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def _conjugate(self, k: int) -> "Cyclotomic":
+        """The Galois conjugate sigma_k(self), xi -> xi^k, for gcd(k, n) = 1."""
+        phi = len(self.coeffs)
+        table = _power_reduction(self.order)
+        out = [Fraction(0)] * phi
+        for i, a in enumerate(self.coeffs):
+            if a:
+                m = i * k % self.order
+                if m < phi:
+                    out[m] += a
+                    continue
+                for idx, r in enumerate(table[m - phi]):
+                    if r:
+                        out[idx] += a * r
+        return Cyclotomic._unchecked(self.order, tuple(out))
+
     def inverse(self) -> "Cyclotomic":
-        """Field inverse via extended Euclid against Phi_n (irreducible)."""
+        """Field inverse by the norm: prod_{k != 1} sigma_k(self) / N(self).
+
+        The sigma_k with gcd(k, n) = 1 are the Galois group of Q(xi_n), so
+        self times the product of its other conjugates is the norm N(self),
+        a nonzero rational whenever self is nonzero.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
             return Cyclotomic.from_rational(self.order, 1 / self.coeffs[0])
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        r0, r1 = modulus, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _poly_trim(r1)
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                coeffs = [c * inv for c in s1]
-                coeffs += [Fraction(0)] * (len(self.coeffs) - len(coeffs))
-                return Cyclotomic._unchecked(self.order, tuple(coeffs[: len(self.coeffs)]))
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        others = Cyclotomic.one(self.order)
+        for k in range(2, self.order):
+            if gcd(k, self.order) == 1:
+                others = others * self._conjugate(k)
+        norm = (self * others).coeffs[0]
+        return Cyclotomic._unchecked(self.order, _scaled(others.coeffs, 1 / norm))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -337,44 +347,6 @@ class Cyclotomic:
 def _scaled(coeffs: tuple[Fraction, ...], s: Fraction) -> tuple[Fraction, ...]:
     """Every coefficient times the rational s; zero coefficients are kept."""
     return tuple(c * s if c else c for c in coeffs)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _poly_trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
-        q[k] = coeff
-        if coeff:
-            for i, d in enumerate(b):
-                a[k + i] -= coeff * d
-    return q, _poly_trim(a[: len(b) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +438,11 @@ class SeriesRing:
     def hyperplane(self, power: int = 1) -> "SectorValue":
         return self.monomial(h=power)
 
-    def tau(self, power: int = 1) -> "SectorValue":
-        return self.monomial(tau=power)
-
     def monomial(self, lam: int = 0, h: int = 0, tau: int = 0,
                  atoms: AtomsKey = (), coeff=1) -> "SectorValue":
         if not isinstance(coeff, Cyclotomic):
             coeff = Cyclotomic.from_rational(self.order, coeff)
         return SectorValue(self, {(lam, h, tau, tuple(sorted(atoms))): coeff})
-
-    def atom(self, atom: GammaAtom, exponent: int = 1) -> "SectorValue":
-        return self.monomial(atoms=((atom, exponent),))
 
 
 class SectorValue:

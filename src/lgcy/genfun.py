@@ -45,7 +45,6 @@ __all__ = [
     "i_function_x",
     "i_function_y",
     "modification_factor",
-    "y_denominator_levels",
     "y_ray_levels",
     "h_function_x",
     "h_function_y",
@@ -196,7 +195,9 @@ class IndexTerm(NamedTuple):
     degs = (k0,) + k; base = prod_s g_s^{k_s}; comb_k = prod_s 1/k_s! and
     comb = comb_k / k0!; a_vec = a(k), r_vec = (k0 c_j / d + a(k)^j)_j and
     v_vec = (k0 c_j / d - a(k)^j)_j.  ``ages`` pairs each indexing sector
-    g_s with its age and is shared by every term of one table.
+    g_s with its age and is shared by every term of one table.  ``sector``
+    and ``ring`` are the index's sector on the table's side and the ring of
+    its coefficients there.
     """
 
     k0: int
@@ -209,6 +210,8 @@ class IndexTerm(NamedTuple):
     r_vec: tuple[Fraction, ...]
     v_vec: tuple[Fraction, ...]
     ages: tuple
+    sector: GroupElement
+    ring: SeriesRing
 
     def z_shift(self) -> int:
         """sum_s (age(g_s) - 1) k_s; the ages of the indexing sectors must be
@@ -222,17 +225,24 @@ class IndexTerm(NamedTuple):
         return shift
 
 
-def _index_terms(pair: LGPair, t_order: int):
+def _index_terms(pair: LGPair, orders: Orders, side: str):
     """The IndexTerm of every (k0, k), by total degree, then lexicographic.
 
-    Exponents and ages of the positive-dimensional sectors are read once per
-    table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in integers, and
-    so are r_j and v_j.
+    On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
+    side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
+    sector has N_g = 0 are skipped.  The table holds one SeriesRing per
+    nilpotency.  Exponents and ages of the positive-dimensional sectors are
+    read once per table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in
+    integers, and so are r_j and v_j.
     """
     sectors = pair.positive_dim_sectors()
     ages = tuple((g, g.age()) for g in sectors)
     weights, d = pair.fermat.weights, pair.fermat.degree
-    for total in range(t_order + 1):
+    shifts = [pair.grading ** k0 for k0 in range(orders.t_order + 1)]
+    if side == "y":
+        shifts = [shift.inverse() for shift in shifts]
+    rings: dict = {}
+    for total in range(orders.t_order + 1):
         for degs in _multidegrees(1 + len(sectors), total):
             k = degs[1:]
             base = pair.identity
@@ -245,11 +255,27 @@ def _index_terms(pair: LGPair, t_order: int):
                     for j, e in enumerate(g.exps):
                         sums[j] += mult * e
             k0 = degs[0]
+            sector = shifts[k0] * base
+            nilpotency = 1 if side == "x" else sector.fixed_dim()
+            if nilpotency == 0:
+                continue
+            ring = rings.get(nilpotency)
+            if ring is None:
+                ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
             a_vec = tuple(Fraction(s * cj, d) for s, cj in zip(sums, weights))
             r_vec = tuple(Fraction((k0 + s) * cj, d) for s, cj in zip(sums, weights))
             v_vec = tuple(Fraction((k0 - s) * cj, d) for s, cj in zip(sums, weights))
             yield IndexTerm(k0, k, degs, base, comb_k, comb_k / factorial(k0),
-                            a_vec, r_vec, v_vec, ages)
+                            a_vec, r_vec, v_vec, ages, sector, ring)
+
+
+def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,
+                    variable: str) -> CohSeries:
+    """A series over the index table's variables: ``variable`` ("t" or
+    "q^(1/d)") with its prefactor token, then t^{g_s} per indexing sector."""
+    token = TOKEN_T_LAMBDA if variable == "t" else TOKEN_Q_H
+    variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())
+    return CohSeries(side, pair, variables, orders, terms, ((token, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +299,8 @@ def modification_factor(pair: LGPair, k0: int, a_vec, ring: SeriesRing,
     return result
 
 
-def _i_x_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
-               z_min: int, z_max: int, products: dict) -> ZLaurentSeries:
+def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+               products: dict) -> ZLaurentSeries:
     """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k).
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
@@ -283,8 +309,8 @@ def _i_x_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
     m_factor = products.get(term.r_vec)
     if m_factor is None:
         m_factor = products[term.r_vec] = \
-            modification_factor(pair, term.k0, term.a_vec, ring, z_min, z_max)
-    return (m_factor * ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
+            modification_factor(pair, term.k0, term.a_vec, term.ring, z_min, z_max)
+    return (m_factor * term.ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
 
 
 def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
@@ -294,31 +320,15 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     M(k0,k) t^{k0} / (z^{k0} k0!) on the sector j^{k0} prod g_s^{k_s}.
     """
     pair.require_cy()
-    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
     wide_min = min(z_min, -(orders.t_order + 2) - orders.t_order)
     terms: dict = {}
     products: dict = {}
-    for term in _index_terms(pair, orders.t_order):
-        sector = pair.grading ** term.k0 * term.base
-        value = _i_x_value(pair, term, ring, wide_min, z_max + orders.t_order,
-                           products)
-        zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
-    variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries("x", pair, variables, orders, terms,
-                     ((TOKEN_T_LAMBDA, 1),))
-
-
-def y_denominator_levels(v: Fraction) -> tuple[Fraction, ...]:
-    """The l with 0 < l <= v and frac(l) = frac(v), in descending order."""
-    if v <= 0:
-        return ()
-    levels = []
-    l = v
-    while l > 0:
-        levels.append(l)
-        l -= 1
-    return tuple(levels)
+    for term in _index_terms(pair, orders, "x"):
+        value = _i_x_value(pair, term, wide_min, z_max + orders.t_order, products)
+        zlaurent_to_terms(term.sector.exps, term.degs, value.with_window(z_min, z_max),
+                          terms)
+    return _indexed_series("x", pair, orders, terms, "t")
 
 
 def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -332,11 +342,15 @@ def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     forced by the ratio form, which is what the factorization identity and
     the toric cone statement require.
     """
+    levels = []
     if v > 0:
-        return (), y_denominator_levels(v)
+        l = v
+        while l > 0:
+            levels.append(l)
+            l -= 1
+        return (), tuple(levels)
     frac = v - (v.numerator // v.denominator)
     top = Fraction(0) if frac == 0 else frac - 1  # largest l <= 0 with frac(l) = frac(v)
-    levels = []
     l = top
     while l > v:
         levels.append(l)
@@ -356,20 +370,20 @@ def _inverse_linear_h_z(ring: SeriesRing, h_coeff: Fraction, level: Fraction,
     return ZLaurentSeries(ring, z_min, z_max, terms)
 
 
-def _i_y_value(pair: LGPair, term: IndexTerm, ring: SeriesRing,
-               z_min: int, z_max: int, products: dict) -> ZLaurentSeries:
+def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+               products: dict) -> ZLaurentSeries:
     """The I^Y coefficient of one index: the k0 fiber factors, the ray
     factors of every j, comb_k and z^(1 - sum k).
 
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
     """
-    key = (ring.nilpotency, term.k0, term.v_vec)
+    key = (term.ring.nilpotency, term.k0, term.v_vec)
     value = products.get(key)
     if value is None:
         value = products[key] = \
-            _i_y_factors(pair, term.k0, term.v_vec, ring, z_min, z_max)
-    return (value * ring.scalar(term.comb_k)).shift(1 - sum(term.k))
+            _i_y_factors(pair, term.k0, term.v_vec, term.ring, z_min, z_max)
+    return (value * term.ring.scalar(term.comb_k)).shift(1 - sum(term.k))
 
 
 def _i_y_factors(pair: LGPair, k0: int, v_vec, ring: SeriesRing,
@@ -405,17 +419,11 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     wide_min = z_min - 2 * orders.t_order - 2 * pair.fermat.n_variables
     terms: dict = {}
     products: dict = {}
-    for term in _index_terms(pair, orders.t_order):
-        sector = (pair.grading ** term.k0).inverse() * term.base
-        n_g = sector.fixed_dim()
-        if n_g == 0:
-            continue
-        ring = SeriesRing(pair.fermat.degree, orders.lam_order, n_g)
-        value = _i_y_value(pair, term, ring, wide_min, z_max + orders.t_order,
-                           products)
-        zlaurent_to_terms(sector.exps, term.degs, value.with_window(z_min, z_max), terms)
-    variables = ("q^(1/d)",) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries("y", pair, variables, orders, terms, ((TOKEN_Q_H, 1),))
+    for term in _index_terms(pair, orders, "y"):
+        value = _i_y_value(pair, term, wide_min, z_max + orders.t_order, products)
+        zlaurent_to_terms(term.sector.exps, term.degs, value.with_window(z_min, z_max),
+                          terms)
+    return _indexed_series("y", pair, orders, terms, "q^(1/d)")
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +456,12 @@ def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
 def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
     pair.require_cy()
-    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     terms: dict = {}
-    for term in _index_terms(pair, orders.t_order):
-        sector = pair.grading ** term.k0 * term.base
-        value = _atom_value(ring, _x_atoms(pair, term), term.comb)
-        key = (sector.exps, term.z_shift(), term.degs)
+    for term in _index_terms(pair, orders, "x"):
+        value = _atom_value(term.ring, _x_atoms(pair, term), term.comb)
+        key = (term.sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
-    variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries("x", pair, variables, orders, terms,
-                     ((TOKEN_T_LAMBDA, 1),))
+    return _indexed_series("x", pair, orders, terms, "t")
 
 
 def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
@@ -468,17 +472,11 @@ def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     """
     pair.require_cy()
     terms: dict = {}
-    for term in _index_terms(pair, orders.t_order):
-        sector = (pair.grading ** term.k0).inverse() * term.base
-        n_g = sector.fixed_dim()
-        if n_g == 0:
-            continue
-        ring = SeriesRing(pair.fermat.degree, orders.lam_order, n_g)
-        value = _atom_value(ring, _y_atoms(pair, term), term.comb_k)
-        key = (sector.exps, term.z_shift(), term.degs)
+    for term in _index_terms(pair, orders, "y"):
+        value = _atom_value(term.ring, _y_atoms(pair, term), term.comb_k)
+        key = (term.sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
-    variables = ("q^(1/d)",) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries("y", pair, variables, orders, terms, ((TOKEN_Q_H, 1),))
+    return _indexed_series("y", pair, orders, terms, "q^(1/d)")
 
 
 def h_factorization(pair: LGPair, series: CohSeries, side: str):
@@ -552,19 +550,17 @@ def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeri
     Each side keeps its own products per r-vector, which fixes them; every
     term still runs every check.
     """
-    d = pair.fermat.degree
-    ring = SeriesRing(d, i_series.orders.lam_order, 1)
     window = _wide_window(i_series.orders, pair)
     i_products: dict = {}
     op_blocks: dict = {}
-    for term in _index_terms(pair, i_series.orders.t_order):
-        sector = pair.grading ** term.k0 * term.base
+    for term in _index_terms(pair, i_series.orders, "x"):
+        sector, ring = term.sector, term.ring
         age = sector.age()
         if age.denominator != 1:
             raise IdentityError("z-grading needs integral ages (SL group)")
         shift = term.z_shift()
 
-        i_value = _i_x_value(pair, term, ring, *window, i_products)
+        i_value = _i_x_value(pair, term, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^X")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
                        _atom_value(ring, _x_atoms(pair, term), term.comb))
@@ -604,18 +600,14 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
     i_products: dict = {}
     i_blocks: dict = {}
     op_blocks: dict = {}
-    for term in _index_terms(pair, i_series.orders.t_order):
-        sector = (pair.grading ** term.k0).inverse() * term.base
-        n_g = sector.fixed_dim()
-        if n_g == 0:
-            continue
-        ring = SeriesRing(d, i_series.orders.lam_order, n_g)
+    for term in _index_terms(pair, i_series.orders, "y"):
+        sector, ring = term.sector, term.ring
         age = sector.age()
         if age.denominator != 1:
             raise IdentityError("z-grading needs integral ages (SL group)")
         shift = term.z_shift()
 
-        i_value = _i_y_value(pair, term, ring, *window, i_products)
+        i_value = _i_y_value(pair, term, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^Y")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
                        _atom_value(ring, _y_atoms(pair, term), term.comb_k))
@@ -635,7 +627,7 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                      "numerator": [str(l) for l in numerator_levels],
                      "denominator": [str(l) for l in denominator_levels]})
             gaps.append(int(gap))
-        key = (n_g, term.k0, term.v_vec)
+        key = (ring.nilpotency, term.k0, term.v_vec)
         i_block = i_blocks.get(key)
         if i_block is None:
             i_block = ZLaurentSeries.constant(ring, *window, ring.one())
@@ -678,7 +670,7 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     d = pair.fermat.degree
     terms: dict = {}
     block_cache: dict = {}
-    for term in _index_terms(pair, orders.t_order):
+    for term in _index_terms(pair, orders, "x"):
         atoms = _x_atoms(pair, term)
         z_shift = term.z_shift()
         for b in range(d):
@@ -693,9 +685,7 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
             value = block_cache[cache_key].scale_atoms(atoms) * ring.scalar(term.comb)
             key = (sector.exps, z_shift, term.degs)
             terms[key] = terms[key] + value if key in terms else value
-    variables = ("t",) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries("y", pair, variables, orders, terms,
-                     ((TOKEN_T_LAMBDA, 1),))
+    return _indexed_series("y", pair, orders, terms, "t")
 
 
 def residue_unit_check(m: int, b: int, d: int,

@@ -1,11 +1,14 @@
 """Sector-blockwise linear operators on the symplectic space.
 
-A plain ``Transform`` stores, per input sector, a list of (output basis
-element, entry) with z-Laurent entries; ``apply`` is linear and exact.
-The two operators whose entries are not series at all get dedicated
-classes: the generic-s twist operator (entries are exponentials of
-s-linear forms) and its euler specializations (entries carry rational
-lam-exponents, which never enter a CohSeries untested).
+A ``Transform`` is data: per input sector, a list of (output basis
+element, entry) with z-degree-zero entries; ``apply`` is linear and exact.
+The dressings that divide or truncate (``DeltaDiamond``, ``PullbackToZ``)
+are classes with an ``apply`` of their own.  Both ``Delta^c`` builders
+return a dict of entries per sector exponent vector, since the entries are
+not series at all: exponentials of s-linear forms for generic s
+(``delta_c_generic``), and entries carrying rational lam-exponents, which
+never enter a CohSeries untested, at the euler specializations
+(``delta_c_specialized``).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .exactalg import (
     series_exp,
     series_invert,
 )
-from .cohseries import CohSeries
+from .cohseries import CohSeries, _sector_nilpotency
 from .lgmodel import GroupElement, LGPair, SectorBasisElement
 
 __all__ = [
@@ -34,11 +37,9 @@ __all__ = [
     "u_bar",
     "ubar_block",
     "gamma_class_op",
-    "pullback_to_z",
+    "PullbackToZ",
     "divide_or_none",
     "DeltaDiamond",
-    "delta_diamond",
-    "GenericSTransform",
     "delta_c_generic",
     "SpecializedEntry",
     "delta_c_specialized",
@@ -49,7 +50,7 @@ __all__ = [
 class Transform:
     """Blockwise linear operator; blocks: input exps -> ((basis elt, entry), ...).
 
-    Entries are SectorValue (z-degree zero) or ZLaurentSeries.  Application
+    Entries have z-degree zero: a SectorValue or a rational.  Application
     promotes each input coefficient into the output sector's ring, so X-side
     scalars multiply H-carrying entries without losing nilpotency headroom.
     """
@@ -64,44 +65,26 @@ class Transform:
         self.twist_in = twist_in
         self.twist_out = twist_out
 
-    def _out_ring(self, exps: tuple, lam_order: int) -> SeriesRing:
-        nilp = 1
-        if self.side_out in ("y", "z"):
-            nilp = max(1, GroupElement(self.pair.fermat, exps).fixed_dim())
-        return SeriesRing(self.pair.fermat.degree, lam_order, nilp)
-
     def apply(self, series: CohSeries) -> CohSeries:
         if series.side != self.side_in:
             raise ValueError(f"{self.name}: expected side {self.side_in!r}, "
                              f"got {series.side!r}")
         if self.twist_in is not None and series.c_twist != self.twist_in:
             raise ValueError(f"{self.name}: twist mismatch")
-        z_min, z_max = series.orders.z_window
         out_terms: dict = {}
         for (exps, z, degs), value in series.terms.items():
             for element, entry in self.blocks.get(exps, ()):
-                ring = self._out_ring(element.g.exps, series.orders.lam_order)
-                promoted = value.with_ring(ring)
-                if isinstance(entry, ZLaurentSeries):
-                    for dz, part in entry.terms.items():
-                        z_out = z + dz
-                        if z_out < z_min or z_out > z_max:
-                            continue
-                        key = (element.g.exps, z_out, degs)
-                        piece = promoted * part.with_ring(ring)
-                        if piece.is_zero():
-                            continue
-                        out_terms[key] = out_terms[key] + piece \
-                            if key in out_terms else piece
-                else:
-                    piece = promoted * (entry.with_ring(ring)
-                                        if isinstance(entry, SectorValue)
-                                        else ring.scalar(entry))
-                    if piece.is_zero():
-                        continue
-                    key = (element.g.exps, z, degs)
-                    out_terms[key] = out_terms[key] + piece \
-                        if key in out_terms else piece
+                ring = SeriesRing(self.pair.fermat.degree, series.orders.lam_order,
+                                  _sector_nilpotency(self.side_out, self.pair,
+                                                     element.g.exps))
+                piece = value.with_ring(ring) * (entry.with_ring(ring)
+                                                 if isinstance(entry, SectorValue)
+                                                 else ring.scalar(entry))
+                if piece.is_zero():
+                    continue
+                key = (element.g.exps, z, degs)
+                out_terms[key] = out_terms[key] + piece \
+                    if key in out_terms else piece
         return CohSeries(self.side_out, series.pair, series.variables,
                          series.orders, out_terms, series.tokens,
                          c_twist=self.twist_out)
@@ -238,8 +221,8 @@ class PullbackToZ:
     """Ambient restriction: kills 1~_g H^(N_g - 1), keeps lower H-powers."""
 
     def __init__(self, pair: LGPair):
+        pair.require_cy()
         self.pair = pair
-        self.name = "pullback_to_z"
 
     def apply(self, series: CohSeries) -> CohSeries:
         out: dict = {}
@@ -252,11 +235,6 @@ class PullbackToZ:
             out[(exps, z, degs)] = kept
         return CohSeries("z", series.pair, series.variables, series.orders,
                          out, series.tokens, series.c_twist)
-
-
-def pullback_to_z(pair: LGPair) -> PullbackToZ:
-    pair.require_cy()
-    return PullbackToZ(pair)
 
 
 def divide_or_none(value: SectorValue) -> SectorValue | None:
@@ -280,8 +258,6 @@ class DeltaDiamond:
     def __init__(self, pair: LGPair):
         pair.require_cy()
         self.pair = pair
-        self.rank_sign = -1
-        self.name = "delta_diamond"
 
     def sign_exponential(self, ring: SeriesRing, z_min: int, z_max: int) -> ZLaurentSeries:
         """e^(pi i d H / z) = sum_k (d H)^k (tau/2)^k z^-k / k!, finite in H."""
@@ -302,7 +278,7 @@ class DeltaDiamond:
         out: dict = {}
         for (exps, z, degs), value in series.terms.items():
             quotient, _ = divide_by_lambda_plus_h(value)
-            quotient = quotient * Fraction(self.rank_sign, d)
+            quotient = quotient * Fraction(-1, d)
             ring = quotient.ring
             sign = self.sign_exponential(ring, z_min, z_max)
             for dz, part in sign.terms.items():
@@ -316,10 +292,6 @@ class DeltaDiamond:
                 out[key] = out[key] + piece if key in out else piece
         return CohSeries(series.side, series.pair, series.variables,
                          series.orders, out, series.tokens, series.c_twist)
-
-
-def delta_diamond(pair: LGPair) -> DeltaDiamond:
-    return DeltaDiamond(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -419,38 +391,6 @@ class SPoly:
         return f"SPoly({self.terms})"
 
 
-class GenericSTransform:
-    """Diagonal operator with entries exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!).
-
-    Entries live in the formal s-algebra, not in a CohSeries; the object
-    supports entrywise comparison and composition, which is what the MLK
-    identity needs.
-    """
-
-    def __init__(self, pair: LGPair, c: int, entries: dict, k_max: int,
-                 s_degree: int, z_order: int):
-        self.pair = pair
-        self.c = c
-        self.entries = entries  # sector exps -> SPoly
-        self.k_max = k_max
-        self.s_degree = s_degree
-        self.z_order = z_order
-        self.name = f"delta_{c}"
-
-    def entry(self, g: GroupElement) -> SPoly:
-        return self.entries[g.exps]
-
-    def compose_entrywise(self, other: "GenericSTransform") -> "GenericSTransform":
-        entries = {exps: self.entries[exps] * other.entries[exps]
-                   for exps in self.entries}
-        return GenericSTransform(self.pair, self.c, entries, self.k_max,
-                                 self.s_degree, self.z_order)
-
-    def is_identity(self) -> bool:
-        one = SPoly.constant(self.s_degree, self.z_order, 1)
-        return all(entry == one for entry in self.entries.values())
-
-
 def _bernoulli(table: dict, k: int, m: Fraction) -> Fraction:
     """B_{k+1}(m) through ``table``, a dict that lives for one operator build."""
     value = table.get((k, m))
@@ -474,9 +414,10 @@ def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
 
 
 def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
-                    z_order: int = 6, scale=Fraction(1)) -> GenericSTransform:
-    """Delta^c with generic s^j_k, k <= k_max, as a diagonal s-transform.
+                    z_order: int = 6, scale=Fraction(1)) -> dict:
+    """Entries of Delta^c with generic s^j_k, k <= k_max: sector exps -> SPoly.
 
+    Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!).
     ``scale`` substitutes s -> scale*s, giving an exact handle on the
     multiplicativity law Delta(s + s') = Delta(s) Delta(s').
     """
@@ -491,7 +432,7 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
             if coeff:
                 log_terms[((((j, k), 1),), k)] = coeff
         entries[g.exps] = SPoly(s_degree, z_order, log_terms).exp()
-    return GenericSTransform(pair, c, entries, k_max, s_degree, z_order)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,13 @@ from .genfun import (
 )
 from .lgmodel import GroupElement, LGPair
 from .transforms import (
+    DeltaDiamond,
+    PullbackToZ,
     delta_c_generic,
     delta_c_specialized,
     delta_circ,
-    delta_diamond,
     divide_or_none,
     i_c,
-    pullback_to_z,
     u_bar,
     ubar_block,
 )
@@ -167,8 +167,8 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
             shift = pair.grading ** c
             delta_c = delta_c_generic(pair, c, k_max, s_degree, z_order)
             for g in pair.group.elements:
-                left = delta_0.entry(g * shift)
-                right = delta_c.entry(g)
+                left = delta_0[(g * shift).exps]
+                right = delta_c[g.exps]
                 if _tamper_sector is not None and g.exps == _tamper_sector and c > 0:
                     right = right * Fraction(2)
                 if left != right:
@@ -435,7 +435,7 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
             lambda key, value: key[2][0] >= 0
             and GroupElement(pair.fermat, key[0]).fixed_dim() > 0)
         pushed = u_bar(pair, work.lam_order).apply(restricted)
-        divided = delta_diamond(pair).apply(pushed)
+        divided = DeltaDiamond(pair).apply(pushed)
         survivors = divided.nonequivariant_limit()
         if _tamper is not None:
             survivors = _tamper_series(survivors, _tamper)
@@ -448,7 +448,7 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
                     return {"kind": "survivor-shape", "sector": list(exps),
                             "z": z, "degree": list(degs), "h_power": h,
                             "expected_h": n_g - 1}
-        residual = pullback_to_z(pair).apply(survivors)
+        residual = PullbackToZ(pair).apply(survivors)
         if not residual.is_zero():
             key = sorted(residual.terms)[0]
             return {"kind": "pullback-nonzero", "sector": list(key[0]),

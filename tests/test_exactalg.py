@@ -72,7 +72,8 @@ def test_cyclotomic_inverse():
     xi = Cyclotomic.root(5)
     assert xi.inverse() == Cyclotomic.root(5, 4)
     rng = random.Random(7)
-    for order in (3, 4, 5, 6, 8):
+    # phi(7) = phi(9) = 6, phi(10) = phi(12) = 4; (Z/12)^* is not cyclic
+    for order in (3, 4, 5, 6, 7, 8, 9, 10, 12):
         phi = euler_phi(order)
         for _ in range(10):
             coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)]

@@ -344,8 +344,6 @@ def _first_repeated(terms, key_of):
     seen = set()
     for term in terms:
         key = key_of(term)
-        if key is None:
-            continue
         if key in seen:
             return term
         seen.add(key)
@@ -359,19 +357,13 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
     p = quartic()
     orders = recommended_orders(p, 6, 3)
 
-    def sector_of(term):
-        if side == "x":
-            return p.grading ** term.k0 * term.base
-        return (p.grading ** term.k0).inverse() * term.base
-
     def key_of(term):
         if side == "x":
             return term.r_vec
-        n_g = sector_of(term).fixed_dim()
-        return (n_g, term.k0, term.v_vec) if n_g else None
+        return (term.ring.nilpotency, term.k0, term.v_vec)
 
-    target = _first_repeated(_index_terms(p, orders.t_order), key_of)
-    sector = sector_of(target).exps
+    target = _first_repeated(_index_terms(p, orders, side), key_of)
+    sector = target.sector.exps
     series = (i_function_x if side == "x" else i_function_y)(p, orders)
     key = next(k for k in sorted(series.terms)
                if k[0] == sector and k[2] == target.degs)
@@ -477,7 +469,7 @@ def test_residue_unit_check_examples():
         residue_unit_check(-1, 0, 5)
 
 
-def test_fjrw_leading_term_and_sign_conventions():
+def test_fjrw_leading_term_sign():
     q = quintic()
     orders = Orders(t_order=5, lam_order=4)
     series = fjrw_i_function(q, orders)

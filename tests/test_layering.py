@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lgcy"
@@ -47,3 +48,13 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_every_exported_name_resolves():
+    """Every name in a module's ``__all__`` exists on that module."""
+    missing = []
+    for name in sorted(MODULES):
+        module = importlib.import_module("lgcy" if name == "__init__" else f"lgcy.{name}")
+        missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert not missing, missing

@@ -171,7 +171,7 @@ def test_structural_check_self_tests():
     assert not check_residue_lemma(q, _tamper=True).ok()
 
 
-def test_fjrw_self_test_and_sign_insensitivity():
+def test_fjrw_self_test():
     q = quintic()
     orders = Orders(t_order=5, lam_order=4)
     # corrupted coefficient in the derivative breaks (a) or (c)
