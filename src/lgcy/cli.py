@@ -19,7 +19,7 @@ from .genfun import (
     serialize_series,
 )
 from .lgmodel import LGPair, load_pair
-from .verify import ALL_CHECKS, recommended_orders, run_checks, self_test
+from .verify import ALL_CHECKS, MIN_T_ORDER, recommended_orders, run_checks, self_test
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,6 +174,11 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
+    # the self-test runs every check; refuse orders a selected check cannot see
+    for name in ALL_CHECKS if args.self_test else names:
+        if orders.t_order < MIN_T_ORDER.get(name, 0):
+            raise ValueError(f"{name} needs --T {MIN_T_ORDER[name]} or more to see "
+                             f"its identity, got --T {orders.t_order}")
     if args.self_test:
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())

@@ -5,7 +5,9 @@ Everything downstream runs on four layers built here:
 * ``Fraction`` for exact rationals,
 * ``Cyclotomic`` for elements of Q(xi) with xi a primitive root of unity,
   kept in the canonical basis 1, xi, ..., xi^(phi(n)-1) modulo the n-th
-  cyclotomic polynomial,
+  cyclotomic polynomial as integer numerators over one positive common
+  denominator in lowest terms, so its ring operations are integer
+  arithmetic,
 * ``SectorValue`` for truncated polynomials in the equivariant parameter
   ``lam`` and a nilpotent hyperplane class ``H`` (H^N = 0 on a sector of
   nilpotency N), with monomials optionally dressed by an opaque invertible
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 __all__ = [
     "NonUnitError",
@@ -114,69 +116,93 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """xi^m in the canonical basis for phi(n) <= m <= 2*phi(n) - 2 plus n-1."""
+def _power_reduction(n: int) -> tuple[tuple[int, ...], ...]:
+    """xi^m in the canonical basis for phi(n) <= m <= 2*phi(n) - 2 plus n-1.
+
+    Phi_n is monic with integer coefficients, so every row is integral.
+    """
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
     top = max(2 * phi - 2, n - 1)
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int, ...]] = []
     # x^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1}), poly monic
-    current = [Fraction(-poly[i]) for i in range(phi)]
+    current = [-poly[i] for i in range(phi)]
     for _ in range(phi, top + 1):
         rows.append(tuple(current))
-        shifted = [Fraction(0)] + current[:-1]
+        shifted = [0] + current[:-1]
         lead = current[-1]
         if lead:
             for i in range(phi):
-                shifted[i] += lead * Fraction(-poly[i])
+                shifted[i] -= lead * poly[i]
         current = shifted
     return tuple(rows)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _rational_parts(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational scalar, in lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
 class Cyclotomic:
     """Element of Q(xi_n) in reduced canonical form.
 
-    ``coeffs`` always has length phi(n) and holds only ``Fraction``s; two
-    values are equal iff their coefficient tuples are equal, so reduction
-    gives free equality tests.  The public constructor checks both; ring
-    operations build their already-canonical results through ``_unchecked``.
+    The value is (sum_i nums[i] xi^i) / den over the basis 1, xi, ...,
+    xi^(phi(n)-1): ``nums`` holds phi(n) integers over one positive integer
+    ``den``, in lowest terms (gcd(nums, den) = 1, zero stored as 0/1), the
+    layout of FLINT's fmpq_poly.  The form is unique, so equality and
+    hashing compare integers.  ``coeffs`` shows the same value as
+    ``Fraction``s.  Ring operations work on the integers and build their
+    results through ``_reduced``, which puts them in lowest terms.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(order):
+        parts = [_rational_parts(c) for c in coeffs]
+        if len(parts) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
-        self._store(order, coeffs)
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so the result is already in lowest terms
+        den = lcm(*(q for _, q in parts))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", tuple(p * (den // q) for p, q in parts))
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _unchecked(cls, order: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
-        """A value whose coefficients are already phi(order) Fractions."""
+    def _reduced(cls, order: int, nums: tuple[int, ...], den: int) -> "Cyclotomic":
+        """The value nums / den, den nonzero, brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
         value = object.__new__(cls)
-        value._store(order, coeffs)
+        setattr_ = object.__setattr__
+        setattr_(value, "order", order)
+        setattr_(value, "nums", nums)
+        setattr_(value, "den", den)
         return value
-
-    def _store(self, order: int, coeffs: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclotomic is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, xi, ..., xi^(phi-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rational(order: int, value) -> "Cyclotomic":
-        return Cyclotomic._unchecked(
-            order, (_as_fraction(value),) + (Fraction(0),) * (euler_phi(order) - 1))
+        num, den = _rational_parts(value)
+        return Cyclotomic._reduced(order, (num,) + (0,) * (euler_phi(order) - 1), den)
 
     @staticmethod
     def zero(order: int) -> "Cyclotomic":
@@ -192,10 +218,10 @@ class Cyclotomic:
         power %= order
         phi = euler_phi(order)
         if power < phi:
-            coeffs = [Fraction(0)] * phi
-            coeffs[power] = Fraction(1)
-            return Cyclotomic._unchecked(order, tuple(coeffs))
-        return Cyclotomic._unchecked(order, _power_reduction(order)[power - phi])
+            nums = [0] * phi
+            nums[power] = 1
+            return Cyclotomic._reduced(order, tuple(nums), 1)
+        return Cyclotomic._reduced(order, _power_reduction(order)[power - phi], 1)
 
     # -- ring structure ----------------------------------------------------
     def _coerce(self, other):
@@ -208,20 +234,19 @@ class Cyclotomic:
 
     def __add__(self, other):
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        # a rational operand only moves the constant coefficient
-        if not any(b[1:]):
-            coeffs = (a[0] + b[0],) + a[1:]
-        elif not any(a[1:]):
-            coeffs = (a[0] + b[0],) + b[1:]
-        else:
-            coeffs = tuple(x + y for x, y in zip(a, b))
-        return Cyclotomic._unchecked(self.order, coeffs)
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        if da == db:
+            return Cyclotomic._reduced(self.order, tuple(x + y for x, y in zip(a, b)), da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return Cyclotomic._reduced(
+            self.order, tuple(x * sa + y * sb for x, y in zip(a, b)), da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._unchecked(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic._reduced(self.order, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -231,41 +256,38 @@ class Cyclotomic:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        # a rational operand scales the other's coefficients: no convolution
-        # and no reduction; both rational touches the constant alone.
+        a, b = self.nums, other.nums
+        den = self.den * other.den
+        # a rational operand scales the other's numerators: no convolution
+        # and no reduction modulo Phi_n
         if not any(b[1:]):
-            if not any(a[1:]):
-                return Cyclotomic._unchecked(self.order, (a[0] * b[0],) + a[1:])
-            return Cyclotomic._unchecked(self.order, _scaled(a, b[0]))
+            return Cyclotomic._reduced(self.order, tuple(x * b[0] for x in a), den)
         if not any(a[1:]):
-            return Cyclotomic._unchecked(self.order, _scaled(b, a[0]))
+            return Cyclotomic._reduced(self.order, tuple(a[0] * y for y in b), den)
         phi = len(a)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
+                    conv[i + j] += x * y
         out = conv[:phi]
         table = _power_reduction(self.order)
         for m in range(phi, len(conv)):
             c = conv[m]
             if c:
-                row = table[m - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic._unchecked(self.order, tuple(out))
+                for i, r in enumerate(table[m - phi]):
+                    if r:
+                        out[i] += c * r
+        return Cyclotomic._reduced(self.order, tuple(out), den)
 
     __rmul__ = __mul__
 
     def _conjugate(self, k: int) -> "Cyclotomic":
         """The Galois conjugate sigma_k(self), xi -> xi^k, for gcd(k, n) = 1."""
-        phi = len(self.coeffs)
+        phi = len(self.nums)
         table = _power_reduction(self.order)
-        out = [Fraction(0)] * phi
-        for i, a in enumerate(self.coeffs):
+        out = [0] * phi
+        for i, a in enumerate(self.nums):
             if a:
                 m = i * k % self.order
                 if m < phi:
@@ -274,7 +296,7 @@ class Cyclotomic:
                 for idx, r in enumerate(table[m - phi]):
                     if r:
                         out[idx] += a * r
-        return Cyclotomic._unchecked(self.order, tuple(out))
+        return Cyclotomic._reduced(self.order, tuple(out), self.den)
 
     def inverse(self) -> "Cyclotomic":
         """Field inverse by the norm: prod_{k != 1} sigma_k(self) / N(self).
@@ -285,14 +307,17 @@ class Cyclotomic:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        nums = self.nums
         if self.is_rational():
-            return Cyclotomic.from_rational(self.order, 1 / self.coeffs[0])
+            return Cyclotomic._reduced(self.order, (self.den,) + nums[1:], nums[0])
         others = Cyclotomic.one(self.order)
         for k in range(2, self.order):
             if gcd(k, self.order) == 1:
                 others = others * self._conjugate(k)
-        norm = (self * others).coeffs[0]
-        return Cyclotomic._unchecked(self.order, _scaled(others.coeffs, 1 / norm))
+        norm = self * others
+        return Cyclotomic._reduced(
+            self.order, tuple(x * norm.den for x in others.nums),
+            others.den * norm.nums[0])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -312,20 +337,22 @@ class Cyclotomic:
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            num, den = _rational_parts(other)
+            return self.is_rational() and self.nums[0] == num and self.den == den
         return (isinstance(other, Cyclotomic)
                 and self.order == other.order
-                and self.coeffs == other.coeffs)
+                and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"
@@ -344,11 +371,6 @@ class Cyclotomic:
         return " + ".join(parts) if parts else "0"
 
 
-def _scaled(coeffs: tuple[Fraction, ...], s: Fraction) -> tuple[Fraction, ...]:
-    """Every coefficient times the rational s; zero coefficients are kept."""
-    return tuple(c * s if c else c for c in coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Gamma atoms
 # ---------------------------------------------------------------------------
@@ -359,11 +381,19 @@ class GammaAtom:
 
     beta = lam/tau is never expanded; atoms are compared by key and only
     ever combined through integer-offset rewrites (``gamma_shift_product``).
+    Atoms key the monomial dicts of every ``SectorValue``, so the hash of
+    the three Fractions is computed once, at construction.
     """
 
     weight: Fraction
     offset: Fraction
     h_weight: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.weight, self.offset, self.h_weight)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         parts = ["1"]
@@ -924,6 +954,6 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """B_n(x) = sum C(n,k) B_k x^{n-k}, exact."""
-    x = _as_fraction(x)
+    x = Fraction(*_rational_parts(x))
     return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
                 for k in range(n + 1)), Fraction(0))

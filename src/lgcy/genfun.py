@@ -193,11 +193,11 @@ class IndexTerm(NamedTuple):
     """One index (k0, k) with k0 + sum(k) <= T and the bookkeeping it carries.
 
     degs = (k0,) + k; base = prod_s g_s^{k_s}; comb_k = prod_s 1/k_s! and
-    comb = comb_k / k0!; a_vec = a(k), r_vec = (k0 c_j / d + a(k)^j)_j and
-    v_vec = (k0 c_j / d - a(k)^j)_j.  ``ages`` pairs each indexing sector
-    g_s with its age and is shared by every term of one table.  ``sector``
-    and ``ring`` are the index's sector on the table's side and the ring of
-    its coefficients there.
+    comb = comb_k / k0!.  r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d -
+    a(k)^j are carried as their integer numerators over d: r_num and v_num.
+    ``ages`` pairs each indexing sector g_s with its age and is shared by
+    every term of one table.  ``sector`` and ``ring`` are the index's sector
+    on the table's side and the ring of its coefficients there.
     """
 
     k0: int
@@ -206,9 +206,8 @@ class IndexTerm(NamedTuple):
     base: GroupElement
     comb_k: Fraction
     comb: Fraction
-    a_vec: tuple[Fraction, ...]
-    r_vec: tuple[Fraction, ...]
-    v_vec: tuple[Fraction, ...]
+    r_num: tuple[int, ...]
+    v_num: tuple[int, ...]
     ages: tuple
     sector: GroupElement
     ring: SeriesRing
@@ -233,7 +232,7 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
     sector has N_g = 0 are skipped.  The table holds one SeriesRing per
     nilpotency.  Exponents and ages of the positive-dimensional sectors are
     read once per table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in
-    integers, and so are r_j and v_j.
+    integers, and so are the numerators of r_j and v_j.
     """
     sectors = pair.positive_dim_sectors()
     ages = tuple((g, g.age()) for g in sectors)
@@ -246,12 +245,12 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
         for degs in _multidegrees(1 + len(sectors), total):
             k = degs[1:]
             base = pair.identity
-            comb_k = Fraction(1)
+            k_factorials = 1
             sums = [0] * len(weights)
             for g, mult in zip(sectors, k):
                 if mult:
                     base = base * (g ** mult)
-                    comb_k /= factorial(mult)
+                    k_factorials *= factorial(mult)
                     for j, e in enumerate(g.exps):
                         sums[j] += mult * e
             k0 = degs[0]
@@ -262,11 +261,11 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
             ring = rings.get(nilpotency)
             if ring is None:
                 ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
-            a_vec = tuple(Fraction(s * cj, d) for s, cj in zip(sums, weights))
-            r_vec = tuple(Fraction((k0 + s) * cj, d) for s, cj in zip(sums, weights))
-            v_vec = tuple(Fraction((k0 - s) * cj, d) for s, cj in zip(sums, weights))
-            yield IndexTerm(k0, k, degs, base, comb_k, comb_k / factorial(k0),
-                            a_vec, r_vec, v_vec, ages, sector, ring)
+            r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
+            v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
+            yield IndexTerm(k0, k, degs, base, Fraction(1, k_factorials),
+                            Fraction(1, k_factorials * factorial(k0)),
+                            r_num, v_num, ages, sector, ring)
 
 
 def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,
@@ -304,12 +303,15 @@ def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k).
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
-    of one walk over the index table.
+    of one walk over the index table, and a(k) is built only on a miss.
     """
-    m_factor = products.get(term.r_vec)
+    m_factor = products.get(term.r_num)
     if m_factor is None:
-        m_factor = products[term.r_vec] = \
-            modification_factor(pair, term.k0, term.a_vec, term.ring, z_min, z_max)
+        d, k0 = pair.fermat.degree, term.k0
+        a_vec = tuple(Fraction(r - k0 * cj, d)
+                      for r, cj in zip(term.r_num, pair.fermat.weights))
+        m_factor = products[term.r_num] = \
+            modification_factor(pair, k0, a_vec, term.ring, z_min, z_max)
     return (m_factor * term.ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
 
 
@@ -378,17 +380,17 @@ def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
     """
-    key = (term.ring.nilpotency, term.k0, term.v_vec)
+    key = (term.ring.nilpotency, term.k0, term.v_num)
     value = products.get(key)
     if value is None:
         value = products[key] = \
-            _i_y_factors(pair, term.k0, term.v_vec, term.ring, z_min, z_max)
+            _i_y_factors(pair, term.k0, term.v_num, term.ring, z_min, z_max)
     return (value * term.ring.scalar(term.comb_k)).shift(1 - sum(term.k))
 
 
-def _i_y_factors(pair: LGPair, k0: int, v_vec, ring: SeriesRing,
+def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
                  z_min: int, z_max: int) -> ZLaurentSeries:
-    """The k0 fiber factors times the ray factors of every j."""
+    """The k0 fiber factors times the ray factors of every j; v_j = v_num[j] / d."""
     d = pair.fermat.degree
     value = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
     for l in range(k0):
@@ -396,8 +398,8 @@ def _i_y_factors(pair: LGPair, k0: int, v_vec, ring: SeriesRing,
             ring, z_min, z_max,
             {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
              1: ring.scalar(Fraction(-l))})
-    for cj, v in zip(pair.fermat.weights, v_vec):
-        numerator_levels, denominator_levels = y_ray_levels(v)
+    for cj, v in zip(pair.fermat.weights, v_num):
+        numerator_levels, denominator_levels = y_ray_levels(Fraction(v, d))
         for level in numerator_levels:
             value = value * ZLaurentSeries(
                 ring, z_min, z_max,
@@ -430,22 +432,34 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # H-functions and the Gamma factorization
 # ---------------------------------------------------------------------------
 
-def _x_atoms(pair: LGPair, term: IndexTerm) -> tuple:
-    atoms: dict[GammaAtom, int] = {}
-    for cj, r in zip(pair.fermat.weights, term.r_vec):
-        atom = GammaAtom(Fraction(cj), r)
-        atoms[atom] = atoms.get(atom, 0) - 1
-    return tuple(sorted(atoms.items()))
+def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
+    """The Gamma atoms of H^X at one index.  They depend on r alone;
+    ``memo`` keeps them per r for the span of one walk over the table."""
+    atoms = memo.get(term.r_num)
+    if atoms is None:
+        d = pair.fermat.degree
+        counts: dict[GammaAtom, int] = {}
+        for cj, r in zip(pair.fermat.weights, term.r_num):
+            atom = GammaAtom(Fraction(cj), Fraction(r, d))
+            counts[atom] = counts.get(atom, 0) - 1
+        atoms = memo[term.r_num] = tuple(sorted(counts.items()))
+    return atoms
 
 
-def _y_atoms(pair: LGPair, term: IndexTerm) -> tuple:
-    d = pair.fermat.degree
-    atoms: dict[GammaAtom, int] = {
-        GammaAtom(Fraction(d), Fraction(term.k0), Fraction(d)): -1}
-    for cj, v in zip(pair.fermat.weights, term.v_vec):
-        atom = GammaAtom(Fraction(0), -v, Fraction(-cj))
-        atoms[atom] = atoms.get(atom, 0) - 1
-    return tuple(sorted(atoms.items()))
+def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
+    """The Gamma atoms of H^Y at one index, kept per (k0, v) in ``memo``
+    for the span of one walk over the table."""
+    key = (term.k0, term.v_num)
+    atoms = memo.get(key)
+    if atoms is None:
+        d = pair.fermat.degree
+        counts: dict[GammaAtom, int] = {
+            GammaAtom(Fraction(d), Fraction(term.k0), Fraction(d)): -1}
+        for cj, v in zip(pair.fermat.weights, term.v_num):
+            atom = GammaAtom(Fraction(0), Fraction(-v, d), Fraction(-cj))
+            counts[atom] = counts.get(atom, 0) - 1
+        atoms = memo[key] = tuple(sorted(counts.items()))
+    return atoms
 
 
 def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
@@ -453,27 +467,33 @@ def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
     return SectorValue(ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
 
 
-def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
-    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
+def h_function_x(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
+    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers.
+
+    ``_table`` is the X index table at ``orders`` when the caller holds it.
+    """
     pair.require_cy()
     terms: dict = {}
-    for term in _index_terms(pair, orders, "x"):
-        value = _atom_value(term.ring, _x_atoms(pair, term), term.comb)
+    atoms: dict = {}
+    for term in _index_terms(pair, orders, "x") if _table is None else _table:
+        value = _atom_value(term.ring, _x_atoms(pair, term, atoms), term.comb)
         key = (term.sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
     return _indexed_series("x", pair, orders, terms, "t")
 
 
-def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
+def h_function_y(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
     """H^Y before reflection: 1 / (Gamma(1-k0-d(lam+H)/tau) prod_j Gamma(...)).
 
     The Gamma(1 - d(lam+H)/tau) numerator of the displayed form belongs to
-    the Gamma-class operator and is not stored here.
+    the Gamma-class operator and is not stored here.  ``_table`` is the Y
+    index table at ``orders`` when the caller holds it.
     """
     pair.require_cy()
     terms: dict = {}
-    for term in _index_terms(pair, orders, "y"):
-        value = _atom_value(term.ring, _y_atoms(pair, term), term.comb_k)
+    atoms: dict = {}
+    for term in _index_terms(pair, orders, "y") if _table is None else _table:
+        value = _atom_value(term.ring, _y_atoms(pair, term, atoms), term.comb_k)
         key = (term.sector.exps, term.z_shift(), term.degs)
         terms[key] = terms[key] + value if key in terms else value
     return _indexed_series("y", pair, orders, terms, "q^(1/d)")
@@ -486,16 +506,19 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     every Gamma-atom ratio with an integer offset gap through the
     polynomial rewrite and insists on an identically zero residual;
     the first bad coefficient is carried on the raised IdentityError.
+    The side's index table is built once and walked by the H builder and
+    by the verification, each with dicts of its own.
     """
     pair.require_cy()
     if side == "x":
-        h_series = h_function_x(pair, series.orders)
-        _verify_factorization_x(pair, series, h_series)
+        build, verify = h_function_x, _verify_factorization_x
     elif side == "y":
-        h_series = h_function_y(pair, series.orders)
-        _verify_factorization_y(pair, series, h_series)
+        build, verify = h_function_y, _verify_factorization_y
     else:
         raise ValueError("side must be 'x' or 'y'")
+    table = list(_index_terms(pair, series.orders, side))
+    h_series = build(pair, series.orders, _table=table)
+    verify(pair, series, h_series, table)
     return gamma_class_op(pair, side), h_series
 
 
@@ -542,99 +565,107 @@ def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
              "right": str(rhs.coefficient(z_bad))})
 
 
-def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeries):
+def _integral_age(sector: GroupElement) -> int:
+    age = sector.age()
+    if age.denominator != 1:
+        raise IdentityError("z-grading needs integral ages (SL group)")
+    return int(age)
+
+
+def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeries,
+                            table: list):
     """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on the X side.
 
     Both closed forms are recomputed on a wide z-window so clamping cannot
     mask a residual; the stored series are asserted to be their clamps.
-    Each side keeps its own products per r-vector, which fixes them; every
-    term still runs every check.
+    Each side keeps its own products per r, which fixes them, and the
+    H atoms per r in a dict of this walk; every term still runs every check.
     """
+    d, weights = pair.fermat.degree, pair.fermat.weights
     window = _wide_window(i_series.orders, pair)
     i_products: dict = {}
     op_blocks: dict = {}
-    for term in _index_terms(pair, i_series.orders, "x"):
+    atoms: dict = {}
+    for term in table:
         sector, ring = term.sector, term.ring
-        age = sector.age()
-        if age.denominator != 1:
-            raise IdentityError("z-grading needs integral ages (SL group)")
+        age = _integral_age(sector)
         shift = term.z_shift()
 
         i_value = _i_x_value(pair, term, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^X")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
-                       _atom_value(ring, _x_atoms(pair, term), term.comb))
+                       _atom_value(ring, _x_atoms(pair, term, atoms), term.comb))
 
         # operator side: z^(1 - age), Gamma-class atoms cancel the H atoms
-        # through the integer-gap rewrite, one polynomial block per j.
-        steps = []
-        for j, r in enumerate(term.r_vec):
-            gap = r.numerator // r.denominator
-            frac = r - gap
-            if frac != sector.multiplicity(j):
+        # through the integer-gap rewrite, one polynomial block per j:
+        # r_j = gap + m_j(g) with m_j(g) = k_j(g) c_j / d the sector's part.
+        for j, (r, cj, k) in enumerate(zip(term.r_num, weights, sector.exps)):
+            if r % d != k * cj:
                 raise IdentityError("fractional part disagrees with the sector",
                                     {"sector": list(sector.exps), "j": j})
-            steps.append((frac, gap))
-        block = op_blocks.get(term.r_vec)
+        block = op_blocks.get(term.r_num)
         if block is None:
             block = ZLaurentSeries.constant(ring, *window, ring.one())
-            for cj, (frac, gap) in zip(pair.fermat.weights, steps):
-                block = block * gamma_shift_product(Fraction(cj), Fraction(0), frac,
-                                                    gap, ring, *window)
+            for cj, r in zip(weights, term.r_num):
+                gap = r // d
+                block = block * gamma_shift_product(Fraction(cj), Fraction(0),
+                                                    Fraction(r % d, d), gap, ring, *window)
                 block = block.shift(-gap)
-            op_blocks[term.r_vec] = block
-        recon = (block * ring.scalar(term.comb)).shift(shift + 1 - int(age))
+            op_blocks[term.r_num] = block
+        recon = (block * ring.scalar(term.comb)).shift(shift + 1 - age)
         _assert_no_residual(i_value, recon, "X", sector.exps, term.degs)
 
 
-def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeries):
+def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeries,
+                            table: list):
     """Y-side analogue; per-j gaps are non-positive, so the check is
     cross-multiplied: I * prod_j (level factors) against the fiber ratio.
 
     The products of each side are kept per (n_g, k0, v), which fixes them:
     the I product, its gap < 0 factors and the operator blocks each in a
-    dict of their own.  Every term still runs every check.
+    dict of their own, and the H atoms per (k0, v) in a dict of this walk.
+    Every term still runs every check.
     """
-    d = pair.fermat.degree
+    d, weights = pair.fermat.degree, pair.fermat.weights
     window = _wide_window(i_series.orders, pair)
     i_products: dict = {}
     i_blocks: dict = {}
     op_blocks: dict = {}
-    for term in _index_terms(pair, i_series.orders, "y"):
+    atoms: dict = {}
+    for term in table:
         sector, ring = term.sector, term.ring
-        age = sector.age()
-        if age.denominator != 1:
-            raise IdentityError("z-grading needs integral ages (SL group)")
+        age = _integral_age(sector)
         shift = term.z_shift()
 
         i_value = _i_y_value(pair, term, *window, i_products)
         _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^Y")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
-                       _atom_value(ring, _y_atoms(pair, term), term.comb_k))
+                       _atom_value(ring, _y_atoms(pair, term, atoms), term.comb_k))
 
         # cross-multiplied identity: a per-j atom ratio of gap n rewrites as
         # z^-n prod(...); negative gaps multiply the I side, positive
-        # gaps (net numerator factors) multiply the operator side.
+        # gaps (net numerator factors) multiply the operator side.  The gap
+        # -v_j - m_j(g) must be an integer and match the level enumeration.
         gaps = []
-        for j, v in enumerate(term.v_vec):
-            numerator_levels, denominator_levels = y_ray_levels(v)
-            gap = -v - sector.multiplicity(j)
-            if gap.denominator != 1 or \
-                    gap != len(numerator_levels) - len(denominator_levels):
+        for j, (v, cj, k) in enumerate(zip(term.v_num, weights, sector.exps)):
+            numerator_levels, denominator_levels = y_ray_levels(Fraction(v, d))
+            gap, rest = divmod(-v - k * cj, d)
+            if rest or gap != len(numerator_levels) - len(denominator_levels):
                 raise IdentityError(
                     "Gamma-ratio gap disagrees with the level enumeration",
-                    {"sector": list(sector.exps), "j": j, "gap": str(gap),
+                    {"sector": list(sector.exps), "j": j,
+                     "gap": str(Fraction(-v - k * cj, d)),
                      "numerator": [str(l) for l in numerator_levels],
                      "denominator": [str(l) for l in denominator_levels]})
-            gaps.append(int(gap))
-        key = (ring.nilpotency, term.k0, term.v_vec)
+            gaps.append(gap)
+        key = (ring.nilpotency, term.k0, term.v_num)
         i_block = i_blocks.get(key)
         if i_block is None:
             i_block = ZLaurentSeries.constant(ring, *window, ring.one())
-            for cj, v, gap in zip(pair.fermat.weights, term.v_vec, gaps):
+            for cj, v, gap in zip(weights, term.v_num, gaps):
                 if gap < 0:
                     i_block = i_block * gamma_shift_product(
-                        Fraction(0), Fraction(-cj), -v, -gap, ring, *window)
+                        Fraction(0), Fraction(-cj), Fraction(-v, d), -gap, ring, *window)
                     i_block = i_block.shift(gap)
             i_blocks[key] = i_block
         block = op_blocks.get(key)
@@ -642,7 +673,7 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
             block = gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
                                         term.k0, ring, *window)
             block = block.shift(-term.k0)
-            for j, (cj, gap) in enumerate(zip(pair.fermat.weights, gaps)):
+            for j, (cj, gap) in enumerate(zip(weights, gaps)):
                 if gap >= 0:
                     block = block * gamma_shift_product(
                         Fraction(0), Fraction(-cj), sector.multiplicity(j),
@@ -650,7 +681,7 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                     block = block.shift(-gap)
             op_blocks[key] = block
         lhs = i_value * i_block
-        rhs = (block * ring.scalar(term.comb_k)).shift(shift + 1 - int(age))
+        rhs = (block * ring.scalar(term.comb_k)).shift(shift + 1 - age)
         _assert_no_residual(lhs, rhs, "Y", sector.exps, term.degs)
 
 
@@ -670,8 +701,9 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     d = pair.fermat.degree
     terms: dict = {}
     block_cache: dict = {}
+    atom_memo: dict = {}
     for term in _index_terms(pair, orders, "x"):
-        atoms = _x_atoms(pair, term)
+        atoms = _x_atoms(pair, term, atom_memo)
         z_shift = term.z_shift()
         for b in range(d):
             sector = term.base * ((pair.grading ** b).inverse())

@@ -114,7 +114,9 @@ class GroupElement:
         return tuple(self.multiplicity(j) for j in range(self.fermat.n_variables))
 
     def age(self) -> Fraction:
-        return sum(self.multiplicities(), Fraction(0))
+        """sum_j m_j(g), summed in integers over d."""
+        return Fraction(sum(k * c for k, c in zip(self.exps, self.fermat.weights)),
+                        self.fermat.degree)
 
     def fixed_dim(self) -> int:
         return sum(1 for k in self.exps if k == 0)

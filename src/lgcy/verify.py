@@ -57,6 +57,7 @@ __all__ = [
     "check_kernel_compatibility",
     "check_residue_lemma",
     "ALL_CHECKS",
+    "MIN_T_ORDER",
     "run_checks",
     "self_test",
 ]
@@ -90,6 +91,17 @@ def recommended_orders(pair: LGPair, t_order: int = 8, lam_order: int = 4) -> Or
         if age.denominator == 1 and int(age) >= 2:
             top = max(top, (int(age) - 1) * t_order + 2)
     return Orders(t_order=t_order, lam_order=lam_order, z_max=top)
+
+
+# The smallest t-order at which a check sees its identity at all.  Below it
+# the check returns an "orders" witness instead of a vacuous pass or a shape
+# mismatch, and ``lgcy verify`` refuses the run up front.
+MIN_T_ORDER = {"mlk-untwisted": 1, "fjrw-pipeline": 2}
+
+
+def _orders_witness(check: str, orders: Orders, detail: str) -> dict:
+    return {"kind": "orders", "T": orders.t_order, "minimum_T": MIN_T_ORDER[check],
+            "detail": detail}
 
 
 def _timed(check_name: str, pair: LGPair, orders: Orders, body) -> VerificationReport:
@@ -130,6 +142,9 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
     the closed form, so the equality is a genuine cross-validation.
     """
     def body():
+        if orders.t_order < MIN_T_ORDER["mlk-untwisted"]:
+            return _orders_witness("mlk-untwisted", orders,
+                                   "every z d/dt of a T = 0 J-series is empty")
         j_oracle = untwisted_j_oracle(pair, 0, orders)
         if _tamper is not None:
             j_oracle = _tamper_series(j_oracle, _tamper)
@@ -375,7 +390,11 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
             if not pair.is_narrow(GroupElement(pair.fermat, exps)):
                 return {"kind": "narrow-support", "sector": list(exps)}
         # leading term: the z^1, t-degree-0 coefficient is the unit up to
-        # the documented global sign of the Delta-circ convention
+        # the documented global sign of the Delta-circ convention; it comes
+        # from t-degree 1 of I^X
+        if orders.t_order < 1:
+            return _orders_witness("fjrw-pipeline", orders,
+                                   "the leading term comes from t-degree 1")
         unit_sign = _delta_circ_sign(pair.grading)
         zero_degs = tuple(0 for _ in result.variables)
         lead = result.coefficient(pair.identity.exps, 1, zero_degs)
@@ -384,7 +403,11 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
             return {"kind": "leading-term", "expected": unit_sign,
                     "found": str(lead)}
         # change-of-variables shape: the z^0 t-linear slice is the signed
-        # variable identification on narrow images, zero on broad ones
+        # variable identification on narrow images, zero on broad ones; it
+        # comes from t-degree 2 of I^X
+        if orders.t_order < MIN_T_ORDER["fjrw-pipeline"]:
+            return _orders_witness("fjrw-pipeline", orders,
+                                   "the t-linear slice comes from t-degree 2")
         for idx, var in enumerate(result.variables):
             base = pair.grading ** 2 if idx == 0 else \
                 GroupElement(pair.fermat, var) * pair.grading

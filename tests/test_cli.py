@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,46 @@ def test_verify_self_test(capsys):
                            "--lambda-order", "3", "--self-test")
     assert code == 0
     assert "9/9 injected faults detected" in out
+
+
+@pytest.mark.parametrize("checks,t_order,name", [
+    ("mlk-untwisted", "0", "mlk-untwisted"),
+    ("fjrw-pipeline", "1", "fjrw-pipeline"),
+    ("all", "1", "fjrw-pipeline"),
+], ids=["mlk-T0", "fjrw-T1", "all-T1"])
+def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
+                                                  t_order, name):
+    from lgcy import cli
+
+    def no_checks(*_):
+        raise AssertionError("checks ran at orders that should be refused")
+
+    monkeypatch.setattr(cli, "run_checks", no_checks)
+    monkeypatch.setattr(cli, "self_test", no_checks)
+    for extra in ((), ("--self-test",)):
+        if extra and checks != "all":
+            continue
+        code, out, err = run_cli(capsys, "verify", "--pair", "cubic",
+                                 "--checks", checks, "--T", t_order, *extra)
+        assert code == 2
+        assert name in err and "--T" in err
+        assert out == ""
+
+
+def test_python_m_lgcy_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgcy", "verify", "--pair", "cubic",
+         "--checks", "residue-lemma", "--T", "2", "--format", "structured"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert [r["check"] for r in payload["reports"]] == ["residue-lemma"]
+    proc = subprocess.run([sys.executable, "-m", "lgcy", "verify", "--pair", "cubic",
+                           "--checks", "mlk-untwisted", "--T", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "mlk-untwisted" in proc.stderr
 
 
 def test_dump_files_round_trip(tmp_path, capsys):

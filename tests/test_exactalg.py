@@ -1,8 +1,10 @@
 """Exact arithmetic layer: cyclotomics, sector values, Gamma rewrites."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -180,6 +182,53 @@ def test_sector_value_monomial_path_matches_general(order, data):
     assert m * x == x * m
 
 
+# -- property tests of the integer core -----------------------------------------
+
+def _is_canonical(x: Cyclotomic) -> bool:
+    """Integer numerators over one positive denominator, in lowest terms."""
+    return (type(x.den) is int and x.den > 0
+            and len(x.nums) == euler_phi(x.order)
+            and all(type(n) is int for n in x.nums)
+            and gcd(x.den, *x.nums) == 1
+            and (any(x.nums) or x.den == 1))
+
+
+_core_fractions = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+def _core_value(data, order: int) -> Cyclotomic:
+    """A sparse, rational or dense element of Q(xi_order)."""
+    phi = euler_phi(order)
+    if data.draw(st.booleans()):
+        return Cyclotomic.from_rational(order, data.draw(_core_fractions))
+    return Cyclotomic(order, data.draw(
+        st.lists(_core_fractions, min_size=phi, max_size=phi)))
+
+
+@pytest.mark.parametrize("order", range(3, 13))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_core_is_canonical_and_hashes_by_value(order, data):
+    a, b = _core_value(data, order), _core_value(data, order)
+    q = data.draw(_core_fractions)
+    n = data.draw(st.integers(min_value=-4, max_value=4))
+    results = [a + b, a - b, -a, a * b, b * a, a * q, q * a, a + q, q - a, a * n,
+               a ** 2, Cyclotomic.root(order, n), Cyclotomic.zero(order)]
+    if not b.is_zero():
+        results += [b.inverse(), a / b]
+    for value in (a, b, *results):
+        assert _is_canonical(value), (value.nums, value.den)
+        assert Cyclotomic(order, value.coeffs) == value
+    assert Cyclotomic.zero(order).nums == (0,) * euler_phi(order)
+    assert Cyclotomic.zero(order).den == 1
+    same = a + b - b
+    assert same == a and hash(same) == hash(a)
+    if not b.is_zero():
+        same = (a * b) * b.inverse()
+        assert same == a and hash(same) == hash(a)
+
+
 # -- sector values ------------------------------------------------------------
 
 def _random_value(rng, ring):
@@ -304,6 +353,25 @@ def test_gamma_atom_key_equality():
     c = GammaAtom(F(1), F(2, 5))
     assert a == b and a != c
     assert "beta" in str(a)
+
+
+def test_gamma_atom_hash_equality_and_order_from_unreduced_fractions():
+    reduced = [GammaAtom(F(1), F(7, 5)), GammaAtom(F(0), F(-2, 5), F(-1)),
+               GammaAtom(F(5), F(3), F(5)), GammaAtom(F(1), F(2, 5))]
+    unreduced = [GammaAtom(F(3, 3), F(14, 10)), GammaAtom(F(0, 7), F(4, -10), F(-2, 2)),
+                 GammaAtom(F(10, 2), F(9, 3), F(25, 5)), GammaAtom(F(-4, -4), F(6, 15))]
+    for a, b in zip(reduced, unreduced):
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert hash(a) == hash((a.weight, a.offset, a.h_weight))
+    # ordering is the field tuple's, whatever fractions the atoms came from
+    expected = sorted(reduced, key=lambda a: (a.weight, a.offset, a.h_weight))
+    assert sorted(unreduced) == sorted(reduced) == expected
+    assert sorted(unreduced)[0] < sorted(unreduced)[-1]
+    counts = {atom: i for i, atom in enumerate(reduced)}
+    assert [counts[atom] for atom in unreduced] == [0, 1, 2, 3]
+    assert [f.name for f in dataclasses.fields(GammaAtom)] == ["weight", "offset", "h_weight"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reduced[0].offset = F(0)
 
 
 # -- mixed layer helpers -------------------------------------------------------

@@ -14,6 +14,8 @@ from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
 from lgcy.genfun import (
     IdentityError,
     _index_terms,
+    _verify_factorization_x,
+    _verify_factorization_y,
     assert_lambda_divisibility,
     deserialize_series,
     fjrw_i_function,
@@ -359,8 +361,8 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
 
     def key_of(term):
         if side == "x":
-            return term.r_vec
-        return (term.ring.nilpotency, term.k0, term.v_vec)
+            return term.r_num
+        return (term.ring.nilpotency, term.k0, term.v_num)
 
     target = _first_repeated(_index_terms(p, orders, side), key_of)
     sector = target.sector.exps
@@ -372,6 +374,32 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
         h_factorization(p, broken, side)
     assert caught.value.witness["sector"] == list(sector)
     assert caught.value.witness["degree"] == list(target.degs)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
+    """A term whose Gamma atoms come out of the per-walk memo is still
+    checked: tampering its stored H coefficient must fail naming its sector
+    and degree."""
+    p = quartic()
+    orders = recommended_orders(p, 6, 3)
+    table = list(_index_terms(p, orders, side))
+    if side == "x":
+        target = _first_repeated(table, lambda term: term.r_num)
+        i_series, h_series = i_function_x(p, orders), h_function_x(p, orders)
+        verify = _verify_factorization_x
+    else:
+        target = _first_repeated(table, lambda term: (term.k0, term.v_num))
+        i_series, h_series = i_function_y(p, orders), h_function_y(p, orders)
+        verify = _verify_factorization_y
+    sector = target.sector.exps
+    key = next(k for k in sorted(h_series.terms)
+               if k[0] == sector and k[2] == target.degs)
+    broken = h_series._replace_terms({**h_series.terms, key: h_series.terms[key] * 2})
+    verify(p, i_series, h_series, table)
+    with pytest.raises(IdentityError, match="H-function term") as caught:
+        verify(p, i_series, broken, table)
+    assert caught.value.witness == {"sector": list(sector), "degree": list(target.degs)}
 
 
 # -- the continued series -------------------------------------------------------------

@@ -205,3 +205,42 @@ def test_self_test_detects_every_fault_on_the_non_cyclic_group():
     for report in reports:
         assert not report.ok(), report.check
         assert report.witness, report.check
+
+
+# -- orders too small to see an identity --------------------------------------
+
+ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_mlk_untwisted_names_orders_below_t1(pair):
+    # every z d/dt of a T = 0 J-series is empty: no vacuous pass
+    report = check_mlk_untwisted(pair, pair.valid_twists()[-1],
+                                 Orders(t_order=0, lam_order=3))
+    assert not report.ok()
+    assert report.witness["kind"] == "orders"
+    assert (report.witness["T"], report.witness["minimum_T"]) == (0, 1)
+    assert check_mlk_untwisted(pair, pair.valid_twists()[-1],
+                               Orders(t_order=1, lam_order=3)).ok()
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_fjrw_pipeline_names_orders_below_t2(pair):
+    # the t-linear slice comes from t-degree 2: no shape mismatch at T = 1
+    for t_order in (0, 1):
+        report = check_fjrw_pipeline(pair, recommended_orders(pair, t_order, 3))
+        assert not report.ok()
+        assert report.witness["kind"] == "orders", report.witness
+        assert (report.witness["T"], report.witness["minimum_T"]) == (t_order, 2)
+    assert check_fjrw_pipeline(pair, recommended_orders(pair, 2, 3)).ok()
+
+
+@pytest.mark.parametrize("t_order", [1, 2, 3])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
+    reports = self_test(pair, Orders(t_order=t_order, lam_order=3))
+    assert len(reports) == len(ALL_CHECKS)
+    for report in reports:
+        assert not report.ok(), (t_order, report.check)
+        # a real detection, not a refusal of the orders
+        assert report.witness.get("kind") != "orders", (t_order, report.check)
