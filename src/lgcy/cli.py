@@ -175,10 +175,12 @@ def cmd_verify(args) -> int:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
     # the self-test runs every check; refuse orders a selected check cannot see
-    for name in ALL_CHECKS if args.self_test else names:
-        if orders.t_order < MIN_T_ORDER.get(name, 0):
-            raise ValueError(f"{name} needs --T {MIN_T_ORDER[name]} or more to see "
-                             f"its identity, got --T {orders.t_order}")
+    short = [f"{name} needs --T {MIN_T_ORDER[name]} or more"
+             for name in (ALL_CHECKS if args.self_test else names)
+             if orders.t_order < MIN_T_ORDER.get(name, 0)]
+    if short:
+        raise ValueError(f"{'; '.join(short)} to see its identity, "
+                         f"got --T {orders.t_order}")
     if args.self_test:
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())

@@ -175,9 +175,12 @@ class CohSeries:
                     "left": [self.side, list(map(str, self.variables))],
                     "right": [other.side, list(map(str, other.variables))]}
         for key in sorted(set(self.terms) | set(other.terms)):
-            exps = key[0]
-            left = self.terms.get(key, self.ring_for(exps).zero())
-            right = other.terms.get(key, other.ring_for(exps).zero())
+            left = self.terms.get(key)
+            if left is None:
+                left = self.ring_for(key[0]).zero()
+            right = other.terms.get(key)
+            if right is None:
+                right = other.ring_for(key[0]).zero()
             if left != right:
                 return {"kind": "coefficient",
                         "sector": list(key[0]), "z": key[1],

@@ -71,42 +71,55 @@ class IdentityError(AssertionError):
 # the untwisted J-function and its psi-integral oracle
 # ---------------------------------------------------------------------------
 
-def _multidegrees(n_vars: int, total: int):
-    """All exponent tuples with given total, lexicographic."""
-    if n_vars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multidegrees(n_vars - 1, total - first):
-            yield (first,) + rest
+def _multidegree_walk(rows, total: int):
+    """Every exponent tuple of the given total over len(rows) variables,
+    lexicographic, as (degs, sums, fact).
+
+    sums = sum_i degs_i rows[i] is an integer tuple and fact = prod_i degs_i!.
+    Each step is one odometer carry from the previous tuple: of the last
+    nonzero entry v, one unit moves one slot to the left and the other v - 1
+    to the last slot, and sums and fact follow in integers.
+    """
+    last = len(rows) - 1
+    degs = [0] * last + [total]
+    sums = tuple(total * e for e in rows[last])
+    fact = factorial(total)
+    while True:
+        yield tuple(degs), sums, fact
+        t = last
+        while t >= 0 and not degs[t]:
+            t -= 1
+        if t <= 0:
+            return
+        v = degs[t]
+        degs[t] = 0
+        degs[t - 1] += 1
+        degs[last] = v - 1
+        fact = fact // v * degs[t - 1]
+        sums = tuple([s - v * a + b + (v - 1) * e for s, a, b, e
+                      in zip(sums, rows[t], rows[t - 1], rows[last])])
 
 
 def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     """Closed-form J: sum over {a_g} of z^(1-sum a) prod t^a / a! on phi_{prod g^a}.
 
-    Variables are all group coordinates, in element order.
+    Variables are all group coordinates, in element order.  The sector
+    prod g^a is the walk's exponent sum reduced mod d/c_j.
     """
     pair.require_twist(c)
     elements = pair.group.elements
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
+    rows = [g.exps for g in elements]
     terms: dict = {}
     for total in range(orders.t_order + 1):
-        for degs in _multidegrees(len(elements), total):
-            z = 1 - total
-            if z < z_min or z > z_max:
-                continue
-            sector = pair.identity
-            coeff = Fraction(1)
-            for g, a in zip(elements, degs):
-                if a:
-                    sector = sector * (g ** a)
-                    coeff /= factorial(a)
-            key = (sector.exps, z, degs)
-            value = ring.scalar(coeff)
-            terms[key] = terms[key] + value if key in terms else value
-    return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
-                     terms, (), c_twist=c)
+        z = 1 - total
+        if not z_min <= z <= z_max:
+            continue
+        for degs, sums, fact in _multidegree_walk(rows, total):
+            sector = GroupElement.reduced(pair.fermat, sums)
+            terms[(sector.exps, z, degs)] = ring.scalar(Fraction(1, fact))
+    return CohSeries("lg", pair, tuple(rows), orders, terms, (), c_twist=c)
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +153,9 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     Independent route: correlators come from ``psi_integral_oracle`` and the
     moduli non-emptiness criterion, duals from the untwisted pairing, not
     from the closed-form product formula.  Every dual sector g0 is scanned
-    through ``is_nonempty``; none is solved for.
+    through ``is_nonempty``, once per distinct (n, exponent-sum) key of the
+    insertions; none is solved for, and the insertions are never multiplied
+    into a sector.
     """
     pair.require_twist(c)
     elements = pair.group.elements
@@ -165,22 +180,26 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         degs[i] = 1
         put(g, 0, tuple(degs), Fraction(1))
     dual_norm = pair.fermat.degree ** pair.fermat.n_variables
+    rows = [g_jc.exps for g_jc in shifted]
     for total in range(2, orders.t_order + 1):
         # n = total + 1 points: the dimension condition leaves only psi^(n-3)
         a = total - 2
         if -a - 1 < z_min:
             break
         corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
-        for degs in _multidegrees(len(elements), total):
-            insertions = []
-            coeff = Fraction(1)
-            for g_jc, k in zip(shifted, degs):
-                if k:
-                    insertions.extend([g_jc] * k)
-                    coeff /= factorial(k)
-            for g0_jc, dual_sector in zip(shifted, duals):
-                if pair.is_nonempty(c, 0, [g0_jc] + insertions):
-                    put(dual_sector, -a - 1, degs, coeff * corr * dual_norm)
+        # is_nonempty reads its insertions only through n and the sums
+        # sum_i k_j(g_i), so the duals that pass are kept per unreduced
+        # exponent sum of the insertions, for the span of this total
+        passing: dict = {}
+        for degs, sums, fact in _multidegree_walk(rows, total):
+            found = passing.get(sums)
+            if found is None:
+                insertions = [g_jc for g_jc, k in zip(shifted, degs) for _ in range(k)]
+                found = passing[sums] = [
+                    dual_sector for g0_jc, dual_sector in zip(shifted, duals)
+                    if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
+            for dual_sector in found:
+                put(dual_sector, -a - 1, degs, Fraction(1, fact) * corr * dual_norm)
     return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
                      terms, (), c_twist=c)
 
@@ -230,30 +249,24 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
     sector has N_g = 0 are skipped.  The table holds one SeriesRing per
-    nilpotency.  Exponents and ages of the positive-dimensional sectors are
-    read once per table; a(k)^j = (c_j / d) sum_s k_s k_j(g_s) is summed in
-    integers, and so are the numerators of r_j and v_j.
+    nilpotency.  Ages of the positive-dimensional sectors are read once per
+    table.  The multidegree walk runs over a zero row for k0 and the
+    sectors' exponent rows, so its sums are sum_s k_s k_j(g_s) in integers:
+    base is their reduction, and r_j, v_j are (k0 +- sums_j) c_j / d.
     """
     sectors = pair.positive_dim_sectors()
     ages = tuple((g, g.age()) for g in sectors)
-    weights, d = pair.fermat.weights, pair.fermat.degree
+    fermat = pair.fermat
+    weights, d = fermat.weights, fermat.degree
     shifts = [pair.grading ** k0 for k0 in range(orders.t_order + 1)]
     if side == "y":
         shifts = [shift.inverse() for shift in shifts]
+    rows = [(0,) * len(weights)] + [g.exps for g in sectors]
     rings: dict = {}
     for total in range(orders.t_order + 1):
-        for degs in _multidegrees(1 + len(sectors), total):
-            k = degs[1:]
-            base = pair.identity
-            k_factorials = 1
-            sums = [0] * len(weights)
-            for g, mult in zip(sectors, k):
-                if mult:
-                    base = base * (g ** mult)
-                    k_factorials *= factorial(mult)
-                    for j, e in enumerate(g.exps):
-                        sums[j] += mult * e
+        for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
+            base = GroupElement.reduced(fermat, sums)
             sector = shifts[k0] * base
             nilpotency = 1 if side == "x" else sector.fixed_dim()
             if nilpotency == 0:
@@ -263,9 +276,8 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
                 ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
             r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
             v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
-            yield IndexTerm(k0, k, degs, base, Fraction(1, k_factorials),
-                            Fraction(1, k_factorials * factorial(k0)),
-                            r_num, v_num, ages, sector, ring)
+            yield IndexTerm(k0, degs[1:], degs, base, Fraction(1, fact // factorial(k0)),
+                            Fraction(1, fact), r_num, v_num, ages, sector, ring)
 
 
 def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,

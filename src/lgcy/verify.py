@@ -96,7 +96,7 @@ def recommended_orders(pair: LGPair, t_order: int = 8, lam_order: int = 4) -> Or
 # The smallest t-order at which a check sees its identity at all.  Below it
 # the check returns an "orders" witness instead of a vacuous pass or a shape
 # mismatch, and ``lgcy verify`` refuses the run up front.
-MIN_T_ORDER = {"mlk-untwisted": 1, "fjrw-pipeline": 2}
+MIN_T_ORDER = {"oracle-equivalence": 2, "mlk-untwisted": 1, "fjrw-pipeline": 2}
 
 
 def _orders_witness(check: str, orders: Orders, detail: str) -> dict:
@@ -209,6 +209,10 @@ def check_oracle_equivalence(pair: LGPair, n_max: int = 6,
     orders = Orders(t_order=n_max, lam_order=0)
 
     def body():
+        if n_max < MIN_T_ORDER["oracle-equivalence"]:
+            return _orders_witness("oracle-equivalence", orders,
+                                   "below t-degree 2 both routes write the unit and "
+                                   "linear terms alike and no psi-integral is used")
         for c in pair.valid_twists():
             closed = untwisted_j(pair, c, orders)
             oracle = untwisted_j_oracle(pair, c, orders)

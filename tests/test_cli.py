@@ -158,7 +158,10 @@ def test_verify_self_test(capsys):
     ("mlk-untwisted", "0", "mlk-untwisted"),
     ("fjrw-pipeline", "1", "fjrw-pipeline"),
     ("all", "1", "fjrw-pipeline"),
-], ids=["mlk-T0", "fjrw-T1", "all-T1"])
+    ("oracle-equivalence", "0", "oracle-equivalence"),
+    ("oracle-equivalence", "1", "oracle-equivalence"),
+    ("all", "1", "oracle-equivalence"),
+], ids=["mlk-T0", "fjrw-T1", "all-T1", "oracle-T0", "oracle-T1", "all-T1-oracle"])
 def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
                                                   t_order, name):
     from lgcy import cli

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
@@ -14,6 +17,7 @@ from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
 from lgcy.genfun import (
     IdentityError,
     _index_terms,
+    _multidegree_walk,
     _verify_factorization_x,
     _verify_factorization_y,
     assert_lambda_divisibility,
@@ -92,6 +96,73 @@ def test_oracle_equals_closed_form(pair):
         closed = untwisted_j(pair, c, orders)
         oracle = untwisted_j_oracle(pair, c, orders)
         assert closed.compare(oracle) is None
+
+
+def _compositions(n_vars: int, total: int) -> list:
+    """Every exponent tuple of the given total, in lexicographic order."""
+    return sorted(tuple(combo.count(i) for i in range(n_vars))
+                  for combo in itertools.combinations_with_replacement(range(n_vars), total))
+
+
+_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda width: st.lists(st.tuples(*[st.integers(min_value=0, max_value=6)] * width),
+                           min_size=1, max_size=5))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rows=_rows, total=st.integers(min_value=0, max_value=6))
+def test_multidegree_walk_matches_itertools_reference(rows, total):
+    walk = list(_multidegree_walk(rows, total))
+    assert [degs for degs, _, _ in walk] == _compositions(len(rows), total)
+    for degs, sums, fact in walk:
+        assert sums == tuple(sum(k * row[j] for k, row in zip(degs, rows))
+                             for j in range(len(rows[0])))
+        assert fact == math.prod(math.factorial(k) for k in degs)
+
+
+def _direct_scan_oracle_terms(pair, c, orders) -> dict:
+    """The oracle's loop with one is_nonempty scan of every g0 per multidegree."""
+    elements = pair.group.elements
+    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
+    z_min, z_max = orders.z_window
+    jc = pair.grading ** c
+    shifted = [g * jc for g in elements]
+    j2c_inverse = (jc * jc).inverse()
+    duals = [g0.inverse() * j2c_inverse for g0 in elements]
+    dual_norm = pair.fermat.degree ** pair.fermat.n_variables
+    n = len(elements)
+    terms = {(pair.identity.exps, 1, (0,) * n): ring.one()}
+    for i, g in enumerate(elements):
+        terms[g.exps, 0, tuple(int(i == s) for s in range(n))] = ring.one()
+    for total in range(2, orders.t_order + 1):
+        a = total - 2
+        if -a - 1 < z_min:
+            break
+        corr = F(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
+        for degs in _compositions(n, total):
+            insertions = [g_jc for g_jc, k in zip(shifted, degs) for _ in range(k)]
+            coeff = F(1, math.prod(math.factorial(k) for k in degs))
+            for g0_jc, dual in zip(shifted, duals):
+                if pair.is_nonempty(c, 0, [g0_jc] + insertions):
+                    key = (dual.exps, -a - 1, degs)
+                    assert key not in terms
+                    terms[key] = ring.scalar(coeff * corr * dual_norm)
+    return {key: value for key, value in terms.items() if z_min <= key[1] <= z_max}
+
+
+def _order16_quartic():
+    return load_pair({"weights": [1, 1, 1, 1], "degree": 4,
+                      "generators": [[0, 2, 0, 2], [0, 0, 2, 2]]})
+
+
+@pytest.mark.parametrize("pair,t_order", [(p, 4) for p in ALL_PAIRS]
+                         + [(_order16_quartic(), 3)],
+                         ids=[p.name for p in ALL_PAIRS] + ["quartic-order16"])
+def test_oracle_memoized_scan_equals_direct_scan(pair, t_order):
+    orders = Orders(t_order=t_order, lam_order=0)
+    for c in pair.valid_twists():
+        assert untwisted_j_oracle(pair, c, orders).terms == \
+            _direct_scan_oracle_terms(pair, c, orders), c
 
 
 # sha256 of the sorted-key JSON of serialize_series; the closed form and the

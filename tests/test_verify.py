@@ -9,6 +9,7 @@ import pytest
 from lgcy.catalog import cubic, quartic, quintic, sextic
 from lgcy.cohseries import Orders
 from lgcy.genfun import h_factorization, i_function_x, untwisted_j_oracle
+from lgcy.lgmodel import LGPair
 from lgcy.transforms import u_bar
 from lgcy.verify import (
     ALL_CHECKS,
@@ -161,6 +162,28 @@ def test_every_injected_fault_is_detected():
     assert all(detections)
 
 
+def test_oracle_dual_choice_goes_through_is_nonempty(monkeypatch):
+    # refusing one g0 j^c as the first insertion must drop exactly the terms
+    # on its dual sector, so the oracle cannot pick its duals another way
+    q = quintic()
+    refused = q.grading
+    is_nonempty = LGPair.is_nonempty
+    calls = []
+
+    def refusing(self, c, h, insertions):
+        calls.append(c)
+        return insertions[0] != refused and is_nonempty(self, c, h, insertions)
+
+    monkeypatch.setattr(LGPair, "is_nonempty", refusing)
+    report = check_oracle_equivalence(q, n_max=3)
+    assert calls
+    assert not report.ok()
+    # at c = 0, g0 j^c = g0 and its dual sector is g0^-1
+    assert report.witness["kind"] == "coefficient" and report.witness["c"] == 0
+    assert report.witness["sector"] == list(refused.inverse().exps)
+    assert report.witness["right"] == "0"
+
+
 def test_structural_check_self_tests():
     q = quintic()
     assert not check_gamma_factorization(q, SMALL, _tamper_side="x").ok()
@@ -222,6 +245,18 @@ def test_mlk_untwisted_names_orders_below_t1(pair):
     assert (report.witness["T"], report.witness["minimum_T"]) == (0, 1)
     assert check_mlk_untwisted(pair, pair.valid_twists()[-1],
                                Orders(t_order=1, lam_order=3)).ok()
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_oracle_equivalence_names_orders_below_t2(pair):
+    # below t-degree 2 neither route calls the psi-integral oracle or the
+    # selection rule: no vacuous pass
+    for n_max in (0, 1):
+        report = check_oracle_equivalence(pair, n_max=n_max)
+        assert not report.ok()
+        assert report.witness["kind"] == "orders", report.witness
+        assert (report.witness["T"], report.witness["minimum_T"]) == (n_max, 2)
+    assert check_oracle_equivalence(pair, n_max=2).ok()
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
