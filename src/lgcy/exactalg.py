@@ -63,18 +63,8 @@ class ExactDivisionError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """phi(n), the degree of Phi_n."""
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -482,7 +472,7 @@ class SectorValue:
     bounded by the ring's lam_order (negative or fractional lam powers are
     rejected at construction); h < nilpotency; tau any integer (the 2*pi*i
     token is invertible); atoms a canonical multiset of GammaAtom powers.
-    The public constructor truncates, coerces and merges; ring operations
+    The public constructor truncates, coerces and drops zeros; ring operations
     whose results are already truncated and zero-free use ``_unchecked``.
     """
 
@@ -501,13 +491,7 @@ class SectorValue:
                 coeff = Cyclotomic.from_rational(ring.order, coeff)
             if coeff.is_zero():
                 continue
-            key = (lam, h, tau, atoms)
-            prev = clean.get(key)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = coeff
+            clean[(lam, h, tau, atoms)] = coeff
         self._store(ring, clean)
 
     @classmethod

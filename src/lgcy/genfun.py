@@ -52,6 +52,7 @@ __all__ = [
     "h_continued",
     "residue_unit_check",
     "fjrw_i_function",
+    "fjrw_limit",
     "z_ddt_distinguished",
     "assert_lambda_divisibility",
     "serialize_series",
@@ -160,25 +161,19 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     pair.require_twist(c)
     elements = pair.group.elements
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
-    z_min, z_max = orders.z_window
+    z_min = orders.z_window[0]
     jc = pair.grading ** c
     shifted = [g * jc for g in elements]
     j2c_inverse = (jc * jc).inverse()
     duals = [g0.inverse() * j2c_inverse for g0 in elements]
-    terms: dict = {}
-
-    def put(sector, z, degs, coeff):
-        if z < z_min or z > z_max or coeff == 0:
-            return
-        key = (sector.exps, z, degs)
-        value = ring.scalar(coeff)
-        terms[key] = terms[key] + value if key in terms else value
-
-    put(pair.identity, 1, (0,) * len(elements), Fraction(1))
+    # every key is written once: the unit, the linear terms, and one key per
+    # passing dual at each multidegree of t-degree >= 2; the series drops
+    # the keys outside the z-window
+    terms: dict = {(pair.identity.exps, 1, (0,) * len(elements)): ring.one()}
     for i, g in enumerate(elements):
         degs = [0] * len(elements)
         degs[i] = 1
-        put(g, 0, tuple(degs), Fraction(1))
+        terms[(g.exps, 0, tuple(degs))] = ring.one()
     dual_norm = pair.fermat.degree ** pair.fermat.n_variables
     rows = [g_jc.exps for g_jc in shifted]
     for total in range(2, orders.t_order + 1):
@@ -199,7 +194,8 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
                     dual_sector for g0_jc, dual_sector in zip(shifted, duals)
                     if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
             for dual_sector in found:
-                put(dual_sector, -a - 1, degs, Fraction(1, fact) * corr * dual_norm)
+                terms[(dual_sector.exps, -a - 1, degs)] = \
+                    ring.scalar(Fraction(1, fact) * corr * dual_norm)
     return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
                      terms, (), c_twist=c)
 
@@ -542,14 +538,18 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
 
 def _assert_is_clamp(series: CohSeries, sector, degs, wide: ZLaurentSeries,
                      label: str):
-    """The stored series must be the window clamp of the wide recomputation."""
+    """The stored series must be the window clamp of the wide recomputation.
+
+    Both sides are {z: value} over the declared window, and values compare
+    in the ring they carry.
+    """
     z_min, z_max = series.orders.z_window
-    ring = wide.ring
-    keys = [(sector, z, degs) for z in range(z_min, z_max + 1)]
-    stored = ZLaurentSeries(ring, wide.z_min, wide.z_max,
-                            {key[1]: series.terms[key].with_ring(ring)
-                             for key in keys if key in series.terms})
-    clamped = wide.with_window(z_min, z_max).with_window(wide.z_min, wide.z_max)
+    stored = {}
+    for z in range(z_min, z_max + 1):
+        value = series.terms.get((sector, z, degs))
+        if value is not None:
+            stored[z] = value
+    clamped = {z: value for z, value in wide.terms.items() if z_min <= z <= z_max}
     if stored != clamped:
         raise IdentityError(f"{label}: stored series is not the declared clamp",
                             {"sector": list(sector), "degree": list(degs)})
@@ -566,10 +566,10 @@ def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
 
 def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
                         sector, degs):
-    """The two sides of the factorization must agree at every z."""
-    diff = lhs - rhs
-    if not diff.is_zero():
-        z_bad = sorted(diff.terms)[0]
+    """The two sides of the factorization must agree at every z; their
+    difference is formed only to name the first bad z."""
+    if lhs != rhs:
+        z_bad = min((lhs - rhs).terms)
         raise IdentityError(
             f"Gamma factorization residual on the {side} side",
             {"sector": list(sector), "z": z_bad, "degree": list(degs),
@@ -634,15 +634,15 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
     cross-multiplied: I * prod_j (level factors) against the fiber ratio.
 
     The products of each side are kept per (n_g, k0, v), which fixes them:
-    the I product, its gap < 0 factors and the operator blocks each in a
-    dict of their own, and the H atoms per (k0, v) in a dict of this walk.
-    Every term still runs every check.
+    the I product in a dict of its own, the I side's gap < 0 factors and
+    the operator block as a pair in another, each still built by its own
+    code, and the H atoms per (k0, v) in a dict of this walk.  Every term
+    still runs every check.
     """
     d, weights = pair.fermat.degree, pair.fermat.weights
     window = _wide_window(i_series.orders, pair)
     i_products: dict = {}
-    i_blocks: dict = {}
-    op_blocks: dict = {}
+    blocks: dict = {}
     atoms: dict = {}
     for term in table:
         sector, ring = term.sector, term.ring
@@ -671,17 +671,13 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                      "denominator": [str(l) for l in denominator_levels]})
             gaps.append(gap)
         key = (ring.nilpotency, term.k0, term.v_num)
-        i_block = i_blocks.get(key)
-        if i_block is None:
+        if key not in blocks:
             i_block = ZLaurentSeries.constant(ring, *window, ring.one())
             for cj, v, gap in zip(weights, term.v_num, gaps):
                 if gap < 0:
                     i_block = i_block * gamma_shift_product(
                         Fraction(0), Fraction(-cj), Fraction(-v, d), -gap, ring, *window)
                     i_block = i_block.shift(gap)
-            i_blocks[key] = i_block
-        block = op_blocks.get(key)
-        if block is None:
             block = gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
                                         term.k0, ring, *window)
             block = block.shift(-term.k0)
@@ -691,7 +687,8 @@ def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeri
                         Fraction(0), Fraction(-cj), sector.multiplicity(j),
                         gap, ring, *window)
                     block = block.shift(-gap)
-            op_blocks[key] = block
+            blocks[key] = (i_block, block)
+        i_block, block = blocks[key]
         lhs = i_value * i_block
         rhs = (block * ring.scalar(term.comb_k)).shift(shift + 1 - age)
         _assert_no_residual(lhs, rhs, "Y", sector.exps, term.degs)
@@ -784,23 +781,27 @@ def assert_lambda_divisibility(series: CohSeries) -> None:
                  "required": required, "found": value.lambda_valuation()})
 
 
-def fjrw_i_function(pair: LGPair, orders: Orders) -> CohSeries:
-    """lim_{lam->0} Delta-circ(z d/dt I^X), asserted divisible first.
+def fjrw_limit(pair: LGPair, derivative: CohSeries) -> CohSeries:
+    """Delta-circ of lim_{lam->0} of z d/dt I^X, checked on both ends.
 
     The limit exists because every N_g > 0 coefficient is divisible by
-    lam^{N_g} (checked, not assumed); the result is narrow-supported.
+    lam^{N_g}, which is asserted first; the result is asserted to be
+    narrow-supported.
     """
-    pair.require_cy()
-    pair.require_sl()
-    derivative = z_ddt_distinguished(i_function_x(pair, orders))
     assert_lambda_divisibility(derivative)
-    limited = derivative.nonequivariant_limit()
-    result = delta_circ(pair).apply(limited)
+    result = delta_circ(pair).apply(derivative.nonequivariant_limit())
     for (exps, _, _) in result.terms:
         if not pair.is_narrow(GroupElement(pair.fermat, exps)):
             raise IdentityError("FJRW output not narrow-supported",
-                                {"sector": list(exps)})
+                                {"kind": "narrow-support", "sector": list(exps)})
     return result
+
+
+def fjrw_i_function(pair: LGPair, orders: Orders) -> CohSeries:
+    """The FJRW I-function: ``fjrw_limit`` of z d/dt I^X at ``orders``."""
+    pair.require_cy()
+    pair.require_sl()
+    return fjrw_limit(pair, z_ddt_distinguished(i_function_x(pair, orders)))
 
 
 # ---------------------------------------------------------------------------

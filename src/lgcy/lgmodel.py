@@ -388,17 +388,14 @@ def _pair_ints(value, what: str) -> tuple[int, ...]:
 def load_pair(source) -> LGPair:
     """Build an LGPair from {"weights": [...], "degree": d, "generators": [...]}.
 
-    ``source`` may be a mapping, a JSON string, or a path to a JSON file.
-    The grading element is implicit and always adjoined.  Anything but an
-    object whose numbers are integers and whose name is a string raises
-    ValueError.
+    ``source`` is the mapping itself, or a ``str`` or ``Path`` naming a JSON
+    file; a missing file raises FileNotFoundError.  The grading element is
+    implicit and always adjoined.  Anything but an object whose numbers are
+    integers and whose name is a string raises ValueError.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+    data = source
+    if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
     if not isinstance(data, Mapping):
         raise ValueError(f"a pair must be a JSON object, got {type(data).__name__}")
     for key in ("weights", "degree"):

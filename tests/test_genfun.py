@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgcy import genfun
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
 from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
@@ -445,6 +446,25 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
         h_factorization(p, broken, side)
     assert caught.value.witness["sector"] == list(sector)
     assert caught.value.witness["degree"] == list(target.degs)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_factorization_residual_names_the_first_bad_coefficient(monkeypatch, side):
+    """A wrong Gamma-shift rewrite leaves the stored I series a true clamp but
+    the two sides of the identity apart: the residual assert must name the
+    first bad coefficient with both of its values."""
+    p = quartic()
+    series = (i_function_x if side == "x" else i_function_y)(p, recommended_orders(p, 6, 3))
+    rewrite = genfun.gamma_shift_product
+
+    def doubled(lam_weight, h_weight, base, steps, ring, z_min, z_max):
+        product = rewrite(lam_weight, h_weight, base, steps, ring, z_min, z_max)
+        return product * F(2) if steps > 0 else product
+
+    monkeypatch.setattr(genfun, "gamma_shift_product", doubled)
+    with pytest.raises(IdentityError, match=f"residual on the {side.upper()} side") as caught:
+        h_factorization(p, series, side)
+    assert set(caught.value.witness) == {"sector", "z", "degree", "left", "right"}
 
 
 @pytest.mark.parametrize("side", ["x", "y"])

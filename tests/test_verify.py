@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from lgcy import verify
 from lgcy.catalog import cubic, quartic, quintic, sextic
 from lgcy.cohseries import Orders
 from lgcy.genfun import h_factorization, i_function_x, untwisted_j_oracle
@@ -57,6 +58,20 @@ def test_report_schema():
     json.dumps(data)
     failing = check_residue_lemma(q, _tamper=True)
     assert "witness" in failing.to_dict()
+
+
+def test_run_checks_reads_the_table_and_refuses_unknown_names_first(monkeypatch):
+    """Every check runs through the module's name, so a wrapper installed on
+    ``verify.check_*`` sees it; an unknown name is refused before any runs."""
+    ran = []
+    monkeypatch.setattr(verify, "check_residue_lemma", lambda pair: ran.append(pair.name))
+    q = quintic()
+    run_checks(q, ["residue-lemma"], SMALL)
+    assert ran == ["quintic"]
+    with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
+        run_checks(q, ["residue-lemma", "no-such-check"], SMALL)
+    assert ran == ["quintic"]
+    assert ALL_CHECKS == tuple(verify.CHECKS)
 
 
 def test_reports_are_deterministic():
