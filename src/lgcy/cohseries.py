@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import SectorValue, SeriesRing, ZLaurentSeries
+from .exactalg import SectorValue, SeriesRing
 from .lgmodel import GroupElement, LGPair
 
 __all__ = ["Orders", "CohSeries", "TOKEN_T_LAMBDA", "TOKEN_Q_H"]
@@ -197,10 +197,3 @@ class CohSeries:
         return (f"CohSeries(side={self.side!r}, pair={self.pair.name}, "
                 f"{len(self.terms)} terms)")
 
-
-def zlaurent_to_terms(exps: tuple, degs: tuple, series: ZLaurentSeries,
-                      accumulator: dict) -> None:
-    """Splat a z-Laurent value into per-z series keys."""
-    for z, value in series.terms.items():
-        key = (exps, z, degs)
-        accumulator[key] = accumulator[key] + value if key in accumulator else value

@@ -875,9 +875,6 @@ class ZLaurentSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def with_window(self, z_min: int, z_max: int) -> "ZLaurentSeries":
-        return ZLaurentSeries(self.ring, z_min, z_max, dict(self.terms))
-
     def __eq__(self, other):
         return (isinstance(other, ZLaurentSeries)
                 and self.ring == other.ring

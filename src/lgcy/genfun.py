@@ -32,7 +32,6 @@ from .cohseries import (
     TOKEN_Q_H,
     TOKEN_T_LAMBDA,
     _sector_nilpotency,
-    zlaurent_to_terms,
 )
 from .lgmodel import GroupElement, LGPair, load_pair, pair_to_dict
 from .transforms import delta_circ, gamma_class_op, ubar_block
@@ -323,22 +322,36 @@ def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     return (m_factor * term.ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
 
 
+def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
+    """The z-window every I value is built on, padded on both sides so that
+    no partial product is clamped inside the declared window."""
+    z_min, z_max = orders.z_window
+    pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
+    return z_min - pad, z_max + pad
+
+
+def _i_function(pair: LGPair, orders: Orders, side: str, value_of,
+                variable: str) -> CohSeries:
+    """The I-function of one side: ``value_of`` at every index of the side's
+    table on ``_wide_window``, one key per z; the series drops the keys
+    outside the declared window."""
+    pair.require_cy()
+    window = _wide_window(orders, pair)
+    terms: dict = {}
+    products: dict = {}
+    for term in _index_terms(pair, orders, side):
+        for z, value in value_of(pair, term, *window, products).terms.items():
+            terms[(term.sector.exps, z, term.degs)] = value
+    return _indexed_series(side, pair, orders, terms, variable)
+
+
 def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     """The hypergeometric point on the local quotient-stack cone.
 
     z t^(d lam/tau) sum_{k,k0} prod (t^{g_s})^{k_s} / (z^{k_s} k_s!) *
     M(k0,k) t^{k0} / (z^{k0} k0!) on the sector j^{k0} prod g_s^{k_s}.
     """
-    pair.require_cy()
-    z_min, z_max = orders.z_window
-    wide_min = min(z_min, -(orders.t_order + 2) - orders.t_order)
-    terms: dict = {}
-    products: dict = {}
-    for term in _index_terms(pair, orders, "x"):
-        value = _i_x_value(pair, term, wide_min, z_max + orders.t_order, products)
-        zlaurent_to_terms(term.sector.exps, term.degs, value.with_window(z_min, z_max),
-                          terms)
-    return _indexed_series("x", pair, orders, terms, "t")
+    return _i_function(pair, orders, "x", _i_x_value, "t")
 
 
 def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -424,16 +437,7 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     Supported on sectors with N_g > 0; carries the q^(H/tau) prefactor.
     The multidegree slot 0 is the exponent of q^(1/d).
     """
-    pair.require_cy()
-    z_min, z_max = orders.z_window
-    wide_min = z_min - 2 * orders.t_order - 2 * pair.fermat.n_variables
-    terms: dict = {}
-    products: dict = {}
-    for term in _index_terms(pair, orders, "y"):
-        value = _i_y_value(pair, term, wide_min, z_max + orders.t_order, products)
-        zlaurent_to_terms(term.sector.exps, term.degs, value.with_window(z_min, z_max),
-                          terms)
-    return _indexed_series("y", pair, orders, terms, "q^(1/d)")
+    return _i_function(pair, orders, "y", _i_y_value, "q^(1/d)")
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +488,8 @@ def h_function_x(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
     terms: dict = {}
     atoms: dict = {}
     for term in _index_terms(pair, orders, "x") if _table is None else _table:
-        value = _atom_value(term.ring, _x_atoms(pair, term, atoms), term.comb)
-        key = (term.sector.exps, term.z_shift(), term.degs)
-        terms[key] = terms[key] + value if key in terms else value
+        terms[(term.sector.exps, term.z_shift(), term.degs)] = \
+            _atom_value(term.ring, _x_atoms(pair, term, atoms), term.comb)
     return _indexed_series("x", pair, orders, terms, "t")
 
 
@@ -501,39 +504,29 @@ def h_function_y(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
     terms: dict = {}
     atoms: dict = {}
     for term in _index_terms(pair, orders, "y") if _table is None else _table:
-        value = _atom_value(term.ring, _y_atoms(pair, term, atoms), term.comb_k)
-        key = (term.sector.exps, term.z_shift(), term.degs)
-        terms[key] = terms[key] + value if key in terms else value
+        terms[(term.sector.exps, term.z_shift(), term.degs)] = \
+            _atom_value(term.ring, _y_atoms(pair, term, atoms), term.comb_k)
     return _indexed_series("y", pair, orders, terms, "q^(1/d)")
 
 
 def h_factorization(pair: LGPair, series: CohSeries, side: str):
     """Split an I-function as z^(1-Gr) GammaClass tau^(deg0/2) H and verify.
 
-    Returns (gamma_class_operator, h_series).  The verification re-expands
-    every Gamma-atom ratio with an integer offset gap through the
-    polynomial rewrite and insists on an identically zero residual;
-    the first bad coefficient is carried on the raised IdentityError.
-    The side's index table is built once and walked by the H builder and
-    by the verification, each with dicts of its own.
+    Returns (gamma_class_operator, h_series).  The verification pairs every
+    atom of the Gamma-class operator with an atom of H at an integer offset
+    gap, re-expands each ratio through the polynomial rewrite and insists
+    on an identically zero residual; the first bad coefficient is carried
+    on the raised IdentityError.  The side's index table is built once and
+    walked by the H builder and by the verification, each with dicts of
+    its own.
     """
     pair.require_cy()
-    if side == "x":
-        build, verify = h_function_x, _verify_factorization_x
-    elif side == "y":
-        build, verify = h_function_y, _verify_factorization_y
-    else:
-        raise ValueError("side must be 'x' or 'y'")
+    gamma = gamma_class_op(pair, side)
     table = list(_index_terms(pair, series.orders, side))
+    build = h_function_x if side == "x" else h_function_y
     h_series = build(pair, series.orders, _table=table)
-    verify(pair, series, h_series, table)
-    return gamma_class_op(pair, side), h_series
-
-
-def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
-    z_min, z_max = orders.z_window
-    pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
-    return z_min - pad, z_max + pad
+    _verify_factorization(pair, side, series, h_series, gamma, table)
+    return gamma, h_series
 
 
 def _assert_is_clamp(series: CohSeries, sector, degs, wide: ZLaurentSeries,
@@ -584,114 +577,90 @@ def _integral_age(sector: GroupElement) -> int:
     return int(age)
 
 
-def _verify_factorization_x(pair: LGPair, i_series: CohSeries, h_series: CohSeries,
-                            table: list):
-    """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on the X side.
+def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
+                        window: tuple[int, int], sector, degs):
+    """(I block, operator block) of one pairing of Gamma-class and H atoms.
 
-    Both closed forms are recomputed on a wide z-window so clamping cannot
-    mask a residual; the stored series are asserted to be their clamps.
-    Each side keeps its own products per r, which fixes them, and the
-    H atoms per r in a dict of this walk; every term still runs every check.
+    Each Gamma-class atom g pairs with an H atom h of the same weights whose
+    offset is larger by an integer n.  Gamma(g) / Gamma(h) is z^-n times the
+    product of n linear factors, which multiplies the operator block for
+    n > 0; for n < 0 the inverse ratio's product multiplies the I block
+    (None while it is empty).  An atom left unpaired on either side raises.
     """
-    d, weights = pair.fermat.degree, pair.fermat.weights
-    window = _wide_window(i_series.orders, pair)
-    i_products: dict = {}
-    op_blocks: dict = {}
-    atoms: dict = {}
-    for term in table:
-        sector, ring = term.sector, term.ring
-        age = _integral_age(sector)
-        shift = term.z_shift()
-
-        i_value = _i_x_value(pair, term, *window, i_products)
-        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^X")
-        _assert_h_term(h_series, sector.exps, shift, term.degs,
-                       _atom_value(ring, _x_atoms(pair, term, atoms), term.comb))
-
-        # operator side: z^(1 - age), Gamma-class atoms cancel the H atoms
-        # through the integer-gap rewrite, one polynomial block per j:
-        # r_j = gap + m_j(g) with m_j(g) = k_j(g) c_j / d the sector's part.
-        for j, (r, cj, k) in enumerate(zip(term.r_num, weights, sector.exps)):
-            if r % d != k * cj:
-                raise IdentityError("fractional part disagrees with the sector",
-                                    {"sector": list(sector.exps), "j": j})
-        block = op_blocks.get(term.r_num)
-        if block is None:
-            block = ZLaurentSeries.constant(ring, *window, ring.one())
-            for cj, r in zip(weights, term.r_num):
-                gap = r // d
-                block = block * gamma_shift_product(Fraction(cj), Fraction(0),
-                                                    Fraction(r % d, d), gap, ring, *window)
-                block = block.shift(-gap)
-            op_blocks[term.r_num] = block
-        recon = (block * ring.scalar(term.comb)).shift(shift + 1 - age)
-        _assert_no_residual(i_value, recon, "X", sector.exps, term.degs)
+    pool = {atom: -exp for atom, exp in h_atoms}
+    unpaired = []
+    i_block = None
+    block = ZLaurentSeries.constant(ring, *window, ring.one())
+    for atom, exp in gamma_atoms:
+        for _ in range(exp):
+            weights = (atom.weight, atom.h_weight)
+            partner = next((h for h, left in pool.items()
+                            if left > 0 and (h.weight, h.h_weight) == weights
+                            and (h.offset - atom.offset).denominator == 1), None)
+            if partner is None:
+                unpaired.append(atom)
+                continue
+            pool[partner] -= 1
+            n = int(partner.offset - atom.offset)
+            if n > 0:
+                block = block * gamma_shift_product(
+                    atom.weight, atom.h_weight, atom.offset, n, ring, *window).shift(-n)
+            elif n < 0:
+                factor = gamma_shift_product(partner.weight, partner.h_weight,
+                                             partner.offset, -n, ring, *window).shift(n)
+                i_block = factor if i_block is None else i_block * factor
+    unpaired += [h for h, left in pool.items() if left]
+    if unpaired:
+        raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
+                            {"sector": list(sector), "degree": list(degs),
+                             "atom": str(unpaired[0])})
+    return i_block, block
 
 
-def _verify_factorization_y(pair: LGPair, i_series: CohSeries, h_series: CohSeries,
-                            table: list):
-    """Y-side analogue; per-j gaps are non-positive, so the check is
-    cross-multiplied: I * prod_j (level factors) against the fiber ratio.
+def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
+                          h_series: CohSeries, gamma, table: list):
+    """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on one side.
 
-    The products of each side are kept per (n_g, k0, v), which fixes them:
-    the I product in a dict of its own, the I side's gap < 0 factors and
-    the operator block as a pair in another, each still built by its own
-    code, and the H atoms per (k0, v) in a dict of this walk.  Every term
-    still runs every check.
+    The I closed form is recomputed on ``_wide_window`` so clamping cannot
+    mask a residual, and the stored I and H series are asserted to be their
+    closed forms.  The operator side is built from the Gamma-class operator
+    ``gamma`` and the H atoms alone: each Gamma/H atom ratio is re-expanded
+    by ``_gamma_ratio_blocks``, and I times the I block must equal
+    z^(1 - age) times the operator block and H's coefficient.  The I
+    products are kept per walk as the I builder keeps them, the H atoms in
+    a memo of this walk, and both blocks per (sector, H atoms), which fixes
+    everything the pairing reads; every term still runs every check.
     """
-    d, weights = pair.fermat.degree, pair.fermat.weights
+    if side == "x":
+        value_of, atoms_of = _i_x_value, _x_atoms
+    else:
+        value_of, atoms_of = _i_y_value, _y_atoms
     window = _wide_window(i_series.orders, pair)
     i_products: dict = {}
     blocks: dict = {}
-    atoms: dict = {}
+    memo: dict = {}
     for term in table:
         sector, ring = term.sector, term.ring
         age = _integral_age(sector)
         shift = term.z_shift()
+        scale = term.comb if side == "x" else term.comb_k
+        atoms = atoms_of(pair, term, memo)
 
-        i_value = _i_y_value(pair, term, *window, i_products)
-        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, "I^Y")
+        i_value = value_of(pair, term, *window, i_products)
+        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, f"I^{side.upper()}")
         _assert_h_term(h_series, sector.exps, shift, term.degs,
-                       _atom_value(ring, _y_atoms(pair, term, atoms), term.comb_k))
+                       _atom_value(ring, atoms, scale))
 
-        # cross-multiplied identity: a per-j atom ratio of gap n rewrites as
-        # z^-n prod(...); negative gaps multiply the I side, positive
-        # gaps (net numerator factors) multiply the operator side.  The gap
-        # -v_j - m_j(g) must be an integer and match the level enumeration.
-        gaps = []
-        for j, (v, cj, k) in enumerate(zip(term.v_num, weights, sector.exps)):
-            numerator_levels, denominator_levels = y_ray_levels(Fraction(v, d))
-            gap, rest = divmod(-v - k * cj, d)
-            if rest or gap != len(numerator_levels) - len(denominator_levels):
-                raise IdentityError(
-                    "Gamma-ratio gap disagrees with the level enumeration",
-                    {"sector": list(sector.exps), "j": j,
-                     "gap": str(Fraction(-v - k * cj, d)),
-                     "numerator": [str(l) for l in numerator_levels],
-                     "denominator": [str(l) for l in denominator_levels]})
-            gaps.append(gap)
-        key = (ring.nilpotency, term.k0, term.v_num)
+        key = (sector.exps, atoms)
         if key not in blocks:
-            i_block = ZLaurentSeries.constant(ring, *window, ring.one())
-            for cj, v, gap in zip(weights, term.v_num, gaps):
-                if gap < 0:
-                    i_block = i_block * gamma_shift_product(
-                        Fraction(0), Fraction(-cj), Fraction(-v, d), -gap, ring, *window)
-                    i_block = i_block.shift(gap)
-            block = gamma_shift_product(Fraction(d), Fraction(d), Fraction(0),
-                                        term.k0, ring, *window)
-            block = block.shift(-term.k0)
-            for j, (cj, gap) in enumerate(zip(weights, gaps)):
-                if gap >= 0:
-                    block = block * gamma_shift_product(
-                        Fraction(0), Fraction(-cj), sector.multiplicity(j),
-                        gap, ring, *window)
-                    block = block.shift(-gap)
-            blocks[key] = (i_block, block)
+            [(_, entry)] = gamma.blocks[sector.exps]
+            [(_, _, _, gamma_atoms)] = entry.terms
+            blocks[key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
+                                              sector.exps, term.degs)
         i_block, block = blocks[key]
-        lhs = i_value * i_block
-        rhs = (block * ring.scalar(term.comb_k)).shift(shift + 1 - age)
-        _assert_no_residual(lhs, rhs, "Y", sector.exps, term.degs)
+        lhs = i_value if i_block is None else i_value * i_block
+        rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
+        _assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +692,8 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
             cache_key = ((b + term.k0) % d, n_g)
             if cache_key not in block_cache:
                 block_cache[cache_key] = ubar_block(pair, b + term.k0, ring)
-            value = block_cache[cache_key].scale_atoms(atoms) * ring.scalar(term.comb)
-            key = (sector.exps, z_shift, term.degs)
-            terms[key] = terms[key] + value if key in terms else value
+            terms[(sector.exps, z_shift, term.degs)] = \
+                block_cache[cache_key].scale_atoms(atoms) * ring.scalar(term.comb)
     return _indexed_series("y", pair, orders, terms, "t")
 
 

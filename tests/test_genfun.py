@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from lgcy import genfun
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
-from lgcy.exactalg import Cyclotomic, SeriesRing, ZLaurentSeries, series_exp
+from lgcy.exactalg import Cyclotomic, GammaAtom, SeriesRing, ZLaurentSeries, series_exp
 from lgcy.genfun import (
     IdentityError,
     _index_terms,
     _multidegree_walk,
-    _verify_factorization_x,
-    _verify_factorization_y,
+    _verify_factorization,
     assert_lambda_divisibility,
     deserialize_series,
     fjrw_i_function,
@@ -40,7 +39,7 @@ from lgcy.genfun import (
     z_ddt_distinguished,
 )
 from lgcy.lgmodel import GroupElement, load_pair
-from lgcy.transforms import ubar_block
+from lgcy.transforms import gamma_class_op, ubar_block
 from lgcy.verify import ALL_CHECKS, recommended_orders, run_checks
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
@@ -478,19 +477,43 @@ def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
     if side == "x":
         target = _first_repeated(table, lambda term: term.r_num)
         i_series, h_series = i_function_x(p, orders), h_function_x(p, orders)
-        verify = _verify_factorization_x
     else:
         target = _first_repeated(table, lambda term: (term.k0, term.v_num))
         i_series, h_series = i_function_y(p, orders), h_function_y(p, orders)
-        verify = _verify_factorization_y
+    gamma = gamma_class_op(p, side)
     sector = target.sector.exps
     key = next(k for k in sorted(h_series.terms)
                if k[0] == sector and k[2] == target.degs)
     broken = h_series._replace_terms({**h_series.terms, key: h_series.terms[key] * 2})
-    verify(p, i_series, h_series, table)
+    _verify_factorization(p, side, i_series, h_series, gamma, table)
     with pytest.raises(IdentityError, match="H-function term") as caught:
-        verify(p, i_series, broken, table)
+        _verify_factorization(p, side, i_series, broken, gamma, table)
     assert caught.value.witness == {"sector": list(sector), "degree": list(target.degs)}
+
+
+@pytest.mark.parametrize("pair", [quintic(), quartic()], ids=lambda p: p.name)
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("moved, match, witness", [
+    (F(1), "residual", {"sector", "z", "degree", "left", "right"}),
+    (F(1, 2), "unpaired", {"sector", "degree", "atom"})], ids=["integer", "half"])
+def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, match,
+                                              witness):
+    """H's atoms enter the operator side: moving one atom's offset by an
+    integer leaves a residual, and by a non-integer leaves it unpaired."""
+    series = (i_function_x if side == "x" else i_function_y)(
+        pair, recommended_orders(pair, 5, 3))
+    name = "_x_atoms" if side == "x" else "_y_atoms"
+    atoms_of = getattr(genfun, name)
+
+    def moved_atoms(p, term, memo):
+        (atom, exp), *rest = atoms_of(p, term, memo)
+        atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
+        return tuple(sorted([(atom, exp)] + rest))
+
+    monkeypatch.setattr(genfun, name, moved_atoms)
+    with pytest.raises(IdentityError, match=match) as caught:
+        h_factorization(pair, series, side)
+    assert set(caught.value.witness) == witness
 
 
 # -- the continued series -------------------------------------------------------------
