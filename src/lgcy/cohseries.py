@@ -124,18 +124,17 @@ class CohSeries:
         """
         out: dict = {}
         for (exps, z, degs), value in self.terms.items():
-            ring = value.ring
             exponent = degs[var_index]
-            shifted = tuple(d - 1 if i == var_index else d
-                            for i, d in enumerate(degs))
+            # a term with a zero exponent and no prefactor has no derivative
+            if not exponent and not prefactor_lam_multiple:
+                continue
+            shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
             pieces = []
             if exponent:
                 pieces.append(value * exponent)
             if prefactor_lam_multiple:
-                pieces.append(value * ring.monomial(lam=1, tau=-1,
-                                                    coeff=prefactor_lam_multiple))
-            if not pieces:
-                continue
+                pieces.append(value * value.ring.monomial(lam=1, tau=-1,
+                                                          coeff=prefactor_lam_multiple))
             total = pieces[0]
             for piece in pieces[1:]:
                 total = total + piece

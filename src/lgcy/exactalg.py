@@ -15,6 +15,13 @@ Everything downstream runs on four layers built here:
 * ``ZLaurentSeries`` for finitely supported z-Laurent series with
   ``SectorValue`` coefficients inside an explicit window.
 
+Every product of linear (lam, H, z)-factors, and of inverses of linear
+(H, z)-factors, goes through one kernel, ``_linear_product``: the modification
+factor and the ray factors of the I-functions, and the Gamma-shift rewrite
+``gamma_shift_product``.  The factors are homogeneous, so the kernel keeps a
+dense table of integer numerators over one denominator keyed by (lam, H)
+degree and builds the ``ZLaurentSeries`` once, clamped to its window.
+
 No floating point anywhere; equality is equality of canonical forms.
 All values are immutable after construction and safe to share.
 """
@@ -890,6 +897,102 @@ class ZLaurentSeries:
         return f"ZLaurent[{self.z_min},{self.z_max}]({inner or '0'})"
 
 
+@lru_cache(maxsize=None)
+def _cells(lam_order: int, nilpotency: int):
+    """(keys, lam_links, h_links): the dense (lam, H) table of one ring.
+
+    The table has one cell per (a, b) with a + b <= lam_order and b <
+    nilpotency; ``keys`` holds its ``SectorValue`` key (a, b, 0, ()), shared
+    by every product.  ``lam_links`` pairs the index of each cell (a, b) with
+    that of (a - 1, b); ``h_links[n - 1]`` pairs it with that of (a, b - n).
+    """
+    cells = tuple((a, b) for a in range(lam_order + 1)
+                  for b in range(min(nilpotency, lam_order - a + 1)))
+    index = {cell: i for i, cell in enumerate(cells)}
+    lam_links = tuple((i, index[(a - 1, b)]) for i, (a, b) in enumerate(cells) if a)
+    h_links = tuple(tuple((i, index[(a, b - n)]) for i, (a, b) in enumerate(cells) if b >= n)
+                    for n in range(1, min(nilpotency, lam_order + 1)))
+    return tuple((a, b, 0, ()) for a, b in cells), lam_links, h_links
+
+
+def _check_single_clamp(ring: SeriesRing, z_min: int, z_max: int,
+                        n_linear: int, n_inverse: int) -> None:
+    """Refuse a window on which clamping once differs from clamping per step.
+
+    A term of the product that picks the z part of u linear factors and
+    H^(n_i) from the inverse factors, b = sum n_i, sits at z = u - n_inverse
+    - b.  Multiplied one factor at a time, in any order, its partial
+    products stay between z = -n_inverse - b and z = u, so a window holding
+    that span for every term the final clamp keeps loses nothing to a
+    per-step clamp.  The check runs over b, each b giving a range of u.
+    """
+    top = min(ring.nilpotency - 1, ring.lam_order) if n_inverse else 0
+    for b in range(top + 1):
+        u_low = max(0, n_linear - ring.lam_order + b, z_min + n_inverse + b)
+        u_high = min(n_linear, z_max + n_inverse + b)
+        if u_low <= u_high and (u_high > z_max or -n_inverse - b < z_min):
+            raise ValueError(
+                f"z-window [{z_min}, {z_max}] clamps a partial product of "
+                f"{n_linear} linear and {n_inverse} inverse factors")
+
+
+def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
+                    inverse=()) -> ZLaurentSeries:
+    """prod (L lam + H H + Z z)/D over ``linear`` (L, H, Z, D) times
+    prod ((H H + Z z)/D)^-1 over ``inverse`` (H, Z, D), clamped to the window.
+
+    Every factor is homogeneous when lam, H and z have degree 1: a linear
+    factor has degree 1 and an inverse factor, sum_n D (-H)^n H^n /
+    (Z z)^(n+1) with H nilpotent, degree -1.  The product is therefore a
+    dense table of integer numerators over one denominator, one entry per
+    lam^a H^b of the ring, whose z-power is deg - a - b.  Factors multiply
+    into the table without a z-dict, and the ``ZLaurentSeries`` is built
+    once, at the end.  A window on which this single clamp differs from a
+    clamp after every factor raises ``ValueError``.
+    """
+    _check_single_clamp(ring, z_min, z_max, len(linear), len(inverse))
+    keys, lam_links, h_links = _cells(ring.lam_order, ring.nilpotency)
+    table = [0] * len(keys)
+    table[0] = 1
+    den = 1
+    for lam_c, h_c, z_c, d_c in linear:
+        new = [z_c * x for x in table]
+        if lam_c:
+            for i, j in lam_links:
+                new[i] += lam_c * table[j]
+        if h_c and h_links:
+            for i, j in h_links[0]:
+                new[i] += h_c * table[j]
+        table = new
+        den *= d_c
+    for h_c, z_c, d_c in inverse:
+        if not z_c:
+            raise ZeroDivisionError("inverse factor with zero z coefficient")
+        top = len(h_links) if h_c else 0
+        # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1)
+        coeffs = [d_c * (-h_c) ** n * z_c ** (top - n) for n in range(top + 1)]
+        new = [coeffs[0] * x for x in table]
+        for n in range(1, top + 1):
+            c = coeffs[n]
+            for i, j in h_links[n - 1]:
+                new[i] += c * table[j]
+        table = new
+        den *= z_c ** (top + 1)
+    degree = len(linear) - len(inverse)
+    pad = (0,) * (euler_phi(ring.order) - 1)
+    by_z: dict = {}
+    for key, num in zip(keys, table):
+        z = degree - key[0] - key[1]
+        if num and z_min <= z <= z_max:
+            terms = by_z.get(z)
+            if terms is None:
+                terms = by_z[z] = {}
+            terms[key] = Cyclotomic._reduced(ring.order, (num,) + pad, den)
+    return ZLaurentSeries._unchecked(
+        ring, z_min, z_max,
+        {z: SectorValue._unchecked(ring, terms) for z, terms in by_z.items()})
+
+
 def gamma_shift_product(lam_weight: Fraction, h_weight: Fraction, base: Fraction,
                         steps: int, ring: SeriesRing,
                         z_min: int, z_max: int) -> ZLaurentSeries:
@@ -898,21 +1001,16 @@ def gamma_shift_product(lam_weight: Fraction, h_weight: Fraction, base: Fraction
     This is the only rewrite connecting Gamma atoms whose offsets differ by
     integers: Gamma(1 - L - base) / Gamma(1 - L - base - steps) equals
     z^(-steps) times this product after undoing the z-grading conjugation.
-    steps = 0 returns 1 (the empty product).
+    steps = 0 returns 1 (the empty product).  The factors go to
+    ``_linear_product`` over the common denominator of the three weights.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    result = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
-    lin_sector = ring.zero()
-    if lam_weight:
-        lin_sector = lin_sector + ring.monomial(lam=1, coeff=-lam_weight)
-    if h_weight and ring.nilpotency > 1:
-        lin_sector = lin_sector + ring.monomial(h=1, coeff=-h_weight)
-    for l in range(steps):
-        factor = ZLaurentSeries(ring, z_min, z_max,
-                                {0: lin_sector, 1: ring.scalar(-(base + l))})
-        result = result * factor
-    return result
+    parts = [_rational_parts(w) for w in (lam_weight, h_weight, base)]
+    den = lcm(*(q for _, q in parts))
+    lam_c, h_c, base_c = (-p * (den // q) for p, q in parts)
+    return _linear_product(ring, z_min, z_max,
+                           [(lam_c, h_c, base_c - l * den, den) for l in range(steps)])
 
 
 # ---------------------------------------------------------------------------

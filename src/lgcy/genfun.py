@@ -24,6 +24,7 @@ from .exactalg import (
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
+    _linear_product,
     gamma_shift_product,
 )
 from .cohseries import (
@@ -112,13 +113,17 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     z_min, z_max = orders.z_window
     rows = [g.exps for g in elements]
     terms: dict = {}
+    scalars: dict = {}   # fact -> the value 1/fact, shared by its terms
     for total in range(orders.t_order + 1):
         z = 1 - total
         if not z_min <= z <= z_max:
             continue
         for degs, sums, fact in _multidegree_walk(rows, total):
             sector = GroupElement.reduced(pair.fermat, sums)
-            terms[(sector.exps, z, degs)] = ring.scalar(Fraction(1, fact))
+            value = scalars.get(fact)
+            if value is None:
+                value = scalars[fact] = ring.scalar(Fraction(1, fact))
+            terms[(sector.exps, z, degs)] = value
     return CohSeries("lg", pair, tuple(rows), orders, terms, (), c_twist=c)
 
 
@@ -183,8 +188,10 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
         # is_nonempty reads its insertions only through n and the sums
         # sum_i k_j(g_i), so the duals that pass are kept per unreduced
-        # exponent sum of the insertions, for the span of this total
+        # exponent sum of the insertions, for the span of this total; the
+        # coefficient depends on fact alone within the total
         passing: dict = {}
+        scalars: dict = {}
         for degs, sums, fact in _multidegree_walk(rows, total):
             found = passing.get(sums)
             if found is None:
@@ -192,9 +199,13 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
                 found = passing[sums] = [
                     dual_sector for g0_jc, dual_sector in zip(shifted, duals)
                     if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
+            if not found:
+                continue
+            value = scalars.get(fact)
+            if value is None:
+                value = scalars[fact] = ring.scalar(Fraction(1, fact) * corr * dual_norm)
             for dual_sector in found:
-                terms[(dual_sector.exps, -a - 1, degs)] = \
-                    ring.scalar(Fraction(1, fact) * corr * dual_norm)
+                terms[(dual_sector.exps, -a - 1, degs)] = value
     return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
                      terms, (), c_twist=c)
 
@@ -288,21 +299,18 @@ def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,
 # the hypergeometric I-functions
 # ---------------------------------------------------------------------------
 
-def modification_factor(pair: LGPair, k0: int, a_vec, ring: SeriesRing,
+def modification_factor(pair: LGPair, r_num, ring: SeriesRing,
                         z_min: int, z_max: int) -> ZLaurentSeries:
-    """M(k0, k) = prod_j prod_{l < floor(r_j)} (-c_j lam - (frac(r_j) + l) z)."""
+    """M(k0, k) = prod_j prod_{l < floor(r_j)} (-c_j lam - (frac(r_j) + l) z).
+
+    r_j = r_num[j] / d.  Each factor goes to ``_linear_product`` over d as
+    (-c_j d lam - (r_num[j] mod d + l d) z) / d.
+    """
     d = pair.fermat.degree
-    result = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
-    for j, cj in enumerate(pair.fermat.weights):
-        r = Fraction(k0 * cj, d) + a_vec[j]
-        steps = r.numerator // r.denominator
-        frac = r - steps
-        for l in range(steps):
-            factor = ZLaurentSeries(ring, z_min, z_max,
-                                    {0: ring.monomial(lam=1, coeff=-Fraction(cj)),
-                                     1: ring.scalar(-(frac + l))})
-            result = result * factor
-    return result
+    return _linear_product(ring, z_min, z_max,
+                           [(-cj * d, 0, -(r % d + l * d), d)
+                            for cj, r in zip(pair.fermat.weights, r_num)
+                            for l in range(r // d)])
 
 
 def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
@@ -310,21 +318,27 @@ def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k).
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
-    of one walk over the index table, and a(k) is built only on a miss.
+    of one walk over the index table.
     """
     m_factor = products.get(term.r_num)
     if m_factor is None:
-        d, k0 = pair.fermat.degree, term.k0
-        a_vec = tuple(Fraction(r - k0 * cj, d)
-                      for r, cj in zip(term.r_num, pair.fermat.weights))
         m_factor = products[term.r_num] = \
-            modification_factor(pair, k0, a_vec, term.ring, z_min, z_max)
+            modification_factor(pair, term.r_num, term.ring, z_min, z_max)
     return (m_factor * term.ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
 
 
 def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
-    """The z-window every I value is built on, padded on both sides so that
-    no partial product is clamped inside the declared window."""
+    """The z-window every I value is built on: the declared window padded by
+    2T + 2n + 2 on each side, n the number of variables.
+
+    The I products themselves come from ``_linear_product``, which clamps
+    once, at the end, and refuses a window that a clamp after every factor
+    would have changed.  The padding guards the products that the
+    factorization check still forms on this window one ``ZLaurentSeries``
+    product at a time: its ``lhs`` (I value times the I block) and ``rhs``
+    (operator block times the scale) and the block products of
+    ``_gamma_ratio_blocks``, each clamped after every multiplication.
+    """
     z_min, z_max = orders.z_window
     pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
     return z_min - pad, z_max + pad
@@ -381,18 +395,6 @@ def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     return tuple(levels), ()
 
 
-def _inverse_linear_h_z(ring: SeriesRing, h_coeff: Fraction, level: Fraction,
-                        z_min: int, z_max: int) -> ZLaurentSeries:
-    """(h_coeff*H + level*z)^(-1) for level != 0, exact via nilpotency of H."""
-    if level == 0:
-        raise ZeroDivisionError("level must be nonzero")
-    terms = {}
-    for n in range(ring.nilpotency):
-        coeff = Fraction((-h_coeff) ** n, level ** (n + 1))
-        terms[-n - 1] = ring.monomial(h=n, coeff=coeff)
-    return ZLaurentSeries(ring, z_min, z_max, terms)
-
-
 def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
                products: dict) -> ZLaurentSeries:
     """The I^Y coefficient of one index: the k0 fiber factors, the ray
@@ -411,24 +413,22 @@ def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
 
 def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
                  z_min: int, z_max: int) -> ZLaurentSeries:
-    """The k0 fiber factors times the ray factors of every j; v_j = v_num[j] / d."""
+    """The k0 fiber factors times the ray factors of every j; v_j = v_num[j] / d.
+
+    The fiber factors -d (lam + H) - l z and the numerator ray factors
+    c_j H + level z go to ``_linear_product`` as linear factors, the
+    denominator ray factors (c_j H + level z)^-1 as inverse factors.
+    """
     d = pair.fermat.degree
-    value = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
-    for l in range(k0):
-        value = value * ZLaurentSeries(
-            ring, z_min, z_max,
-            {0: (ring.lam() + ring.hyperplane()) * Fraction(-d),
-             1: ring.scalar(Fraction(-l))})
+    linear = [(-d, -d, -l, 1) for l in range(k0)]
+    inverse = []
     for cj, v in zip(pair.fermat.weights, v_num):
         numerator_levels, denominator_levels = y_ray_levels(Fraction(v, d))
-        for level in numerator_levels:
-            value = value * ZLaurentSeries(
-                ring, z_min, z_max,
-                {0: ring.monomial(h=1, coeff=Fraction(cj)),
-                 1: ring.scalar(level)})
-        for level in denominator_levels:
-            value = value * _inverse_linear_h_z(ring, Fraction(cj), level, z_min, z_max)
-    return value
+        linear += [(0, cj * level.denominator, level.numerator, level.denominator)
+                   for level in numerator_levels]
+        inverse += [(cj * level.denominator, level.numerator, level.denominator)
+                    for level in denominator_levels]
+    return _linear_product(ring, z_min, z_max, linear, inverse)
 
 
 def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:

@@ -247,7 +247,12 @@ def check_gamma_factorization(pair: LGPair, orders: Orders,
 
 def check_continuation(pair: LGPair, orders: Orders,
                        _tamper=None) -> VerificationReport:
-    """Ubar(H^X) = H^Y' termwise: coefficients, atoms, prefactor tokens."""
+    """Ubar(H^X) = H^Y' termwise: coefficients, atoms, prefactor tokens.
+
+    ``h_continued`` reads its Gamma atoms from the same ``_x_atoms`` that
+    builds H^X, so a wrong atom there moves both sides alike and this check
+    cannot see it; only ``gamma-factorization`` catches it.
+    """
     def body():
         ix = i_function_x(pair, orders)
         _, hx = h_factorization(pair, ix, "x")

@@ -4,12 +4,14 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lgcy import genfun
+from lgcy.catalog import shipped_pairs
 from lgcy.exactalg import (
     Cyclotomic,
     ExactDivisionError,
@@ -19,6 +21,7 @@ from lgcy.exactalg import (
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
+    _linear_product,
     bernoulli_number,
     bernoulli_poly,
     cyclotomic_polynomial,
@@ -28,6 +31,8 @@ from lgcy.exactalg import (
     series_exp,
     series_invert,
 )
+from lgcy.genfun import y_ray_levels
+from lgcy.verify import recommended_orders
 
 
 # -- cyclotomic field ---------------------------------------------------------
@@ -345,6 +350,147 @@ def test_gamma_shift_product_carries_h():
     # single factor x - 0*z with x = H - (-1)z = H + z
     assert prod.coefficient(0) == ring.hyperplane()
     assert prod.coefficient(1) == ring.one()
+
+
+# -- the linear-factor product kernel -----------------------------------------
+
+def _per_factor_product(ring, z_min, z_max, factors):
+    """The route ``_linear_product`` replaced: one ``ZLaurentSeries`` per
+    factor, multiplied in the given order and clamped after every product.
+
+    A factor (lam, h, z) of Fractions is lam*lam + h*H + z*z; a factor
+    (h, z) is (h*H + z*z)^-1, expanded through the nilpotency of H.
+    """
+    result = ZLaurentSeries.constant(ring, z_min, z_max, ring.one())
+    for factor in factors:
+        if len(factor) == 3:
+            lam_c, h_c, z_c = factor
+            terms = {0: ring.monomial(lam=1, coeff=lam_c) + ring.monomial(h=1, coeff=h_c),
+                     1: ring.scalar(z_c)}
+        else:
+            h_c, z_c = factor
+            terms = {-n - 1: ring.monomial(h=n, coeff=(-h_c) ** n / z_c ** (n + 1))
+                     for n in range(ring.nilpotency)}
+        result = result * ZLaurentSeries(ring, z_min, z_max, terms)
+    return result
+
+
+def _kernel_arguments(factors):
+    """(linear, inverse) integer lists for ``_linear_product``."""
+    linear, inverse = [], []
+    for factor in factors:
+        den = lcm(*(c.denominator for c in factor))
+        nums = tuple(c.numerator * (den // c.denominator) for c in factor)
+        (linear if len(factor) == 3 else inverse).append(nums + (den,))
+    return linear, inverse
+
+
+def _random_factors(rng):
+    def coeff():
+        return F(rng.randint(-4, 4), rng.randint(1, 6))
+
+    factors = [(coeff(), coeff(), coeff()) for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.randint(0, 3)):
+        factors.insert(rng.randint(0, len(factors)),
+                       (coeff(), F(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 6))))
+    return factors
+
+
+def test_linear_product_matches_the_per_factor_route():
+    """The kernel equals the per-factor route on every window wide enough for
+    it, and on a narrow window it either equals it or raises ValueError."""
+    rng = random.Random(2024)
+    narrow_equal = narrow_refused = 0
+    for _ in range(400):
+        ring = SeriesRing(rng.choice([3, 4, 5, 6]), rng.randint(0, 4), rng.randint(1, 4))
+        factors = _random_factors(rng)
+        linear, inverse = _kernel_arguments(factors)
+        wide = (-len(inverse) - ring.nilpotency - rng.randint(0, 3),
+                len(linear) + rng.randint(0, 3))
+        assert _linear_product(ring, *wide, linear, inverse) == \
+            _per_factor_product(ring, *wide, factors)
+        z_min = rng.randint(-4, 3)
+        narrow = (z_min, z_min + rng.randint(0, 4))
+        try:
+            product = _linear_product(ring, *narrow, linear, inverse)
+        except ValueError:
+            narrow_refused += 1
+            continue
+        assert product == _per_factor_product(ring, *narrow, factors)
+        narrow_equal += 1
+    # both outcomes occur, so neither branch above is vacuous
+    assert narrow_equal > 50 and narrow_refused > 50
+
+
+def test_linear_product_refuses_a_window_the_per_factor_clamp_changes():
+    ring = SeriesRing(5, 3, 2)
+    linear = [(-5, 0, -2, 5), (-5, 0, -7, 5)]
+    factors = [(F(-1), F(0), F(-2, 5)), (F(-1), F(0), F(-7, 5))]
+    # z_min > 0 drops the starting 1 of the per-factor route, so its value
+    # is not the single clamp of the product; the kernel refuses the window
+    once = ZLaurentSeries(ring, 1, 4, _linear_product(ring, 0, 4, linear).terms)
+    assert not once.is_zero() and _per_factor_product(ring, 1, 4, factors).is_zero()
+    with pytest.raises(ValueError, match="clamps a partial product"):
+        _linear_product(ring, 1, 4, linear)
+    # taken first, the inverse factor puts a partial product at z = -1: a
+    # window that keeps the final z = 0 but not z = -1 is refused
+    linear, inverse = [(0, 1, 1, 1)], [(1, 2, 1)]
+    factors = [(F(0), F(1), F(1)), (F(1), F(2))]
+    assert _linear_product(ring, -2, 1, linear, inverse) == \
+        _per_factor_product(ring, -2, 1, factors)
+    with pytest.raises(ValueError, match="clamps a partial product"):
+        _linear_product(ring, 0, 1, linear, inverse)
+    with pytest.raises(ZeroDivisionError):
+        _linear_product(ring, -4, 4, [], [(1, 0, 1)])
+
+
+def _recorded_calls(monkeypatch, name, key_of):
+    """Wrap genfun.<name> so that each distinct call's result is kept under
+    key_of(*args)."""
+    calls: dict = {}
+    original = getattr(genfun, name)
+
+    def recording(*args):
+        result = calls[key_of(*args)] = original(*args)
+        return result
+
+    monkeypatch.setattr(genfun, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(shipped_pairs()))
+def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
+    """Every M(k0, k), I^Y factor product and Gamma-shift product that the
+    Gamma-factorization check of a shipped pair builds equals the per-factor
+    route over the factor lists the callers built before the kernel."""
+    pair = shipped_pairs()[name]
+    d, weights = pair.fermat.degree, pair.fermat.weights
+    orders = recommended_orders(pair, 10, 3)
+    modifications = _recorded_calls(
+        monkeypatch, "modification_factor", lambda p, r_num, *rest: (r_num,) + rest)
+    y_products = _recorded_calls(
+        monkeypatch, "_i_y_factors", lambda p, k0, v_num, *rest: (k0, v_num) + rest)
+    shifts = _recorded_calls(monkeypatch, "gamma_shift_product", lambda *args: args)
+    genfun.h_factorization(pair, genfun.i_function_x(pair, orders), "x")
+    genfun.h_factorization(pair, genfun.i_function_y(pair, orders), "y")
+    assert modifications and y_products and shifts
+
+    for (r_num, ring, z_min, z_max), value in modifications.items():
+        factors = []
+        for cj, r in zip(weights, r_num):
+            steps, frac = divmod(F(r, d), 1)
+            factors += [(F(-cj), F(0), -(frac + l)) for l in range(int(steps))]
+        assert value == _per_factor_product(ring, z_min, z_max, factors)
+    for (k0, v_num, ring, z_min, z_max), value in y_products.items():
+        factors = [(F(-d), F(-d), F(-l)) for l in range(k0)]
+        for cj, v in zip(weights, v_num):
+            numerator_levels, denominator_levels = y_ray_levels(F(v, d))
+            factors += [(F(0), F(cj), level) for level in numerator_levels]
+            factors += [(F(cj), level) for level in denominator_levels]
+        assert value == _per_factor_product(ring, z_min, z_max, factors)
+    for (lam_weight, h_weight, base, steps, ring, z_min, z_max), value in shifts.items():
+        factors = [(-lam_weight, -h_weight, -(base + l)) for l in range(steps)]
+        assert value == _per_factor_product(ring, z_min, z_max, factors)
 
 
 def test_gamma_atom_key_equality():

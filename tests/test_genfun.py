@@ -276,7 +276,7 @@ def test_string_equation():
 def test_modification_factor_m70():
     q = quintic()
     ring = SeriesRing(5, 6, 1)
-    factor = modification_factor(q, 7, (F(0),) * 5, ring, -20, 20)
+    factor = modification_factor(q, (7,) * 5, ring, -20, 20)  # r_j = 7/5
     expected = ZLaurentSeries.constant(ring, -20, 20, ring.one())
     linear = ZLaurentSeries(ring, -20, 20, {0: -ring.lam(), 1: ring.scalar(F(-2, 5))})
     for _ in range(5):
