@@ -313,9 +313,10 @@ def modification_factor(pair: LGPair, r_num, ring: SeriesRing,
                             for l in range(r // d)])
 
 
-def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
-               products: dict) -> ZLaurentSeries:
-    """The I^X coefficient of one index: M(k0, k) comb z^(1 - k0 - sum k).
+def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+               products: dict) -> tuple:
+    """(r, M(k0, k), comb, 1 - k0 - sum k): the I^X coefficient of one index
+    is M(k0, k) comb z^(1 - k0 - sum k).
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
     of one walk over the index table.
@@ -324,7 +325,13 @@ def _i_x_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if m_factor is None:
         m_factor = products[term.r_num] = \
             modification_factor(pair, term.r_num, term.ring, z_min, z_max)
-    return (m_factor * term.ring.scalar(term.comb)).shift(1 - term.k0 - sum(term.k))
+    return term.r_num, m_factor, term.comb, 1 - term.k0 - sum(term.k)
+
+
+def _i_value(parts: tuple) -> ZLaurentSeries:
+    """The I coefficient of one index from its (key, product, comb, z-power)."""
+    _, product, comb, offset = parts
+    return (product * product.ring.scalar(comb)).shift(offset)
 
 
 def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
@@ -334,27 +341,28 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
     The I products themselves come from ``_linear_product``, which clamps
     once, at the end, and refuses a window that a clamp after every factor
     would have changed.  The padding guards the products that the
-    factorization check still forms on this window one ``ZLaurentSeries``
-    product at a time: its ``lhs`` (I value times the I block) and ``rhs``
-    (operator block times the scale) and the block products of
-    ``_gamma_ratio_blocks``, each clamped after every multiplication.
+    factorization check forms on this window one ``ZLaurentSeries`` product
+    at a time, each clamped after every multiplication: the per-key
+    products (I product times the I block, against the operator block
+    shifted by delta), the block products of ``_gamma_ratio_blocks``, and
+    the ``lhs``/``rhs`` that a failing key re-forms term by term.
     """
     z_min, z_max = orders.z_window
     pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
     return z_min - pad, z_max + pad
 
 
-def _i_function(pair: LGPair, orders: Orders, side: str, value_of,
+def _i_function(pair: LGPair, orders: Orders, side: str, parts_of,
                 variable: str) -> CohSeries:
-    """The I-function of one side: ``value_of`` at every index of the side's
-    table on ``_wide_window``, one key per z; the series drops the keys
-    outside the declared window."""
+    """The I-function of one side: the value of ``parts_of`` at every index
+    of the side's table on ``_wide_window``, one key per z; the series drops
+    the keys outside the declared window."""
     pair.require_cy()
     window = _wide_window(orders, pair)
     terms: dict = {}
     products: dict = {}
     for term in _index_terms(pair, orders, side):
-        for z, value in value_of(pair, term, *window, products).terms.items():
+        for z, value in _i_value(parts_of(pair, term, *window, products)).terms.items():
             terms[(term.sector.exps, z, term.degs)] = value
     return _indexed_series(side, pair, orders, terms, variable)
 
@@ -365,7 +373,7 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     z t^(d lam/tau) sum_{k,k0} prod (t^{g_s})^{k_s} / (z^{k_s} k_s!) *
     M(k0,k) t^{k0} / (z^{k0} k0!) on the sector j^{k0} prod g_s^{k_s}.
     """
-    return _i_function(pair, orders, "x", _i_x_value, "t")
+    return _i_function(pair, orders, "x", _i_x_parts, "t")
 
 
 def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -395,10 +403,11 @@ def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     return tuple(levels), ()
 
 
-def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
-               products: dict) -> ZLaurentSeries:
-    """The I^Y coefficient of one index: the k0 fiber factors, the ray
-    factors of every j, comb_k and z^(1 - sum k).
+def _i_y_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+               products: dict) -> tuple:
+    """((n_g, k0, v), factors, comb_k, 1 - sum k): the I^Y coefficient of one
+    index is the k0 fiber factors times the ray factors of every j, times
+    comb_k z^(1 - sum k).
 
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
@@ -408,7 +417,7 @@ def _i_y_value(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if value is None:
         value = products[key] = \
             _i_y_factors(pair, term.k0, term.v_num, term.ring, z_min, z_max)
-    return (value * term.ring.scalar(term.comb_k)).shift(1 - sum(term.k))
+    return key, value, term.comb_k, 1 - sum(term.k)
 
 
 def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
@@ -437,7 +446,7 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     Supported on sectors with N_g > 0; carries the q^(H/tau) prefactor.
     The multidegree slot 0 is the exponent of q^(1/d).
     """
-    return _i_function(pair, orders, "y", _i_y_value, "q^(1/d)")
+    return _i_function(pair, orders, "y", _i_y_parts, "q^(1/d)")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +525,12 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     atom of the Gamma-class operator with an atom of H at an integer offset
     gap, re-expands each ratio through the polynomial rewrite and insists
     on an identically zero residual; the first bad coefficient is carried
-    on the raised IdentityError.  The side's index table is built once and
+    on the raised IdentityError.  The residual verdict is formed once per
+    (I product, Gamma-ratio blocks, z-offset) key and looked up by the
+    later terms of that key; a failing key falls back to the term's own
+    ``lhs``/``rhs``, so the witness is the term-by-term one.  The stored I
+    series is compared with comb times the I product in integers, without
+    rebuilding the I value.  The side's index table is built once and
     walked by the H builder and by the verification, each with dicts of
     its own.
     """
@@ -529,23 +543,62 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     return gamma, h_series
 
 
-def _assert_is_clamp(series: CohSeries, sector, degs, wide: ZLaurentSeries,
-                     label: str):
-    """The stored series must be the window clamp of the wide recomputation.
-
-    Both sides are {z: value} over the declared window, and values compare
-    in the ring they carry.
-    """
+def _stored_counts(series: CohSeries) -> dict:
+    """The number of stored keys per (sector, degree) in the declared window."""
     z_min, z_max = series.orders.z_window
-    stored = {}
-    for z in range(z_min, z_max + 1):
-        value = series.terms.get((sector, z, degs))
-        if value is not None:
-            stored[z] = value
-    clamped = {z: value for z, value in wide.terms.items() if z_min <= z <= z_max}
-    if stored != clamped:
-        raise IdentityError(f"{label}: stored series is not the declared clamp",
-                            {"sector": list(sector), "degree": list(degs)})
+    counts: dict = {}
+    for sector, z, degs in series.terms:
+        if z_min <= z <= z_max:
+            counts[sector, degs] = counts.get((sector, degs), 0) + 1
+    return counts
+
+
+def _assert_is_clamp(series: CohSeries, counts: dict, sector, degs, parts: tuple,
+                     label: str):
+    """The stored series must be the window clamp of comb z^offset times the
+    I product of ``parts`` (key, product, comb, offset).
+
+    Each stored coefficient at z + offset must lie in the product's ring and
+    equal comb times the product's coefficient at z cell by cell, compared by
+    cross-multiplying integer numerators and denominators; ``counts``, from
+    ``_stored_counts``, then rules out a stored z that the product lacks.
+    """
+    _, product, comb, offset = parts
+    z_min, z_max = series.orders.z_window
+    ring, terms = product.ring, series.terms
+    cn, cd = comb.numerator, comb.denominator
+    found = 0
+    for z, value in product.terms.items():
+        z += offset
+        if not z_min <= z <= z_max:
+            continue
+        found += 1
+        stored = terms.get((sector, z, degs))
+        if stored is None or (stored.ring is not ring and stored.ring != ring) \
+                or not _scaled_equals(stored, value, cn, cd):
+            break
+    else:
+        if counts.get((sector, degs), 0) == found:
+            return
+    raise IdentityError(f"{label}: stored series is not the declared clamp",
+                        {"sector": list(sector), "degree": list(degs)})
+
+
+def _scaled_equals(stored: SectorValue, value: SectorValue, cn: int, cd: int) -> bool:
+    """stored == (cn / cd) value, cell by cell, with each cell's numerators
+    cross-multiplied by the other side's denominator in integers."""
+    if len(stored.terms) != len(value.terms):
+        return False
+    cells = stored.terms
+    for key, coeff in value.terms.items():
+        cell = cells.get(key)
+        if cell is None:
+            return False
+        left, right = coeff.den * cd, cn * cell.den
+        for x, y in zip(cell.nums, coeff.nums):
+            if x * left != y * right:
+                return False
+    return True
 
 
 def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
@@ -578,19 +631,29 @@ def _integral_age(sector: GroupElement) -> int:
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
-                        window: tuple[int, int], sector, degs):
+                        window: tuple[int, int], sector, degs, shifts: dict):
     """(I block, operator block) of one pairing of Gamma-class and H atoms.
 
     Each Gamma-class atom g pairs with an H atom h of the same weights whose
     offset is larger by an integer n.  Gamma(g) / Gamma(h) is z^-n times the
     product of n linear factors, which multiplies the operator block for
     n > 0; for n < 0 the inverse ratio's product multiplies the I block
-    (None while it is empty).  An atom left unpaired on either side raises.
+    (None while it is empty; the operator block is 1 then).  An atom left
+    unpaired on either side raises.
+    ``shifts`` keeps each z-shifted ``gamma_shift_product`` per (weights,
+    offset, steps, ring) for the span of one walk.
     """
+    def shifted(atom: GammaAtom, steps: int) -> ZLaurentSeries:
+        key = (atom.weight, atom.h_weight, atom.offset, steps, ring)
+        factor = shifts.get(key)
+        if factor is None:
+            factor = shifts[key] = gamma_shift_product(
+                atom.weight, atom.h_weight, atom.offset, steps, ring, *window).shift(-steps)
+        return factor
+
     pool = {atom: -exp for atom, exp in h_atoms}
     unpaired = []
-    i_block = None
-    block = ZLaurentSeries.constant(ring, *window, ring.one())
+    i_block = block = None
     for atom, exp in gamma_atoms:
         for _ in range(exp):
             weights = (atom.weight, atom.h_weight)
@@ -603,17 +666,18 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
             pool[partner] -= 1
             n = int(partner.offset - atom.offset)
             if n > 0:
-                block = block * gamma_shift_product(
-                    atom.weight, atom.h_weight, atom.offset, n, ring, *window).shift(-n)
+                factor = shifted(atom, n)
+                block = factor if block is None else block * factor
             elif n < 0:
-                factor = gamma_shift_product(partner.weight, partner.h_weight,
-                                             partner.offset, -n, ring, *window).shift(n)
+                factor = shifted(partner, -n)
                 i_block = factor if i_block is None else i_block * factor
     unpaired += [h for h, left in pool.items() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
                              "atom": str(unpaired[0])})
+    if block is None:
+        block = ZLaurentSeries.constant(ring, *window, ring.one())
     return i_block, block
 
 
@@ -621,23 +685,44 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
                           h_series: CohSeries, gamma, table: list):
     """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on one side.
 
-    The I closed form is recomputed on ``_wide_window`` so clamping cannot
-    mask a residual, and the stored I and H series are asserted to be their
-    closed forms.  The operator side is built from the Gamma-class operator
-    ``gamma`` and the H atoms alone: each Gamma/H atom ratio is re-expanded
-    by ``_gamma_ratio_blocks``, and I times the I block must equal
-    z^(1 - age) times the operator block and H's coefficient.  The I
-    products are kept per walk as the I builder keeps them, the H atoms in
-    a memo of this walk, and both blocks per (sector, H atoms), which fixes
-    everything the pairing reads; every term still runs every check.
+    The I side is the index's product (``modification_factor`` or
+    ``_i_y_factors``) on ``_wide_window``, so clamping cannot mask a
+    residual, times comb z^offset; the operator side is built from the
+    Gamma-class operator ``gamma`` and the H atoms alone: each Gamma/H atom
+    ratio is re-expanded by ``_gamma_ratio_blocks``, and I times the I block
+    must equal z^(1 - age) times the operator block and H's coefficient.
+
+    Each term runs three checks, in this order:
+
+    * the stored I series is the clamp of its closed form, compared in
+      integers against the product without rebuilding the I value
+      (``_assert_is_clamp``);
+    * the stored H term is its closed form;
+    * the residual.  comb and z^offset are common to both sides, so with
+      delta = (shift + 1 - age) - offset the identity reads product times
+      I block = operator block times z^delta.  That verdict depends only on
+      (product key, (sector, H atoms), delta) and is formed once per key
+      from ``ZLaurentSeries`` products; later terms of the key look it up.
+      A term whose key fails, or whose I comb is not H's, re-forms its
+      ``lhs``/``rhs`` with comb and z-power and raises through
+      ``_assert_no_residual``, so the witness names the first bad z.
+
+    The I products are kept per walk as the I builder keeps them, the H
+    atoms in a memo of this walk, both blocks per (sector, H atoms), which
+    fixes everything the pairing reads, and their Gamma-shift factors per
+    argument.
     """
     if side == "x":
-        value_of, atoms_of = _i_x_value, _x_atoms
+        parts_of, atoms_of = _i_x_parts, _x_atoms
     else:
-        value_of, atoms_of = _i_y_value, _y_atoms
+        parts_of, atoms_of = _i_y_parts, _y_atoms
     window = _wide_window(i_series.orders, pair)
+    label = f"I^{side.upper()}"
+    counts = _stored_counts(i_series)
     i_products: dict = {}
     blocks: dict = {}
+    shifts: dict = {}
+    verdicts: dict = {}
     memo: dict = {}
     for term in table:
         sector, ring = term.sector, term.ring
@@ -646,21 +731,30 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
         scale = term.comb if side == "x" else term.comb_k
         atoms = atoms_of(pair, term, memo)
 
-        i_value = value_of(pair, term, *window, i_products)
-        _assert_is_clamp(i_series, sector.exps, term.degs, i_value, f"I^{side.upper()}")
+        parts = parts_of(pair, term, *window, i_products)
+        product_key, product, comb, offset = parts
+        _assert_is_clamp(i_series, counts, sector.exps, term.degs, parts, label)
         _assert_h_term(h_series, sector.exps, shift, term.degs,
                        _atom_value(ring, atoms, scale))
 
-        key = (sector.exps, atoms)
-        if key not in blocks:
+        block_key = (sector.exps, atoms)
+        if block_key not in blocks:
             [(_, entry)] = gamma.blocks[sector.exps]
             [(_, _, _, gamma_atoms)] = entry.terms
-            blocks[key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                              sector.exps, term.degs)
-        i_block, block = blocks[key]
-        lhs = i_value if i_block is None else i_value * i_block
-        rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
-        _assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
+            blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
+                                                    sector.exps, term.degs, shifts)
+        i_block, block = blocks[block_key]
+        delta = shift + 1 - age - offset
+        key = (product_key, block_key, delta)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            lhs = product if i_block is None else product * i_block
+            verdict = verdicts[key] = lhs == block.shift(delta)
+        if not verdict or comb != scale:
+            i_value = _i_value(parts)
+            lhs = i_value if i_block is None else i_value * i_block
+            rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
+            _assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .cohseries import CohSeries, Orders
 from .exactalg import (
@@ -58,6 +59,8 @@ __all__ = [
     "CHECKS",
     "ALL_CHECKS",
     "MIN_T_ORDER",
+    "WORK_BOUND",
+    "work_estimate",
     "run_checks",
     "self_test",
 ]
@@ -528,22 +531,60 @@ CHECKS = {
 
 ALL_CHECKS = tuple(CHECKS)
 
+# The checks that walk every multidegree of the group coordinates (J and its
+# oracle) and those that walk the index table (I, H and what is built on I^X).
+_J_WALK_CHECKS = ("oracle-equivalence", "mlk-untwisted")
+_INDEX_WALK_CHECKS = ("gamma-factorization", "continuation", "fjrw-pipeline",
+                      "kernel-compatibility")
+
+# The largest walk a run may start.  It admits every shipped pair at T = 10
+# (the quartic's J walk, 43,758 multidegrees, is the largest) and refuses
+# (1,1,1,1; 4) with its maximal SL group at T = 4 (814,385 multidegrees).
+WORK_BOUND = 100_000
+
+
+def work_estimate(pair: LGPair, orders: Orders, names) -> int:
+    """The number of terms of the largest walk the named checks make at
+    ``orders``, counted before anything is built: C(|G| + T, T) multidegrees
+    for a J check, C(1 + P + T, T) indices for an I/H check, with P the
+    number of positive-dimensional sectors.  0 when no named check walks."""
+    t = orders.t_order
+    counts = [0]
+    if any(name in _J_WALK_CHECKS for name in names):
+        counts.append(comb(len(pair.group) + t, t))
+    if any(name in _INDEX_WALK_CHECKS for name in names):
+        counts.append(comb(1 + len(pair.positive_dim_sectors()) + t, t))
+    return max(counts)
+
+
+def _require_bounded(pair: LGPair, orders: Orders, names) -> None:
+    estimate = work_estimate(pair, orders, names)
+    if estimate > WORK_BOUND:
+        raise ValueError(f"the checks would walk {estimate:,} terms at T = "
+                         f"{orders.t_order}, above the bound of {WORK_BOUND:,}")
+
 
 def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     """The reports of the named checks, in the given order, each at its
-    ``CHECKS`` orders.  An unknown name raises ValueError before any check runs.
+    ``CHECKS`` orders.  An unknown name, or a ``work_estimate`` above
+    ``WORK_BOUND``, raises ValueError before any check runs.
     """
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    _require_bounded(pair, orders, names)
     return [CHECKS[name](pair, orders) for name in names]
 
 
 def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     """Inject one fault per check, in ``ALL_CHECKS`` order; every report
-    must come back failing with a witness."""
+    must come back failing with a witness.  Orders whose ``work_estimate``
+    exceeds ``WORK_BOUND`` raise ValueError first."""
     small = Orders(t_order=min(orders.t_order, 5),
                    lam_order=min(orders.lam_order, 3))
+    # the oracle-equivalence fault is placed at T = 4 whatever the orders
+    _require_bounded(pair, Orders(t_order=max(small.t_order, 4), lam_order=0),
+                     ALL_CHECKS)
     wide = recommended_orders(pair, small.t_order, small.lam_order)
     oracle = untwisted_j_oracle(pair, 0, small)
     key_oracle = sorted(oracle.terms)[len(oracle.terms) // 2]

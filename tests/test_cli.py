@@ -232,3 +232,18 @@ def test_failing_check_exits_1(capsys, monkeypatch):
                            "--checks", "continuation")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
+    """(1,1,1,1; 4) with its maximal SL group walks 814,385 multidegrees at
+    T = 4: refused with exit 2, naming the count and the bound."""
+    pair_file = tmp_path / "maximal.json"
+    pair_file.write_text(json.dumps({"weights": [1, 1, 1, 1], "degree": 4,
+                                     "generators": [[1, 3, 0, 0], [0, 1, 3, 0],
+                                                    [0, 0, 1, 3]]}))
+    for extra in ((), ("--self-test",)):
+        code, out, err = run_cli(capsys, "verify", "--pair", str(pair_file),
+                                 "--T", "4", "--lambda-order", "2", *extra)
+        assert code == 2
+        assert "814,385" in err and "100,000" in err
+        assert out == ""

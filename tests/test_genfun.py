@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -423,6 +424,46 @@ def _first_repeated(terms, key_of):
     raise AssertionError("no repeated product key")
 
 
+def _repeated_index(pair, side):
+    """The degree of the first index whose product (hence whose sector, H
+    atoms and z-offset) an earlier index of the same sector already had."""
+    parts_of = genfun._i_x_parts if side == "x" else genfun._i_y_parts
+    orders = recommended_orders(pair, 6, 3)
+    window = genfun._wide_window(orders, pair)
+    products = {}
+    return _first_repeated(
+        _index_terms(pair, orders, side),
+        lambda term: (term.sector.exps, parts_of(pair, term, *window, products)[0])).degs
+
+
+def _doubled_rewrite(monkeypatch, pair, side):
+    rewrite = genfun.gamma_shift_product
+
+    def doubled(lam_weight, h_weight, base, steps, ring, z_min, z_max):
+        product = rewrite(lam_weight, h_weight, base, steps, ring, z_min, z_max)
+        return product * F(2) if steps > 0 else product
+
+    monkeypatch.setattr(genfun, "gamma_shift_product", doubled)
+
+
+def _moved_atom(moved, repeated_only=False):
+    def inject(monkeypatch, pair, side):
+        name = "_x_atoms" if side == "x" else "_y_atoms"
+        atoms_of = getattr(genfun, name)
+        target = _repeated_index(pair, side) if repeated_only else None
+
+        def moved_atoms(p, term, memo):
+            atoms = atoms_of(p, term, memo)
+            if target not in (None, term.degs):
+                return atoms
+            (atom, exp), *rest = atoms
+            atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
+            return tuple(sorted([(atom, exp)] + rest))
+
+        monkeypatch.setattr(genfun, name, moved_atoms)
+    return inject
+
+
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_factorization_checks_terms_whose_product_is_reused(side):
     """A term whose product comes out of the per-walk dict is still checked:
@@ -454,13 +495,7 @@ def test_factorization_residual_names_the_first_bad_coefficient(monkeypatch, sid
     first bad coefficient with both of its values."""
     p = quartic()
     series = (i_function_x if side == "x" else i_function_y)(p, recommended_orders(p, 6, 3))
-    rewrite = genfun.gamma_shift_product
-
-    def doubled(lam_weight, h_weight, base, steps, ring, z_min, z_max):
-        product = rewrite(lam_weight, h_weight, base, steps, ring, z_min, z_max)
-        return product * F(2) if steps > 0 else product
-
-    monkeypatch.setattr(genfun, "gamma_shift_product", doubled)
+    _doubled_rewrite(monkeypatch, p, side)
     with pytest.raises(IdentityError, match=f"residual on the {side.upper()} side") as caught:
         h_factorization(p, series, side)
     assert set(caught.value.witness) == {"sector", "z", "degree", "left", "right"}
@@ -502,18 +537,204 @@ def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, ma
     integer leaves a residual, and by a non-integer leaves it unpaired."""
     series = (i_function_x if side == "x" else i_function_y)(
         pair, recommended_orders(pair, 5, 3))
-    name = "_x_atoms" if side == "x" else "_y_atoms"
-    atoms_of = getattr(genfun, name)
-
-    def moved_atoms(p, term, memo):
-        (atom, exp), *rest = atoms_of(p, term, memo)
-        atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
-        return tuple(sorted([(atom, exp)] + rest))
-
-    monkeypatch.setattr(genfun, name, moved_atoms)
+    _moved_atom(moved)(monkeypatch, pair, side)
     with pytest.raises(IdentityError, match=match) as caught:
         h_factorization(pair, series, side)
     assert set(caught.value.witness) == witness
+
+
+# -- the per-key factorization check against the per-term route ----------------------
+
+def _per_term_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
+    """The Gamma-ratio blocks as the per-term route forms them: one
+    ``gamma_shift_product`` per paired atom, nothing kept."""
+    pool = {atom: -exp for atom, exp in h_atoms}
+    unpaired = []
+    i_block = None
+    block = ZLaurentSeries.constant(ring, *window, ring.one())
+    for atom, exp in gamma_atoms:
+        for _ in range(exp):
+            weights = (atom.weight, atom.h_weight)
+            partner = next((h for h, left in pool.items()
+                            if left > 0 and (h.weight, h.h_weight) == weights
+                            and (h.offset - atom.offset).denominator == 1), None)
+            if partner is None:
+                unpaired.append(atom)
+                continue
+            pool[partner] -= 1
+            n = int(partner.offset - atom.offset)
+            if n > 0:
+                block = block * genfun.gamma_shift_product(
+                    atom.weight, atom.h_weight, atom.offset, n, ring, *window).shift(-n)
+            elif n < 0:
+                factor = genfun.gamma_shift_product(
+                    partner.weight, partner.h_weight, partner.offset, -n, ring,
+                    *window).shift(n)
+                i_block = factor if i_block is None else i_block * factor
+    unpaired += [h for h, left in pool.items() if left]
+    if unpaired:
+        raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
+                            {"sector": list(sector), "degree": list(degs),
+                             "atom": str(unpaired[0])})
+    return i_block, block
+
+
+def _per_term_factorization(pair, side, i_series, h_series, gamma, table):
+    """The factorization check term by term: every term rebuilds its I value
+    for the clamp compare and forms lhs and rhs as ``ZLaurentSeries``."""
+    if side == "x":
+        parts_of, atoms_of = genfun._i_x_parts, genfun._x_atoms
+    else:
+        parts_of, atoms_of = genfun._i_y_parts, genfun._y_atoms
+    window = genfun._wide_window(i_series.orders, pair)
+    z_min, z_max = i_series.orders.z_window
+    products, blocks, memo = {}, {}, {}
+    for term in table:
+        sector, ring = term.sector, term.ring
+        age = genfun._integral_age(sector)
+        shift = term.z_shift()
+        scale = term.comb if side == "x" else term.comb_k
+        atoms = atoms_of(pair, term, memo)
+        i_value = genfun._i_value(parts_of(pair, term, *window, products))
+        stored = {z: i_series.terms[sector.exps, z, term.degs]
+                  for z in range(z_min, z_max + 1)
+                  if (sector.exps, z, term.degs) in i_series.terms}
+        clamped = {z: v for z, v in i_value.terms.items() if z_min <= z <= z_max}
+        if stored != clamped:
+            raise IdentityError(f"I^{side.upper()}: stored series is not the declared clamp",
+                                {"sector": list(sector.exps), "degree": list(term.degs)})
+        genfun._assert_h_term(h_series, sector.exps, shift, term.degs,
+                              genfun._atom_value(ring, atoms, scale))
+        key = (sector.exps, atoms)
+        if key not in blocks:
+            [(_, entry)] = gamma.blocks[sector.exps]
+            [(_, _, _, gamma_atoms)] = entry.terms
+            blocks[key] = _per_term_blocks(gamma_atoms, atoms, ring, window,
+                                           sector.exps, term.degs)
+        i_block, block = blocks[key]
+        lhs = i_value if i_block is None else i_value * i_block
+        rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
+        genfun._assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
+
+
+def _doubled_i_comb(monkeypatch, pair, side):
+    name = "_i_x_parts" if side == "x" else "_i_y_parts"
+    parts_of = getattr(genfun, name)
+
+    def doubled(p, term, z_min, z_max, products):
+        key, product, comb, offset = parts_of(p, term, z_min, z_max, products)
+        return key, product, comb * 2, offset
+
+    monkeypatch.setattr(genfun, name, doubled)
+
+
+def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
+    target = _repeated_index(pair, side)
+    z_shift = genfun.IndexTerm.z_shift
+
+    def moved(term):
+        return z_shift(term) + (term.degs == target)
+
+    monkeypatch.setattr(genfun.IndexTerm, "z_shift", moved)
+
+
+def _doubled_product_on_a_repeated_index(monkeypatch, pair, side):
+    target = _repeated_index(pair, side)
+    name = "_i_x_parts" if side == "x" else "_i_y_parts"
+    parts_of = getattr(genfun, name)
+
+    def doubled(p, term, z_min, z_max, products):
+        key, product, comb, offset = parts_of(p, term, z_min, z_max, products)
+        if term.degs == target:
+            return ("doubled", key), product * F(2), comb, offset
+        return key, product, comb, offset
+
+    monkeypatch.setattr(genfun, name, doubled)
+
+
+FACTORIZATION_FAULTS = {
+    "none": None,
+    "gamma-shift-doubled": _doubled_rewrite,
+    "h-atom-moved-by-1": _moved_atom(F(1)),
+    "h-atom-moved-by-half": _moved_atom(F(1, 2)),
+    "i-comb-doubled": _doubled_i_comb,
+    # an index that shares its product, blocks and z-offset with an earlier
+    # one, made to differ from it by its z-offset, its H atoms or its product
+    "z-shift-moved-on-a-repeated-index": _moved_z_shift_on_a_repeated_index,
+    "h-atom-moved-on-a-repeated-index": _moved_atom(F(1), repeated_only=True),
+    "i-product-doubled-on-a-repeated-index": _doubled_product_on_a_repeated_index,
+}
+
+
+def _changed_middle_coefficient(change):
+    def tamper(series):
+        key = sorted(series.terms)[len(series.terms) // 2]
+        return series._replace_terms({**series.terms, key: change(series.terms[key])})
+    return tamper
+
+
+def _tau_moved(value):
+    return value.map_monomials(lambda key, coeff: ((key[0], key[1], key[2] + 1, key[3]), coeff))
+
+
+# faults in the stored I series, which the clamp assert must catch
+STORED_FAULTS = {
+    "i-coefficient-doubled": _changed_middle_coefficient(lambda value: value * 2),
+    "i-monomials-moved": _changed_middle_coefficient(_tau_moved),
+    "i-monomials-added": _changed_middle_coefficient(lambda value: value + _tau_moved(value)),
+    "i-ring-widened": _changed_middle_coefficient(lambda value: value.with_ring(
+        SeriesRing(value.ring.order, value.ring.lam_order + 1, value.ring.nilpotency))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FACTORIZATION_FAULTS) + sorted(STORED_FAULTS))
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, fault):
+    """Per-key residual verdicts and the integer clamp compare give the
+    message and witness of the term-by-term route, under every fault."""
+    orders = recommended_orders(pair, 6, 3)
+    inject = FACTORIZATION_FAULTS.get(fault)
+    if inject is not None:
+        inject(monkeypatch, pair, side)
+    i_series = (i_function_x if side == "x" else i_function_y)(pair, orders)
+    if fault in STORED_FAULTS:
+        i_series = STORED_FAULTS[fault](i_series)
+    table = list(_index_terms(pair, orders, side))
+    h_series = (h_function_x if side == "x" else h_function_y)(pair, orders, _table=table)
+    gamma = gamma_class_op(pair, side)
+
+    def outcome(check):
+        try:
+            check(pair, side, i_series, h_series, gamma, table)
+        except IdentityError as err:
+            return str(err), err.witness
+        return None
+
+    expected = outcome(_per_term_factorization)
+    assert (expected is None) == (fault == "none")
+    assert outcome(_verify_factorization) == expected
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_factorization_refuses_a_stored_z_the_closed_form_lacks(side):
+    """An extra in-window z-key on an index's (sector, degree) fails the
+    clamp assert: each stored key matches its closed form, but the stored
+    keys outnumber the closed form's."""
+    p = quartic()
+    orders = recommended_orders(p, 6, 3)
+    series = (i_function_x if side == "x" else i_function_y)(p, orders)
+    z_min, z_max = orders.z_window
+    sector, z, degs = next(
+        key for key in sorted(series.terms)
+        if any((key[0], free, key[2]) not in series.terms for free in range(z_min, z_max + 1)))
+    free = next(w for w in range(z_min, z_max + 1) if (sector, w, degs) not in series.terms)
+    extra = series._replace_terms({**series.terms,
+                                   (sector, free, degs): series.terms[sector, z, degs]})
+    label = f"I^{side.upper()}: stored series is not the declared clamp"
+    with pytest.raises(IdentityError, match=re.escape(label)) as caught:
+        h_factorization(p, extra, side)
+    assert caught.value.witness == {"sector": list(sector), "degree": list(degs)}
 
 
 # -- the continued series -------------------------------------------------------------

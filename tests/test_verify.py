@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -294,3 +295,83 @@ def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
         assert not report.ok(), (t_order, report.check)
         # a real detection, not a refusal of the orders
         assert report.witness.get("kind") != "orders", (t_order, report.check)
+
+
+# -- witness kinds reached by an injected fault ------------------------------------
+
+SHIPPED = [quintic(), cubic(), quartic(), sextic()]
+
+
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_rctc_degenerate_block_witness(monkeypatch, pair):
+    block = verify.ubar_block
+    monkeypatch.setattr(verify, "ubar_block", lambda p, b, ring: block(p, b, ring) * 2)
+    report = check_rctc_conditions(pair, 4)
+    assert report.witness["kind"] == "degenerate-block"
+
+
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_rctc_rank_witness(monkeypatch, pair):
+    rank = verify._cyclo_matrix_rank
+    monkeypatch.setattr(verify, "_cyclo_matrix_rank", lambda rows: rank(rows) - 1)
+    report = check_rctc_conditions(pair, 4)
+    assert report.witness["kind"] == "rank"
+
+
+# the quintic has no survivor at T = 4 and reads "vacuous" there
+@pytest.mark.parametrize("pair", [cubic(), quartic(), sextic()], ids=lambda p: p.name)
+def test_kernel_pullback_nonzero_witness(monkeypatch, pair):
+    class NoPullback:
+        def __init__(self, _pair):
+            pass
+
+        def apply(self, series):
+            return series
+
+    monkeypatch.setattr(verify, "PullbackToZ", NoPullback)
+    report = check_kernel_compatibility(pair, recommended_orders(pair, 4, 3))
+    assert report.witness["kind"] == "pullback-nonzero"
+
+
+# -- the up-front size guard ---------------------------------------------------------
+
+MAXIMAL_QUARTIC = {"weights": [1, 1, 1, 1], "degree": 4,
+                   "generators": [[1, 3, 0, 0], [0, 1, 3, 0], [0, 0, 1, 3]]}
+
+
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_work_bound_admits_every_shipped_pair(pair):
+    for t_order in (8, 10):
+        orders = recommended_orders(pair, t_order, 4)
+        assert verify.work_estimate(pair, orders, ALL_CHECKS) <= verify.WORK_BOUND
+    orders = recommended_orders(pair, 12, 3)
+    assert verify.work_estimate(pair, orders, ["continuation"]) <= verify.WORK_BOUND
+
+
+def test_work_estimate_counts_the_walks():
+    q = quartic()   # |G| = 8, three positive-dimensional sectors
+    orders = recommended_orders(q, 4, 2)
+    assert verify.work_estimate(q, orders, ["mlk-untwisted"]) == 495
+    assert verify.work_estimate(q, orders, ["gamma-factorization"]) == 70
+    assert verify.work_estimate(q, orders, ["residue-lemma"]) == 0
+    assert verify.work_estimate(q, orders, ALL_CHECKS) == 495
+
+
+def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
+    from lgcy.lgmodel import load_pair
+
+    def no_check(*_):
+        raise AssertionError("a check ran above the work bound")
+
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    monkeypatch.setattr(verify, "untwisted_j_oracle", no_check)
+    start = time.perf_counter()
+    pair = load_pair(MAXIMAL_QUARTIC)
+    assert len(pair.group) == 64
+    orders = recommended_orders(pair, 4, 2)
+    assert verify.work_estimate(pair, orders, ALL_CHECKS) == 814_385
+    with pytest.raises(ValueError, match="814,385 terms .* bound of 100,000"):
+        run_checks(pair, ALL_CHECKS, orders)
+    with pytest.raises(ValueError, match="814,385 terms"):
+        self_test(pair, orders)
+    assert time.perf_counter() - start < 1.0
