@@ -1032,7 +1032,27 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum C(n,k) B_k x^{n-k}, exact."""
+    """B_n(x) = sum C(n,k) B_k x^{n-k}, exact.
+
+    Not memoised: a cache keyed on ``x`` would take ``0.5`` for ``1/2`` and
+    return an exact value for a float; ``_bernoulli_at`` is the cache.
+    """
     x = Fraction(*_rational_parts(x))
     return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
                 for k in range(n + 1)), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_at(n: int, p: int, q: int) -> Fraction:
+    """B_n(p/q) for integers p and q > 0, computed once per process.
+
+    q^n B_n(p/q) = sum_k C(n,k) B_k p^(n-k) q^k, summed in integers over
+    the lcm D of the denominators of B_0..B_n: one Fraction per key.
+    Callers pass the integer parts of ``_rational_parts``, so a float never
+    reaches the cache.
+    """
+    numbers = [bernoulli_number(k) for k in range(n + 1)]
+    den = lcm(*(b.denominator for b in numbers))
+    total = sum(comb(n, k) * b.numerator * (den // b.denominator) * p ** (n - k) * q ** k
+                for k, b in enumerate(numbers))
+    return Fraction(total, den * q ** n)

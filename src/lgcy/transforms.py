@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm, perm
 
 from .exactalg import (
     ExactDivisionError,
@@ -22,7 +23,8 @@ from .exactalg import (
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
-    bernoulli_poly,
+    _bernoulli_at,
+    _rational_parts,
     divide_by_lambda_plus_h,
     series_exp,
     series_invert,
@@ -302,6 +304,9 @@ class SPoly:
     """Polynomial in the variables s^j_k and z, truncated in s-degree and z.
 
     Monomial keys: (s_mono, z) with s_mono a sorted tuple of ((j, k), e).
+    Coefficients are exact rationals; a float is refused (``TypeError``
+    from ``_rational_parts``) where a coefficient enters through
+    ``constant`` or ``exp``.
     """
 
     __slots__ = ("s_degree", "z_order", "terms")
@@ -316,9 +321,18 @@ class SPoly:
         self.z_order = z_order
         self.terms = clean
 
+    @classmethod
+    def _truncated(cls, s_degree: int, z_order: int, terms: dict) -> "SPoly":
+        """An SPoly of ``terms`` that are already truncated and nonzero."""
+        poly = object.__new__(cls)
+        poly.s_degree = s_degree
+        poly.z_order = z_order
+        poly.terms = terms
+        return poly
+
     @staticmethod
     def constant(s_degree: int, z_order: int, value) -> "SPoly":
-        return SPoly(s_degree, z_order, {((), 0): Fraction(value)})
+        return SPoly(s_degree, z_order, {((), 0): Fraction(*_rational_parts(value))})
 
     def __add__(self, other: "SPoly") -> "SPoly":
         terms = dict(self.terms)
@@ -350,38 +364,55 @@ class SPoly:
         """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
 
         exp(L) = sum over multisets {y_i^(e_i)} of prod_i c_i^(e_i) / e_i!
-        * y_i^(e_i), whose s-degree is sum_i e_i: each multiset of at most
-        s_degree terms is visited once, and one whose z-degree passes
+        * y_i^(e_i), whose s-degree is e = sum_i e_i: each multiset of at
+        most s_degree terms is visited once, and one whose z-degree passes
         z_order is skipped (z-degrees are non-negative, so no extension of
         it survives either).
+
+        The arithmetic is in integers.  With c_i = a_i / D over the lcm D of
+        the denominators, a multiset of size e is W / (D^e e!) with the
+        integer W = prod_i a_i^(e_i) * e! / prod_i e_i!; extending it by y_i
+        multiplies W by a_i (e + 1) / (e_i + 1), an exact division.
+        Multisets that share a key (one variable at several z-powers) add
+        their W, and each nonzero sum becomes one Fraction.  The terms are
+        visited in order of variable, so a monomial grows by appending a
+        variable or raising the exponent of its last one.
         """
         linear = []
         for (mono, z), coeff in sorted(self.terms.items()):
             if len(mono) != 1 or mono[0][1] != 1 or z < 0:
                 raise ValueError("exp needs an s-linear form with z-powers >= 0")
-            linear.append((mono[0][0], z, coeff))
-        one = Fraction(1)
-        out: dict = {((), 0): one}
+            linear.append((mono[0][0], z, *_rational_parts(coeff)))
+        den = lcm(*(q for *_, q in linear))
+        linear = [(var, k, p * (den // q)) for var, k, p, q in linear]
+        terms = {((), 0): Fraction(1)} if self.z_order >= 0 else {}
         # a multiset: (index of its last term, multiplicity of that term,
-        # variable counts, z-degree, coefficient)
-        level = [(0, 0, {}, 0, one)]
-        for _ in range(self.s_degree):
+        # monomial, z-degree, W)
+        level = [(0, 0, (), 0, 1)]
+        for e in range(1, self.s_degree + 1):
+            sums: dict = {}
             grown = []
-            for last, run, counts, z, coeff in level:
+            for last, run, mono, z, weight in level:
                 for i in range(last, len(linear)):
-                    var, k, c = linear[i]
+                    var, k, a = linear[i]
                     z_i = z + k
                     if z_i > self.z_order:
                         continue
                     run_i = run + 1 if i == last else 1
-                    coeff_i = coeff * c / run_i
-                    counts_i = dict(counts)
-                    counts_i[var] = counts_i.get(var, 0) + 1
-                    key = (tuple(sorted(counts_i.items())), z_i)
-                    out[key] = out.get(key, 0) + coeff_i
-                    grown.append((i, run_i, counts_i, z_i, coeff_i))
+                    weight_i = weight * a * e // run_i
+                    if mono and mono[-1][0] == var:
+                        mono_i = mono[:-1] + ((var, mono[-1][1] + 1),)
+                    else:
+                        mono_i = mono + ((var, 1),)
+                    key = (mono_i, z_i)
+                    sums[key] = sums.get(key, 0) + weight_i
+                    grown.append((i, run_i, mono_i, z_i, weight_i))
+            divisor = den ** e * factorial(e)
+            for key, total in sums.items():
+                if total:
+                    terms[key] = Fraction(total, divisor)
             level = grown
-        return SPoly(self.s_degree, self.z_order, out)
+        return SPoly._truncated(self.s_degree, self.z_order, terms)
 
     def __eq__(self, other):
         return (isinstance(other, SPoly) and self.terms == other.terms
@@ -391,26 +422,30 @@ class SPoly:
         return f"SPoly({self.terms})"
 
 
-def _bernoulli(table: dict, k: int, m: Fraction) -> Fraction:
-    """B_{k+1}(m) through ``table``, a dict that lives for one operator build."""
-    value = table.get((k, m))
-    if value is None:
-        value = table[k, m] = bernoulli_poly(k + 1, m)
-    return value
+@lru_cache(maxsize=None)
+def _log_coefficient(k: int, p: int, q: int) -> Fraction:
+    """B_{k+1}(p/q) / (k+1)!, the s^j_k coefficient of log Delta^c at m_j = p/q.
+
+    Keyed on integers only, so one value serves every sector and twist
+    with that multiplicity; each entry still reads its own sector's m_j.
+    """
+    return _bernoulli_at(k + 1, p, q) / factorial(k + 1)
 
 
-def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int, table: dict) -> dict:
-    return {
-        (j, k): _bernoulli(table, k, shifted.multiplicity(j)) / factorial(k + 1)
-        for j in range(pair.fermat.n_variables)
-        for k in range(k_max + 1)
-    }
+def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int) -> dict:
+    """(j, k) -> B_{k+1}(m_j) / (k+1)! with m_j the multiplicities of ``shifted``."""
+    entry = {}
+    for j in range(pair.fermat.n_variables):
+        p, q = _rational_parts(shifted.multiplicity(j))
+        for k in range(k_max + 1):
+            entry[j, k] = _log_coefficient(k, p, q)
+    return entry
 
 
 def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
                       k_max: int = 4) -> dict:
     """(j, k) -> B_{k+1}(m_j(phi^c_g)) / (k+1)! with m_j(phi^c_g) = m_j(g j^c)."""
-    return _log_entry(pair, g * (pair.grading ** c), k_max, {})
+    return _log_entry(pair, g * (pair.grading ** c), k_max)
 
 
 def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
@@ -419,15 +454,16 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
 
     Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!).
     ``scale`` substitutes s -> scale*s, giving an exact handle on the
-    multiplicativity law Delta(s + s') = Delta(s) Delta(s').
+    multiplicativity law Delta(s + s') = Delta(s) Delta(s'); it must be an
+    exact rational (a float raises ``TypeError``).
     """
     pair.require_twist(c)
+    scale = Fraction(*_rational_parts(scale))
     shift = pair.grading ** c
-    table: dict = {}
     entries = {}
     for g in pair.group.elements:
         log_terms = {}
-        for (j, k), coeff in _log_entry(pair, g * shift, k_max, table).items():
+        for (j, k), coeff in _log_entry(pair, g * shift, k_max).items():
             coeff = coeff * scale
             if coeff:
                 log_terms[((((j, k), 1),), k)] = coeff
@@ -457,18 +493,29 @@ class SpecializedEntry:
         return sum(self.mu, Fraction(0))
 
 
+@lru_cache(maxsize=None)
+def _specialized_log_coefficient(k: int, p: int, q: int, cj: int) -> Fraction:
+    """B_{k+1}(p/q) (k-1)! / ((k+1)! c_j^k), the (z/lam)^k log term of weight c_j.
+
+    Keyed on integers only, like ``_log_coefficient``.
+    """
+    return _log_coefficient(k, p, q) * Fraction(factorial(k - 1), cj ** k)
+
+
 def delta_c_specialized(pair: LGPair, c: int, spec: str,
                         k_max: int = 4) -> dict:
     """Entries of Delta^c at the euler-inverse specializations, per sector.
 
     s^j_0 contributes (-+lam_j)^(1/2 - m_j); s^j_k for k>0 contributes
-    exp(B_{k+1}(m_j) (k-1)! / ((k+1)! c_j^k) (z/lam)^k).
+    exp(B_{k+1}(m_j) (k-1)! / ((k+1)! c_j^k) (z/lam)^k).  Each log term
+    is computed once per process for its integer key (k, m_j, c_j); the
+    sum over j and its exp are formed per sector from that sector's own
+    multiplicities.
     """
     if spec not in ("euler-inverse", "euler-inverse-signed"):
         raise ValueError("spec must be one of the euler specializations")
     pair.require_twist(c)
     shift = pair.grading ** c
-    table: dict = {}
     entries = {}
     for g in pair.group.elements:
         shifted = g * shift
@@ -481,13 +528,18 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
             mu.append(exponent)
             if spec == "euler-inverse":
                 half += exponent
+            p, q = _rational_parts(m)
             for k in range(1, k_max + 1):
-                log_series[k] += (_bernoulli(table, k, m) * factorial(k - 1)
-                                  / (factorial(k + 1) * Fraction(cj) ** k))
-        # one exp of the summed log series: n e_n = sum_{k=1..n} k l_k e_{n-k}
-        series = [Fraction(1)]
+                log_series[k] += _specialized_log_coefficient(k, p, q, cj)
+        # one exp of the summed log series, n e_n = sum_{k=1..n} k l_k e_{n-k},
+        # in integers: with l_k = L_k / D, E_n = n! D^n e_n satisfies
+        # E_n = sum_k k L_k D^(k-1) (n-1)!/(n-k)! E_{n-k}
+        den = lcm(*(term.denominator for term in log_series))
+        nums = [term.numerator * (den // term.denominator) for term in log_series]
+        scaled = [1]
         for n in range(1, k_max + 1):
-            series.append(sum((k * log_series[k] * series[n - k]
-                               for k in range(1, n + 1)), Fraction(0)) / n)
+            scaled.append(sum(k * nums[k] * den ** (k - 1) * perm(n - 1, k - 1) * scaled[n - k]
+                              for k in range(1, n + 1)))
+        series = [Fraction(e, den ** n * factorial(n)) for n, e in enumerate(scaled)]
         entries[g.exps] = SpecializedEntry(half, tuple(mu), tuple(series))
     return entries

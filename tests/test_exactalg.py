@@ -21,7 +21,9 @@ from lgcy.exactalg import (
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
+    _bernoulli_at,
     _linear_product,
+    _rational_parts,
     bernoulli_number,
     bernoulli_poly,
     cyclotomic_polynomial,
@@ -571,3 +573,15 @@ def test_bernoulli_poly_refuses_floats_after_an_exact_call():
     assert bernoulli_poly(2, F(1, 2)) == F(-1, 12)
     with pytest.raises(TypeError):
         bernoulli_poly(2, 0.5)
+
+
+def test_bernoulli_cache_matches_the_polynomial_sum():
+    # the cached integer route against the public Fraction sum, every n <= 6, q <= 12
+    for n in range(7):
+        for q in range(1, 13):
+            for p in range(-q, 2 * q + 1):
+                assert _bernoulli_at(n, p, q) == bernoulli_poly(n, F(p, q))
+        # 2/4 reaches the cache as its lowest terms, the key of 1/2
+        assert _rational_parts(F(2, 4)) == (1, 2)
+        assert _bernoulli_at(n, *_rational_parts(F(2, 4))) == bernoulli_poly(n, F(1, 2))
+        assert _bernoulli_at(n, 2, 4) == _bernoulli_at(n, 1, 2)

@@ -408,15 +408,51 @@ def test_spoly_exp_one_variable_at_two_z_powers():
     assert form.exp().terms[(((var, 2),), 4)] == F(1) * F(-1) + F(2) ** 2 / 2
 
 
+# mixed denominators up to 12, negative coefficients and z^0 terms
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(s_degree=st.integers(0, 3), z_order=st.integers(0, 5),
        linear=st.dictionaries(
            st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 2)), st.integers(0, 6)),
-           st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6))
+           st.fractions(min_value=-3, max_value=3, max_denominator=12), max_size=6))
 def test_spoly_exp_matches_power_sum(s_degree, z_order, linear):
     form = SPoly(s_degree, z_order,
                  {(((var, 1),), z): coeff for (var, z), coeff in linear.items()})
-    assert form.exp() == _exp_by_powers(form)
+    result = form.exp()
+    assert result == _exp_by_powers(form)
+    assert all(coeff != 0 for coeff in result.terms.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=st.integers(0, 2), b=st.integers(1, 2), s_degree=st.integers(2, 3),
+       c1=st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+       c2=st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+       others=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                              st.fractions(min_value=-2, max_value=2, max_denominator=5),
+                              max_size=3))
+def test_spoly_exp_drops_multisets_that_cancel(a, b, s_degree, c1, c2, others):
+    # c1 s z^a + c2 s z^(a+b) + c3 s z^(a+2b) with c1 c3 + c2^2 / 2 = 0: the
+    # multisets {z^a, z^(a+2b)} and {z^(a+b), z^(a+b)} cancel at s^2 z^(2a+2b)
+    var = (0, 0)
+    c3 = -c2 ** 2 / (2 * c1)
+    linear = {(var, a): c1, (var, a + b): c2, (var, a + 2 * b): c3}
+    linear.update({((1, k), z): coeff for (k, z), coeff in others.items()})
+    z_order = 2 * a + 2 * b
+    form = SPoly(s_degree, z_order,
+                 {(((v, 1),), z): coeff for (v, z), coeff in linear.items()})
+    result = form.exp()
+    assert result == _exp_by_powers(form)
+    assert (((var, 2),), z_order) not in result.terms
+    assert all(coeff != 0 for coeff in result.terms.values())
+
+
+def test_spoly_constant_refuses_floats():
+    with pytest.raises(TypeError):
+        SPoly.constant(2, 6, 0.1)
+
+
+def test_delta_c_generic_refuses_a_float_scale():
+    with pytest.raises(TypeError):
+        delta_c_generic(quintic(), 1, scale=0.5)
 
 
 def _ubar_two_variable(d, b, ring):

@@ -1,6 +1,7 @@
 """The verification surface: reports, determinism, monotonicity, self-tests."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
@@ -10,7 +11,12 @@ import pytest
 from lgcy import verify
 from lgcy.catalog import cubic, quartic, quintic, sextic
 from lgcy.cohseries import Orders
-from lgcy.genfun import h_factorization, i_function_x, untwisted_j_oracle
+from lgcy.genfun import (
+    h_factorization,
+    i_function_x,
+    untwisted_j_oracle,
+    z_ddt_distinguished,
+)
 from lgcy.lgmodel import LGPair
 from lgcy.transforms import u_bar
 from lgcy.verify import (
@@ -311,11 +317,79 @@ def test_rctc_degenerate_block_witness(monkeypatch, pair):
 
 
 @pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_rctc_geometric_sum_witness(monkeypatch, pair):
+    exp = verify.series_exp
+    monkeypatch.setattr(verify, "series_exp", lambda x: exp(x) + x.ring.one())
+    report = check_rctc_conditions(pair, 4)
+    first = min(g.fixed_dim() for g in pair.group.elements if g.fixed_dim() > 0)
+    assert report.witness == {"kind": "geometric-sum", "nilpotency": first}
+
+
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_rctc_polynomiality_witness(monkeypatch, pair):
+    build = verify.u_bar
+    g_in = pair.group.elements[-1].exps
+    g_out = build(pair, 4).blocks[g_in][0][0].g.exps
+
+    def with_a_tau_term(p, lam_order):
+        transform = build(p, lam_order)
+        (element, entry), *rest = transform.blocks[g_in]
+        transform.blocks[g_in] = ((element, entry + entry.ring.monomial(tau=1)), *rest)
+        return transform
+
+    monkeypatch.setattr(verify, "u_bar", with_a_tau_term)
+    report = check_rctc_conditions(pair, 4)
+    assert report.witness == {"kind": "polynomiality", "input": list(g_in),
+                              "output": list(g_out)}
+
+
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
 def test_rctc_rank_witness(monkeypatch, pair):
     rank = verify._cyclo_matrix_rank
     monkeypatch.setattr(verify, "_cyclo_matrix_rank", lambda rows: rank(rows) - 1)
     report = check_rctc_conditions(pair, 4)
     assert report.witness["kind"] == "rank"
+
+
+# only the sextic has a variable whose Delta-circ image is broad (its first, t)
+def test_fjrw_mirror_map_broad_witness():
+    pair = sextic()
+    broad = next(g for g in pair.group.elements if not pair.is_narrow(g))
+    report = check_fjrw_pipeline(pair, recommended_orders(pair, 4, 3),
+                                 _tamper=(broad.exps, 0, (1, 0, 0, 0)),
+                                 _tamper_stage="result")
+    assert report.witness == {"kind": "mirror-map-broad", "variable": 0}
+
+
+def test_fjrw_lambda_divisibility_witness():
+    pair, orders = quintic(), Orders(t_order=5, lam_order=4)
+    derivative = z_ddt_distinguished(i_function_x(pair, orders))
+    key = next(k for k in sorted(derivative.terms) if pair.element(k[0]).fixed_dim() > 0)
+    n_g = pair.element(key[0]).fixed_dim()
+    report = check_fjrw_pipeline(pair, orders, _tamper=key, _tamper_stage="derivative")
+    assert report.witness == {"sector": list(key[0]), "z": key[1], "degree": list(key[2]),
+                              "required": 1 if key[2][0] < 0 else n_g, "found": 0}
+
+
+@pytest.mark.parametrize("spec", ["euler-inverse", "euler-inverse-signed"])
+@pytest.mark.parametrize("pair", SHIPPED, ids=lambda p: p.name)
+def test_mlk_operator_specialized_witness(monkeypatch, pair, spec):
+    build = verify.delta_c_specialized
+    c = max(pair.valid_twists())
+    g = pair.group.elements[len(pair.group.elements) // 2]
+
+    def perturbed(p, c_, spec_, k_max):
+        entries = build(p, c_, spec_, k_max)
+        if (c_, spec_) == (c, spec):
+            entry = entries[g.exps]
+            series = entry.series[:-1] + (entry.series[-1] + 1,)
+            entries[g.exps] = dataclasses.replace(entry, series=series)
+        return entries
+
+    assert c > 0
+    monkeypatch.setattr(verify, "delta_c_specialized", perturbed)
+    report = check_mlk_operator(pair)
+    assert report.witness == {"kind": spec, "c": c, "sector": list(g.exps)}
 
 
 # the quintic has no survivor at T = 4 and reads "vacuous" there
