@@ -21,12 +21,18 @@ TOKEN_Q_H = "q^(H/tau)"
 
 @dataclass(frozen=True)
 class Orders:
-    """Truncation orders; they travel with every series."""
+    """Truncation orders; they travel with every series.  An empty z-window
+    (z_min > z_max) raises ValueError."""
 
     t_order: int = 8
     lam_order: int = 4
     z_min: int | None = None
     z_max: int = 2
+
+    def __post_init__(self):
+        z_min, z_max = self.z_window
+        if z_min > z_max:
+            raise ValueError(f"empty z-window: z_min = {z_min} > z_max = {z_max}")
 
     @property
     def z_window(self) -> tuple[int, int]:

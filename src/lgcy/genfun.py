@@ -249,7 +249,8 @@ class IndexTerm(NamedTuple):
         return shift
 
 
-def _index_terms(pair: LGPair, orders: Orders, side: str):
+@lru_cache(maxsize=1)
+def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     """The IndexTerm of every (k0, k), by total degree, then lexicographic.
 
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
@@ -258,7 +259,9 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
     nilpotency.  Ages of the positive-dimensional sectors are read once per
     table.  The multidegree walk runs over a zero row for k0 and the
     sectors' exponent rows, so its sums are sum_s k_s k_j(g_s) in integers:
-    base is their reduction, and r_j, v_j are (k0 +- sums_j) c_j / d.
+    base is their reduction, and r_j, v_j are (k0 +- sums_j) c_j / d.  The
+    last table is kept per (pair object, orders, side); what each walk
+    derives from it (atoms, products, Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     ages = tuple((g, g.age()) for g in sectors)
@@ -269,6 +272,7 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
         shifts = [shift.inverse() for shift in shifts]
     rows = [(0,) * len(weights)] + [g.exps for g in sectors]
     rings: dict = {}
+    table = []
     for total in range(orders.t_order + 1):
         for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
@@ -282,8 +286,9 @@ def _index_terms(pair: LGPair, orders: Orders, side: str):
                 ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
             r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
             v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
-            yield IndexTerm(k0, degs[1:], degs, base, Fraction(1, fact // factorial(k0)),
-                            Fraction(1, fact), r_num, v_num, ages, sector, ring)
+            table.append(IndexTerm(k0, degs[1:], degs, base, Fraction(1, fact // factorial(k0)),
+                                   Fraction(1, fact), r_num, v_num, ages, sector, ring))
+    return tuple(table)
 
 
 def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,
@@ -488,31 +493,27 @@ def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
     return SectorValue(ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
 
 
-def h_function_x(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
-    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers.
-
-    ``_table`` is the X index table at ``orders`` when the caller holds it.
-    """
+def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
+    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
     pair.require_cy()
     terms: dict = {}
     atoms: dict = {}
-    for term in _index_terms(pair, orders, "x") if _table is None else _table:
+    for term in _index_terms(pair, orders, "x"):
         terms[(term.sector.exps, term.z_shift(), term.degs)] = \
             _atom_value(term.ring, _x_atoms(pair, term, atoms), term.comb)
     return _indexed_series("x", pair, orders, terms, "t")
 
 
-def h_function_y(pair: LGPair, orders: Orders, *, _table=None) -> CohSeries:
+def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     """H^Y before reflection: 1 / (Gamma(1-k0-d(lam+H)/tau) prod_j Gamma(...)).
 
     The Gamma(1 - d(lam+H)/tau) numerator of the displayed form belongs to
-    the Gamma-class operator and is not stored here.  ``_table`` is the Y
-    index table at ``orders`` when the caller holds it.
+    the Gamma-class operator and is not stored here.
     """
     pair.require_cy()
     terms: dict = {}
     atoms: dict = {}
-    for term in _index_terms(pair, orders, "y") if _table is None else _table:
+    for term in _index_terms(pair, orders, "y"):
         terms[(term.sector.exps, term.z_shift(), term.degs)] = \
             _atom_value(term.ring, _y_atoms(pair, term, atoms), term.comb_k)
     return _indexed_series("y", pair, orders, terms, "q^(1/d)")
@@ -530,16 +531,14 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     later terms of that key; a failing key falls back to the term's own
     ``lhs``/``rhs``, so the witness is the term-by-term one.  The stored I
     series is compared with comb times the I product in integers, without
-    rebuilding the I value.  The side's index table is built once and
-    walked by the H builder and by the verification, each with dicts of
-    its own.
+    rebuilding the I value.  The H builder and the verification walk the
+    side's index table at the series' orders, which ``_index_terms`` keeps.
     """
     pair.require_cy()
     gamma = gamma_class_op(pair, side)
-    table = list(_index_terms(pair, series.orders, side))
     build = h_function_x if side == "x" else h_function_y
-    h_series = build(pair, series.orders, _table=table)
-    _verify_factorization(pair, side, series, h_series, gamma, table)
+    h_series = build(pair, series.orders)
+    _verify_factorization(pair, side, series, h_series, gamma)
     return gamma, h_series
 
 
@@ -682,8 +681,9 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
 
 
 def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
-                          h_series: CohSeries, gamma, table: list):
-    """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on one side.
+                          h_series: CohSeries, gamma):
+    """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on one side,
+    over the side's index table at the orders of ``i_series``.
 
     The I side is the index's product (``modification_factor`` or
     ``_i_y_factors``) on ``_wide_window``, so clamping cannot mask a
@@ -724,7 +724,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     shifts: dict = {}
     verdicts: dict = {}
     memo: dict = {}
-    for term in table:
+    for term in _index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
         age = _integral_age(sector)
         shift = term.z_shift()
@@ -767,12 +767,11 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     t^(d lam/tau) sum_k prod (t^{g_s})^{k_s} z^{(age-1)k_s} / k_s! *
     sum_m t^m/(m! prod_j Gamma-atom) *
     sum_b [(e^{d(lam+H)}-1) / (d(e^{lam+H} xi^{b+m}-1))] on 1~_{j^{-b}} prod g_s^{k_s};
-    the block with xi^{b+m} = 1 is the geometric sum.
+    the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
     """
     pair.require_cy()
     d = pair.fermat.degree
     terms: dict = {}
-    block_cache: dict = {}
     atom_memo: dict = {}
     for term in _index_terms(pair, orders, "x"):
         atoms = _x_atoms(pair, term, atom_memo)
@@ -783,11 +782,8 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
             if n_g == 0:
                 continue
             ring = SeriesRing(d, orders.lam_order, n_g)
-            cache_key = ((b + term.k0) % d, n_g)
-            if cache_key not in block_cache:
-                block_cache[cache_key] = ubar_block(pair, b + term.k0, ring)
             terms[(sector.exps, z_shift, term.degs)] = \
-                block_cache[cache_key].scale_atoms(atoms) * ring.scalar(term.comb)
+                ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * ring.scalar(term.comb)
     return _indexed_series("y", pair, orders, terms, "t")
 
 
@@ -839,7 +835,8 @@ def assert_lambda_divisibility(series: CohSeries) -> None:
         if n_g > 0 and value.lambda_valuation() < required:
             raise IdentityError(
                 "lambda divisibility failure",
-                {"sector": list(exps), "z": z, "degree": list(degs),
+                {"kind": "lambda-divisibility",
+                 "sector": list(exps), "z": z, "degree": list(degs),
                  "required": required, "found": value.lambda_valuation()})
 
 

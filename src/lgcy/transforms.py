@@ -22,7 +22,6 @@ from .exactalg import (
     GammaAtom,
     SectorValue,
     SeriesRing,
-    ZLaurentSeries,
     _bernoulli_at,
     _rational_parts,
     divide_by_lambda_plus_h,
@@ -137,10 +136,15 @@ def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
     The block is a series in x = lam + H alone, so it is computed in one
     variable (x^(lam_order+1) = 0) and then expanded binomially,
     x^n = sum_h C(n, h) lam^(n-h) H^h with h < nilpotency: x -> lam + H is a
-    ring map of the truncations, so the expansion is exact.
+    ring map of the truncations, so the expansion is exact.  Each block is
+    built once per process for its key (d, b mod d, ring).
     """
     d = pair.fermat.degree
-    b = xi_power % d
+    return _ubar_block(d, xi_power % d, ring)
+
+
+@lru_cache(maxsize=None)
+def _ubar_block(d: int, b: int, ring: SeriesRing) -> SectorValue:
     line = SeriesRing(ring.order, ring.lam_order, 1)
     x = line.lam()
     if b == 0:
@@ -163,11 +167,11 @@ def u_bar(pair: LGPair, lam_order: int) -> Transform:
     """1_g -> sum_b [(e^{d(lam+H)}-1)/(d(e^{lam+H} xi^b - 1))] 1~_{g j^-b}.
 
     The b with xi^b = 1 uses the geometric sum; blocks are truncated at the
-    output sector's nilpotency.  Outputs on empty Y-sectors are dropped.
+    output sector's nilpotency and come from the cache of ``ubar_block``.
+    Outputs on empty Y-sectors are dropped.
     """
     pair.require_cy()
     d = pair.fermat.degree
-    cache: dict = {}
     blocks = {}
     for g in pair.group.elements:
         outputs = []
@@ -176,11 +180,8 @@ def u_bar(pair: LGPair, lam_order: int) -> Transform:
             n_g = target.fixed_dim()
             if n_g == 0:
                 continue
-            key = (b, n_g)
-            if key not in cache:
-                ring = SeriesRing(d, lam_order, n_g)
-                cache[key] = ubar_block(pair, b, ring)
-            outputs.append((SectorBasisElement("y", target), cache[key]))
+            outputs.append((SectorBasisElement("y", target),
+                            ubar_block(pair, b, SeriesRing(d, lam_order, n_g))))
         blocks[g.exps] = tuple(outputs)
     return Transform(pair, "x", "y", blocks, name="u_bar")
 
@@ -261,14 +262,12 @@ class DeltaDiamond:
         pair.require_cy()
         self.pair = pair
 
-    def sign_exponential(self, ring: SeriesRing, z_min: int, z_max: int) -> ZLaurentSeries:
-        """e^(pi i d H / z) = sum_k (d H)^k (tau/2)^k z^-k / k!, finite in H."""
+    def sign_exponential(self, ring: SeriesRing) -> dict:
+        """e^(pi i d H / z) = sum_k (d H)^k (tau/2)^k z^-k / k!, finite in H,
+        as {z-power: coefficient}."""
         d = self.pair.fermat.degree
-        terms = {}
-        for k in range(ring.nilpotency):
-            coeff = Fraction(d ** k, 2 ** k * factorial(k))
-            terms[-k] = ring.monomial(h=k, tau=k, coeff=coeff)
-        return ZLaurentSeries(ring, z_min, z_max, terms)
+        return {-k: ring.monomial(h=k, tau=k, coeff=Fraction(d ** k, 2 ** k * factorial(k)))
+                for k in range(ring.nilpotency)}
 
     def apply(self, series: CohSeries) -> CohSeries:
         """Divide every coefficient by d(lam+H) and dress with the sign factor.
@@ -281,9 +280,7 @@ class DeltaDiamond:
         for (exps, z, degs), value in series.terms.items():
             quotient, _ = divide_by_lambda_plus_h(value)
             quotient = quotient * Fraction(-1, d)
-            ring = quotient.ring
-            sign = self.sign_exponential(ring, z_min, z_max)
-            for dz, part in sign.terms.items():
+            for dz, part in self.sign_exponential(quotient.ring).items():
                 z_out = z + dz
                 if z_out < z_min or z_out > z_max:
                     continue

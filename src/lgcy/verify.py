@@ -122,6 +122,13 @@ def _timed(check_name: str, pair: LGPair, orders: Orders, body) -> VerificationR
     return report
 
 
+def _has_derivative(series: CohSeries) -> bool:
+    """Whether some z d/dt of ``series`` keeps a term in its z-window: a
+    term of positive t-degree below z_max."""
+    z_max = series.orders.z_window[1]
+    return any(z < z_max and any(degs) for _, z, degs in series.terms)
+
+
 def _tamper_series(series: CohSeries, key) -> CohSeries:
     """Add 1 to the coefficient at ``key`` (a guaranteed change)."""
     exps = tuple(key[0])
@@ -142,23 +149,26 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
     """i_c(z d/dt^{j^c g'} J^{0,0}) = z d/dt^{g'} J^{c,0} for every g'.
 
     The left side is assembled from the psi-integral oracle, the right from
-    the closed form, so the equality is a genuine cross-validation.
+    the closed form, so the equality is a genuine cross-validation.  i_c
+    only relabels sectors: it is applied once, to the oracle J.
     """
     def body():
         if orders.t_order < MIN_T_ORDER["mlk-untwisted"]:
             return _orders_witness("mlk-untwisted", orders,
                                    "every z d/dt of a T = 0 J-series is empty")
         j_oracle = untwisted_j_oracle(pair, 0, orders)
+        j_closed = untwisted_j(pair, c, orders)
+        if not (_has_derivative(j_oracle) or _has_derivative(j_closed)):
+            return {"kind": "vacuous", "detail": "no z d/dt of J keeps a term in the z-window"}
         if _tamper is not None:
             j_oracle = _tamper_series(j_oracle, _tamper)
-        j_closed = untwisted_j(pair, c, orders)
-        relabel = i_c(pair, c)
+        relabeled = i_c(pair, c).apply(j_oracle)
         jc = pair.grading ** c
         variables = list(j_oracle.variables)
         for idx, exps in enumerate(variables):
             g_prime = GroupElement(pair.fermat, exps)
             source = jc * g_prime
-            lhs = relabel.apply(j_oracle.z_ddt_var(variables.index(source.exps)))
+            lhs = relabeled.z_ddt_var(variables.index(source.exps))
             rhs = j_closed.z_ddt_var(idx)
             witness = lhs.compare(rhs)
             if witness is not None:
@@ -240,6 +250,9 @@ def check_gamma_factorization(pair: LGPair, orders: Orders,
     def body():
         for side, build in (("x", i_function_x), ("y", i_function_y)):
             series = build(pair, orders)
+            if series.is_zero():
+                return {"kind": "vacuous",
+                        "detail": f"I^{side.upper()} has no term in the z-window"}
             if _tamper_side == side:
                 series = _tamper_series(series, sorted(series.terms)[len(series.terms) // 2])
             h_factorization(pair, series, side)
@@ -260,9 +273,12 @@ def check_continuation(pair: LGPair, orders: Orders,
         ix = i_function_x(pair, orders)
         _, hx = h_factorization(pair, ix, "x")
         lhs = u_bar(pair, orders.lam_order).apply(hx)
+        rhs = h_continued(pair, orders)
+        if lhs.is_zero() and rhs.is_zero():
+            return {"kind": "vacuous",
+                    "detail": "neither Ubar(H^X) nor H^Y' has a term in the z-window"}
         if _tamper is not None:
             lhs = _tamper_series(lhs, _tamper)
-        rhs = h_continued(pair, orders)
         return lhs.compare(rhs)
 
     return _timed("continuation", pair, orders, body)

@@ -181,6 +181,23 @@ def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
         assert out == ""
 
 
+def test_empty_z_window_exits_2(capsys):
+    for command in (("verify", "--checks", "mlk-untwisted"), ("ifun", "--side", "lg")):
+        code, out, err = run_cli(capsys, *command, "--pair", "cubic", "--T", "4",
+                                 "--lambda-order", "2", "--z-min", "5", "--z-max", "0")
+        assert code == 2
+        assert "empty z-window" in err and out == ""
+
+
+def test_deserialize_refuses_an_empty_z_window(capsys):
+    code, out, _ = run_cli(capsys, "ifun", "--pair", "cubic", "--side", "lg",
+                           "--T", "2", "--format", "structured")
+    payload = json.loads(out)
+    payload["orders"]["zWindow"] = [5, 0]
+    with pytest.raises(ValueError, match="empty z-window"):
+        deserialize_series(payload)
+
+
 def test_python_m_lgcy_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -41,7 +41,7 @@ from lgcy.genfun import (
 )
 from lgcy.lgmodel import GroupElement, load_pair
 from lgcy.transforms import gamma_class_op, ubar_block
-from lgcy.verify import ALL_CHECKS, recommended_orders, run_checks
+from lgcy.verify import ALL_CHECKS, check_gamma_factorization, recommended_orders, run_checks
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
@@ -520,9 +520,9 @@ def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
     key = next(k for k in sorted(h_series.terms)
                if k[0] == sector and k[2] == target.degs)
     broken = h_series._replace_terms({**h_series.terms, key: h_series.terms[key] * 2})
-    _verify_factorization(p, side, i_series, h_series, gamma, table)
+    _verify_factorization(p, side, i_series, h_series, gamma)
     with pytest.raises(IdentityError, match="H-function term") as caught:
-        _verify_factorization(p, side, i_series, broken, gamma, table)
+        _verify_factorization(p, side, i_series, broken, gamma)
     assert caught.value.witness == {"sector": list(sector), "degree": list(target.degs)}
 
 
@@ -579,7 +579,7 @@ def _per_term_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
     return i_block, block
 
 
-def _per_term_factorization(pair, side, i_series, h_series, gamma, table):
+def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
     for the clamp compare and forms lhs and rhs as ``ZLaurentSeries``."""
     if side == "x":
@@ -589,7 +589,7 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma, table):
     window = genfun._wide_window(i_series.orders, pair)
     z_min, z_max = i_series.orders.z_window
     products, blocks, memo = {}, {}, {}
-    for term in table:
+    for term in _index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
         age = genfun._integral_age(sector)
         shift = term.z_shift()
@@ -700,13 +700,12 @@ def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, f
     i_series = (i_function_x if side == "x" else i_function_y)(pair, orders)
     if fault in STORED_FAULTS:
         i_series = STORED_FAULTS[fault](i_series)
-    table = list(_index_terms(pair, orders, side))
-    h_series = (h_function_x if side == "x" else h_function_y)(pair, orders, _table=table)
+    h_series = (h_function_x if side == "x" else h_function_y)(pair, orders)
     gamma = gamma_class_op(pair, side)
 
     def outcome(check):
         try:
-            check(pair, side, i_series, h_series, gamma, table)
+            check(pair, side, i_series, h_series, gamma)
         except IdentityError as err:
             return str(err), err.witness
         return None
@@ -735,6 +734,51 @@ def test_factorization_refuses_a_stored_z_the_closed_form_lacks(side):
     with pytest.raises(IdentityError, match=re.escape(label)) as caught:
         h_factorization(p, extra, side)
     assert caught.value.witness == {"sector": list(sector), "degree": list(degs)}
+
+
+# -- the kept index table ---------------------------------------------------------------
+
+def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
+    """I, H and the factorization check of one side walk one table: on a
+    fresh pair object the check makes one multidegree walk per total
+    degree for X and one for Y."""
+    pair = quartic()
+    orders = recommended_orders(pair, 6, 3)
+    walks = []
+    walk = genfun._multidegree_walk
+
+    def counted(rows, total):
+        walks.append(total)
+        return walk(rows, total)
+
+    monkeypatch.setattr(genfun, "_multidegree_walk", counted)
+    assert check_gamma_factorization(pair, orders).ok()
+    assert walks == 2 * list(range(orders.t_order + 1))
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("fault", ["gamma-shift-doubled", "h-atom-moved-by-1"])
+def test_kept_index_table_keeps_faults_visible(monkeypatch, fault, side):
+    """After a clean check, a fault in what the walks derive from the table
+    (atoms, Gamma shifts) fails the same pair object at the same orders with
+    the witness of a fresh pair: the kept table holds nothing a hook replaces."""
+    warm, fresh = quartic(), quartic()
+    orders = recommended_orders(warm, 6, 3)
+    assert check_gamma_factorization(warm, orders).ok()
+    build = i_function_x if side == "x" else i_function_y
+    warm_series = build(warm, orders)
+    FACTORIZATION_FAULTS[fault](monkeypatch, warm, side)
+
+    def outcome(pair, series):
+        with pytest.raises(IdentityError) as caught:
+            h_factorization(pair, series, side)
+        return str(caught.value), caught.value.witness
+
+    # the table of warm_series is the one kept when the fault goes in
+    assert outcome(warm, warm_series) == outcome(fresh, build(fresh, orders))
+    rerun = check_gamma_factorization(warm, orders)
+    assert not rerun.ok()
+    assert rerun.witness == check_gamma_factorization(fresh, orders).witness
 
 
 # -- the continued series -------------------------------------------------------------

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from lgcy.cohseries import CohSeries, Orders
 from lgcy.exactalg import (
     Cyclotomic,
     ExactDivisionError,
+    SectorValue,
     SeriesRing,
     bernoulli_poly,
     series_exp,
@@ -331,10 +332,12 @@ def test_delta_diamond_symbolic_pieces():
     q = quintic()
     dd = DeltaDiamond(q)
     ring = SeriesRing(5, 3, 5)
-    sign = dd.sign_exponential(ring, -6, 2)
-    assert sign.coefficient(0) == ring.one()
+    sign = dd.sign_exponential(ring)
+    # one z-power per H-power below the nilpotency, whatever the window
+    assert sorted(sign) == [-4, -3, -2, -1, 0]
+    assert sign[0] == ring.one()
     # z^-1 coefficient: (tau/2) * 5H
-    [(mono, coeff)] = list(sign.coefficient(-1).terms.items())
+    [(mono, coeff)] = list(sign[-1].terms.items())
     assert mono == (0, 1, 1, ()) and coeff == Cyclotomic.from_rational(5, F(5, 2))
 
 
@@ -475,6 +478,50 @@ def test_ubar_block_matches_two_variable_definition(pair, data, lam_order, nilpo
     b = data.draw(st.integers(-1, 2 * d - 1))
     ring = SeriesRing(d, lam_order, nilpotency)
     assert ubar_block(pair, b, ring) == _ubar_two_variable(d, b, ring)
+
+
+def _uncached_ubar_block(d, b, ring):
+    """The continuation block as built before blocks were kept: in one
+    variable x = lam + H, then expanded binomially into (lam, H)."""
+    line = SeriesRing(ring.order, ring.lam_order, 1)
+    x = line.lam()
+    if b % d == 0:
+        total = line.zero()
+        for a in range(d):
+            total = total + series_exp(x * a)
+        block = total * F(1, d)
+    else:
+        block = (series_exp(x * d) - 1) * series_invert(
+            (series_exp(x) * line.root(b % d) - 1) * d)
+    terms = {}
+    for (n, _h, _tau, _atoms), coeff in block.terms.items():
+        for h in range(min(n, ring.nilpotency - 1) + 1):
+            terms[(n - h, h, 0, ())] = coeff * comb(n, h)
+    return SectorValue(ring, terms)
+
+
+@pytest.mark.parametrize("lam_order", [4, 6])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_u_bar_blocks_match_the_uncached_builder(pair, lam_order):
+    d = pair.fermat.degree
+    transform = u_bar(pair, lam_order)
+    for g in pair.group.elements:
+        expected = []
+        for b in range(d):
+            target = g * (pair.grading ** b).inverse()
+            if target.fixed_dim():
+                ring = SeriesRing(d, lam_order, target.fixed_dim())
+                expected.append((target.exps, _uncached_ubar_block(d, b, ring)))
+        assert [(element.g.exps, block)
+                for element, block in transform.blocks[g.exps]] == expected
+
+
+def test_ubar_block_is_kept_per_residue_of_b():
+    q = quintic()
+    ring = SeriesRing(5, 4, 3)
+    for b in range(5):
+        assert ubar_block(q, b, ring) is ubar_block(q, b + 5, ring)
+    assert ubar_block(q, 1, ring) is not ubar_block(q, 1, SeriesRing(5, 4, 2))
 
 
 def _specialized_by_products(pair, c, spec, k_max):

@@ -18,7 +18,7 @@ from lgcy.genfun import (
     z_ddt_distinguished,
 )
 from lgcy.lgmodel import LGPair
-from lgcy.transforms import u_bar
+from lgcy.transforms import Transform, u_bar
 from lgcy.verify import (
     ALL_CHECKS,
     check_continuation,
@@ -54,6 +54,53 @@ def test_kernel_check_reports_vacuous_truncation():
     # below the first productive order the check refuses to pass
     report = check_kernel_compatibility(quintic(), Orders(t_order=4, lam_order=3))
     assert not report.ok() and report.witness["kind"] == "vacuous"
+
+
+@pytest.mark.parametrize("check", [check_mlk_untwisted, check_gamma_factorization,
+                                   check_continuation], ids=lambda f: f.__name__)
+def test_checks_refuse_a_window_above_the_support(check):
+    """z^3 lies above every J, I and H term of the cubic at T = 4: each check
+    that compares series fails vacuous instead of passing over no term."""
+    pair, orders = cubic(), Orders(t_order=4, lam_order=2, z_min=3, z_max=3)
+    args = (pair, 1, orders) if check is check_mlk_untwisted else (pair, orders)
+    report = check(*args)
+    assert not report.ok() and report.witness["kind"] == "vacuous"
+    assert set(report.witness) == {"kind", "detail"}
+
+
+def test_mlk_untwisted_is_vacuous_when_only_the_unit_is_in_the_window():
+    """At z^1 alone J holds its unit term, but no z d/dt of it does."""
+    report = check_mlk_untwisted(cubic(), 1, Orders(t_order=4, lam_order=2, z_min=1, z_max=1))
+    assert report.witness["kind"] == "vacuous"
+
+
+def test_vacuous_window_is_decided_before_the_tamper_hook():
+    """A tamper key whose derivative would land in an otherwise empty
+    window still gives the vacuous witness, not a coefficient mismatch."""
+    pair, orders = cubic(), Orders(t_order=1, lam_order=0, z_min=-3, z_max=-2)
+    degs = (1,) + (0,) * (len(pair.group) - 1)
+    report = check_mlk_untwisted(pair, 1, orders, _tamper=(pair.identity.exps, -3, degs))
+    assert report.witness["kind"] == "vacuous"
+
+
+def test_empty_z_window_is_refused():
+    with pytest.raises(ValueError, match="empty z-window"):
+        Orders(t_order=4, lam_order=2, z_min=5, z_max=0)
+    with pytest.raises(ValueError, match="empty z-window"):
+        Orders(t_order=6, lam_order=2, z_max=-9)
+
+
+def test_mlk_untwisted_relabels_the_oracle_once(monkeypatch):
+    calls = []
+    apply = Transform.apply
+
+    def counted(self, series):
+        calls.append(self.name)
+        return apply(self, series)
+
+    monkeypatch.setattr(Transform, "apply", counted)
+    assert check_mlk_untwisted(quintic(), 1, Orders(t_order=4, lam_order=0)).ok()
+    assert calls == ["i_1"]
 
 
 def test_report_schema():
@@ -367,8 +414,23 @@ def test_fjrw_lambda_divisibility_witness():
     key = next(k for k in sorted(derivative.terms) if pair.element(k[0]).fixed_dim() > 0)
     n_g = pair.element(key[0]).fixed_dim()
     report = check_fjrw_pipeline(pair, orders, _tamper=key, _tamper_stage="derivative")
-    assert report.witness == {"sector": list(key[0]), "z": key[1], "degree": list(key[2]),
+    assert report.witness == {"kind": "lambda-divisibility",
+                              "sector": list(key[0]), "z": key[1], "degree": list(key[2]),
                               "required": 1 if key[2][0] < 0 else n_g, "found": 0}
+
+
+def test_fjrw_lambda_divisibility_witness_off_the_prefactor_slice():
+    """A key of non-negative t-degree on a sector with N_g > 1 must carry
+    lam^(N_g), not the lam^1 of the prefactor slice."""
+    pair, orders = cubic(), Orders(t_order=5, lam_order=4)
+    derivative = z_ddt_distinguished(i_function_x(pair, orders))
+    key = next(k for k in sorted(derivative.terms)
+               if k[2][0] >= 0 and pair.element(k[0]).fixed_dim() > 1)
+    n_g = pair.element(key[0]).fixed_dim()
+    report = check_fjrw_pipeline(pair, orders, _tamper=key, _tamper_stage="derivative")
+    assert report.witness == {"kind": "lambda-divisibility",
+                              "sector": list(key[0]), "z": key[1], "degree": list(key[2]),
+                              "required": n_g, "found": 0}
 
 
 @pytest.mark.parametrize("spec", ["euler-inverse", "euler-inverse-signed"])
