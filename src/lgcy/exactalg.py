@@ -18,9 +18,10 @@ Everything downstream runs on four layers built here:
 Every product of linear (lam, H, z)-factors, and of inverses of linear
 (H, z)-factors, goes through one kernel, ``_linear_product``: the modification
 factor and the ray factors of the I-functions, and the Gamma-shift rewrite
-``gamma_shift_product``.  The factors are homogeneous, so the kernel keeps a
-dense table of integer numerators over one denominator keyed by (lam, H)
-degree and builds the ``ZLaurentSeries`` once, clamped to its window.
+``gamma_shift_product`` of a block of Gamma ratios.  The factors are
+homogeneous, so the kernel keeps a dense table of integer numerators over one
+denominator keyed by (lam, H) degree and builds the exact product as a
+``ZLaurentSeries`` once, clamped to its window only at the end.
 
 No floating point anywhere; equality is equality of canonical forms.
 All values are immutable after construction and safe to share.
@@ -915,31 +916,11 @@ def _cells(lam_order: int, nilpotency: int):
     return tuple((a, b, 0, ()) for a, b in cells), lam_links, h_links
 
 
-def _check_single_clamp(ring: SeriesRing, z_min: int, z_max: int,
-                        n_linear: int, n_inverse: int) -> None:
-    """Refuse a window on which clamping once differs from clamping per step.
-
-    A term of the product that picks the z part of u linear factors and
-    H^(n_i) from the inverse factors, b = sum n_i, sits at z = u - n_inverse
-    - b.  Multiplied one factor at a time, in any order, its partial
-    products stay between z = -n_inverse - b and z = u, so a window holding
-    that span for every term the final clamp keeps loses nothing to a
-    per-step clamp.  The check runs over b, each b giving a range of u.
-    """
-    top = min(ring.nilpotency - 1, ring.lam_order) if n_inverse else 0
-    for b in range(top + 1):
-        u_low = max(0, n_linear - ring.lam_order + b, z_min + n_inverse + b)
-        u_high = min(n_linear, z_max + n_inverse + b)
-        if u_low <= u_high and (u_high > z_max or -n_inverse - b < z_min):
-            raise ValueError(
-                f"z-window [{z_min}, {z_max}] clamps a partial product of "
-                f"{n_linear} linear and {n_inverse} inverse factors")
-
-
 def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
                     inverse=()) -> ZLaurentSeries:
     """prod (L lam + H H + Z z)/D over ``linear`` (L, H, Z, D) times
-    prod ((H H + Z z)/D)^-1 over ``inverse`` (H, Z, D), clamped to the window.
+    prod ((H H + Z z)/D)^-1 over ``inverse`` (H, Z, D): the exact product,
+    clamped once, at the end, to the window.
 
     Every factor is homogeneous when lam, H and z have degree 1: a linear
     factor has degree 1 and an inverse factor, sum_n D (-H)^n H^n /
@@ -947,10 +928,8 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
     dense table of integer numerators over one denominator, one entry per
     lam^a H^b of the ring, whose z-power is deg - a - b.  Factors multiply
     into the table without a z-dict, and the ``ZLaurentSeries`` is built
-    once, at the end.  A window on which this single clamp differs from a
-    clamp after every factor raises ``ValueError``.
+    from it once; no window clamps a partial product.
     """
-    _check_single_clamp(ring, z_min, z_max, len(linear), len(inverse))
     keys, lam_links, h_links = _cells(ring.lam_order, ring.nilpotency)
     table = [0] * len(keys)
     table[0] = 1
@@ -993,24 +972,28 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
         {z: SectorValue._unchecked(ring, terms) for z, terms in by_z.items()})
 
 
-def gamma_shift_product(lam_weight: Fraction, h_weight: Fraction, base: Fraction,
-                        steps: int, ring: SeriesRing,
-                        z_min: int, z_max: int) -> ZLaurentSeries:
-    """prod_{l=0}^{steps-1} (x - l*z) with x = -lam_weight*lam - h_weight*H - base*z.
+def gamma_shift_product(shifts, ring: SeriesRing, z_min: int,
+                        z_max: int) -> ZLaurentSeries:
+    """z^(-sum steps) prod over ``shifts`` of prod_{l<steps} (x - l*z), with
+    x = -lam_weight*lam - h_weight*H - base*z for each entry (lam_weight,
+    h_weight, base, steps).
 
     This is the only rewrite connecting Gamma atoms whose offsets differ by
-    integers: Gamma(1 - L - base) / Gamma(1 - L - base - steps) equals
-    z^(-steps) times this product after undoing the z-grading conjugation.
-    steps = 0 returns 1 (the empty product).  The factors go to
-    ``_linear_product`` over the common denominator of the three weights.
+    integers: after undoing the z-grading conjugation, Gamma(1 - L - base) /
+    Gamma(1 - L - base - steps) is one entry's z^-steps prod, so a block of
+    such ratios is one call; the empty list gives 1.  Each entry's factors
+    go to one ``_linear_product`` over the common denominator of its three
+    weights, and z^-1 as the inverse factor (0 H + 1 z)^-1.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    parts = [_rational_parts(w) for w in (lam_weight, h_weight, base)]
-    den = lcm(*(q for _, q in parts))
-    lam_c, h_c, base_c = (-p * (den // q) for p, q in parts)
-    return _linear_product(ring, z_min, z_max,
-                           [(lam_c, h_c, base_c - l * den, den) for l in range(steps)])
+    linear = []
+    for lam_weight, h_weight, base, steps in shifts:
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        parts = [_rational_parts(w) for w in (lam_weight, h_weight, base)]
+        den = lcm(*(q for _, q in parts))
+        lam_c, h_c, base_c = (-p * (den // q) for p, q in parts)
+        linear += [(lam_c, h_c, base_c - l * den, den) for l in range(steps)]
+    return _linear_product(ring, z_min, z_max, linear, [(0, 1, 1)] * len(linear))
 
 
 # ---------------------------------------------------------------------------

@@ -343,14 +343,11 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
     """The z-window every I value is built on: the declared window padded by
     2T + 2n + 2 on each side, n the number of variables.
 
-    The I products themselves come from ``_linear_product``, which clamps
-    once, at the end, and refuses a window that a clamp after every factor
-    would have changed.  The padding guards the products that the
-    factorization check forms on this window one ``ZLaurentSeries`` product
-    at a time, each clamped after every multiplication: the per-key
-    products (I product times the I block, against the operator block
-    shifted by delta), the block products of ``_gamma_ratio_blocks``, and
-    the ``lhs``/``rhs`` that a failing key re-forms term by term.
+    The I products and the Gamma-ratio blocks are exact products that
+    ``_linear_product`` clamps once, at the end.  The padding guards only
+    what is clamped later: the shift of ``_i_value``, and the factorization
+    check's per-key products (I product times I block against the shifted
+    operator block, and the ``lhs``/``rhs`` that a failing key re-forms).
     """
     z_min, z_max = orders.z_window
     pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
@@ -630,29 +627,19 @@ def _integral_age(sector: GroupElement) -> int:
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
-                        window: tuple[int, int], sector, degs, shifts: dict):
+                        window: tuple[int, int], sector, degs):
     """(I block, operator block) of one pairing of Gamma-class and H atoms.
 
     Each Gamma-class atom g pairs with an H atom h of the same weights whose
-    offset is larger by an integer n.  Gamma(g) / Gamma(h) is z^-n times the
-    product of n linear factors, which multiplies the operator block for
-    n > 0; for n < 0 the inverse ratio's product multiplies the I block
-    (None while it is empty; the operator block is 1 then).  An atom left
-    unpaired on either side raises.
-    ``shifts`` keeps each z-shifted ``gamma_shift_product`` per (weights,
-    offset, steps, ring) for the span of one walk.
+    offset is larger by an integer n.  Gamma(g) / Gamma(h) is z^-n times n
+    linear factors from the lower of the two offsets on: a ratio of the
+    operator block for n > 0, while for n < 0 the inverse ratio belongs to
+    the I block.  Each block is one ``gamma_shift_product`` call over its
+    ratios; the I block is None when it has none, so no I value is
+    multiplied by 1.  An atom left unpaired on either side raises.
     """
-    def shifted(atom: GammaAtom, steps: int) -> ZLaurentSeries:
-        key = (atom.weight, atom.h_weight, atom.offset, steps, ring)
-        factor = shifts.get(key)
-        if factor is None:
-            factor = shifts[key] = gamma_shift_product(
-                atom.weight, atom.h_weight, atom.offset, steps, ring, *window).shift(-steps)
-        return factor
-
     pool = {atom: -exp for atom, exp in h_atoms}
-    unpaired = []
-    i_block = block = None
+    unpaired, i_shifts, shifts = [], [], []
     for atom, exp in gamma_atoms:
         for _ in range(exp):
             weights = (atom.weight, atom.h_weight)
@@ -664,20 +651,16 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
                 continue
             pool[partner] -= 1
             n = int(partner.offset - atom.offset)
-            if n > 0:
-                factor = shifted(atom, n)
-                block = factor if block is None else block * factor
-            elif n < 0:
-                factor = shifted(partner, -n)
-                i_block = factor if i_block is None else i_block * factor
+            if n:
+                ratio = (*weights, min(atom.offset, partner.offset), abs(n))
+                (shifts if n > 0 else i_shifts).append(ratio)
     unpaired += [h for h, left in pool.items() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
                              "atom": str(unpaired[0])})
-    if block is None:
-        block = ZLaurentSeries.constant(ring, *window, ring.one())
-    return i_block, block
+    i_block = gamma_shift_product(i_shifts, ring, *window) if i_shifts else None
+    return i_block, gamma_shift_product(shifts, ring, *window)
 
 
 def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
@@ -708,9 +691,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       ``_assert_no_residual``, so the witness names the first bad z.
 
     The I products are kept per walk as the I builder keeps them, the H
-    atoms in a memo of this walk, both blocks per (sector, H atoms), which
-    fixes everything the pairing reads, and their Gamma-shift factors per
-    argument.
+    atoms in a memo of this walk, and both blocks per (sector, H atoms),
+    which fixes everything the pairing reads; each block is one
+    ``gamma_shift_product`` call.
     """
     if side == "x":
         parts_of, atoms_of = _i_x_parts, _x_atoms
@@ -721,7 +704,6 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     counts = _stored_counts(i_series)
     i_products: dict = {}
     blocks: dict = {}
-    shifts: dict = {}
     verdicts: dict = {}
     memo: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
@@ -742,7 +724,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
             [(_, entry)] = gamma.blocks[sector.exps]
             [(_, _, _, gamma_atoms)] = entry.terms
             blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                                    sector.exps, term.degs, shifts)
+                                                    sector.exps, term.degs)
         i_block, block = blocks[block_key]
         delta = shift + 1 - age - offset
         key = (product_key, block_key, delta)

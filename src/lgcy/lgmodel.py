@@ -296,24 +296,18 @@ class LGPair:
 class SectorBasisElement:
     """A state-space basis vector on one of the four sides.
 
-    side: "lg" (phi^c_g), "x" (1_g), "y" (1~_g H^k), "fjrw" (narrow phi_g).
+    side: "lg" (phi^c_g), "x" (1_g), "y" (1~_g), "fjrw" (narrow phi_g).
+    A Y vector is the sector's H^0 vector; H-powers live in the entries.
     """
 
     side: str
     g: GroupElement
-    h_power: int = 0
 
     def __post_init__(self):
         if self.side not in ("lg", "x", "y", "fjrw", "z"):
             raise ValueError(f"unknown side {self.side!r}")
-        if self.side != "y" and self.h_power:
-            raise ValueError("H-powers only exist on the Y side")
-        if self.side == "y":
-            n_g = self.g.fixed_dim()
-            if n_g == 0:
-                raise ValueError("empty Y sector: N_g = 0")
-            if not 0 <= self.h_power <= n_g - 1:
-                raise ValueError("H-power out of the sector's range")
+        if self.side == "y" and self.g.fixed_dim() == 0:
+            raise ValueError("empty Y sector: N_g = 0")
 
 
 # -- twisted pairing ---------------------------------------------------------

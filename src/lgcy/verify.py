@@ -181,14 +181,18 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
 
 def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
                        _tamper_sector=None) -> VerificationReport:
-    """i_c . Delta^0 = Delta^c . i_c entrywise, generic s and both euler specs."""
-    orders = Orders(t_order=0, lam_order=0, z_max=z_order)
+    """i_c . Delta^0 = Delta^c . i_c entrywise, generic s and both euler specs.
+    Below z-order 0 every generic entry is empty: a "vacuous" witness."""
+    orders = Orders(t_order=0, lam_order=0, z_min=min(-2, z_order), z_max=z_order)
 
     def body():
         # the left sides, i_c . Delta^0, permute one Delta^0 for every c;
         # every right side Delta^c, c = 0 included, is built on its own
         specs = ("euler-inverse", "euler-inverse-signed")
         delta_0 = delta_c_generic(pair, 0, k_max, z_order=z_order)
+        if not any(entry.terms for entry in delta_0.values()):
+            return {"kind": "vacuous",
+                    "detail": f"every Delta^0 entry is empty at z-order {z_order}"}
         specialized_0 = {spec: delta_c_specialized(pair, 0, spec, k_max)
                          for spec in specs}
         for c in pair.valid_twists():
@@ -266,8 +270,10 @@ def check_continuation(pair: LGPair, orders: Orders,
     """Ubar(H^X) = H^Y' termwise: coefficients, atoms, prefactor tokens.
 
     ``h_continued`` reads its Gamma atoms from the same ``_x_atoms`` that
-    builds H^X, so a wrong atom there moves both sides alike and this check
-    cannot see it; only ``gamma-factorization`` catches it.
+    builds H^X, so a wrong atom there moves both sides of the comparison
+    alike; the check fails through its own ``h_factorization`` call, with the
+    factorization residual as witness (an atom moved by +1 on the quintic at
+    ``recommended_orders(q, 5, 3)``: sector 0^5, z 1, left (1), right 0).
     """
     def body():
         ix = i_function_x(pair, orders)
@@ -335,6 +341,9 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
     d = pair.fermat.degree
 
     def body():
+        if lam_order < 0:
+            return {"kind": "orders", "lambda": lam_order, "minimum_lambda": 0,
+                    "detail": "no series ring has a negative lam-order"}
         pair.require_cy()
         transform = u_bar(pair, lam_order)
         nilpotencies = sorted({g.fixed_dim() for g in pair.group.elements
@@ -510,6 +519,8 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
     d = pair.fermat.degree
 
     def body():
+        if m_max < 0:
+            return {"kind": "vacuous", "detail": f"no pole m in 0..{m_max}"}
         for m in range(m_max + 1):
             for b in range(d):
                 expected = None

@@ -324,34 +324,43 @@ def test_series_invert_involution_random():
 
 def test_gamma_ratio_rewrite_examples():
     ring = SeriesRing(5, 4, 1)
-    empty = gamma_shift_product(F(1), F(0), F(0), 0, ring, -2, 8)
+    empty = gamma_shift_product([], ring, -2, 8)
     assert empty.coefficient(0) == ring.one() and len(empty.terms) == 1
-    single = gamma_shift_product(F(1), F(0), F(0), 1, ring, -2, 8)
-    assert single.coefficient(0) == -ring.lam()
-    assert single.coefficient(1).is_zero()
-    quintic_factor = gamma_shift_product(F(1), F(0), F(2, 5), 1, ring, -2, 8)
-    assert quintic_factor.coefficient(0) == -ring.lam()
-    assert quintic_factor.coefficient(1) == ring.scalar(F(-2, 5))
+    assert gamma_shift_product([(F(1), F(0), F(0), 0)], ring, -2, 8) == empty
+    # one factor x - 0*z with x = -lam, times z^-1
+    single = gamma_shift_product([(F(1), F(0), F(0), 1)], ring, -2, 8)
+    assert single.coefficient(-1) == -ring.lam()
+    assert single.coefficient(0).is_zero()
+    quintic_factor = gamma_shift_product([(F(1), F(0), F(2, 5), 1)], ring, -2, 8)
+    assert quintic_factor.coefficient(-1) == -ring.lam()
+    assert quintic_factor.coefficient(0) == ring.scalar(F(-2, 5))
+    with pytest.raises(ValueError):
+        gamma_shift_product([(F(1), F(0), F(0), -1)], ring, -2, 8)
 
 
 def test_gamma_ratio_telescoping():
+    """One call over [(w, 0, b, m), (w, 0, b + m, n)] equals one call over
+    [(w, 0, b, m + n)], and both equal the product of the single-entry calls."""
     ring = SeriesRing(5, 6, 1)
+    window = (-10, 2)
     for weight in (F(1), F(1, 2), F(3)):
         for base in (F(0), F(2, 5), F(7, 3)):
             for m in range(4):
                 for n in range(4):
-                    whole = gamma_shift_product(weight, F(0), base, m + n, ring, -2, 10)
-                    left = gamma_shift_product(weight, F(0), base, m, ring, -2, 10)
-                    right = gamma_shift_product(weight, F(0), base + m, n, ring, -2, 10)
-                    assert whole == left * right
+                    whole = gamma_shift_product([(weight, F(0), base, m + n)], ring, *window)
+                    split = [(weight, F(0), base, m), (weight, F(0), base + m, n)]
+                    assert gamma_shift_product(split, ring, *window) == whole
+                    left, right = (gamma_shift_product([entry], ring, *window)
+                                   for entry in split)
+                    assert left * right == whole
 
 
 def test_gamma_shift_product_carries_h():
     ring = SeriesRing(4, 3, 3)
-    prod = gamma_shift_product(F(0), F(-1), F(-1), 1, ring, -4, 4)
-    # single factor x - 0*z with x = H - (-1)z = H + z
-    assert prod.coefficient(0) == ring.hyperplane()
-    assert prod.coefficient(1) == ring.one()
+    prod = gamma_shift_product([(F(0), F(-1), F(-1), 1)], ring, -4, 4)
+    # single factor x - 0*z with x = H - (-1)z = H + z, times z^-1
+    assert prod.coefficient(-1) == ring.hyperplane()
+    assert prod.coefficient(0) == ring.one()
 
 
 # -- the linear-factor product kernel -----------------------------------------
@@ -399,10 +408,11 @@ def _random_factors(rng):
 
 
 def test_linear_product_matches_the_per_factor_route():
-    """The kernel equals the per-factor route on every window wide enough for
-    it, and on a narrow window it either equals it or raises ValueError."""
+    """The kernel equals the per-factor route on every window that holds
+    all of that route's partial products, and on any window, narrow or with
+    z_min > 0, it is the clamp of its value on a window holding every cell."""
     rng = random.Random(2024)
-    narrow_equal = narrow_refused = 0
+    kept_above_zero = 0
     for _ in range(400):
         ring = SeriesRing(rng.choice([3, 4, 5, 6]), rng.randint(0, 4), rng.randint(1, 4))
         factors = _random_factors(rng)
@@ -411,37 +421,36 @@ def test_linear_product_matches_the_per_factor_route():
                 len(linear) + rng.randint(0, 3))
         assert _linear_product(ring, *wide, linear, inverse) == \
             _per_factor_product(ring, *wide, factors)
-        z_min = rng.randint(-4, 3)
-        narrow = (z_min, z_min + rng.randint(0, 4))
-        try:
-            product = _linear_product(ring, *narrow, linear, inverse)
-        except ValueError:
-            narrow_refused += 1
-            continue
-        assert product == _per_factor_product(ring, *narrow, factors)
-        narrow_equal += 1
-    # both outcomes occur, so neither branch above is vacuous
-    assert narrow_equal > 50 and narrow_refused > 50
+        # cell lam^a H^b sits at z = len(linear) - len(inverse) - a - b
+        every_cell = (-len(inverse) - ring.lam_order, len(linear))
+        exact = _linear_product(ring, *every_cell, linear, inverse)
+        z_min = rng.randint(-4, 4)
+        window = (z_min, z_min + rng.randint(0, 4))
+        product = _linear_product(ring, *window, linear, inverse)
+        assert product == ZLaurentSeries(ring, *window, exact.terms)
+        kept_above_zero += z_min > 0 and not product.is_zero()
+    # windows with z_min > 0 keep terms, so that case is not vacuous
+    assert kept_above_zero > 20
 
 
-def test_linear_product_refuses_a_window_the_per_factor_clamp_changes():
+def test_linear_product_clamps_once_where_the_per_factor_clamp_changes():
     ring = SeriesRing(5, 3, 2)
     linear = [(-5, 0, -2, 5), (-5, 0, -7, 5)]
     factors = [(F(-1), F(0), F(-2, 5)), (F(-1), F(0), F(-7, 5))]
     # z_min > 0 drops the starting 1 of the per-factor route, so its value
-    # is not the single clamp of the product; the kernel refuses the window
+    # is zero; the kernel keeps the single clamp of the product
     once = ZLaurentSeries(ring, 1, 4, _linear_product(ring, 0, 4, linear).terms)
     assert not once.is_zero() and _per_factor_product(ring, 1, 4, factors).is_zero()
-    with pytest.raises(ValueError, match="clamps a partial product"):
-        _linear_product(ring, 1, 4, linear)
-    # taken first, the inverse factor puts a partial product at z = -1: a
-    # window that keeps the final z = 0 but not z = -1 is refused
+    assert _linear_product(ring, 1, 4, linear) == once
+    # taken first, the inverse factor puts a partial product at z = -1: on
+    # a window that keeps the final z = 0 but not z = -1 the kernel is
+    # still the clamp of the product
     linear, inverse = [(0, 1, 1, 1)], [(1, 2, 1)]
     factors = [(F(0), F(1), F(1)), (F(1), F(2))]
-    assert _linear_product(ring, -2, 1, linear, inverse) == \
-        _per_factor_product(ring, -2, 1, factors)
-    with pytest.raises(ValueError, match="clamps a partial product"):
-        _linear_product(ring, 0, 1, linear, inverse)
+    wide = _linear_product(ring, -2, 1, linear, inverse)
+    assert wide == _per_factor_product(ring, -2, 1, factors)
+    narrow = _linear_product(ring, 0, 1, linear, inverse)
+    assert not narrow.is_zero() and narrow == ZLaurentSeries(ring, 0, 1, wide.terms)
     with pytest.raises(ZeroDivisionError):
         _linear_product(ring, -4, 4, [], [(1, 0, 1)])
 
@@ -462,9 +471,10 @@ def _recorded_calls(monkeypatch, name, key_of):
 
 @pytest.mark.parametrize("name", sorted(shipped_pairs()))
 def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
-    """Every M(k0, k), I^Y factor product and Gamma-shift product that the
+    """Every M(k0, k), I^Y factor product and Gamma-ratio block that the
     Gamma-factorization check of a shipped pair builds equals the per-factor
-    route over the factor lists the callers built before the kernel."""
+    route over the factor lists the callers built before the kernel (a
+    block's times z^(-sum steps))."""
     pair = shipped_pairs()[name]
     d, weights = pair.fermat.degree, pair.fermat.weights
     orders = recommended_orders(pair, 10, 3)
@@ -472,7 +482,8 @@ def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
         monkeypatch, "modification_factor", lambda p, r_num, *rest: (r_num,) + rest)
     y_products = _recorded_calls(
         monkeypatch, "_i_y_factors", lambda p, k0, v_num, *rest: (k0, v_num) + rest)
-    shifts = _recorded_calls(monkeypatch, "gamma_shift_product", lambda *args: args)
+    shifts = _recorded_calls(monkeypatch, "gamma_shift_product",
+                             lambda entries, *rest: (tuple(entries),) + rest)
     genfun.h_factorization(pair, genfun.i_function_x(pair, orders), "x")
     genfun.h_factorization(pair, genfun.i_function_y(pair, orders), "y")
     assert modifications and y_products and shifts
@@ -490,9 +501,10 @@ def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
             factors += [(F(0), F(cj), level) for level in numerator_levels]
             factors += [(F(cj), level) for level in denominator_levels]
         assert value == _per_factor_product(ring, z_min, z_max, factors)
-    for (lam_weight, h_weight, base, steps, ring, z_min, z_max), value in shifts.items():
-        factors = [(-lam_weight, -h_weight, -(base + l)) for l in range(steps)]
-        assert value == _per_factor_product(ring, z_min, z_max, factors)
+    for (entries, ring, z_min, z_max), value in shifts.items():
+        factors = [(-lam_weight, -h_weight, -(base + l))
+                   for lam_weight, h_weight, base, steps in entries for l in range(steps)]
+        assert value == _per_factor_product(ring, z_min, z_max, factors).shift(-len(factors))
 
 
 def test_gamma_atom_key_equality():

@@ -439,9 +439,10 @@ def _repeated_index(pair, side):
 def _doubled_rewrite(monkeypatch, pair, side):
     rewrite = genfun.gamma_shift_product
 
-    def doubled(lam_weight, h_weight, base, steps, ring, z_min, z_max):
-        product = rewrite(lam_weight, h_weight, base, steps, ring, z_min, z_max)
-        return product * F(2) if steps > 0 else product
+    # every Gamma ratio doubled: a block of k ratios comes out 2^k times
+    # too large, so an I block and an operator block do not cancel
+    def doubled(shifts, ring, z_min, z_max):
+        return rewrite(shifts, ring, z_min, z_max) * F(2 ** len(shifts))
 
     monkeypatch.setattr(genfun, "gamma_shift_product", doubled)
 
@@ -545,43 +546,11 @@ def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, ma
 
 # -- the per-key factorization check against the per-term route ----------------------
 
-def _per_term_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
-    """The Gamma-ratio blocks as the per-term route forms them: one
-    ``gamma_shift_product`` per paired atom, nothing kept."""
-    pool = {atom: -exp for atom, exp in h_atoms}
-    unpaired = []
-    i_block = None
-    block = ZLaurentSeries.constant(ring, *window, ring.one())
-    for atom, exp in gamma_atoms:
-        for _ in range(exp):
-            weights = (atom.weight, atom.h_weight)
-            partner = next((h for h, left in pool.items()
-                            if left > 0 and (h.weight, h.h_weight) == weights
-                            and (h.offset - atom.offset).denominator == 1), None)
-            if partner is None:
-                unpaired.append(atom)
-                continue
-            pool[partner] -= 1
-            n = int(partner.offset - atom.offset)
-            if n > 0:
-                block = block * genfun.gamma_shift_product(
-                    atom.weight, atom.h_weight, atom.offset, n, ring, *window).shift(-n)
-            elif n < 0:
-                factor = genfun.gamma_shift_product(
-                    partner.weight, partner.h_weight, partner.offset, -n, ring,
-                    *window).shift(n)
-                i_block = factor if i_block is None else i_block * factor
-    unpaired += [h for h, left in pool.items() if left]
-    if unpaired:
-        raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
-                            {"sector": list(sector), "degree": list(degs),
-                             "atom": str(unpaired[0])})
-    return i_block, block
-
-
 def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
-    for the clamp compare and forms lhs and rhs as ``ZLaurentSeries``."""
+    for the clamp compare and forms lhs and rhs as ``ZLaurentSeries``.  The
+    Gamma-ratio blocks come from ``genfun._gamma_ratio_blocks``; their values
+    are checked against the per-factor route in ``test_exactalg``."""
     if side == "x":
         parts_of, atoms_of = genfun._i_x_parts, genfun._x_atoms
     else:
@@ -609,8 +578,8 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         if key not in blocks:
             [(_, entry)] = gamma.blocks[sector.exps]
             [(_, _, _, gamma_atoms)] = entry.terms
-            blocks[key] = _per_term_blocks(gamma_atoms, atoms, ring, window,
-                                           sector.exps, term.degs)
+            blocks[key] = genfun._gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
+                                                     sector.exps, term.degs)
         i_block, block = blocks[key]
         lhs = i_value if i_block is None else i_value * i_block
         rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)

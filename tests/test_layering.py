@@ -1,11 +1,15 @@
-"""Module layering of ``lgcy``: no function-local imports, no import cycles."""
+"""Module layering of ``lgcy``: no function-local imports, no import cycles,
+and every name that the benchmark tracer wraps exists."""
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lgcy"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lgcy"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -57,4 +61,34 @@ def test_every_exported_name_resolves():
         module = importlib.import_module("lgcy" if name == "__init__" else f"lgcy.{name}")
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
+    assert not missing, missing
+
+
+def _tracer_sites() -> tuple:
+    """``SITES`` of ``benchmarks/tracer.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer",
+                                                  ROOT / "benchmarks" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.SITES
+
+
+def test_every_benchmark_site_resolves():
+    """Every callable the benchmark tracer wraps is an attribute of its
+    ``lgcy`` module (a method in its class's own namespace, where the tracer
+    looks it up), so a rename that breaks a traced benchmark run fails here."""
+    missing = []
+    for site in _tracer_sites():
+        home = importlib.import_module(f"lgcy.{site.module}")
+        if "." in site.attr:
+            cls_name, method = site.attr.split(".")
+            found = method in vars(getattr(home, cls_name, object))
+        else:
+            found = callable(getattr(home, site.attr, None))
+        if not found:
+            missing.append(site.name)
     assert not missing, missing

@@ -339,6 +339,21 @@ def test_fjrw_pipeline_names_orders_below_t2(pair):
     assert check_fjrw_pipeline(pair, recommended_orders(pair, 2, 3)).ok()
 
 
+@pytest.mark.parametrize("call, kind", [
+    (lambda pair: check_mlk_operator(pair, z_order=-3), "vacuous"),
+    (lambda pair: check_mlk_operator(pair, z_order=-2), "vacuous"),
+    (lambda pair: check_mlk_operator(pair, z_order=-1), "vacuous"),
+    (lambda pair: check_rctc_conditions(pair, -1), "orders"),
+    (lambda pair: check_residue_lemma(pair, m_max=-1), "vacuous"),
+], ids=["mlk-operator-z-3", "mlk-operator-z-2", "mlk-operator-z-1", "rctc-lambda-1",
+        "residue-m-1"])
+def test_out_of_range_arguments_fail_with_a_witness(call, kind):
+    # no raise and no pass that checked nothing
+    report = call(quintic())
+    assert report.status == "fail"
+    assert report.witness["kind"] == kind, report.witness
+
+
 @pytest.mark.parametrize("t_order", [1, 2, 3])
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
