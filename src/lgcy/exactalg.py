@@ -380,7 +380,12 @@ class GammaAtom:
     beta = lam/tau is never expanded; atoms are compared by key and only
     ever combined through integer-offset rewrites (``gamma_shift_product``).
     Atoms key the monomial dicts of every ``SectorValue``, so the hash of
-    the three Fractions is computed once, at construction.
+    the three Fractions is computed once, at construction, and so are the
+    integer numerators ``nums`` of (weight, offset, h_weight) over one
+    positive ``den`` in lowest terms.  The builders make atoms through
+    ``GammaAtom.over``, which hands out one shared instance per value:
+    equal atoms are then the same object, and dict lookups and atoms-tuple
+    compares take the identity path.
     """
 
     weight: Fraction
@@ -388,7 +393,19 @@ class GammaAtom:
     h_weight: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.weight, self.offset, self.h_weight)))
+        fields = (self.weight, self.offset, self.h_weight)
+        den = lcm(*(x.denominator for x in fields))
+        setattr_ = object.__setattr__
+        setattr_(self, "den", den)
+        setattr_(self, "nums", tuple(x.numerator * (den // x.denominator) for x in fields))
+        setattr_(self, "_hash", hash(fields))
+
+    @staticmethod
+    def over(d: int, weight: int, offset: int, h_weight: int = 0) -> "GammaAtom":
+        """The shared atom Gamma(1 - (weight*beta + h_weight*H/tau + offset)/d),
+        d > 0: one instance per value, whatever d its numerators come over."""
+        g = gcd(d, weight, offset, h_weight)
+        return _shared_atom(d // g, weight // g, offset // g, h_weight // g)
 
     def __hash__(self) -> int:
         return self._hash
@@ -402,6 +419,12 @@ class GammaAtom:
         if self.offset:
             parts.append(f"- {self.offset}")
         return "Gamma(" + " ".join(parts) + ")"
+
+
+@lru_cache(maxsize=None)
+def _shared_atom(den: int, weight: int, offset: int, h_weight: int) -> GammaAtom:
+    """The one atom of numerators in lowest terms over den."""
+    return GammaAtom(Fraction(weight, den), Fraction(offset, den), Fraction(h_weight, den))
 
 
 AtomsKey = tuple  # sorted tuple of (GammaAtom, nonzero int exponent)
@@ -553,7 +576,12 @@ class SectorValue:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, SectorValue):
+            self._check(other)
+        elif isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        else:
+            other = self.ring.scalar(other)
         ring = self.ring
         if len(other.terms) == 1:
             return self._times_monomial(other)
@@ -577,6 +605,18 @@ class SectorValue:
         return SectorValue._unchecked(ring, out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, value) -> "SectorValue":
+        """self * value for a rational value: every coefficient's integer
+        numerators times value's numerator, over its denominator times
+        value's, with no scalar ``SectorValue`` and no ``Cyclotomic`` product."""
+        num, den = value.numerator, value.denominator
+        if not num:
+            return SectorValue._unchecked(self.ring, {})
+        order, reduced = self.ring.order, Cyclotomic._reduced
+        return SectorValue._unchecked(
+            self.ring, {key: reduced(order, tuple([x * num for x in c.nums]), c.den * den)
+                        for key, c in self.terms.items()})
 
     def _times_monomial(self, mono: "SectorValue") -> "SectorValue":
         """self * mono for a one-term mono: each key maps to one key.
@@ -854,6 +894,10 @@ class ZLaurentSeries:
 
     def __mul__(self, other):
         if not isinstance(other, ZLaurentSeries):
+            if isinstance(other, (int, Fraction)) and other:
+                # a nonzero rational keeps every term nonzero
+                return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
+                                                 {z: v * other for z, v in self.terms.items()})
             # scalar or SectorValue multiplier
             if isinstance(other, SectorValue) or isinstance(other, (int, Fraction, Cyclotomic)):
                 return ZLaurentSeries(self.ring, self.z_min, self.z_max,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .exactalg import (
@@ -336,7 +336,7 @@ def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
 def _i_value(parts: tuple) -> ZLaurentSeries:
     """The I coefficient of one index from its (key, product, comb, z-power)."""
     _, product, comb, offset = parts
-    return (product * product.ring.scalar(comb)).shift(offset)
+    return (product * comb).shift(offset)
 
 
 def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
@@ -455,17 +455,24 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # H-functions and the Gamma factorization
 # ---------------------------------------------------------------------------
 
+def _shared_atoms(d: int, counts: dict) -> tuple:
+    """The atoms key of ``counts``, (weight, offset, h_weight) numerators over
+    d -> exponent.  Over one d the numerators sort as the atoms do, so the
+    key is sorted in integers and each atom is the one ``GammaAtom.over``."""
+    return tuple((GammaAtom.over(d, *parts), exp) for parts, exp in sorted(counts.items()))
+
+
 def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
     """The Gamma atoms of H^X at one index.  They depend on r alone;
     ``memo`` keeps them per r for the span of one walk over the table."""
     atoms = memo.get(term.r_num)
     if atoms is None:
         d = pair.fermat.degree
-        counts: dict[GammaAtom, int] = {}
+        counts: dict = {}
         for cj, r in zip(pair.fermat.weights, term.r_num):
-            atom = GammaAtom(Fraction(cj), Fraction(r, d))
-            counts[atom] = counts.get(atom, 0) - 1
-        atoms = memo[term.r_num] = tuple(sorted(counts.items()))
+            parts = (cj * d, r, 0)
+            counts[parts] = counts.get(parts, 0) - 1
+        atoms = memo[term.r_num] = _shared_atoms(d, counts)
     return atoms
 
 
@@ -476,18 +483,18 @@ def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
     atoms = memo.get(key)
     if atoms is None:
         d = pair.fermat.degree
-        counts: dict[GammaAtom, int] = {
-            GammaAtom(Fraction(d), Fraction(term.k0), Fraction(d)): -1}
+        counts: dict = {(d * d, term.k0 * d, d * d): -1}
         for cj, v in zip(pair.fermat.weights, term.v_num):
-            atom = GammaAtom(Fraction(0), Fraction(-v, d), Fraction(-cj))
-            counts[atom] = counts.get(atom, 0) - 1
-        atoms = memo[key] = tuple(sorted(counts.items()))
+            parts = (0, -v, -cj * d)
+            counts[parts] = counts.get(parts, 0) - 1
+        atoms = memo[key] = _shared_atoms(d, counts)
     return atoms
 
 
 def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
     """The H closed form of one index: comb times the Gamma-atom monomial."""
-    return SectorValue(ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
+    return SectorValue._unchecked(
+        ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
 
 
 def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
@@ -598,12 +605,21 @@ def _scaled_equals(stored: SectorValue, value: SectorValue, cn: int, cd: int) ->
 
 
 def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
-                   expected: SectorValue):
-    """The stored H term must be its closed form wherever the window keeps it."""
+                   ring: SeriesRing, atoms: tuple, comb: Fraction):
+    """The stored H term must be its closed form, comb times the atoms
+    monomial in ``ring``, wherever the window keeps it: its one cell is
+    compared with (atoms, comb) directly, with no closed-form value built."""
     z_min, z_max = h_series.orders.z_window
-    if z_min <= shift <= z_max and h_series.coefficient(sector, shift, degs) != expected:
-        raise IdentityError("H-function term disagrees with its closed form",
-                            {"sector": list(sector), "degree": list(degs)})
+    if not z_min <= shift <= z_max:
+        return
+    stored = h_series.terms.get((sector, shift, degs))
+    if stored is not None and (stored.ring is ring or stored.ring == ring) \
+            and len(stored.terms) == 1:
+        [(key, cell)] = stored.terms.items()
+        if key == (0, 0, 0, atoms) and cell == comb:
+            return
+    raise IdentityError("H-function term disagrees with its closed form",
+                        {"sector": list(sector), "degree": list(degs)})
 
 
 def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
@@ -637,24 +653,39 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
     the I block.  Each block is one ``gamma_shift_product`` call over its
     ratios; the I block is None when it has none, so no I value is
     multiplied by 1.  An atom left unpaired on either side raises.
+
+    The pairing reads each atom's integer numerators, brought over the
+    common denominator ``den`` of all the atoms: weights match when their
+    numerators do, and the gap is an integer n when the offset numerators
+    differ by n den.
     """
-    pool = {atom: -exp for atom, exp in h_atoms}
+    den = lcm(*(atom.den for atom, _ in gamma_atoms + h_atoms))
+
+    def over_den(atom):
+        scale = den // atom.den
+        weight, offset, h_weight = atom.nums
+        return (weight * scale, h_weight * scale), offset * scale
+
+    # H atom -> [weights, offset numerator, copies left]
+    pool = {h: [*over_den(h), -exp] for h, exp in h_atoms}
     unpaired, i_shifts, shifts = [], [], []
     for atom, exp in gamma_atoms:
+        weights, offset = over_den(atom)
         for _ in range(exp):
-            weights = (atom.weight, atom.h_weight)
-            partner = next((h for h, left in pool.items()
-                            if left > 0 and (h.weight, h.h_weight) == weights
-                            and (h.offset - atom.offset).denominator == 1), None)
+            partner = next((h for h, (h_weights, h_offset, left) in pool.items()
+                            if left > 0 and h_weights == weights
+                            and (h_offset - offset) % den == 0), None)
             if partner is None:
                 unpaired.append(atom)
                 continue
-            pool[partner] -= 1
-            n = int(partner.offset - atom.offset)
+            entry = pool[partner]
+            entry[2] -= 1
+            n = (entry[1] - offset) // den
             if n:
-                ratio = (*weights, min(atom.offset, partner.offset), abs(n))
+                lower = atom if n > 0 else partner
+                ratio = (atom.weight, atom.h_weight, lower.offset, abs(n))
                 (shifts if n > 0 else i_shifts).append(ratio)
-    unpaired += [h for h, left in pool.items() if left]
+    unpaired += [h for h, (_, _, left) in pool.items() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
@@ -706,9 +737,12 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     blocks: dict = {}
     verdicts: dict = {}
     memo: dict = {}
+    ages: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
-        age = _integral_age(sector)
+        age = ages.get(sector.exps)
+        if age is None:
+            age = ages[sector.exps] = _integral_age(sector)
         shift = term.z_shift()
         scale = term.comb if side == "x" else term.comb_k
         atoms = atoms_of(pair, term, memo)
@@ -716,8 +750,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
         parts = parts_of(pair, term, *window, i_products)
         product_key, product, comb, offset = parts
         _assert_is_clamp(i_series, counts, sector.exps, term.degs, parts, label)
-        _assert_h_term(h_series, sector.exps, shift, term.degs,
-                       _atom_value(ring, atoms, scale))
+        _assert_h_term(h_series, sector.exps, shift, term.degs, ring, atoms, scale)
 
         block_key = (sector.exps, atoms)
         if block_key not in blocks:
@@ -853,7 +886,10 @@ def _atom_to_json(atom: GammaAtom) -> list:
     return [str(atom.weight), str(atom.h_weight), str(atom.offset)]
 
 def _atom_from_json(data) -> GammaAtom:
-    return GammaAtom(Fraction(data[0]), Fraction(data[2]), Fraction(data[1]))
+    """The shared atom of a JSON triple [weight, h_weight, offset]."""
+    weight, h_weight, offset = (Fraction(x) for x in data)
+    den = lcm(weight.denominator, offset.denominator, h_weight.denominator)
+    return GammaAtom.over(den, int(weight * den), int(offset * den), int(h_weight * den))
 
 
 def _value_to_json(value: SectorValue) -> dict:

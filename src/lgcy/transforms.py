@@ -192,13 +192,14 @@ def gamma_class_op(pair: LGPair, side: str) -> Transform:
     X side: prod_j Gamma(1 - m_j(g) - c_j beta).  Y side additionally
     Gamma(1 - d(lam+H)/tau), with the per-j atoms carrying H.
     """
+    d = pair.fermat.degree
     blocks = {}
     for g in pair.group.elements:
         if side == "x":
-            ring = SeriesRing(pair.fermat.degree, 0, 1)
+            ring = SeriesRing(d, 0, 1)
             atoms: dict[GammaAtom, int] = {}
             for j, cj in enumerate(pair.fermat.weights):
-                atom = GammaAtom(Fraction(cj), g.multiplicity(j))
+                atom = GammaAtom.over(d, cj * d, g.exps[j] * cj)
                 atoms[atom] = atoms.get(atom, 0) + 1
             value = ring.monomial(atoms=tuple(sorted(atoms.items())))
             blocks[g.exps] = ((SectorBasisElement("x", g), value),)
@@ -207,11 +208,10 @@ def gamma_class_op(pair: LGPair, side: str) -> Transform:
             if n_g == 0:
                 blocks[g.exps] = ()
                 continue
-            ring = SeriesRing(pair.fermat.degree, 0, n_g)
-            atoms = {GammaAtom(Fraction(pair.fermat.degree), Fraction(0),
-                               Fraction(pair.fermat.degree)): 1}
+            ring = SeriesRing(d, 0, n_g)
+            atoms = {GammaAtom.over(d, d * d, 0, d * d): 1}
             for j, cj in enumerate(pair.fermat.weights):
-                atom = GammaAtom(Fraction(0), g.multiplicity(j), Fraction(-cj))
+                atom = GammaAtom.over(d, 0, g.exps[j] * cj, -cj * d)
                 atoms[atom] = atoms.get(atom, 0) + 1
             value = ring.monomial(atoms=tuple(sorted(atoms.items())))
             blocks[g.exps] = ((SectorBasisElement("y", g), value),)

@@ -182,7 +182,8 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
 def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
                        _tamper_sector=None) -> VerificationReport:
     """i_c . Delta^0 = Delta^c . i_c entrywise, generic s and both euler specs.
-    Below z-order 0 every generic entry is empty: a "vacuous" witness."""
+    Below z-order 0 every generic entry is empty, and below k_max 0 every
+    generic entry is the constant 1: both give a "vacuous" witness."""
     orders = Orders(t_order=0, lam_order=0, z_min=min(-2, z_order), z_max=z_order)
 
     def body():
@@ -193,6 +194,10 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
         if not any(entry.terms for entry in delta_0.values()):
             return {"kind": "vacuous",
                     "detail": f"every Delta^0 entry is empty at z-order {z_order}"}
+        if all(set(entry.terms) == {((), 0)} for entry in delta_0.values()):
+            return {"kind": "vacuous",
+                    "detail": f"every Delta^0 entry is constant at k_max {k_max}: "
+                              "no log term"}
         specialized_0 = {spec: delta_c_specialized(pair, 0, spec, k_max)
                          for spec in specs}
         for c in pair.valid_twists():
@@ -335,15 +340,19 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
 
     Each off-diagonal block is divided once, in (b).  Every block of a
     compact input (N_g = 0) is off-diagonal, so (d) reads the quotients
-    that (b) kept.
+    that (b) kept.  Its columns reach H^(N_g - 1), which a quotient keeps
+    only at lam-order N_g - 1 or more: below max N_g - 1 the check returns
+    an "orders" witness, not a false rank failure.
     """
     orders = Orders(t_order=0, lam_order=lam_order)
     d = pair.fermat.degree
+    minimum = max(g.fixed_dim() for g in pair.group.elements) - 1
 
     def body():
-        if lam_order < 0:
-            return {"kind": "orders", "lambda": lam_order, "minimum_lambda": 0,
-                    "detail": "no series ring has a negative lam-order"}
+        if lam_order < minimum:
+            return {"kind": "orders", "lambda": lam_order, "minimum_lambda": minimum,
+                    "detail": "the rank columns read H^(N_g - 1) of (lam+H)-quotients, "
+                              "which this lam-order truncates"}
         pair.require_cy()
         transform = u_bar(pair, lam_order)
         nilpotencies = sorted({g.fixed_dim() for g in pair.group.elements

@@ -22,6 +22,7 @@ from lgcy.exactalg import (
     SeriesRing,
     ZLaurentSeries,
     _bernoulli_at,
+    _merge_atoms,
     _linear_product,
     _rational_parts,
     bernoulli_number,
@@ -532,6 +533,48 @@ def test_gamma_atom_hash_equality_and_order_from_unreduced_fractions():
     assert [f.name for f in dataclasses.fields(GammaAtom)] == ["weight", "offset", "h_weight"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         reduced[0].offset = F(0)
+
+
+
+def test_shared_atom_is_one_instance_that_matches_atoms_from_unreduced_fractions():
+    """``GammaAtom.over`` hands out one instance per value, whatever
+    denominator its numerators come over; it equals, hashes like and sorts
+    with the atom built from unreduced Fractions."""
+    shared = [GammaAtom.over(5, 5, 7), GammaAtom.over(5, 0, -2, -5),
+              GammaAtom.over(5, 25, 15, 25), GammaAtom.over(5, 5, 2)]
+    assert shared[0] is GammaAtom.over(5, 5, 7) is GammaAtom.over(10, 10, 14)
+    assert shared[2] is GammaAtom.over(1, 5, 3, 5)
+    unreduced = [GammaAtom(F(3, 3), F(14, 10)), GammaAtom(F(0, 7), F(4, -10), F(-2, 2)),
+                 GammaAtom(F(10, 2), F(9, 3), F(25, 5)), GammaAtom(F(-4, -4), F(6, 15))]
+    for a, b in zip(shared, unreduced):
+        assert a == b and b == a and not a != b
+        assert hash(a) == hash(b) and str(a) == str(b) and repr(a) == repr(b)
+        assert (a.den, a.nums) == (b.den, b.nums)
+        assert F(a.nums[1], a.den) == a.offset
+    assert shared[0] != shared[3] and shared[0] != unreduced[3]
+    # the same numerators over another denominator are another atom
+    assert GammaAtom.over(2, 5, 7) != shared[0] and GammaAtom(F(5, 2), F(7, 2)) != shared[0]
+    assert sorted(shared) == sorted(unreduced)
+    assert sorted(shared + unreduced) == [a for a in sorted(shared) for _ in range(2)]
+    assert [{a: i for i, a in enumerate(shared)}[b] for b in unreduced] == [0, 1, 2, 3]
+    # a key of shared atoms and one of their Fraction twins cancel
+    assert _merge_atoms(((shared[0], 1), (shared[3], -2)),
+                        ((unreduced[3], 2), (unreduced[0], -1))) == ()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(order=st.integers(min_value=3, max_value=6), data=st.data())
+def test_rational_scaling_matches_the_scalar_product(order, data):
+    """A value times an int or Fraction scales its integer numerators; it
+    equals the product with the scalar ``SectorValue``, on either side."""
+    ring = SeriesRing(order, 3, 3)
+    x = sum((_monomials(data, ring) for _ in range(data.draw(
+        st.integers(min_value=0, max_value=4)))), ring.zero())
+    q = data.draw(st.one_of(_core_fractions, st.integers(min_value=-4, max_value=4)))
+    scaled = x * q
+    assert scaled == x * ring.scalar(q) == q * x
+    assert all(_is_canonical(c) for c in scaled.terms.values())
+    assert (q == 0) == scaled.is_zero() or x.is_zero()
 
 
 # -- mixed layer helpers -------------------------------------------------------

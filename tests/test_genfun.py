@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from lgcy import genfun
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
-from lgcy.exactalg import Cyclotomic, GammaAtom, SeriesRing, ZLaurentSeries, series_exp
+from lgcy.exactalg import (Cyclotomic, GammaAtom, SectorValue, SeriesRing, ZLaurentSeries,
+                           series_exp)
 from lgcy.genfun import (
     IdentityError,
     _index_terms,
@@ -502,11 +503,10 @@ def test_factorization_residual_names_the_first_bad_coefficient(monkeypatch, sid
     assert set(caught.value.witness) == {"sector", "z", "degree", "left", "right"}
 
 
-@pytest.mark.parametrize("side", ["x", "y"])
-def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
-    """A term whose Gamma atoms come out of the per-walk memo is still
-    checked: tampering its stored H coefficient must fail naming its sector
-    and degree."""
+def _assert_reused_h_term_tamper_fails(side, tamper):
+    """On the first index whose Gamma atoms come out of the per-walk memo,
+    the stored H term changed by ``tamper`` fails naming its sector and
+    degree."""
     p = quartic()
     orders = recommended_orders(p, 6, 3)
     table = list(_index_terms(p, orders, side))
@@ -520,11 +520,32 @@ def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
     sector = target.sector.exps
     key = next(k for k in sorted(h_series.terms)
                if k[0] == sector and k[2] == target.degs)
-    broken = h_series._replace_terms({**h_series.terms, key: h_series.terms[key] * 2})
+    broken = h_series._replace_terms({**h_series.terms, key: tamper(h_series.terms[key])})
     _verify_factorization(p, side, i_series, h_series, gamma)
     with pytest.raises(IdentityError, match="H-function term") as caught:
         _verify_factorization(p, side, i_series, broken, gamma)
     assert caught.value.witness == {"sector": list(sector), "degree": list(target.degs)}
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
+    """A term whose Gamma atoms come out of the per-walk memo is still
+    checked: tampering its stored H coefficient must fail naming its sector
+    and degree."""
+    _assert_reused_h_term_tamper_fails(side, lambda value: value * 2)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_h_term_check_compares_the_stored_atoms(side):
+    """The H-term check reads the stored term's atoms as well as its
+    coefficient: its first Gamma atom moved by 1 fails naming the term."""
+    def atom_moved(value):
+        [((lam, h, tau, ((atom, exp), *rest)), coeff)] = value.terms.items()
+        moved = GammaAtom(atom.weight, atom.offset + 1, atom.h_weight)
+        return SectorValue(value.ring, {(lam, h, tau, tuple(sorted([(moved, exp)] + rest))):
+                                        coeff})
+
+    _assert_reused_h_term_tamper_fails(side, atom_moved)
 
 
 @pytest.mark.parametrize("pair", [quintic(), quartic()], ids=lambda p: p.name)
@@ -548,9 +569,11 @@ def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, ma
 
 def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
-    for the clamp compare and forms lhs and rhs as ``ZLaurentSeries``.  The
-    Gamma-ratio blocks come from ``genfun._gamma_ratio_blocks``; their values
-    are checked against the per-factor route in ``test_exactalg``."""
+    for the clamp compare and its H closed form as a ``SectorValue``, and
+    forms lhs and rhs as ``ZLaurentSeries``.  The Gamma-ratio blocks come
+    from ``genfun._gamma_ratio_blocks``; their values are checked against
+    the per-factor route in ``test_exactalg``, their pairing against
+    ``_fraction_ratio_blocks``."""
     if side == "x":
         parts_of, atoms_of = genfun._i_x_parts, genfun._x_atoms
     else:
@@ -572,8 +595,10 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         if stored != clamped:
             raise IdentityError(f"I^{side.upper()}: stored series is not the declared clamp",
                                 {"sector": list(sector.exps), "degree": list(term.degs)})
-        genfun._assert_h_term(h_series, sector.exps, shift, term.degs,
-                              genfun._atom_value(ring, atoms, scale))
+        if z_min <= shift <= z_max and h_series.coefficient(sector.exps, shift, term.degs) \
+                != genfun._atom_value(ring, atoms, scale):
+            raise IdentityError("H-function term disagrees with its closed form",
+                                {"sector": list(sector.exps), "degree": list(term.degs)})
         key = (sector.exps, atoms)
         if key not in blocks:
             [(_, entry)] = gamma.blocks[sector.exps]
@@ -682,6 +707,71 @@ def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, f
     expected = outcome(_per_term_factorization)
     assert (expected is None) == (fault == "none")
     assert outcome(_verify_factorization) == expected
+
+
+def _fraction_ratio_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
+    """``genfun._gamma_ratio_blocks`` pairing the atoms by their Fraction
+    fields: weights compared as Fractions, the gap by Fraction subtraction."""
+    pool = {atom: -exp for atom, exp in h_atoms}
+    unpaired, i_shifts, shifts = [], [], []
+    for atom, exp in gamma_atoms:
+        for _ in range(exp):
+            weights = (atom.weight, atom.h_weight)
+            partner = next((h for h, left in pool.items()
+                            if left > 0 and (h.weight, h.h_weight) == weights
+                            and (h.offset - atom.offset).denominator == 1), None)
+            if partner is None:
+                unpaired.append(atom)
+                continue
+            pool[partner] -= 1
+            n = int(partner.offset - atom.offset)
+            if n:
+                ratio = (*weights, min(atom.offset, partner.offset), abs(n))
+                (shifts if n > 0 else i_shifts).append(ratio)
+    unpaired += [h for h, left in pool.items() if left]
+    if unpaired:
+        raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
+                            {"sector": list(sector), "degree": list(degs),
+                             "atom": str(unpaired[0])})
+    i_block = genfun.gamma_shift_product(i_shifts, ring, *window) if i_shifts else None
+    return i_block, genfun.gamma_shift_product(shifts, ring, *window)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
+    """The atom pairing in integer numerators gives the blocks, or the
+    unpaired witness, of the pairing in Fractions, on every (sector, H atoms)
+    of the side's table and with its first H atom moved by 1 or by 1/2."""
+    orders = recommended_orders(pair, 6, 3)
+    window = genfun._wide_window(orders, pair)
+    atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
+    gamma = gamma_class_op(pair, side)
+
+    def outcome(pairing, *args):
+        try:
+            return pairing(*args)
+        except IdentityError as err:
+            return str(err), err.witness
+
+    seen, memo, outcomes = set(), {}, set()
+    for term in _index_terms(pair, orders, side):
+        atoms = atoms_of(pair, term, memo)
+        if (term.sector.exps, atoms) in seen:
+            continue
+        seen.add((term.sector.exps, atoms))
+        [(_, entry)] = gamma.blocks[term.sector.exps]
+        [(_, _, _, gamma_atoms)] = entry.terms
+        (atom, exp), *rest = atoms
+        for moved in (F(0), F(1), F(1, 2)):
+            h_atoms = tuple(sorted([(GammaAtom(atom.weight, atom.offset + moved,
+                                               atom.h_weight), exp)] + rest))
+            args = (gamma_atoms, h_atoms, term.ring, window, term.sector.exps, term.degs)
+            expected = outcome(_fraction_ratio_blocks, *args)
+            assert outcome(genfun._gamma_ratio_blocks, *args) == expected
+            outcomes.add(isinstance(expected[1], ZLaurentSeries))
+    # both the blocks and the unpaired witness were compared
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -888,6 +978,23 @@ def test_serialize_round_trip(maker):
     rebuilt = deserialize_series(json.loads(json.dumps(data)))
     assert rebuilt.compare(series) is None
     assert serialize_series(rebuilt) == data
+
+
+@pytest.mark.parametrize("maker", [h_function_x, h_function_y, h_continued],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_deserialized_series_equals_the_original(pair, maker):
+    """Read back from its JSON text, an atom-valued series equals the
+    original, and each of its Gamma atoms is the original's shared instance."""
+    series = maker(pair, recommended_orders(pair, 3, 2))
+    rebuilt = deserialize_series(json.loads(json.dumps(serialize_series(series))))
+    assert rebuilt == series
+
+    def atoms(s):
+        return {id(atom): atom for value in s.terms.values()
+                for key in value.terms for atom, _ in key[3]}
+
+    assert atoms(series) and atoms(rebuilt).keys() == atoms(series).keys()
 
 
 def test_serialized_display_strings():

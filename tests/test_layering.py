@@ -92,3 +92,20 @@ def test_every_benchmark_site_resolves():
         if not found:
             missing.append(site.name)
     assert not missing, missing
+
+
+def test_gamma_atoms_are_built_through_the_shared_constructor():
+    """Outside ``exactalg`` no module calls ``GammaAtom(...)``: every atom the
+    program builds is the one instance ``GammaAtom.over`` hands out."""
+    offenders = []
+    for name, tree in MODULES.items():
+        if name == "exactalg":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if called == "GammaAtom":
+                    offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, offenders

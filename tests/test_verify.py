@@ -354,6 +354,32 @@ def test_out_of_range_arguments_fail_with_a_witness(call, kind):
     assert report.witness["kind"] == kind, report.witness
 
 
+@pytest.mark.parametrize("pair, minimum", [
+    (quintic(), 4), (cubic(), 2), (quartic(), 3), (sextic(), 3)], ids=lambda p: getattr(p, "name", p))
+def test_rctc_names_orders_below_its_minimum_lambda_order(pair, minimum):
+    # the rank columns reach H^(N_g - 1): below max N_g - 1 an "orders"
+    # witness, not a false rank failure
+    assert minimum == max(g.fixed_dim() for g in pair.group.elements) - 1
+    assert check_rctc_conditions(pair, minimum).ok()
+    for lam_order in (minimum - 1, 0):
+        report = check_rctc_conditions(pair, lam_order)
+        assert not report.ok()
+        assert report.witness["kind"] == "orders", report.witness
+        assert set(report.witness) == {"kind", "lambda", "minimum_lambda", "detail"}
+        assert (report.witness["lambda"], report.witness["minimum_lambda"]) \
+            == (lam_order, minimum)
+
+
+@pytest.mark.parametrize("k_max", [-1, -2])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_mlk_operator_without_a_log_term_is_vacuous(pair, k_max):
+    # no log term: every generic Delta^c entry is the constant 1
+    report = check_mlk_operator(pair, k_max=k_max)
+    assert not report.ok()
+    assert report.witness["kind"] == "vacuous", report.witness
+    assert check_mlk_operator(pair, k_max=0).ok()
+
+
 @pytest.mark.parametrize("t_order", [1, 2, 3])
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
