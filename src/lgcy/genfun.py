@@ -215,38 +215,40 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 # ---------------------------------------------------------------------------
 
 class IndexTerm(NamedTuple):
-    """One index (k0, k) with k0 + sum(k) <= T and the bookkeeping it carries.
+    """One index (k0, k) with k0 + sum(k) <= T and the integers it carries.
 
-    degs = (k0,) + k; base = prod_s g_s^{k_s}; comb_k = prod_s 1/k_s! and
-    comb = comb_k / k0!.  r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d -
-    a(k)^j are carried as their integer numerators over d: r_num and v_num.
-    ``ages`` pairs each indexing sector g_s with its age and is shared by
-    every term of one table.  ``sector`` and ``ring`` are the index's sector
-    on the table's side and the ring of its coefficients there.
+    degs = (k0,) + k; base = prod_s g_s^{k_s}.  comb and offset are the
+    side's combinatorial factor and I z-power: 1/(k0! prod_s k_s!) and
+    1 - k0 - sum k on X, 1/prod_s k_s! and 1 - sum k on Y.  r_j = k0 c_j / d
+    + a(k)^j and v_j = k0 c_j / d - a(k)^j are carried as their integer
+    numerators over d: r_num and v_num.  shift = sum_s (age(g_s) - 1) k_s is
+    the H z-power and age the age of ``sector``; both are None on a non-SL
+    pair, whose z-grading ``_require_sl_ages`` refuses.  ``sector``
+    and ``ring`` are the index's sector on the table's side and the ring of
+    its coefficients there.
     """
 
     k0: int
     k: tuple[int, ...]
     degs: tuple[int, ...]
     base: GroupElement
-    comb_k: Fraction
     comb: Fraction
+    offset: int
     r_num: tuple[int, ...]
     v_num: tuple[int, ...]
-    ages: tuple
+    shift: int | None
+    age: int | None
     sector: GroupElement
     ring: SeriesRing
 
-    def z_shift(self) -> int:
-        """sum_s (age(g_s) - 1) k_s; the ages of the indexing sectors must be
-        integers for the z-grading bookkeeping to make sense."""
-        shift = 0
-        for (g, age), mult in zip(self.ages, self.k):
-            if mult:
-                if age.denominator != 1:
-                    raise IdentityError(f"non-integral age on sector {g}")
-                shift += (int(age) - 1) * mult
-        return shift
+
+def _require_sl_ages(pair: LGPair):
+    """The SL guard: the z-grading of H and H^Y' needs an integral age on
+    every sector of the group.  It runs before a walk, so a pair is refused
+    also where no index of the table touches such a sector."""
+    for g in pair.group.elements:
+        if g.age().denominator != 1:
+            raise IdentityError(f"non-integral age on sector {g}")
 
 
 @lru_cache(maxsize=1)
@@ -256,21 +258,26 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
     sector has N_g = 0 are skipped.  The table holds one SeriesRing per
-    nilpotency.  Ages of the positive-dimensional sectors are read once per
-    table.  The multidegree walk runs over a zero row for k0 and the
-    sectors' exponent rows, so its sums are sum_s k_s k_j(g_s) in integers:
-    base is their reduction, and r_j, v_j are (k0 +- sums_j) c_j / d.  The
-    last table is kept per (pair object, orders, side); what each walk
-    derives from it (atoms, products, Gamma shifts) stays per walk.
+    nilpotency.  The multidegree walk runs over a zero row for k0 and one
+    row per positive-dimensional sector g_s: its exponents, then the column
+    d age(g_s) - d.  Its sums are sum_s k_s k_j(g_s), whose reduction is
+    base and from which r_j, v_j = (k0 +- sums_j) c_j / d, and, in the last
+    column, d shift.  This is the one place that computes an index's
+    integers; the walks read them.  The last table is kept per (pair
+    object, orders, side); what each walk derives from it (atoms, products,
+    Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
-    ages = tuple((g, g.age()) for g in sectors)
     fermat = pair.fermat
     weights, d = fermat.weights, fermat.degree
+    graded = pair.is_sl
     shifts = [pair.grading ** k0 for k0 in range(orders.t_order + 1)]
     if side == "y":
         shifts = [shift.inverse() for shift in shifts]
-    rows = [(0,) * len(weights)] + [g.exps for g in sectors]
+    # the age column is last, so zip with the weights and the reduction
+    # to base read the exponent sums alone
+    rows = [(0,) * (len(weights) + 1)] + \
+        [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
     rings: dict = {}
     table = []
     for total in range(orders.t_order + 1):
@@ -286,8 +293,16 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
                 ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
             r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
             v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
-            table.append(IndexTerm(k0, degs[1:], degs, base, Fraction(1, fact // factorial(k0)),
-                                   Fraction(1, fact), r_num, v_num, ages, sector, ring))
+            if side == "x":
+                comb, offset = Fraction(1, fact), 1 - total
+            else:
+                comb, offset = Fraction(1, fact // factorial(k0)), 1 - total + k0
+            shift = age = None
+            if graded:
+                shift = sums[-1] // d
+                age = sum(e * c for e, c in zip(sector.exps, weights)) // d
+            table.append(IndexTerm(k0, degs[1:], degs, base, comb, offset, r_num, v_num,
+                                   shift, age, sector, ring))
     return tuple(table)
 
 
@@ -320,8 +335,8 @@ def modification_factor(pair: LGPair, r_num, ring: SeriesRing,
 
 def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
                products: dict) -> tuple:
-    """(r, M(k0, k), comb, 1 - k0 - sum k): the I^X coefficient of one index
-    is M(k0, k) comb z^(1 - k0 - sum k).
+    """(r, M(k0, k), comb, offset): the I^X coefficient of one index is
+    M(k0, k) comb z^offset, with offset = 1 - k0 - sum k.
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
     of one walk over the index table.
@@ -330,7 +345,7 @@ def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if m_factor is None:
         m_factor = products[term.r_num] = \
             modification_factor(pair, term.r_num, term.ring, z_min, z_max)
-    return term.r_num, m_factor, term.comb, 1 - term.k0 - sum(term.k)
+    return term.r_num, m_factor, term.comb, term.offset
 
 
 def _i_value(parts: tuple) -> ZLaurentSeries:
@@ -378,8 +393,9 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     return _i_function(pair, orders, "x", _i_x_parts, "t")
 
 
-def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(numerator levels, denominator levels) of one ray factor of I^Y.
+def y_ray_levels(v: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(numerator levels, denominator levels) of one ray factor of I^Y, as
+    integer numerators over d of the levels of v / d.
 
     The Gamma-ratio Gamma(1 + c H/tau - frac(-v)) / Gamma(1 + c H/tau + v)
     expands to denominator factors (cH + lz) over 0 < l <= v and numerator
@@ -387,29 +403,19 @@ def y_ray_levels(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     denominator-only product is the v > 0 case; for v <= -1 the numerator
     factors (including a bare cH at l = 0 when v is a negative integer) are
     forced by the ratio form, which is what the factorization identity and
-    the toric cone statement require.
+    the toric cone statement require.  The numerator levels start at the
+    largest l <= 0 with frac(l) = frac(v), whose numerator is -(-v mod d).
     """
-    levels = []
     if v > 0:
-        l = v
-        while l > 0:
-            levels.append(l)
-            l -= 1
-        return (), tuple(levels)
-    frac = v - (v.numerator // v.denominator)
-    top = Fraction(0) if frac == 0 else frac - 1  # largest l <= 0 with frac(l) = frac(v)
-    l = top
-    while l > v:
-        levels.append(l)
-        l -= 1
-    return tuple(levels), ()
+        return (), tuple(range(v, 0, -d))
+    return tuple(range(-(-v % d), v, -d)), ()
 
 
 def _i_y_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
                products: dict) -> tuple:
-    """((n_g, k0, v), factors, comb_k, 1 - sum k): the I^Y coefficient of one
+    """((n_g, k0, v), factors, comb, offset): the I^Y coefficient of one
     index is the k0 fiber factors times the ray factors of every j, times
-    comb_k z^(1 - sum k).
+    comb z^offset, with comb = 1/prod k_s! and offset = 1 - sum k.
 
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
@@ -419,7 +425,7 @@ def _i_y_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if value is None:
         value = products[key] = \
             _i_y_factors(pair, term.k0, term.v_num, term.ring, z_min, z_max)
-    return key, value, term.comb_k, 1 - sum(term.k)
+    return key, value, term.comb, term.offset
 
 
 def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
@@ -428,17 +434,16 @@ def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
 
     The fiber factors -d (lam + H) - l z and the numerator ray factors
     c_j H + level z go to ``_linear_product`` as linear factors, the
-    denominator ray factors (c_j H + level z)^-1 as inverse factors.
+    denominator ray factors (c_j H + level z)^-1 as inverse factors, each
+    ray factor over d with the level numerators of ``y_ray_levels``.
     """
     d = pair.fermat.degree
     linear = [(-d, -d, -l, 1) for l in range(k0)]
     inverse = []
     for cj, v in zip(pair.fermat.weights, v_num):
-        numerator_levels, denominator_levels = y_ray_levels(Fraction(v, d))
-        linear += [(0, cj * level.denominator, level.numerator, level.denominator)
-                   for level in numerator_levels]
-        inverse += [(cj * level.denominator, level.numerator, level.denominator)
-                    for level in denominator_levels]
+        numerator_levels, denominator_levels = y_ray_levels(v, d)
+        linear += [(0, cj * d, level, d) for level in numerator_levels]
+        inverse += [(cj * d, level, d) for level in denominator_levels]
     return _linear_product(ring, z_min, z_max, linear, inverse)
 
 
@@ -497,15 +502,23 @@ def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
         ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
 
 
-def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
-    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
+def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
+                variable: str) -> CohSeries:
+    """The H-function of one side: comb times the Gamma atoms of
+    ``atoms_of`` at every index of the side's table, at z^shift."""
     pair.require_cy()
+    _require_sl_ages(pair)
     terms: dict = {}
     atoms: dict = {}
-    for term in _index_terms(pair, orders, "x"):
-        terms[(term.sector.exps, term.z_shift(), term.degs)] = \
-            _atom_value(term.ring, _x_atoms(pair, term, atoms), term.comb)
-    return _indexed_series("x", pair, orders, terms, "t")
+    for term in _index_terms(pair, orders, side):
+        terms[(term.sector.exps, term.shift, term.degs)] = \
+            _atom_value(term.ring, atoms_of(pair, term, atoms), term.comb)
+    return _indexed_series(side, pair, orders, terms, variable)
+
+
+def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
+    """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
+    return _h_function(pair, orders, "x", _x_atoms, "t")
 
 
 def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
@@ -514,13 +527,7 @@ def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     The Gamma(1 - d(lam+H)/tau) numerator of the displayed form belongs to
     the Gamma-class operator and is not stored here.
     """
-    pair.require_cy()
-    terms: dict = {}
-    atoms: dict = {}
-    for term in _index_terms(pair, orders, "y"):
-        terms[(term.sector.exps, term.z_shift(), term.degs)] = \
-            _atom_value(term.ring, _y_atoms(pair, term, atoms), term.comb_k)
-    return _indexed_series("y", pair, orders, terms, "q^(1/d)")
+    return _h_function(pair, orders, "y", _y_atoms, "q^(1/d)")
 
 
 def h_factorization(pair: LGPair, series: CohSeries, side: str):
@@ -635,13 +642,6 @@ def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
              "right": str(rhs.coefficient(z_bad))})
 
 
-def _integral_age(sector: GroupElement) -> int:
-    age = sector.age()
-    if age.denominator != 1:
-        raise IdentityError("z-grading needs integral ages (SL group)")
-    return int(age)
-
-
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
                         window: tuple[int, int], sector, degs):
     """(I block, operator block) of one pairing of Gamma-class and H atoms.
@@ -724,8 +724,10 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     The I products are kept per walk as the I builder keeps them, the H
     atoms in a memo of this walk, and both blocks per (sector, H atoms),
     which fixes everything the pairing reads; each block is one
-    ``gamma_shift_product`` call.
+    ``gamma_shift_product`` call.  comb, shift and age are the table's; a
+    pair with a non-integral age is refused before the walk.
     """
+    _require_sl_ages(pair)
     if side == "x":
         parts_of, atoms_of = _i_x_parts, _x_atoms
     else:
@@ -737,20 +739,14 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     blocks: dict = {}
     verdicts: dict = {}
     memo: dict = {}
-    ages: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
-        age = ages.get(sector.exps)
-        if age is None:
-            age = ages[sector.exps] = _integral_age(sector)
-        shift = term.z_shift()
-        scale = term.comb if side == "x" else term.comb_k
         atoms = atoms_of(pair, term, memo)
 
         parts = parts_of(pair, term, *window, i_products)
         product_key, product, comb, offset = parts
         _assert_is_clamp(i_series, counts, sector.exps, term.degs, parts, label)
-        _assert_h_term(h_series, sector.exps, shift, term.degs, ring, atoms, scale)
+        _assert_h_term(h_series, sector.exps, term.shift, term.degs, ring, atoms, term.comb)
 
         block_key = (sector.exps, atoms)
         if block_key not in blocks:
@@ -759,16 +755,17 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
             blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
                                                     sector.exps, term.degs)
         i_block, block = blocks[block_key]
-        delta = shift + 1 - age - offset
+        power = term.shift + 1 - term.age   # the operator side's z-power
+        delta = power - offset
         key = (product_key, block_key, delta)
         verdict = verdicts.get(key)
         if verdict is None:
             lhs = product if i_block is None else product * i_block
             verdict = verdicts[key] = lhs == block.shift(delta)
-        if not verdict or comb != scale:
+        if not verdict or comb != term.comb:
             i_value = _i_value(parts)
             lhs = i_value if i_block is None else i_value * i_block
-            rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
+            rhs = (block * ring.scalar(term.comb)).shift(power)
             _assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
 
 
@@ -783,21 +780,23 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     sum_m t^m/(m! prod_j Gamma-atom) *
     sum_b [(e^{d(lam+H)}-1) / (d(e^{lam+H} xi^{b+m}-1))] on 1~_{j^{-b}} prod g_s^{k_s};
     the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
+    It walks the X index table, whose shift is the z-power (age - 1) k and
+    whose comb is 1/(m! k!); a pair with a non-integral age is refused.
     """
     pair.require_cy()
+    _require_sl_ages(pair)
     d = pair.fermat.degree
     terms: dict = {}
     atom_memo: dict = {}
     for term in _index_terms(pair, orders, "x"):
         atoms = _x_atoms(pair, term, atom_memo)
-        z_shift = term.z_shift()
         for b in range(d):
             sector = term.base * ((pair.grading ** b).inverse())
             n_g = sector.fixed_dim()
             if n_g == 0:
                 continue
             ring = SeriesRing(d, orders.lam_order, n_g)
-            terms[(sector.exps, z_shift, term.degs)] = \
+            terms[(sector.exps, term.shift, term.degs)] = \
                 ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * ring.scalar(term.comb)
     return _indexed_series("y", pair, orders, terms, "t")
 

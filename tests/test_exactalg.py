@@ -498,9 +498,9 @@ def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
     for (k0, v_num, ring, z_min, z_max), value in y_products.items():
         factors = [(F(-d), F(-d), F(-l)) for l in range(k0)]
         for cj, v in zip(weights, v_num):
-            numerator_levels, denominator_levels = y_ray_levels(F(v, d))
-            factors += [(F(0), F(cj), level) for level in numerator_levels]
-            factors += [(F(cj), level) for level in denominator_levels]
+            numerator_levels, denominator_levels = y_ray_levels(v, d)
+            factors += [(F(0), F(cj), F(level, d)) for level in numerator_levels]
+            factors += [(F(cj), F(level, d)) for level in denominator_levels]
         assert value == _per_factor_product(ring, z_min, z_max, factors)
     for (entries, ring, z_min, z_max), value in shifts.items():
         factors = [(-lam_weight, -h_weight, -(base + l))

@@ -318,14 +318,15 @@ def test_lambda_divisibility_of_derivative(pair):
 # -- the toric side -------------------------------------------------------------------
 
 def test_y_ray_levels():
-    assert y_ray_levels(F(1, 5)) == ((), (F(1, 5),))
-    assert y_ray_levels(F(7, 5)) == ((), (F(7, 5), F(2, 5)))
-    assert y_ray_levels(F(2)) == ((), (F(2), F(1)))
-    assert y_ray_levels(F(0)) == ((), ())
-    assert y_ray_levels(F(-2, 5)) == ((), ())
+    # levels of v / d as integer numerators over d
+    assert y_ray_levels(1, 5) == ((), (1,))
+    assert y_ray_levels(7, 5) == ((), (7, 2))
+    assert y_ray_levels(2, 1) == ((), (2, 1))
+    assert y_ray_levels(0, 1) == ((), ())
+    assert y_ray_levels(-2, 5) == ((), ())
     # ratio form forces numerator factors at negative integers
-    assert y_ray_levels(F(-1)) == ((F(0),), ())
-    assert y_ray_levels(F(-3, 2)) == ((F(-1, 2),), ())
+    assert y_ray_levels(-1, 1) == ((0,), ())
+    assert y_ray_levels(-3, 2) == ((-1,), ())
 
 
 def test_i_function_y_quintic_k0_pieces():
@@ -333,7 +334,7 @@ def test_i_function_y_quintic_k0_pieces():
     # per j; the sector j^-1 is empty so the assembled series drops it, but
     # the pieces are what the displayed formula dictates.
     q = quintic()
-    assert y_ray_levels(F(1, 5)) == ((), (F(1, 5),))
+    assert y_ray_levels(1, 5) == ((), (1,))
     series = i_function_y(q, Orders(t_order=10, lam_order=3))
     assert series.tokens == ((TOKEN_Q_H, 1),)
     # leading term: z * q^(H/tau)-dressed unit on the identity sector
@@ -393,14 +394,29 @@ def test_h_function_age_z_bookkeeping():
 
 def test_non_integral_ages_refused_by_every_h_builder():
     # generator (1,0,0,0,0) puts non-integral ages on the indexing sectors;
-    # the I-functions still build, every H-builder refuses the z-grading
+    # the I-functions still build, every H-builder refuses the z-grading.
+    # At T = 0 no index touches such a sector: the refusal comes up front,
+    # and the table carries no shift or age.
     non_sl = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
-    orders = Orders(t_order=1, lam_order=1)
     assert not non_sl.is_sl
-    assert i_function_x(non_sl, orders).terms and i_function_y(non_sl, orders).terms
-    for build in (h_function_x, h_function_y, h_continued):
-        with pytest.raises(IdentityError, match="non-integral age"):
-            build(non_sl, orders)
+    for t_order in (0, 1):
+        orders = Orders(t_order=t_order, lam_order=1)
+        for side in ("x", "y"):
+            table = _index_terms(non_sl, orders, side)
+            assert all(term.shift is None and term.age is None for term in table)
+            if t_order == 0:
+                assert table and all(term.sector.age().denominator == 1 for term in table)
+        series = {"x": i_function_x(non_sl, orders), "y": i_function_y(non_sl, orders)}
+        assert series["x"].terms and series["y"].terms
+        for build in (h_function_x, h_function_y, h_continued):
+            with pytest.raises(IdentityError, match="non-integral age"):
+                build(non_sl, orders)
+        for side in ("x", "y"):
+            with pytest.raises(IdentityError, match="non-integral age"):
+                h_factorization(non_sl, series[side], side)
+            # the check itself refuses before it reads the H series or the operator
+            with pytest.raises(IdentityError, match="non-integral age"):
+                _verify_factorization(non_sl, side, series[side], None, None)
 
 
 def test_h_factorization_detects_corruption():
@@ -581,11 +597,10 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
     window = genfun._wide_window(i_series.orders, pair)
     z_min, z_max = i_series.orders.z_window
     products, blocks, memo = {}, {}, {}
-    for term in _index_terms(pair, i_series.orders, side):
+    for term in genfun._index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
-        age = genfun._integral_age(sector)
-        shift = term.z_shift()
-        scale = term.comb if side == "x" else term.comb_k
+        age = int(sector.age())
+        shift, scale = term.shift, term.comb
         atoms = atoms_of(pair, term, memo)
         i_value = genfun._i_value(parts_of(pair, term, *window, products))
         stored = {z: i_series.terms[sector.exps, z, term.degs]
@@ -624,12 +639,13 @@ def _doubled_i_comb(monkeypatch, pair, side):
 
 def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
     target = _repeated_index(pair, side)
-    z_shift = genfun.IndexTerm.z_shift
+    index_terms = genfun._index_terms
 
-    def moved(term):
-        return z_shift(term) + (term.degs == target)
+    def moved(p, orders, s):
+        return tuple(term._replace(shift=term.shift + 1) if term.degs == target else term
+                     for term in index_terms(p, orders, s))
 
-    monkeypatch.setattr(genfun.IndexTerm, "z_shift", moved)
+    monkeypatch.setattr(genfun, "_index_terms", moved)
 
 
 def _doubled_product_on_a_repeated_index(monkeypatch, pair, side):
@@ -838,6 +854,35 @@ def test_kept_index_table_keeps_faults_visible(monkeypatch, fault, side):
     rerun = check_gamma_factorization(warm, orders)
     assert not rerun.ok()
     assert rerun.witness == check_gamma_factorization(fresh, orders).witness
+
+
+# census pairs with larger index tables than the shipped ones (21 and 24
+# indexing sectors); the first has indexing sectors of age 0 and 2 only
+CENSUS_PAIRS = [
+    load_pair({"weights": [1] * 5, "degree": 5, "generators": [[0, 1, 2, 3, 4]]}),
+    load_pair({"weights": [1, 1, 1, 1, 2], "degree": 6, "generators": [[0, 1, 3, 4, 2]]}),
+]
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
+def test_index_table_integers_match_the_fraction_formulas(pair, side):
+    """Each term's shift, age, comb and offset, read off the walk's integer
+    sums, are sum_s (age(g_s) - 1) k_s, the age of its sector, and the side's
+    factorial and z-power formulas, all formed here in Fractions."""
+    sectors = pair.positive_dim_sectors()
+    table = _index_terms(pair, recommended_orders(pair, 3, 2), side)
+    for term in table:
+        shift = sum((g.age() - 1) * k for g, k in zip(sectors, term.k))
+        comb = F(1, math.prod(math.factorial(k) for k in term.k))
+        offset = 1 - sum(term.k)
+        if side == "x":
+            comb /= math.factorial(term.k0)
+            offset -= term.k0
+        assert (term.shift, term.age, term.comb, term.offset) == \
+            (shift, term.sector.age(), comb, offset)
+        assert type(term.shift) is int and type(term.age) is int
+    assert any(term.shift != 0 for term in table)
 
 
 # -- the continued series -------------------------------------------------------------

@@ -109,3 +109,15 @@ def test_gamma_atoms_are_built_through_the_shared_constructor():
                 if called == "GammaAtom":
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_only_the_index_table_and_the_sl_guard_read_ages_in_genfun():
+    """In ``genfun`` only ``_index_terms`` and the SL guard
+    ``_require_sl_ages`` call ``.age()``: each index's shift and age
+    are computed in one place, and the walks read them from the table."""
+    callers = {fn.name for fn in ast.walk(MODULES["genfun"])
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "age" for node in ast.walk(fn))}
+    assert "_require_sl_ages" in callers
+    assert callers <= {"_index_terms", "_require_sl_ages"}, callers
