@@ -59,12 +59,16 @@ class CohSeries:
     def __init__(self, side: str, pair: LGPair, variables, orders: Orders,
                  terms: dict, tokens=(), c_twist: int | None = None):
         z_min, z_max = orders.z_window
+        t_order = orders.t_order
         clean: dict = {}
         for (exps, z, degs) in sorted(terms):
             value = terms[(exps, z, degs)]
             if z < z_min or z > z_max:
                 continue
-            if sum(d for d in degs if d > 0) > orders.t_order:
+            # the t-degree counts the positive entries only; the sum of
+            # absolute values bounds it, and equals it when none is negative
+            if sum(map(abs, degs)) > t_order and \
+                    sum(d for d in degs if d > 0) > t_order:
                 continue
             if not isinstance(value, SectorValue):
                 raise TypeError("series coefficients must be SectorValue")
@@ -137,7 +141,7 @@ class CohSeries:
             shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
             pieces = []
             if exponent:
-                pieces.append(value * exponent)
+                pieces.append(value if exponent == 1 else value * exponent)
             if prefactor_lam_multiple:
                 pieces.append(value * value.ring.monomial(lam=1, tau=-1,
                                                           coeff=prefactor_lam_multiple))
@@ -171,7 +175,13 @@ class CohSeries:
 
     # -- comparison ----------------------------------------------------------------
     def compare(self, other: "CohSeries") -> dict | None:
-        """None if equal; otherwise a witness for the first difference."""
+        """None if equal; otherwise a witness for the first difference.
+
+        Equal term dicts are equal series, since neither keeps a zero value.
+        Otherwise the keys of both sides are scanned in sorted order, a
+        missing key read as zero, and the witness is the first key whose
+        values differ.
+        """
         if self.tokens != other.tokens:
             return {"kind": "token-mismatch",
                     "left": list(self.tokens), "right": list(other.tokens)}
@@ -179,6 +189,8 @@ class CohSeries:
             return {"kind": "signature-mismatch",
                     "left": [self.side, list(map(str, self.variables))],
                     "right": [other.side, list(map(str, other.variables))]}
+        if self.terms == other.terms:
+            return None
         for key in sorted(set(self.terms) | set(other.terms)):
             left = self.terms.get(key)
             if left is None:

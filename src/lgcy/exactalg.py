@@ -341,11 +341,13 @@ class Cyclotomic:
         return not any(self.nums[1:])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num, den = _rational_parts(other)
-            return self.is_rational() and self.nums[0] == num and self.den == den
-        return (isinstance(other, Cyclotomic)
-                and self.order == other.order
+        if type(other) is not Cyclotomic:
+            if isinstance(other, (int, Fraction)):
+                num, den = _rational_parts(other)
+                return self.is_rational() and self.nums[0] == num and self.den == den
+            if not isinstance(other, Cyclotomic):
+                return False
+        return (self.order == other.order
                 and self.den == other.den
                 and self.nums == other.nums)
 
@@ -650,10 +652,12 @@ class SectorValue:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = self.ring.scalar(other)
-        return (isinstance(other, SectorValue)
-                and self.ring == other.ring
+        if type(other) is not SectorValue:
+            if isinstance(other, (int, Fraction, Cyclotomic)):
+                other = self.ring.scalar(other)
+            elif not isinstance(other, SectorValue):
+                return False
+        return ((self.ring is other.ring or self.ring == other.ring)
                 and self.terms == other.terms)
 
     def __hash__(self):

@@ -105,13 +105,26 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     """Closed-form J: sum over {a_g} of z^(1-sum a) prod t^a / a! on phi_{prod g^a}.
 
     Variables are all group coordinates, in element order.  The sector
-    prod g^a is the walk's exponent sum reduced mod d/c_j.
+    prod g^a is the walk's exponent sum reduced mod d/c_j.  No term depends
+    on the twist c, which only tags the series: the terms are built once per
+    (pair, orders) by ``_closed_j_terms`` and every c gets its own copy.
     """
     pair.require_twist(c)
-    elements = pair.group.elements
+    return CohSeries("lg", pair, tuple(g.exps for g in pair.group.elements), orders,
+                     _closed_j_terms(pair, orders), (), c_twist=c)
+
+
+@lru_cache(maxsize=1)
+def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
+    """The closed J's terms (sector exps, z, degs) -> 1/fact at ``orders``.
+
+    The last dict is kept per (pair object, orders); it is only ever read,
+    by the ``CohSeries`` constructor, which copies it.
+    """
+    exponents = pair.fermat.exponents
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
-    rows = [g.exps for g in elements]
+    rows = [g.exps for g in pair.group.elements]
     terms: dict = {}
     scalars: dict = {}   # fact -> the value 1/fact, shared by its terms
     for total in range(orders.t_order + 1):
@@ -119,12 +132,11 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         if not z_min <= z <= z_max:
             continue
         for degs, sums, fact in _multidegree_walk(rows, total):
-            sector = GroupElement.reduced(pair.fermat, sums)
             value = scalars.get(fact)
             if value is None:
                 value = scalars[fact] = ring.scalar(Fraction(1, fact))
-            terms[(sector.exps, z, degs)] = value
-    return CohSeries("lg", pair, tuple(rows), orders, terms, (), c_twist=c)
+            terms[(tuple(k % m for k, m in zip(sums, exponents)), z, degs)] = value
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -261,21 +273,20 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     nilpotency.  The multidegree walk runs over a zero row for k0 and one
     row per positive-dimensional sector g_s: its exponents, then the column
     d age(g_s) - d.  Its sums are sum_s k_s k_j(g_s), whose reduction is
-    base and from which r_j, v_j = (k0 +- sums_j) c_j / d, and, in the last
-    column, d shift.  This is the one place that computes an index's
+    base, whose shift by +- k0 j reduces to the sector, and from which r_j,
+    v_j = (k0 +- sums_j) c_j / d, and, in the last column, d shift.  This is the one place that computes an index's
     integers; the walks read them.  The last table is kept per (pair
     object, orders, side); what each walk derives from it (atoms, products,
     Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     fermat = pair.fermat
-    weights, d = fermat.weights, fermat.degree
+    weights, d, exponents = fermat.weights, fermat.degree, fermat.exponents
     graded = pair.is_sl
-    shifts = [pair.grading ** k0 for k0 in range(orders.t_order + 1)]
-    if side == "y":
-        shifts = [shift.inverse() for shift in shifts]
-    # the age column is last, so zip with the weights and the reduction
-    # to base read the exponent sums alone
+    # the sector j^(+-k0) base is the reduction of sums +- k0 j
+    step = pair.grading.exps if side == "x" else tuple(-e for e in pair.grading.exps)
+    # the age column is last, so zip with the weights and the reductions
+    # read the exponent sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
     rings: dict = {}
@@ -283,11 +294,13 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     for total in range(orders.t_order + 1):
         for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
-            base = GroupElement.reduced(fermat, sums)
-            sector = shifts[k0] * base
-            nilpotency = 1 if side == "x" else sector.fixed_dim()
-            if nilpotency == 0:
+            exps = [s + k0 * e for s, e in zip(sums, step)]
+            # a Y index on a sector with N_g = 0 is skipped before any element
+            if side == "y" and all(k % m for k, m in zip(exps, exponents)):
                 continue
+            sector = GroupElement.reduced(fermat, exps)
+            nilpotency = 1 if side == "x" else sector.fixed_dim()
+            base = GroupElement.reduced(fermat, sums)
             ring = rings.get(nilpotency)
             if ring is None:
                 ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)

@@ -227,7 +227,13 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
 
 def check_oracle_equivalence(pair: LGPair, n_max: int = 6,
                              _tamper=None) -> VerificationReport:
-    """Closed-form J coefficients equal oracle-assembled values, all valid c."""
+    """Closed-form J coefficients equal oracle-assembled values, all valid c.
+
+    The closed terms do not depend on c: ``untwisted_j`` builds them once
+    per (pair, orders) and tags a copy with each c, while the oracle J is
+    assembled afresh for every c.  A failure's witness is the first key, in
+    sorted order, where the two differ.
+    """
     orders = Orders(t_order=n_max, lam_order=0)
 
     def body():

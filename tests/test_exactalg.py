@@ -640,3 +640,68 @@ def test_bernoulli_cache_matches_the_polynomial_sum():
         assert _rational_parts(F(2, 4)) == (1, 2)
         assert _bernoulli_at(n, *_rational_parts(F(2, 4))) == bernoulli_poly(n, F(1, 2))
         assert _bernoulli_at(n, 2, 4) == _bernoulli_at(n, 1, 2)
+
+
+# -- equality: the same-type fast paths against the general route -------------------
+
+def _cyclotomic_eq_general(value, other) -> bool:
+    """Cyclotomic equality by the general route: coerce a rational, else
+    compare order and integers."""
+    if isinstance(other, (int, F)):
+        num, den = _rational_parts(other)
+        return value.is_rational() and value.nums[0] == num and value.den == den
+    return (isinstance(other, Cyclotomic) and value.order == other.order
+            and value.den == other.den and value.nums == other.nums)
+
+
+def _sector_value_eq_general(value, other) -> bool:
+    """SectorValue equality by the general route: lift a scalar into the
+    ring, then compare rings and term dicts."""
+    if isinstance(other, (int, F, Cyclotomic)):
+        other = value.ring.scalar(other)
+    return (isinstance(other, SectorValue) and value.ring == other.ring
+            and value.terms == other.terms)
+
+
+def test_cyclotomic_equality_matches_the_general_route():
+    operands = [0, 1, -2, True, F(1, 2), F(4, 2), None, "1",
+                Cyclotomic.from_rational(5, 0), Cyclotomic.from_rational(5, 1),
+                Cyclotomic.from_rational(5, F(1, 2)), Cyclotomic.from_rational(5, 2),
+                Cyclotomic.root(5), Cyclotomic.root(5) * F(1, 3) + 1,
+                Cyclotomic.from_rational(3, 1), Cyclotomic.root(3),
+                Cyclotomic.from_rational(6, F(1, 2)),
+                # phi(10) = phi(8) = phi(5): the same integers in another order
+                Cyclotomic.from_rational(10, 1), Cyclotomic.from_rational(8, F(1, 2))]
+    values = [x for x in operands if isinstance(x, Cyclotomic)]
+    for value in values:
+        for other in operands:
+            assert (value == other) is _cyclotomic_eq_general(value, other), (value, other)
+            assert (value != other) is not _cyclotomic_eq_general(value, other)
+        # a distinct but equal instance goes through the fast path
+        twin = Cyclotomic._reduced(value.order, tuple(value.nums), value.den)
+        assert twin is not value and value == twin
+
+
+def test_sector_value_equality_matches_the_general_route():
+    ring = SeriesRing(5, 2, 1)
+    twin_ring = SeriesRing(5, 2, 1)          # equal, a distinct object
+    rings = [ring, twin_ring, SeriesRing(5, 2, 2), SeriesRing(5, 3, 1)]
+    values = []
+    for r in rings:
+        values += [r.zero(), r.one(), r.scalar(F(1, 2)), r.root(),
+                   r.lam() + 1, r.monomial(lam=1, tau=-1, coeff=3)]
+    values.append(SeriesRing(5, 2, 2).hyperplane() + 1)
+    scalars = [0, 1, 2, True, F(1, 2), None, "1",
+               Cyclotomic.from_rational(5, 1), Cyclotomic.from_rational(5, F(1, 2)),
+               Cyclotomic.root(5)]
+    assert twin_ring is not ring and twin_ring == ring
+    for value in values:
+        for other in values + scalars:
+            expected = _sector_value_eq_general(value, other)
+            assert (value == other) is expected, (value, other)
+            assert (value != other) is not expected
+    # a scalar of another cyclotomic order is refused on both routes
+    with pytest.raises(OrderMismatchError):
+        _sector_value_eq_general(ring.one(), Cyclotomic.one(3))
+    with pytest.raises(OrderMismatchError):
+        ring.one() == Cyclotomic.one(3)

@@ -100,6 +100,47 @@ def test_oracle_equals_closed_form(pair):
         assert closed.compare(oracle) is None
 
 
+def _per_twist_closed_terms(pair, c, orders) -> dict:
+    """The closed J's terms built afresh for one twist: each sector is the
+    walk's exponent sum reduced through ``GroupElement.reduced``."""
+    pair.require_twist(c)
+    ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
+    z_min, z_max = orders.z_window
+    rows = [g.exps for g in pair.group.elements]
+    terms = {}
+    for total in range(orders.t_order + 1):
+        if z_min <= 1 - total <= z_max:
+            for degs, sums, fact in _multidegree_walk(rows, total):
+                sector = GroupElement.reduced(pair.fermat, sums)
+                terms[(sector.exps, 1 - total, degs)] = ring.scalar(F(1, fact))
+    return terms
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_closed_j_terms_are_built_once_and_copied_per_twist(pair):
+    for orders in (Orders(t_order=2, lam_order=0), Orders(t_order=6, lam_order=0),
+                   Orders(t_order=4, lam_order=1, z_min=-2)):
+        genfun._closed_j_terms.cache_clear()
+        series = [untwisted_j(pair, c, orders) for c in pair.valid_twists()]
+        assert genfun._closed_j_terms.cache_info().misses == 1
+        cached = genfun._closed_j_terms(pair, orders)
+        for c, closed in zip(pair.valid_twists(), series):
+            assert closed.c_twist == c
+            assert closed.terms == _per_twist_closed_terms(pair, c, orders), (orders, c)
+            assert closed.terms is not cached
+        assert len({id(closed.terms) for closed in series}) == len(series)
+
+
+def test_invalid_twist_raises_before_the_closed_terms_are_read(monkeypatch):
+    reads = []
+    monkeypatch.setattr(genfun, "_closed_j_terms", lambda *args: reads.append(args))
+    for pair in ALL_PAIRS:
+        for c in (-1, max(pair.valid_twists()) + 1):
+            with pytest.raises(ValueError, match="twist"):
+                untwisted_j(pair, c, Orders(t_order=2, lam_order=0))
+    assert reads == []
+
+
 def _compositions(n_vars: int, total: int) -> list:
     """Every exponent tuple of the given total, in lexicographic order."""
     return sorted(tuple(combo.count(i) for i in range(n_vars))
@@ -883,6 +924,33 @@ def test_index_table_integers_match_the_fraction_formulas(pair, side):
             (shift, term.sector.age(), comb, offset)
         assert type(term.shift) is int and type(term.age) is int
     assert any(term.shift != 0 for term in table)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
+def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
+    """Each index lives on j^(+-k0) base, the product formed here in group
+    elements, and the Y table skips exactly the indices whose sector has
+    N_g = 0."""
+    orders = recommended_orders(pair, 3, 2)
+    sectors = pair.positive_dim_sectors()
+    expected = []
+    for total in range(orders.t_order + 1):
+        for degs in _compositions(len(sectors) + 1, total):
+            base = pair.identity
+            for g, k in zip(sectors, degs[1:]):
+                base = base * g ** k
+            shift = pair.grading ** degs[0]
+            sector = (shift if side == "x" else shift.inverse()) * base
+            if side == "x" or sector.fixed_dim():
+                expected.append((degs, base, sector))
+    table = _index_terms(pair, orders, side)
+    assert [(term.degs, term.base, term.sector) for term in table] == expected
+    assert all(term.ring.nilpotency == (1 if side == "x" else term.sector.fixed_dim())
+               for term in table)
+    if side == "y":
+        assert len(expected) < sum(1 for total in range(orders.t_order + 1)
+                                   for _ in _compositions(len(sectors) + 1, total))
 
 
 # -- the continued series -------------------------------------------------------------

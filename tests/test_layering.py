@@ -1,12 +1,17 @@
 """Module layering of ``lgcy``: no function-local imports, no import cycles,
-and every name that the benchmark tracer wraps exists."""
+every name that the benchmark tracer wraps exists, and the two routes of
+the J identities stay apart."""
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from lgcy import catalog, genfun, verify
+from lgcy.lgmodel import LGPair
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lgcy"
@@ -121,3 +126,50 @@ def test_only_the_index_table_and_the_sl_guard_read_ages_in_genfun():
                        and node.func.attr == "age" for node in ast.walk(fn))}
     assert "_require_sl_ages" in callers
     assert callers <= {"_index_terms", "_require_sl_ages"}, callers
+
+
+def test_the_two_j_routes_never_reach_each_other(monkeypatch):
+    """Oracle equivalence and the untwisted MLK check compare two routes to J:
+    the oracle route never reaches the closed form or its kept terms, and the
+    closed route never reaches the selection rule or the psi-integrals.
+    Each function is wrapped by a counter of the wrapped calls made while it
+    runs."""
+    running: Counter = Counter()
+    reached: Counter = Counter()
+
+    def wrap(owners, attr):
+        original = getattr(owners[0], attr)
+
+        def counted(*args, **kwargs):
+            for outer, depth in list(running.items()):
+                if depth:
+                    reached[outer, attr] += 1
+            running[attr] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running[attr] -= 1
+
+        for owner in owners:
+            monkeypatch.setattr(owner, attr, counted)
+
+    genfun._closed_j_terms.cache_clear()
+    wrap([genfun, verify], "untwisted_j")
+    wrap([genfun, verify], "untwisted_j_oracle")
+    wrap([genfun], "_closed_j_terms")
+    wrap([genfun], "psi_integral_oracle")
+    wrap([LGPair], "is_nonempty")
+    pairs = [getattr(catalog, name)() for name in ("quintic", "cubic", "quartic", "sextic")]
+    reports = [verify.check_oracle_equivalence(pair, n_max=4) for pair in pairs]
+    quintic = pairs[0]
+    reports.append(verify.check_mlk_untwisted(quintic, 1,
+                                              verify.recommended_orders(quintic, 4, 1)))
+    assert all(report.ok() for report in reports)
+    for closed in ("untwisted_j", "_closed_j_terms"):
+        assert reached["untwisted_j_oracle", closed] == 0, closed
+        for oracle in ("is_nonempty", "psi_integral_oracle"):
+            assert reached[closed, oracle] == 0, (closed, oracle)
+    # the counters see each route's own calls
+    assert reached["untwisted_j", "_closed_j_terms"] > 0
+    assert reached["untwisted_j_oracle", "is_nonempty"] > 0
+    assert reached["untwisted_j_oracle", "psi_integral_oracle"] > 0
