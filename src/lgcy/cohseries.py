@@ -52,17 +52,27 @@ def _sector_nilpotency(side: str, pair: LGPair, exps: tuple) -> int:
 
 
 class CohSeries:
-    """Immutable truncated element of H((z^-1)) x state space."""
+    """Immutable truncated element of H((z^-1)) x state space.
+
+    The public constructor validates every term: it drops the keys outside
+    the z-window or above the t-order and the zero values, raises TypeError
+    on a value that is not a ``SectorValue``, and makes each key's sector
+    and degree tuples.  Builders whose terms are clean by construction use
+    ``_unchecked``.  ``terms`` promises no order: a consumer whose result
+    depends on it sorts the keys itself.
+    """
 
     __slots__ = ("side", "pair", "c_twist", "variables", "orders", "tokens", "terms")
 
     def __init__(self, side: str, pair: LGPair, variables, orders: Orders,
                  terms: dict, tokens=(), c_twist: int | None = None):
+        """One pass over ``terms``: window, t-degree, type and zero filters;
+        a key is rebuilt only when its sector or degree is not a tuple."""
         z_min, z_max = orders.z_window
         t_order = orders.t_order
         clean: dict = {}
-        for (exps, z, degs) in sorted(terms):
-            value = terms[(exps, z, degs)]
+        for key, value in terms.items():
+            exps, z, degs = key
             if z < z_min or z > z_max:
                 continue
             # the t-degree counts the positive entries only; the sum of
@@ -72,16 +82,31 @@ class CohSeries:
                 continue
             if not isinstance(value, SectorValue):
                 raise TypeError("series coefficients must be SectorValue")
-            if value.is_zero():
+            if not value.terms:
                 continue
-            clean[(tuple(exps), z, tuple(degs))] = value
+            if type(exps) is not tuple or type(degs) is not tuple:
+                key = (tuple(exps), z, tuple(degs))
+            clean[key] = value
+        self._store(side, pair, variables, orders, clean, tokens, c_twist)
+
+    @classmethod
+    def _unchecked(cls, side: str, pair: LGPair, variables, orders: Orders,
+                   terms: dict, tokens=(), c_twist: int | None = None) -> "CohSeries":
+        """A series whose ``terms`` are already inside the z-window and the
+        t-order, nonzero ``SectorValue``s, under tuple keys; ``terms`` is
+        kept, not copied."""
+        series = object.__new__(cls)
+        series._store(side, pair, variables, orders, terms, tokens, c_twist)
+        return series
+
+    def _store(self, side, pair, variables, orders, terms, tokens, c_twist) -> None:
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "c_twist", c_twist)
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "tokens", tuple(sorted(tokens)))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("CohSeries is immutable")
@@ -111,7 +136,11 @@ class CohSeries:
                          terms, self.tokens, self.c_twist)
 
     def filter_terms(self, pred) -> "CohSeries":
-        return self._replace_terms({k: v for k, v in self.terms.items() if pred(k, v)})
+        """The terms that satisfy ``pred(key, value)``: a subset of clean
+        terms is clean."""
+        return CohSeries._unchecked(self.side, self.pair, self.variables, self.orders,
+                                    {k: v for k, v in self.terms.items() if pred(k, v)},
+                                    self.tokens, self.c_twist)
 
     # -- queries ---------------------------------------------------------------
     def coefficient(self, exps, z: int, degs) -> SectorValue:
@@ -131,26 +160,30 @@ class CohSeries:
         picks up the extra d*lam/tau summand on the distinguished variable;
         pass d as ``prefactor_lam_multiple`` to include it (the term keeps a
         tau^-1 token power and is divisible by lam).
+
+        Lowering one degree is injective on keys and never raises the
+        t-degree, so the result is built unchecked once the keys pushed
+        above z_max and the zero values are dropped.
         """
+        z_max = self.orders.z_window[1]
         out: dict = {}
         for (exps, z, degs), value in self.terms.items():
             exponent = degs[var_index]
             # a term with a zero exponent and no prefactor has no derivative
-            if not exponent and not prefactor_lam_multiple:
+            if z >= z_max or (not exponent and not prefactor_lam_multiple):
                 continue
-            shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
-            pieces = []
+            total = None
             if exponent:
-                pieces.append(value if exponent == 1 else value * exponent)
+                total = value if exponent == 1 else value * exponent
             if prefactor_lam_multiple:
-                pieces.append(value * value.ring.monomial(lam=1, tau=-1,
-                                                          coeff=prefactor_lam_multiple))
-            total = pieces[0]
-            for piece in pieces[1:]:
-                total = total + piece
-            key = (exps, z + 1, shifted)
-            out[key] = out[key] + total if key in out else total
-        return self._replace_terms(out)
+                piece = value * value.ring.monomial(lam=1, tau=-1,
+                                                    coeff=prefactor_lam_multiple)
+                total = piece if total is None else total + piece
+            if total.terms:
+                shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
+                out[(exps, z + 1, shifted)] = total
+        return CohSeries._unchecked(self.side, self.pair, self.variables, self.orders,
+                                    out, self.tokens, self.c_twist)
 
     def nonequivariant_limit(self) -> "CohSeries":
         """Set lam = 0; the t^(d*lam/tau) token degenerates to 1 and is dropped."""
@@ -164,7 +197,18 @@ class CohSeries:
                          terms, tokens, self.c_twist)
 
     def restricted(self, orders: Orders) -> "CohSeries":
-        """Re-truncate to smaller orders (monotonicity of the checks)."""
+        """Re-truncate to smaller orders (monotonicity of the checks).
+
+        Raises ValueError when ``orders`` asks for more than the series
+        holds: a larger t-order or lam-order, or a z-window that is not
+        inside the series' own.
+        """
+        (z_min, z_max), (new_min, new_max) = self.orders.z_window, orders.z_window
+        if orders.t_order > self.orders.t_order or \
+                orders.lam_order > self.orders.lam_order or \
+                new_min < z_min or new_max > z_max:
+            raise ValueError(f"cannot restrict a series at {self.orders.as_dict()} "
+                             f"to the larger orders {orders.as_dict()}")
         terms = {}
         for (exps, z, degs), value in self.terms.items():
             ring = SeriesRing(value.ring.order, orders.lam_order,

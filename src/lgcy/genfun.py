@@ -107,19 +107,22 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     Variables are all group coordinates, in element order.  The sector
     prod g^a is the walk's exponent sum reduced mod d/c_j.  No term depends
     on the twist c, which only tags the series: the terms are built once per
-    (pair, orders) by ``_closed_j_terms`` and every c gets its own copy.
+    (pair, orders) by ``_closed_j_terms`` and every c gets its own copy,
+    which is clean by construction and so is not re-validated.
     """
     pair.require_twist(c)
-    return CohSeries("lg", pair, tuple(g.exps for g in pair.group.elements), orders,
-                     _closed_j_terms(pair, orders), (), c_twist=c)
+    return CohSeries._unchecked("lg", pair, tuple(g.exps for g in pair.group.elements),
+                                orders, dict(_closed_j_terms(pair, orders)), (), c_twist=c)
 
 
 @lru_cache(maxsize=1)
 def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
     """The closed J's terms (sector exps, z, degs) -> 1/fact at ``orders``.
 
-    The last dict is kept per (pair object, orders); it is only ever read,
-    by the ``CohSeries`` constructor, which copies it.
+    Every term is inside the z-window and the t-order, with a nonzero
+    ``SectorValue`` under tuple keys.  The last dict is kept per (pair
+    object, orders); it is only ever read, by ``untwisted_j``, which copies
+    it.
     """
     exponents = pair.fermat.exponents
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
@@ -855,8 +858,9 @@ def z_ddt_distinguished(series: CohSeries) -> CohSeries:
 
 def assert_lambda_divisibility(series: CohSeries) -> None:
     """Every positive-dimensional sector coefficient of z d/dt I^X must carry
-    lam^{N_g}; the degree -1 slice (prefactor derivative) carries lam^1."""
-    for (exps, z, degs), value in series.terms.items():
+    lam^{N_g}; the degree -1 slice (prefactor derivative) carries lam^1.
+    The witness is the first failing key in sorted order."""
+    for (exps, z, degs), value in sorted(series.terms.items()):
         n_g = GroupElement(series.pair.fermat, exps).fixed_dim()
         required = 1 if degs[0] < 0 else n_g
         if n_g > 0 and value.lambda_valuation() < required:
@@ -872,11 +876,11 @@ def fjrw_limit(pair: LGPair, derivative: CohSeries) -> CohSeries:
 
     The limit exists because every N_g > 0 coefficient is divisible by
     lam^{N_g}, which is asserted first; the result is asserted to be
-    narrow-supported.
+    narrow-supported; each witness is the first failing key in sorted order.
     """
     assert_lambda_divisibility(derivative)
     result = delta_circ(pair).apply(derivative.nonequivariant_limit())
-    for (exps, _, _) in result.terms:
+    for (exps, _, _) in sorted(result.terms):
         if not pair.is_narrow(GroupElement(pair.fermat, exps)):
             raise IdentityError("FJRW output not narrow-supported",
                                 {"kind": "narrow-support", "sector": list(exps)})

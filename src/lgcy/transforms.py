@@ -72,23 +72,42 @@ class Transform:
                              f"got {series.side!r}")
         if self.twist_in is not None and series.c_twist != self.twist_in:
             raise ValueError(f"{self.name}: twist mismatch")
+        blocks = self._blocks_in_rings(series.orders.lam_order)
         out_terms: dict = {}
         for (exps, z, degs), value in series.terms.items():
-            for element, entry in self.blocks.get(exps, ()):
-                ring = SeriesRing(self.pair.fermat.degree, series.orders.lam_order,
-                                  _sector_nilpotency(self.side_out, self.pair,
-                                                     element.g.exps))
-                piece = value.with_ring(ring) * (entry.with_ring(ring)
-                                                 if isinstance(entry, SectorValue)
-                                                 else ring.scalar(entry))
+            for out_exps, ring, factor in blocks.get(exps, ()):
+                promoted = value if value.ring is ring or value.ring == ring \
+                    else value.with_ring(ring)
+                piece = promoted * factor
                 if piece.is_zero():
                     continue
-                key = (element.g.exps, z, degs)
+                key = (out_exps, z, degs)
                 out_terms[key] = out_terms[key] + piece \
                     if key in out_terms else piece
         return CohSeries(self.side_out, series.pair, series.variables,
                          series.orders, out_terms, series.tokens,
                          c_twist=self.twist_out)
+
+    def _blocks_in_rings(self, lam_order: int) -> dict:
+        """input exps -> ((output exps, ring, factor), ...) at ``lam_order``:
+        each output sector's ring is built once, and each entry is brought
+        into it once, as a ``SectorValue`` factor."""
+        d = self.pair.fermat.degree
+        rings: dict = {}
+        blocks: dict = {}
+        for exps, block in self.blocks.items():
+            entries = []
+            for element, entry in block:
+                out_exps = element.g.exps
+                ring = rings.get(out_exps)
+                if ring is None:
+                    ring = rings[out_exps] = SeriesRing(
+                        d, lam_order, _sector_nilpotency(self.side_out, self.pair, out_exps))
+                factor = entry.with_ring(ring) if isinstance(entry, SectorValue) \
+                    else ring.scalar(entry)
+                entries.append((out_exps, ring, factor))
+            blocks[exps] = tuple(entries)
+        return blocks
 
     def __repr__(self):
         return f"Transform({self.name}, {self.side_in}->{self.side_out})"

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from lgcy.catalog import quintic
+from lgcy.catalog import quintic, shipped_pairs
 from lgcy.cohseries import CohSeries, Orders
 from lgcy.exactalg import SeriesRing
-from lgcy.genfun import untwisted_j_oracle
+from lgcy.genfun import i_function_x, untwisted_j, untwisted_j_oracle
+from lgcy.transforms import delta_circ, i_c, u_bar
 
 QUINTIC = quintic()
 ORIGIN = (0,) * 5
@@ -89,6 +90,55 @@ def test_constructor_filters_the_window_the_t_degree_and_zeros():
     }
     series = CohSeries("lg", QUINTIC, ("a", "b"), orders, {**kept, **dropped})
     assert series.terms == kept
-    assert list(series.terms) == sorted(kept)
+    backwards = dict(reversed([*kept.items(), *dropped.items()]))
+    assert CohSeries("lg", QUINTIC, ("a", "b"), orders, backwards).terms == kept
     with pytest.raises(TypeError):
         CohSeries("lg", QUINTIC, ("a", "b"), orders, {(ORIGIN, 0, (0, 0)): 1})
+
+
+def _assert_clean(series: CohSeries) -> None:
+    """``series`` equals its rebuild through the validating constructor:
+    the same terms and the same signature."""
+    rebuilt = CohSeries(series.side, series.pair, series.variables, series.orders,
+                        dict(series.terms), series.tokens, series.c_twist)
+    assert rebuilt.terms == series.terms
+    assert rebuilt.signature() == series.signature()
+
+
+@pytest.mark.parametrize("name", sorted(shipped_pairs()))
+def test_unchecked_and_transformed_series_are_clean(name):
+    """Every series built without the constructor's filters, and every
+    ``Transform.apply`` result, is one the constructor would keep as is.
+    The J window ends at z_max = 0, so a derivative that kept a key above
+    z_max would show here."""
+    pair = shipped_pairs()[name]
+    j_orders = Orders(t_order=3, lam_order=1, z_max=0)
+    ix = i_function_x(pair, Orders(t_order=3, lam_order=2))
+    d = pair.fermat.degree
+    for c in pair.valid_twists():
+        closed = untwisted_j(pair, c, j_orders)
+        _assert_clean(closed)
+        _assert_clean(i_c(pair, c).apply(untwisted_j_oracle(pair, 0, j_orders)))
+        for series in (closed, ix):
+            for index in range(len(series.variables)):
+                for multiple in (0, d):
+                    _assert_clean(series.z_ddt_var(index, prefactor_lam_multiple=multiple))
+    _assert_clean(ix.filter_terms(lambda key, value: key[1] < 0 and key[2][0] > 0))
+    _assert_clean(u_bar(pair, ix.orders.lam_order).apply(ix))
+    _assert_clean(delta_circ(pair).apply(ix.nonequivariant_limit()))
+
+
+def test_restricted_refuses_larger_orders():
+    """An I^X at T = 2, lam 1 holds no T = 6 or lam 4 term, so it cannot
+    claim those orders; smaller orders inside its window restrict."""
+    ix = i_function_x(QUINTIC, Orders(t_order=2, lam_order=1))
+    assert ix.orders.z_window == (-4, 2)
+    for larger in (Orders(t_order=6, lam_order=4), Orders(t_order=3, lam_order=1),
+                   Orders(t_order=2, lam_order=2), Orders(t_order=2, lam_order=1, z_min=-5),
+                   Orders(t_order=2, lam_order=1, z_max=3)):
+        with pytest.raises(ValueError):
+            ix.restricted(larger)
+    assert ix.restricted(ix.orders).compare(ix) is None
+    smaller = ix.restricted(Orders(t_order=1, lam_order=0, z_min=-3, z_max=1))
+    assert smaller.terms and all(-3 <= z <= 1 and sum(degs) <= 1
+                                 for _, z, degs in smaller.terms)

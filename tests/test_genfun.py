@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lgcy import genfun
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
-from lgcy.cohseries import Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
+from lgcy.cohseries import CohSeries, Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
 from lgcy.exactalg import (Cyclotomic, GammaAtom, SectorValue, SeriesRing, ZLaurentSeries,
                            series_exp)
 from lgcy.genfun import (
@@ -25,6 +25,7 @@ from lgcy.genfun import (
     assert_lambda_divisibility,
     deserialize_series,
     fjrw_i_function,
+    fjrw_limit,
     h_continued,
     h_factorization,
     h_function_x,
@@ -40,8 +41,8 @@ from lgcy.genfun import (
     y_ray_levels,
     z_ddt_distinguished,
 )
-from lgcy.lgmodel import GroupElement, load_pair
-from lgcy.transforms import gamma_class_op, ubar_block
+from lgcy.lgmodel import GroupElement, SectorBasisElement, load_pair
+from lgcy.transforms import Transform, gamma_class_op, ubar_block
 from lgcy.verify import ALL_CHECKS, check_gamma_factorization, recommended_orders, run_checks
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
@@ -1071,6 +1072,38 @@ def test_fjrw_broad_image_coefficients_vanish():
     series = fjrw_i_function(q, Orders(t_order=4, lam_order=4))
     broad = (q.grading ** 4).exps
     assert all(key[0] != broad for key in series.terms)
+
+
+def test_fjrw_witnesses_are_the_sorted_first_bad_key(monkeypatch):
+    """A series' terms promise no order: with two bad keys inserted in
+    reverse sorted order, the lambda-divisibility and the narrow-support
+    witnesses are still those of the sorted-first key."""
+    q = quintic()
+    ring = SeriesRing(5, 2, 1)
+    # sector 0^5 has N_g = 5, and a lam-free value fails there
+    bad = [((0,) * 5, -1, (2, 0)), ((0,) * 5, 0, (1, 0))]
+    series = CohSeries("x", q, ("t", (0,) * 5), Orders(t_order=3, lam_order=2),
+                       {key: ring.one() for key in reversed(bad)})
+    assert list(series.terms) == bad[::-1]
+    with pytest.raises(IdentityError) as err:
+        assert_lambda_divisibility(series)
+    assert (err.value.witness["z"], err.value.witness["degree"]) == (-1, [2, 0])
+
+    # a stand-in for delta_circ sends two compact X sectors to two broad
+    # ones, the sorted-first broad sector from the later input key
+    p = quartic()
+    broad = sorted(g.exps for g in p.group.elements if not p.is_narrow(g))[:2]
+    compact = [g for g in p.group.elements if g.fixed_dim() == 0][:2]
+    blocks = {g.exps: ((SectorBasisElement("fjrw", GroupElement(p.fermat, target)), 1),)
+              for g, target in zip(compact, reversed(broad))}
+    monkeypatch.setattr(genfun, "delta_circ",
+                        lambda pair: Transform(pair, "x", "fjrw", blocks, name="stand-in"))
+    one = SeriesRing(4, 2, 1).one()
+    derivative = CohSeries("x", p, ("t",), Orders(t_order=2, lam_order=2),
+                           {(g.exps, 0, (1,)): one for g in compact})
+    with pytest.raises(IdentityError) as err:
+        fjrw_limit(p, derivative)
+    assert err.value.witness == {"kind": "narrow-support", "sector": list(broad[0])}
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -128,6 +128,31 @@ def test_only_the_index_table_and_the_sl_guard_read_ages_in_genfun():
     assert callers <= {"_index_terms", "_require_sl_ages"}, callers
 
 
+def _functions_calling(tree: ast.AST, matches) -> set[str]:
+    """Names of the functions of ``tree`` holding a call that ``matches``."""
+    return {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call) and matches(node.func)
+                    for node in ast.walk(fn))}
+
+
+def test_only_clean_builders_skip_the_series_constructor():
+    """``CohSeries._unchecked`` is called only inside ``cohseries`` and by
+    the closed J ``genfun.untwisted_j``; the oracle J and the deserializer
+    keep the validating constructor."""
+    def unchecked(func):
+        return isinstance(func, ast.Attribute) and func.attr == "_unchecked" \
+            and isinstance(func.value, ast.Name) and func.value.id == "CohSeries"
+
+    callers = {f"{name}.{fn}" for name, tree in MODULES.items() if name != "cohseries"
+               for fn in _functions_calling(tree, unchecked)}
+    assert callers == {"genfun.untwisted_j"}, callers
+    assert _functions_calling(MODULES["cohseries"], unchecked)
+    public = _functions_calling(MODULES["genfun"], lambda func: isinstance(func, ast.Name)
+                                and func.id == "CohSeries")
+    assert {"untwisted_j_oracle", "deserialize_series"} <= public, public
+
+
 def test_the_two_j_routes_never_reach_each_other(monkeypatch):
     """Oracle equivalence and the untwisted MLK check compare two routes to J:
     the oracle route never reaches the closed form or its kept terms, and the
