@@ -653,6 +653,8 @@ class SectorValue:
 
     def __eq__(self, other):
         if type(other) is not SectorValue:
+            if isinstance(other, Cyclotomic) and other.order != self.ring.order:
+                return False
             if isinstance(other, (int, Fraction, Cyclotomic)):
                 other = self.ring.scalar(other)
             elif not isinstance(other, SectorValue):
@@ -995,7 +997,13 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
     for h_c, z_c, d_c in inverse:
         if not z_c:
             raise ZeroDivisionError("inverse factor with zero z coefficient")
-        top = len(h_links) if h_c else 0
+        if not h_c:
+            # (Z z / D)^-1 = D z^-1 / Z: a scalar on the table, not a convolution
+            if d_c != 1:
+                table = [d_c * x for x in table]
+            den *= z_c
+            continue
+        top = len(h_links)
         # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1)
         coeffs = [d_c * (-h_c) ** n * z_c ** (top - n) for n in range(top + 1)]
         new = [coeffs[0] * x for x in table]

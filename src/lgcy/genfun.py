@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .exactalg import (
@@ -272,15 +272,18 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
 
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
-    sector has N_g = 0 are skipped.  The table holds one SeriesRing per
-    nilpotency.  The multidegree walk runs over a zero row for k0 and one
-    row per positive-dimensional sector g_s: its exponents, then the column
-    d age(g_s) - d.  Its sums are sum_s k_s k_j(g_s), whose reduction is
-    base, whose shift by +- k0 j reduces to the sector, and from which r_j,
-    v_j = (k0 +- sums_j) c_j / d, and, in the last column, d shift.  This is the one place that computes an index's
-    integers; the walks read them.  The last table is kept per (pair
-    object, orders, side); what each walk derives from it (atoms, products,
-    Gamma shifts) stays per walk.
+    sector has N_g = 0 are skipped.  The multidegree walk runs over a zero
+    row for k0 and one row per positive-dimensional sector g_s: its
+    exponents, then the column d age(g_s) - d.  Its sums are sum_s k_s
+    k_j(g_s).  Reduced mod d/c_j, they give base, and shifted by +- k0 j
+    they give the sector.  They also give r_j, v_j = (k0 +- sums_j) c_j / d
+    and, in the last column, d shift.
+
+    This is the one place that computes an index's integers; the walks read
+    them.  The table shares one ``GroupElement`` per reduced exponent
+    tuple, one ring per nilpotency, one comb per factorial and one age per
+    sector.  The last table is kept per (pair object, orders, side); what
+    each walk derives from it (atoms, products, Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     fermat = pair.fermat
@@ -292,43 +295,60 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     # read the exponent sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
+    elements: dict = {}    # reduced exponents -> the one element
+    by_sector: dict = {}   # sector exponents -> (element, ring, age), None if skipped
     rings: dict = {}
+    combs: dict = {}       # factorial -> its inverse
     table = []
+
+    def element(exps):
+        found = elements.get(exps)
+        if found is None:
+            found = elements[exps] = GroupElement._unchecked(fermat, exps)
+        return found
+
     for total in range(orders.t_order + 1):
         for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
-            exps = [s + k0 * e for s, e in zip(sums, step)]
-            # a Y index on a sector with N_g = 0 is skipped before any element
-            if side == "y" and all(k % m for k, m in zip(exps, exponents)):
+            exps = tuple([(s + k0 * e) % m for s, e, m in zip(sums, step, exponents)])
+            found = by_sector.get(exps, False)
+            if found is False:
+                # a Y index on a sector with N_g = 0 is skipped before any element
+                nilpotency = 1 if side == "x" else exps.count(0)
+                found = None
+                if nilpotency:
+                    ring = rings.get(nilpotency)
+                    if ring is None:
+                        ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
+                    age = sum(e * c for e, c in zip(exps, weights)) // d if graded else None
+                    found = (element(exps), ring, age)
+                by_sector[exps] = found
+            if found is None:
                 continue
-            sector = GroupElement.reduced(fermat, exps)
-            nilpotency = 1 if side == "x" else sector.fixed_dim()
-            base = GroupElement.reduced(fermat, sums)
-            ring = rings.get(nilpotency)
-            if ring is None:
-                ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
-            r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
-            v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
+            sector, ring, age = found
+            base = element(tuple([s % m for s, m in zip(sums, exponents)]))
+            r_num = tuple([(k0 + s) * cj for s, cj in zip(sums, weights)])
+            v_num = tuple([(k0 - s) * cj for s, cj in zip(sums, weights)])
             if side == "x":
-                comb, offset = Fraction(1, fact), 1 - total
+                offset = 1 - total
             else:
-                comb, offset = Fraction(1, fact // factorial(k0)), 1 - total + k0
-            shift = age = None
-            if graded:
-                shift = sums[-1] // d
-                age = sum(e * c for e, c in zip(sector.exps, weights)) // d
+                fact //= factorial(k0)
+                offset = 1 - total + k0
+            comb = combs.get(fact)
+            if comb is None:
+                comb = combs[fact] = Fraction(1, fact)
+            shift = sums[-1] // d if graded else None
             table.append(IndexTerm(k0, degs[1:], degs, base, comb, offset, r_num, v_num,
                                    shift, age, sector, ring))
     return tuple(table)
 
 
-def _indexed_series(side: str, pair: LGPair, orders: Orders, terms: dict,
-                    variable: str) -> CohSeries:
-    """A series over the index table's variables: ``variable`` ("t" or
-    "q^(1/d)") with its prefactor token, then t^{g_s} per indexing sector."""
+def _index_signature(pair: LGPair, variable: str) -> tuple:
+    """(variables, tokens) of a series over the index table's variables:
+    ``variable`` ("t" or "q^(1/d)") with its prefactor token, then t^{g_s}
+    per indexing sector."""
     token = TOKEN_T_LAMBDA if variable == "t" else TOKEN_Q_H
-    variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())
-    return CohSeries(side, pair, variables, orders, terms, ((token, 1),))
+    return (variable,) + tuple(g.exps for g in pair.positive_dim_sectors()), ((token, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,8 @@ def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
 
 
 def _i_value(parts: tuple) -> ZLaurentSeries:
-    """The I coefficient of one index from its (key, product, comb, z-power)."""
+    """The I coefficient of one index from its (key, product, comb, z-power),
+    as the factorization check re-forms it on a failing key."""
     _, product, comb, offset = parts
     return (product * comb).shift(offset)
 
@@ -375,10 +396,12 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
     2T + 2n + 2 on each side, n the number of variables.
 
     The I products and the Gamma-ratio blocks are exact products that
-    ``_linear_product`` clamps once, at the end.  The padding guards only
-    what is clamped later: the shift of ``_i_value``, and the factorization
-    check's per-key products (I product times I block against the shifted
-    operator block, and the ``lhs``/``rhs`` that a failing key re-forms).
+    ``_linear_product`` clamps once, at the end.  The I builders shift
+    nothing: they write each z + offset of comb times the product straight
+    into the declared window.  The padding guards only what the
+    factorization check clamps later: its per-key products (I product times
+    I block against the shifted operator block) and the ``lhs``/``rhs``
+    that a failing key re-forms through ``_i_value``.
     """
     z_min, z_max = orders.z_window
     pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
@@ -387,17 +410,33 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
 
 def _i_function(pair: LGPair, orders: Orders, side: str, parts_of,
                 variable: str) -> CohSeries:
-    """The I-function of one side: the value of ``parts_of`` at every index
-    of the side's table on ``_wide_window``, one key per z; the series drops
-    the keys outside the declared window."""
+    """The I-function of one side: at every index of the side's table, the
+    product of ``parts_of`` on ``_wide_window`` times comb, one key per z at
+    z + offset inside the declared window.
+
+    comb times the product is formed once per (product key, comb), keyed
+    on integers, and its nonzero values go straight into the series' terms,
+    which are clean by construction.
+    """
     pair.require_cy()
     window = _wide_window(orders, pair)
+    z_min, z_max = orders.z_window
     terms: dict = {}
     products: dict = {}
+    scaled: dict = {}   # (product key, comb numerator, denominator) -> comb * product
     for term in _index_terms(pair, orders, side):
-        for z, value in _i_value(parts_of(pair, term, *window, products)).terms.items():
-            terms[(term.sector.exps, z, term.degs)] = value
-    return _indexed_series(side, pair, orders, terms, variable)
+        key, product, comb, offset = parts_of(pair, term, *window, products)
+        scaled_key = (key, comb.numerator, comb.denominator)
+        value = scaled.get(scaled_key)
+        if value is None:
+            value = scaled[scaled_key] = product * comb
+        exps, degs = term.sector.exps, term.degs
+        for z, coeff in value.terms.items():
+            z += offset
+            if z_min <= z <= z_max:
+                terms[(exps, z, degs)] = coeff
+    variables, tokens = _index_signature(pair, variable)
+    return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
 
 
 def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
@@ -521,15 +560,31 @@ def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
 def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
                 variable: str) -> CohSeries:
     """The H-function of one side: comb times the Gamma atoms of
-    ``atoms_of`` at every index of the side's table, at z^shift."""
+    ``atoms_of`` at every index of the side's table whose z^shift lies in
+    the declared window.
+
+    One closed-form value is built per (ring, atoms, comb) and shared by
+    the terms that have it; the table holds one ring per nilpotency, so the
+    nilpotency stands for the ring.  The terms are clean by construction.
+    """
     pair.require_cy()
     _require_sl_ages(pair)
+    z_min, z_max = orders.z_window
     terms: dict = {}
-    atoms: dict = {}
+    memo: dict = {}
+    values: dict = {}   # (nilpotency, atoms, comb numerator, denominator) -> value
     for term in _index_terms(pair, orders, side):
-        terms[(term.sector.exps, term.shift, term.degs)] = \
-            _atom_value(term.ring, atoms_of(pair, term, atoms), term.comb)
-    return _indexed_series(side, pair, orders, terms, variable)
+        if not z_min <= term.shift <= z_max:
+            continue
+        ring, comb = term.ring, term.comb
+        atoms = atoms_of(pair, term, memo)
+        key = (ring.nilpotency, atoms, comb.numerator, comb.denominator)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = _atom_value(ring, atoms, comb)
+        terms[(term.sector.exps, term.shift, term.degs)] = value
+    variables, tokens = _index_signature(pair, variable)
+    return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
 
 
 def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
@@ -631,7 +686,8 @@ def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
                    ring: SeriesRing, atoms: tuple, comb: Fraction):
     """The stored H term must be its closed form, comb times the atoms
     monomial in ``ring``, wherever the window keeps it: its one cell is
-    compared with (atoms, comb) directly, with no closed-form value built."""
+    compared with (atoms, comb) directly, in integers, with no closed-form
+    value built."""
     z_min, z_max = h_series.orders.z_window
     if not z_min <= shift <= z_max:
         return
@@ -639,7 +695,9 @@ def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
     if stored is not None and (stored.ring is ring or stored.ring == ring) \
             and len(stored.terms) == 1:
         [(key, cell)] = stored.terms.items()
-        if key == (0, 0, 0, atoms) and cell == comb:
+        nums = cell.nums
+        if key == (0, 0, 0, atoms) and cell.den == comb.denominator \
+                and nums[0] == comb.numerator and not any(nums[1:]):
             return
     raise IdentityError("H-function term disagrees with its closed form",
                         {"sector": list(sector), "degree": list(degs)})
@@ -659,7 +717,7 @@ def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
-                        window: tuple[int, int], sector, degs):
+                        window: tuple[int, int], sector, degs, memo: dict):
     """(I block, operator block) of one pairing of Gamma-class and H atoms.
 
     Each Gamma-class atom g pairs with an H atom h of the same weights whose
@@ -673,7 +731,8 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
     The pairing reads each atom's integer numerators, brought over the
     common denominator ``den`` of all the atoms: weights match when their
     numerators do, and the gap is an integer n when the offset numerators
-    differ by n den.
+    differ by n den.  ``memo`` keeps each block per (ring, the ratios'
+    integers in lowest terms) for the span of one walk.
     """
     den = lcm(*(atom.den for atom, _ in gamma_atoms + h_atoms))
 
@@ -698,16 +757,28 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
             entry[2] -= 1
             n = (entry[1] - offset) // den
             if n:
-                lower = atom if n > 0 else partner
-                ratio = (atom.weight, atom.h_weight, lower.offset, abs(n))
+                # the weights and the lower offset over one denominator q,
+                # in lowest terms, so that equal ratios have equal integers
+                parts = (*weights, min(offset, entry[1]))
+                g = gcd(den, *parts)
+                ratio = (den // g, *(x // g for x in parts), abs(n))
                 (shifts if n > 0 else i_shifts).append(ratio)
     unpaired += [h for h, (_, _, left) in pool.items() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
                              "atom": str(unpaired[0])})
-    i_block = gamma_shift_product(i_shifts, ring, *window) if i_shifts else None
-    return i_block, gamma_shift_product(shifts, ring, *window)
+
+    def block(ratios):
+        key = (ring, tuple(ratios))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = gamma_shift_product(
+                [(Fraction(weight, q), Fraction(h_weight, q), Fraction(base, q), steps)
+                 for q, weight, h_weight, base, steps in ratios], ring, *window)
+        return found
+
+    return (block(i_shifts) if i_shifts else None), block(shifts)
 
 
 def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
@@ -739,9 +810,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
 
     The I products are kept per walk as the I builder keeps them, the H
     atoms in a memo of this walk, and both blocks per (sector, H atoms),
-    which fixes everything the pairing reads; each block is one
-    ``gamma_shift_product`` call.  comb, shift and age are the table's; a
-    pair with a non-integral age is refused before the walk.
+    which fixes everything the pairing reads; each distinct block is one
+    ``gamma_shift_product`` call of this walk.  comb, shift and age are the
+    table's; a pair with a non-integral age is refused before the walk.
     """
     _require_sl_ages(pair)
     if side == "x":
@@ -753,6 +824,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     counts = _stored_counts(i_series)
     i_products: dict = {}
     blocks: dict = {}
+    shift_blocks: dict = {}
     verdicts: dict = {}
     memo: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
@@ -769,7 +841,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
             [(_, entry)] = gamma.blocks[sector.exps]
             [(_, _, _, gamma_atoms)] = entry.terms
             blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                                    sector.exps, term.degs)
+                                                    sector.exps, term.degs, shift_blocks)
         i_block, block = blocks[block_key]
         power = term.shift + 1 - term.age   # the operator side's z-power
         delta = power - offset
@@ -778,7 +850,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
         if verdict is None:
             lhs = product if i_block is None else product * i_block
             verdict = verdicts[key] = lhs == block.shift(delta)
-        if not verdict or comb != term.comb:
+        if not verdict or (comb is not term.comb and comb != term.comb):
             i_value = _i_value(parts)
             lhs = i_value if i_block is None else i_value * i_block
             rhs = (block * ring.scalar(term.comb)).shift(power)
@@ -814,7 +886,8 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
             ring = SeriesRing(d, orders.lam_order, n_g)
             terms[(sector.exps, term.shift, term.degs)] = \
                 ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * ring.scalar(term.comb)
-    return _indexed_series("y", pair, orders, terms, "t")
+    variables, tokens = _index_signature(pair, "t")
+    return CohSeries("y", pair, variables, orders, terms, tokens)
 
 
 def residue_unit_check(m: int, b: int, d: int,

@@ -99,11 +99,6 @@ class GroupElement:
         element._store(fermat, exps)
         return element
 
-    @classmethod
-    def reduced(cls, fermat: FermatData, exps) -> "GroupElement":
-        """The element whose exponents are the integers ``exps`` mod d/c_j."""
-        return cls._unchecked(fermat, tuple(k % m for k, m in zip(exps, fermat.exponents)))
-
     def _store(self, fermat: FermatData, exps: tuple[int, ...]) -> None:
         object.__setattr__(self, "fermat", fermat)
         object.__setattr__(self, "exps", exps)

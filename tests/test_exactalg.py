@@ -22,6 +22,7 @@ from lgcy.exactalg import (
     SeriesRing,
     ZLaurentSeries,
     _bernoulli_at,
+    _cells,
     _merge_atoms,
     _linear_product,
     _rational_parts,
@@ -456,6 +457,67 @@ def test_linear_product_clamps_once_where_the_per_factor_clamp_changes():
         _linear_product(ring, -4, 4, [], [(1, 0, 1)])
 
 
+def _general_loop_product(ring, z_min, z_max, linear, inverse):
+    """``_linear_product`` with every inverse factor, also one with a zero H
+    coefficient, expanded by the general nilpotent loop."""
+    keys, lam_links, h_links = _cells(ring.lam_order, ring.nilpotency)
+    table = [1] + [0] * (len(keys) - 1)
+    den = 1
+    for lam_c, h_c, z_c, d_c in linear:
+        new = [z_c * x for x in table]
+        if lam_c:
+            for i, j in lam_links:
+                new[i] += lam_c * table[j]
+        if h_c and h_links:
+            for i, j in h_links[0]:
+                new[i] += h_c * table[j]
+        table = new
+        den *= d_c
+    for h_c, z_c, d_c in inverse:
+        top = len(h_links) if h_c else 0
+        coeffs = [d_c * (-h_c) ** n * z_c ** (top - n) for n in range(top + 1)]
+        new = [coeffs[0] * x for x in table]
+        for n in range(1, top + 1):
+            for i, j in h_links[n - 1]:
+                new[i] += coeffs[n] * table[j]
+        table = new
+        den *= z_c ** (top + 1)
+    degree = len(linear) - len(inverse)
+    terms: dict = {}
+    for (a, b, _, _), num in zip(keys, table):
+        z = degree - a - b
+        if num and z_min <= z <= z_max:
+            terms.setdefault(z, {})[(a, b, 0, ())] = F(num, den)
+    return ZLaurentSeries(ring, z_min, z_max,
+                          {z: SectorValue(ring, cells) for z, cells in terms.items()})
+
+
+def test_zero_h_inverse_factor_matches_the_general_loop():
+    """An inverse factor (0 H + Z z)/D scales the table by D and the
+    denominator by Z; the product equals the general nilpotent loop for
+    every D, negative Z, and nilpotency 1 to 4, mixed with other factors."""
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(300):
+        ring = SeriesRing(rng.choice([3, 4, 5, 6]), rng.randint(0, 4), rng.randint(1, 4))
+        linear = [(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-6, 6),
+                   rng.randint(1, 6)) for _ in range(rng.randint(0, 5))]
+        inverse = [(0, rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 6))
+                   for _ in range(rng.randint(1, 4))]
+        inverse += [(rng.choice([-2, 1, 3]), rng.choice([-3, 1, 2]), rng.randint(1, 4))
+                    for _ in range(rng.randint(0, 2))]
+        rng.shuffle(inverse)
+        window = (-len(inverse) - ring.lam_order - rng.randint(0, 2),
+                  len(linear) + rng.randint(-2, 2))
+        if window[0] > window[1]:
+            continue
+        product = _linear_product(ring, *window, linear, inverse)
+        assert product == _general_loop_product(ring, *window, linear, inverse)
+        seen |= {(d_c != 1, z_c < 0, ring.nilpotency >= 2)
+                 for h_c, z_c, d_c in inverse if not h_c and not product.is_zero()}
+    assert (True, True, True) in seen and len(seen) == 8
+
+
 def _recorded_calls(monkeypatch, name, key_of):
     """Wrap genfun.<name> so that each distinct call's result is kept under
     key_of(*args)."""
@@ -700,8 +762,21 @@ def test_sector_value_equality_matches_the_general_route():
             expected = _sector_value_eq_general(value, other)
             assert (value == other) is expected, (value, other)
             assert (value != other) is not expected
-    # a scalar of another cyclotomic order is refused on both routes
+    # the general route refuses a scalar of another cyclotomic order; the
+    # value compares unequal to it (next test)
     with pytest.raises(OrderMismatchError):
         _sector_value_eq_general(ring.one(), Cyclotomic.one(3))
-    with pytest.raises(OrderMismatchError):
-        ring.one() == Cyclotomic.one(3)
+    assert ring.one() != Cyclotomic.one(3)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 10])
+def test_sector_value_is_unequal_to_a_cyclotomic_of_another_order(order):
+    """Like ``Cyclotomic.__eq__``, ``SectorValue.__eq__`` answers False for a
+    ``Cyclotomic`` of another order instead of raising, from either side."""
+    ring = SeriesRing(5, 2, 1)
+    for value in (ring.scalar(1), ring.zero(), ring.lam() + 1):
+        other = Cyclotomic.one(order)
+        assert (value == other) is False and (value != other) is True
+        assert (other == value) is False and (other != value) is True
+        assert (value == Cyclotomic.zero(order)) is False
+    assert ring.scalar(1) == Cyclotomic.one(5)

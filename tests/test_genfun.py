@@ -103,7 +103,8 @@ def test_oracle_equals_closed_form(pair):
 
 def _per_twist_closed_terms(pair, c, orders) -> dict:
     """The closed J's terms built afresh for one twist: each sector is the
-    walk's exponent sum reduced through ``GroupElement.reduced``."""
+    element of the walk's exponent sum reduced mod d/c_j, built by the public
+    ``GroupElement`` constructor."""
     pair.require_twist(c)
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
     z_min, z_max = orders.z_window
@@ -112,7 +113,8 @@ def _per_twist_closed_terms(pair, c, orders) -> dict:
     for total in range(orders.t_order + 1):
         if z_min <= 1 - total <= z_max:
             for degs, sums, fact in _multidegree_walk(rows, total):
-                sector = GroupElement.reduced(pair.fermat, sums)
+                sector = GroupElement(pair.fermat, [k % m for k, m
+                                                    in zip(sums, pair.fermat.exponents)])
                 terms[(sector.exps, 1 - total, degs)] = ring.scalar(F(1, fact))
     return terms
 
@@ -606,6 +608,18 @@ def test_h_term_check_compares_the_stored_atoms(side):
     _assert_reused_h_term_tamper_fails(side, atom_moved)
 
 
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_h_term_check_compares_every_coordinate_of_the_coefficient(side):
+    """The H-term check compares the stored cell with comb in integers on
+    every coordinate of Q(xi): comb + xi in place of comb fails naming the
+    term."""
+    def xi_added(value):
+        [(key, coeff)] = value.terms.items()
+        return SectorValue(value.ring, {key: coeff + Cyclotomic.root(coeff.order)})
+
+    _assert_reused_h_term_tamper_fails(side, xi_added)
+
+
 @pytest.mark.parametrize("pair", [quintic(), quartic()], ids=lambda p: p.name)
 @pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("moved, match, witness", [
@@ -661,7 +675,7 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
             [(_, entry)] = gamma.blocks[sector.exps]
             [(_, _, _, gamma_atoms)] = entry.terms
             blocks[key] = genfun._gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                                     sector.exps, term.degs)
+                                                     sector.exps, term.degs, {})
         i_block, block = blocks[key]
         lhs = i_value if i_block is None else i_value * i_block
         rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
@@ -826,7 +840,7 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
                                                atom.h_weight), exp)] + rest))
             args = (gamma_atoms, h_atoms, term.ring, window, term.sector.exps, term.degs)
             expected = outcome(_fraction_ratio_blocks, *args)
-            assert outcome(genfun._gamma_ratio_blocks, *args) == expected
+            assert outcome(genfun._gamma_ratio_blocks, *args, {}) == expected
             outcomes.add(isinstance(expected[1], ZLaurentSeries))
     # both the blocks and the unpaired witness were compared
     assert outcomes == {True, False}
@@ -851,6 +865,74 @@ def test_factorization_refuses_a_stored_z_the_closed_form_lacks(side):
     with pytest.raises(IdentityError, match=re.escape(label)) as caught:
         h_factorization(p, extra, side)
     assert caught.value.witness == {"sector": list(sector), "degree": list(degs)}
+
+
+# -- the I and H builders against the route through the public constructors -----------
+
+def _public_route(pair, orders, side, kind):
+    """I or H of one side the way the builders formed it before they clipped
+    to the window themselves: each I value is comb times the product, shifted
+    by the public ``ZLaurentSeries`` constructor, each H value one
+    ``_atom_value`` per index, and the series is built by the public
+    ``CohSeries`` constructor, which drops the keys outside the window.
+    Returns the series and the terms before that constructor."""
+    terms, memo = {}, {}
+    window = genfun._wide_window(orders, pair)
+    for term in _index_terms(pair, orders, side):
+        if kind == "i":
+            parts_of = genfun._i_x_parts if side == "x" else genfun._i_y_parts
+            _, product, comb, offset = parts_of(pair, term, *window, memo)
+            value = ZLaurentSeries(product.ring, product.z_min, product.z_max,
+                                   {z + offset: coeff * comb
+                                    for z, coeff in product.terms.items()})
+            for z, coeff in value.terms.items():
+                terms[(term.sector.exps, z, term.degs)] = coeff
+        else:
+            atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
+            terms[(term.sector.exps, term.shift, term.degs)] = \
+                genfun._atom_value(term.ring, atoms_of(pair, term, memo), term.comb)
+    variable = "t" if side == "x" else "q^(1/d)"
+    token = TOKEN_T_LAMBDA if side == "x" else TOKEN_Q_H
+    variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())
+    return CohSeries(side, pair, variables, orders, terms, ((token, 1),)), terms
+
+
+BUILDERS = {("i", "x"): i_function_x, ("i", "y"): i_function_y,
+            ("h", "x"): h_function_x, ("h", "y"): h_function_y}
+
+
+@pytest.mark.parametrize("kind, side", sorted(BUILDERS))
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_builders_match_the_public_constructor_route(pair, kind, side):
+    """I^X, I^Y, H^X and H^Y equal the route through the public
+    constructors, key for key and in signature, at the recommended orders
+    and at a window that drops keys of that route; the same tampered key
+    then fails the factorization check with the same witness on both."""
+    narrow = Orders(t_order=3, lam_order=2, z_min=-1, z_max=0)
+    for orders in (narrow, recommended_orders(pair, 4, 2)):
+        built = BUILDERS[kind, side](pair, orders)
+        expected, unclipped = _public_route(pair, orders, side, kind)
+        if orders is narrow:
+            assert len(unclipped) > len(expected.terms)
+        assert built.terms == expected.terms
+        assert built.signature() == expected.signature()
+        assert built.terms and all(value.terms for value in built.terms.values())
+        z_min, z_max = orders.z_window
+        assert all(z_min <= z <= z_max for _, z, _ in built.terms)
+        i_series = (i_function_x if side == "x" else i_function_y)(pair, orders)
+        h_series = (h_function_x if side == "x" else h_function_y)(pair, orders)
+        gamma = gamma_class_op(pair, side)
+        key = sorted(built.terms)[len(built.terms) // 2]
+
+        def outcome(series):
+            tampered = series._replace_terms({**series.terms, key: series.terms[key] * 2})
+            args = (tampered, h_series) if kind == "i" else (i_series, tampered)
+            with pytest.raises(IdentityError) as caught:
+                _verify_factorization(pair, side, *args, gamma)
+            return str(caught.value), caught.value.witness
+
+        assert outcome(built) == outcome(expected)
+        assert outcome(built)[1]["sector"] == list(key[0])
 
 
 # -- the kept index table ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from lgcy import catalog, genfun, verify
+from lgcy.exactalg import ZLaurentSeries
 from lgcy.lgmodel import LGPair
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,28 +138,29 @@ def _functions_calling(tree: ast.AST, matches) -> set[str]:
 
 
 def test_only_clean_builders_skip_the_series_constructor():
-    """``CohSeries._unchecked`` is called only inside ``cohseries`` and by
-    the closed J ``genfun.untwisted_j``; the oracle J and the deserializer
-    keep the validating constructor."""
+    """``CohSeries._unchecked`` is called only inside ``cohseries``, by the
+    closed J ``genfun.untwisted_j`` and by the I and H builders
+    ``genfun._i_function`` and ``genfun._h_function``, which clip to the
+    window themselves; the oracle J, the continued series and the
+    deserializer keep the validating constructor."""
     def unchecked(func):
         return isinstance(func, ast.Attribute) and func.attr == "_unchecked" \
             and isinstance(func.value, ast.Name) and func.value.id == "CohSeries"
 
     callers = {f"{name}.{fn}" for name, tree in MODULES.items() if name != "cohseries"
                for fn in _functions_calling(tree, unchecked)}
-    assert callers == {"genfun.untwisted_j"}, callers
+    assert callers == {"genfun.untwisted_j", "genfun._i_function",
+                       "genfun._h_function"}, callers
     assert _functions_calling(MODULES["cohseries"], unchecked)
     public = _functions_calling(MODULES["genfun"], lambda func: isinstance(func, ast.Name)
                                 and func.id == "CohSeries")
-    assert {"untwisted_j_oracle", "deserialize_series"} <= public, public
+    assert {"untwisted_j_oracle", "h_continued", "deserialize_series"} <= public, public
 
 
-def test_the_two_j_routes_never_reach_each_other(monkeypatch):
-    """Oracle equivalence and the untwisted MLK check compare two routes to J:
-    the oracle route never reaches the closed form or its kept terms, and the
-    closed route never reaches the selection rule or the psi-integrals.
-    Each function is wrapped by a counter of the wrapped calls made while it
-    runs."""
+def _reach_counter(monkeypatch):
+    """(wrap, reached): ``wrap(owners, attr)`` replaces ``attr`` on every
+    owner by a counter, and ``reached[outer, attr]`` counts the wrapped calls
+    to ``attr`` made while the wrapped ``outer`` runs."""
     running: Counter = Counter()
     reached: Counter = Counter()
 
@@ -177,6 +179,17 @@ def test_the_two_j_routes_never_reach_each_other(monkeypatch):
 
         for owner in owners:
             monkeypatch.setattr(owner, attr, counted)
+
+    return wrap, reached
+
+
+def test_the_two_j_routes_never_reach_each_other(monkeypatch):
+    """Oracle equivalence and the untwisted MLK check compare two routes to J:
+    the oracle route never reaches the closed form or its kept terms, and the
+    closed route never reaches the selection rule or the psi-integrals.
+    Each function is wrapped by a counter of the wrapped calls made while it
+    runs."""
+    wrap, reached = _reach_counter(monkeypatch)
 
     genfun._closed_j_terms.cache_clear()
     wrap([genfun, verify], "untwisted_j")
@@ -198,3 +211,20 @@ def test_the_two_j_routes_never_reach_each_other(monkeypatch):
     assert reached["untwisted_j", "_closed_j_terms"] > 0
     assert reached["untwisted_j_oracle", "is_nonempty"] > 0
     assert reached["untwisted_j_oracle", "psi_integral_oracle"] > 0
+
+
+def test_the_traced_layers_stay_on_the_factorization_routes(monkeypatch):
+    """The benchmark tracer predicts ``ZLaurentSeries.__mul__`` calls on the
+    ``series`` and ``operators`` workloads and ``gamma_shift_product`` calls
+    on ``series``: the I builder still reaches the first (comb times each
+    distinct product) and the Gamma factorization the second (one call per
+    distinct block)."""
+    wrap, reached = _reach_counter(monkeypatch)
+    wrap([genfun, verify], "i_function_x")
+    wrap([genfun, verify], "h_factorization")
+    wrap([genfun], "gamma_shift_product")
+    wrap([ZLaurentSeries], "__mul__")
+    pair = catalog.quartic()
+    assert verify.check_gamma_factorization(pair, verify.recommended_orders(pair, 3, 2)).ok()
+    assert reached["i_function_x", "__mul__"] > 0
+    assert reached["h_factorization", "gamma_shift_product"] > 0
