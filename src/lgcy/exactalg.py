@@ -451,22 +451,36 @@ def _merge_atoms(a: AtomsKey, b: AtomsKey) -> AtomsKey:
 # truncated sector values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_SHARED_RINGS: dict = {}   # (order, lam_order, nilpotency) -> the one ring
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SeriesRing:
     """Truncation context: cyclotomic order, lam-order, H-nilpotency.
 
     A monomial lam^a H^b survives iff a + b <= lam_order and b < nilpotency,
     i.e. the quotient modulo H^N and total (lam, H)-degree > lam_order.
-    Working modulo an ideal keeps every operation a true ring map.
+    Working modulo an ideal keeps every operation a true ring map.  The
+    constructor hands out one shared instance per parameter triple, so rings
+    compare by identity; the hash stays that of the three fields.
     """
 
     order: int
     lam_order: int
     nilpotency: int = 1
 
-    def __post_init__(self):
-        if self.order < 1 or self.lam_order < 0 or self.nilpotency < 1:
-            raise ValueError("invalid ring parameters")
+    def __new__(cls, order: int, lam_order: int, nilpotency: int = 1):
+        key = (order, lam_order, nilpotency)
+        ring = _SHARED_RINGS.get(key)
+        if ring is None:
+            if order < 1 or lam_order < 0 or nilpotency < 1:
+                raise ValueError("invalid ring parameters")
+            ring = _SHARED_RINGS[key] = object.__new__(cls)
+            ring.__dict__.update(order=order, lam_order=lam_order, nilpotency=nilpotency)
+        return ring
+
+    def __hash__(self):
+        return hash((self.order, self.lam_order, self.nilpotency))
 
     def zero(self) -> "SectorValue":
         return SectorValue._unchecked(self, {})
@@ -543,7 +557,7 @@ class SectorValue:
 
     # -- helpers -------------------------------------------------------------
     def _check(self, other: "SectorValue"):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise OrderMismatchError(
                 f"ring mismatch: {self.ring} vs {other.ring}")
 
@@ -659,8 +673,7 @@ class SectorValue:
                 other = self.ring.scalar(other)
             elif not isinstance(other, SectorValue):
                 return False
-        return ((self.ring is other.ring or self.ring == other.ring)
-                and self.terms == other.terms)
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items(),
@@ -690,7 +703,10 @@ class SectorValue:
                            {k: c for k, c in self.terms.items() if k[0] == 0})
 
     def with_ring(self, ring: SeriesRing) -> "SectorValue":
-        """Re-truncate into another ring of the same cyclotomic order."""
+        """Re-truncate into another ring of the same cyclotomic order; a
+        value already in ``ring`` is returned as it is."""
+        if ring is self.ring:
+            return self
         if ring.order != self.ring.order:
             raise OrderMismatchError("cannot change cyclotomic order")
         return SectorValue(ring, dict(self.terms))
@@ -875,7 +891,7 @@ class ZLaurentSeries:
 
     def _check(self, other: "ZLaurentSeries"):
         if (self.z_min, self.z_max) != (other.z_min, other.z_max) or \
-                (self.ring is not other.ring and self.ring != other.ring):
+                self.ring is not other.ring:
             raise OrderMismatchError("z-window or ring mismatch")
 
     def __add__(self, other):
@@ -935,7 +951,7 @@ class ZLaurentSeries:
 
     def __eq__(self, other):
         return (isinstance(other, ZLaurentSeries)
-                and self.ring == other.ring
+                and self.ring is other.ring
                 and (self.z_min, self.z_max) == (other.z_min, other.z_max)
                 and self.terms == other.terms)
 

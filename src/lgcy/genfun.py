@@ -281,9 +281,9 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
 
     This is the one place that computes an index's integers; the walks read
     them.  The table shares one ``GroupElement`` per reduced exponent
-    tuple, one ring per nilpotency, one comb per factorial and one age per
-    sector.  The last table is kept per (pair object, orders, side); what
-    each walk derives from it (atoms, products, Gamma shifts) stays per walk.
+    tuple, one comb per factorial and one age per sector.  The last table
+    is kept per (pair object, orders, side); what each walk derives from it
+    (atoms, products, Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     fermat = pair.fermat
@@ -297,7 +297,6 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
     elements: dict = {}    # reduced exponents -> the one element
     by_sector: dict = {}   # sector exponents -> (element, ring, age), None if skipped
-    rings: dict = {}
     combs: dict = {}       # factorial -> its inverse
     table = []
 
@@ -317,11 +316,8 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
                 nilpotency = 1 if side == "x" else exps.count(0)
                 found = None
                 if nilpotency:
-                    ring = rings.get(nilpotency)
-                    if ring is None:
-                        ring = rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
                     age = sum(e * c for e, c in zip(exps, weights)) // d if graded else None
-                    found = (element(exps), ring, age)
+                    found = (element(exps), SeriesRing(d, orders.lam_order, nilpotency), age)
                 by_sector[exps] = found
             if found is None:
                 continue
@@ -369,10 +365,10 @@ def modification_factor(pair: LGPair, r_num, ring: SeriesRing,
                             for l in range(r // d)])
 
 
-def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
-               products: dict) -> tuple:
-    """(r, M(k0, k), comb, offset): the I^X coefficient of one index is
-    M(k0, k) comb z^offset, with offset = 1 - k0 - sum k.
+def _i_x_product(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+                 products: dict) -> tuple:
+    """(r, M(k0, k)): the I^X coefficient of one index is M(k0, k) times the
+    table's comb z^offset.
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
     of one walk over the index table.
@@ -381,14 +377,7 @@ def _i_x_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if m_factor is None:
         m_factor = products[term.r_num] = \
             modification_factor(pair, term.r_num, term.ring, z_min, z_max)
-    return term.r_num, m_factor, term.comb, term.offset
-
-
-def _i_value(parts: tuple) -> ZLaurentSeries:
-    """The I coefficient of one index from its (key, product, comb, z-power),
-    as the factorization check re-forms it on a failing key."""
-    _, product, comb, offset = parts
-    return (product * comb).shift(offset)
+    return term.r_num, m_factor
 
 
 def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
@@ -399,20 +388,19 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
     ``_linear_product`` clamps once, at the end.  The I builders shift
     nothing: they write each z + offset of comb times the product straight
     into the declared window.  The padding guards only what the
-    factorization check clamps later: its per-key products (I product times
-    I block against the shifted operator block) and the ``lhs``/``rhs``
-    that a failing key re-forms through ``_i_value``.
+    factorization check clamps later: its per-key products, I product times
+    I block against the operator block shifted by the key's z-offset.
     """
     z_min, z_max = orders.z_window
     pad = 2 * orders.t_order + 2 * pair.fermat.n_variables + 2
     return z_min - pad, z_max + pad
 
 
-def _i_function(pair: LGPair, orders: Orders, side: str, parts_of,
+def _i_function(pair: LGPair, orders: Orders, side: str, product_of,
                 variable: str) -> CohSeries:
     """The I-function of one side: at every index of the side's table, the
-    product of ``parts_of`` on ``_wide_window`` times comb, one key per z at
-    z + offset inside the declared window.
+    product of ``product_of`` on ``_wide_window`` times the table's comb,
+    one key per z at z + offset inside the declared window.
 
     comb times the product is formed once per (product key, comb), keyed
     on integers, and its nonzero values go straight into the series' terms,
@@ -425,7 +413,8 @@ def _i_function(pair: LGPair, orders: Orders, side: str, parts_of,
     products: dict = {}
     scaled: dict = {}   # (product key, comb numerator, denominator) -> comb * product
     for term in _index_terms(pair, orders, side):
-        key, product, comb, offset = parts_of(pair, term, *window, products)
+        key, product = product_of(pair, term, *window, products)
+        comb, offset = term.comb, term.offset
         scaled_key = (key, comb.numerator, comb.denominator)
         value = scaled.get(scaled_key)
         if value is None:
@@ -445,7 +434,7 @@ def i_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     z t^(d lam/tau) sum_{k,k0} prod (t^{g_s})^{k_s} / (z^{k_s} k_s!) *
     M(k0,k) t^{k0} / (z^{k0} k0!) on the sector j^{k0} prod g_s^{k_s}.
     """
-    return _i_function(pair, orders, "x", _i_x_parts, "t")
+    return _i_function(pair, orders, "x", _i_x_product, "t")
 
 
 def y_ray_levels(v: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -466,11 +455,11 @@ def y_ray_levels(v: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(-(-v % d), v, -d)), ()
 
 
-def _i_y_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
-               products: dict) -> tuple:
-    """((n_g, k0, v), factors, comb, offset): the I^Y coefficient of one
-    index is the k0 fiber factors times the ray factors of every j, times
-    comb z^offset, with comb = 1/prod k_s! and offset = 1 - sum k.
+def _i_y_product(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
+                 products: dict) -> tuple:
+    """((n_g, k0, v), factors): the I^Y coefficient of one index is the k0
+    fiber factors times the ray factors of every j, times the table's comb
+    z^offset.
 
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
@@ -480,7 +469,7 @@ def _i_y_parts(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     if value is None:
         value = products[key] = \
             _i_y_factors(pair, term.k0, term.v_num, term.ring, z_min, z_max)
-    return key, value, term.comb, term.offset
+    return key, value
 
 
 def _i_y_factors(pair: LGPair, k0: int, v_num, ring: SeriesRing,
@@ -508,7 +497,7 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     Supported on sectors with N_g > 0; carries the q^(H/tau) prefactor.
     The multidegree slot 0 is the exponent of q^(1/d).
     """
-    return _i_function(pair, orders, "y", _i_y_parts, "q^(1/d)")
+    return _i_function(pair, orders, "y", _i_y_product, "q^(1/d)")
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +553,8 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
     the declared window.
 
     One closed-form value is built per (ring, atoms, comb) and shared by
-    the terms that have it; the table holds one ring per nilpotency, so the
-    nilpotency stands for the ring.  The terms are clean by construction.
+    the terms that have it; the table's rings are shared per nilpotency, so
+    the nilpotency stands for the ring.  The terms are clean by construction.
     """
     pair.require_cy()
     _require_sl_ages(pair)
@@ -608,13 +597,12 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     atom of the Gamma-class operator with an atom of H at an integer offset
     gap, re-expands each ratio through the polynomial rewrite and insists
     on an identically zero residual; the first bad coefficient is carried
-    on the raised IdentityError.  The residual verdict is formed once per
-    (I product, Gamma-ratio blocks, z-offset) key and looked up by the
-    later terms of that key; a failing key falls back to the term's own
-    ``lhs``/``rhs``, so the witness is the term-by-term one.  The stored I
-    series is compared with comb times the I product in integers, without
-    rebuilding the I value.  The H builder and the verification walk the
-    side's index table at the series' orders, which ``_index_terms`` keeps.
+    on the raised IdentityError.  The residual is formed once per (I product,
+    Gamma-ratio blocks, z-offset) key, and a failing key names its first
+    term's z and comb.  The stored I series is compared with comb times the
+    I product in integers, without rebuilding the I value.  The H builder
+    and the verification walk the side's index table at the series' orders,
+    which ``_index_terms`` keeps.
     """
     pair.require_cy()
     gamma = gamma_class_op(pair, side)
@@ -634,20 +622,20 @@ def _stored_counts(series: CohSeries) -> dict:
     return counts
 
 
-def _assert_is_clamp(series: CohSeries, counts: dict, sector, degs, parts: tuple,
-                     label: str):
-    """The stored series must be the window clamp of comb z^offset times the
-    I product of ``parts`` (key, product, comb, offset).
+def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
+                     product: ZLaurentSeries, label: str):
+    """The stored series must be the window clamp of the index's I product
+    times the table's comb z^offset.
 
     Each stored coefficient at z + offset must lie in the product's ring and
     equal comb times the product's coefficient at z cell by cell, compared by
     cross-multiplying integer numerators and denominators; ``counts``, from
     ``_stored_counts``, then rules out a stored z that the product lacks.
     """
-    _, product, comb, offset = parts
     z_min, z_max = series.orders.z_window
     ring, terms = product.ring, series.terms
-    cn, cd = comb.numerator, comb.denominator
+    sector, degs, offset = term.sector.exps, term.degs, term.offset
+    cn, cd = term.comb.numerator, term.comb.denominator
     found = 0
     for z, value in product.terms.items():
         z += offset
@@ -655,7 +643,7 @@ def _assert_is_clamp(series: CohSeries, counts: dict, sector, degs, parts: tuple
             continue
         found += 1
         stored = terms.get((sector, z, degs))
-        if stored is None or (stored.ring is not ring and stored.ring != ring) \
+        if stored is None or stored.ring is not ring \
                 or not _scaled_equals(stored, value, cn, cd):
             break
     else:
@@ -682,18 +670,17 @@ def _scaled_equals(stored: SectorValue, value: SectorValue, cn: int, cd: int) ->
     return True
 
 
-def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
-                   ring: SeriesRing, atoms: tuple, comb: Fraction):
-    """The stored H term must be its closed form, comb times the atoms
-    monomial in ``ring``, wherever the window keeps it: its one cell is
-    compared with (atoms, comb) directly, in integers, with no closed-form
-    value built."""
+def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple):
+    """The stored H term must be its closed form, the table's comb times the
+    atoms monomial in the index's ring, wherever the window keeps it: its
+    one cell is compared with (atoms, comb) directly, in integers, with no
+    closed-form value built."""
     z_min, z_max = h_series.orders.z_window
+    sector, shift, degs, comb = term.sector.exps, term.shift, term.degs, term.comb
     if not z_min <= shift <= z_max:
         return
     stored = h_series.terms.get((sector, shift, degs))
-    if stored is not None and (stored.ring is ring or stored.ring == ring) \
-            and len(stored.terms) == 1:
+    if stored is not None and stored.ring is term.ring and len(stored.terms) == 1:
         [(key, cell)] = stored.terms.items()
         nums = cell.nums
         if key == (0, 0, 0, atoms) and cell.den == comb.denominator \
@@ -704,16 +691,17 @@ def _assert_h_term(h_series: CohSeries, sector, shift: int, degs,
 
 
 def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
-                        sector, degs):
-    """The two sides of the factorization must agree at every z; their
-    difference is formed only to name the first bad z."""
+                        sector, degs, comb: Fraction, offset: int):
+    """The two sides of one factorization key must agree at every z.  They
+    leave out the index's comb z^offset, which the witness puts back: it
+    names the first bad z plus offset and both coefficients times comb."""
     if lhs != rhs:
         z_bad = min((lhs - rhs).terms)
         raise IdentityError(
             f"Gamma factorization residual on the {side} side",
-            {"sector": list(sector), "z": z_bad, "degree": list(degs),
-             "left": str(lhs.coefficient(z_bad)),
-             "right": str(rhs.coefficient(z_bad))})
+            {"sector": list(sector), "z": z_bad + offset, "degree": list(degs),
+             "left": str(lhs.coefficient(z_bad) * comb),
+             "right": str(rhs.coefficient(z_bad) * comb)})
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
@@ -786,75 +774,68 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     """Per-term check I = z^(1-Gr) GammaClass tau^(deg0/2) H on one side,
     over the side's index table at the orders of ``i_series``.
 
-    The I side is the index's product (``modification_factor`` or
-    ``_i_y_factors``) on ``_wide_window``, so clamping cannot mask a
-    residual, times comb z^offset; the operator side is built from the
-    Gamma-class operator ``gamma`` and the H atoms alone: each Gamma/H atom
-    ratio is re-expanded by ``_gamma_ratio_blocks``, and I times the I block
-    must equal z^(1 - age) times the operator block and H's coefficient.
+    The I side is the index's product (``_i_x_product`` or ``_i_y_product``)
+    on ``_wide_window``, so clamping cannot mask a residual, times comb
+    z^offset; the operator side is built from the Gamma-class operator
+    ``gamma`` and the H atoms alone: each Gamma/H atom ratio is re-expanded
+    by ``_gamma_ratio_blocks``, and I times the I block must equal
+    z^(1 - age) times the operator block and H's coefficient.
 
     Each term runs three checks, in this order:
 
     * the stored I series is the clamp of its closed form, compared in
       integers against the product without rebuilding the I value
       (``_assert_is_clamp``);
-    * the stored H term is its closed form;
+    * the stored H term is its closed form (``_assert_h_term``);
     * the residual.  comb and z^offset are common to both sides, so with
       delta = (shift + 1 - age) - offset the identity reads product times
-      I block = operator block times z^delta.  That verdict depends only on
-      (product key, (sector, H atoms), delta) and is formed once per key
-      from ``ZLaurentSeries`` products; later terms of the key look it up.
-      A term whose key fails, or whose I comb is not H's, re-forms its
-      ``lhs``/``rhs`` with comb and z-power and raises through
-      ``_assert_no_residual``, so the witness names the first bad z.
+      I block = operator block times z^delta.  That depends only on
+      (product key, (sector, H atoms), delta), so each key is formed once
+      from ``ZLaurentSeries`` products and kept once it has passed; a
+      failing key raises through ``_assert_no_residual`` with the term's
+      comb and offset, which name the witness.
 
     The I products are kept per walk as the I builder keeps them, the H
     atoms in a memo of this walk, and both blocks per (sector, H atoms),
     which fixes everything the pairing reads; each distinct block is one
-    ``gamma_shift_product`` call of this walk.  comb, shift and age are the
-    table's; a pair with a non-integral age is refused before the walk.
+    ``gamma_shift_product`` call of this walk.  comb, offset, shift and age
+    are the table's; a non-integral age is refused before the walk.
     """
     _require_sl_ages(pair)
     if side == "x":
-        parts_of, atoms_of = _i_x_parts, _x_atoms
+        product_of, atoms_of = _i_x_product, _x_atoms
     else:
-        parts_of, atoms_of = _i_y_parts, _y_atoms
+        product_of, atoms_of = _i_y_product, _y_atoms
     window = _wide_window(i_series.orders, pair)
     label = f"I^{side.upper()}"
     counts = _stored_counts(i_series)
     i_products: dict = {}
     blocks: dict = {}
     shift_blocks: dict = {}
-    verdicts: dict = {}
+    passed: set = set()
     memo: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
-        sector, ring = term.sector, term.ring
+        sector = term.sector.exps
         atoms = atoms_of(pair, term, memo)
 
-        parts = parts_of(pair, term, *window, i_products)
-        product_key, product, comb, offset = parts
-        _assert_is_clamp(i_series, counts, sector.exps, term.degs, parts, label)
-        _assert_h_term(h_series, sector.exps, term.shift, term.degs, ring, atoms, term.comb)
+        product_key, product = product_of(pair, term, *window, i_products)
+        _assert_is_clamp(i_series, counts, term, product, label)
+        _assert_h_term(h_series, term, atoms)
 
-        block_key = (sector.exps, atoms)
+        block_key = (sector, atoms)
         if block_key not in blocks:
-            [(_, entry)] = gamma.blocks[sector.exps]
+            [(_, entry)] = gamma.blocks[sector]
             [(_, _, _, gamma_atoms)] = entry.terms
-            blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                                    sector.exps, term.degs, shift_blocks)
-        i_block, block = blocks[block_key]
-        power = term.shift + 1 - term.age   # the operator side's z-power
-        delta = power - offset
+            blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, term.ring, window,
+                                                    sector, term.degs, shift_blocks)
+        delta = term.shift + 1 - term.age - term.offset
         key = (product_key, block_key, delta)
-        verdict = verdicts.get(key)
-        if verdict is None:
+        if key not in passed:
+            i_block, block = blocks[block_key]
             lhs = product if i_block is None else product * i_block
-            verdict = verdicts[key] = lhs == block.shift(delta)
-        if not verdict or (comb is not term.comb and comb != term.comb):
-            i_value = _i_value(parts)
-            lhs = i_value if i_block is None else i_value * i_block
-            rhs = (block * ring.scalar(term.comb)).shift(power)
-            _assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
+            _assert_no_residual(lhs, block.shift(delta), side.upper(), sector,
+                                term.degs, term.comb, term.offset)
+            passed.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,11 +1010,13 @@ def deserialize_series(data: dict) -> CohSeries:
                       for v in data["variables"])
     terms = {}
     for item in data["terms"]:
-        exps = tuple(item["sector"])
+        exps, degs = tuple(item["sector"]), tuple(item["degree"])
+        pair.element(exps)   # refuses a sector outside the pair's group
+        if len(degs) != len(variables):
+            raise ValueError(f"degree {list(degs)} needs one entry per variable")
         ring = SeriesRing(pair.fermat.degree, orders.lam_order,
                           _sector_nilpotency(data["side"], pair, exps))
-        terms[(exps, item["z"], tuple(item["degree"]))] = \
-            _value_from_json(item["value"], ring)
+        terms[(exps, item["z"], degs)] = _value_from_json(item["value"], ring)
     return CohSeries(data["side"], pair, variables, orders, terms,
                      tuple((n, e) for n, e in data["tokens"]),
                      c_twist=data["c_twist"])

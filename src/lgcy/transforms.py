@@ -76,9 +76,7 @@ class Transform:
         out_terms: dict = {}
         for (exps, z, degs), value in series.terms.items():
             for out_exps, ring, factor in blocks.get(exps, ()):
-                promoted = value if value.ring is ring or value.ring == ring \
-                    else value.with_ring(ring)
-                piece = promoted * factor
+                piece = value.with_ring(ring) * factor
                 if piece.is_zero():
                     continue
                 key = (out_exps, z, degs)
@@ -90,8 +88,9 @@ class Transform:
 
     def _blocks_in_rings(self, lam_order: int) -> dict:
         """input exps -> ((output exps, ring, factor), ...) at ``lam_order``:
-        each output sector's ring is built once, and each entry is brought
-        into it once, as a ``SectorValue`` factor."""
+        each output sector's nilpotency is read, and its shared ring looked
+        up, once, and each entry is brought into it once, as a
+        ``SectorValue`` factor."""
         d = self.pair.fermat.degree
         rings: dict = {}
         blocks: dict = {}

@@ -48,7 +48,6 @@ def test_every_difference_gives_the_sorted_scan_witness(small_j):
     keys = sorted(small_j.terms)
     assert len(keys) > 20
     d, lam = QUINTIC.fermat.degree, small_j.orders.lam_order
-    same_ring = SeriesRing(d, lam, 1)
     other_ring = SeriesRing(d, lam, 2)
     for key in keys:
         value = small_j.terms[key]
@@ -57,16 +56,12 @@ def test_every_difference_gives_the_sorted_scan_witness(small_j):
         dropped = {k: v for k, v in small_j.terms.items() if k != key}
         two_keys = dict(doubled)
         two_keys[keys[-1]] = small_j.terms[keys[-1]] * 3
-        same = dict(small_j.terms)
-        same[key] = value.with_ring(same_ring)
         other = dict(small_j.terms)
         other[key] = value.with_ring(other_ring)
-        assert same[key].ring is not value.ring and same[key] == value
-        for terms in (doubled, dropped, two_keys, same, other):
+        for terms in (doubled, dropped, two_keys, other):
             tampered = small_j._replace_terms(terms)
             for left, right in ((small_j, tampered), (tampered, small_j)):
                 assert left.compare(right) == _sorted_scan(left, right), key
-        assert small_j.compare(small_j._replace_terms(same)) is None
         assert small_j.compare(small_j._replace_terms(doubled))["sector"] == list(key[0])
 
 

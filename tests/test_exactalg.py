@@ -36,6 +36,7 @@ from lgcy.exactalg import (
     series_invert,
 )
 from lgcy.genfun import y_ray_levels
+from lgcy.transforms import delta_circ, i_c, u_bar
 from lgcy.verify import recommended_orders
 
 
@@ -746,8 +747,7 @@ def test_cyclotomic_equality_matches_the_general_route():
 
 def test_sector_value_equality_matches_the_general_route():
     ring = SeriesRing(5, 2, 1)
-    twin_ring = SeriesRing(5, 2, 1)          # equal, a distinct object
-    rings = [ring, twin_ring, SeriesRing(5, 2, 2), SeriesRing(5, 3, 1)]
+    rings = [ring, SeriesRing(5, 2, 2), SeriesRing(5, 3, 1)]
     values = []
     for r in rings:
         values += [r.zero(), r.one(), r.scalar(F(1, 2)), r.root(),
@@ -756,7 +756,6 @@ def test_sector_value_equality_matches_the_general_route():
     scalars = [0, 1, 2, True, F(1, 2), None, "1",
                Cyclotomic.from_rational(5, 1), Cyclotomic.from_rational(5, F(1, 2)),
                Cyclotomic.root(5)]
-    assert twin_ring is not ring and twin_ring == ring
     for value in values:
         for other in values + scalars:
             expected = _sector_value_eq_general(value, other)
@@ -767,6 +766,48 @@ def test_sector_value_equality_matches_the_general_route():
     with pytest.raises(OrderMismatchError):
         _sector_value_eq_general(ring.one(), Cyclotomic.one(3))
     assert ring.one() != Cyclotomic.one(3)
+
+
+def test_series_ring_is_one_shared_instance_per_parameters():
+    """``SeriesRing(...)`` hands out one instance per (order, lam_order,
+    nilpotency), so rings compare by identity; the fields, repr and hash
+    are those of the three parameters, and invalid parameters raise."""
+    ring = SeriesRing(5, 2, 3)
+    assert SeriesRing(5, 2, 3) is ring
+    assert SeriesRing(order=5, lam_order=2, nilpotency=3) is ring
+    assert SeriesRing(5, 2) is SeriesRing(5, 2, 1)
+    assert dataclasses.replace(ring, nilpotency=1) is SeriesRing(5, 2, 1)
+    assert ring != SeriesRing(5, 2, 2) and ring != SeriesRing(5, 3, 3)
+    assert [f.name for f in dataclasses.fields(ring)] == ["order", "lam_order", "nilpotency"]
+    assert repr(ring) == "SeriesRing(order=5, lam_order=2, nilpotency=3)"
+    assert hash(ring) == hash((5, 2, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.order = 4
+    for params in ((0, 2, 1), (5, -1, 1), (5, 2, 0)):
+        with pytest.raises(ValueError, match="invalid ring parameters"):
+            SeriesRing(*params)
+
+
+def _shared(ring) -> bool:
+    return ring is SeriesRing(ring.order, ring.lam_order, ring.nilpotency)
+
+
+@pytest.mark.parametrize("pair", list(shipped_pairs().values()), ids=lambda p: p.name)
+def test_every_built_coefficient_has_the_shared_ring(pair):
+    """Every coefficient of I^X, I^Y, H^X, H^Y, H^Y', both J routes and the
+    outputs of ``u_bar``, ``i_c`` and ``delta_circ`` lies in the shared ring
+    of its parameters, which the identity tests of ring equality rely on."""
+    orders = recommended_orders(pair, 4, 2)
+    i_x, h_x = genfun.i_function_x(pair, orders), genfun.h_function_x(pair, orders)
+    j_oracle = genfun.untwisted_j_oracle(pair, 0, orders)
+    limit = genfun.z_ddt_distinguished(i_x).nonequivariant_limit()
+    series = [i_x, genfun.i_function_y(pair, orders), h_x, genfun.h_function_y(pair, orders),
+              genfun.h_continued(pair, orders), genfun.untwisted_j(pair, 1, orders),
+              j_oracle, u_bar(pair, orders.lam_order).apply(h_x),
+              i_c(pair, 1).apply(j_oracle), delta_circ(pair).apply(limit)]
+    for built in series:
+        assert built.terms
+        assert all(_shared(value.ring) for value in built.terms.values())
 
 
 @pytest.mark.parametrize("order", [1, 3, 4, 10])

@@ -488,13 +488,13 @@ def _first_repeated(terms, key_of):
 def _repeated_index(pair, side):
     """The degree of the first index whose product (hence whose sector, H
     atoms and z-offset) an earlier index of the same sector already had."""
-    parts_of = genfun._i_x_parts if side == "x" else genfun._i_y_parts
+    product_of = genfun._i_x_product if side == "x" else genfun._i_y_product
     orders = recommended_orders(pair, 6, 3)
     window = genfun._wide_window(orders, pair)
     products = {}
     return _first_repeated(
         _index_terms(pair, orders, side),
-        lambda term: (term.sector.exps, parts_of(pair, term, *window, products)[0])).degs
+        lambda term: (term.sector.exps, product_of(pair, term, *window, products)[0])).degs
 
 
 def _doubled_rewrite(monkeypatch, pair, side):
@@ -639,17 +639,35 @@ def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, ma
 
 # -- the per-key factorization check against the per-term route ----------------------
 
+def _i_value(product, comb, offset):
+    """The I coefficient of one index: comb times its product, shifted by
+    its z-offset."""
+    return (product * comb).shift(offset)
+
+
+def _assert_no_term_residual(lhs, rhs, side, sector, degs):
+    """The two sides of one term's factorization agree at every z; the
+    witness is the first bad z of their difference, with both values."""
+    if lhs != rhs:
+        z_bad = min((lhs - rhs).terms)
+        raise IdentityError(
+            f"Gamma factorization residual on the {side} side",
+            {"sector": list(sector), "z": z_bad, "degree": list(degs),
+             "left": str(lhs.coefficient(z_bad)),
+             "right": str(rhs.coefficient(z_bad))})
+
+
 def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
     for the clamp compare and its H closed form as a ``SectorValue``, and
-    forms lhs and rhs as ``ZLaurentSeries``.  The Gamma-ratio blocks come
-    from ``genfun._gamma_ratio_blocks``; their values are checked against
-    the per-factor route in ``test_exactalg``, their pairing against
-    ``_fraction_ratio_blocks``."""
+    forms lhs and rhs as ``ZLaurentSeries`` with comb and z-power in them.
+    The Gamma-ratio blocks come from ``genfun._gamma_ratio_blocks``; their
+    values are checked against the per-factor route in ``test_exactalg``,
+    their pairing against ``_fraction_ratio_blocks``."""
     if side == "x":
-        parts_of, atoms_of = genfun._i_x_parts, genfun._x_atoms
+        product_of, atoms_of = genfun._i_x_product, genfun._x_atoms
     else:
-        parts_of, atoms_of = genfun._i_y_parts, genfun._y_atoms
+        product_of, atoms_of = genfun._i_y_product, genfun._y_atoms
     window = genfun._wide_window(i_series.orders, pair)
     z_min, z_max = i_series.orders.z_window
     products, blocks, memo = {}, {}, {}
@@ -658,7 +676,8 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         age = int(sector.age())
         shift, scale = term.shift, term.comb
         atoms = atoms_of(pair, term, memo)
-        i_value = genfun._i_value(parts_of(pair, term, *window, products))
+        _, product = product_of(pair, term, *window, products)
+        i_value = _i_value(product, scale, term.offset)
         stored = {z: i_series.terms[sector.exps, z, term.degs]
                   for z in range(z_min, z_max + 1)
                   if (sector.exps, z, term.degs) in i_series.terms}
@@ -679,18 +698,7 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         i_block, block = blocks[key]
         lhs = i_value if i_block is None else i_value * i_block
         rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
-        genfun._assert_no_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
-
-
-def _doubled_i_comb(monkeypatch, pair, side):
-    name = "_i_x_parts" if side == "x" else "_i_y_parts"
-    parts_of = getattr(genfun, name)
-
-    def doubled(p, term, z_min, z_max, products):
-        key, product, comb, offset = parts_of(p, term, z_min, z_max, products)
-        return key, product, comb * 2, offset
-
-    monkeypatch.setattr(genfun, name, doubled)
+        _assert_no_term_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
 
 
 def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
@@ -706,14 +714,14 @@ def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
 
 def _doubled_product_on_a_repeated_index(monkeypatch, pair, side):
     target = _repeated_index(pair, side)
-    name = "_i_x_parts" if side == "x" else "_i_y_parts"
-    parts_of = getattr(genfun, name)
+    name = "_i_x_product" if side == "x" else "_i_y_product"
+    product_of = getattr(genfun, name)
 
     def doubled(p, term, z_min, z_max, products):
-        key, product, comb, offset = parts_of(p, term, z_min, z_max, products)
+        key, product = product_of(p, term, z_min, z_max, products)
         if term.degs == target:
-            return ("doubled", key), product * F(2), comb, offset
-        return key, product, comb, offset
+            return ("doubled", key), product * F(2)
+        return key, product
 
     monkeypatch.setattr(genfun, name, doubled)
 
@@ -723,7 +731,6 @@ FACTORIZATION_FAULTS = {
     "gamma-shift-doubled": _doubled_rewrite,
     "h-atom-moved-by-1": _moved_atom(F(1)),
     "h-atom-moved-by-half": _moved_atom(F(1, 2)),
-    "i-comb-doubled": _doubled_i_comb,
     # an index that shares its product, blocks and z-offset with an earlier
     # one, made to differ from it by its z-offset, its H atoms or its product
     "z-shift-moved-on-a-repeated-index": _moved_z_shift_on_a_repeated_index,
@@ -753,13 +760,9 @@ STORED_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FACTORIZATION_FAULTS) + sorted(STORED_FAULTS))
-@pytest.mark.parametrize("side", ["x", "y"])
-@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, fault):
-    """Per-key residual verdicts and the integer clamp compare give the
-    message and witness of the term-by-term route, under every fault."""
-    orders = recommended_orders(pair, 6, 3)
+def _assert_routes_agree(monkeypatch, pair, side, fault, orders):
+    """Under ``fault``, the per-key check and the term-by-term route give
+    the same message and witness at ``orders``; the outcome is returned."""
     inject = FACTORIZATION_FAULTS.get(fault)
     if inject is not None:
         inject(monkeypatch, pair, side)
@@ -777,8 +780,34 @@ def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, f
         return None
 
     expected = outcome(_per_term_factorization)
-    assert (expected is None) == (fault == "none")
     assert outcome(_verify_factorization) == expected
+    return expected
+
+
+@pytest.mark.parametrize("fault", sorted(FACTORIZATION_FAULTS) + sorted(STORED_FAULTS))
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_per_key_check_agrees_with_the_per_term_route(monkeypatch, pair, side, fault):
+    """Per-key residuals and the integer clamp compare give the message and
+    witness of the term-by-term route, under every fault."""
+    expected = _assert_routes_agree(monkeypatch, pair, side, fault,
+                                    recommended_orders(pair, 6, 3))
+    assert (expected is None) == (fault == "none")
+
+
+@pytest.mark.parametrize("fault", sorted(FACTORIZATION_FAULTS) + sorted(STORED_FAULTS))
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_per_key_check_agrees_with_the_per_term_route_at_a_narrow_window(
+        monkeypatch, pair, side, fault):
+    """The same agreement at T 3 with the z-window [-1, 0], where the
+    per-key products and the per-term values clamp furthest apart."""
+    expected = _assert_routes_agree(monkeypatch, pair, side, fault,
+                                    Orders(t_order=3, lam_order=2, z_min=-1, z_max=0))
+    # no nonzero key of the quintic, or of the cubic's X side, has a Gamma
+    # ratio at these orders: a doubled rewrite changes nothing there
+    if fault != "gamma-shift-doubled":
+        assert (expected is None) == (fault == "none")
 
 
 def _fraction_ratio_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
@@ -880,10 +909,10 @@ def _public_route(pair, orders, side, kind):
     window = genfun._wide_window(orders, pair)
     for term in _index_terms(pair, orders, side):
         if kind == "i":
-            parts_of = genfun._i_x_parts if side == "x" else genfun._i_y_parts
-            _, product, comb, offset = parts_of(pair, term, *window, memo)
+            product_of = genfun._i_x_product if side == "x" else genfun._i_y_product
+            _, product = product_of(pair, term, *window, memo)
             value = ZLaurentSeries(product.ring, product.z_min, product.z_max,
-                                   {z + offset: coeff * comb
+                                   {z + term.offset: coeff * term.comb
                                     for z, coeff in product.terms.items()})
             for z, coeff in value.terms.items():
                 terms[(term.sector.exps, z, term.degs)] = coeff
@@ -1206,6 +1235,25 @@ def test_serialize_round_trip(maker):
     rebuilt = deserialize_series(json.loads(json.dumps(data)))
     assert rebuilt.compare(series) is None
     assert serialize_series(rebuilt) == data
+
+
+@pytest.mark.parametrize("maker", [i_function_x, i_function_y], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("field, bad, match", [
+    ("sector", [1, 0, 0, 0], "not in the group"),
+    ("degree", [0], "one entry per variable")], ids=["sector", "degree"])
+def test_deserialize_refuses_a_term_outside_the_pair(monkeypatch, maker, field, bad, match):
+    """A term whose sector is not in the pair's group, or whose degree has
+    not one entry per variable, is refused with ValueError before any ring
+    is built."""
+    pair = quartic()
+    data = serialize_series(maker(pair, recommended_orders(pair, 3, 2)))
+    assert all(term[field] != bad for term in data["terms"])
+    data["terms"][0][field] = bad
+    rings = []
+    monkeypatch.setattr(genfun, "SeriesRing", lambda *args: rings.append(args))
+    with pytest.raises(ValueError, match=match):
+        deserialize_series(data)
+    assert not rings
 
 
 @pytest.mark.parametrize("maker", [h_function_x, h_function_y, h_continued],

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from lgcy import catalog, genfun, verify
 from lgcy.exactalg import ZLaurentSeries
-from lgcy.lgmodel import LGPair
+from lgcy.lgmodel import GroupElement, LGPair
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lgcy"
@@ -228,3 +228,35 @@ def test_the_traced_layers_stay_on_the_factorization_routes(monkeypatch):
     assert verify.check_gamma_factorization(pair, verify.recommended_orders(pair, 3, 2)).ok()
     assert reached["i_function_x", "__mul__"] > 0
     assert reached["h_factorization", "gamma_shift_product"] > 0
+
+
+def test_rings_are_never_compared_by_value():
+    """Each ``SeriesRing`` is the one shared instance of its parameters, so
+    no module compares a ring with ``==`` or ``!=``: rings compare by
+    ``is``."""
+    def is_ring(node):
+        return isinstance(node, ast.Attribute) and node.attr == "ring" or \
+            isinstance(node, ast.Name) and node.id == "ring"
+
+    offenders = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and (is_ring(left) or is_ring(right)):
+                    offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_continuation_reaches_the_group_element_constructor(monkeypatch):
+    """The benchmark tracer predicts ``GroupElement.__init__`` calls on every
+    workload; on ``series`` they come from the continuation check, whose
+    ``u_bar`` application reads each output sector's nilpotency once."""
+    wrap, reached = _reach_counter(monkeypatch)
+    wrap([verify], "check_continuation")
+    wrap([GroupElement], "__init__")
+    pair = catalog.quartic()
+    assert verify.check_continuation(pair, verify.recommended_orders(pair, 3, 2)).ok()
+    assert reached["check_continuation", "__init__"] > 0
