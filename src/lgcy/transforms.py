@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 
 from .exactalg import (
     ExactDivisionError,
@@ -154,8 +154,9 @@ def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
     The block is a series in x = lam + H alone, so it is computed in one
     variable (x^(lam_order+1) = 0) and then expanded binomially,
     x^n = sum_h C(n, h) lam^(n-h) H^h with h < nilpotency: x -> lam + H is a
-    ring map of the truncations, so the expansion is exact.  Each block is
-    built once per process for its key (d, b mod d, ring).
+    ring map of the truncations, so the expansion is exact.  The line series
+    of every b are built once per process for their key (d, lam_order), and
+    each block once for its key (d, b mod d, ring).
     """
     d = pair.fermat.degree
     return _ubar_block(d, xi_power % d, ring)
@@ -163,22 +164,31 @@ def ubar_block(pair: LGPair, xi_power: int, ring: SeriesRing) -> SectorValue:
 
 @lru_cache(maxsize=None)
 def _ubar_block(d: int, b: int, ring: SeriesRing) -> SectorValue:
-    line = SeriesRing(ring.order, ring.lam_order, 1)
-    x = line.lam()
-    if b == 0:
-        total = line.zero()
-        for a in range(d):
-            total = total + series_exp(x * a)
-        block = total * Fraction(1, d)
-    else:
-        numerator = series_exp(x * d) - 1
-        denominator = (series_exp(x) * line.root(b) - 1) * d
-        block = numerator * series_invert(denominator)
+    """The line series of (d, b, lam_order), b in [0, d), expanded binomially
+    into ``ring``: each key has n <= lam_order and h < nilpotency, and each
+    C(n, h) times a nonzero coefficient is nonzero, so the terms are clean."""
     terms = {}
-    for (n, _h, _tau, _atoms), coeff in block.terms.items():
+    for (n, _h, _tau, _atoms), coeff in _ubar_lines(d, ring.lam_order)[b].terms.items():
         for h in range(min(n, ring.nilpotency - 1) + 1):
             terms[(n - h, h, 0, ())] = coeff * comb(n, h)
-    return SectorValue(ring, terms)
+    return SectorValue._unchecked(ring, terms)
+
+
+@lru_cache(maxsize=None)
+def _ubar_lines(d: int, lam_order: int) -> tuple[SectorValue, ...]:
+    """The blocks of ``ubar_block`` for b = 0, ..., d-1 in the one variable x:
+    the geometric sum for b = 0, and (e^{dx} - 1) / (d (e^x xi^b - 1)) by one
+    inversion for each b > 0, all from the same e^{ax}, a = 0, ..., d."""
+    line = SeriesRing(d, lam_order, 1)
+    x = line.lam()
+    exponentials = [series_exp(x * a) for a in range(d + 1)]
+    geometric = line.zero()
+    for term in exponentials[:d]:
+        geometric = geometric + term
+    numerator = exponentials[d] - 1
+    return (geometric * Fraction(1, d),) + tuple(
+        numerator * series_invert((exponentials[1] * line.root(b) - 1) * d)
+        for b in range(1, d))
 
 
 def u_bar(pair: LGPair, lam_order: int) -> Transform:
@@ -319,49 +329,75 @@ class SPoly:
     """Polynomial in the variables s^j_k and z, truncated in s-degree and z.
 
     Monomial keys: (s_mono, z) with s_mono a sorted tuple of ((j, k), e).
-    Coefficients are exact rationals; a float is refused (``TypeError``
-    from ``_rational_parts``) where a coefficient enters through
-    ``constant`` or ``exp``.
+    The coefficients are integer numerators ``nums`` over one positive
+    denominator ``den``, in lowest terms (gcd(den, nums) = 1, no zero
+    numerator, zero stored over 1), ``Cyclotomic``'s layout: the form is
+    unique, so ``==`` compares integers, and ``+``, ``*`` and ``exp`` work
+    on them.  ``terms`` shows the same coefficients as ``Fraction``s.  A
+    coefficient or scalar that is not an exact rational (a float, say), or
+    an operand that is neither an SPoly nor such a scalar, raises
+    ``TypeError``; two SPolys of different truncations raise ``ValueError``.
     """
 
-    __slots__ = ("s_degree", "z_order", "terms")
+    __slots__ = ("s_degree", "z_order", "nums", "den")
 
     def __init__(self, s_degree: int, z_order: int, terms: dict):
-        clean = {}
-        for (mono, z), coeff in terms.items():
-            if z > z_order or sum(e for _, e in mono) > s_degree or coeff == 0:
-                continue
-            clean[(mono, z)] = coeff
-        self.s_degree = s_degree
-        self.z_order = z_order
-        self.terms = clean
+        parts = {(mono, z): _rational_parts(coeff) for (mono, z), coeff in terms.items()
+                 if z <= z_order and sum(e for _, e in mono) <= s_degree}
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so the form is already in lowest terms
+        den = lcm(*(q for _, q in parts.values()))
+        self.s_degree, self.z_order, self.den = s_degree, z_order, den
+        self.nums = {key: p * (den // q) for key, (p, q) in parts.items() if p}
 
     @classmethod
-    def _truncated(cls, s_degree: int, z_order: int, terms: dict) -> "SPoly":
-        """An SPoly of ``terms`` that are already truncated and nonzero."""
+    def _reduced(cls, s_degree: int, z_order: int, nums: dict, den: int) -> "SPoly":
+        """nums / den, with ``nums`` truncated and nonzero and den > 0, in
+        lowest terms."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: n // g for key, n in nums.items()}
+            den //= g
         poly = object.__new__(cls)
-        poly.s_degree = s_degree
-        poly.z_order = z_order
-        poly.terms = terms
+        poly.s_degree, poly.z_order, poly.nums, poly.den = s_degree, z_order, nums, den
         return poly
 
     @staticmethod
     def constant(s_degree: int, z_order: int, value) -> "SPoly":
-        return SPoly(s_degree, z_order, {((), 0): Fraction(*_rational_parts(value))})
+        return SPoly(s_degree, z_order, {((), 0): value})
+
+    @property
+    def terms(self) -> dict:
+        """(s_mono, z) -> coefficient, as a new dict of Fractions."""
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
+
+    def _check(self, other) -> None:
+        if not isinstance(other, SPoly):
+            raise TypeError(f"expected an SPoly, got {type(other).__name__}")
+        if (self.s_degree, self.z_order) != (other.s_degree, other.z_order):
+            raise ValueError(f"truncation mismatch: (s_degree, z_order) "
+                             f"{self.s_degree, self.z_order} vs {other.s_degree, other.z_order}")
 
     def __add__(self, other: "SPoly") -> "SPoly":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return SPoly(self.s_degree, self.z_order, terms)
+        self._check(other)
+        den = lcm(self.den, other.den)
+        lift, lift_other = den // self.den, den // other.den
+        nums = {key: n * lift for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            nums[key] = nums.get(key, 0) + n * lift_other
+        return SPoly._reduced(self.s_degree, self.z_order,
+                              {key: n for key, n in nums.items() if n}, den)
 
     def __mul__(self, other) -> "SPoly":
-        if isinstance(other, (int, Fraction)):
-            return SPoly(self.s_degree, self.z_order,
-                         {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, SPoly):
+            p, q = _rational_parts(other)
+            nums = {key: n * p for key, n in self.nums.items()} if p else {}
+            return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * q)
+        self._check(other)
         out: dict = {}
-        for (m1, z1), c1 in self.terms.items():
-            for (m2, z2), c2 in other.terms.items():
+        for (m1, z1), c1 in self.nums.items():
+            for (m2, z2), c2 in other.nums.items():
                 z = z1 + z2
                 if z > self.z_order:
                     continue
@@ -372,8 +408,9 @@ class SPoly:
                 if sum(e for _, e in mono) > self.s_degree:
                     continue
                 key = (mono, z)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return SPoly(self.s_degree, self.z_order, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        nums = {key: n for key, n in out.items() if n}
+        return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * other.den)
 
     def exp(self) -> "SPoly":
         """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
@@ -384,23 +421,22 @@ class SPoly:
         z_order is skipped (z-degrees are non-negative, so no extension of
         it survives either).
 
-        The arithmetic is in integers.  With c_i = a_i / D over the lcm D of
-        the denominators, a multiset of size e is W / (D^e e!) with the
-        integer W = prod_i a_i^(e_i) * e! / prod_i e_i!; extending it by y_i
+        The arithmetic is in integers.  With c_i = a_i / D over the form's
+        denominator D, a multiset of size e is W / (D^e e!) with the integer
+        W = prod_i a_i^(e_i) * e! / prod_i e_i!; extending it by y_i
         multiplies W by a_i (e + 1) / (e_i + 1), an exact division.
         Multisets that share a key (one variable at several z-powers) add
-        their W, and each nonzero sum becomes one Fraction.  The terms are
-        visited in order of variable, so a monomial grows by appending a
-        variable or raising the exponent of its last one.
+        their W.  Each level's sums are lifted to the divisor D^s s! of the
+        deepest level s reached, and the result is reduced once.  The terms
+        are visited in order of variable, so a monomial grows by appending
+        a variable or raising the exponent of its last one.
         """
         linear = []
-        for (mono, z), coeff in sorted(self.terms.items()):
+        for (mono, z), a in sorted(self.nums.items()):
             if len(mono) != 1 or mono[0][1] != 1 or z < 0:
                 raise ValueError("exp needs an s-linear form with z-powers >= 0")
-            linear.append((mono[0][0], z, *_rational_parts(coeff)))
-        den = lcm(*(q for *_, q in linear))
-        linear = [(var, k, p * (den // q)) for var, k, p, q in linear]
-        terms = {((), 0): Fraction(1)} if self.z_order >= 0 else {}
+            linear.append((mono[0][0], z, a))
+        levels = [{((), 0): 1} if self.z_order >= 0 else {}]
         # a multiset: (index of its last term, multiplicity of that term,
         # monomial, z-degree, W)
         level = [(0, 0, (), 0, 1)]
@@ -422,15 +458,23 @@ class SPoly:
                     key = (mono_i, z_i)
                     sums[key] = sums.get(key, 0) + weight_i
                     grown.append((i, run_i, mono_i, z_i, weight_i))
-            divisor = den ** e * factorial(e)
+            if not grown:
+                break
+            levels.append(sums)
+            level = grown
+        top = len(levels) - 1
+        nums = {}
+        for e, sums in enumerate(levels):
+            lift = self.den ** (top - e) * (factorial(top) // factorial(e))
             for key, total in sums.items():
                 if total:
-                    terms[key] = Fraction(total, divisor)
-            level = grown
-        return SPoly._truncated(self.s_degree, self.z_order, terms)
+                    nums[key] = total * lift
+        return SPoly._reduced(self.s_degree, self.z_order, nums,
+                              self.den ** top * factorial(top))
 
     def __eq__(self, other):
-        return (isinstance(other, SPoly) and self.terms == other.terms
+        return (isinstance(other, SPoly) and self.den == other.den
+                and self.nums == other.nums
                 and (self.s_degree, self.z_order) == (other.s_degree, other.z_order))
 
     def __repr__(self):
@@ -438,29 +482,30 @@ class SPoly:
 
 
 @lru_cache(maxsize=None)
-def _log_coefficient(k: int, p: int, q: int) -> Fraction:
-    """B_{k+1}(p/q) / (k+1)!, the s^j_k coefficient of log Delta^c at m_j = p/q.
+def _log_coefficient(k: int, p: int, q: int) -> tuple[int, int]:
+    """B_{k+1}(p/q) / (k+1)!, the s^j_k coefficient of log Delta^c at m_j = p/q,
+    as (numerator, denominator) in lowest terms.
 
     Keyed on integers only, so one value serves every sector and twist
     with that multiplicity; each entry still reads its own sector's m_j.
     """
-    return _bernoulli_at(k + 1, p, q) / factorial(k + 1)
+    return _rational_parts(_bernoulli_at(k + 1, p, q) / factorial(k + 1))
 
 
 def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int) -> dict:
-    """(j, k) -> B_{k+1}(m_j) / (k+1)! with m_j the multiplicities of ``shifted``."""
-    entry = {}
-    for j in range(pair.fermat.n_variables):
-        p, q = _rational_parts(shifted.multiplicity(j))
-        for k in range(k_max + 1):
-            entry[j, k] = _log_coefficient(k, p, q)
-    return entry
+    """(j, k) -> B_{k+1}(m_j) / (k+1)! as an integer pair, with m_j = e_j c_j / d
+    the multiplicities of ``shifted``."""
+    d = pair.fermat.degree
+    return {(j, k): _log_coefficient(k, e * cj, d)
+            for j, (e, cj) in enumerate(zip(shifted.exps, pair.fermat.weights))
+            for k in range(k_max + 1)}
 
 
 def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
                       k_max: int = 4) -> dict:
     """(j, k) -> B_{k+1}(m_j(phi^c_g)) / (k+1)! with m_j(phi^c_g) = m_j(g j^c)."""
-    return _log_entry(pair, g * (pair.grading ** c), k_max)
+    return {key: Fraction(*parts)
+            for key, parts in _log_entry(pair, g * (pair.grading ** c), k_max).items()}
 
 
 def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
@@ -470,19 +515,23 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
     Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!).
     ``scale`` substitutes s -> scale*s, giving an exact handle on the
     multiplicativity law Delta(s + s') = Delta(s) Delta(s'); it must be an
-    exact rational (a float raises ``TypeError``).
+    exact rational (a float raises ``TypeError``).  Each log form is summed
+    in integers over the lcm of its coefficients' denominators, with the
+    scale folded into the numerators, and exponentiated on its own.
     """
     pair.require_twist(c)
-    scale = Fraction(*_rational_parts(scale))
+    scale_num, scale_den = _rational_parts(scale)
     shift = pair.grading ** c
+    # log terms past the truncation never reach the exp
+    k_top = min(k_max, z_order) if s_degree > 0 and scale_num else -1
     entries = {}
     for g in pair.group.elements:
-        log_terms = {}
-        for (j, k), coeff in _log_entry(pair, g * shift, k_max).items():
-            coeff = coeff * scale
-            if coeff:
-                log_terms[((((j, k), 1),), k)] = coeff
-        entries[g.exps] = SPoly(s_degree, z_order, log_terms).exp()
+        log = _log_entry(pair, g * shift, k_top)
+        den = lcm(*(q for _, q in log.values()))
+        nums = {((((j, k), 1),), k): p * scale_num * (den // q)
+                for (j, k), (p, q) in log.items() if p}
+        form = SPoly._reduced(s_degree, z_order, nums, den * scale_den)
+        entries[g.exps] = form.exp()
     return entries
 
 
@@ -509,12 +558,14 @@ class SpecializedEntry:
 
 
 @lru_cache(maxsize=None)
-def _specialized_log_coefficient(k: int, p: int, q: int, cj: int) -> Fraction:
-    """B_{k+1}(p/q) (k-1)! / ((k+1)! c_j^k), the (z/lam)^k log term of weight c_j.
+def _specialized_log_coefficient(k: int, p: int, q: int, cj: int) -> tuple[int, int]:
+    """B_{k+1}(p/q) (k-1)! / ((k+1)! c_j^k), the (z/lam)^k log term of weight
+    c_j, as (numerator, denominator) in lowest terms.
 
     Keyed on integers only, like ``_log_coefficient``.
     """
-    return _log_coefficient(k, p, q) * Fraction(factorial(k - 1), cj ** k)
+    num, den = _log_coefficient(k, p, q)
+    return _rational_parts(Fraction(num * factorial(k - 1), den * cj ** k))
 
 
 def delta_c_specialized(pair: LGPair, c: int, spec: str,
@@ -525,36 +576,35 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
     exp(B_{k+1}(m_j) (k-1)! / ((k+1)! c_j^k) (z/lam)^k).  Each log term
     is computed once per process for its integer key (k, m_j, c_j); the
     sum over j and its exp are formed per sector from that sector's own
-    multiplicities.
+    multiplicities, in integers, and each entry's Fractions are built once.
     """
     if spec not in ("euler-inverse", "euler-inverse-signed"):
         raise ValueError("spec must be one of the euler specializations")
     pair.require_twist(c)
     shift = pair.grading ** c
+    d = pair.fermat.degree
+    weights = pair.fermat.weights
     entries = {}
     for g in pair.group.elements:
-        shifted = g * shift
-        mu = []
-        half = Fraction(0)
-        log_series = [Fraction(0)] * (k_max + 1)
-        for j, cj in enumerate(pair.fermat.weights):
-            m = shifted.multiplicity(j)
-            exponent = Fraction(1, 2) - m  # -B_1(m)
-            mu.append(exponent)
-            if spec == "euler-inverse":
-                half += exponent
-            p, q = _rational_parts(m)
-            for k in range(1, k_max + 1):
-                log_series[k] += _specialized_log_coefficient(k, p, q, cj)
-        # one exp of the summed log series, n e_n = sum_{k=1..n} k l_k e_{n-k},
-        # in integers: with l_k = L_k / D, E_n = n! D^n e_n satisfies
+        exps = (g * shift).exps
+        # -B_1(m_j) = 1/2 - e_j c_j / d = (d - 2 e_j c_j) / (2d)
+        exponents = [d - 2 * e * cj for e, cj in zip(exps, weights)]
+        half = Fraction(sum(exponents) if spec == "euler-inverse" else 0, 2 * d)
+        terms = [(k, *_specialized_log_coefficient(k, e * cj, d, cj))
+                 for e, cj in zip(exps, weights) for k in range(1, k_max + 1)]
+        # the summed log series l_k = L_k / D over the lcm D of the terms'
+        # denominators; its exp, n e_n = sum_{k=1..n} k l_k e_{n-k}, in
+        # integers: E_n = n! D^n e_n satisfies
         # E_n = sum_k k L_k D^(k-1) (n-1)!/(n-k)! E_{n-k}
-        den = lcm(*(term.denominator for term in log_series))
-        nums = [term.numerator * (den // term.denominator) for term in log_series]
+        den = lcm(*(q for *_, q in terms))
+        nums = [0] * (k_max + 1)
+        for k, p, q in terms:
+            nums[k] += p * (den // q)
         scaled = [1]
         for n in range(1, k_max + 1):
             scaled.append(sum(k * nums[k] * den ** (k - 1) * perm(n - 1, k - 1) * scaled[n - k]
                               for k in range(1, n + 1)))
         series = [Fraction(e, den ** n * factorial(n)) for n, e in enumerate(scaled)]
-        entries[g.exps] = SpecializedEntry(half, tuple(mu), tuple(series))
+        entries[g.exps] = SpecializedEntry(
+            half, tuple(Fraction(x, 2 * d) for x in exponents), tuple(series))
     return entries

@@ -191,10 +191,10 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
         # every right side Delta^c, c = 0 included, is built on its own
         specs = ("euler-inverse", "euler-inverse-signed")
         delta_0 = delta_c_generic(pair, 0, k_max, z_order=z_order)
-        if not any(entry.terms for entry in delta_0.values()):
+        if not any(entry.nums for entry in delta_0.values()):
             return {"kind": "vacuous",
                     "detail": f"every Delta^0 entry is empty at z-order {z_order}"}
-        if all(set(entry.terms) == {((), 0)} for entry in delta_0.values()):
+        if all(set(entry.nums) == {((), 0)} for entry in delta_0.values()):
             return {"kind": "vacuous",
                     "detail": f"every Delta^0 entry is constant at k_max {k_max}: "
                               "no log term"}

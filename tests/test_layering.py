@@ -260,3 +260,16 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
     pair = catalog.quartic()
     assert verify.check_continuation(pair, verify.recommended_orders(pair, 3, 2)).ok()
     assert reached["check_continuation", "__init__"] > 0
+
+
+def test_spoly_arithmetic_builds_no_fraction():
+    """``SPoly`` keeps integer numerators over one denominator: of its
+    methods only the public constructor's input parsing and the ``terms``
+    view may call ``Fraction(...)``, so ``exp``, ``==``, ``+`` and ``*``
+    work in integers."""
+    [spoly] = [node for node in ast.walk(MODULES["transforms"])
+               if isinstance(node, ast.ClassDef) and node.name == "SPoly"]
+    callers = _functions_calling(spoly, lambda func: isinstance(func, ast.Name)
+                                 and func.id == "Fraction")
+    assert "terms" in callers
+    assert callers <= {"__init__", "terms"}, callers

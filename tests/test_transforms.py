@@ -5,12 +5,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgcy import transforms
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
 from lgcy.cohseries import CohSeries, Orders
 from lgcy.exactalg import (
@@ -458,6 +459,114 @@ def test_delta_c_generic_refuses_a_float_scale():
         delta_c_generic(quintic(), 1, scale=0.5)
 
 
+@pytest.mark.parametrize("operand", [0.5, "x", None], ids=["float", "str", "none"])
+def test_spoly_times_a_non_rational_raises_type_error(operand):
+    with pytest.raises(TypeError):
+        SPoly.constant(2, 4, 1) * operand
+
+
+def test_spoly_plus_a_scalar_raises_type_error():
+    with pytest.raises(TypeError):
+        SPoly.constant(2, 4, 1) + 1
+
+
+@pytest.mark.parametrize("other_truncation", [(3, 4), (2, 5)])
+def test_spoly_arithmetic_refuses_mismatched_truncations(other_truncation):
+    var = (0, 1)
+    q = SPoly(2, 4, {(((var, 1),), 1): F(1, 2)})
+    r = SPoly(*other_truncation, {(((var, 1),), 1): F(1, 3)})
+    for left, right in ((q, r), (r, q)):
+        with pytest.raises(ValueError):
+            left * right
+        with pytest.raises(ValueError):
+            left + right
+
+
+class _FractionSPoly:
+    """The SPoly as a dict of one Fraction per coefficient, the layout the
+    integer form replaced; ``exp`` is the power sum sum_n L^n / n!."""
+
+    def __init__(self, s_degree, z_order, terms):
+        self.s_degree, self.z_order = s_degree, z_order
+        self.terms = {(mono, z): F(c) for (mono, z), c in terms.items()
+                      if z <= z_order and sum(e for _, e in mono) <= s_degree and c != 0}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, F(0)) + coeff
+        return _FractionSPoly(self.s_degree, self.z_order, terms)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return _FractionSPoly(self.s_degree, self.z_order,
+                                  {key: c * other for key, c in self.terms.items()})
+        out = {}
+        for (m1, z1), c1 in self.terms.items():
+            for (m2, z2), c2 in other.terms.items():
+                merged = dict(m1)
+                for var, e in m2:
+                    merged[var] = merged.get(var, 0) + e
+                key = (tuple(sorted(merged.items())), z1 + z2)
+                out[key] = out.get(key, F(0)) + c1 * c2
+        return _FractionSPoly(self.s_degree, self.z_order, out)
+
+    def exp(self):
+        result = power = _FractionSPoly(self.s_degree, self.z_order, {((), 0): F(1)})
+        for n in range(1, self.s_degree + 1):
+            power = power * self
+            result = result + power * F(1, factorial(n))
+        return result
+
+
+def _assert_lowest_terms(poly):
+    """Integer numerators over one positive denominator, the lcm of the
+    coefficients' denominators, with no common factor and no zero."""
+    assert poly.den > 0 and all(poly.nums.values())
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    assert poly.den == lcm(*(c.denominator for c in poly.terms.values()))
+
+
+_MONOS = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 2)), st.integers(1, 2),
+                         max_size=2).map(lambda exps: tuple(sorted(exps.items())))
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_TERMS = st.dictionaries(st.tuples(_MONOS, st.integers(0, 4)), _COEFFS, max_size=5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s_degree=st.integers(0, 3), z_order=st.integers(-1, 4), left=_TERMS, right=_TERMS,
+       small=st.dictionaries(st.tuples(_MONOS, st.integers(0, 4)),
+                             st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                             max_size=3),
+       scalar=st.one_of(_COEFFS, st.integers(-3, 3)),
+       linear=st.dictionaries(st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 2)),
+                                        st.integers(0, 4)), _COEFFS, max_size=5))
+def test_integer_spoly_matches_the_fraction_dict_form(s_degree, z_order, left, right,
+                                                      small, scalar, linear):
+    def both(terms):
+        return SPoly(s_degree, z_order, terms), _FractionSPoly(s_degree, z_order, terms)
+
+    p, p_ref = both(left)
+    q, q_ref = both(right)
+    form, form_ref = both({(((var, 1),), z): c for (var, z), c in linear.items()})
+    # shrink = small - p, so p + shrink has only the denominators of small;
+    # p + cancel is zero
+    shrink, shrink_ref = both((_FractionSPoly(s_degree, z_order, small)
+                               + p_ref * F(-1)).terms)
+    cancel, cancel_ref = both((p_ref * -1).terms)
+    results = [(p, p_ref), (q, q_ref), (p + q, p_ref + q_ref), (p * q, p_ref * q_ref),
+               (p * scalar, p_ref * scalar), (form.exp(), form_ref.exp()),
+               (p + shrink, p_ref + shrink_ref), (p + cancel, p_ref + cancel_ref)]
+    for poly, reference in results:
+        assert poly.terms == reference.terms
+        assert poly == SPoly(s_degree, z_order, reference.terms)
+        _assert_lowest_terms(poly)
+    assert (p == q) == (p_ref.terms == q_ref.terms)
+    assert p + shrink == SPoly(s_degree, z_order, small)
+    assert (p + cancel).nums == {} and (p + cancel).den == 1
+    assert p + cancel == SPoly.constant(s_degree, z_order, 0)
+
+
 def _ubar_two_variable(d, b, ring):
     """The continuation block written out in (lam, H)."""
     x = ring.lam() + ring.hyperplane()
@@ -468,16 +577,6 @@ def _ubar_two_variable(d, b, ring):
         return total * F(1, d)
     numerator = series_exp(x * d) - 1
     return numerator * series_invert((series_exp(x) * ring.root(b % d) - 1) * d)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(pair=st.sampled_from(ALL_PAIRS), data=st.data(),
-       lam_order=st.integers(0, 7), nilpotency=st.integers(1, 5))
-def test_ubar_block_matches_two_variable_definition(pair, data, lam_order, nilpotency):
-    d = pair.fermat.degree
-    b = data.draw(st.integers(-1, 2 * d - 1))
-    ring = SeriesRing(d, lam_order, nilpotency)
-    assert ubar_block(pair, b, ring) == _ubar_two_variable(d, b, ring)
 
 
 def _uncached_ubar_block(d, b, ring):
@@ -522,6 +621,59 @@ def test_ubar_block_is_kept_per_residue_of_b():
     for b in range(5):
         assert ubar_block(q, b, ring) is ubar_block(q, b + 5, ring)
     assert ubar_block(q, 1, ring) is not ubar_block(q, 1, SeriesRing(5, 4, 2))
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_ubar_block_matches_the_uncached_builder_and_the_definition(pair):
+    """Every b in [0, d) and ring with lam-order 0..7 and nilpotency 1..5;
+    other b are the same objects (``test_ubar_block_is_kept_per_residue_of_b``)."""
+    d = pair.fermat.degree
+    for lam_order in range(8):
+        for nilpotency in range(1, 6):
+            ring = SeriesRing(d, lam_order, nilpotency)
+            for b in range(d):
+                block = ubar_block(pair, b, ring)
+                assert block == _uncached_ubar_block(d, b, ring)
+                assert block == _ubar_two_variable(d, b, ring)
+
+
+def test_ubar_line_series_are_inverted_once_per_degree_residue_and_lam_order(monkeypatch):
+    """series_invert runs once per (d, b != 0, lam_order) in one process,
+    however many rings, residues of b and u_bar builds ask for the blocks."""
+    calls = []
+
+    def counted(x):
+        calls.append((x.ring.order, x.ring.lam_order))
+        return series_invert(x)
+
+    monkeypatch.setattr(transforms, "series_invert", counted)
+    transforms._ubar_lines.cache_clear()
+    transforms._ubar_block.cache_clear()
+    lam_orders = (3, 6)
+    for pair in ALL_PAIRS:
+        d = pair.fermat.degree
+        for lam_order in lam_orders:
+            u_bar(pair, lam_order)
+            u_bar(pair, lam_order)
+            for nilpotency in range(1, 5):
+                for b in range(2 * d):
+                    ubar_block(pair, b, SeriesRing(d, lam_order, nilpotency))
+    assert sorted(calls) == sorted((pair.fermat.degree, lam_order)
+                                   for pair in ALL_PAIRS for lam_order in lam_orders
+                                   for _ in range(1, pair.fermat.degree))
+    q = quintic()
+    assert ubar_block(q, 1, SeriesRing(5, 4, 3)) is not ubar_block(q, 1, SeriesRing(5, 4, 2))
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_delta_c_sides_are_never_the_same_object(pair):
+    """i_c . Delta^0 and Delta^c . i_c are each exponentiated on their own."""
+    for c in pair.valid_twists():
+        shift = pair.grading ** c
+        left, right = delta_c_generic(pair, 0), delta_c_generic(pair, c)
+        for g in pair.group.elements:
+            assert left[(g * shift).exps] is not right[g.exps]
+            assert left[(g * shift).exps].nums is not right[g.exps].nums
 
 
 def _specialized_by_products(pair, c, spec, k_max):
