@@ -163,22 +163,29 @@ class CohSeries:
 
         Lowering one degree is injective on keys and never raises the
         t-degree, so the result is built unchecked once the keys pushed
-        above z_max and the zero values are dropped.
+        above z_max and the zero values are dropped.  Terms share values (one
+        per factorial in the closed J), so each (value, exponent) is formed
+        once per call.
         """
+        if not 0 <= var_index < len(self.variables):
+            raise ValueError(f"variable index {var_index} outside [0, {len(self.variables)})")
         z_max = self.orders.z_window[1]
         out: dict = {}
+        formed: dict = {}
         for (exps, z, degs), value in self.terms.items():
             exponent = degs[var_index]
             # a term with a zero exponent and no prefactor has no derivative
             if z >= z_max or (not exponent and not prefactor_lam_multiple):
                 continue
-            total = None
-            if exponent:
-                total = value if exponent == 1 else value * exponent
-            if prefactor_lam_multiple:
-                piece = value * value.ring.monomial(lam=1, tau=-1,
-                                                    coeff=prefactor_lam_multiple)
-                total = piece if total is None else total + piece
+            total = formed.get((id(value), exponent))
+            if total is None:
+                if exponent:
+                    total = value if exponent == 1 else value * exponent
+                if prefactor_lam_multiple:
+                    piece = value * value.ring.monomial(lam=1, tau=-1,
+                                                        coeff=prefactor_lam_multiple)
+                    total = piece if total is None else total + piece
+                formed[id(value), exponent] = total
             if total.terms:
                 shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
                 out[(exps, z + 1, shifted)] = total

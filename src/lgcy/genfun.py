@@ -173,9 +173,9 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     Independent route: correlators come from ``psi_integral_oracle`` and the
     moduli non-emptiness criterion, duals from the untwisted pairing, not
     from the closed-form product formula.  Every dual sector g0 is scanned
-    through ``is_nonempty``, once per distinct (n, exponent-sum) key of the
-    insertions; none is solved for, and the insertions are never multiplied
-    into a sector.
+    through ``is_nonempty``, once per residue class of the insertions'
+    exponent sums mod d/c_j within each n; none is solved for, and the
+    insertions are never multiplied into a sector.
     """
     pair.require_twist(c)
     elements = pair.group.elements
@@ -195,6 +195,7 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         terms[(g.exps, 0, tuple(degs))] = ring.one()
     dual_norm = pair.fermat.degree ** pair.fermat.n_variables
     rows = [g_jc.exps for g_jc in shifted]
+    exponents = pair.fermat.exponents
     for total in range(2, orders.t_order + 1):
         # n = total + 1 points: the dimension condition leaves only psi^(n-3)
         a = total - 2
@@ -202,16 +203,18 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
             break
         corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
         # is_nonempty reads its insertions only through n and the sums
-        # sum_i k_j(g_i), so the duals that pass are kept per unreduced
-        # exponent sum of the insertions, for the span of this total; the
-        # coefficient depends on fact alone within the total
+        # sum_i k_j(g_i), and asks that d/c_j divide c(n - 2) minus them, so
+        # within this total its verdict depends on each sum mod d/c_j alone:
+        # the duals that pass are kept per residue class, scanned with the
+        # class's first multidegree; the coefficient depends on fact alone
         passing: dict = {}
         scalars: dict = {}
         for degs, sums, fact in _multidegree_walk(rows, total):
-            found = passing.get(sums)
+            residues = tuple([s % m for s, m in zip(sums, exponents)])
+            found = passing.get(residues)
             if found is None:
                 insertions = [g_jc for g_jc, k in zip(shifted, degs) for _ in range(k)]
-                found = passing[sums] = [
+                found = passing[residues] = [
                     dual_sector for g0_jc, dual_sector in zip(shifted, duals)
                     if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
             if not found:

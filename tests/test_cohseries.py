@@ -137,3 +137,52 @@ def test_restricted_refuses_larger_orders():
     smaller = ix.restricted(Orders(t_order=1, lam_order=0, z_min=-3, z_max=1))
     assert smaller.terms and all(-3 <= z <= 1 and sum(degs) <= 1
                                  for _, z, degs in smaller.terms)
+
+
+def test_z_ddt_var_refuses_an_index_outside_the_variables():
+    """A negative index would wrap around in the degree slices and one past
+    the end would fail only on a nonempty series, so both are refused up
+    front, on an empty series too."""
+    j = untwisted_j(QUINTIC, 0, Orders(t_order=3, lam_order=0))
+    empty = j._replace_terms({})
+    width = len(j.variables)
+    for series in (j, empty):
+        for index in (-1, width, width + 1):
+            with pytest.raises(ValueError):
+                series.z_ddt_var(index)
+    assert empty.z_ddt_var(width - 1).terms == {}
+
+
+def _per_term_z_ddt_var(series: CohSeries, index: int, multiple: int) -> dict:
+    """``z_ddt_var``'s terms formed afresh for every term: value times the
+    exponent, plus the prefactor piece."""
+    out = {}
+    for (exps, z, degs), value in series.terms.items():
+        exponent = degs[index]
+        if z >= series.orders.z_window[1] or (not exponent and not multiple):
+            continue
+        total = value.ring.zero()
+        if exponent:
+            total = total + value * exponent
+        if multiple:
+            total = total + value * value.ring.monomial(lam=1, tau=-1, coeff=multiple)
+        if total.terms:
+            out[exps, z + 1, degs[:index] + (exponent - 1,) + degs[index + 1:]] = total
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(shipped_pairs()))
+def test_z_ddt_var_matches_a_per_term_reference(name):
+    """Each (value, exponent) product is formed once per call; the result is
+    the per-term one on the closed J, whose terms share one value per
+    factorial, and on the relabelled oracle J."""
+    pair = shipped_pairs()[name]
+    orders = Orders(t_order=4, lam_order=1)
+    oracle = untwisted_j_oracle(pair, 0, orders)
+    d = pair.fermat.degree
+    for c in pair.valid_twists():
+        for series in (untwisted_j(pair, c, orders), i_c(pair, c).apply(oracle)):
+            for index in range(len(series.variables)):
+                for multiple in (0, d):
+                    assert series.z_ddt_var(index, multiple).terms == \
+                        _per_term_z_ddt_var(series, index, multiple), (c, index, multiple)

@@ -41,7 +41,7 @@ from lgcy.genfun import (
     y_ray_levels,
     z_ddt_distinguished,
 )
-from lgcy.lgmodel import GroupElement, SectorBasisElement, load_pair
+from lgcy.lgmodel import GroupElement, LGPair, SectorBasisElement, load_pair
 from lgcy.transforms import Transform, gamma_class_op, ubar_block
 from lgcy.verify import ALL_CHECKS, check_gamma_factorization, recommended_orders, run_checks
 
@@ -201,14 +201,43 @@ def _order16_quartic():
                       "generators": [[0, 2, 0, 2], [0, 0, 2, 2]]})
 
 
+def _order25_quintic():
+    """The quintic's <j, (0,1,2,3,4)>: 25 elements, so at total 2 already
+    325 multidegrees share at most 25 residue classes mod 5."""
+    return load_pair({"weights": [1] * 5, "degree": 5,
+                      "generators": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]})
+
+
 @pytest.mark.parametrize("pair,t_order", [(p, 4) for p in ALL_PAIRS]
-                         + [(_order16_quartic(), 3)],
-                         ids=[p.name for p in ALL_PAIRS] + ["quartic-order16"])
+                         + [(_order16_quartic(), 3), (_order25_quintic(), 2)],
+                         ids=[p.name for p in ALL_PAIRS] + ["quartic-order16", "quintic-order25"])
 def test_oracle_memoized_scan_equals_direct_scan(pair, t_order):
     orders = Orders(t_order=t_order, lam_order=0)
     for c in pair.valid_twists():
         assert untwisted_j_oracle(pair, c, orders).terms == \
             _direct_scan_oracle_terms(pair, c, orders), c
+
+
+@pytest.mark.parametrize("pair,t_order", [(p, 5) for p in ALL_PAIRS]
+                         + [(_order16_quartic(), 4), (_order25_quintic(), 4)],
+                         ids=[p.name for p in ALL_PAIRS] + ["quartic-order16", "quintic-order25"])
+def test_oracle_scans_each_dual_once_per_residue_class(pair, t_order, monkeypatch):
+    """The exponent sums of a multidegree reduce to the exponents of an
+    element of G, so each total t = 2..T has at most |G| residue classes,
+    and each class scans |G| duals."""
+    is_nonempty = LGPair.is_nonempty
+    calls = []
+
+    def counted(self, c, h, insertions):
+        calls.append(c)
+        return is_nonempty(self, c, h, insertions)
+
+    monkeypatch.setattr(LGPair, "is_nonempty", counted)
+    orders = Orders(t_order=t_order, lam_order=0)
+    for c in pair.valid_twists():
+        calls.clear()
+        untwisted_j_oracle(pair, c, orders)
+        assert 0 < len(calls) <= len(pair.group) ** 2 * (t_order - 1), c
 
 
 # sha256 of the sorted-key JSON of serialize_series; the closed form and the

@@ -262,6 +262,19 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
     assert reached["check_continuation", "__init__"] > 0
 
 
+def test_oracle_equivalence_reaches_the_selection_rule(monkeypatch):
+    """The benchmark tracer predicts ``LGPair.is_nonempty`` and
+    ``LGPair.line_bundle_degree`` calls on ``oracle``; the oracle's dual
+    scan, once per residue class, still reaches both."""
+    wrap, reached = _reach_counter(monkeypatch)
+    wrap([verify], "check_oracle_equivalence")
+    wrap([LGPair], "is_nonempty")
+    wrap([LGPair], "line_bundle_degree")
+    assert verify.check_oracle_equivalence(catalog.quintic(), n_max=3).ok()
+    assert reached["check_oracle_equivalence", "is_nonempty"] > 0
+    assert reached["check_oracle_equivalence", "line_bundle_degree"] > 0
+
+
 def test_spoly_arithmetic_builds_no_fraction():
     """``SPoly`` keeps integer numerators over one denominator: of its
     methods only the public constructor's input parsing and the ``terms``

@@ -256,6 +256,44 @@ def test_integer_selection_rule_matches_definition(pair, c, data):
     assert pair.is_nonempty(c, h, insertions) == all(x.denominator == 1 for x in degrees)
 
 
+def _residues(pair, insertions) -> tuple[int, ...]:
+    return tuple(sum(g.exps[j] for g in insertions) % m
+                 for j, m in enumerate(pair.fermat.exponents))
+
+
+@pytest.mark.parametrize("pair,c", TWISTED_PAIRS,
+                         ids=[f"{p.name}-c{c}" for p, c in TWISTED_PAIRS])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_selection_rule_reads_exponent_sums_mod_the_exponents(pair, c, data):
+    """The oracle keys its dual scan on this: for a fixed n, ``is_nonempty``
+    reads its insertions only through each sum_i k_j(g_i) mod d/c_j.  Moving
+    a factor h from one insertion to another and reordering keeps every
+    residue and the verdict; the one first insertion of G that passes with
+    the rest fails once any one of its exponents moves by 1."""
+    elements = pair.group.elements
+    n = data.draw(st.integers(3, 6), label="n")
+    insertions = data.draw(st.lists(st.sampled_from(elements), min_size=n, max_size=n),
+                           label="insertions")
+    h = data.draw(st.sampled_from(elements), label="h")
+    a, b = data.draw(st.permutations(range(n)), label="order")[:2]
+    moved = list(insertions)
+    moved[a], moved[b] = moved[a] * h, moved[b] * h.inverse()
+    moved = data.draw(st.permutations(moved), label="moved")
+    assert _residues(pair, moved) == _residues(pair, insertions)
+    assert pair.is_nonempty(c, 0, moved) == pair.is_nonempty(c, 0, insertions)
+
+    rest = insertions[1:]
+    [first] = [g for g in elements if pair.is_nonempty(c, 0, [g] + rest)]
+    for j, m in enumerate(pair.fermat.exponents):
+        exps = list(first.exps)
+        exps[j] = (exps[j] + 1) % m
+        bumped = [GroupElement(pair.fermat, exps)] + rest
+        assert sum(x != y for x, y in zip(_residues(pair, bumped),
+                                          _residues(pair, [first] + rest))) == 1
+        assert not pair.is_nonempty(c, 0, bumped), j
+
+
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_nonempty_iff_product_identity_untwisted(pair):
     elements = pair.group.elements
