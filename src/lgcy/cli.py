@@ -61,8 +61,8 @@ def _load(pair_arg: str) -> LGPair:
     if pair_arg in catalog:
         return catalog[pair_arg]
     path = Path(pair_arg)
-    if not path.exists():
-        raise FileNotFoundError(f"pair file not found: {pair_arg}")
+    if not path.is_file():
+        raise FileNotFoundError(f"pair file not found: {pair_arg} is not a file")
     return load_pair(path)
 
 
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
             return cmd_ifun(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except IdentityError as err:

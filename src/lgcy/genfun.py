@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exactalg import (
@@ -101,12 +102,36 @@ def _multidegree_walk(rows, total: int):
                       in zip(sums, rows[t], rows[t - 1], rows[last])])
 
 
+@lru_cache(maxsize=1)
+def _j_classes(pair: LGPair, orders: Orders) -> tuple:
+    """Per total 0..T, its multidegrees grouped by their exponent sums over
+    the rows ``g.exps`` mod d/c_j: a read-only residues -> ((degs, fact), ...)
+    in walk order, empty where z = 1 - total is outside the z-window.
+
+    The one walk under both J routes, kept for the last (pair object,
+    orders).  Over the rows g j^c the sums move by c total j, one
+    translation per total, so the classes hold at every twist c.
+    """
+    exponents = pair.fermat.exponents
+    z_min, z_max = orders.z_window
+    rows = [g.exps for g in pair.group.elements]
+    table = []
+    for total in range(orders.t_order + 1):
+        classes: dict = {}
+        if z_min <= 1 - total <= z_max:
+            for degs, sums, fact in _multidegree_walk(rows, total):
+                key = tuple([s % m for s, m in zip(sums, exponents)])
+                classes.setdefault(key, []).append((degs, fact))
+        table.append(MappingProxyType({k: tuple(v) for k, v in classes.items()}))
+    return tuple(table)
+
+
 def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     """Closed-form J: sum over {a_g} of z^(1-sum a) prod t^a / a! on phi_{prod g^a}.
 
     Variables are all group coordinates, in element order.  The sector
-    prod g^a is the walk's exponent sum reduced mod d/c_j.  No term depends
-    on the twist c, which only tags the series: the terms are built once per
+    prod g^a is its class key in ``_j_classes``.  No term depends on the
+    twist c, which only tags the series: the terms are built once per
     (pair, orders) by ``_closed_j_terms`` and every c gets its own copy,
     which is clean by construction and so is not re-validated.
     """
@@ -117,28 +142,23 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
 @lru_cache(maxsize=1)
 def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
-    """The closed J's terms (sector exps, z, degs) -> 1/fact at ``orders``.
+    """The closed J's terms (class key, z, degs) -> 1/fact at ``orders``.
 
     Every term is inside the z-window and the t-order, with a nonzero
     ``SectorValue`` under tuple keys.  The last dict is kept per (pair
     object, orders); it is only ever read, by ``untwisted_j``, which copies
     it.
     """
-    exponents = pair.fermat.exponents
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
-    z_min, z_max = orders.z_window
-    rows = [g.exps for g in pair.group.elements]
     terms: dict = {}
     scalars: dict = {}   # fact -> the value 1/fact, shared by its terms
-    for total in range(orders.t_order + 1):
-        z = 1 - total
-        if not z_min <= z <= z_max:
-            continue
-        for degs, sums, fact in _multidegree_walk(rows, total):
-            value = scalars.get(fact)
-            if value is None:
-                value = scalars[fact] = ring.scalar(Fraction(1, fact))
-            terms[(tuple(k % m for k, m in zip(sums, exponents)), z, degs)] = value
+    for total, classes in enumerate(_j_classes(pair, orders)):
+        for sector, members in classes.items():
+            for degs, fact in members:
+                value = scalars.get(fact)
+                if value is None:
+                    value = scalars[fact] = ring.scalar(Fraction(1, fact))
+                terms[(sector, 1 - total, degs)] = value
     return terms
 
 
@@ -172,15 +192,14 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
     Independent route: correlators come from ``psi_integral_oracle`` and the
     moduli non-emptiness criterion, duals from the untwisted pairing, not
-    from the closed-form product formula.  Every dual sector g0 is scanned
-    through ``is_nonempty``, once per residue class of the insertions'
-    exponent sums mod d/c_j within each n; none is solved for, and the
-    insertions are never multiplied into a sector.
+    from the closed-form product formula.  Every dual g0 is scanned through
+    ``is_nonempty`` once per class of ``_j_classes``, with the class's first
+    multidegree as insertions, and the duals that pass are written for each
+    member.  No dual is solved for, and no class key or product is read.
     """
     pair.require_twist(c)
     elements = pair.group.elements
     ring = SeriesRing(pair.fermat.degree, orders.lam_order, 1)
-    z_min = orders.z_window[0]
     jc = pair.grading ** c
     shifted = [g * jc for g in elements]
     j2c_inverse = (jc * jc).inverse()
@@ -194,36 +213,29 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         degs[i] = 1
         terms[(g.exps, 0, tuple(degs))] = ring.one()
     dual_norm = pair.fermat.degree ** pair.fermat.n_variables
-    rows = [g_jc.exps for g_jc in shifted]
-    exponents = pair.fermat.exponents
-    for total in range(2, orders.t_order + 1):
+    for total, classes in enumerate(_j_classes(pair, orders)):
+        if total < 2 or not classes:
+            continue
         # n = total + 1 points: the dimension condition leaves only psi^(n-3)
         a = total - 2
-        if -a - 1 < z_min:
-            break
         corr = Fraction(1, dual_norm) * psi_integral_oracle((a,) + (0,) * total)
         # is_nonempty reads its insertions only through n and the sums
         # sum_i k_j(g_i), and asks that d/c_j divide c(n - 2) minus them, so
-        # within this total its verdict depends on each sum mod d/c_j alone:
-        # the duals that pass are kept per residue class, scanned with the
-        # class's first multidegree; the coefficient depends on fact alone
-        passing: dict = {}
+        # within this total one class shares one verdict per dual; the
+        # coefficient depends on fact alone
         scalars: dict = {}
-        for degs, sums, fact in _multidegree_walk(rows, total):
-            residues = tuple([s % m for s, m in zip(sums, exponents)])
-            found = passing.get(residues)
-            if found is None:
-                insertions = [g_jc for g_jc, k in zip(shifted, degs) for _ in range(k)]
-                found = passing[residues] = [
-                    dual_sector for g0_jc, dual_sector in zip(shifted, duals)
-                    if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
-            if not found:
+        for members in classes.values():
+            insertions = [g_jc for g_jc, k in zip(shifted, members[0][0]) for _ in range(k)]
+            passing = [dual_sector.exps for g0_jc, dual_sector in zip(shifted, duals)
+                       if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
+            if not passing:
                 continue
-            value = scalars.get(fact)
-            if value is None:
-                value = scalars[fact] = ring.scalar(Fraction(1, fact) * corr * dual_norm)
-            for dual_sector in found:
-                terms[(dual_sector.exps, -a - 1, degs)] = value
+            for degs, fact in members:
+                value = scalars.get(fact)
+                if value is None:
+                    value = scalars[fact] = ring.scalar(Fraction(1, fact) * corr * dual_norm)
+                for exps in passing:
+                    terms[(exps, -a - 1, degs)] = value
     return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
                      terms, (), c_twist=c)
 

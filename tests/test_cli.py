@@ -44,6 +44,15 @@ def test_missing_pair_file_exit_2(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("argv", [["describe"], ["ifun", "--side", "lg"], ["verify"]],
+                         ids=["describe", "ifun", "verify"])
+def test_directory_as_pair_file_exit_2(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--pair", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "not a file" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("payload,reason", [
     ({"weights": [1, 1, 1], "degree": 3.5}, "degree must be an integer"),
     ({"weights": [1, 1, 1], "degree": 3, "generators": [[0.5, 0, 0]]},

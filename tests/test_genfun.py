@@ -43,7 +43,8 @@ from lgcy.genfun import (
 )
 from lgcy.lgmodel import GroupElement, LGPair, SectorBasisElement, load_pair
 from lgcy.transforms import Transform, gamma_class_op, ubar_block
-from lgcy.verify import ALL_CHECKS, check_gamma_factorization, recommended_orders, run_checks
+from lgcy.verify import (ALL_CHECKS, check_gamma_factorization, check_mlk_untwisted,
+                         check_oracle_equivalence, recommended_orders, run_checks)
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
@@ -238,6 +239,116 @@ def test_oracle_scans_each_dual_once_per_residue_class(pair, t_order, monkeypatc
         calls.clear()
         untwisted_j_oracle(pair, c, orders)
         assert 0 < len(calls) <= len(pair.group) ** 2 * (t_order - 1), c
+
+
+# -- the residue-class table both J routes read ----------------------------------
+
+@pytest.fixture
+def fresh_j_tables():
+    """Empty the J table and the closed terms before and after the test, so
+    no table built under a monkeypatch outlives it."""
+    caches = (genfun._j_classes, genfun._closed_j_terms)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _residue_partition(pair, rows, total) -> dict:
+    """The multidegrees of one total grouped by their exponent sums over
+    ``rows`` mod d/c_j, in walk order, keyed by the residues."""
+    classes: dict = {}
+    for degs, sums, _ in _multidegree_walk(rows, total):
+        key = tuple(s % m for s, m in zip(sums, pair.fermat.exponents))
+        classes.setdefault(key, []).append(degs)
+    return classes
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_twist_leaves_the_residue_partition_unchanged(pair):
+    """Over the rows g j^c the sums are sums_0 + c total j mod d/c_j, one
+    translation per total, so every valid c and total 2..6 groups the
+    multidegrees as the untwisted rows do, and as ``_j_classes`` does.
+    The check is exhaustive, so no case is left to a random draw."""
+    elements = pair.group.elements
+    table = genfun._j_classes(pair, Orders(t_order=6, lam_order=0))
+    for total in range(2, 7):
+        untwisted = _residue_partition(pair, [g.exps for g in elements], total)
+        assert {key: [degs for degs, _ in members] for key, members in
+                table[total].items()} == untwisted
+        for c in pair.valid_twists():
+            jc = pair.grading ** c
+            twisted = _residue_partition(pair, [(g * jc).exps for g in elements], total)
+            assert sorted(twisted.values()) == sorted(untwisted.values()), (c, total)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_oracle_equivalence_walks_once_per_total(pair, monkeypatch, fresh_j_tables):
+    """Both routes at every twist read one table: one walk per total 0..6,
+    however many twists the pair has."""
+    walks = []
+    walk = genfun._multidegree_walk
+
+    def counted(rows, total):
+        walks.append(total)
+        return walk(rows, total)
+
+    monkeypatch.setattr(genfun, "_multidegree_walk", counted)
+    assert check_oracle_equivalence(pair, n_max=6).ok()
+    assert walks == list(range(7))
+
+
+def _corrupted_j_classes(fault: str):
+    """``_j_classes`` with one fault at total 2.  "member-moved" moves the
+    last multidegree of the second class to the front of the first, where
+    the oracle scans it, and "member-filed-last" to its end; "key-shifted"
+    moves the first class's key by +1 in its first coordinate, to a residue
+    tuple that is no class key."""
+    real = genfun._j_classes
+
+    def table(pair, orders):
+        classes = list(real(pair, orders))
+        items = [(key, list(members)) for key, members in classes[2].items()]
+        (key_a, first), (_, second) = items[0], items[1]
+        if fault == "member-moved":
+            first.insert(0, second.pop())
+        elif fault == "member-filed-last":
+            first.append(second.pop())
+        else:
+            moved = ((key_a[0] + 1) % pair.fermat.exponents[0],) + key_a[1:]
+            assert moved not in classes[2]
+            items[0] = (moved, first)
+        classes[2] = {key: tuple(members) for key, members in items if members}
+        return tuple(classes)
+
+    return table
+
+
+@pytest.mark.parametrize("fault", ["member-moved", "key-shifted"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_corrupted_j_table_fails_both_j_checks(pair, fault, monkeypatch, fresh_j_tables):
+    """Sharing the table does not merge the two sides: the closed J reads a
+    class's key, the oracle scans its first multidegree, so either fault
+    splits them in oracle-equivalence and in mlk-untwisted at every c."""
+    monkeypatch.setattr(genfun, "_j_classes", _corrupted_j_classes(fault))
+    reports = [check_oracle_equivalence(pair, n_max=4)] + \
+        [check_mlk_untwisted(pair, c, Orders(t_order=4, lam_order=0))
+         for c in pair.valid_twists()]
+    for report in reports:
+        assert not report.ok() and report.witness["kind"] == "coefficient", report.check
+
+
+def test_reference_rebuilds_see_a_multidegree_filed_last_in_another_class(
+        monkeypatch, fresh_j_tables):
+    """A multidegree filed behind another class's first member gets that
+    class's sector on both routes, so oracle-equivalence cannot tell them
+    apart there; the per-twist rebuilds above, which walk on their own, can."""
+    monkeypatch.setattr(genfun, "_j_classes", _corrupted_j_classes("member-filed-last"))
+    pair, orders = quintic(), Orders(t_order=4, lam_order=0)
+    assert untwisted_j(pair, 0, orders).terms != _per_twist_closed_terms(pair, 0, orders)
+    assert untwisted_j_oracle(pair, 0, orders).terms != \
+        _direct_scan_oracle_terms(pair, 0, orders)
 
 
 # sha256 of the sorted-key JSON of serialize_series; the closed form and the
