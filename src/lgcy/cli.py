@@ -19,7 +19,14 @@ from .genfun import (
     serialize_series,
 )
 from .lgmodel import LGPair, load_pair
-from .verify import ALL_CHECKS, MIN_T_ORDER, recommended_orders, run_checks, self_test
+from .verify import (
+    ALL_CHECKS,
+    MIN_T_ORDER,
+    recommended_orders,
+    require_bounded,
+    run_checks,
+    self_test,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,6 +148,10 @@ def cmd_describe(args) -> int:
 def cmd_ifun(args) -> int:
     pair = _load(args.pair)
     orders = _orders(args, pair)
+    # every side walks the index table of the I/H checks (the FJRW side
+    # through I^X): refuse an unbounded walk before building anything
+    require_bounded(pair, orders, ("gamma-factorization",),
+                    f"the {args.side} I-function")
     if args.side == "lg":
         series = i_function_x(pair, orders)
     elif args.side == "cy":

@@ -54,6 +54,8 @@ class Transform:
     Entries have z-degree zero: a SectorValue or a rational.  Application
     promotes each input coefficient into the output sector's ring, so X-side
     scalars multiply H-carrying entries without losing nilpotency headroom.
+    A scalar entry equal to 1 multiplies nothing: it passes the input value
+    through, re-truncated only when its ring is not the output ring.
     """
 
     def __init__(self, pair: LGPair, side_in: str, side_out: str, blocks: dict,
@@ -76,7 +78,9 @@ class Transform:
         out_terms: dict = {}
         for (exps, z, degs), value in series.terms.items():
             for out_exps, ring, factor in blocks.get(exps, ()):
-                piece = value.with_ring(ring) * factor
+                piece = value.with_ring(ring)
+                if factor is not None:
+                    piece = piece * factor
                 if piece.is_zero():
                     continue
                 key = (out_exps, z, degs)
@@ -90,7 +94,8 @@ class Transform:
         """input exps -> ((output exps, ring, factor), ...) at ``lam_order``:
         each output sector's nilpotency is read, and its shared ring looked
         up, once, and each entry is brought into it once, as a
-        ``SectorValue`` factor."""
+        ``SectorValue`` factor, or as None for a unit entry, which values
+        pass through."""
         d = self.pair.fermat.degree
         rings: dict = {}
         blocks: dict = {}
@@ -102,8 +107,10 @@ class Transform:
                 if ring is None:
                     ring = rings[out_exps] = SeriesRing(
                         d, lam_order, _sector_nilpotency(self.side_out, self.pair, out_exps))
-                factor = entry.with_ring(ring) if isinstance(entry, SectorValue) \
-                    else ring.scalar(entry)
+                if isinstance(entry, SectorValue):
+                    factor = entry.with_ring(ring)
+                else:
+                    factor = None if entry == 1 else ring.scalar(entry)
                 entries.append((out_exps, ring, factor))
             blocks[exps] = tuple(entries)
         return blocks
@@ -117,7 +124,10 @@ class Transform:
 # ---------------------------------------------------------------------------
 
 def i_c(pair: LGPair, c: int) -> Transform:
-    """phi^0_g -> phi^c_{g j^-c}; a pairing-preserving basis permutation."""
+    """phi^0_g -> phi^c_{g j^-c}; a pairing-preserving basis permutation.
+
+    Every entry is the unit, so ``apply`` relabels by reference: each output
+    value is the input value object itself."""
     pair.require_twist(c)
     shift = (pair.grading ** c).inverse()
     blocks = {

@@ -60,6 +60,7 @@ __all__ = [
     "ALL_CHECKS",
     "MIN_T_ORDER",
     "WORK_BOUND",
+    "require_bounded",
     "work_estimate",
     "run_checks",
     "self_test",
@@ -150,7 +151,9 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
 
     The left side is assembled from the psi-integral oracle, the right from
     the closed form, so the equality is a genuine cross-validation.  i_c
-    only relabels sectors: it is applied once, to the oracle J.
+    only relabels sectors: it is applied once, to the oracle J, and its unit
+    entries pass the oracle's own values through, so the relabeled series
+    shares no value with the closed J.
     """
     def body():
         if orders.t_order < MIN_T_ORDER["mlk-untwisted"]:
@@ -599,10 +602,13 @@ def work_estimate(pair: LGPair, orders: Orders, names) -> int:
     return max(counts)
 
 
-def _require_bounded(pair: LGPair, orders: Orders, names) -> None:
+def require_bounded(pair: LGPair, orders: Orders, names,
+                    subject: str = "the checks") -> None:
+    """Raise ValueError, naming ``subject``, when the walks of the named
+    checks at ``orders`` exceed ``WORK_BOUND``."""
     estimate = work_estimate(pair, orders, names)
     if estimate > WORK_BOUND:
-        raise ValueError(f"the checks would walk {estimate:,} terms at T = "
+        raise ValueError(f"{subject} would walk {estimate:,} terms at T = "
                          f"{orders.t_order}, above the bound of {WORK_BOUND:,}")
 
 
@@ -614,7 +620,7 @@ def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-    _require_bounded(pair, orders, names)
+    require_bounded(pair, orders, names)
     return [CHECKS[name](pair, orders) for name in names]
 
 
@@ -625,8 +631,8 @@ def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     small = Orders(t_order=min(orders.t_order, 5),
                    lam_order=min(orders.lam_order, 3))
     # the oracle-equivalence fault is placed at T = 4 whatever the orders
-    _require_bounded(pair, Orders(t_order=max(small.t_order, 4), lam_order=0),
-                     ALL_CHECKS)
+    require_bounded(pair, Orders(t_order=max(small.t_order, 4), lam_order=0),
+                    ALL_CHECKS)
     wide = recommended_orders(pair, small.t_order, small.lam_order)
     oracle = untwisted_j_oracle(pair, 0, small)
     key_oracle = sorted(oracle.terms)[len(oracle.terms) // 2]

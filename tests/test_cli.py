@@ -273,3 +273,22 @@ def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
         assert code == 2
         assert "814,385" in err and "100,000" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("side", ["lg", "cy", "fjrw"])
+def test_ifun_refuses_a_walk_above_the_work_bound(capsys, monkeypatch, side):
+    """The quartic's index table at T = 40 has C(44, 4) = 135,751 entries:
+    refused with exit 2 before any I-function is built."""
+    from lgcy import cli
+
+    def no_build(*_):
+        raise AssertionError("an I-function was built above the work bound")
+
+    for builder in ("i_function_x", "i_function_y", "fjrw_i_function"):
+        monkeypatch.setattr(cli, builder, no_build)
+    code, out, err = run_cli(capsys, "ifun", "--pair", "quartic", "--side", side,
+                             "--T", "40", "--lambda-order", "1")
+    assert code == 2
+    assert f"the {side} I-function" in err
+    assert "135,751" in err and "100,000" in err
+    assert out == ""

@@ -11,8 +11,9 @@ from collections import Counter
 from pathlib import Path
 
 from lgcy import catalog, genfun, verify
-from lgcy.exactalg import ZLaurentSeries
+from lgcy.exactalg import SectorValue, ZLaurentSeries
 from lgcy.lgmodel import GroupElement, LGPair
+from lgcy.transforms import Transform
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lgcy"
@@ -228,6 +229,22 @@ def test_the_traced_layers_stay_on_the_factorization_routes(monkeypatch):
     assert verify.check_gamma_factorization(pair, verify.recommended_orders(pair, 3, 2)).ok()
     assert reached["i_function_x", "__mul__"] > 0
     assert reached["h_factorization", "gamma_shift_product"] > 0
+
+
+def test_i_c_relabels_the_oracle_j_without_a_product(monkeypatch):
+    """``i_c`` has unit entries only, so the untwisted MLK check's one
+    ``Transform.apply`` passes the oracle's values through and makes no
+    ``SectorValue`` product, while the check's derivatives still make some."""
+    wrap, reached = _reach_counter(monkeypatch)
+    wrap([verify], "check_mlk_untwisted")
+    wrap([Transform], "apply")
+    wrap([SectorValue], "__mul__")
+    quintic = catalog.quintic()
+    assert verify.check_mlk_untwisted(quintic, 1,
+                                      verify.recommended_orders(quintic, 8, 4)).ok()
+    assert reached["check_mlk_untwisted", "apply"] == 1
+    assert reached["apply", "__mul__"] == 0
+    assert reached["check_mlk_untwisted", "__mul__"] > 0
 
 
 def test_rings_are_never_compared_by_value():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lgcy import transforms
 from lgcy.catalog import cubic, quartic, quintic, sextic, shipped_pairs
-from lgcy.cohseries import CohSeries, Orders
+from lgcy.cohseries import CohSeries, Orders, _sector_nilpotency
 from lgcy.exactalg import (
     Cyclotomic,
     ExactDivisionError,
@@ -23,7 +23,8 @@ from lgcy.exactalg import (
     series_exp,
     series_invert,
 )
-from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, load_pair, pair_twisted
+from lgcy.genfun import i_function_x, untwisted_j, untwisted_j_oracle
+from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, SectorBasisElement, load_pair, pair_twisted
 from lgcy.transforms import (
     DeltaDiamond,
     PullbackToZ,
@@ -244,6 +245,85 @@ def test_delta_circ_signed_bijection_on_narrow_duals(pair):
             assert element.g.exps not in images  # injective
             images[element.g.exps] = (g.exps, sign)
     assert set(images) == {g.exps for g in pair.narrow_sectors()}
+
+
+# -- unit entries pass values through -------------------------------------------------
+
+def _apply_by_products(transform, series):
+    """``Transform.apply`` by the multiply route: every value brought into
+    its output sector's ring and multiplied by its entry, the unit included."""
+    d = transform.pair.fermat.degree
+    out = {}
+    for (exps, z, degs), value in series.terms.items():
+        for element, entry in transform.blocks.get(exps, ()):
+            ring = SeriesRing(d, series.orders.lam_order,
+                              _sector_nilpotency(transform.side_out, transform.pair,
+                                                 element.g.exps))
+            factor = entry.with_ring(ring) if isinstance(entry, SectorValue) \
+                else ring.scalar(entry)
+            piece = value.with_ring(ring) * factor
+            if piece.terms:
+                key = (element.g.exps, z, degs)
+                out[key] = out[key] + piece if key in out else piece
+    return CohSeries(transform.side_out, series.pair, series.variables, series.orders,
+                     out, series.tokens, c_twist=transform.twist_out)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_i_c_relabels_the_oracle_j_by_reference(pair):
+    """i_c gives the multiply route's series for every valid c, each output
+    value is the input value object, and none is a value of the closed J."""
+    orders = Orders(t_order=4, lam_order=2)
+    j_oracle = untwisted_j_oracle(pair, 0, orders)
+    for c in pair.valid_twists():
+        transform = i_c(pair, c)
+        relabeled = transform.apply(j_oracle)
+        assert relabeled == _apply_by_products(transform, j_oracle)
+        assert len(relabeled.terms) == len(j_oracle.terms)
+        for (exps, z, degs), value in j_oracle.terms.items():
+            [(element, _)] = transform.blocks[exps]
+            assert relabeled.terms[element.g.exps, z, degs] is value
+        closed = {id(value) for value in untwisted_j(pair, c, orders).terms.values()}
+        assert not closed & {id(value) for value in relabeled.terms.values()}
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_delta_circ_passes_plus_one_entries_through_and_multiplies_minus_one(pair):
+    ix = i_function_x(pair, Orders(t_order=3, lam_order=2))
+    transform = delta_circ(pair)
+    mapped = transform.apply(ix)
+    assert mapped == _apply_by_products(transform, ix)
+    signs = set()
+    for (exps, z, degs), value in ix.terms.items():
+        for element, sign in transform.blocks[exps]:
+            out = mapped.terms[element.g.exps, z, degs]
+            assert out.ring is value.ring
+            assert (out is value) == (sign == 1)
+            assert out == (value if sign == 1 else -value)
+            signs.add(sign)
+    assert signs == {1, -1}
+
+
+def test_a_unit_entry_into_another_ring_re_truncates():
+    """A unit entry whose output ring differs moves the value into that ring:
+    X -> Y into N_g = 5 keeps every term, Y -> X drops the H-powers."""
+    q = quintic()
+    g = q.identity
+    orders = Orders(t_order=2, lam_order=3)
+    x_ring, y_ring = SeriesRing(5, 3, 1), SeriesRing(5, 3, 5)
+    up = transforms.Transform(q, "x", "y", {g.exps: ((SectorBasisElement("y", g), 1),)})
+    down = transforms.Transform(q, "y", "x", {g.exps: ((SectorBasisElement("x", g), 1),)})
+    x_value = x_ring.one() + x_ring.lam(2) * F(1, 3)
+    y_value = y_ring.one() + y_ring.lam(1) * y_ring.hyperplane(2) - y_ring.hyperplane(1)
+    for transform, series, ring, kept in (
+            (up, basis_series(q, g, orders, "x", x_value), y_ring, x_value.terms),
+            (down, basis_series(q, g, orders, "y", y_value), x_ring, y_ring.one().terms)):
+        mapped = transform.apply(series)
+        assert mapped == _apply_by_products(transform, series)
+        [(key, value)] = series.terms.items()
+        out = mapped.terms[key]
+        assert out is not value and out.ring is ring
+        assert out == value.with_ring(ring) and out.terms == kept
 
 
 # -- the continuation operator  ------------------------------------------------------
