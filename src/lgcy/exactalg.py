@@ -432,6 +432,13 @@ def _shared_atom(den: int, weight: int, offset: int, h_weight: int) -> GammaAtom
 AtomsKey = tuple  # sorted tuple of (GammaAtom, nonzero int exponent)
 
 
+def _atoms_key(d: int, counts: dict) -> AtomsKey:
+    """The atoms key of ``counts``, (weight, offset, h_weight) numerators over
+    d -> exponent.  Over one d the numerators sort as the atoms do, so the
+    key is sorted in integers and each atom is the one ``GammaAtom.over``."""
+    return tuple((GammaAtom.over(d, *parts), exp) for parts, exp in sorted(counts.items()))
+
+
 def _merge_atoms(a: AtomsKey, b: AtomsKey) -> AtomsKey:
     if not a:
         return b

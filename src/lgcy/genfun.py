@@ -25,6 +25,7 @@ from .exactalg import (
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
+    _atoms_key,
     _linear_product,
     gamma_shift_product,
 )
@@ -247,28 +248,28 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 class IndexTerm(NamedTuple):
     """One index (k0, k) with k0 + sum(k) <= T and the integers it carries.
 
-    degs = (k0,) + k; base = prod_s g_s^{k_s}.  comb and offset are the
-    side's combinatorial factor and I z-power: 1/(k0! prod_s k_s!) and
-    1 - k0 - sum k on X, 1/prod_s k_s! and 1 - sum k on Y.  r_j = k0 c_j / d
-    + a(k)^j and v_j = k0 c_j / d - a(k)^j are carried as their integer
-    numerators over d: r_num and v_num.  shift = sum_s (age(g_s) - 1) k_s is
-    the H z-power and age the age of ``sector``; both are None on a non-SL
-    pair, whose z-grading ``_require_sl_ages`` refuses.  ``sector``
-    and ``ring`` are the index's sector on the table's side and the ring of
-    its coefficients there.
+    degs = (k0,) + k.  base, the exponent tuple of prod_s g_s^{k_s}, and
+    sector, that of the index's sector on the table's side, are reduced
+    mod d/c_j.  comb and offset are the side's combinatorial factor and I
+    z-power: 1/(k0! prod_s k_s!) and 1 - k0 - sum k on X, 1/prod_s k_s! and
+    1 - sum k on Y.  r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d - a(k)^j
+    are carried as their integer numerators over d: r_num and v_num.
+    shift = sum_s (age(g_s) - 1) k_s is the H z-power and age the age of
+    ``sector``; both are None on a non-SL pair, whose z-grading
+    ``_require_sl_ages`` refuses.  ``ring`` is the ring of the index's
+    coefficients on the table's side.
     """
 
     k0: int
-    k: tuple[int, ...]
     degs: tuple[int, ...]
-    base: GroupElement
+    base: tuple[int, ...]
     comb: Fraction
     offset: int
     r_num: tuple[int, ...]
     v_num: tuple[int, ...]
     shift: int | None
     age: int | None
-    sector: GroupElement
+    sector: tuple[int, ...]
     ring: SeriesRing
 
 
@@ -295,14 +296,13 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     and, in the last column, d shift.
 
     This is the one place that computes an index's integers; the walks read
-    them.  The table shares one ``GroupElement`` per reduced exponent
-    tuple, one comb per factorial and one age per sector.  The last table
-    is kept per (pair object, orders, side); what each walk derives from it
-    (atoms, products, Gamma shifts) stays per walk.
+    them.  Sectors and bases are exponent tuples, and the table shares one
+    comb per factorial.  The last table is kept per (pair object, orders,
+    side); what each walk derives from it (atoms, products, Gamma shifts)
+    stays per walk.
     """
     sectors = pair.positive_dim_sectors()
-    fermat = pair.fermat
-    weights, d, exponents = fermat.weights, fermat.degree, fermat.exponents
+    weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
     graded = pair.is_sl
     # the sector j^(+-k0) base is the reduction of sums +- k0 j
     step = pair.grading.exps if side == "x" else tuple(-e for e in pair.grading.exps)
@@ -310,34 +310,18 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     # read the exponent sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
-    elements: dict = {}    # reduced exponents -> the one element
-    by_sector: dict = {}   # sector exponents -> (element, ring, age), None if skipped
     combs: dict = {}       # factorial -> its inverse
     table = []
-
-    def element(exps):
-        found = elements.get(exps)
-        if found is None:
-            found = elements[exps] = GroupElement._unchecked(fermat, exps)
-        return found
-
     for total in range(orders.t_order + 1):
         for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
-            exps = tuple([(s + k0 * e) % m for s, e, m in zip(sums, step, exponents)])
-            found = by_sector.get(exps, False)
-            if found is False:
-                # a Y index on a sector with N_g = 0 is skipped before any element
-                nilpotency = 1 if side == "x" else exps.count(0)
-                found = None
-                if nilpotency:
-                    age = sum(e * c for e, c in zip(exps, weights)) // d if graded else None
-                    found = (element(exps), SeriesRing(d, orders.lam_order, nilpotency), age)
-                by_sector[exps] = found
-            if found is None:
-                continue
-            sector, ring, age = found
-            base = element(tuple([s % m for s, m in zip(sums, exponents)]))
+            sector = tuple([(s + k0 * e) % m for s, e, m in zip(sums, step, exponents)])
+            nilpotency = 1 if side == "x" else sector.count(0)
+            if not nilpotency:
+                continue   # a Y index on a sector with N_g = 0, skipped before its base
+            ring = SeriesRing(d, orders.lam_order, nilpotency)
+            age = sum(e * c for e, c in zip(sector, weights)) // d if graded else None
+            base = tuple([s % m for s, m in zip(sums, exponents)])
             r_num = tuple([(k0 + s) * cj for s, cj in zip(sums, weights)])
             v_num = tuple([(k0 - s) * cj for s, cj in zip(sums, weights)])
             if side == "x":
@@ -349,7 +333,7 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
             if comb is None:
                 comb = combs[fact] = Fraction(1, fact)
             shift = sums[-1] // d if graded else None
-            table.append(IndexTerm(k0, degs[1:], degs, base, comb, offset, r_num, v_num,
+            table.append(IndexTerm(k0, degs, base, comb, offset, r_num, v_num,
                                    shift, age, sector, ring))
     return tuple(table)
 
@@ -434,11 +418,11 @@ def _i_function(pair: LGPair, orders: Orders, side: str, product_of,
         value = scaled.get(scaled_key)
         if value is None:
             value = scaled[scaled_key] = product * comb
-        exps, degs = term.sector.exps, term.degs
+        sector, degs = term.sector, term.degs
         for z, coeff in value.terms.items():
             z += offset
             if z_min <= z <= z_max:
-                terms[(exps, z, degs)] = coeff
+                terms[(sector, z, degs)] = coeff
     variables, tokens = _index_signature(pair, variable)
     return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
 
@@ -519,13 +503,6 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # H-functions and the Gamma factorization
 # ---------------------------------------------------------------------------
 
-def _shared_atoms(d: int, counts: dict) -> tuple:
-    """The atoms key of ``counts``, (weight, offset, h_weight) numerators over
-    d -> exponent.  Over one d the numerators sort as the atoms do, so the
-    key is sorted in integers and each atom is the one ``GammaAtom.over``."""
-    return tuple((GammaAtom.over(d, *parts), exp) for parts, exp in sorted(counts.items()))
-
-
 def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
     """The Gamma atoms of H^X at one index.  They depend on r alone;
     ``memo`` keeps them per r for the span of one walk over the table."""
@@ -536,7 +513,7 @@ def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
         for cj, r in zip(pair.fermat.weights, term.r_num):
             parts = (cj * d, r, 0)
             counts[parts] = counts.get(parts, 0) - 1
-        atoms = memo[term.r_num] = _shared_atoms(d, counts)
+        atoms = memo[term.r_num] = _atoms_key(d, counts)
     return atoms
 
 
@@ -551,7 +528,7 @@ def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
         for cj, v in zip(pair.fermat.weights, term.v_num):
             parts = (0, -v, -cj * d)
             counts[parts] = counts.get(parts, 0) - 1
-        atoms = memo[key] = _shared_atoms(d, counts)
+        atoms = memo[key] = _atoms_key(d, counts)
     return atoms
 
 
@@ -586,7 +563,7 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
         value = values.get(key)
         if value is None:
             value = values[key] = _atom_value(ring, atoms, comb)
-        terms[(term.sector.exps, term.shift, term.degs)] = value
+        terms[(term.sector, term.shift, term.degs)] = value
     variables, tokens = _index_signature(pair, variable)
     return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
 
@@ -608,10 +585,10 @@ def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 def h_factorization(pair: LGPair, series: CohSeries, side: str):
     """Split an I-function as z^(1-Gr) GammaClass tau^(deg0/2) H and verify.
 
-    Returns (gamma_class_operator, h_series).  The verification pairs every
-    atom of the Gamma-class operator with an atom of H at an integer offset
-    gap, re-expands each ratio through the polynomial rewrite and insists
-    on an identically zero residual; the first bad coefficient is carried
+    Returns (Gamma-class atoms per sector, H).  The verification pairs every
+    atom of the Gamma class with an atom of H at an integer offset gap,
+    re-expands each ratio through the polynomial rewrite and insists on an
+    identically zero residual; the first bad coefficient is carried
     on the raised IdentityError.  The residual is formed once per (I product,
     Gamma-ratio blocks, z-offset) key, and a failing key names its first
     term's z and comb.  The stored I series is compared with comb times the
@@ -649,7 +626,7 @@ def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
     """
     z_min, z_max = series.orders.z_window
     ring, terms = product.ring, series.terms
-    sector, degs, offset = term.sector.exps, term.degs, term.offset
+    sector, degs, offset = term.sector, term.degs, term.offset
     cn, cd = term.comb.numerator, term.comb.denominator
     found = 0
     for z, value in product.terms.items():
@@ -691,7 +668,7 @@ def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple):
     one cell is compared with (atoms, comb) directly, in integers, with no
     closed-form value built."""
     z_min, z_max = h_series.orders.z_window
-    sector, shift, degs, comb = term.sector.exps, term.shift, term.degs, term.comb
+    sector, shift, degs, comb = term.sector, term.shift, term.degs, term.comb
     if not z_min <= shift <= z_max:
         return
     stored = h_series.terms.get((sector, shift, degs))
@@ -791,9 +768,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
 
     The I side is the index's product (``_i_x_product`` or ``_i_y_product``)
     on ``_wide_window``, so clamping cannot mask a residual, times comb
-    z^offset; the operator side is built from the Gamma-class operator
-    ``gamma`` and the H atoms alone: each Gamma/H atom ratio is re-expanded
-    by ``_gamma_ratio_blocks``, and I times the I block must equal
+    z^offset; the operator side is built from the Gamma-class atoms
+    ``gamma[sector]`` and the H atoms alone: each Gamma/H atom ratio is
+    re-expanded by ``_gamma_ratio_blocks``, and I times the I block must equal
     z^(1 - age) times the operator block and H's coefficient.
 
     Each term runs three checks, in this order:
@@ -830,7 +807,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     passed: set = set()
     memo: dict = {}
     for term in _index_terms(pair, i_series.orders, side):
-        sector = term.sector.exps
+        sector = term.sector
         atoms = atoms_of(pair, term, memo)
 
         product_key, product = product_of(pair, term, *window, i_products)
@@ -839,9 +816,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
 
         block_key = (sector, atoms)
         if block_key not in blocks:
-            [(_, entry)] = gamma.blocks[sector]
-            [(_, _, _, gamma_atoms)] = entry.terms
-            blocks[block_key] = _gamma_ratio_blocks(gamma_atoms, atoms, term.ring, window,
+            blocks[block_key] = _gamma_ratio_blocks(gamma[sector], atoms, term.ring, window,
                                                     sector, term.degs, shift_blocks)
         delta = term.shift + 1 - term.age - term.offset
         key = (product_key, block_key, delta)
@@ -866,22 +841,25 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
     It walks the X index table, whose shift is the z-power (age - 1) k and
     whose comb is 1/(m! k!); a pair with a non-integral age is refused.
+    Each sheet's sector is the table's base minus b j, reduced mod d/c_j in
+    integers, and its N_g the count of its zero exponents.
     """
     pair.require_cy()
     _require_sl_ages(pair)
-    d = pair.fermat.degree
+    d, exponents = pair.fermat.degree, pair.fermat.exponents
+    grading = pair.grading.exps
     terms: dict = {}
     atom_memo: dict = {}
     for term in _index_terms(pair, orders, "x"):
         atoms = _x_atoms(pair, term, atom_memo)
         for b in range(d):
-            sector = term.base * ((pair.grading ** b).inverse())
-            n_g = sector.fixed_dim()
+            sector = tuple([(e - b * j) % m for e, j, m in zip(term.base, grading, exponents)])
+            n_g = sector.count(0)
             if n_g == 0:
                 continue
             ring = SeriesRing(d, orders.lam_order, n_g)
-            terms[(sector.exps, term.shift, term.degs)] = \
-                ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * ring.scalar(term.comb)
+            terms[(sector, term.shift, term.degs)] = \
+                ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * term.comb
     variables, tokens = _index_signature(pair, "t")
     return CohSeries("y", pair, variables, orders, terms, tokens)
 

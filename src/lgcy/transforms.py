@@ -3,9 +3,10 @@
 A ``Transform`` is data: per input sector, a list of (output basis
 element, entry) with z-degree-zero entries; ``apply`` is linear and exact.
 The dressings that divide or truncate (``DeltaDiamond``, ``PullbackToZ``)
-are classes with an ``apply`` of their own.  Both ``Delta^c`` builders
-return a dict of entries per sector exponent vector, since the entries are
-not series at all: exponentials of s-linear forms for generic s
+are classes with an ``apply`` of their own.  The operators that are never
+applied return a dict of entries per sector exponent vector, since their
+entries are not series at all: the Gamma class as a sorted atoms key
+(``gamma_class_op``), exponentials of s-linear forms for generic s
 (``delta_c_generic``), and entries carrying rational lam-exponents, which
 never enter a CohSeries untested, at the euler specializations
 (``delta_c_specialized``).
@@ -19,9 +20,9 @@ from math import comb, factorial, gcd, lcm, perm
 
 from .exactalg import (
     ExactDivisionError,
-    GammaAtom,
     SectorValue,
     SeriesRing,
+    _atoms_key,
     _bernoulli_at,
     _rational_parts,
     divide_by_lambda_plus_h,
@@ -224,38 +225,27 @@ def u_bar(pair: LGPair, lam_order: int) -> Transform:
     return Transform(pair, "x", "y", blocks, name="u_bar")
 
 
-def gamma_class_op(pair: LGPair, side: str) -> Transform:
-    """Diagonal Gamma-class: atom-valued entries, never evaluated.
+def gamma_class_op(pair: LGPair, side: str) -> dict:
+    """The diagonal Gamma class as atoms, never evaluated: sector exps -> its
+    sorted atoms key.
 
-    X side: prod_j Gamma(1 - m_j(g) - c_j beta).  Y side additionally
-    Gamma(1 - d(lam+H)/tau), with the per-j atoms carrying H.
+    X side: prod_j Gamma(1 - m_j(g) - c_j beta), on every sector.  Y side
+    additionally Gamma(1 - d(lam+H)/tau), with the per-j atoms carrying H,
+    on the sectors with N_g > 0 only.
     """
+    if side not in ("x", "y"):
+        raise ValueError("side must be 'x' or 'y'")
     d = pair.fermat.degree
-    blocks = {}
+    entries = {}
     for g in pair.group.elements:
-        if side == "x":
-            ring = SeriesRing(d, 0, 1)
-            atoms: dict[GammaAtom, int] = {}
-            for j, cj in enumerate(pair.fermat.weights):
-                atom = GammaAtom.over(d, cj * d, g.exps[j] * cj)
-                atoms[atom] = atoms.get(atom, 0) + 1
-            value = ring.monomial(atoms=tuple(sorted(atoms.items())))
-            blocks[g.exps] = ((SectorBasisElement("x", g), value),)
-        elif side == "y":
-            n_g = g.fixed_dim()
-            if n_g == 0:
-                blocks[g.exps] = ()
-                continue
-            ring = SeriesRing(d, 0, n_g)
-            atoms = {GammaAtom.over(d, d * d, 0, d * d): 1}
-            for j, cj in enumerate(pair.fermat.weights):
-                atom = GammaAtom.over(d, 0, g.exps[j] * cj, -cj * d)
-                atoms[atom] = atoms.get(atom, 0) + 1
-            value = ring.monomial(atoms=tuple(sorted(atoms.items())))
-            blocks[g.exps] = ((SectorBasisElement("y", g), value),)
-        else:
-            raise ValueError("side must be 'x' or 'y'")
-    return Transform(pair, side, side, blocks, name=f"gamma_class_{side}")
+        if side == "y" and not g.fixed_dim():
+            continue
+        counts: dict = {(d * d, 0, d * d): 1} if side == "y" else {}
+        for e, cj in zip(g.exps, pair.fermat.weights):
+            parts = (cj * d, e * cj, 0) if side == "x" else (0, e * cj, -cj * d)
+            counts[parts] = counts.get(parts, 0) + 1
+        entries[g.exps] = _atoms_key(d, counts)
+    return entries
 
 
 class PullbackToZ:

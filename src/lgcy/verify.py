@@ -494,9 +494,8 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
     so the (lam+H)-division keeps the lam^0 H^(N_g-1) survivors in its
     trusted range, and the check refuses to pass without any survivor.
     """
-    n_max = max(g.fixed_dim() for g in pair.group.elements)
     work = Orders(t_order=orders.t_order,
-                  lam_order=max(orders.lam_order, n_max) + 1,
+                  lam_order=_UBAR_LAM_ORDERS["kernel-compatibility"](pair, orders),
                   z_min=orders.z_window[0] - 1, z_max=orders.z_window[1] + 1)
 
     def body():
@@ -555,6 +554,16 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
 # the batch surface
 # ---------------------------------------------------------------------------
 
+# The lam-order each check that builds Ubar blocks works at, from the orders
+# ``run_checks`` hands it: kernel-compatibility's is one above the larger of
+# those and the largest sector nilpotency.
+_UBAR_LAM_ORDERS = {
+    "continuation": lambda pair, orders: orders.lam_order,
+    "rctc-structure": lambda pair, orders: max(orders.lam_order, 6),
+    "kernel-compatibility": lambda pair, orders: max(
+        orders.lam_order, max(g.fixed_dim() for g in pair.group.elements)) + 1,
+}
+
 # Every check by name, in report order, at the orders ``run_checks`` runs it
 # at.  Each entry looks its check up in this module when it is called, so a
 # wrapper installed on ``verify.check_*`` also sees the calls made from here.
@@ -568,7 +577,8 @@ CHECKS = {
     "gamma-factorization": lambda pair, orders: check_gamma_factorization(pair, orders),
     "continuation": lambda pair, orders: check_continuation(pair, orders),
     "rctc-structure":
-        lambda pair, orders: check_rctc_conditions(pair, max(orders.lam_order, 6)),
+        lambda pair, orders: check_rctc_conditions(
+            pair, _UBAR_LAM_ORDERS["rctc-structure"](pair, orders)),
     "fjrw-pipeline": lambda pair, orders: check_fjrw_pipeline(pair, orders),
     "kernel-compatibility": lambda pair, orders: check_kernel_compatibility(pair, orders),
     "residue-lemma": lambda pair, orders: check_residue_lemma(pair),
@@ -582,34 +592,44 @@ _J_WALK_CHECKS = ("oracle-equivalence", "mlk-untwisted")
 _INDEX_WALK_CHECKS = ("gamma-factorization", "continuation", "fjrw-pipeline",
                       "kernel-compatibility")
 
-# The largest walk a run may start.  It admits every shipped pair at T = 10
+# The largest work a run may start.  It admits every shipped pair at T = 10
 # (the quartic's J walk, 43,758 multidegrees, is the largest) and refuses
-# (1,1,1,1; 4) with its maximal SL group at T = 4 (814,385 multidegrees).
+# (1,1,1,1; 4) with its maximal SL group at T = 4 (814,385 multidegrees);
+# it admits the quintic's Ubar blocks up to lam-order 52.
 WORK_BOUND = 100_000
 
 
-def work_estimate(pair: LGPair, orders: Orders, names) -> int:
-    """The number of terms of the largest walk the named checks make at
-    ``orders``, counted before anything is built: C(|G| + T, T) multidegrees
-    for a J check, C(1 + P + T, T) indices for an I/H check, with P the
-    number of positive-dimensional sectors.  0 when no named check walks."""
+def _work(pair: LGPair, orders: Orders, names) -> list[tuple[int, str]]:
+    """(count, what would be done) of each walk the named checks start at
+    ``orders``, counted before anything is built: C(|G| + T, T)
+    multidegrees for a J check, C(1 + P + T, T) indices for an I/H check,
+    with P the number of positive-dimensional sectors, and, for a check that
+    builds Ubar blocks at lam-order L, about (d - 1) C(L + 2, 3) coefficient
+    products in the d - 1 inversions of their line series, which grow as L^3
+    whatever T is."""
     t = orders.t_order
-    counts = [0]
-    if any(name in _J_WALK_CHECKS for name in names):
-        counts.append(comb(len(pair.group) + t, t))
-    if any(name in _INDEX_WALK_CHECKS for name in names):
-        counts.append(comb(1 + len(pair.positive_dim_sectors()) + t, t))
-    return max(counts)
+    walks = [comb(len(pair.group) + t, t)] if set(names) & set(_J_WALK_CHECKS) else []
+    if set(names) & set(_INDEX_WALK_CHECKS):
+        walks.append(comb(1 + len(pair.positive_dim_sectors()) + t, t))
+    work = [(n, f"walk {n:,} terms at T = {t}") for n in walks]
+    for lam in {_UBAR_LAM_ORDERS[name](pair, orders) for name in names if name in _UBAR_LAM_ORDERS}:
+        n = (pair.fermat.degree - 1) * comb(lam + 2, 3)
+        work.append((n, f"form {n:,} coefficient products at lambda-order {lam}"))
+    return work
+
+
+def work_estimate(pair: LGPair, orders: Orders, names) -> int:
+    """The largest count of ``_work``; 0 when the named checks make none."""
+    return max(_work(pair, orders, names), default=(0,))[0]
 
 
 def require_bounded(pair: LGPair, orders: Orders, names,
                     subject: str = "the checks") -> None:
-    """Raise ValueError, naming ``subject``, when the walks of the named
-    checks at ``orders`` exceed ``WORK_BOUND``."""
-    estimate = work_estimate(pair, orders, names)
-    if estimate > WORK_BOUND:
-        raise ValueError(f"{subject} would walk {estimate:,} terms at T = "
-                         f"{orders.t_order}, above the bound of {WORK_BOUND:,}")
+    """Raise ValueError, naming ``subject`` and the count, when the largest
+    work of the named checks at ``orders`` exceeds ``WORK_BOUND``."""
+    count, what = max(_work(pair, orders, names), default=(0, ""))
+    if count > WORK_BOUND:
+        raise ValueError(f"{subject} would {what}, above the bound of {WORK_BOUND:,}")
 
 
 def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
@@ -634,8 +654,11 @@ def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     require_bounded(pair, Orders(t_order=max(small.t_order, 4), lam_order=0),
                     ALL_CHECKS)
     wide = recommended_orders(pair, small.t_order, small.lam_order)
-    oracle = untwisted_j_oracle(pair, 0, small)
-    key_oracle = sorted(oracle.terms)[len(oracle.terms) // 2]
+    # the mlk-untwisted fault goes on the first key from the middle on that a
+    # z d/dt sees (``_has_derivative``); at T = 0 there is none
+    keys = sorted(untwisted_j_oracle(pair, 0, small).terms)
+    key_oracle = next((key for key in keys[len(keys) // 2:] if key[1] < small.z_window[1]
+                       and any(key[2])), keys[len(keys) // 2])
     key_first = sorted(untwisted_j_oracle(pair, 0, Orders(t_order=4, lam_order=0)).terms)[0]
     ix = i_function_x(pair, wide)
     _, hx = h_factorization(pair, ix, "x")

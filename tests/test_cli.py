@@ -275,6 +275,32 @@ def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("check, t_order, count, lam_order", [
+    ("rctc-structure", 2, "2,782,080", 160),
+    ("continuation", 4, "2,782,080", 160),
+    ("kernel-compatibility", 2, "2,834,244", 161)])
+def test_verify_refuses_a_lambda_order_above_the_work_bound(capsys, monkeypatch, check,
+                                                            t_order, count, lam_order):
+    """The checks that build Ubar blocks make about (d - 1) C(L + 2, 3)
+    coefficient products at the lam-order L they work at (kernel-compatibility
+    one above the run's): on the quintic at --lambda-order 160 that is
+    refused with exit 2 and the count before any check runs, while the
+    I-function at the same orders is still built."""
+    from lgcy import verify
+
+    def no_check(*_):
+        raise AssertionError("a check ran above the work bound")
+
+    orders = ("--T", str(t_order), "--lambda-order", "160")
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    code, out, err = run_cli(capsys, "verify", "--pair", "quintic", "--checks", check, *orders)
+    assert code == 2
+    assert f"{count} coefficient products at lambda-order {lam_order}" in err
+    assert "100,000" in err and out == ""
+    code, out, _ = run_cli(capsys, "ifun", "--pair", "quintic", "--side", "lg", *orders)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("side", ["lg", "cy", "fjrw"])
 def test_ifun_refuses_a_walk_above_the_work_bound(capsys, monkeypatch, side):
     """The quartic's index table at T = 40 has C(44, 4) = 135,751 entries:

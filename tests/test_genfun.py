@@ -539,6 +539,7 @@ def test_h_factorization_both_sides(pair):
     op_y, hy = h_factorization(pair, i_function_y(pair, orders), "y")
     assert hx.tokens == ((TOKEN_T_LAMBDA, 1),)
     assert hy.tokens == ((TOKEN_Q_H, 1),)
+    assert op_x == gamma_class_op(pair, "x") and op_y == gamma_class_op(pair, "y")
 
 
 def test_h_function_x_atom_example():
@@ -589,7 +590,8 @@ def test_non_integral_ages_refused_by_every_h_builder():
             table = _index_terms(non_sl, orders, side)
             assert all(term.shift is None and term.age is None for term in table)
             if t_order == 0:
-                assert table and all(term.sector.age().denominator == 1 for term in table)
+                assert table and all(GroupElement(non_sl.fermat, term.sector).age().denominator
+                                     == 1 for term in table)
         series = {"x": i_function_x(non_sl, orders), "y": i_function_y(non_sl, orders)}
         assert series["x"].terms and series["y"].terms
         for build in (h_function_x, h_function_y, h_continued):
@@ -634,7 +636,7 @@ def _repeated_index(pair, side):
     products = {}
     return _first_repeated(
         _index_terms(pair, orders, side),
-        lambda term: (term.sector.exps, product_of(pair, term, *window, products)[0])).degs
+        lambda term: (term.sector, product_of(pair, term, *window, products)[0])).degs
 
 
 def _doubled_rewrite(monkeypatch, pair, side):
@@ -679,7 +681,7 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
         return (term.ring.nilpotency, term.k0, term.v_num)
 
     target = _first_repeated(_index_terms(p, orders, side), key_of)
-    sector = target.sector.exps
+    sector = target.sector
     series = (i_function_x if side == "x" else i_function_y)(p, orders)
     key = next(k for k in sorted(series.terms)
                if k[0] == sector and k[2] == target.degs)
@@ -717,7 +719,7 @@ def _assert_reused_h_term_tamper_fails(side, tamper):
         target = _first_repeated(table, lambda term: (term.k0, term.v_num))
         i_series, h_series = i_function_y(p, orders), h_function_y(p, orders)
     gamma = gamma_class_op(p, side)
-    sector = target.sector.exps
+    sector = target.sector
     key = next(k for k in sorted(h_series.terms)
                if k[0] == sector and k[2] == target.degs)
     broken = h_series._replace_terms({**h_series.terms, key: tamper(h_series.terms[key])})
@@ -813,32 +815,30 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
     products, blocks, memo = {}, {}, {}
     for term in genfun._index_terms(pair, i_series.orders, side):
         sector, ring = term.sector, term.ring
-        age = int(sector.age())
+        age = int(GroupElement(pair.fermat, sector).age())
         shift, scale = term.shift, term.comb
         atoms = atoms_of(pair, term, memo)
         _, product = product_of(pair, term, *window, products)
         i_value = _i_value(product, scale, term.offset)
-        stored = {z: i_series.terms[sector.exps, z, term.degs]
+        stored = {z: i_series.terms[sector, z, term.degs]
                   for z in range(z_min, z_max + 1)
-                  if (sector.exps, z, term.degs) in i_series.terms}
+                  if (sector, z, term.degs) in i_series.terms}
         clamped = {z: v for z, v in i_value.terms.items() if z_min <= z <= z_max}
         if stored != clamped:
             raise IdentityError(f"I^{side.upper()}: stored series is not the declared clamp",
-                                {"sector": list(sector.exps), "degree": list(term.degs)})
-        if z_min <= shift <= z_max and h_series.coefficient(sector.exps, shift, term.degs) \
+                                {"sector": list(sector), "degree": list(term.degs)})
+        if z_min <= shift <= z_max and h_series.coefficient(sector, shift, term.degs) \
                 != genfun._atom_value(ring, atoms, scale):
             raise IdentityError("H-function term disagrees with its closed form",
-                                {"sector": list(sector.exps), "degree": list(term.degs)})
-        key = (sector.exps, atoms)
+                                {"sector": list(sector), "degree": list(term.degs)})
+        key = (sector, atoms)
         if key not in blocks:
-            [(_, entry)] = gamma.blocks[sector.exps]
-            [(_, _, _, gamma_atoms)] = entry.terms
-            blocks[key] = genfun._gamma_ratio_blocks(gamma_atoms, atoms, ring, window,
-                                                     sector.exps, term.degs, {})
+            blocks[key] = genfun._gamma_ratio_blocks(gamma[sector], atoms, ring, window,
+                                                     sector, term.degs, {})
         i_block, block = blocks[key]
         lhs = i_value if i_block is None else i_value * i_block
         rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
-        _assert_no_term_residual(lhs, rhs, side.upper(), sector.exps, term.degs)
+        _assert_no_term_residual(lhs, rhs, side.upper(), sector, term.degs)
 
 
 def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
@@ -998,16 +998,15 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
     seen, memo, outcomes = set(), {}, set()
     for term in _index_terms(pair, orders, side):
         atoms = atoms_of(pair, term, memo)
-        if (term.sector.exps, atoms) in seen:
+        if (term.sector, atoms) in seen:
             continue
-        seen.add((term.sector.exps, atoms))
-        [(_, entry)] = gamma.blocks[term.sector.exps]
-        [(_, _, _, gamma_atoms)] = entry.terms
+        seen.add((term.sector, atoms))
+        gamma_atoms = gamma[term.sector]
         (atom, exp), *rest = atoms
         for moved in (F(0), F(1), F(1, 2)):
             h_atoms = tuple(sorted([(GammaAtom(atom.weight, atom.offset + moved,
                                                atom.h_weight), exp)] + rest))
-            args = (gamma_atoms, h_atoms, term.ring, window, term.sector.exps, term.degs)
+            args = (gamma_atoms, h_atoms, term.ring, window, term.sector, term.degs)
             expected = outcome(_fraction_ratio_blocks, *args)
             assert outcome(genfun._gamma_ratio_blocks, *args, {}) == expected
             outcomes.add(isinstance(expected[1], ZLaurentSeries))
@@ -1055,10 +1054,10 @@ def _public_route(pair, orders, side, kind):
                                    {z + term.offset: coeff * term.comb
                                     for z, coeff in product.terms.items()})
             for z, coeff in value.terms.items():
-                terms[(term.sector.exps, z, term.degs)] = coeff
+                terms[(term.sector, z, term.degs)] = coeff
         else:
             atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
-            terms[(term.sector.exps, term.shift, term.degs)] = \
+            terms[(term.sector, term.shift, term.degs)] = \
                 genfun._atom_value(term.ring, atoms_of(pair, term, memo), term.comb)
     variable = "t" if side == "x" else "q^(1/d)"
     token = TOKEN_T_LAMBDA if side == "x" else TOKEN_Q_H
@@ -1166,14 +1165,15 @@ def test_index_table_integers_match_the_fraction_formulas(pair, side):
     sectors = pair.positive_dim_sectors()
     table = _index_terms(pair, recommended_orders(pair, 3, 2), side)
     for term in table:
-        shift = sum((g.age() - 1) * k for g, k in zip(sectors, term.k))
-        comb = F(1, math.prod(math.factorial(k) for k in term.k))
-        offset = 1 - sum(term.k)
+        k = term.degs[1:]
+        shift = sum((g.age() - 1) * k_s for g, k_s in zip(sectors, k))
+        comb = F(1, math.prod(math.factorial(k_s) for k_s in k))
+        offset = 1 - sum(k)
         if side == "x":
             comb /= math.factorial(term.k0)
             offset -= term.k0
         assert (term.shift, term.age, term.comb, term.offset) == \
-            (shift, term.sector.age(), comb, offset)
+            (shift, GroupElement(pair.fermat, term.sector).age(), comb, offset)
         assert type(term.shift) is int and type(term.age) is int
     assert any(term.shift != 0 for term in table)
 
@@ -1182,8 +1182,8 @@ def test_index_table_integers_match_the_fraction_formulas(pair, side):
 @pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
 def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
     """Each index lives on j^(+-k0) base, the product formed here in group
-    elements, and the Y table skips exactly the indices whose sector has
-    N_g = 0."""
+    elements from the table's exponent tuples, and the Y table skips exactly
+    the indices whose sector has N_g = 0."""
     orders = recommended_orders(pair, 3, 2)
     sectors = pair.positive_dim_sectors()
     expected = []
@@ -1197,12 +1197,68 @@ def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
             if side == "x" or sector.fixed_dim():
                 expected.append((degs, base, sector))
     table = _index_terms(pair, orders, side)
-    assert [(term.degs, term.base, term.sector) for term in table] == expected
-    assert all(term.ring.nilpotency == (1 if side == "x" else term.sector.fixed_dim())
+    assert all(type(term.base) is tuple and type(term.sector) is tuple for term in table)
+    assert [(term.degs, GroupElement(pair.fermat, term.base),
+             GroupElement(pair.fermat, term.sector)) for term in table] == expected
+    assert all(term.ring.nilpotency
+               == (1 if side == "x" else GroupElement(pair.fermat, term.sector).fixed_dim())
                for term in table)
     if side == "y":
         assert len(expected) < sum(1 for total in range(orders.t_order + 1)
                                    for _ in _compositions(len(sectors) + 1, total))
+
+
+# -- the Gamma class as atoms ----------------------------------------------------------
+
+def _transform_gamma_class(pair, side):
+    """The Gamma class built as a ``Transform``: per sector one atom-valued
+    ``SectorValue`` monomial on the ``SectorBasisElement`` of that sector,
+    and an empty block on a Y sector with N_g = 0."""
+    d = pair.fermat.degree
+    blocks = {}
+    for g in pair.group.elements:
+        if side == "x":
+            ring = SeriesRing(d, 0, 1)
+            atoms = {}
+            for j, cj in enumerate(pair.fermat.weights):
+                atom = GammaAtom.over(d, cj * d, g.exps[j] * cj)
+                atoms[atom] = atoms.get(atom, 0) + 1
+        else:
+            n_g = g.fixed_dim()
+            if n_g == 0:
+                blocks[g.exps] = ()
+                continue
+            ring = SeriesRing(d, 0, n_g)
+            atoms = {GammaAtom.over(d, d * d, 0, d * d): 1}
+            for j, cj in enumerate(pair.fermat.weights):
+                atom = GammaAtom.over(d, 0, g.exps[j] * cj, -cj * d)
+                atoms[atom] = atoms.get(atom, 0) + 1
+        value = ring.monomial(atoms=tuple(sorted(atoms.items())))
+        blocks[g.exps] = ((SectorBasisElement(side, g), value),)
+    return Transform(pair, side, side, blocks, name=f"gamma_class_{side}")
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
+def test_gamma_class_atoms_match_the_transform_route(pair, side):
+    """``gamma_class_op`` gives, sector by sector, the atoms of the unit
+    monomial that the ``Transform`` route puts on the same sector, and no
+    entry where that route's block is empty."""
+    expected = {}
+    for exps, block in _transform_gamma_class(pair, side).blocks.items():
+        if not block:
+            continue
+        [(element, entry)] = block
+        [((lam, h, tau, atoms), coeff)] = entry.terms.items()
+        assert element.g.exps == exps and (lam, h, tau) == (0, 0, 0)
+        assert coeff == Cyclotomic.from_rational(pair.fermat.degree, 1)
+        expected[exps] = atoms
+    gamma = gamma_class_op(pair, side)
+    assert gamma == expected
+    assert len(gamma) == (len(pair.group) if side == "x" else
+                          sum(1 for g in pair.group.elements if g.fixed_dim()))
+    with pytest.raises(ValueError, match="side must be"):
+        gamma_class_op(pair, "z")
 
 
 # -- the continued series -------------------------------------------------------------

@@ -396,13 +396,9 @@ def test_transform_linearity_random():
 
 def test_gamma_class_op_entries():
     q = quintic()
-    [(element, entry)] = gamma_class_op(q, "x").blocks[(0,) * 5]
-    [(mono, _)] = list(entry.terms.items())
-    [(atom, exponent)] = mono[3]
+    [(atom, exponent)] = gamma_class_op(q, "x")[(0,) * 5]
     assert exponent == 5 and atom.weight == 1 and atom.offset == 0
-    [(element, entry)] = gamma_class_op(q, "y").blocks[(0,) * 5]
-    [(mono, _)] = list(entry.terms.items())
-    atoms = dict(mono[3])
+    atoms = dict(gamma_class_op(q, "y")[(0,) * 5])
     fiber = [a for a in atoms if a.weight == 5]
     assert len(fiber) == 1 and atoms[fiber[0]] == 1
 

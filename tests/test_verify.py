@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import time
 
@@ -17,7 +18,7 @@ from lgcy.genfun import (
     untwisted_j_oracle,
     z_ddt_distinguished,
 )
-from lgcy.lgmodel import LGPair
+from lgcy.lgmodel import LGPair, load_pair
 from lgcy.transforms import Transform, u_bar
 from lgcy.verify import (
     ALL_CHECKS,
@@ -391,6 +392,25 @@ def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
         assert report.witness.get("kind") != "orders", (t_order, report.check)
 
 
+@pytest.mark.parametrize("lam_order", [1, 2])
+@pytest.mark.parametrize("t_order", [2, 3, 4, 5])
+def test_self_test_puts_the_mlk_fault_where_a_derivative_sees_it(t_order, lam_order):
+    """On (1,1; 2) the middle key of the oracle J at T 2 and 3 is the
+    t-constant unit, which no z d/dt reads; the self-test moves its
+    mlk-untwisted fault to the next key a derivative sees, so every fault
+    is detected."""
+    pair = load_pair({"weights": [1, 1], "degree": 2})
+    orders = Orders(t_order=t_order, lam_order=lam_order)
+    if t_order <= 3:
+        keys = sorted(untwisted_j_oracle(pair, 0, orders).terms)
+        assert not any(keys[len(keys) // 2][2])
+    reports = self_test(pair, orders)
+    assert len(reports) == len(ALL_CHECKS)
+    for report in reports:
+        assert not report.ok(), (t_order, report.check)
+        assert report.witness.get("kind") != "orders", (t_order, report.check)
+
+
 # -- witness kinds reached by an injected fault ------------------------------------
 
 SHIPPED = [quintic(), cubic(), quartic(), sextic()]
@@ -532,6 +552,23 @@ def test_work_estimate_counts_the_walks():
     assert verify.work_estimate(q, orders, ["gamma-factorization"]) == 70
     assert verify.work_estimate(q, orders, ["residue-lemma"]) == 0
     assert verify.work_estimate(q, orders, ALL_CHECKS) == 495
+
+
+def test_work_estimate_counts_the_ubar_line_products():
+    """A check that builds Ubar blocks at lam-order L counts (d - 1)
+    C(L + 2, 3) coefficient products, at the lam-order it works at: the
+    quintic's rctc-structure is admitted up to lam-order 52."""
+    q = quintic()   # d = 5, largest nilpotency 5
+    assert verify.work_estimate(q, Orders(t_order=0, lam_order=4), ["continuation"]) == \
+        4 * math.comb(6, 3)
+    assert verify.work_estimate(q, Orders(t_order=0, lam_order=4), ["rctc-structure"]) == \
+        4 * math.comb(8, 3)
+    assert verify.work_estimate(q, Orders(t_order=0, lam_order=4),
+                                ["kernel-compatibility"]) == 4 * math.comb(8, 3)
+    assert verify.work_estimate(q, Orders(t_order=0, lam_order=52),
+                                ["rctc-structure"]) == 99_216 <= verify.WORK_BOUND
+    with pytest.raises(ValueError, match="104,940 coefficient products at lambda-order 53"):
+        verify.require_bounded(q, Orders(t_order=0, lam_order=53), ["rctc-structure"])
 
 
 def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
