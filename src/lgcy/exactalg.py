@@ -178,7 +178,7 @@ class Cyclotomic:
             if den < 0:
                 g = -g
             if g != 1:
-                nums = tuple(x // g for x in nums)
+                nums = tuple([x // g for x in nums])
                 den //= g
         value = object.__new__(cls)
         setattr_ = object.__setattr__
@@ -546,18 +546,17 @@ class SectorValue:
             if coeff.is_zero():
                 continue
             clean[(lam, h, tau, atoms)] = coeff
-        self._store(ring, clean)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _unchecked(cls, ring: SeriesRing, terms: dict) -> "SectorValue":
         """A value whose terms are already truncated, coerced and nonzero."""
         value = object.__new__(cls)
-        value._store(ring, terms)
+        setattr_ = object.__setattr__
+        setattr_(value, "ring", ring)
+        setattr_(value, "terms", terms)
         return value
-
-    def _store(self, ring: SeriesRing, terms: dict) -> None:
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("SectorValue is immutable")
@@ -792,26 +791,49 @@ def series_invert(x: SectorValue) -> SectorValue:
     The constant term must be a nonzero cyclotomic and every other monomial
     must have positive (lam, H)-degree; geometric-sum callers that hold a
     zero constant term get a NonUnitError and must expand by hand.
+
+    y is solved degree by degree in (lam, H): with x_n and y_n the parts of
+    total degree n, y_0 = 1 / x_0 and y_n = -y_0 sum_{k=1..n} x_k y_{n-k},
+    one product of two monomials per pair of cells.
     """
     const = x.constant_term()
     if const.is_zero():
         raise NonUnitError("series_invert: zero constant term")
-    for (lam, h, tau, atoms) in x.terms:
+    ring = x.ring
+    x_parts: list = [[] for _ in range(ring.lam_order + 1)]
+    for key, coeff in x.terms.items():
+        lam, h, tau, atoms = key
         if atoms:
             raise NonUnitError("cannot invert Gamma atoms")
-        if lam + h == 0 and (lam, h, tau, atoms) != (0, 0, 0, ()):
-            raise NonUnitError("non-nilpotent correction term")
+        if lam + h == 0:
+            if key != (0, 0, 0, ()):
+                raise NonUnitError("non-nilpotent correction term")
+            continue
+        x_parts[lam + h].append((lam, h, tau, coeff))
     inv_const = const.inverse()
-    nil = (x * inv_const) - 1
-    result = x.ring.one()
-    power = x.ring.one()
-    bound = x.ring.lam_order + x.ring.nilpotency
-    for k in range(1, bound + 1):
-        power = power * nil
-        if power.is_zero():
-            break
-        result = result + power if k % 2 == 0 else result - power
-    return result * inv_const
+    nilpotency = ring.nilpotency
+    terms = {(0, 0, 0, ()): inv_const}
+    y_parts = [[(0, 0, 0, inv_const)]]
+    for n in range(1, ring.lam_order + 1):
+        total: dict = {}
+        for k in range(1, n + 1):
+            for l1, h1, t1, c1 in x_parts[k]:
+                for l2, h2, t2, c2 in y_parts[n - k]:
+                    h = h1 + h2
+                    if h >= nilpotency:
+                        continue
+                    key = (l1 + l2, h, t1 + t2)
+                    prod = c1 * c2
+                    prev = total.get(key)
+                    total[key] = prod if prev is None else prev + prod
+        part = []
+        for (lam, h, tau), coeff in total.items():
+            if not coeff.is_zero():
+                coeff = -(coeff * inv_const)
+                part.append((lam, h, tau, coeff))
+                terms[(lam, h, tau, ())] = coeff
+        y_parts.append(part)
+    return SectorValue._unchecked(ring, terms)
 
 
 def divide_by_lambda_plus_h(x: SectorValue) -> tuple[SectorValue, int]:
@@ -1054,24 +1076,26 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
 def gamma_shift_product(shifts, ring: SeriesRing, z_min: int,
                         z_max: int) -> ZLaurentSeries:
     """z^(-sum steps) prod over ``shifts`` of prod_{l<steps} (x - l*z), with
-    x = -lam_weight*lam - h_weight*H - base*z for each entry (lam_weight,
-    h_weight, base, steps).
+    x = -(weight*lam + h_weight*H + base*z) / q for each entry of integers
+    (q, weight, h_weight, base, steps), q > 0 and steps >= 0.
 
     This is the only rewrite connecting Gamma atoms whose offsets differ by
     integers: after undoing the z-grading conjugation, Gamma(1 - L - base) /
     Gamma(1 - L - base - steps) is one entry's z^-steps prod, so a block of
     such ratios is one call; the empty list gives 1.  Each entry's factors
-    go to one ``_linear_product`` over the common denominator of its three
-    weights, and z^-1 as the inverse factor (0 H + 1 z)^-1.
+    go to one ``_linear_product`` over q as they are, and z^-1 as the
+    inverse factor (0 H + 1 z)^-1.  Any other entry raises.
     """
     linear = []
-    for lam_weight, h_weight, base, steps in shifts:
+    for entry in shifts:
+        if any(type(x) is not int for x in entry):
+            raise TypeError(f"expected integers (q, weight, h_weight, base, steps), got {entry!r}")
+        q, weight, h_weight, base, steps = entry
+        if q <= 0:
+            raise ValueError("q must be positive")
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        parts = [_rational_parts(w) for w in (lam_weight, h_weight, base)]
-        den = lcm(*(q for _, q in parts))
-        lam_c, h_c, base_c = (-p * (den // q) for p, q in parts)
-        linear += [(lam_c, h_c, base_c - l * den, den) for l in range(steps)]
+        linear += [(-weight, -h_weight, -base - l * q, q) for l in range(steps)]
     return _linear_product(ring, z_min, z_max, linear, [(0, 1, 1)] * len(linear))
 
 

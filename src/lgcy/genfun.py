@@ -283,8 +283,9 @@ def _require_sl_ages(pair: LGPair):
 
 
 @lru_cache(maxsize=1)
-def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
-    """The IndexTerm of every (k0, k), by total degree, then lexicographic.
+def _index_tables(pair: LGPair, orders: Orders) -> dict:
+    """{"x": X table, "y": Y table}: the IndexTerm of every (k0, k) on each
+    side, by total degree, then lexicographic, from one multidegree walk.
 
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
@@ -292,50 +293,71 @@ def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
     row for k0 and one row per positive-dimensional sector g_s: its
     exponents, then the column d age(g_s) - d.  Its sums are sum_s k_s
     k_j(g_s).  Reduced mod d/c_j, they give base, and shifted by +- k0 j
-    they give the sector.  They also give r_j, v_j = (k0 +- sums_j) c_j / d
-    and, in the last column, d shift.
+    they give the two sectors.  They also give r_j, v_j = (k0 +- sums_j)
+    c_j / d and, in the last column, d shift.  base, r_num, v_num and shift
+    are the same on both sides, so a Y term shares them with the X term of
+    its multidegree.
 
     This is the one place that computes an index's integers; the walks read
-    them.  Sectors and bases are exponent tuples, and the table shares one
-    comb per factorial.  The last table is kept per (pair object, orders,
-    side); what each walk derives from it (atoms, products, Gamma shifts)
-    stays per walk.
+    them through ``_index_terms``.  Sectors and bases are exponent tuples,
+    and the tables share one comb per factorial.  The last pair of tables
+    is kept per (pair object, orders); no identity compares an X-table
+    output with a Y-table output, and what each walk derives from a table
+    (atoms, products, Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
+    grading = pair.grading.exps
     graded = pair.is_sl
-    # the sector j^(+-k0) base is the reduction of sums +- k0 j
-    step = pair.grading.exps if side == "x" else tuple(-e for e in pair.grading.exps)
     # the age column is last, so zip with the weights and the reductions
     # read the exponent sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
+    x_ring = SeriesRing(d, orders.lam_order, 1)
+    y_rings: dict = {}     # N_g -> its ring
     combs: dict = {}       # factorial -> its inverse
-    table = []
+    x_table, y_table = [], []
     for total in range(orders.t_order + 1):
         for degs, sums, fact in _multidegree_walk(rows, total):
             k0 = degs[0]
-            sector = tuple([(s + k0 * e) % m for s, e, m in zip(sums, step, exponents)])
-            nilpotency = 1 if side == "x" else sector.count(0)
-            if not nilpotency:
-                continue   # a Y index on a sector with N_g = 0, skipped before its base
-            ring = SeriesRing(d, orders.lam_order, nilpotency)
-            age = sum(e * c for e, c in zip(sector, weights)) // d if graded else None
             base = tuple([s % m for s, m in zip(sums, exponents)])
+            if k0:
+                # the sectors j^(+-k0) base are the reductions of sums +- k0 j
+                x_sector = tuple([(s + k0 * e) % m for s, e, m in zip(sums, grading, exponents)])
+                y_sector = tuple([(s - k0 * e) % m for s, e, m in zip(sums, grading, exponents)])
+            else:
+                x_sector = y_sector = base
             r_num = tuple([(k0 + s) * cj for s, cj in zip(sums, weights)])
             v_num = tuple([(k0 - s) * cj for s, cj in zip(sums, weights)])
-            if side == "x":
-                offset = 1 - total
-            else:
-                fact //= factorial(k0)
-                offset = 1 - total + k0
+            shift = sums[-1] // d if graded else None
             comb = combs.get(fact)
             if comb is None:
                 comb = combs[fact] = Fraction(1, fact)
-            shift = sums[-1] // d if graded else None
-            table.append(IndexTerm(k0, degs, base, comb, offset, r_num, v_num,
-                                   shift, age, sector, ring))
-    return tuple(table)
+            age = sum(e * c for e, c in zip(x_sector, weights)) // d if graded else None
+            x_table.append(IndexTerm(k0, degs, base, comb, 1 - total, r_num, v_num,
+                                     shift, age, x_sector, x_ring))
+            nilpotency = y_sector.count(0)
+            if not nilpotency:
+                continue   # a Y index on a sector with N_g = 0
+            ring = y_rings.get(nilpotency)
+            if ring is None:
+                ring = y_rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
+            if k0:   # at k0 = 0 the Y term's sector, comb and age are the X term's
+                fact //= factorial(k0)
+                comb = combs.get(fact)
+                if comb is None:
+                    comb = combs[fact] = Fraction(1, fact)
+                age = sum(e * c for e, c in zip(y_sector, weights)) // d if graded else None
+            y_table.append(IndexTerm(k0, degs, base, comb, 1 - total + k0, r_num, v_num,
+                                     shift, age, y_sector, ring))
+    return {"x": tuple(x_table), "y": tuple(y_table)}
+
+
+def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
+    """The index table of ``side`` ("x" or "y") at ``orders``, the one every
+    I/H walk reads: ``_index_tables`` builds both sides from one walk and
+    keeps them."""
+    return _index_tables(pair, orders)[side]
 
 
 def _index_signature(pair: LGPair, variable: str) -> tuple:
@@ -594,7 +616,7 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     term's z and comb.  The stored I series is compared with comb times the
     I product in integers, without rebuilding the I value.  The H builder
     and the verification walk the side's index table at the series' orders,
-    which ``_index_terms`` keeps.
+    which ``_index_tables`` keeps with the other side's.
     """
     pair.require_cy()
     gamma = gamma_class_op(pair, side)
@@ -696,6 +718,24 @@ def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
              "right": str(rhs.coefficient(z_bad) * comb)})
 
 
+def _equals_shifted(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int) -> bool:
+    """lhs == block.shift(delta), read in place: each term of ``block`` at
+    z + delta inside the window must be lhs's term there, and lhs may have
+    no other term.  No shifted series is built."""
+    if lhs.ring is not block.ring or (lhs.z_min, lhs.z_max) != (block.z_min, block.z_max):
+        return False
+    z_min, z_max, terms = lhs.z_min, lhs.z_max, lhs.terms
+    found = 0
+    for z, value in block.terms.items():
+        z += delta
+        if z_min <= z <= z_max:
+            stored = terms.get(z)
+            if stored is None or stored.ring is not value.ring or stored.terms != value.terms:
+                return False
+            found += 1
+    return found == len(terms)
+
+
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
                         window: tuple[int, int], sector, degs, memo: dict):
     """(I block, operator block) of one pairing of Gamma-class and H atoms.
@@ -711,8 +751,10 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
     The pairing reads each atom's integer numerators, brought over the
     common denominator ``den`` of all the atoms: weights match when their
     numerators do, and the gap is an integer n when the offset numerators
-    differ by n den.  ``memo`` keeps each block per (ring, the ratios'
-    integers in lowest terms) for the span of one walk.
+    differ by n den.  Each ratio goes to ``gamma_shift_product`` as its
+    integers (q, weight, h_weight, base, steps), in lowest terms over q, and
+    ``memo`` keeps each block per (ring, those integers) for the span of one
+    walk.
     """
     den = lcm(*(atom.den for atom, _ in gamma_atoms + h_atoms))
 
@@ -753,9 +795,7 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
         key = (ring, tuple(ratios))
         found = memo.get(key)
         if found is None:
-            found = memo[key] = gamma_shift_product(
-                [(Fraction(weight, q), Fraction(h_weight, q), Fraction(base, q), steps)
-                 for q, weight, h_weight, base, steps in ratios], ring, *window)
+            found = memo[key] = gamma_shift_product(ratios, ring, *window)
         return found
 
     return (block(i_shifts) if i_shifts else None), block(shifts)
@@ -783,9 +823,11 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       delta = (shift + 1 - age) - offset the identity reads product times
       I block = operator block times z^delta.  That depends only on
       (product key, (sector, H atoms), delta), so each key is formed once
-      from ``ZLaurentSeries`` products and kept once it has passed; a
-      failing key raises through ``_assert_no_residual`` with the term's
-      comb and offset, which name the witness.
+      from ``ZLaurentSeries`` products and kept once it has passed.  The
+      operator block is read at z + delta in place (``_equals_shifted``),
+      with the window clamp of ``ZLaurentSeries.shift``; only a failing key
+      builds the shifted block, and raises through ``_assert_no_residual``
+      with the term's comb and offset, which name the witness.
 
     The I products are kept per walk as the I builder keeps them, the H
     atoms in a memo of this walk, and both blocks per (sector, H atoms),
@@ -823,8 +865,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
         if key not in passed:
             i_block, block = blocks[block_key]
             lhs = product if i_block is None else product * i_block
-            _assert_no_residual(lhs, block.shift(delta), side.upper(), sector,
-                                term.degs, term.comb, term.offset)
+            if not _equals_shifted(lhs, block, delta):
+                _assert_no_residual(lhs, block.shift(delta), side.upper(), sector,
+                                    term.degs, term.comb, term.offset)
             passed.add(key)
 
 

@@ -300,19 +300,26 @@ class DeltaDiamond:
     def apply(self, series: CohSeries) -> CohSeries:
         """Divide every coefficient by d(lam+H) and dress with the sign factor.
 
+        The sign monomials, with the -1/d folded in, are built once per ring,
+        so each term takes one monomial product per power of the sign.
         Raises ExactDivisionError when a block fails to cancel.
         """
         z_min, z_max = series.orders.z_window
-        d = self.pair.fermat.degree
+        scale = Fraction(-1, self.pair.fermat.degree)
+        signs: dict = {}   # ring -> the sign monomials times -1/d, per z-power
         out: dict = {}
         for (exps, z, degs), value in series.terms.items():
             quotient, _ = divide_by_lambda_plus_h(value)
-            quotient = quotient * Fraction(-1, d)
-            for dz, part in self.sign_exponential(quotient.ring).items():
+            sign = signs.get(quotient.ring)
+            if sign is None:
+                sign = signs[quotient.ring] = [
+                    (dz, part * scale)
+                    for dz, part in self.sign_exponential(quotient.ring).items()]
+            for dz, part in sign:
                 z_out = z + dz
                 if z_out < z_min or z_out > z_max:
                     continue
-                piece = quotient * part
+                piece = quotient._times_monomial(part)
                 if piece.is_zero():
                     continue
                 key = (exps, z_out, degs)

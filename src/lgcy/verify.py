@@ -555,11 +555,13 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
 # ---------------------------------------------------------------------------
 
 # The lam-order each check that builds Ubar blocks works at, from the orders
-# ``run_checks`` hands it: kernel-compatibility's is one above the larger of
-# those and the largest sector nilpotency.
+# ``run_checks`` hands it: rctc-structure's is at least 6 and at least its
+# own minimum, max N_g - 1; kernel-compatibility's is one above the larger
+# of those orders and the largest sector nilpotency.
 _UBAR_LAM_ORDERS = {
     "continuation": lambda pair, orders: orders.lam_order,
-    "rctc-structure": lambda pair, orders: max(orders.lam_order, 6),
+    "rctc-structure": lambda pair, orders: max(
+        orders.lam_order, 6, max(g.fixed_dim() for g in pair.group.elements) - 1),
     "kernel-compatibility": lambda pair, orders: max(
         orders.lam_order, max(g.fixed_dim() for g in pair.group.elements)) + 1,
 }

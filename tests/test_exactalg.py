@@ -323,22 +323,79 @@ def test_series_invert_involution_random():
         assert x * series_invert(x) == ring.one()
 
 
+def _geometric_invert(x):
+    """y = 1/x as the geometric series in nil = x / x_0 - 1, the route the
+    graded recurrence of ``series_invert`` replaced."""
+    inv_const = x.constant_term().inverse()
+    nil = (x * inv_const) - 1
+    result = power = x.ring.one()
+    for k in range(1, x.ring.lam_order + x.ring.nilpotency + 1):
+        power = power * nil
+        if power.is_zero():
+            break
+        result = result + power if k % 2 == 0 else result - power
+    return result * inv_const
+
+
+def test_series_invert_matches_the_geometric_series():
+    """The graded recurrence gives the geometric series' value, key for key,
+    on random units with tau powers on their nilpotent part, in rings of
+    several orders, lam-orders and nilpotencies, and both refuse atoms and
+    a tau power of degree zero."""
+    rng = random.Random(11)
+    for ring in (SeriesRing(5, 3, 2), SeriesRing(3, 6, 1), SeriesRing(4, 6, 4),
+                 SeriesRing(6, 4, 5)):
+        for _ in range(12):
+            x = _random_value(rng, ring) + _random_value(rng, ring)
+            x = x.map_monomials(lambda k, c: (k, c) if k[0] + k[1] else None)
+            x = x + Cyclotomic.root(ring.order, rng.randint(0, ring.order - 1)) \
+                * F(rng.choice([-2, -1, 1, 3]))
+            y = series_invert(x)
+            assert y.terms == _geometric_invert(x).terms
+            assert x * y == ring.one()
+    ring = SeriesRing(5, 3, 2)
+    with pytest.raises(NonUnitError, match="atoms"):
+        series_invert(ring.one() + ring.monomial(lam=1, atoms=((GammaAtom(F(1), F(0)), 1),)))
+    with pytest.raises(NonUnitError, match="non-nilpotent"):
+        series_invert(ring.one() + ring.monomial(tau=1))
+
+
 # -- Gamma-ratio rewrite -------------------------------------------------------
 
 def test_gamma_ratio_rewrite_examples():
     ring = SeriesRing(5, 4, 1)
     empty = gamma_shift_product([], ring, -2, 8)
     assert empty.coefficient(0) == ring.one() and len(empty.terms) == 1
-    assert gamma_shift_product([(F(1), F(0), F(0), 0)], ring, -2, 8) == empty
+    assert gamma_shift_product([(1, 1, 0, 0, 0)], ring, -2, 8) == empty
     # one factor x - 0*z with x = -lam, times z^-1
-    single = gamma_shift_product([(F(1), F(0), F(0), 1)], ring, -2, 8)
+    single = gamma_shift_product([(1, 1, 0, 0, 1)], ring, -2, 8)
     assert single.coefficient(-1) == -ring.lam()
     assert single.coefficient(0).is_zero()
-    quintic_factor = gamma_shift_product([(F(1), F(0), F(2, 5), 1)], ring, -2, 8)
+    # base 2/5 over q = 5
+    quintic_factor = gamma_shift_product([(5, 5, 0, 2, 1)], ring, -2, 8)
     assert quintic_factor.coefficient(-1) == -ring.lam()
     assert quintic_factor.coefficient(0) == ring.scalar(F(-2, 5))
-    with pytest.raises(ValueError):
-        gamma_shift_product([(F(1), F(0), F(0), -1)], ring, -2, 8)
+    # the same ratio over a larger q is the same block
+    assert gamma_shift_product([(10, 10, 0, 4, 1)], ring, -2, 8) == quintic_factor
+
+
+@pytest.mark.parametrize("entry, error", [
+    ((1, 1, 0, 0, -1), ValueError),          # steps < 0
+    ((0, 1, 0, 0, 1), ValueError),           # q = 0
+    ((-5, 5, 0, 2, 1), ValueError),          # q < 0
+    ((F(1), F(0), F(0), 1), TypeError),      # the (lam_weight, h_weight, base, steps) Fractions
+    ((1, F(1), 0, F(2, 5), 1), TypeError),   # a Fraction among the integers
+])
+def test_gamma_shift_product_refuses_entries_other_than_its_integers(entry, error):
+    with pytest.raises(error):
+        gamma_shift_product([entry], SeriesRing(5, 4, 1), -2, 8)
+
+
+def _integer_entry(weight, h_weight, base, steps):
+    """The entry (q, weight, h_weight, base, steps) of Fractions over their
+    common denominator q."""
+    q = lcm(weight.denominator, h_weight.denominator, base.denominator)
+    return (q, int(weight * q), int(h_weight * q), int(base * q), steps)
 
 
 def test_gamma_ratio_telescoping():
@@ -350,8 +407,10 @@ def test_gamma_ratio_telescoping():
         for base in (F(0), F(2, 5), F(7, 3)):
             for m in range(4):
                 for n in range(4):
-                    whole = gamma_shift_product([(weight, F(0), base, m + n)], ring, *window)
-                    split = [(weight, F(0), base, m), (weight, F(0), base + m, n)]
+                    whole = gamma_shift_product([_integer_entry(weight, F(0), base, m + n)],
+                                                ring, *window)
+                    split = [_integer_entry(weight, F(0), base, m),
+                             _integer_entry(weight, F(0), base + m, n)]
                     assert gamma_shift_product(split, ring, *window) == whole
                     left, right = (gamma_shift_product([entry], ring, *window)
                                    for entry in split)
@@ -360,7 +419,7 @@ def test_gamma_ratio_telescoping():
 
 def test_gamma_shift_product_carries_h():
     ring = SeriesRing(4, 3, 3)
-    prod = gamma_shift_product([(F(0), F(-1), F(-1), 1)], ring, -4, 4)
+    prod = gamma_shift_product([(1, 0, -1, -1, 1)], ring, -4, 4)
     # single factor x - 0*z with x = H - (-1)z = H + z, times z^-1
     assert prod.coefficient(-1) == ring.hyperplane()
     assert prod.coefficient(0) == ring.one()
@@ -566,8 +625,9 @@ def test_linear_product_callers_match_the_per_factor_route(monkeypatch, name):
             factors += [(F(cj), F(level, d)) for level in denominator_levels]
         assert value == _per_factor_product(ring, z_min, z_max, factors)
     for (entries, ring, z_min, z_max), value in shifts.items():
-        factors = [(-lam_weight, -h_weight, -(base + l))
-                   for lam_weight, h_weight, base, steps in entries for l in range(steps)]
+        assert all(type(x) is int for entry in entries for x in entry)
+        factors = [(F(-weight, q), F(-h_weight, q), -(F(base, q) + l))
+                   for q, weight, h_weight, base, steps in entries for l in range(steps)]
         assert value == _per_factor_product(ring, z_min, z_max, factors).shift(-len(factors))
 
 

@@ -974,8 +974,16 @@ def _fraction_ratio_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
                              "atom": str(unpaired[0])})
-    i_block = genfun.gamma_shift_product(i_shifts, ring, *window) if i_shifts else None
-    return i_block, genfun.gamma_shift_product(shifts, ring, *window)
+
+    def block(ratios):
+        # each Fraction ratio as integers over its common denominator
+        entries = []
+        for weight, h_weight, base, steps in ratios:
+            q = math.lcm(weight.denominator, h_weight.denominator, base.denominator)
+            entries.append((q, int(weight * q), int(h_weight * q), int(base * q), steps))
+        return genfun.gamma_shift_product(entries, ring, *window)
+
+    return (block(i_shifts) if i_shifts else None), block(shifts)
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -1106,9 +1114,9 @@ def test_builders_match_the_public_constructor_route(pair, kind, side):
 # -- the kept index table ---------------------------------------------------------------
 
 def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
-    """I, H and the factorization check of one side walk one table: on a
-    fresh pair object the check makes one multidegree walk per total
-    degree for X and one for Y."""
+    """I, H and the factorization check of both sides walk one pair of
+    tables: on a fresh pair object the check makes one multidegree walk per
+    total degree, which serves X and Y."""
     pair = quartic()
     orders = recommended_orders(pair, 6, 3)
     walks = []
@@ -1120,7 +1128,7 @@ def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
 
     monkeypatch.setattr(genfun, "_multidegree_walk", counted)
     assert check_gamma_factorization(pair, orders).ok()
-    assert walks == 2 * list(range(orders.t_order + 1))
+    assert walks == list(range(orders.t_order + 1))
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -1154,6 +1162,64 @@ CENSUS_PAIRS = [
     load_pair({"weights": [1] * 5, "degree": 5, "generators": [[0, 1, 2, 3, 4]]}),
     load_pair({"weights": [1, 1, 1, 1, 2], "degree": 6, "generators": [[0, 1, 3, 4, 2]]}),
 ]
+
+
+def _per_side_index_terms(pair, orders, side):
+    """The index table of one side from its own multidegree walk, the way
+    ``_index_terms`` built each side before both came from one walk."""
+    sectors = pair.positive_dim_sectors()
+    weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
+    graded = pair.is_sl
+    step = pair.grading.exps if side == "x" else tuple(-e for e in pair.grading.exps)
+    rows = [(0,) * (len(weights) + 1)] + \
+        [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
+    table = []
+    for total in range(orders.t_order + 1):
+        for degs, sums, fact in _multidegree_walk(rows, total):
+            k0 = degs[0]
+            sector = tuple((s + k0 * e) % m for s, e, m in zip(sums, step, exponents))
+            nilpotency = 1 if side == "x" else sector.count(0)
+            if not nilpotency:
+                continue
+            ring = SeriesRing(d, orders.lam_order, nilpotency)
+            age = sum(e * c for e, c in zip(sector, weights)) // d if graded else None
+            base = tuple(s % m for s, m in zip(sums, exponents))
+            r_num = tuple((k0 + s) * cj for s, cj in zip(sums, weights))
+            v_num = tuple((k0 - s) * cj for s, cj in zip(sums, weights))
+            if side == "x":
+                offset = 1 - total
+            else:
+                fact //= math.factorial(k0)
+                offset = 1 - total + k0
+            shift = sums[-1] // d if graded else None
+            table.append(genfun.IndexTerm(k0, degs, base, F(1, fact), offset, r_num, v_num,
+                                          shift, age, sector, ring))
+    return table
+
+
+NON_SL_PAIR = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR],
+                         ids=lambda p: p.name)
+def test_joint_index_tables_equal_the_per_side_walks(pair):
+    """Both tables of one walk equal the per-side walks field by field and
+    in order, at every T <= 4 and at two lam-orders, also on a non-SL pair,
+    whose shift and age are None; the tables are kept per (pair, orders)."""
+    genfun._index_tables.cache_clear()
+    for t_order in range(5):
+        for lam_order in (0, 2):
+            orders = recommended_orders(pair, t_order, lam_order)
+            for side in ("x", "y"):
+                table = _index_terms(pair, orders, side)
+                expected = _per_side_index_terms(pair, orders, side)
+                assert len(table) == len(expected)
+                for term, reference in zip(table, expected):
+                    for field in genfun.IndexTerm._fields:
+                        value, wanted = getattr(term, field), getattr(reference, field)
+                        assert value == wanted and type(value) is type(wanted), field
+                    assert term.ring is reference.ring
+            assert _index_terms(pair, orders, "x") is genfun._index_tables(pair, orders)["x"]
 
 
 @pytest.mark.parametrize("side", ["x", "y"])

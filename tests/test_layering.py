@@ -119,15 +119,15 @@ def test_gamma_atoms_are_built_through_the_shared_constructor():
 
 
 def test_only_the_index_table_and_the_sl_guard_read_ages_in_genfun():
-    """In ``genfun`` only ``_index_terms`` and the SL guard
-    ``_require_sl_ages`` call ``.age()``: each index's shift and age
+    """In ``genfun`` only the table builder ``_index_tables`` and the SL
+    guard ``_require_sl_ages`` call ``.age()``: each index's shift and age
     are computed in one place, and the walks read them from the table."""
     callers = {fn.name for fn in ast.walk(MODULES["genfun"])
                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                        and node.func.attr == "age" for node in ast.walk(fn))}
     assert "_require_sl_ages" in callers
-    assert callers <= {"_index_terms", "_require_sl_ages"}, callers
+    assert callers <= {"_index_tables", "_require_sl_ages"}, callers
 
 
 def _functions_calling(tree: ast.AST, matches) -> set[str]:
@@ -285,7 +285,7 @@ def test_the_index_table_and_the_continued_series_build_no_group_element(monkeyp
     through ``_store``), though the continuation check around them makes
     some."""
     wrap, reached = _reach_counter(monkeypatch)
-    genfun._index_terms.cache_clear()
+    genfun._index_tables.cache_clear()
     wrap([verify], "check_continuation")
     wrap([genfun], "_index_terms")
     wrap([genfun, verify], "h_continued")
@@ -323,3 +323,14 @@ def test_spoly_arithmetic_builds_no_fraction():
                                  and func.id == "Fraction")
     assert "terms" in callers
     assert callers <= {"__init__", "terms"}, callers
+
+
+def test_the_gamma_ratio_blocks_build_no_fraction():
+    """``genfun._gamma_ratio_blocks`` pairs the atoms in their integer
+    numerators and hands ``gamma_shift_product`` integer ratios: neither it
+    nor its inner helpers call ``Fraction(...)``."""
+    [blocks] = [node for node in ast.walk(MODULES["genfun"])
+                if isinstance(node, ast.FunctionDef) and node.name == "_gamma_ratio_blocks"]
+    assert not _functions_calling(blocks, lambda func: isinstance(func, ast.Name)
+                                  and func.id == "Fraction")
+    assert "block" in {fn.name for fn in ast.walk(blocks) if isinstance(fn, ast.FunctionDef)}

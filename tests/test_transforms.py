@@ -20,11 +20,13 @@ from lgcy.exactalg import (
     SectorValue,
     SeriesRing,
     bernoulli_poly,
+    divide_by_lambda_plus_h,
     series_exp,
     series_invert,
 )
-from lgcy.genfun import i_function_x, untwisted_j, untwisted_j_oracle
+from lgcy.genfun import i_function_x, untwisted_j, untwisted_j_oracle, z_ddt_distinguished
 from lgcy.lgmodel import PAIRING_SPECIALIZATIONS, SectorBasisElement, load_pair, pair_twisted
+from lgcy.verify import recommended_orders
 from lgcy.transforms import (
     DeltaDiamond,
     PullbackToZ,
@@ -436,6 +438,62 @@ def test_delta_diamond_divides_exactly():
     # z^0 slice: -(1/5) * (3 + lam)
     zero_key = (q.identity.exps, 0, (0, 0))
     assert out.terms[zero_key] == (ring.scalar(3) + ring.lam()) * F(-1, 5)
+
+
+def _per_term_delta_diamond(pair, series):
+    """DeltaDiamond.apply with the sign factor rebuilt for every term and
+    the -1/d applied to the quotient as its own product; also the number of
+    pieces that the z-window dropped."""
+    z_min, z_max = series.orders.z_window
+    d = pair.fermat.degree
+    dd = DeltaDiamond(pair)
+    out, dropped = {}, 0
+    for (exps, z, degs), value in series.terms.items():
+        quotient, _ = divide_by_lambda_plus_h(value)
+        quotient = quotient * F(-1, d)
+        for dz, part in dd.sign_exponential(quotient.ring).items():
+            z_out = z + dz
+            if z_out < z_min or z_out > z_max:
+                dropped += 1
+                continue
+            piece = quotient * part
+            if piece.is_zero():
+                continue
+            key = (exps, z_out, degs)
+            out[key] = out[key] + piece if key in out else piece
+    return CohSeries(series.side, series.pair, series.variables,
+                     series.orders, out, series.tokens, series.c_twist), dropped
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_delta_diamond_matches_the_per_term_sign_route(pair):
+    """On the series that kernel-compatibility divides, Ubar of the N_g > 0
+    part of z d/dt I^X at its working orders, the sign factor kept per ring
+    gives the per-term route's series, key for key, also in a window that
+    drops the lowest terms' higher sign powers."""
+    orders = recommended_orders(pair, 8, 3)
+    work = Orders(t_order=orders.t_order,
+                  lam_order=max(orders.lam_order,
+                                max(g.fixed_dim() for g in pair.group.elements)) + 1,
+                  z_min=orders.z_window[0] - 1, z_max=orders.z_window[1] + 1)
+    derivative = z_ddt_distinguished(i_function_x(pair, work))
+    restricted = derivative.filter_terms(
+        lambda key, value: key[2][0] >= 0 and pair.element(key[0]).fixed_dim() > 0)
+    pushed = u_bar(pair, work.lam_order).apply(restricted)
+    # the same terms in a window that starts at their lowest z
+    z_low = min(z for _, z, _ in pushed.terms)
+    narrow = CohSeries(pushed.side, pair, pushed.variables,
+                       Orders(t_order=work.t_order, lam_order=work.lam_order,
+                              z_min=z_low, z_max=work.z_window[1]),
+                       pushed.terms, pushed.tokens, pushed.c_twist)
+    dropped = []
+    for series in (pushed, narrow):
+        expected, count = _per_term_delta_diamond(pair, series)
+        out = DeltaDiamond(pair).apply(series)
+        assert out.terms == expected.terms and out.terms
+        assert out.signature() == expected.signature()
+        dropped.append(count)
+    assert dropped[0] == 0 < dropped[1]
 
 
 def test_pullback_to_z():

@@ -589,3 +589,21 @@ def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
     with pytest.raises(ValueError, match="814,385 terms"):
         self_test(pair, orders)
     assert time.perf_counter() - start < 1.0
+
+
+def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order():
+    """``run_checks`` runs rctc-structure at max(lambda, 6, max N_g - 1):
+    on (1^8; 8) with <j>, whose identity sector has N_g = 8, that is 7, so
+    the batch run passes where lambda-order 6 returns an "orders" witness,
+    and the work estimate counts lambda-order 7.  Pairs of degree at most
+    6 keep max(lambda, 6)."""
+    pair = load_pair({"weights": [1] * 8, "degree": 8, "generators": [[1] * 8]})
+    assert max(g.fixed_dim() for g in pair.group.elements) - 1 == 7
+    assert check_rctc_conditions(pair, 6).witness["kind"] == "orders"
+    orders = recommended_orders(pair, 2, 3)
+    [report] = run_checks(pair, ["rctc-structure"], orders)
+    assert report.ok(), report.witness
+    assert report.orders["lambda"] == 7
+    assert verify.work_estimate(pair, orders, ["rctc-structure"]) == 7 * math.comb(9, 3)
+    for shipped in (quintic(), cubic(), quartic(), sextic()):
+        assert verify._UBAR_LAM_ORDERS["rctc-structure"](shipped, orders) == 6
