@@ -1121,21 +1121,19 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """B_n(x) = sum C(n,k) B_k x^{n-k}, exact.
 
     Not memoised: a cache keyed on ``x`` would take ``0.5`` for ``1/2`` and
-    return an exact value for a float; ``_bernoulli_at`` is the cache.
+    return an exact value for a float; ``transforms._log_coefficient`` is
+    the cache, keyed on the integer parts of ``_rational_parts``.
     """
     x = Fraction(*_rational_parts(x))
     return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
                 for k in range(n + 1)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_at(n: int, p: int, q: int) -> Fraction:
-    """B_n(p/q) for integers p and q > 0, computed once per process.
+    """B_n(p/q) for integers p and q > 0.
 
     q^n B_n(p/q) = sum_k C(n,k) B_k p^(n-k) q^k, summed in integers over
-    the lcm D of the denominators of B_0..B_n: one Fraction per key.
-    Callers pass the integer parts of ``_rational_parts``, so a float never
-    reaches the cache.
+    the lcm D of the denominators of B_0..B_n: one Fraction per call.
     """
     numbers = [bernoulli_number(k) for k in range(n + 1)]
     den = lcm(*(b.denominator for b in numbers))

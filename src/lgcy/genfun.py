@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from types import MappingProxyType
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactalg import (
@@ -106,12 +105,15 @@ def _multidegree_walk(rows, total: int):
 @lru_cache(maxsize=1)
 def _j_classes(pair: LGPair, orders: Orders) -> tuple:
     """Per total 0..T, its multidegrees grouped by their exponent sums over
-    the rows ``g.exps`` mod d/c_j: a read-only residues -> ((degs, fact), ...)
-    in walk order, empty where z = 1 - total is outside the z-window.
+    the rows ``g.exps`` mod d/c_j: a tuple of classes, each a tuple of
+    members (degs, fact, sector) in walk order, sector being the member's
+    own reduced sums; empty where z = 1 - total is outside the z-window.
 
     The one walk under both J routes, kept for the last (pair object,
-    orders).  Over the rows g j^c the sums move by c total j, one
-    translation per total, so the classes hold at every twist c.
+    orders).  The closed J writes each member under its own sector, the
+    oracle reads only the grouping, so a member in the wrong class splits
+    them.  Over the rows g j^c the sums move by c total j, one translation
+    per total, so the classes hold at every twist c.
     """
     exponents = pair.fermat.exponents
     z_min, z_max = orders.z_window
@@ -121,9 +123,9 @@ def _j_classes(pair: LGPair, orders: Orders) -> tuple:
         classes: dict = {}
         if z_min <= 1 - total <= z_max:
             for degs, sums, fact in _multidegree_walk(rows, total):
-                key = tuple([s % m for s, m in zip(sums, exponents)])
-                classes.setdefault(key, []).append((degs, fact))
-        table.append(MappingProxyType({k: tuple(v) for k, v in classes.items()}))
+                sector = tuple([s % m for s, m in zip(sums, exponents)])
+                classes.setdefault(sector, []).append((degs, fact, sector))
+        table.append(tuple(map(tuple, classes.values())))
     return tuple(table)
 
 
@@ -131,8 +133,8 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     """Closed-form J: sum over {a_g} of z^(1-sum a) prod t^a / a! on phi_{prod g^a}.
 
     Variables are all group coordinates, in element order.  The sector
-    prod g^a is its class key in ``_j_classes``.  No term depends on the
-    twist c, which only tags the series: the terms are built once per
+    prod g^a is the member's own sector in ``_j_classes``.  No term depends
+    on the twist c, which only tags the series: the terms are built once per
     (pair, orders) by ``_closed_j_terms`` and every c gets its own copy,
     which is clean by construction and so is not re-validated.
     """
@@ -143,7 +145,8 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 
 @lru_cache(maxsize=1)
 def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
-    """The closed J's terms (class key, z, degs) -> 1/fact at ``orders``.
+    """The closed J's terms (sector, z, degs) -> 1/fact at ``orders``, each
+    member of ``_j_classes`` written under its own sector.
 
     Every term is inside the z-window and the t-order, with a nonzero
     ``SectorValue`` under tuple keys.  The last dict is kept per (pair
@@ -154,8 +157,8 @@ def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
     terms: dict = {}
     scalars: dict = {}   # fact -> the value 1/fact, shared by its terms
     for total, classes in enumerate(_j_classes(pair, orders)):
-        for sector, members in classes.items():
-            for degs, fact in members:
+        for members in classes:
+            for degs, fact, sector in members:
                 value = scalars.get(fact)
                 if value is None:
                     value = scalars[fact] = ring.scalar(Fraction(1, fact))
@@ -196,7 +199,8 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     from the closed-form product formula.  Every dual g0 is scanned through
     ``is_nonempty`` once per class of ``_j_classes``, with the class's first
     multidegree as insertions, and the duals that pass are written for each
-    member.  No dual is solved for, and no class key or product is read.
+    member.  No dual is solved for, and no member's sector or product is
+    read.
     """
     pair.require_twist(c)
     elements = pair.group.elements
@@ -225,13 +229,13 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
         # within this total one class shares one verdict per dual; the
         # coefficient depends on fact alone
         scalars: dict = {}
-        for members in classes.values():
+        for members in classes:
             insertions = [g_jc for g_jc, k in zip(shifted, members[0][0]) for _ in range(k)]
             passing = [dual_sector.exps for g0_jc, dual_sector in zip(shifted, duals)
                        if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
             if not passing:
                 continue
-            for degs, fact in members:
+            for degs, fact, _ in members:
                 value = scalars.get(fact)
                 if value is None:
                     value = scalars[fact] = ring.scalar(Fraction(1, fact) * corr * dual_norm)
@@ -248,19 +252,19 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 class IndexTerm(NamedTuple):
     """One index (k0, k) with k0 + sum(k) <= T and the integers it carries.
 
-    degs = (k0,) + k.  base, the exponent tuple of prod_s g_s^{k_s}, and
-    sector, that of the index's sector on the table's side, are reduced
-    mod d/c_j.  comb and offset are the side's combinatorial factor and I
-    z-power: 1/(k0! prod_s k_s!) and 1 - k0 - sum k on X, 1/prod_s k_s! and
-    1 - sum k on Y.  r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d - a(k)^j
-    are carried as their integer numerators over d: r_num and v_num.
+    degs = (k0,) + k, so k0 is degs[0].  base, the exponent tuple of
+    prod_s g_s^{k_s}, and sector, that of the index's sector on the table's
+    side, are reduced mod d/c_j.  comb and offset are the side's
+    combinatorial factor and I z-power: 1/(k0! prod_s k_s!) and
+    1 - k0 - sum k on X, 1/prod_s k_s! and 1 - sum k on Y.
+    r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d - a(k)^j are carried as
+    their integer numerators over d: r_num and v_num.
     shift = sum_s (age(g_s) - 1) k_s is the H z-power and age the age of
     ``sector``; both are None on a non-SL pair, whose z-grading
     ``_require_sl_ages`` refuses.  ``ring`` is the ring of the index's
     coefficients on the table's side.
     """
 
-    k0: int
     degs: tuple[int, ...]
     base: tuple[int, ...]
     comb: Fraction
@@ -298,12 +302,13 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     are the same on both sides, so a Y term shares them with the X term of
     its multidegree.
 
-    This is the one place that computes an index's integers; the walks read
-    them through ``_index_terms``.  Sectors and bases are exponent tuples,
-    and the tables share one comb per factorial.  The last pair of tables
-    is kept per (pair object, orders); no identity compares an X-table
-    output with a Y-table output, and what each walk derives from a table
-    (atoms, products, Gamma shifts) stays per walk.
+    This is the one place that computes an index's integers; every I/H walk
+    reads its side's table here.  Sectors and bases are exponent tuples,
+    and the tables share one comb per factorial and one interned ring per
+    nilpotency.  The last pair of tables is kept per (pair object, orders);
+    no identity compares an X-table output with a Y-table output, and what
+    each walk derives from a table (atoms, products, Gamma shifts) stays per
+    walk.
     """
     sectors = pair.positive_dim_sectors()
     weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
@@ -314,7 +319,6 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
     x_ring = SeriesRing(d, orders.lam_order, 1)
-    y_rings: dict = {}     # N_g -> its ring
     combs: dict = {}       # factorial -> its inverse
     x_table, y_table = [], []
     for total in range(orders.t_order + 1):
@@ -334,30 +338,20 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
             if comb is None:
                 comb = combs[fact] = Fraction(1, fact)
             age = sum(e * c for e, c in zip(x_sector, weights)) // d if graded else None
-            x_table.append(IndexTerm(k0, degs, base, comb, 1 - total, r_num, v_num,
+            x_table.append(IndexTerm(degs, base, comb, 1 - total, r_num, v_num,
                                      shift, age, x_sector, x_ring))
             nilpotency = y_sector.count(0)
             if not nilpotency:
                 continue   # a Y index on a sector with N_g = 0
-            ring = y_rings.get(nilpotency)
-            if ring is None:
-                ring = y_rings[nilpotency] = SeriesRing(d, orders.lam_order, nilpotency)
             if k0:   # at k0 = 0 the Y term's sector, comb and age are the X term's
                 fact //= factorial(k0)
                 comb = combs.get(fact)
                 if comb is None:
                     comb = combs[fact] = Fraction(1, fact)
                 age = sum(e * c for e, c in zip(y_sector, weights)) // d if graded else None
-            y_table.append(IndexTerm(k0, degs, base, comb, 1 - total + k0, r_num, v_num,
-                                     shift, age, y_sector, ring))
+            y_table.append(IndexTerm(degs, base, comb, 1 - total + k0, r_num, v_num, shift,
+                                     age, y_sector, SeriesRing(d, orders.lam_order, nilpotency)))
     return {"x": tuple(x_table), "y": tuple(y_table)}
-
-
-def _index_terms(pair: LGPair, orders: Orders, side: str) -> tuple:
-    """The index table of ``side`` ("x" or "y") at ``orders``, the one every
-    I/H walk reads: ``_index_tables`` builds both sides from one walk and
-    keeps them."""
-    return _index_tables(pair, orders)[side]
 
 
 def _index_signature(pair: LGPair, variable: str) -> tuple:
@@ -433,7 +427,7 @@ def _i_function(pair: LGPair, orders: Orders, side: str, product_of,
     terms: dict = {}
     products: dict = {}
     scaled: dict = {}   # (product key, comb numerator, denominator) -> comb * product
-    for term in _index_terms(pair, orders, side):
+    for term in _index_tables(pair, orders)[side]:
         key, product = product_of(pair, term, *window, products)
         comb, offset = term.comb, term.offset
         scaled_key = (key, comb.numerator, comb.denominator)
@@ -485,11 +479,11 @@ def _i_y_product(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
     """
-    key = (term.ring.nilpotency, term.k0, term.v_num)
+    key = (term.ring.nilpotency, term.degs[0], term.v_num)
     value = products.get(key)
     if value is None:
         value = products[key] = \
-            _i_y_factors(pair, term.k0, term.v_num, term.ring, z_min, z_max)
+            _i_y_factors(pair, term.degs[0], term.v_num, term.ring, z_min, z_max)
     return key, value
 
 
@@ -542,11 +536,11 @@ def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
 def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
     """The Gamma atoms of H^Y at one index, kept per (k0, v) in ``memo``
     for the span of one walk over the table."""
-    key = (term.k0, term.v_num)
+    key = (term.degs[0], term.v_num)
     atoms = memo.get(key)
     if atoms is None:
         d = pair.fermat.degree
-        counts: dict = {(d * d, term.k0 * d, d * d): -1}
+        counts: dict = {(d * d, term.degs[0] * d, d * d): -1}
         for cj, v in zip(pair.fermat.weights, term.v_num):
             parts = (0, -v, -cj * d)
             counts[parts] = counts.get(parts, 0) - 1
@@ -576,7 +570,7 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
     terms: dict = {}
     memo: dict = {}
     values: dict = {}   # (nilpotency, atoms, comb numerator, denominator) -> value
-    for term in _index_terms(pair, orders, side):
+    for term in _index_tables(pair, orders)[side]:
         if not z_min <= term.shift <= z_max:
             continue
         ring, comb = term.ring, term.comb
@@ -637,19 +631,18 @@ def _stored_counts(series: CohSeries) -> dict:
 
 
 def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
-                     product: ZLaurentSeries, label: str):
+                     product: ZLaurentSeries, fact: int, label: str):
     """The stored series must be the window clamp of the index's I product
-    times the table's comb z^offset.
+    over the check's own ``fact`` times z^offset.
 
     Each stored coefficient at z + offset must lie in the product's ring and
-    equal comb times the product's coefficient at z cell by cell, compared by
+    equal the product's coefficient at z over fact cell by cell, compared by
     cross-multiplying integer numerators and denominators; ``counts``, from
     ``_stored_counts``, then rules out a stored z that the product lacks.
     """
     z_min, z_max = series.orders.z_window
     ring, terms = product.ring, series.terms
     sector, degs, offset = term.sector, term.degs, term.offset
-    cn, cd = term.comb.numerator, term.comb.denominator
     found = 0
     for z, value in product.terms.items():
         z += offset
@@ -658,7 +651,7 @@ def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
         found += 1
         stored = terms.get((sector, z, degs))
         if stored is None or stored.ring is not ring \
-                or not _scaled_equals(stored, value, cn, cd):
+                or not _scaled_equals(stored, value, fact):
             break
     else:
         if counts.get((sector, degs), 0) == found:
@@ -667,8 +660,8 @@ def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
                         {"sector": list(sector), "degree": list(degs)})
 
 
-def _scaled_equals(stored: SectorValue, value: SectorValue, cn: int, cd: int) -> bool:
-    """stored == (cn / cd) value, cell by cell, with each cell's numerators
+def _scaled_equals(stored: SectorValue, value: SectorValue, fact: int) -> bool:
+    """stored == value / fact, cell by cell, with each cell's numerators
     cross-multiplied by the other side's denominator in integers."""
     if len(stored.terms) != len(value.terms):
         return False
@@ -677,28 +670,28 @@ def _scaled_equals(stored: SectorValue, value: SectorValue, cn: int, cd: int) ->
         cell = cells.get(key)
         if cell is None:
             return False
-        left, right = coeff.den * cd, cn * cell.den
+        left, right = coeff.den * fact, cell.den
         for x, y in zip(cell.nums, coeff.nums):
             if x * left != y * right:
                 return False
     return True
 
 
-def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple):
-    """The stored H term must be its closed form, the table's comb times the
-    atoms monomial in the index's ring, wherever the window keeps it: its
-    one cell is compared with (atoms, comb) directly, in integers, with no
-    closed-form value built."""
+def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple, fact: int):
+    """The stored H term must be its closed form, the atoms monomial over
+    the check's own ``fact`` in the index's ring, wherever the window keeps
+    it: its one cell is compared with (atoms, 1/fact) directly, in integers,
+    with no closed-form value built."""
     z_min, z_max = h_series.orders.z_window
-    sector, shift, degs, comb = term.sector, term.shift, term.degs, term.comb
+    sector, shift, degs = term.sector, term.shift, term.degs
     if not z_min <= shift <= z_max:
         return
     stored = h_series.terms.get((sector, shift, degs))
     if stored is not None and stored.ring is term.ring and len(stored.terms) == 1:
         [(key, cell)] = stored.terms.items()
         nums = cell.nums
-        if key == (0, 0, 0, atoms) and cell.den == comb.denominator \
-                and nums[0] == comb.numerator and not any(nums[1:]):
+        if key == (0, 0, 0, atoms) and cell.den == fact \
+                and nums[0] == 1 and not any(nums[1:]):
             return
     raise IdentityError("H-function term disagrees with its closed form",
                         {"sector": list(sector), "degree": list(degs)})
@@ -829,17 +822,21 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       builds the shifted block, and raises through ``_assert_no_residual``
       with the term's comb and offset, which name the witness.
 
-    The I products are kept per walk as the I builder keeps them, the H
-    atoms in a memo of this walk, and both blocks per (sector, H atoms),
-    which fixes everything the pairing reads; each distinct block is one
-    ``gamma_shift_product`` call of this walk.  comb, offset, shift and age
-    are the table's; a non-integral age is refused before the walk.
+    The first two read comb as 1/fact, fact the check's own factorial
+    product of ``term.degs`` (all of it on X, all but k0 on Y), not the
+    table's comb, so a wrong table comb fails there.  The I products are
+    kept per walk as the I builder keeps them, the H atoms in a memo of this
+    walk, and both blocks per (sector, H atoms), which fixes everything the
+    pairing reads; each distinct block is one ``gamma_shift_product`` call
+    of this walk.  offset, shift and age are the table's, and its comb
+    names a residual's witness; a non-integral age is refused before the
+    walk.
     """
     _require_sl_ages(pair)
     if side == "x":
-        product_of, atoms_of = _i_x_product, _x_atoms
+        product_of, atoms_of, first = _i_x_product, _x_atoms, 0
     else:
-        product_of, atoms_of = _i_y_product, _y_atoms
+        product_of, atoms_of, first = _i_y_product, _y_atoms, 1
     window = _wide_window(i_series.orders, pair)
     label = f"I^{side.upper()}"
     counts = _stored_counts(i_series)
@@ -848,13 +845,14 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     shift_blocks: dict = {}
     passed: set = set()
     memo: dict = {}
-    for term in _index_terms(pair, i_series.orders, side):
+    for term in _index_tables(pair, i_series.orders)[side]:
         sector = term.sector
         atoms = atoms_of(pair, term, memo)
 
         product_key, product = product_of(pair, term, *window, i_products)
-        _assert_is_clamp(i_series, counts, term, product, label)
-        _assert_h_term(h_series, term, atoms)
+        fact = prod(map(factorial, term.degs[first:]))
+        _assert_is_clamp(i_series, counts, term, product, fact, label)
+        _assert_h_term(h_series, term, atoms, fact)
 
         block_key = (sector, atoms)
         if block_key not in blocks:
@@ -893,7 +891,7 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     grading = pair.grading.exps
     terms: dict = {}
     atom_memo: dict = {}
-    for term in _index_terms(pair, orders, "x"):
+    for term in _index_tables(pair, orders)["x"]:
         atoms = _x_atoms(pair, term, atom_memo)
         for b in range(d):
             sector = tuple([(e - b * j) % m for e, j, m in zip(term.base, grading, exponents)])
@@ -902,7 +900,7 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
                 continue
             ring = SeriesRing(d, orders.lam_order, n_g)
             terms[(sector, term.shift, term.degs)] = \
-                ubar_block(pair, b + term.k0, ring).scale_atoms(atoms) * term.comb
+                ubar_block(pair, b + term.degs[0], ring).scale_atoms(atoms) * term.comb
     variables, tokens = _index_signature(pair, "t")
     return CohSeries("y", pair, variables, orders, terms, tokens)
 

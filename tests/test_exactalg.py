@@ -754,12 +754,12 @@ def test_bernoulli_poly_refuses_floats_after_an_exact_call():
 
 
 def test_bernoulli_cache_matches_the_polynomial_sum():
-    # the cached integer route against the public Fraction sum, every n <= 6, q <= 12
+    # the integer route against the public Fraction sum, every n <= 6, q <= 12
     for n in range(7):
         for q in range(1, 13):
             for p in range(-q, 2 * q + 1):
                 assert _bernoulli_at(n, p, q) == bernoulli_poly(n, F(p, q))
-        # 2/4 reaches the cache as its lowest terms, the key of 1/2
+        # 2/4 reaches the integer route as its lowest terms, those of 1/2
         assert _rational_parts(F(2, 4)) == (1, 2)
         assert _bernoulli_at(n, *_rational_parts(F(2, 4))) == bernoulli_poly(n, F(1, 2))
         assert _bernoulli_at(n, 2, 4) == _bernoulli_at(n, 1, 2)

@@ -19,7 +19,7 @@ from lgcy.exactalg import (Cyclotomic, GammaAtom, SectorValue, SeriesRing, ZLaur
                            series_exp)
 from lgcy.genfun import (
     IdentityError,
-    _index_terms,
+    _index_tables,
     _multidegree_walk,
     _verify_factorization,
     assert_lambda_divisibility,
@@ -43,8 +43,9 @@ from lgcy.genfun import (
 )
 from lgcy.lgmodel import GroupElement, LGPair, SectorBasisElement, load_pair
 from lgcy.transforms import Transform, gamma_class_op, ubar_block
-from lgcy.verify import (ALL_CHECKS, check_gamma_factorization, check_mlk_untwisted,
-                         check_oracle_equivalence, recommended_orders, run_checks)
+from lgcy.verify import (ALL_CHECKS, check_continuation, check_gamma_factorization,
+                         check_mlk_untwisted, check_oracle_equivalence, recommended_orders,
+                         run_checks, self_test)
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
@@ -269,14 +270,19 @@ def _residue_partition(pair, rows, total) -> dict:
 def test_twist_leaves_the_residue_partition_unchanged(pair):
     """Over the rows g j^c the sums are sums_0 + c total j mod d/c_j, one
     translation per total, so every valid c and total 2..6 groups the
-    multidegrees as the untwisted rows do, and as ``_j_classes`` does.
-    The check is exhaustive, so no case is left to a random draw."""
+    multidegrees as the untwisted rows do, and as ``_j_classes`` does, whose
+    members each carry the residues as their own sector.  The check is
+    exhaustive, so no case is left to a random draw."""
     elements = pair.group.elements
     table = genfun._j_classes(pair, Orders(t_order=6, lam_order=0))
     for total in range(2, 7):
         untwisted = _residue_partition(pair, [g.exps for g in elements], total)
-        assert {key: [degs for degs, _ in members] for key, members in
-                table[total].items()} == untwisted
+        grouped: dict = {}
+        for members in table[total]:
+            for degs, _, sector in members:
+                grouped.setdefault(sector, []).append(degs)
+        assert grouped == untwisted
+        assert len(grouped) == len(table[total])
         for c in pair.valid_twists():
             jc = pair.grading ** c
             twisted = _residue_partition(pair, [(g * jc).exps for g in elements], total)
@@ -301,36 +307,35 @@ def test_oracle_equivalence_walks_once_per_total(pair, monkeypatch, fresh_j_tabl
 
 def _corrupted_j_classes(fault: str):
     """``_j_classes`` with one fault at total 2.  "member-moved" moves the
-    last multidegree of the second class to the front of the first, where
-    the oracle scans it, and "member-filed-last" to its end; "key-shifted"
-    moves the first class's key by +1 in its first coordinate, to a residue
-    tuple that is no class key."""
+    last member of the second class to the front of the first, where the
+    oracle scans it, and "member-filed-last" to its end; "sector-shifted"
+    moves the first member's own sector by +1 in its first coordinate."""
     real = genfun._j_classes
 
     def table(pair, orders):
         classes = list(real(pair, orders))
-        items = [(key, list(members)) for key, members in classes[2].items()]
-        (key_a, first), (_, second) = items[0], items[1]
+        first, second, *rest = [list(members) for members in classes[2]]
         if fault == "member-moved":
             first.insert(0, second.pop())
         elif fault == "member-filed-last":
             first.append(second.pop())
         else:
-            moved = ((key_a[0] + 1) % pair.fermat.exponents[0],) + key_a[1:]
-            assert moved not in classes[2]
-            items[0] = (moved, first)
-        classes[2] = {key: tuple(members) for key, members in items if members}
+            degs, fact, sector = first[0]
+            moved = ((sector[0] + 1) % pair.fermat.exponents[0],) + sector[1:]
+            first[0] = (degs, fact, moved)
+        classes[2] = tuple(tuple(members) for members in [first, second, *rest] if members)
         return tuple(classes)
 
     return table
 
 
-@pytest.mark.parametrize("fault", ["member-moved", "key-shifted"])
+@pytest.mark.parametrize("fault", ["member-moved", "member-filed-last", "sector-shifted"])
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_corrupted_j_table_fails_both_j_checks(pair, fault, monkeypatch, fresh_j_tables):
-    """Sharing the table does not merge the two sides: the closed J reads a
-    class's key, the oracle scans its first multidegree, so either fault
-    splits them in oracle-equivalence and in mlk-untwisted at every c."""
+    """Sharing the table does not merge the two sides: the closed J writes
+    each member under its own sector, the oracle scans each class's first
+    member, so every fault splits them in oracle-equivalence and in
+    mlk-untwisted at every c, c = 0 included."""
     monkeypatch.setattr(genfun, "_j_classes", _corrupted_j_classes(fault))
     reports = [check_oracle_equivalence(pair, n_max=4)] + \
         [check_mlk_untwisted(pair, c, Orders(t_order=4, lam_order=0))
@@ -341,12 +346,13 @@ def test_corrupted_j_table_fails_both_j_checks(pair, fault, monkeypatch, fresh_j
 
 def test_reference_rebuilds_see_a_multidegree_filed_last_in_another_class(
         monkeypatch, fresh_j_tables):
-    """A multidegree filed behind another class's first member gets that
-    class's sector on both routes, so oracle-equivalence cannot tell them
-    apart there; the per-twist rebuilds above, which walk on their own, can."""
+    """A multidegree filed behind another class's first member keeps its own
+    sector on the closed route, which matches its per-twist rebuild, and
+    gets that class's duals on the oracle route, which moves away from the
+    direct scan."""
     monkeypatch.setattr(genfun, "_j_classes", _corrupted_j_classes("member-filed-last"))
     pair, orders = quintic(), Orders(t_order=4, lam_order=0)
-    assert untwisted_j(pair, 0, orders).terms != _per_twist_closed_terms(pair, 0, orders)
+    assert untwisted_j(pair, 0, orders).terms == _per_twist_closed_terms(pair, 0, orders)
     assert untwisted_j_oracle(pair, 0, orders).terms != \
         _direct_scan_oracle_terms(pair, 0, orders)
 
@@ -445,6 +451,25 @@ def test_check_reports_golden_digest(name):
     reports = run_checks(pair, ALL_CHECKS, recommended_orders(pair, 5, 3))
     text = json.dumps([[r.check, r.status, r.witness] for r in reports], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHECKS_GOLDEN
+
+
+# The same digest of self_test(p, recommended_orders(p, 4, 2)): one failing
+# report per check, so every fault witness is pinned.
+SELF_TEST_GOLDEN = {
+    "cubic": "203128173bce2b1e1b5519baf7dd15ac93499041cb87216af534efcc02e26a85",
+    "quartic": "d0c217086980288400655712ce891893b5b085e55832b5bfbdcfaf21c0df1491",
+    "quintic": "8cf4bcedd294e6531345544b9a18d609c715a3840cc15f2958cea679fb605f28",
+    "sextic": "01b6bc0c4ebd6824052f22fb75a114104f23ee9af51cd4b68d1fc76d81eb120b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_TEST_GOLDEN))
+def test_self_test_witnesses_golden_digest(name):
+    pair = shipped_pairs()[name]
+    reports = self_test(pair, recommended_orders(pair, 4, 2))
+    assert not any(r.ok() for r in reports)
+    text = json.dumps([[r.check, r.status, r.witness] for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SELF_TEST_GOLDEN[name]
 
 
 def test_string_equation():
@@ -587,7 +612,7 @@ def test_non_integral_ages_refused_by_every_h_builder():
     for t_order in (0, 1):
         orders = Orders(t_order=t_order, lam_order=1)
         for side in ("x", "y"):
-            table = _index_terms(non_sl, orders, side)
+            table = _index_tables(non_sl, orders)[side]
             assert all(term.shift is None and term.age is None for term in table)
             if t_order == 0:
                 assert table and all(GroupElement(non_sl.fermat, term.sector).age().denominator
@@ -635,7 +660,7 @@ def _repeated_index(pair, side):
     window = genfun._wide_window(orders, pair)
     products = {}
     return _first_repeated(
-        _index_terms(pair, orders, side),
+        _index_tables(pair, orders)[side],
         lambda term: (term.sector, product_of(pair, term, *window, products)[0])).degs
 
 
@@ -678,9 +703,9 @@ def test_factorization_checks_terms_whose_product_is_reused(side):
     def key_of(term):
         if side == "x":
             return term.r_num
-        return (term.ring.nilpotency, term.k0, term.v_num)
+        return (term.ring.nilpotency, term.degs[0], term.v_num)
 
-    target = _first_repeated(_index_terms(p, orders, side), key_of)
+    target = _first_repeated(_index_tables(p, orders)[side], key_of)
     sector = target.sector
     series = (i_function_x if side == "x" else i_function_y)(p, orders)
     key = next(k for k in sorted(series.terms)
@@ -711,12 +736,12 @@ def _assert_reused_h_term_tamper_fails(side, tamper):
     degree."""
     p = quartic()
     orders = recommended_orders(p, 6, 3)
-    table = list(_index_terms(p, orders, side))
+    table = _index_tables(p, orders)[side]
     if side == "x":
         target = _first_repeated(table, lambda term: term.r_num)
         i_series, h_series = i_function_x(p, orders), h_function_x(p, orders)
     else:
-        target = _first_repeated(table, lambda term: (term.k0, term.v_num))
+        target = _first_repeated(table, lambda term: (term.degs[0], term.v_num))
         i_series, h_series = i_function_y(p, orders), h_function_y(p, orders)
     gamma = gamma_class_op(p, side)
     sector = target.sector
@@ -803,20 +828,23 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
     for the clamp compare and its H closed form as a ``SectorValue``, and
     forms lhs and rhs as ``ZLaurentSeries`` with comb and z-power in them.
-    The Gamma-ratio blocks come from ``genfun._gamma_ratio_blocks``; their
-    values are checked against the per-factor route in ``test_exactalg``,
-    their pairing against ``_fraction_ratio_blocks``."""
+    comb is 1 over the factorial product of the term's degree, all of it on
+    X and all but k0 on Y, not the table's comb.  The Gamma-ratio blocks
+    come from ``genfun._gamma_ratio_blocks``; their values are checked
+    against the per-factor route in ``test_exactalg``, their pairing against
+    ``_fraction_ratio_blocks``."""
     if side == "x":
-        product_of, atoms_of = genfun._i_x_product, genfun._x_atoms
+        product_of, atoms_of, first = genfun._i_x_product, genfun._x_atoms, 0
     else:
-        product_of, atoms_of = genfun._i_y_product, genfun._y_atoms
+        product_of, atoms_of, first = genfun._i_y_product, genfun._y_atoms, 1
     window = genfun._wide_window(i_series.orders, pair)
     z_min, z_max = i_series.orders.z_window
     products, blocks, memo = {}, {}, {}
-    for term in genfun._index_terms(pair, i_series.orders, side):
+    for term in genfun._index_tables(pair, i_series.orders)[side]:
         sector, ring = term.sector, term.ring
         age = int(GroupElement(pair.fermat, sector).age())
-        shift, scale = term.shift, term.comb
+        shift = term.shift
+        scale = F(1, math.prod(math.factorial(k) for k in term.degs[first:]))
         atoms = atoms_of(pair, term, memo)
         _, product = product_of(pair, term, *window, products)
         i_value = _i_value(product, scale, term.offset)
@@ -841,15 +869,32 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         _assert_no_term_residual(lhs, rhs, side.upper(), sector, term.degs)
 
 
+def _changed_table_term(monkeypatch, side, target, change):
+    """``genfun._index_tables`` with ``change`` applied to the term of
+    ``side`` whose degree is ``target``."""
+    index_tables = genfun._index_tables
+
+    def changed(p, orders):
+        tables = dict(index_tables(p, orders))
+        tables[side] = tuple(change(term) if term.degs == target else term
+                             for term in tables[side])
+        return tables
+
+    monkeypatch.setattr(genfun, "_index_tables", changed)
+
+
 def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
-    target = _repeated_index(pair, side)
-    index_terms = genfun._index_terms
+    _changed_table_term(monkeypatch, side, _repeated_index(pair, side),
+                        lambda term: term._replace(shift=term.shift + 1))
 
-    def moved(p, orders, s):
-        return tuple(term._replace(shift=term.shift + 1) if term.degs == target else term
-                     for term in index_terms(p, orders, s))
 
-    monkeypatch.setattr(genfun, "_index_terms", moved)
+def _doubled_table_comb(monkeypatch, pair, side):
+    """The table's comb doubled on the side's first index of t-degree >= 2,
+    which the I and H builders read and the check's own comb does not."""
+    table = genfun._index_tables(pair, recommended_orders(pair, 6, 3))[side]
+    target = next(term.degs for term in table if sum(term.degs) >= 2)
+    _changed_table_term(monkeypatch, side, target,
+                        lambda term: term._replace(comb=term.comb * 2))
 
 
 def _doubled_product_on_a_repeated_index(monkeypatch, pair, side):
@@ -876,6 +921,7 @@ FACTORIZATION_FAULTS = {
     "z-shift-moved-on-a-repeated-index": _moved_z_shift_on_a_repeated_index,
     "h-atom-moved-on-a-repeated-index": _moved_atom(F(1), repeated_only=True),
     "i-product-doubled-on-a-repeated-index": _doubled_product_on_a_repeated_index,
+    "i-comb-doubled": _doubled_table_comb,
 }
 
 
@@ -945,9 +991,12 @@ def test_per_key_check_agrees_with_the_per_term_route_at_a_narrow_window(
     expected = _assert_routes_agree(monkeypatch, pair, side, fault,
                                     Orders(t_order=3, lam_order=2, z_min=-1, z_max=0))
     # no nonzero key of the quintic, or of the cubic's X side, has a Gamma
-    # ratio at these orders: a doubled rewrite changes nothing there
+    # ratio at these orders: a doubled rewrite changes nothing there; the
+    # sextic's first Y index of t-degree 2 keeps neither an I key nor its H
+    # term in this window, so its doubled comb changes nothing stored
     if fault != "gamma-shift-doubled":
-        assert (expected is None) == (fault == "none")
+        invisible = (fault, pair.name, side) == ("i-comb-doubled", "sextic", "y")
+        assert (expected is None) == (fault == "none" or invisible)
 
 
 def _fraction_ratio_blocks(gamma_atoms, h_atoms, ring, window, sector, degs):
@@ -1004,7 +1053,7 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
             return str(err), err.witness
 
     seen, memo, outcomes = set(), {}, set()
-    for term in _index_terms(pair, orders, side):
+    for term in _index_tables(pair, orders)[side]:
         atoms = atoms_of(pair, term, memo)
         if (term.sector, atoms) in seen:
             continue
@@ -1054,7 +1103,7 @@ def _public_route(pair, orders, side, kind):
     Returns the series and the terms before that constructor."""
     terms, memo = {}, {}
     window = genfun._wide_window(orders, pair)
-    for term in _index_terms(pair, orders, side):
+    for term in _index_tables(pair, orders)[side]:
         if kind == "i":
             product_of = genfun._i_x_product if side == "x" else genfun._i_y_product
             _, product = product_of(pair, term, *window, memo)
@@ -1132,6 +1181,26 @@ def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_a_doubled_table_comb_fails_the_factorization_check(monkeypatch, pair, side):
+    """The check reads its own comb, so a table comb doubled on one side
+    alone fails gamma-factorization with that side's clamp witness on the
+    doubled index; on X, which the continued series reads, continuation
+    fails as well."""
+    orders = recommended_orders(pair, 4, 2)
+    _doubled_table_comb(monkeypatch, pair, side)
+    target = next(term for term in genfun._index_tables(pair, orders)[side]
+                  if sum(term.degs) >= 2)
+    build = i_function_x if side == "x" else i_function_y
+    with pytest.raises(IdentityError, match=re.escape(
+            f"I^{side.upper()}: stored series is not the declared clamp")):
+        h_factorization(pair, build(pair, orders), side)
+    report = check_gamma_factorization(pair, orders)
+    assert report.witness == {"sector": list(target.sector), "degree": list(target.degs)}
+    assert check_continuation(pair, orders).ok() == (side == "y")
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("fault", ["gamma-shift-doubled", "h-atom-moved-by-1"])
 def test_kept_index_table_keeps_faults_visible(monkeypatch, fault, side):
     """After a clean check, a fault in what the walks derive from the table
@@ -1166,7 +1235,7 @@ CENSUS_PAIRS = [
 
 def _per_side_index_terms(pair, orders, side):
     """The index table of one side from its own multidegree walk, the way
-    ``_index_terms`` built each side before both came from one walk."""
+    each side was built before both came from one walk."""
     sectors = pair.positive_dim_sectors()
     weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
     graded = pair.is_sl
@@ -1192,7 +1261,7 @@ def _per_side_index_terms(pair, orders, side):
                 fact //= math.factorial(k0)
                 offset = 1 - total + k0
             shift = sums[-1] // d if graded else None
-            table.append(genfun.IndexTerm(k0, degs, base, F(1, fact), offset, r_num, v_num,
+            table.append(genfun.IndexTerm(degs, base, F(1, fact), offset, r_num, v_num,
                                           shift, age, sector, ring))
     return table
 
@@ -1210,8 +1279,9 @@ def test_joint_index_tables_equal_the_per_side_walks(pair):
     for t_order in range(5):
         for lam_order in (0, 2):
             orders = recommended_orders(pair, t_order, lam_order)
+            tables = _index_tables(pair, orders)
             for side in ("x", "y"):
-                table = _index_terms(pair, orders, side)
+                table = tables[side]
                 expected = _per_side_index_terms(pair, orders, side)
                 assert len(table) == len(expected)
                 for term, reference in zip(table, expected):
@@ -1219,7 +1289,7 @@ def test_joint_index_tables_equal_the_per_side_walks(pair):
                         value, wanted = getattr(term, field), getattr(reference, field)
                         assert value == wanted and type(value) is type(wanted), field
                     assert term.ring is reference.ring
-            assert _index_terms(pair, orders, "x") is genfun._index_tables(pair, orders)["x"]
+            assert _index_tables(pair, orders) is tables
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -1229,15 +1299,15 @@ def test_index_table_integers_match_the_fraction_formulas(pair, side):
     sums, are sum_s (age(g_s) - 1) k_s, the age of its sector, and the side's
     factorial and z-power formulas, all formed here in Fractions."""
     sectors = pair.positive_dim_sectors()
-    table = _index_terms(pair, recommended_orders(pair, 3, 2), side)
+    table = _index_tables(pair, recommended_orders(pair, 3, 2))[side]
     for term in table:
         k = term.degs[1:]
         shift = sum((g.age() - 1) * k_s for g, k_s in zip(sectors, k))
         comb = F(1, math.prod(math.factorial(k_s) for k_s in k))
         offset = 1 - sum(k)
         if side == "x":
-            comb /= math.factorial(term.k0)
-            offset -= term.k0
+            comb /= math.factorial(term.degs[0])
+            offset -= term.degs[0]
         assert (term.shift, term.age, term.comb, term.offset) == \
             (shift, GroupElement(pair.fermat, term.sector).age(), comb, offset)
         assert type(term.shift) is int and type(term.age) is int
@@ -1262,7 +1332,7 @@ def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
             sector = (shift if side == "x" else shift.inverse()) * base
             if side == "x" or sector.fixed_dim():
                 expected.append((degs, base, sector))
-    table = _index_terms(pair, orders, side)
+    table = _index_tables(pair, orders)[side]
     assert all(type(term.base) is tuple and type(term.sector) is tuple for term in table)
     assert [(term.degs, GroupElement(pair.fermat, term.base),
              GroupElement(pair.fermat, term.sector)) for term in table] == expected

@@ -280,22 +280,22 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
 
 
 def test_the_index_table_and_the_continued_series_build_no_group_element(monkeypatch):
-    """``_index_terms`` and ``h_continued`` read sectors as exponent tuples:
+    """``_index_tables`` and ``h_continued`` read sectors as exponent tuples:
     while either runs no ``GroupElement`` is made (both constructors store
     through ``_store``), though the continuation check around them makes
     some."""
     wrap, reached = _reach_counter(monkeypatch)
     genfun._index_tables.cache_clear()
     wrap([verify], "check_continuation")
-    wrap([genfun], "_index_terms")
+    wrap([genfun], "_index_tables")
     wrap([genfun, verify], "h_continued")
     wrap([GroupElement], "_store")
     pair = catalog.quartic()
     assert verify.check_continuation(pair, verify.recommended_orders(pair, 3, 2)).ok()
-    assert reached["check_continuation", "_index_terms"] > 0
+    assert reached["check_continuation", "_index_tables"] > 0
     assert reached["check_continuation", "h_continued"] > 0
     assert reached["check_continuation", "_store"] > 0
-    assert reached["_index_terms", "_store"] == 0
+    assert reached["_index_tables", "_store"] == 0
     assert reached["h_continued", "_store"] == 0
 
 
