@@ -163,9 +163,10 @@ class CohSeries:
 
         Lowering one degree is injective on keys and never raises the
         t-degree, so the result is built unchecked once the keys pushed
-        above z_max and the zero values are dropped.  Terms share values (one
-        per factorial in the closed J), so each (value, exponent) is formed
-        once per call.
+        above z_max and the zero values are dropped.  With no prefactor a
+        term of exponent 1 passes its value object through.  Terms share
+        values (one per factorial in the closed J), so every other
+        (value, exponent) is formed once per call.
         """
         if not 0 <= var_index < len(self.variables):
             raise ValueError(f"variable index {var_index} outside [0, {len(self.variables)})")
@@ -177,18 +178,22 @@ class CohSeries:
             # a term with a zero exponent and no prefactor has no derivative
             if z >= z_max or (not exponent and not prefactor_lam_multiple):
                 continue
-            total = formed.get((id(value), exponent))
-            if total is None:
-                if exponent:
-                    total = value if exponent == 1 else value * exponent
-                if prefactor_lam_multiple:
-                    piece = value * value.ring.monomial(lam=1, tau=-1,
-                                                        coeff=prefactor_lam_multiple)
-                    total = piece if total is None else total + piece
-                formed[id(value), exponent] = total
+            if exponent == 1 and not prefactor_lam_multiple:
+                total = value
+            else:
+                total = formed.get((id(value), exponent))
+                if total is None:
+                    if exponent:
+                        total = value if exponent == 1 else value * exponent
+                    if prefactor_lam_multiple:
+                        piece = value * value.ring.monomial(lam=1, tau=-1,
+                                                            coeff=prefactor_lam_multiple)
+                        total = piece if total is None else total + piece
+                    formed[id(value), exponent] = total
             if total.terms:
-                shifted = degs[:var_index] + (exponent - 1,) + degs[var_index + 1:]
-                out[(exps, z + 1, shifted)] = total
+                lowered = list(degs)
+                lowered[var_index] = exponent - 1
+                out[(exps, z + 1, tuple(lowered))] = total
         return CohSeries._unchecked(self.side, self.pair, self.variables, self.orders,
                                     out, self.tokens, self.c_twist)
 

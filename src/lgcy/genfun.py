@@ -201,6 +201,12 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     multidegree as insertions, and the duals that pass are written for each
     member.  No dual is solved for, and no member's sector or product is
     read.
+
+    Every key is written once and only inside the orders: the unit (z = 1)
+    and the linear terms (z = 0, t-degree 1) when the z-window and the
+    t-order hold them, and the class terms at z = 1 - total, which
+    ``_j_classes`` leaves empty outside the window.  The series is built
+    unchecked, so a key written outside the orders reaches ``compare``.
     """
     pair.require_twist(c)
     elements = pair.group.elements
@@ -209,14 +215,15 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
     shifted = [g * jc for g in elements]
     j2c_inverse = (jc * jc).inverse()
     duals = [g0.inverse() * j2c_inverse for g0 in elements]
-    # every key is written once: the unit, the linear terms, and one key per
-    # passing dual at each multidegree of t-degree >= 2; the series drops
-    # the keys outside the z-window
-    terms: dict = {(pair.identity.exps, 1, (0,) * len(elements)): ring.one()}
-    for i, g in enumerate(elements):
-        degs = [0] * len(elements)
-        degs[i] = 1
-        terms[(g.exps, 0, tuple(degs))] = ring.one()
+    z_min, z_max = orders.z_window
+    terms: dict = {}
+    if z_min <= 1 <= z_max:
+        terms[(pair.identity.exps, 1, (0,) * len(elements))] = ring.one()
+    if z_min <= 0 <= z_max and orders.t_order >= 1:
+        for i, g in enumerate(elements):
+            degs = [0] * len(elements)
+            degs[i] = 1
+            terms[(g.exps, 0, tuple(degs))] = ring.one()
     dual_norm = pair.fermat.degree ** pair.fermat.n_variables
     for total, classes in enumerate(_j_classes(pair, orders)):
         if total < 2 or not classes:
@@ -241,8 +248,8 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
                     value = scalars[fact] = ring.scalar(Fraction(1, fact) * corr * dual_norm)
                 for exps in passing:
                     terms[(exps, -a - 1, degs)] = value
-    return CohSeries("lg", pair, tuple(g.exps for g in elements), orders,
-                     terms, (), c_twist=c)
+    return CohSeries._unchecked("lg", pair, tuple(g.exps for g in elements), orders,
+                                terms, (), c_twist=c)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ class LGPair:
         Summed in integers as (c_j / d)(c(2h - 2 + n) - sum_i k_j(g_i)), which
         is exact since m_j(g) = k_j(g) c_j / d.
         """
-        numerator = c * (2 * h - 2 + len(insertions)) - sum(g.exps[j] for g in insertions)
+        numerator = c * (2 * h - 2 + len(insertions)) - sum([g.exps[j] for g in insertions])
         return Fraction(numerator * self.fermat.weights[j], self.fermat.degree)
 
     def is_nonempty(self, c: int, h: int, insertions) -> bool:

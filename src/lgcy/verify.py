@@ -597,7 +597,8 @@ _INDEX_WALK_CHECKS = ("gamma-factorization", "continuation", "fjrw-pipeline",
 # The largest work a run may start.  It admits every shipped pair at T = 10
 # (the quartic's J walk, 43,758 multidegrees, is the largest) and refuses
 # (1,1,1,1; 4) with its maximal SL group at T = 4 (814,385 multidegrees);
-# it admits the quintic's Ubar blocks up to lam-order 52.
+# it admits the quintic's Ubar blocks up to lam-order 52 and the quartic's
+# kernel-compatibility at T = 10 up to lam-order 24.
 WORK_BOUND = 100_000
 
 
@@ -608,15 +609,24 @@ def _work(pair: LGPair, orders: Orders, names) -> list[tuple[int, str]]:
     with P the number of positive-dimensional sectors, and, for a check that
     builds Ubar blocks at lam-order L, about (d - 1) C(L + 2, 3) coefficient
     products in the d - 1 inversions of their line series, which grow as L^3
-    whatever T is."""
+    whatever T is.  kernel-compatibility also applies Ubar to every I^X
+    index: the index count times the (lam, H) cells of one block at its
+    lam-order L and the largest nilpotency N, N (L + 1) - C(N, 2)."""
     t = orders.t_order
+    indices = comb(1 + len(pair.positive_dim_sectors()) + t, t)
     walks = [comb(len(pair.group) + t, t)] if set(names) & set(_J_WALK_CHECKS) else []
     if set(names) & set(_INDEX_WALK_CHECKS):
-        walks.append(comb(1 + len(pair.positive_dim_sectors()) + t, t))
+        walks.append(indices)
     work = [(n, f"walk {n:,} terms at T = {t}") for n in walks]
     for lam in {_UBAR_LAM_ORDERS[name](pair, orders) for name in names if name in _UBAR_LAM_ORDERS}:
         n = (pair.fermat.degree - 1) * comb(lam + 2, 3)
         work.append((n, f"form {n:,} coefficient products at lambda-order {lam}"))
+    if "kernel-compatibility" in names:
+        lam = _UBAR_LAM_ORDERS["kernel-compatibility"](pair, orders)
+        nil = max(g.fixed_dim() for g in pair.group.elements)
+        n = indices * (nil * (lam + 1) - comb(nil, 2))
+        work.append((n, f"apply Ubar to {n:,} (lambda, H) cells of {indices:,} indices "
+                        f"at lambda-order {lam}"))
     return work
 
 

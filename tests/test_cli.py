@@ -262,7 +262,8 @@ def test_failing_check_exits_1(capsys, monkeypatch):
 
 def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
     """(1,1,1,1; 4) with its maximal SL group walks 814,385 multidegrees at
-    T = 4: refused with exit 2, naming the count and the bound."""
+    T = 4, and kernel-compatibility applies Ubar to 3,502,440 (lambda, H)
+    cells: refused with exit 2, naming the larger count and the bound."""
     pair_file = tmp_path / "maximal.json"
     pair_file.write_text(json.dumps({"weights": [1, 1, 1, 1], "degree": 4,
                                      "generators": [[1, 3, 0, 0], [0, 1, 3, 0],
@@ -271,7 +272,7 @@ def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", "--pair", str(pair_file),
                                  "--T", "4", "--lambda-order", "2", *extra)
         assert code == 2
-        assert "814,385" in err and "100,000" in err
+        assert "3,502,440" in err and "100,000" in err
         assert out == ""
 
 
@@ -299,6 +300,24 @@ def test_verify_refuses_a_lambda_order_above_the_work_bound(capsys, monkeypatch,
     assert "100,000" in err and out == ""
     code, out, _ = run_cli(capsys, "ifun", "--pair", "quintic", "--side", "lg", *orders)
     assert code == 0 and out
+
+
+def test_verify_refuses_the_kernel_ubar_application_above_the_work_bound(capsys,
+                                                                         monkeypatch):
+    """kernel-compatibility applies Ubar to each of the quartic's 1,001 I^X
+    indices at T = 10; at --lambda-order 48 the blocks have 194 (lambda, H)
+    cells each, refused with exit 2 and the count before the check runs."""
+    from lgcy import verify
+
+    def no_check(*_):
+        raise AssertionError("a check ran above the work bound")
+
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    code, out, err = run_cli(capsys, "verify", "--pair", "quartic", "--checks",
+                             "kernel-compatibility", "--T", "10", "--lambda-order", "48")
+    assert code == 2
+    assert "194,194 (lambda, H) cells of 1,001 indices at lambda-order 49" in err
+    assert "100,000" in err and out == ""
 
 
 @pytest.mark.parametrize("side", ["lg", "cy", "fjrw"])

@@ -105,7 +105,9 @@ def test_unchecked_and_transformed_series_are_clean(name):
     """Every series built without the constructor's filters, and every
     ``Transform.apply`` result, is one the constructor would keep as is.
     The J window ends at z_max = 0, so a derivative that kept a key above
-    z_max would show here."""
+    z_max would show here.  Both J routes are also built at windows that
+    drop the unit (z_max = 0) or the linear terms (z_min = 1), and at
+    T = 0."""
     pair = shipped_pairs()[name]
     j_orders = Orders(t_order=3, lam_order=1, z_max=0)
     ix = i_function_x(pair, Orders(t_order=3, lam_order=2))
@@ -114,6 +116,10 @@ def test_unchecked_and_transformed_series_are_clean(name):
         closed = untwisted_j(pair, c, j_orders)
         _assert_clean(closed)
         _assert_clean(i_c(pair, c).apply(untwisted_j_oracle(pair, 0, j_orders)))
+        for orders in (j_orders, Orders(t_order=3, lam_order=1, z_min=1),
+                       Orders(t_order=0, lam_order=1), Orders(t_order=0, lam_order=1, z_max=0)):
+            for builder in (untwisted_j, untwisted_j_oracle):
+                _assert_clean(builder(pair, c, orders))
         for series in (closed, ix):
             for index in range(len(series.variables)):
                 for multiple in (0, d):
@@ -175,14 +181,22 @@ def _per_term_z_ddt_var(series: CohSeries, index: int, multiple: int) -> dict:
 def test_z_ddt_var_matches_a_per_term_reference(name):
     """Each (value, exponent) product is formed once per call; the result is
     the per-term one on the closed J, whose terms share one value per
-    factorial, and on the relabelled oracle J."""
+    factorial, on the relabelled oracle J and on I^X.  With no prefactor a
+    term of exponent 1 passes its own value object through."""
     pair = shipped_pairs()[name]
     orders = Orders(t_order=4, lam_order=1)
     oracle = untwisted_j_oracle(pair, 0, orders)
+    ix = i_function_x(pair, Orders(t_order=3, lam_order=2))
     d = pair.fermat.degree
     for c in pair.valid_twists():
-        for series in (untwisted_j(pair, c, orders), i_c(pair, c).apply(oracle)):
+        for series in (untwisted_j(pair, c, orders), i_c(pair, c).apply(oracle), ix):
+            z_max = series.orders.z_window[1]
             for index in range(len(series.variables)):
                 for multiple in (0, d):
                     assert series.z_ddt_var(index, multiple).terms == \
                         _per_term_z_ddt_var(series, index, multiple), (c, index, multiple)
+                derivative = series.z_ddt_var(index).terms
+                passed = [derivative[exps, z + 1, degs[:index] + (0,) + degs[index + 1:]]
+                          is value for (exps, z, degs), value in series.terms.items()
+                          if degs[index] == 1 and z < z_max]
+                assert passed and all(passed), (c, index)

@@ -210,11 +210,17 @@ def _order25_quintic():
                       "generators": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]})
 
 
-@pytest.mark.parametrize("pair,t_order", [(p, 4) for p in ALL_PAIRS]
-                         + [(_order16_quartic(), 3), (_order25_quintic(), 2)],
-                         ids=[p.name for p in ALL_PAIRS] + ["quartic-order16", "quintic-order25"])
-def test_oracle_memoized_scan_equals_direct_scan(pair, t_order):
-    orders = Orders(t_order=t_order, lam_order=0)
+@pytest.mark.parametrize("pair,t_order,window", [(p, 4, {}) for p in ALL_PAIRS]
+                         + [(_order16_quartic(), 3, {}), (_order25_quintic(), 2, {}),
+                            (quartic(), 4, {"z_min": -2, "z_max": 0}),
+                            (quintic(), 4, {"z_min": 1})],
+                         ids=[p.name for p in ALL_PAIRS]
+                         + ["quartic-order16", "quintic-order25",
+                            "quartic-without-unit", "quintic-without-linear"])
+def test_oracle_memoized_scan_equals_direct_scan(pair, t_order, window):
+    """The oracle J writes only inside the orders; the direct scan writes
+    every key and clips to the z-window at the end."""
+    orders = Orders(t_order=t_order, lam_order=0, **window)
     for c in pair.valid_twists():
         assert untwisted_j_oracle(pair, c, orders).terms == \
             _direct_scan_oracle_terms(pair, c, orders), c

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from lgcy import catalog, genfun, verify
@@ -71,17 +72,17 @@ def test_every_exported_name_resolves():
     assert not missing, missing
 
 
-def _tracer_sites() -> tuple:
-    """``SITES`` of ``benchmarks/tracer.py``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("benchmark_tracer",
-                                                  ROOT / "benchmarks" / "tracer.py")
+def _benchmark_module(stem: str):
+    """``benchmarks/<stem>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{stem}",
+                                                  ROOT / "benchmarks" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module      # its dataclass looks the module up
+    sys.modules[spec.name] = module      # its dataclasses look the module up
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.SITES
+    return module
 
 
 def test_every_benchmark_site_resolves():
@@ -89,7 +90,7 @@ def test_every_benchmark_site_resolves():
     ``lgcy`` module (a method in its class's own namespace, where the tracer
     looks it up), so a rename that breaks a traced benchmark run fails here."""
     missing = []
-    for site in _tracer_sites():
+    for site in _benchmark_module("tracer").SITES:
         home = importlib.import_module(f"lgcy.{site.module}")
         if "." in site.attr:
             cls_name, method = site.attr.split(".")
@@ -99,6 +100,43 @@ def test_every_benchmark_site_resolves():
         if not found:
             missing.append(site.name)
     assert not missing, missing
+
+
+@contextmanager
+def _fresh_lgcy():
+    """``lgcy`` imported anew, with empty caches, as in the fresh process of
+    a benchmark pass; the modules imported before are put back after."""
+    def ours():
+        return [name for name in sys.modules if name == "lgcy" or name.startswith("lgcy.")]
+
+    saved = {name: sys.modules.pop(name) for name in ours()}
+    try:
+        yield
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_every_workload_meets_the_benchmark_site_predictions():
+    """The benchmark tracer predicts which sites each workload calls and
+    which stay idle.  One tiny pass of each workload under the installed
+    tracer, each on a fresh import, gives every verdict it expects and meets
+    those predictions, so a change that starves a predicted site fails here
+    too."""
+    tracer, workloads = _benchmark_module("tracer"), _benchmark_module("workloads")
+    for workload in workloads.WORKLOADS:
+        with _fresh_lgcy():
+            traced = tracer.Tracer()
+            traced.install()
+            try:
+                wrong = workloads.run_calls(workloads.pass_calls(
+                    workload, workloads.build_pairs(), workloads.SCALES["tiny"]))
+            finally:
+                traced.uninstall()
+            errors = tracer.coverage_errors(workload, traced.layer_metrics())
+        assert wrong == [], (workload, wrong)
+        assert errors == [], (workload, errors)
 
 
 def test_gamma_atoms_are_built_through_the_shared_constructor():
@@ -140,22 +178,24 @@ def _functions_calling(tree: ast.AST, matches) -> set[str]:
 
 def test_only_clean_builders_skip_the_series_constructor():
     """``CohSeries._unchecked`` is called only inside ``cohseries``, by the
-    closed J ``genfun.untwisted_j`` and by the I and H builders
-    ``genfun._i_function`` and ``genfun._h_function``, which clip to the
-    window themselves; the oracle J, the continued series and the
-    deserializer keep the validating constructor."""
+    closed J ``genfun.untwisted_j``, by the oracle J
+    ``genfun.untwisted_j_oracle``, and by the I and H builders
+    ``genfun._i_function`` and ``genfun._h_function``, which write only
+    inside the orders; the cleanliness tests rebuild their series through
+    the constructor.  The continued series and the deserializer keep the
+    validating constructor."""
     def unchecked(func):
         return isinstance(func, ast.Attribute) and func.attr == "_unchecked" \
             and isinstance(func.value, ast.Name) and func.value.id == "CohSeries"
 
     callers = {f"{name}.{fn}" for name, tree in MODULES.items() if name != "cohseries"
                for fn in _functions_calling(tree, unchecked)}
-    assert callers == {"genfun.untwisted_j", "genfun._i_function",
-                       "genfun._h_function"}, callers
+    assert callers == {"genfun.untwisted_j", "genfun.untwisted_j_oracle",
+                       "genfun._i_function", "genfun._h_function"}, callers
     assert _functions_calling(MODULES["cohseries"], unchecked)
     public = _functions_calling(MODULES["genfun"], lambda func: isinstance(func, ast.Name)
                                 and func.id == "CohSeries")
-    assert {"untwisted_j_oracle", "h_continued", "deserialize_series"} <= public, public
+    assert {"h_continued", "deserialize_series"} <= public, public
 
 
 def _reach_counter(monkeypatch):

@@ -551,7 +551,8 @@ def test_work_estimate_counts_the_walks():
     assert verify.work_estimate(q, orders, ["mlk-untwisted"]) == 495
     assert verify.work_estimate(q, orders, ["gamma-factorization"]) == 70
     assert verify.work_estimate(q, orders, ["residue-lemma"]) == 0
-    assert verify.work_estimate(q, orders, ALL_CHECKS) == 495
+    assert verify.work_estimate(q, orders, ["kernel-compatibility"]) == 70 * 18
+    assert verify.work_estimate(q, orders, ALL_CHECKS) == 1_260
 
 
 def test_work_estimate_counts_the_ubar_line_products():
@@ -571,6 +572,20 @@ def test_work_estimate_counts_the_ubar_line_products():
         verify.require_bounded(q, Orders(t_order=0, lam_order=53), ["rctc-structure"])
 
 
+def test_work_estimate_counts_the_kernel_ubar_application():
+    """kernel-compatibility applies Ubar to every I^X index: the index count
+    C(1 + P + T, T) times the N (L + 1) - C(N, 2) (lam, H) cells of one
+    block at its lam-order L and largest nilpotency N.  On the quartic
+    (P = 3, N = 4) at T = 10 that grows with lambda, past the bound at 48."""
+    q = quartic()
+    for lam_order, cells in ((4, 24 - 6), (12, 56 - 6), (24, 104 - 6), (48, 200 - 6)):
+        orders = recommended_orders(q, 10, lam_order)
+        assert verify.work_estimate(q, orders, ["kernel-compatibility"]) == 1001 * cells
+    with pytest.raises(ValueError, match="194,194 .* cells of 1,001 indices at lambda-order 49"):
+        verify.require_bounded(q, recommended_orders(q, 10, 48), ["kernel-compatibility"])
+    verify.require_bounded(q, recommended_orders(q, 10, 24), ["kernel-compatibility"])
+
+
 def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
     from lgcy.lgmodel import load_pair
 
@@ -583,10 +598,12 @@ def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
     pair = load_pair(MAXIMAL_QUARTIC)
     assert len(pair.group) == 64
     orders = recommended_orders(pair, 4, 2)
-    assert verify.work_estimate(pair, orders, ALL_CHECKS) == 814_385
-    with pytest.raises(ValueError, match="814,385 terms .* bound of 100,000"):
+    assert verify.work_estimate(pair, orders, ["oracle-equivalence"]) == 814_385
+    # the largest work is kernel-compatibility's Ubar on 194,580 indices
+    assert verify.work_estimate(pair, orders, ALL_CHECKS) == 3_502_440
+    with pytest.raises(ValueError, match="3,502,440 .* bound of 100,000"):
         run_checks(pair, ALL_CHECKS, orders)
-    with pytest.raises(ValueError, match="814,385 terms"):
+    with pytest.raises(ValueError, match="3,502,440 .* cells"):
         self_test(pair, orders)
     assert time.perf_counter() - start < 1.0
 
