@@ -204,10 +204,18 @@ def cmd_verify(args) -> int:
     _emit(payload, args)
     if args.format == "table":
         for r in reports:
-            print(f"{r.status.upper():4}  {r.check}  [{r.elapsed_ms} ms]")
+            reason = "" if r.ok() else f"  {_witness_summary(r.witness)}"
+            print(f"{r.status.upper():4}  {r.check}  [{r.elapsed_ms} ms]{reason}")
     if args.dump:
         _write_dump(args.dump, f"{pair.name}-verify.json", payload)
     return 0 if all(r.ok() for r in reports) else 1
+
+
+def _witness_summary(witness: dict) -> str:
+    """A failure's witness kind, then its detail or where it was found."""
+    where = "  ".join(f"{key} {witness[key]}" for key in ("sector", "z", "degree") if key in witness)
+    detail = witness.get("detail", witness.get("error", where))
+    return witness.get("kind", "error") + (f": {detail}" if detail else "")
 
 
 def _write_dump(directory: str, filename: str, payload: dict) -> None:

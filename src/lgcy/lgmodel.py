@@ -121,9 +121,6 @@ class GroupElement:
     def fixed_dim(self) -> int:
         return sum(1 for k in self.exps if k == 0)
 
-    def is_identity(self) -> bool:
-        return all(k == 0 for k in self.exps)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement._unchecked(
             self.fermat, tuple((a + b) % m for a, b, m
@@ -136,13 +133,6 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         return GroupElement._unchecked(
             self.fermat, tuple((a * n) % m for a, m in zip(self.exps, self.fermat.exponents)))
-
-    def order(self) -> int:
-        result = 1
-        for a, m in zip(self.exps, self.fermat.exponents):
-            if a:
-                result = result * (m // gcd(a, m)) // gcd(result, m // gcd(a, m))
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
@@ -319,10 +309,6 @@ class PairingValue:
 
     def is_zero(self) -> bool:
         return self.coefficient == 0
-
-    def __mul__(self, other: "PairingValue") -> "PairingValue":
-        return PairingValue(self.coefficient * other.coefficient,
-                            self.lam_exponent + other.lam_exponent)
 
     def __str__(self):
         if self.lam_exponent == 0:

@@ -45,7 +45,6 @@ __all__ = [
     "delta_c_generic",
     "SpecializedEntry",
     "delta_c_specialized",
-    "delta_c_log_entry",
 ]
 
 
@@ -339,11 +338,9 @@ class SPoly:
     The coefficients are integer numerators ``nums`` over one positive
     denominator ``den``, in lowest terms (gcd(den, nums) = 1, no zero
     numerator, zero stored over 1), ``Cyclotomic``'s layout: the form is
-    unique, so ``==`` compares integers, and ``+``, ``*`` and ``exp`` work
-    on them.  ``terms`` shows the same coefficients as ``Fraction``s.  A
-    coefficient or scalar that is not an exact rational (a float, say), or
-    an operand that is neither an SPoly nor such a scalar, raises
-    ``TypeError``; two SPolys of different truncations raise ``ValueError``.
+    unique, so ``==``, ``exp`` and the scalar ``*`` work in integers, and
+    ``terms`` shows them as ``Fraction``s.  A coefficient or scalar that is
+    not an exact rational (a float, say) raises ``TypeError``.
     """
 
     __slots__ = ("s_degree", "z_order", "nums", "den")
@@ -369,55 +366,16 @@ class SPoly:
         poly.s_degree, poly.z_order, poly.nums, poly.den = s_degree, z_order, nums, den
         return poly
 
-    @staticmethod
-    def constant(s_degree: int, z_order: int, value) -> "SPoly":
-        return SPoly(s_degree, z_order, {((), 0): value})
-
     @property
     def terms(self) -> dict:
         """(s_mono, z) -> coefficient, as a new dict of Fractions."""
         den = self.den
         return {key: Fraction(n, den) for key, n in self.nums.items()}
 
-    def _check(self, other) -> None:
-        if not isinstance(other, SPoly):
-            raise TypeError(f"expected an SPoly, got {type(other).__name__}")
-        if (self.s_degree, self.z_order) != (other.s_degree, other.z_order):
-            raise ValueError(f"truncation mismatch: (s_degree, z_order) "
-                             f"{self.s_degree, self.z_order} vs {other.s_degree, other.z_order}")
-
-    def __add__(self, other: "SPoly") -> "SPoly":
-        self._check(other)
-        den = lcm(self.den, other.den)
-        lift, lift_other = den // self.den, den // other.den
-        nums = {key: n * lift for key, n in self.nums.items()}
-        for key, n in other.nums.items():
-            nums[key] = nums.get(key, 0) + n * lift_other
-        return SPoly._reduced(self.s_degree, self.z_order,
-                              {key: n for key, n in nums.items() if n}, den)
-
-    def __mul__(self, other) -> "SPoly":
-        if not isinstance(other, SPoly):
-            p, q = _rational_parts(other)
-            nums = {key: n * p for key, n in self.nums.items()} if p else {}
-            return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * q)
-        self._check(other)
-        out: dict = {}
-        for (m1, z1), c1 in self.nums.items():
-            for (m2, z2), c2 in other.nums.items():
-                z = z1 + z2
-                if z > self.z_order:
-                    continue
-                merged: dict = dict(m1)
-                for var, e in m2:
-                    merged[var] = merged.get(var, 0) + e
-                mono = tuple(sorted(merged.items()))
-                if sum(e for _, e in mono) > self.s_degree:
-                    continue
-                key = (mono, z)
-                out[key] = out.get(key, 0) + c1 * c2
-        nums = {key: n for key, n in out.items() if n}
-        return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * other.den)
+    def __mul__(self, scalar) -> "SPoly":
+        p, q = _rational_parts(scalar)
+        nums = {key: n * p for key, n in self.nums.items()} if p else {}
+        return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * q)
 
     def exp(self) -> "SPoly":
         """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
@@ -508,36 +466,25 @@ def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int) -> dict:
             for k in range(k_max + 1)}
 
 
-def delta_c_log_entry(pair: LGPair, c: int, g: GroupElement,
-                      k_max: int = 4) -> dict:
-    """(j, k) -> B_{k+1}(m_j(phi^c_g)) / (k+1)! with m_j(phi^c_g) = m_j(g j^c)."""
-    return {key: Fraction(*parts)
-            for key, parts in _log_entry(pair, g * (pair.grading ** c), k_max).items()}
-
-
 def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
-                    z_order: int = 6, scale=Fraction(1)) -> dict:
+                    z_order: int = 6) -> dict:
     """Entries of Delta^c with generic s^j_k, k <= k_max: sector exps -> SPoly.
 
-    Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!).
-    ``scale`` substitutes s -> scale*s, giving an exact handle on the
-    multiplicativity law Delta(s + s') = Delta(s) Delta(s'); it must be an
-    exact rational (a float raises ``TypeError``).  Each log form is summed
-    in integers over the lcm of its coefficients' denominators, with the
-    scale folded into the numerators, and exponentiated on its own.
+    Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!),
+    m_j those of g j^c, its log form summed in integers over the lcm of
+    its coefficients' denominators.
     """
     pair.require_twist(c)
-    scale_num, scale_den = _rational_parts(scale)
     shift = pair.grading ** c
     # log terms past the truncation never reach the exp
-    k_top = min(k_max, z_order) if s_degree > 0 and scale_num else -1
+    k_top = min(k_max, z_order) if s_degree > 0 else -1
     entries = {}
     for g in pair.group.elements:
         log = _log_entry(pair, g * shift, k_top)
         den = lcm(*(q for _, q in log.values()))
-        nums = {((((j, k), 1),), k): p * scale_num * (den // q)
+        nums = {((((j, k), 1),), k): p * (den // q)
                 for (j, k), (p, q) in log.items() if p}
-        form = SPoly._reduced(s_degree, z_order, nums, den * scale_den)
+        form = SPoly._reduced(s_degree, z_order, nums, den)
         entries[g.exps] = form.exp()
     return entries
 
@@ -559,9 +506,6 @@ class SpecializedEntry:
     half_turns: Fraction
     mu: tuple[Fraction, ...]
     series: tuple[Fraction, ...]
-
-    def lam_exponent(self) -> Fraction:
-        return sum(self.mu, Fraction(0))
 
 
 @lru_cache(maxsize=None)

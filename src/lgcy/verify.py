@@ -432,6 +432,12 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
     def body():
         pair.require_cy()
         pair.require_sl()
+        # the leading term (z^1) comes from z^0, the t-linear slice (z^0) from z^-1
+        z_min, z_max = orders.z_window
+        low = -1 if orders.t_order >= MIN_T_ORDER["fjrw-pipeline"] else 0
+        if z_min > low or z_max < 1:
+            return {"kind": "orders", "zWindow": [z_min, z_max], "minimum_zWindow": [low, 1],
+                    "detail": f"the identities are read from z^{low} to z^1"}
         derivative = z_ddt_distinguished(i_function_x(pair, orders))
         if _tamper is not None and _tamper_stage == "derivative":
             derivative = _tamper_series(derivative, _tamper)

@@ -245,6 +245,40 @@ def test_structured_output_round_trips(capsys):
     assert serialize_series(series) == payload
 
 
+def test_verify_table_line_names_the_failure(capsys, monkeypatch):
+    from lgcy import cli
+    from lgcy.verify import VerificationReport
+
+    witnesses = [{"kind": "vacuous", "detail": "no surviving terms to test"},
+                 {"kind": "coefficient", "sector": [0, 0, 0], "z": 1, "degree": [0, 1],
+                  "left": "1", "right": "2"},
+                 {"kind": "rank", "rank": 2, "expected": 3},
+                 {"error": "block did not cancel"}]
+
+    def fake_run_checks(pair, names, orders):
+        return [VerificationReport("residue-lemma", pair.name, orders.as_dict())] + [
+            VerificationReport("continuation", pair.name, orders.as_dict(),
+                               status="fail", witness=witness) for witness in witnesses]
+
+    monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+    code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--checks", "continuation")
+    assert code == 1
+    lines = out.splitlines()[-5:]
+    assert lines[0].startswith("PASS  residue-lemma  [") and lines[0].endswith(" ms]")
+    reasons = [line.split(" ms]  ", 1)[1] for line in lines[1:]]
+    assert reasons == ["vacuous: no surviving terms to test",
+                       "coefficient: sector [0, 0, 0]  z 1  degree [0, 1]",
+                       "rank",
+                       "error: block did not cancel"]
+
+
+def test_verify_table_names_a_real_failure(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--checks", "fjrw-pipeline",
+                           "--T", "3", "--z-min", "0", "--z-max", "1")
+    assert code == 1
+    assert out.splitlines()[-1].endswith("ms]  orders: the identities are read from z^-1 to z^1")
+
+
 def test_failing_check_exits_1(capsys, monkeypatch):
     from lgcy import cli
     from lgcy.verify import VerificationReport

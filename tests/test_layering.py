@@ -72,6 +72,54 @@ def test_every_exported_name_resolves():
     assert not missing, missing
 
 
+# public names that only tests call, each kept for a reason of its own
+UNCALLED_BY_DESIGN = {
+    "bernoulli_poly": "the reference that tests hold _bernoulli_at to",
+    "deserialize_series": "the serializer's inverse, the round-trip tests' oracle",
+    "work_estimate": "the public query for the work bound that require_bounded enforces",
+}
+
+
+def _names_used(tree: ast.AST, count_imports: bool) -> set[str]:
+    """The names and attributes that ``tree`` reads, each outside any def or
+    class of that name; with ``count_imports``, the names it imports too.
+    Strings, so docstrings and ``__all__``, do not count."""
+    used: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias) and count_imports:
+            name = node.name.split(".")[-1]
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Every public def or class of ``lgcy`` is used by the package itself,
+    a demo or the benchmark.  A re-export in ``__init__`` is not a use."""
+    public = {node.name for tree in MODULES.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    used = set().union(*(_names_used(tree, count_imports=False) for tree in MODULES.values()))
+    for path in sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("benchmarks/*.py")):
+        used |= _names_used(ast.parse(path.read_text(), filename=str(path)),
+                            count_imports=True)
+    assert UNCALLED_BY_DESIGN.keys() <= public
+    assert sorted(public - used - UNCALLED_BY_DESIGN.keys()) == []
+
+
 def _benchmark_module(stem: str):
     """``benchmarks/<stem>.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(f"benchmark_{stem}",
@@ -355,7 +403,7 @@ def test_oracle_equivalence_reaches_the_selection_rule(monkeypatch):
 def test_spoly_arithmetic_builds_no_fraction():
     """``SPoly`` keeps integer numerators over one denominator: of its
     methods only the public constructor's input parsing and the ``terms``
-    view may call ``Fraction(...)``, so ``exp``, ``==``, ``+`` and ``*``
+    view may call ``Fraction(...)``, so ``exp``, ``==`` and the scalar ``*``
     work in integers."""
     [spoly] = [node for node in ast.walk(MODULES["transforms"])
                if isinstance(node, ast.ClassDef) and node.name == "SPoly"]

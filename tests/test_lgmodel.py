@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -108,7 +107,7 @@ def test_checked_constructor_rejects_bad_input(pair):
                       if GroupElement(fermat, exps) not in pair.group)
     with pytest.raises(ValueError):
         pair.element(non_member)
-    assert pair.identity is pair.identity and pair.identity.is_identity()
+    assert pair.identity is pair.identity and pair.identity == GroupElement(fermat, (0,) * n)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
@@ -120,27 +119,6 @@ def test_group_laws_random(pair):
         assert (a * b) * c == a * (b * c)
         assert a * a.inverse() == pair.identity
         assert a * b in pair.group
-    for g in elements:
-        assert len(pair.group) % g.order() == 0  # Lagrange bookkeeping
-        assert g ** g.order() == pair.identity
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(data=st.data())
-def test_element_orders_divide_degree(data):
-    """c_j | d and gcd(c_j) = 1 bound every order by lcm(d/c_j) = d; j has order d."""
-    d = data.draw(st.integers(2, 8), label="d")
-    divisors = [c for c in range(1, d) if d % c == 0]
-    weights = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5)
-                        .filter(lambda ws: gcd(*ws) == 1), label="weights")
-    fermat = FermatData(tuple(weights), d)
-    generators = data.draw(st.lists(
-        st.tuples(*(st.integers(0, m - 1) for m in fermat.exponents)), max_size=2),
-        label="generators")
-    group = group_from_generators(fermat, generators)
-    for g in group.elements:
-        assert d % g.order() == 0
-    assert group.grading.order() == d
 
 
 # -- ages, fixed loci, narrow sectors ----------------------------------------------
@@ -299,7 +277,7 @@ def test_nonempty_iff_product_identity_untwisted(pair):
     elements = pair.group.elements
     for insertions in itertools.product(elements, repeat=3):
         product = insertions[0] * insertions[1] * insertions[2]
-        assert pair.is_nonempty(0, 0, list(insertions)) == product.is_identity()
+        assert pair.is_nonempty(0, 0, list(insertions)) == (product == pair.identity)
 
 
 # -- twisted pairings ---------------------------------------------------------------

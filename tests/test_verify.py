@@ -11,7 +11,7 @@ import pytest
 
 from lgcy import verify
 from lgcy.catalog import cubic, quartic, quintic, sextic
-from lgcy.cohseries import Orders
+from lgcy.cohseries import CohSeries, Orders
 from lgcy.genfun import (
     h_factorization,
     i_function_x,
@@ -338,6 +338,41 @@ def test_fjrw_pipeline_names_orders_below_t2(pair):
         assert report.witness["kind"] == "orders", report.witness
         assert (report.witness["T"], report.witness["minimum_T"]) == (t_order, 2)
     assert check_fjrw_pipeline(pair, recommended_orders(pair, 2, 3)).ok()
+
+
+@pytest.mark.parametrize("t_order, z_window", [(3, (-10, 0)), (3, (-1, 0)), (3, (0, 1)),
+                                               (1, (1, 4))])
+def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
+    """The leading term is read at z^1 from z^0, the t-linear slice (from
+    T = 2 on) at z^0 from z^-1: a window without them gets an "orders"
+    witness, decided before any series is built."""
+    def no_series(*_):
+        raise AssertionError("built a series for a window the check cannot read")
+
+    monkeypatch.setattr(verify, "i_function_x", no_series)
+    orders = Orders(t_order=t_order, lam_order=4, z_min=z_window[0], z_max=z_window[1])
+    witness = check_fjrw_pipeline(cubic(), orders).witness
+    assert witness["kind"] == "orders", witness
+    assert witness["zWindow"] == list(z_window)
+    assert witness["minimum_zWindow"] == [-1 if t_order >= 2 else 0, 1]
+
+
+def test_fjrw_pipeline_reads_the_smallest_z_window(monkeypatch):
+    pair = cubic()
+    assert check_fjrw_pipeline(pair, Orders(t_order=3, lam_order=4, z_min=-1, z_max=1)).ok()
+    # below T = 2 the leading term alone is read, from z^0 and z^1
+    report = check_fjrw_pipeline(pair, Orders(t_order=1, lam_order=4, z_min=0, z_max=1))
+    assert (report.witness["kind"], report.witness["minimum_T"]) == ("orders", 2)
+    # a fault that empties the result still fails at a window that holds it
+    limit = verify.fjrw_limit
+
+    def emptied(pair, derivative):
+        result = limit(pair, derivative)
+        return CohSeries(result.side, pair, result.variables, result.orders, {}, result.tokens)
+
+    monkeypatch.setattr(verify, "fjrw_limit", emptied)
+    report = check_fjrw_pipeline(pair, Orders(t_order=3, lam_order=4, z_min=-1, z_max=1))
+    assert report.witness["kind"] == "leading-term", report.witness
 
 
 @pytest.mark.parametrize("call, kind", [
