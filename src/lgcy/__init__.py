@@ -31,12 +31,12 @@ from .lgmodel import (
 from .cohseries import CohSeries, Orders
 from .genfun import (
     fjrw_i_function,
+    gamma_pole_residue,
     h_continued,
     h_factorization,
     i_function_x,
     i_function_y,
     psi_integral_oracle,
-    residue_unit_check,
     serialize_series,
     untwisted_j,
 )

@@ -21,9 +21,9 @@ from .genfun import (
 from .lgmodel import LGPair, load_pair
 from .verify import (
     ALL_CHECKS,
-    MIN_T_ORDER,
     recommended_orders,
     require_bounded,
+    require_known,
     run_checks,
     self_test,
 )
@@ -175,24 +175,11 @@ def cmd_ifun(args) -> int:
 
 def cmd_verify(args) -> int:
     pair = _load(args.pair)
-    # every check assumes a CY pair with an SL group: refuse others up front
-    # instead of failing mid-run and losing the reports made so far
-    pair.require_cy()
-    pair.require_sl()
     orders = _orders(args, pair)
     names = ALL_CHECKS if args.checks == "all" else \
         tuple(name.strip() for name in args.checks.split(","))
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
-    # the self-test runs every check; refuse orders a selected check cannot see
-    short = [f"{name} needs --T {MIN_T_ORDER[name]} or more"
-             for name in (ALL_CHECKS if args.self_test else names)
-             if orders.t_order < MIN_T_ORDER.get(name, 0)]
-    if short:
-        raise ValueError(f"{'; '.join(short)} to see its identity, "
-                         f"got --T {orders.t_order}")
     if args.self_test:
+        require_known(names)
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())
         _emit({"pair": pair.name, "injected": len(attempts), "detected": detected,

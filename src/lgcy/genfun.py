@@ -51,7 +51,7 @@ __all__ = [
     "h_function_y",
     "h_factorization",
     "h_continued",
-    "residue_unit_check",
+    "gamma_pole_residue",
     "fjrw_i_function",
     "fjrw_limit",
     "z_ddt_distinguished",
@@ -912,16 +912,15 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     return CohSeries("y", pair, variables, orders, terms, tokens)
 
 
-def residue_unit_check(m: int, b: int, d: int,
-                       expected: Fraction | None = None) -> bool:
-    """Residue of Gamma(ds + b + d(lam+H)/tau) at its m-th pole equals
-    (-1)^m / (d m!).
+def gamma_pole_residue(m: int, b: int, d: int) -> Fraction | None:
+    """The residue of Gamma(ds + b + d(lam+H)/tau) at its m-th pole, which
+    the residue lemma states is (-1)^m / (d m!); None if the derived pole
+    is not where the argument is -m.
 
     Derivation is symbolic: the pole sits where the argument is -m; the
     functional equation Gamma(x) = Gamma(x+1)/x applied m+1 times exposes a
     simple pole with residue 1/((-1)^m m!) in the argument, and the
     reparameterization s -> argument contributes a Jacobian 1/d.
-    ``expected`` overrides the closed-form target (self-test hook).
     """
     if m < 0 or not 0 <= b < d:
         raise ValueError("need m >= 0 and 0 <= b < d")
@@ -930,16 +929,13 @@ def residue_unit_check(m: int, b: int, d: int,
     arg_u = d * s_u + d          # coefficient of u in the argument
     arg_const = d * s_const + b  # constant part of the argument
     if arg_u != 0 or arg_const != -m:
-        return False
+        return None
     # Gamma(-m + y) = Gamma(1 + y) / prod_{i=0}^{m} (y - m + i); residue in y:
     denom = Fraction(1)
     for i in range(m):
         denom *= (i - m)
     residue_y = Fraction(1) / denom  # = (-1)^m / m!
-    residue_s = residue_y / d        # y = d * (s - s0)
-    if expected is None:
-        expected = Fraction((-1) ** m, d * factorial(m))
-    return residue_s == expected
+    return residue_y / d             # y = d * (s - s0)
 
 
 # ---------------------------------------------------------------------------

@@ -307,9 +307,6 @@ class PairingValue:
     coefficient: Fraction
     lam_exponent: int = 0
 
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
-
     def __str__(self):
         if self.lam_exponent == 0:
             return str(self.coefficient)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .cohseries import CohSeries, Orders
 from .exactalg import (
@@ -23,11 +23,12 @@ from .exactalg import (
 from .genfun import (
     IdentityError,
     fjrw_limit,
+    gamma_pole_residue,
     h_continued,
     h_factorization,
+    h_function_x,
     i_function_x,
     i_function_y,
-    residue_unit_check,
     untwisted_j,
     untwisted_j_oracle,
     z_ddt_distinguished,
@@ -60,6 +61,7 @@ __all__ = [
     "ALL_CHECKS",
     "MIN_T_ORDER",
     "WORK_BOUND",
+    "require_known",
     "require_bounded",
     "work_estimate",
     "run_checks",
@@ -99,7 +101,7 @@ def recommended_orders(pair: LGPair, t_order: int = 8, lam_order: int = 4) -> Or
 
 # The smallest t-order at which a check sees its identity at all.  Below it
 # the check returns an "orders" witness instead of a vacuous pass or a shape
-# mismatch, and ``lgcy verify`` refuses the run up front.
+# mismatch, and ``run_checks`` refuses the run up front.
 MIN_T_ORDER = {"oracle-equivalence": 2, "mlk-untwisted": 1, "fjrw-pipeline": 2}
 
 
@@ -438,6 +440,9 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
         if z_min > low or z_max < 1:
             return {"kind": "orders", "zWindow": [z_min, z_max], "minimum_zWindow": [low, 1],
                     "detail": f"the identities are read from z^{low} to z^1"}
+        if orders.t_order < 1:
+            return _orders_witness("fjrw-pipeline", orders,
+                                   "the leading term comes from t-degree 1")
         derivative = z_ddt_distinguished(i_function_x(pair, orders))
         if _tamper is not None and _tamper_stage == "derivative":
             derivative = _tamper_series(derivative, _tamper)
@@ -445,11 +450,7 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
         if _tamper is not None and _tamper_stage == "result":
             result = _tamper_series(result, _tamper)
         # leading term: the z^1, t-degree-0 coefficient is the unit up to
-        # the documented global sign of the Delta-circ convention; it comes
-        # from t-degree 1 of I^X
-        if orders.t_order < 1:
-            return _orders_witness("fjrw-pipeline", orders,
-                                   "the leading term comes from t-degree 1")
+        # the documented global sign of the Delta-circ convention
         unit_sign = _delta_circ_sign(pair.grading)
         zero_degs = tuple(0 for _ in result.variables)
         lead = result.coefficient(pair.identity.exps, 1, zero_degs)
@@ -545,11 +546,11 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
         if m_max < 0:
             return {"kind": "vacuous", "detail": f"no pole m in 0..{m_max}"}
         for m in range(m_max + 1):
+            expected = Fraction((-1) ** m, d * factorial(m))
+            if _tamper:
+                expected = Fraction((-1) ** m, d * max(1, m) * 2)
             for b in range(d):
-                expected = None
-                if _tamper:
-                    expected = Fraction((-1) ** m, d * max(1, m) * 2)
-                if not residue_unit_check(m, b, d, expected=expected):
+                if gamma_pole_residue(m, b, d) != expected:
                     return {"kind": "residue", "m": m, "b": b, "d": d}
         return None
 
@@ -650,41 +651,59 @@ def require_bounded(pair: LGPair, orders: Orders, names,
         raise ValueError(f"{subject} would {what}, above the bound of {WORK_BOUND:,}")
 
 
-def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
-    """The reports of the named checks, in the given order, each at its
-    ``CHECKS`` orders.  An unknown name, or a ``work_estimate`` above
-    ``WORK_BOUND``, raises ValueError before any check runs.
-    """
+def require_known(names) -> None:
+    """Raise ValueError at the first of ``names`` that is not in ``CHECKS``."""
     for name in names:
         if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}")
-    require_bounded(pair, orders, names)
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
+
+
+def _admit(pair: LGPair, t_order: int, floors: dict, names, work: Orders) -> None:
+    """Refuse as ``run_checks`` documents, with ``floors`` as the t-order floors."""
+    pair.require_cy()
+    pair.require_sl()
+    require_known(names)
+    short = [f"{name} needs --T {floors[name]} or more"
+             for name in names if t_order < floors.get(name, 0)]
+    if short:
+        raise ValueError(f"{'; '.join(short)} to see its identity, got --T {t_order}")
+    require_bounded(pair, work, names)
+
+
+def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
+    """The reports of the named checks, in the given order, each at its
+    ``CHECKS`` orders.  A pair that is not CY with an SL group, an unknown
+    name, a t-order below a named check's ``MIN_T_ORDER``, or a
+    ``work_estimate`` above ``WORK_BOUND`` raises ValueError first."""
+    _admit(pair, orders.t_order, MIN_T_ORDER, names, orders)
     return [CHECKS[name](pair, orders) for name in names]
 
 
 def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     """Inject one fault per check, in ``ALL_CHECKS`` order; every report
-    must come back failing with a witness.  Orders whose ``work_estimate``
-    exceeds ``WORK_BOUND`` raise ValueError first."""
+    must come back failing with a witness.  A pair that is not CY with an
+    SL group, a t-order below 1, or orders whose ``work_estimate`` exceeds
+    ``WORK_BOUND`` raise ValueError before any check runs."""
     small = Orders(t_order=min(orders.t_order, 5),
                    lam_order=min(orders.lam_order, 3))
+    # at T = 0 the mlk-untwisted and fjrw-pipeline faults meet "orders"
+    # witnesses and the t-order cuts the kernel-compatibility fault's key;
     # the oracle-equivalence fault is placed at T = 4 whatever the orders
-    require_bounded(pair, Orders(t_order=max(small.t_order, 4), lam_order=0),
-                    ALL_CHECKS)
+    _admit(pair, orders.t_order,
+           dict.fromkeys(("mlk-untwisted", "fjrw-pipeline", "kernel-compatibility"), 1),
+           ALL_CHECKS, Orders(t_order=max(small.t_order, 4), lam_order=0))
     wide = recommended_orders(pair, small.t_order, small.lam_order)
     # the mlk-untwisted fault goes on the first key from the middle on that a
-    # z d/dt sees (``_has_derivative``); at T = 0 there is none
+    # z d/dt sees (``_has_derivative``)
     keys = sorted(untwisted_j_oracle(pair, 0, small).terms)
     key_oracle = next((key for key in keys[len(keys) // 2:] if key[1] < small.z_window[1]
                        and any(key[2])), keys[len(keys) // 2])
     key_first = sorted(untwisted_j_oracle(pair, 0, Orders(t_order=4, lam_order=0)).terms)[0]
-    ix = i_function_x(pair, wide)
-    _, hx = h_factorization(pair, ix, "x")
-    pushed = u_bar(pair, small.lam_order).apply(hx)
+    pushed = u_bar(pair, small.lam_order).apply(h_function_x(pair, wide))
     key_cont = sorted(pushed.terms)[len(pushed.terms) // 2]
     g_in = pair.grading.exps
     g_out = pair.identity.exps
-    n_vars = len(ix.variables)
+    n_vars = 1 + len(pair.positive_dim_sectors())
     return [
         check_oracle_equivalence(pair, n_max=4, _tamper=key_first),
         check_mlk_untwisted(pair, pair.valid_twists()[-1], small, _tamper=key_oracle),

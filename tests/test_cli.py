@@ -73,25 +73,32 @@ def test_malformed_pair_file_exit_2(tmp_path, capsys, payload, reason):
     assert out == ""
 
 
-def test_non_cy_pair_refuses_geometry_subcommands(tmp_path, capsys):
+def _no_checks(monkeypatch):
+    """Make every check run by ``run_checks``, and the first series that
+    ``self_test`` builds, raise: a refusal must come before either."""
+    from lgcy import verify
+
+    def no_check(*_):
+        raise AssertionError("a check ran on a run that should be refused")
+
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    monkeypatch.setattr(verify, "untwisted_j_oracle", no_check)
+
+
+def test_non_cy_pair_refuses_geometry_subcommands(tmp_path, capsys, monkeypatch):
+    _no_checks(monkeypatch)
     pair_file = tmp_path / "noncy.json"
     pair_file.write_text(json.dumps({"weights": [1, 1, 2, 3], "degree": 6}))
     code, out, _ = run_cli(capsys, "describe", "--pair", str(pair_file))
     assert code == 0 and "calabiYau: False" in out
-    code, _, err = run_cli(capsys, "ifun", "--pair", str(pair_file),
-                           "--side", "cy", "--T", "2")
-    assert code == 2
-    assert "Calabi-Yau" in err
+    for argv in (("ifun", "--side", "cy"), ("verify",), ("verify", "--self-test")):
+        code, _, err = run_cli(capsys, *argv, "--pair", str(pair_file), "--T", "2")
+        assert code == 2
+        assert "Calabi-Yau" in err
 
 
 def test_verify_refuses_non_sl_pair_up_front(tmp_path, capsys, monkeypatch):
-    from lgcy import cli
-
-    def no_checks(*_):
-        raise AssertionError("checks ran on a pair that should be refused")
-
-    monkeypatch.setattr(cli, "run_checks", no_checks)
-    monkeypatch.setattr(cli, "self_test", no_checks)
+    _no_checks(monkeypatch)
     pair_file = tmp_path / "nonsl.json"
     pair_file.write_text(json.dumps({"weights": [1, 1, 1, 1, 1], "degree": 5,
                                      "generators": [[1, 0, 0, 0, 0]]}))
@@ -143,9 +150,10 @@ def test_verify_checks_selection_and_exit(capsys):
                            "--T", "3", "--lambda-order", "2")
     assert code == 0
     assert "PASS" in out
-    code, _, err = run_cli(capsys, "verify", "--pair", "cubic",
-                           "--checks", "nonsense")
-    assert code == 2 and "unknown check" in err
+    for extra in ((), ("--self-test",)):
+        code, _, err = run_cli(capsys, "verify", "--pair", "cubic",
+                               "--checks", "nonsense", *extra)
+        assert code == 2 and "unknown check" in err
 
 
 def test_verify_continuation_subcommand(capsys):
@@ -170,24 +178,32 @@ def test_verify_self_test(capsys):
     ("oracle-equivalence", "0", "oracle-equivalence"),
     ("oracle-equivalence", "1", "oracle-equivalence"),
     ("all", "1", "oracle-equivalence"),
-], ids=["mlk-T0", "fjrw-T1", "all-T1", "oracle-T0", "oracle-T1", "all-T1-oracle"])
+    ("all", "0", "mlk-untwisted"),
+], ids=["mlk-T0", "fjrw-T1", "all-T1", "oracle-T0", "oracle-T1", "all-T1-oracle", "all-T0"])
 def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
                                                   t_order, name):
-    from lgcy import cli
+    """A T below a selected check's floor is refused with exit 2 before any
+    check runs.  The self-test's faults are all seen from T = 1 on, the
+    oracle-equivalence fault sitting at T = 4 whatever the run's T, so
+    ``--self-test`` is refused at T = 0 only."""
+    from lgcy import verify
 
-    def no_checks(*_):
-        raise AssertionError("checks ran at orders that should be refused")
+    def no_check(*_):
+        raise AssertionError("a check ran at orders that should be refused")
 
-    monkeypatch.setattr(cli, "run_checks", no_checks)
-    monkeypatch.setattr(cli, "self_test", no_checks)
-    for extra in ((), ("--self-test",)):
-        if extra and checks != "all":
-            continue
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    code, out, err = run_cli(capsys, "verify", "--pair", "cubic",
+                             "--checks", checks, "--T", t_order)
+    assert code == 2
+    assert name in err and "--T" in err
+    assert out == ""
+    if checks == "all":
         code, out, err = run_cli(capsys, "verify", "--pair", "cubic",
-                                 "--checks", checks, "--T", t_order, *extra)
-        assert code == 2
-        assert name in err and "--T" in err
-        assert out == ""
+                                 "--T", t_order, "--self-test")
+        if t_order == "0":
+            assert code == 2 and "mlk-untwisted" in err and out == ""
+        else:
+            assert code == 0 and "9/9 injected faults detected" in out
 
 
 def test_empty_z_window_exits_2(capsys):

@@ -26,6 +26,7 @@ from lgcy.genfun import (
     deserialize_series,
     fjrw_i_function,
     fjrw_limit,
+    gamma_pole_residue,
     h_continued,
     h_factorization,
     h_function_x,
@@ -34,7 +35,6 @@ from lgcy.genfun import (
     i_function_y,
     modification_factor,
     psi_integral_oracle,
-    residue_unit_check,
     serialize_series,
     untwisted_j,
     untwisted_j_oracle,
@@ -1485,17 +1485,17 @@ def test_h_continued_nondegenerate_block_vanishing_constant():
 
 # -- residues and the FJRW limit --------------------------------------------------------
 
-def test_residue_unit_check_examples():
-    assert residue_unit_check(0, 0, 5, expected=F(1, 5))
-    assert residue_unit_check(1, 2, 5, expected=F(-1, 5))
-    assert residue_unit_check(3, 0, 5, expected=F(-1, 30))
+def test_gamma_pole_residue_examples():
+    assert gamma_pole_residue(0, 0, 5) == F(1, 5)
+    assert gamma_pole_residue(1, 2, 5) == F(-1, 5)
+    assert gamma_pole_residue(3, 0, 5) == F(-1, 30)
     for d in (3, 4, 5, 6):
         for m in range(7):
             for b in range(d):
-                assert residue_unit_check(m, b, d)
-    assert not residue_unit_check(2, 1, 5, expected=F(1, 7))
+                assert gamma_pole_residue(m, b, d) == F((-1) ** m, d * math.factorial(m))
+    assert gamma_pole_residue(2, 1, 5) != F(1, 7)
     with pytest.raises(ValueError):
-        residue_unit_check(-1, 0, 5)
+        gamma_pole_residue(-1, 0, 5)
 
 
 def test_fjrw_leading_term_sign():

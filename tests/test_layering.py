@@ -120,6 +120,23 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(public - used - UNCALLED_BY_DESIGN.keys()) == []
 
 
+def test_only_verify_takes_a_fault_hook():
+    """The self-test's fault hooks stay on the checks: no def outside
+    ``verify`` takes an ``expected`` or ``_tamper*`` parameter."""
+    offenders = []
+    for name, tree in MODULES.items():
+        if name == "verify":
+            continue
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + \
+                    [arg for arg in (args.vararg, args.kwarg) if arg]
+                offenders += [f"{name}.{fn.name}({arg.arg})" for arg in params
+                              if arg.arg == "expected" or arg.arg.startswith("_tamper")]
+    assert not offenders, offenders
+
+
 def _benchmark_module(stem: str):
     """``benchmarks/<stem>.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(f"benchmark_{stem}",

@@ -317,7 +317,7 @@ def test_pairing_symmetric_and_nondegenerate(pair):
                 for g2 in pair.group.elements:
                     a = pair_twisted(pair, c, g1, g2, spec)
                     assert a == pair_twisted(pair, c, g2, g1, spec)
-                    if not a.is_zero():
+                    if a.coefficient != 0:
                         nonzero += 1
                 assert nonzero == 1  # exactly one dual partner per row
 

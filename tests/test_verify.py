@@ -357,6 +357,20 @@ def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
     assert witness["minimum_zWindow"] == [-1 if t_order >= 2 else 0, 1]
 
 
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_fjrw_pipeline_refuses_t0_before_building_a_series(monkeypatch, pair):
+    """At T = 0 the leading term has no t-degree 1 to come from: the
+    "orders" witness is decided next to the z-window test, before any
+    series is built."""
+    def no_series(*_):
+        raise AssertionError("built a series at a t-order the check cannot read")
+
+    monkeypatch.setattr(verify, "i_function_x", no_series)
+    witness = check_fjrw_pipeline(pair, recommended_orders(pair, 0, 3)).witness
+    assert witness == {"kind": "orders", "T": 0, "minimum_T": 2,
+                       "detail": "the leading term comes from t-degree 1"}
+
+
 def test_fjrw_pipeline_reads_the_smallest_z_window(monkeypatch):
     pair = cubic()
     assert check_fjrw_pipeline(pair, Orders(t_order=3, lam_order=4, z_min=-1, z_max=1)).ok()
@@ -641,6 +655,66 @@ def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
     with pytest.raises(ValueError, match="3,502,440 .* cells"):
         self_test(pair, orders)
     assert time.perf_counter() - start < 1.0
+
+
+def _refuse_every_check(monkeypatch):
+    """Make every check, and every series ``self_test`` builds its keys
+    from, raise: a refusal must come before any of them."""
+    def no_check(*_, **__):
+        raise AssertionError("a check ran on a run that should be refused")
+
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    for name in [name for name in dir(verify) if name.startswith("check_")] + \
+            ["untwisted_j_oracle", "h_function_x", "u_bar"]:
+        monkeypatch.setattr(verify, name, no_check)
+
+
+NON_CY = load_pair({"weights": [1, 1, 2, 3], "degree": 6})
+NON_SL = load_pair({"weights": [1, 1, 1, 1, 1], "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
+
+
+@pytest.mark.parametrize("run, pair, orders, message", [
+    (lambda p, o: run_checks(p, ALL_CHECKS, o), NON_CY, (2, 1), "Calabi-Yau"),
+    (lambda p, o: self_test(p, o), NON_CY, (2, 1), "Calabi-Yau"),
+    (lambda p, o: run_checks(p, ALL_CHECKS, o), NON_SL, (2, 1), "SL"),
+    (lambda p, o: self_test(p, o), NON_SL, (2, 1), "SL"),
+    (lambda p, o: run_checks(p, ["residue-lemma", "no-such-check"], o), cubic(), (2, 1),
+     "unknown check 'no-such-check'; known: oracle-equivalence, "),
+    (lambda p, o: run_checks(p, ["residue-lemma", "mlk-untwisted"], o), cubic(), (0, 1),
+     r"^mlk-untwisted needs --T 1 or more to see its identity, got --T 0$"),
+    (lambda p, o: run_checks(p, ALL_CHECKS, o), cubic(), (1, 1),
+     r"^oracle-equivalence needs --T 2 or more; fjrw-pipeline needs --T 2 or more "),
+    (lambda p, o: self_test(p, o), cubic(), (0, 3), r"^mlk-untwisted needs --T 1 or more; "),
+    (lambda p, o: run_checks(p, ["rctc-structure"], o), quintic(), (2, 160),
+     "2,782,080 coefficient products at lambda-order 160, above the bound of 100,000"),
+], ids=["run-non-cy", "self-test-non-cy", "run-non-sl", "self-test-non-sl", "run-unknown",
+        "run-mlk-T0", "run-all-T1", "self-test-T0", "run-work-bound"])
+def test_run_checks_and_self_test_refuse_before_any_check_runs(monkeypatch, run, pair,
+                                                               orders, message):
+    """``run_checks`` and ``self_test`` own the admission of a run: a pair
+    that is not CY with an SL group, an unknown check, a t-order below a
+    check's floor (T = 1 for every self-test fault) and work above
+    ``WORK_BOUND`` raise ValueError before anything is built."""
+    _refuse_every_check(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run(pair, Orders(t_order=orders[0], lam_order=orders[1]))
+
+
+def test_self_test_builds_no_i_function_and_no_factorization(monkeypatch):
+    """The self-test reads its continuation key from Ubar(H^X) and its
+    variable count from the positive-dimensional sectors: the checks it
+    calls build I^X and verify the factorization, it does not."""
+    def no_build(*_):
+        raise AssertionError("the self-test built what only a check needs")
+
+    calls = []
+    monkeypatch.setattr(verify, "i_function_x", no_build)
+    monkeypatch.setattr(verify, "h_factorization", no_build)
+    for name in [name for name in dir(verify) if name.startswith("check_")]:
+        monkeypatch.setattr(verify, name,
+                            lambda *_, name=name, **tamper: calls.append((name, tamper)))
+    assert self_test(quartic(), Orders(t_order=4, lam_order=3)) == [None] * len(ALL_CHECKS)
+    assert len(calls) == len(ALL_CHECKS) and all(tamper for _, tamper in calls)
 
 
 def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order():
