@@ -62,11 +62,11 @@ __all__ = [
 
 
 class IdentityError(AssertionError):
-    """An identity that must hold termwise failed to verify."""
+    """A termwise identity failed to verify; ``witness`` names where."""
 
-    def __init__(self, message: str, witness: dict | None = None):
+    def __init__(self, message: str, witness: dict):
         super().__init__(message)
-        self.witness = witness or {}
+        self.witness = witness
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ class IndexTerm(NamedTuple):
     their integer numerators over d: r_num and v_num.
     shift = sum_s (age(g_s) - 1) k_s is the H z-power and age the age of
     ``sector``; both are None on a non-SL pair, whose z-grading
-    ``_require_sl_ages`` refuses.  ``ring`` is the ring of the index's
+    ``LGPair.require_sl`` refuses.  ``ring`` is the ring of the index's
     coefficients on the table's side.
     """
 
@@ -282,15 +282,6 @@ class IndexTerm(NamedTuple):
     age: int | None
     sector: tuple[int, ...]
     ring: SeriesRing
-
-
-def _require_sl_ages(pair: LGPair):
-    """The SL guard: the z-grading of H and H^Y' needs an integral age on
-    every sector of the group.  It runs before a walk, so a pair is refused
-    also where no index of the table touches such a sector."""
-    for g in pair.group.elements:
-        if g.age().denominator != 1:
-            raise IdentityError(f"non-integral age on sector {g}")
 
 
 @lru_cache(maxsize=1)
@@ -351,10 +342,8 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
             if not nilpotency:
                 continue   # a Y index on a sector with N_g = 0
             if k0:   # at k0 = 0 the Y term's sector, comb and age are the X term's
-                fact //= factorial(k0)
-                comb = combs.get(fact)
-                if comb is None:
-                    comb = combs[fact] = Fraction(1, fact)
+                # prod_s k_s! is the comb of the X term of (0, k), filed at total - k0
+                comb = combs[fact // factorial(k0)]
                 age = sum(e * c for e, c in zip(y_sector, weights)) // d if graded else None
             y_table.append(IndexTerm(degs, base, comb, 1 - total + k0, r_num, v_num, shift,
                                      age, y_sector, SeriesRing(d, orders.lam_order, nilpotency)))
@@ -572,7 +561,7 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
     the nilpotency stands for the ring.  The terms are clean by construction.
     """
     pair.require_cy()
-    _require_sl_ages(pair)
+    pair.require_sl()
     z_min, z_max = orders.z_window
     terms: dict = {}
     memo: dict = {}
@@ -619,7 +608,6 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     and the verification walk the side's index table at the series' orders,
     which ``_index_tables`` keeps with the other side's.
     """
-    pair.require_cy()
     gamma = gamma_class_op(pair, side)
     build = h_function_x if side == "x" else h_function_y
     h_series = build(pair, series.orders)
@@ -836,10 +824,8 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     walk, and both blocks per (sector, H atoms), which fixes everything the
     pairing reads; each distinct block is one ``gamma_shift_product`` call
     of this walk.  offset, shift and age are the table's, and its comb
-    names a residual's witness; a non-integral age is refused before the
-    walk.
+    names a residual's witness.
     """
-    _require_sl_ages(pair)
     if side == "x":
         product_of, atoms_of, first = _i_x_product, _x_atoms, 0
     else:
@@ -888,12 +874,12 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     sum_b [(e^{d(lam+H)}-1) / (d(e^{lam+H} xi^{b+m}-1))] on 1~_{j^{-b}} prod g_s^{k_s};
     the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
     It walks the X index table, whose shift is the z-power (age - 1) k and
-    whose comb is 1/(m! k!); a pair with a non-integral age is refused.
+    whose comb is 1/(m! k!); a non-SL pair is refused.
     Each sheet's sector is the table's base minus b j, reduced mod d/c_j in
     integers, and its N_g the count of its zero exponents.
     """
     pair.require_cy()
-    _require_sl_ages(pair)
+    pair.require_sl()
     d, exponents = pair.fermat.degree, pair.fermat.exponents
     grading = pair.grading.exps
     terms: dict = {}
@@ -980,7 +966,6 @@ def fjrw_limit(pair: LGPair, derivative: CohSeries) -> CohSeries:
 
 def fjrw_i_function(pair: LGPair, orders: Orders) -> CohSeries:
     """The FJRW I-function: ``fjrw_limit`` of z d/dt I^X at ``orders``."""
-    pair.require_cy()
     pair.require_sl()
     return fjrw_limit(pair, z_ddt_distinguished(i_function_x(pair, orders)))
 

@@ -188,7 +188,7 @@ class AdmissibleGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def is_sl(self) -> bool:
         return all(g.age().denominator == 1 for g in self.elements)
 

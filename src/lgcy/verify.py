@@ -110,7 +110,15 @@ def _orders_witness(check: str, orders: Orders, detail: str) -> dict:
             "detail": detail}
 
 
+def _require_domain(pair: LGPair) -> None:
+    """Raise ValueError unless the pair is Calabi-Yau with an SL group."""
+    pair.require_cy()
+    pair.require_sl()
+
+
 def _timed(check_name: str, pair: LGPair, orders: Orders, body) -> VerificationReport:
+    """The report of a check's ``body``, run once ``_require_domain`` passes."""
+    _require_domain(pair)
     start = time.perf_counter()
     report = VerificationReport(check_name, pair.name, orders.as_dict())
     try:
@@ -340,6 +348,16 @@ def _cyclo_matrix_rank(rows: list[list[Cyclotomic]]) -> int:
     return rank
 
 
+def _largest_nilpotency(pair: LGPair) -> int:
+    """max N_g over the sectors of the group."""
+    return max(g.fixed_dim() for g in pair.group.elements)
+
+
+def _rctc_minimum(pair: LGPair) -> int:
+    """rctc-structure's smallest lam-order: its rank columns read H^(N_g - 1)."""
+    return _largest_nilpotency(pair) - 1
+
+
 def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
                           _tamper_block=None) -> VerificationReport:
     """Structural conditions on the continuation operator's blocks.
@@ -357,14 +375,13 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
     """
     orders = Orders(t_order=0, lam_order=lam_order)
     d = pair.fermat.degree
-    minimum = max(g.fixed_dim() for g in pair.group.elements) - 1
+    minimum = _rctc_minimum(pair)
 
     def body():
         if lam_order < minimum:
             return {"kind": "orders", "lambda": lam_order, "minimum_lambda": minimum,
                     "detail": "the rank columns read H^(N_g - 1) of (lam+H)-quotients, "
                               "which this lam-order truncates"}
-        pair.require_cy()
         transform = u_bar(pair, lam_order)
         nilpotencies = sorted({g.fixed_dim() for g in pair.group.elements
                                if g.fixed_dim() > 0})
@@ -432,8 +449,6 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
                         _tamper_stage: str = "derivative") -> VerificationReport:
     """Divisibility, narrow support, and the signed-unit leading term."""
     def body():
-        pair.require_cy()
-        pair.require_sl()
         # the leading term (z^1) comes from z^0, the t-linear slice (z^0) from z^-1
         z_min, z_max = orders.z_window
         low = -1 if orders.t_order >= MIN_T_ORDER["fjrw-pipeline"] else 0
@@ -506,8 +521,6 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
                   z_min=orders.z_window[0] - 1, z_max=orders.z_window[1] + 1)
 
     def body():
-        pair.require_cy()
-        pair.require_sl()
         derivative = z_ddt_distinguished(i_function_x(pair, work))
         restricted = derivative.filter_terms(
             lambda key, value: key[2][0] >= 0
@@ -567,10 +580,9 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
 # of those orders and the largest sector nilpotency.
 _UBAR_LAM_ORDERS = {
     "continuation": lambda pair, orders: orders.lam_order,
-    "rctc-structure": lambda pair, orders: max(
-        orders.lam_order, 6, max(g.fixed_dim() for g in pair.group.elements) - 1),
-    "kernel-compatibility": lambda pair, orders: max(
-        orders.lam_order, max(g.fixed_dim() for g in pair.group.elements)) + 1,
+    "rctc-structure": lambda pair, orders: max(orders.lam_order, 6, _rctc_minimum(pair)),
+    "kernel-compatibility":
+        lambda pair, orders: max(orders.lam_order, _largest_nilpotency(pair)) + 1,
 }
 
 # Every check by name, in report order, at the orders ``run_checks`` runs it
@@ -630,7 +642,7 @@ def _work(pair: LGPair, orders: Orders, names) -> list[tuple[int, str]]:
         work.append((n, f"form {n:,} coefficient products at lambda-order {lam}"))
     if "kernel-compatibility" in names:
         lam = _UBAR_LAM_ORDERS["kernel-compatibility"](pair, orders)
-        nil = max(g.fixed_dim() for g in pair.group.elements)
+        nil = _largest_nilpotency(pair)
         n = indices * (nil * (lam + 1) - comb(nil, 2))
         work.append((n, f"apply Ubar to {n:,} (lambda, H) cells of {indices:,} indices "
                         f"at lambda-order {lam}"))
@@ -658,15 +670,12 @@ def require_known(names) -> None:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
 
 
-def _admit(pair: LGPair, t_order: int, floors: dict, names, work: Orders) -> None:
-    """Refuse as ``run_checks`` documents, with ``floors`` as the t-order floors."""
-    pair.require_cy()
-    pair.require_sl()
+def _admit(pair: LGPair, names, short: str, work: Orders) -> None:
+    """Refuse as ``run_checks`` documents; ``short`` is the t-floor refusal or ""."""
+    _require_domain(pair)
     require_known(names)
-    short = [f"{name} needs --T {floors[name]} or more"
-             for name in names if t_order < floors.get(name, 0)]
     if short:
-        raise ValueError(f"{'; '.join(short)} to see its identity, got --T {t_order}")
+        raise ValueError(short)
     require_bounded(pair, work, names)
 
 
@@ -675,7 +684,10 @@ def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     ``CHECKS`` orders.  A pair that is not CY with an SL group, an unknown
     name, a t-order below a named check's ``MIN_T_ORDER``, or a
     ``work_estimate`` above ``WORK_BOUND`` raises ValueError first."""
-    _admit(pair, orders.t_order, MIN_T_ORDER, names, orders)
+    t = orders.t_order
+    short = "; ".join(f"{name} needs T >= {MIN_T_ORDER[name]}"
+                      for name in names if t < MIN_T_ORDER.get(name, 0))
+    _admit(pair, names, short and f"{short} to see its identity, got T = {t}", orders)
     return [CHECKS[name](pair, orders) for name in names]
 
 
@@ -689,9 +701,9 @@ def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     # at T = 0 the mlk-untwisted and fjrw-pipeline faults meet "orders"
     # witnesses and the t-order cuts the kernel-compatibility fault's key;
     # the oracle-equivalence fault is placed at T = 4 whatever the orders
-    _admit(pair, orders.t_order,
-           dict.fromkeys(("mlk-untwisted", "fjrw-pipeline", "kernel-compatibility"), 1),
-           ALL_CHECKS, Orders(t_order=max(small.t_order, 4), lam_order=0))
+    short = "" if orders.t_order >= 1 else \
+        f"the self-test needs T >= 1 to see every injected fault, got T = {orders.t_order}"
+    _admit(pair, ALL_CHECKS, short, Orders(t_order=max(small.t_order, 4), lam_order=0))
     wide = recommended_orders(pair, small.t_order, small.lam_order)
     # the mlk-untwisted fault goes on the first key from the middle on that a
     # z d/dt sees (``_has_derivative``)

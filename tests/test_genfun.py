@@ -608,32 +608,60 @@ def test_h_function_age_z_bookkeeping():
     assert keys and all(k[1] == 2 for k in keys)
 
 
+NON_SL_PAIR = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
+NON_CY_PAIR = load_pair({"weights": [1, 1, 2, 3], "degree": 6})
+
+
 def test_non_integral_ages_refused_by_every_h_builder():
     # generator (1,0,0,0,0) puts non-integral ages on the indexing sectors;
     # the I-functions still build, every H-builder refuses the z-grading.
     # At T = 0 no index touches such a sector: the refusal comes up front,
     # and the table carries no shift or age.
-    non_sl = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
-    assert not non_sl.is_sl
+    assert not NON_SL_PAIR.is_sl
     for t_order in (0, 1):
         orders = Orders(t_order=t_order, lam_order=1)
         for side in ("x", "y"):
-            table = _index_tables(non_sl, orders)[side]
+            table = _index_tables(NON_SL_PAIR, orders)[side]
             assert all(term.shift is None and term.age is None for term in table)
             if t_order == 0:
-                assert table and all(GroupElement(non_sl.fermat, term.sector).age().denominator
-                                     == 1 for term in table)
-        series = {"x": i_function_x(non_sl, orders), "y": i_function_y(non_sl, orders)}
+                assert table and all(
+                    GroupElement(NON_SL_PAIR.fermat, term.sector).age().denominator == 1
+                    for term in table)
+        series = {"x": i_function_x(NON_SL_PAIR, orders), "y": i_function_y(NON_SL_PAIR, orders)}
         assert series["x"].terms and series["y"].terms
         for build in (h_function_x, h_function_y, h_continued):
-            with pytest.raises(IdentityError, match="non-integral age"):
-                build(non_sl, orders)
+            with pytest.raises(ValueError, match="SL"):
+                build(NON_SL_PAIR, orders)
         for side in ("x", "y"):
-            with pytest.raises(IdentityError, match="non-integral age"):
-                h_factorization(non_sl, series[side], side)
-            # the check itself refuses before it reads the H series or the operator
-            with pytest.raises(IdentityError, match="non-integral age"):
-                _verify_factorization(non_sl, side, series[side], None, None)
+            with pytest.raises(ValueError, match="SL"):
+                h_factorization(NON_SL_PAIR, series[side], side)
+
+
+def test_every_builder_refuses_an_unsupported_pair_before_its_walk(monkeypatch):
+    """The H builders, the factorization and the FJRW I-function refuse a
+    non-SL pair, and the I builders a non-CY pair, with ValueError from
+    ``LGPair.require_sl`` or ``require_cy`` before the index table is read."""
+    orders = Orders(t_order=2, lam_order=1)
+    i_series = {"x": i_function_x(NON_SL_PAIR, orders), "y": i_function_y(NON_SL_PAIR, orders)}
+
+    def no_table(*_):
+        raise AssertionError("a builder walked the index table of an unsupported pair")
+
+    monkeypatch.setattr(genfun, "_index_tables", no_table)
+    for build in (h_function_x, h_function_y, h_continued, fjrw_i_function):
+        with pytest.raises(ValueError, match="SL"):
+            build(NON_SL_PAIR, orders)
+    for side in ("x", "y"):
+        with pytest.raises(ValueError, match="SL"):
+            h_factorization(NON_SL_PAIR, i_series[side], side)
+    for build in (i_function_x, i_function_y):
+        with pytest.raises(ValueError, match="Calabi-Yau"):
+            build(NON_CY_PAIR, orders)
+
+
+def test_identity_error_requires_a_witness():
+    with pytest.raises(TypeError):
+        IdentityError("no witness")
 
 
 def test_h_factorization_detects_corruption():
@@ -1270,9 +1298,6 @@ def _per_side_index_terms(pair, orders, side):
             table.append(genfun.IndexTerm(degs, base, F(1, fact), offset, r_num, v_num,
                                           shift, age, sector, ring))
     return table
-
-
-NON_SL_PAIR = load_pair({"weights": [1] * 5, "degree": 5, "generators": [[1, 0, 0, 0, 0]]})
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR],

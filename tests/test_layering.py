@@ -221,24 +221,34 @@ def test_gamma_atoms_are_built_through_the_shared_constructor():
     assert not offenders, offenders
 
 
-def test_only_the_index_table_and_the_sl_guard_read_ages_in_genfun():
-    """In ``genfun`` only the table builder ``_index_tables`` and the SL
-    guard ``_require_sl_ages`` call ``.age()``: each index's shift and age
-    are computed in one place, and the walks read them from the table."""
-    callers = {fn.name for fn in ast.walk(MODULES["genfun"])
-               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                       and node.func.attr == "age" for node in ast.walk(fn))}
-    assert "_require_sl_ages" in callers
-    assert callers <= {"_index_tables", "_require_sl_ages"}, callers
-
-
 def _functions_calling(tree: ast.AST, matches) -> set[str]:
     """Names of the functions of ``tree`` holding a call that ``matches``."""
     return {fn.name for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(isinstance(node, ast.Call) and matches(node.func)
                     for node in ast.walk(fn))}
+
+
+def _method_called(name: str):
+    return lambda func: isinstance(func, ast.Attribute) and func.attr == name
+
+
+def test_no_genfun_function_reads_an_age():
+    """No ``genfun`` function calls ``.age()``: ``_index_tables`` computes
+    each index's shift and age in integers, the walks read them from the
+    table, and ``LGPair.require_sl`` refuses a pair on which they do not exist."""
+    assert _functions_calling(MODULES["genfun"], _method_called("age")) == set()
+
+
+def test_only_require_domain_tests_the_pair_domain_in_verify():
+    """In ``verify`` only ``_require_domain`` calls ``require_cy`` and
+    ``require_sl``; ``_timed`` and the run admission call it."""
+    for name in ("require_cy", "require_sl"):
+        assert _functions_calling(MODULES["verify"], _method_called(name)) == \
+            {"_require_domain"}, name
+    assert {"_timed", "_admit"} <= \
+        _functions_calling(MODULES["verify"], lambda func: isinstance(func, ast.Name)
+                           and func.id == "_require_domain")
 
 
 def test_only_clean_builders_skip_the_series_constructor():

@@ -681,10 +681,12 @@ NON_SL = load_pair({"weights": [1, 1, 1, 1, 1], "degree": 5, "generators": [[1, 
     (lambda p, o: run_checks(p, ["residue-lemma", "no-such-check"], o), cubic(), (2, 1),
      "unknown check 'no-such-check'; known: oracle-equivalence, "),
     (lambda p, o: run_checks(p, ["residue-lemma", "mlk-untwisted"], o), cubic(), (0, 1),
-     r"^mlk-untwisted needs --T 1 or more to see its identity, got --T 0$"),
+     r"^mlk-untwisted needs T >= 1 to see its identity, got T = 0$"),
     (lambda p, o: run_checks(p, ALL_CHECKS, o), cubic(), (1, 1),
-     r"^oracle-equivalence needs --T 2 or more; fjrw-pipeline needs --T 2 or more "),
-    (lambda p, o: self_test(p, o), cubic(), (0, 3), r"^mlk-untwisted needs --T 1 or more; "),
+     r"^oracle-equivalence needs T >= 2; fjrw-pipeline needs T >= 2 to see its identity, "
+     r"got T = 1$"),
+    (lambda p, o: self_test(p, o), cubic(), (0, 3),
+     r"^the self-test needs T >= 1 to see every injected fault, got T = 0$"),
     (lambda p, o: run_checks(p, ["rctc-structure"], o), quintic(), (2, 160),
      "2,782,080 coefficient products at lambda-order 160, above the bound of 100,000"),
 ], ids=["run-non-cy", "self-test-non-cy", "run-non-sl", "self-test-non-sl", "run-unknown",
@@ -698,6 +700,32 @@ def test_run_checks_and_self_test_refuse_before_any_check_runs(monkeypatch, run,
     _refuse_every_check(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run(pair, Orders(t_order=orders[0], lam_order=orders[1]))
+
+
+# every series builder and operator a check body calls
+CHECK_BUILDERS = ("untwisted_j", "untwisted_j_oracle", "i_function_x", "i_function_y",
+                  "h_function_x", "h_factorization", "h_continued", "z_ddt_distinguished",
+                  "fjrw_limit", "gamma_pole_residue", "i_c", "u_bar", "ubar_block",
+                  "divide_or_none", "delta_c_generic", "delta_c_specialized", "DeltaDiamond",
+                  "PullbackToZ", "series_exp", "SeriesRing")
+
+
+@pytest.mark.parametrize("pair, message", [(NON_CY, "Calabi-Yau"), (NON_SL, "SL")],
+                         ids=["non-cy", "non-sl"])
+@pytest.mark.parametrize("name", ALL_CHECKS)
+def test_every_check_refuses_an_unsupported_pair_before_its_body(monkeypatch, name, pair,
+                                                                 message):
+    """A direct call of a check (``CHECKS`` calls each ``check_*`` without
+    the admission of ``run_checks``) on a pair that is not CY with an SL
+    group raises ValueError before it builds anything, so a failing report
+    always means a failed identity."""
+    def no_build(*_, **__):
+        raise AssertionError("a check built a series for an unsupported pair")
+
+    for builder in CHECK_BUILDERS:
+        monkeypatch.setattr(verify, builder, no_build)
+    with pytest.raises(ValueError, match=message):
+        verify.CHECKS[name](pair, Orders(t_order=4, lam_order=2))
 
 
 def test_self_test_builds_no_i_function_and_no_factorization(monkeypatch):
