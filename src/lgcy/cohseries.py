@@ -166,13 +166,15 @@ class CohSeries:
         above z_max and the zero values are dropped.  With no prefactor a
         term of exponent 1 passes its value object through.  Terms share
         values (one per factorial in the closed J), so every other
-        (value, exponent) is formed once per call.
+        (value, exponent) is formed once per call, and the prefactor's
+        d lam tau^-1 once per ring.
         """
         if not 0 <= var_index < len(self.variables):
             raise ValueError(f"variable index {var_index} outside [0, {len(self.variables)})")
         z_max = self.orders.z_window[1]
         out: dict = {}
         formed: dict = {}
+        prefactors: dict = {}   # ring -> d lam tau^-1 in it
         for (exps, z, degs), value in self.terms.items():
             exponent = degs[var_index]
             # a term with a zero exponent and no prefactor has no derivative
@@ -186,8 +188,12 @@ class CohSeries:
                     if exponent:
                         total = value if exponent == 1 else value * exponent
                     if prefactor_lam_multiple:
-                        piece = value * value.ring.monomial(lam=1, tau=-1,
-                                                            coeff=prefactor_lam_multiple)
+                        ring = value.ring
+                        monomial = prefactors.get(ring)
+                        if monomial is None:
+                            monomial = prefactors[ring] = ring.monomial(
+                                lam=1, tau=-1, coeff=prefactor_lam_multiple)
+                        piece = value * monomial
                         total = piece if total is None else total + piece
                     formed[id(value), exponent] = total
             if total.terms:

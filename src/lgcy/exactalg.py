@@ -856,8 +856,8 @@ def divide_by_lambda_plus_h(x: SectorValue) -> tuple[SectorValue, int]:
         for h in range(ring.nilpotency):
             v = dict(layers.get(h, {}))
             for lam, coeff in prev.items():
-                v[lam] = v.get(lam, Cyclotomic.zero(ring.order)) - coeff
-            if not v.get(0, Cyclotomic.zero(ring.order)).is_zero():
+                v[lam] = v[lam] - coeff if lam in v else -coeff
+            if 0 in v and not v[0].is_zero():
                 raise ExactDivisionError(
                     f"not divisible by (lam + H): remainder at H^{h}, tau^{tau}")
             w = {lam - 1: c for lam, c in v.items() if lam >= 1 and not c.is_zero()}
@@ -865,7 +865,9 @@ def divide_by_lambda_plus_h(x: SectorValue) -> tuple[SectorValue, int]:
                 if lam + h <= valid:
                     out[(lam, h, tau, atoms)] = coeff
             prev = w
-    return SectorValue(ring, out), valid
+    # truncated to total degree valid < lam_order, with h < nilpotency and
+    # no zero coefficient, by construction
+    return SectorValue._unchecked(ring, out), valid
 
 
 # ---------------------------------------------------------------------------

@@ -515,33 +515,42 @@ def i_function_y(pair: LGPair, orders: Orders) -> CohSeries:
 # H-functions and the Gamma factorization
 # ---------------------------------------------------------------------------
 
-def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
-    """The Gamma atoms of H^X at one index.  They depend on r alone;
-    ``memo`` keeps them per r for the span of one walk over the table."""
-    atoms = memo.get(term.r_num)
-    if atoms is None:
+def _keyed_atoms(d: int, counts: dict) -> tuple[tuple, tuple]:
+    """(key, atoms) of ``counts``, (weight, offset, h_weight) numerators
+    over d -> exponent: key is its sorted items, which are equal exactly
+    when the atoms are (over one d each atom has one set of numerators) and
+    hash in integers, where an atoms tuple hashes each atom in Python."""
+    return tuple(sorted(counts.items())), _atoms_key(d, counts)
+
+
+def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple[tuple, tuple]:
+    """(key, Gamma atoms) of H^X at one index, as ``_keyed_atoms``.  They
+    depend on r alone; ``memo`` keeps them per r for the span of one walk
+    over the table."""
+    found = memo.get(term.r_num)
+    if found is None:
         d = pair.fermat.degree
         counts: dict = {}
         for cj, r in zip(pair.fermat.weights, term.r_num):
             parts = (cj * d, r, 0)
             counts[parts] = counts.get(parts, 0) - 1
-        atoms = memo[term.r_num] = _atoms_key(d, counts)
-    return atoms
+        found = memo[term.r_num] = _keyed_atoms(d, counts)
+    return found
 
 
-def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple:
-    """The Gamma atoms of H^Y at one index, kept per (k0, v) in ``memo``
-    for the span of one walk over the table."""
+def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple[tuple, tuple]:
+    """(key, Gamma atoms) of H^Y at one index, as ``_keyed_atoms``, kept
+    per (k0, v) in ``memo`` for the span of one walk over the table."""
     key = (term.degs[0], term.v_num)
-    atoms = memo.get(key)
-    if atoms is None:
+    found = memo.get(key)
+    if found is None:
         d = pair.fermat.degree
         counts: dict = {(d * d, term.degs[0] * d, d * d): -1}
         for cj, v in zip(pair.fermat.weights, term.v_num):
             parts = (0, -v, -cj * d)
             counts[parts] = counts.get(parts, 0) - 1
-        atoms = memo[key] = _atoms_key(d, counts)
-    return atoms
+        found = memo[key] = _keyed_atoms(d, counts)
+    return found
 
 
 def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
@@ -558,20 +567,21 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
 
     One closed-form value is built per (ring, atoms, comb) and shared by
     the terms that have it; the table's rings are shared per nilpotency, so
-    the nilpotency stands for the ring.  The terms are clean by construction.
+    the nilpotency stands for the ring, and the atoms' integer key stands
+    for the atoms.  The terms are clean by construction.
     """
     pair.require_cy()
     pair.require_sl()
     z_min, z_max = orders.z_window
     terms: dict = {}
     memo: dict = {}
-    values: dict = {}   # (nilpotency, atoms, comb numerator, denominator) -> value
+    values: dict = {}   # (nilpotency, atoms key, comb numerator, denominator) -> value
     for term in _index_tables(pair, orders)[side]:
         if not z_min <= term.shift <= z_max:
             continue
         ring, comb = term.ring, term.comb
-        atoms = atoms_of(pair, term, memo)
-        key = (ring.nilpotency, atoms, comb.numerator, comb.denominator)
+        atoms_key, atoms = atoms_of(pair, term, memo)
+        key = (ring.nilpotency, atoms_key, comb.numerator, comb.denominator)
         value = values.get(key)
         if value is None:
             value = values[key] = _atom_value(ring, atoms, comb)
@@ -821,9 +831,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     product of ``term.degs`` (all of it on X, all but k0 on Y), not the
     table's comb, so a wrong table comb fails there.  The I products are
     kept per walk as the I builder keeps them, the H atoms in a memo of this
-    walk, and both blocks per (sector, H atoms), which fixes everything the
-    pairing reads; each distinct block is one ``gamma_shift_product`` call
-    of this walk.  offset, shift and age are the table's, and its comb
+    walk, and both blocks per (sector, H atoms), the atoms named by their
+    integer key, which fixes everything the pairing reads; each distinct
+    block is one ``gamma_shift_product`` call of this walk.  offset, shift and age are the table's, and its comb
     names a residual's witness.
     """
     if side == "x":
@@ -840,14 +850,14 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     memo: dict = {}
     for term in _index_tables(pair, i_series.orders)[side]:
         sector = term.sector
-        atoms = atoms_of(pair, term, memo)
+        atoms_key, atoms = atoms_of(pair, term, memo)
 
         product_key, product = product_of(pair, term, *window, i_products)
         fact = prod(map(factorial, term.degs[first:]))
         _assert_is_clamp(i_series, counts, term, product, fact, label)
         _assert_h_term(h_series, term, atoms, fact)
 
-        block_key = (sector, atoms)
+        block_key = (sector, atoms_key)
         if block_key not in blocks:
             blocks[block_key] = _gamma_ratio_blocks(gamma[sector], atoms, term.ring, window,
                                                     sector, term.degs, shift_blocks)
@@ -885,7 +895,7 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     terms: dict = {}
     atom_memo: dict = {}
     for term in _index_tables(pair, orders)["x"]:
-        atoms = _x_atoms(pair, term, atom_memo)
+        _, atoms = _x_atoms(pair, term, atom_memo)
         for b in range(d):
             sector = tuple([(e - b * j) % m for e, j, m in zip(term.base, grading, exponents)])
             n_g = sector.count(0)

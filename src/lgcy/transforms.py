@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm
 
 from .exactalg import (
     ExactDivisionError,
@@ -362,6 +362,11 @@ class SPoly:
         if g != 1:
             nums = {key: n // g for key, n in nums.items()}
             den //= g
+        return cls._lowest(s_degree, z_order, nums, den)
+
+    @classmethod
+    def _lowest(cls, s_degree: int, z_order: int, nums: dict, den: int) -> "SPoly":
+        """nums / den, with ``nums`` truncated and nonzero, already in lowest terms."""
         poly = object.__new__(cls)
         poly.s_degree, poly.z_order, poly.nums, poly.den = s_degree, z_order, nums, den
         return poly
@@ -381,61 +386,55 @@ class SPoly:
         """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
 
         exp(L) = sum over multisets {y_i^(e_i)} of prod_i c_i^(e_i) / e_i!
-        * y_i^(e_i), whose s-degree is e = sum_i e_i: each multiset of at
-        most s_degree terms is visited once, and one whose z-degree passes
-        z_order is skipped (z-degrees are non-negative, so no extension of
-        it survives either).
+        * y_i^(e_i), whose s-degree is e = sum_i e_i.  Which multisets
+        survive the truncation, and the monomial each one writes, depend
+        only on the form's shape, its sorted (v_i, k_i): ``_exp_plan`` lays
+        them out once per shape and orders, and this pass forms the weights.
 
         The arithmetic is in integers.  With c_i = a_i / D over the form's
         denominator D, a multiset of size e is W / (D^e e!) with the integer
         W = prod_i a_i^(e_i) * e! / prod_i e_i!; extending it by y_i
         multiplies W by a_i (e + 1) / (e_i + 1), an exact division.
         Multisets that share a key (one variable at several z-powers) add
-        their W.  Each level's sums are lifted to the divisor D^s s! of the
-        deepest level s reached, and the result is reduced once.  The terms
-        are visited in order of variable, so a monomial grows by appending
-        a variable or raising the exponent of its last one.
+        their W, and sums that cancel are dropped.  Each level's sums are
+        lifted to the divisor D^s s! of the deepest level s reached, and the
+        common factor g of the divisor and every lifted sum is found from
+        each level's own common factor before any is lifted, so the dict is
+        written once, in lowest terms.
         """
-        linear = []
+        shape, coeffs = [], []
         for (mono, z), a in sorted(self.nums.items()):
             if len(mono) != 1 or mono[0][1] != 1 or z < 0:
                 raise ValueError("exp needs an s-linear form with z-powers >= 0")
-            linear.append((mono[0][0], z, a))
-        levels = [{((), 0): 1} if self.z_order >= 0 else {}]
-        # a multiset: (index of its last term, multiplicity of that term,
-        # monomial, z-degree, W)
-        level = [(0, 0, (), 0, 1)]
-        for e in range(1, self.s_degree + 1):
-            sums: dict = {}
-            grown = []
-            for last, run, mono, z, weight in level:
-                for i in range(last, len(linear)):
-                    var, k, a = linear[i]
-                    z_i = z + k
-                    if z_i > self.z_order:
-                        continue
-                    run_i = run + 1 if i == last else 1
-                    weight_i = weight * a * e // run_i
-                    if mono and mono[-1][0] == var:
-                        mono_i = mono[:-1] + ((var, mono[-1][1] + 1),)
-                    else:
-                        mono_i = mono + ((var, 1),)
-                    key = (mono_i, z_i)
-                    sums[key] = sums.get(key, 0) + weight_i
-                    grown.append((i, run_i, mono_i, z_i, weight_i))
-            if not grown:
-                break
-            levels.append(sums)
-            level = grown
-        top = len(levels) - 1
-        nums = {}
-        for e, sums in enumerate(levels):
-            lift = self.den ** (top - e) * (factorial(top) // factorial(e))
-            for key, total in sums.items():
-                if total:
-                    nums[key] = total * lift
-        return SPoly._reduced(self.s_degree, self.z_order, nums,
-                              self.den ** top * factorial(top))
+            shape.append((mono[0][0], z))
+            coeffs.append(a)
+        plan = _exp_plan(tuple(shape), self.s_degree, self.z_order)
+        top, den = len(plan), self.den
+        divisor = den ** top * factorial(top)
+        # (s-degree, keys, sums) of every level that has a multiset
+        levels = [(0, (((), 0),), [1])] if self.z_order >= 0 else []
+        weights = [1]
+        for e, (steps, keys, slots) in enumerate(plan, 1):
+            scaled = [a * e for a in coeffs]
+            weights = [weights[parent] * scaled[i] // run for parent, i, run in steps]
+            if slots is None:
+                levels.append((e, keys, weights))
+                continue
+            totals = [0] * len(keys)
+            for slot, w in zip(slots, weights):
+                totals[slot] += w
+            kept = [i for i, t in enumerate(totals) if t]
+            levels.append((e, [keys[i] for i in kept], [totals[i] for i in kept]))
+        # a sum S of level e is S lift_e / divisor; with G_e the gcd of the
+        # level's sums, S lift_e / g = (S / G_e) (lift_e G_e / g)
+        lifts = [(den ** (top - e) * (factorial(top) // factorial(e)), gcd(*sums))
+                       for e, _, sums in levels]
+        g = gcd(divisor, *(lift * common for lift, common in lifts))
+        nums: dict = {}
+        for (_, keys, sums), (lift, common) in zip(levels, lifts):
+            factor = lift * common // g
+            nums.update(zip(keys, [s // common * factor for s in sums]))
+        return SPoly._lowest(self.s_degree, self.z_order, nums, divisor // g)
 
     def __eq__(self, other):
         return (isinstance(other, SPoly) and self.den == other.den
@@ -444,6 +443,55 @@ class SPoly:
 
     def __repr__(self):
         return f"SPoly({self.terms})"
+
+
+@lru_cache(maxsize=None)
+def _exp_plan(shape: tuple, s_degree: int, z_order: int) -> tuple:
+    """The multisets ``SPoly.exp`` sums for a form of ``shape``, its sorted
+    (variable, z-power) terms, one level per s-degree e = 1, 2, ... up to
+    the deepest one that keeps a multiset of z-degree <= z_order.
+
+    A level is (steps, keys, slots).  steps holds, per multiset, the index
+    of its parent in the level below (the root, the empty multiset, below
+    level 1), the index of the term that extends it and that term's
+    multiplicity in it; keys the level's distinct monomial keys, in order of
+    first appearance; slots each multiset's index into keys, or None when no
+    two multisets share a key.  The plan holds no coefficient.
+
+    Each multiset is visited once: it grows only by terms at or after its
+    last one, and one whose z-degree passes z_order is not kept (z-degrees
+    are non-negative, so no extension of it survives either).  The terms are
+    in order of variable, so a monomial grows by appending a variable or by
+    raising the exponent of its last one.
+    """
+    levels = []
+    # a multiset: (index of its last term, multiplicity of that term,
+    # monomial, z-degree)
+    level = [(0, 0, (), 0)]
+    for _ in range(s_degree):
+        steps, grown, slots, index = [], [], [], {}
+        for parent, (last, run, mono, z) in enumerate(level):
+            for i in range(last, len(shape)):
+                var, k = shape[i]
+                z_i = z + k
+                if z_i > z_order:
+                    continue
+                run_i = run + 1 if i == last else 1
+                if mono and mono[-1][0] == var:
+                    mono_i = mono[:-1] + ((var, mono[-1][1] + 1),)
+                else:
+                    mono_i = mono + ((var, 1),)
+                key = (mono_i, z_i)
+                slots.append(index.setdefault(key, len(index)))
+                steps.append((parent, i, run_i))
+                grown.append((i, run_i, mono_i, z_i))
+        if not grown:
+            break
+        keys = tuple(index)
+        levels.append((tuple(steps), keys,
+                       None if len(keys) == len(steps) else tuple(slots)))
+        level = grown
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -493,7 +541,7 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
 # Delta^c under the closed euler specializations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SpecializedEntry:
     """prod_j (+-lam_j)^(mu_j) * (series in z/lam), lam_j = c_j lam.
 
@@ -501,22 +549,57 @@ class SpecializedEntry:
     mu carries the rational lam-exponents that operator entries may hold
     but series constructors reject.
     series maps n -> coefficient of (z/lam)^n.
+
+    The entry is held in integers, each part in lowest terms over one
+    positive denominator, ``SPoly``'s layout: (half_turns, *mu) is
+    lam_nums / lam_den and series is series_nums / series_den.  The form is
+    unique, so ``==`` compares integers; half_turns, mu and series are
+    ``Fraction`` views, built when read.
     """
 
-    half_turns: Fraction
-    mu: tuple[Fraction, ...]
-    series: tuple[Fraction, ...]
+    lam_nums: tuple[int, ...]
+    lam_den: int
+    series_nums: tuple[int, ...]
+    series_den: int
+
+    @property
+    def half_turns(self) -> Fraction:
+        return Fraction(self.lam_nums[0], self.lam_den)
+
+    @property
+    def mu(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.lam_den) for n in self.lam_nums[1:])
+
+    @property
+    def series(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.series_den) for n in self.series_nums)
+
+    def __repr__(self):
+        return (f"SpecializedEntry(half_turns={self.half_turns!r}, mu={self.mu!r}, "
+                f"series={self.series!r})")
+
+
+def _lowest_terms(nums: list, den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den, den > 0, with the common factor of all of them divided out."""
+    g = gcd(den, *nums)
+    return tuple([n // g for n in nums]), den // g
 
 
 @lru_cache(maxsize=None)
-def _specialized_log_coefficient(k: int, p: int, q: int, cj: int) -> tuple[int, int]:
-    """B_{k+1}(p/q) (k-1)! / ((k+1)! c_j^k), the (z/lam)^k log term of weight
-    c_j, as (numerator, denominator) in lowest terms.
+def _specialized_log_row(p: int, q: int, cj: int, k_max: int) -> tuple[int, tuple[int, ...]]:
+    """B_{k+1}(p/q) (k-1)! / ((k+1)! c_j^k), the (z/lam)^k log terms of
+    weight c_j for k = 1..k_max, as (D, (0, L_1, ..., L_k_max)): numerators
+    over their lcm D.
 
     Keyed on integers only, like ``_log_coefficient``.
     """
-    num, den = _log_coefficient(k, p, q)
-    return _rational_parts(Fraction(num * factorial(k - 1), den * cj ** k))
+    terms = []
+    for k in range(1, k_max + 1):
+        num, den = _log_coefficient(k, p, q)
+        (num,), den = _lowest_terms([num * factorial(k - 1)], den * cj ** k)
+        terms.append((num, den))
+    den = lcm(*(q for _, q in terms))
+    return den, (0, *(num * (den // q) for num, q in terms))
 
 
 def delta_c_specialized(pair: LGPair, c: int, spec: str,
@@ -524,10 +607,10 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
     """Entries of Delta^c at the euler-inverse specializations, per sector.
 
     s^j_0 contributes (-+lam_j)^(1/2 - m_j); s^j_k for k>0 contributes
-    exp(B_{k+1}(m_j) (k-1)! / ((k+1)! c_j^k) (z/lam)^k).  Each log term
-    is computed once per process for its integer key (k, m_j, c_j); the
-    sum over j and its exp are formed per sector from that sector's own
-    multiplicities, in integers, and each entry's Fractions are built once.
+    exp(B_{k+1}(m_j) (k-1)! / ((k+1)! c_j^k) (z/lam)^k).  Each j's log
+    terms are computed once per process for their integer key (m_j, c_j,
+    k_max); the sum over j and its exp are formed per sector from that
+    sector's own multiplicities, in integers, and so is each entry.
     """
     if spec not in ("euler-inverse", "euler-inverse-signed"):
         raise ValueError("spec must be one of the euler specializations")
@@ -535,27 +618,26 @@ def delta_c_specialized(pair: LGPair, c: int, spec: str,
     shift = pair.grading ** c
     d = pair.fermat.degree
     weights = pair.fermat.weights
+    k_max = max(k_max, 0)   # below 0, as at 0, no log term is kept
+    top = factorial(k_max)
     entries = {}
     for g in pair.group.elements:
         exps = (g * shift).exps
-        # -B_1(m_j) = 1/2 - e_j c_j / d = (d - 2 e_j c_j) / (2d)
+        # -B_1(m_j) = 1/2 - e_j c_j / d = (d - 2 e_j c_j) / (2d), and
+        # half_turns is their sum or 0
         exponents = [d - 2 * e * cj for e, cj in zip(exps, weights)]
-        half = Fraction(sum(exponents) if spec == "euler-inverse" else 0, 2 * d)
-        terms = [(k, *_specialized_log_coefficient(k, e * cj, d, cj))
-                 for e, cj in zip(exps, weights) for k in range(1, k_max + 1)]
-        # the summed log series l_k = L_k / D over the lcm D of the terms'
+        half = sum(exponents) if spec == "euler-inverse" else 0
+        rows = [_specialized_log_row(e * cj, d, cj, k_max) for e, cj in zip(exps, weights)]
+        # the summed log series l_k = L_k / D over the lcm D of the rows'
         # denominators; its exp, n e_n = sum_{k=1..n} k l_k e_{n-k}, in
-        # integers: E_n = n! D^n e_n satisfies
-        # E_n = sum_k k L_k D^(k-1) (n-1)!/(n-k)! E_{n-k}
-        den = lcm(*(q for *_, q in terms))
-        nums = [0] * (k_max + 1)
-        for k, p, q in terms:
-            nums[k] += p * (den // q)
-        scaled = [1]
+        # integers over one divisor: F_n = k_max! D^k_max e_n satisfies
+        # n D F_n = sum_k k L_k F_{n-k}, an exact division
+        den = lcm(*(q for q, _ in rows))
+        logs = [k * sum(row[k] * (den // q) for q, row in rows) for k in range(k_max + 1)]
+        divisor = top * den ** k_max
+        series = [divisor]
         for n in range(1, k_max + 1):
-            scaled.append(sum(k * nums[k] * den ** (k - 1) * perm(n - 1, k - 1) * scaled[n - k]
-                              for k in range(1, n + 1)))
-        series = [Fraction(e, den ** n * factorial(n)) for n, e in enumerate(scaled)]
-        entries[g.exps] = SpecializedEntry(
-            half, tuple(Fraction(x, 2 * d) for x in exponents), tuple(series))
+            series.append(sum(logs[k] * series[n - k] for k in range(1, n + 1)) // (n * den))
+        entries[g.exps] = SpecializedEntry(*_lowest_terms([half, *exponents], 2 * d),
+                                           *_lowest_terms(series, divisor))
     return entries

@@ -105,6 +105,16 @@ def recommended_orders(pair: LGPair, t_order: int = 8, lam_order: int = 4) -> Or
 MIN_T_ORDER = {"oracle-equivalence": 2, "mlk-untwisted": 1, "fjrw-pipeline": 2}
 
 
+def _fjrw_missing_window(orders: Orders) -> tuple[int, int] | None:
+    """The z-window fjrw-pipeline reads its identities from, when the
+    window of ``orders`` lacks part of it; None when it holds it.  The
+    leading term (z^1) comes from z^0, and from ``MIN_T_ORDER`` on the
+    t-linear slice (z^0) from z^-1."""
+    low = -1 if orders.t_order >= MIN_T_ORDER["fjrw-pipeline"] else 0
+    z_min, z_max = orders.z_window
+    return None if z_min <= low and z_max >= 1 else (low, 1)
+
+
 def _orders_witness(check: str, orders: Orders, detail: str) -> dict:
     return {"kind": "orders", "T": orders.t_order, "minimum_T": MIN_T_ORDER[check],
             "detail": detail}
@@ -449,12 +459,12 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
                         _tamper_stage: str = "derivative") -> VerificationReport:
     """Divisibility, narrow support, and the signed-unit leading term."""
     def body():
-        # the leading term (z^1) comes from z^0, the t-linear slice (z^0) from z^-1
-        z_min, z_max = orders.z_window
-        low = -1 if orders.t_order >= MIN_T_ORDER["fjrw-pipeline"] else 0
-        if z_min > low or z_max < 1:
-            return {"kind": "orders", "zWindow": [z_min, z_max], "minimum_zWindow": [low, 1],
-                    "detail": f"the identities are read from z^{low} to z^1"}
+        needed = _fjrw_missing_window(orders)
+        if needed is not None:
+            low, high = needed
+            return {"kind": "orders", "zWindow": list(orders.z_window),
+                    "minimum_zWindow": [low, high],
+                    "detail": f"the identities are read from z^{low} to z^{high}"}
         if orders.t_order < 1:
             return _orders_witness("fjrw-pipeline", orders,
                                    "the leading term comes from t-degree 1")
@@ -676,14 +686,19 @@ def _admit(pair: LGPair, names, short: str, work: Orders) -> None:
     require_known(names)
     if short:
         raise ValueError(short)
+    needed = _fjrw_missing_window(work) if "fjrw-pipeline" in names else None
+    if needed is not None:
+        raise ValueError(f"fjrw-pipeline reads its identities from z^{needed[0]} to "
+                         f"z^{needed[1]}, got the z-window {list(work.z_window)}")
     require_bounded(pair, work, names)
 
 
 def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     """The reports of the named checks, in the given order, each at its
     ``CHECKS`` orders.  A pair that is not CY with an SL group, an unknown
-    name, a t-order below a named check's ``MIN_T_ORDER``, or a
-    ``work_estimate`` above ``WORK_BOUND`` raises ValueError first."""
+    name, a t-order below a named check's ``MIN_T_ORDER``, a z-window
+    without the z-powers fjrw-pipeline reads, or a ``work_estimate`` above
+    ``WORK_BOUND`` raises ValueError first."""
     t = orders.t_order
     short = "; ".join(f"{name} needs T >= {MIN_T_ORDER[name]}"
                       for name in names if t < MIN_T_ORDER.get(name, 0))

@@ -289,10 +289,37 @@ def test_verify_table_line_names_the_failure(capsys, monkeypatch):
 
 
 def test_verify_table_names_a_real_failure(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--checks", "fjrw-pipeline",
-                           "--T", "3", "--z-min", "0", "--z-max", "1")
+    """The quintic has no kernel-compatibility survivor below T 5, which the
+    run does not refuse: its table line names the vacuous witness."""
+    code, out, _ = run_cli(capsys, "verify", "--pair", "quintic", "--checks",
+                           "kernel-compatibility", "--T", "4", "--lambda-order", "2")
     assert code == 1
-    assert out.splitlines()[-1].endswith("ms]  orders: the identities are read from z^-1 to z^1")
+    assert out.splitlines()[-1].endswith("ms]  vacuous: no surviving terms to test")
+
+
+@pytest.mark.parametrize("window", [("0", "1"), ("-1", "0"), ("0", "2")],
+                         ids=["no-z-1", "no-z1", "no-z-1-wide"])
+def test_verify_refuses_a_narrow_fjrw_window_up_front(capsys, monkeypatch, window):
+    """fjrw-pipeline reads z^-1 to z^1 from T 2 on: a z-window without them
+    is refused with exit 2, naming the window it needs, before any check
+    runs; a check that does not read the window runs there."""
+    from lgcy import verify
+
+    def no_check(*_):
+        raise AssertionError("a check ran at a z-window that should be refused")
+
+    monkeypatch.setattr(verify, "CHECKS", {name: no_check for name in verify.CHECKS})
+    z_min, z_max = window
+    for checks in ("fjrw-pipeline", "all"):
+        code, out, err = run_cli(capsys, "verify", "--pair", "cubic", "--checks", checks,
+                                 "--T", "3", "--z-min", z_min, "--z-max", z_max)
+        assert code == 2 and out == ""
+        assert ("fjrw-pipeline reads its identities from z^-1 to z^1, "
+                f"got the z-window [{z_min}, {z_max}]") in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--checks", "residue-lemma",
+                           "--T", "3", "--z-min", z_min, "--z-max", z_max)
+    assert code == 0 and "PASS  residue-lemma" in out
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):

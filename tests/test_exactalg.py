@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -717,6 +718,61 @@ def test_divide_by_lambda_plus_h():
         q, valid = divide_by_lambda_plus_h(product)
         diff = (ring.lam() + ring.hyperplane()) * q - product
         assert all(k[0] + k[1] > valid for k in diff.terms)
+
+
+def _reference_divide(x: SectorValue) -> tuple[SectorValue, int]:
+    """The (lam + H)-division as it stood with a zero default per slot and
+    the validating constructor, kept as this test's oracle."""
+    ring = x.ring
+    slices: dict = {}
+    for (lam, h, tau, atoms), coeff in x.terms.items():
+        slices.setdefault((tau, atoms), {}).setdefault(h, {})[lam] = coeff
+    out: dict = {}
+    valid = ring.lam_order - 1
+    for (tau, atoms), layers in slices.items():
+        prev: dict = {}
+        for h in range(ring.nilpotency):
+            v = dict(layers.get(h, {}))
+            for lam, coeff in prev.items():
+                v[lam] = v.get(lam, Cyclotomic.zero(ring.order)) - coeff
+            if not v.get(0, Cyclotomic.zero(ring.order)).is_zero():
+                raise ExactDivisionError(
+                    f"not divisible by (lam + H): remainder at H^{h}, tau^{tau}")
+            w = {lam - 1: c for lam, c in v.items() if lam >= 1 and not c.is_zero()}
+            for lam, coeff in w.items():
+                if lam + h <= valid:
+                    out[(lam, h, tau, atoms)] = coeff
+            prev = w
+    return SectorValue(ring, out), valid
+
+
+@pytest.mark.parametrize("order, lam_order, nilpotency",
+                         [(5, 6, 3), (3, 4, 1), (6, 5, 4), (4, 1, 2), (5, 0, 2)])
+def test_divide_by_lambda_plus_h_matches_the_reference(order, lam_order, nilpotency):
+    """Quotient, valid degree and the refusals equal ``_reference_divide``'s
+    on products by (lam + H), on those plus a term, and on random values,
+    with tau and atoms slices; every quotient is clean (truncated, nonzero
+    coefficients) though it is built unchecked."""
+    ring = SeriesRing(order, lam_order, nilpotency)
+    rng = random.Random(order * 100 + lam_order * 10 + nilpotency)
+    atoms = ((GammaAtom(F(1), F(2, 5)), 1),)
+    x = ring.lam() + ring.hyperplane()
+    refused = 0
+    for _ in range(40):
+        w = _random_value(rng, ring) + _random_value(rng, ring).scale_atoms(atoms) \
+            * ring.monomial(tau=rng.randint(-2, 2))
+        for value in (x * w, x * w + _random_value(rng, ring), _random_value(rng, ring)):
+            try:
+                expected = _reference_divide(value)
+            except ExactDivisionError as err:
+                with pytest.raises(ExactDivisionError, match=f"^{re.escape(str(err))}$"):
+                    divide_by_lambda_plus_h(value)
+                refused += 1
+                continue
+            quotient, valid = divide_by_lambda_plus_h(value)
+            assert (quotient, valid) == expected
+            assert quotient.terms == SectorValue(ring, quotient.terms).terms
+    assert refused > 0
 
 
 def test_zlaurent_window_and_products():

@@ -716,15 +716,43 @@ def _moved_atom(moved, repeated_only=False):
         target = _repeated_index(pair, side) if repeated_only else None
 
         def moved_atoms(p, term, memo):
-            atoms = atoms_of(p, term, memo)
+            found = atoms_of(p, term, memo)
             if target not in (None, term.degs):
-                return atoms
-            (atom, exp), *rest = atoms
+                return found
+            (atom, exp), *rest = found[1]
             atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
-            return tuple(sorted([(atom, exp)] + rest))
+            atoms = tuple(sorted([(atom, exp)] + rest))
+            # keyed by the atoms themselves, equal exactly when the atoms are
+            return atoms, atoms
 
         monkeypatch.setattr(genfun, name, moved_atoms)
     return inject
+
+
+def _flat(value):
+    """The leaves of nested tuples."""
+    if isinstance(value, tuple):
+        for part in value:
+            yield from _flat(part)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_atoms_keys_are_integers_equal_exactly_when_the_atoms_are(pair, side):
+    """The H builders and the factorization walk key their blocks and values
+    on the atoms memo's key: it holds only ints and it names the atoms one
+    to one on every index of the side's table, so the sharing is that of
+    keying on the atoms themselves."""
+    atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
+    memo, by_key, by_atoms = {}, {}, {}
+    for term in _index_tables(pair, recommended_orders(pair, 8, 3))[side]:
+        key, atoms = atoms_of(pair, term, memo)
+        assert all(type(leaf) is int for leaf in _flat(key))
+        assert by_key.setdefault(key, atoms) == atoms
+        assert by_atoms.setdefault(atoms, key) == key
+    assert len(by_key) == len(by_atoms) > 1
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -879,7 +907,7 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         age = int(GroupElement(pair.fermat, sector).age())
         shift = term.shift
         scale = F(1, math.prod(math.factorial(k) for k in term.degs[first:]))
-        atoms = atoms_of(pair, term, memo)
+        _, atoms = atoms_of(pair, term, memo)
         _, product = product_of(pair, term, *window, products)
         i_value = _i_value(product, scale, term.offset)
         stored = {z: i_series.terms[sector, z, term.degs]
@@ -1088,7 +1116,7 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
 
     seen, memo, outcomes = set(), {}, set()
     for term in _index_tables(pair, orders)[side]:
-        atoms = atoms_of(pair, term, memo)
+        _, atoms = atoms_of(pair, term, memo)
         if (term.sector, atoms) in seen:
             continue
         seen.add((term.sector, atoms))
@@ -1149,7 +1177,7 @@ def _public_route(pair, orders, side, kind):
         else:
             atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
             terms[(term.sector, term.shift, term.degs)] = \
-                genfun._atom_value(term.ring, atoms_of(pair, term, memo), term.comb)
+                genfun._atom_value(term.ring, atoms_of(pair, term, memo)[1], term.comb)
     variable = "t" if side == "x" else "q^(1/d)"
     token = TOKEN_T_LAMBDA if side == "x" else TOKEN_Q_H
     variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())

@@ -4,6 +4,7 @@ the J identities stay apart."""
 from __future__ import annotations
 
 import ast
+import fractions
 import importlib
 import importlib.util
 import sys
@@ -11,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-from lgcy import catalog, genfun, verify
+from lgcy import catalog, genfun, transforms, verify
 from lgcy.exactalg import SectorValue, ZLaurentSeries
 from lgcy.lgmodel import GroupElement, LGPair
 from lgcy.transforms import Transform
@@ -438,6 +439,64 @@ def test_spoly_arithmetic_builds_no_fraction():
                                  and func.id == "Fraction")
     assert "terms" in callers
     assert callers <= {"__init__", "terms"}, callers
+
+
+def _is_plan_value(value) -> bool:
+    """An int, None, a monomial key ((((j, k), e), ...), z), or a tuple of those."""
+    if value is None or type(value) is int:
+        return True
+    if (isinstance(value, tuple) and len(value) == 2 and type(value[1]) is int
+            and isinstance(value[0], tuple)
+            and all(isinstance(var, tuple) and len(var) == 2 and type(e) is int
+                    and all(type(x) is int for x in var) for var, e in value[0])):
+        return True
+    return isinstance(value, tuple) and all(_is_plan_value(part) for part in value)
+
+
+def test_the_delta_c_entries_build_no_fraction(monkeypatch):
+    """``delta_c_specialized`` and its helpers call no ``Fraction(...)``;
+    ``SpecializedEntry`` defines no ``==`` of its own, so the dataclass
+    compares its integer fields, and only its views call ``Fraction``; with
+    ``Fraction`` construction made to raise, specialized entries still
+    compare and, their log terms cached, still build; and the plans
+    ``SPoly.exp`` reads hold only ints and monomial keys."""
+    def calls_fraction(func):
+        return isinstance(func, ast.Name) and func.id == "Fraction"
+
+    defs = {node.name: node for node in MODULES["transforms"].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("delta_c_specialized", "_specialized_log_row", "_lowest_terms", "_exp_plan"):
+        assert not _functions_calling(defs[name], calls_fraction), name
+    entry = defs["SpecializedEntry"]
+    assert _functions_calling(entry, calls_fraction) == {"half_turns", "mu", "series"}
+    assert "__eq__" not in {node.name for node in entry.body
+                            if isinstance(node, ast.FunctionDef)}
+
+    pair = catalog.quartic()
+    c = pair.valid_twists()[-1]
+    shift = pair.grading ** c
+    left = transforms.delta_c_specialized(pair, 0, "euler-inverse")
+    right = transforms.delta_c_specialized(pair, c, "euler-inverse")
+
+    def no_fraction(*_, **__):
+        raise AssertionError("built a Fraction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fractions.Fraction, "__new__", staticmethod(no_fraction))
+        again = transforms.delta_c_specialized(pair, c, "euler-inverse")
+        assert all(left[(g * shift).exps] == right[g.exps] == again[g.exps]
+                   for g in pair.group.elements)
+
+    forms = []
+    exp = transforms.SPoly.exp
+    monkeypatch.setattr(transforms.SPoly, "exp", lambda form: forms.append(form) or exp(form))
+    for pair in catalog.shipped_pairs().values():
+        transforms.delta_c_generic(pair, pair.valid_twists()[-1], 4, 3, 6)
+    assert forms
+    for form in forms:
+        shape = tuple((mono[0][0], z) for mono, z in sorted(form.nums))
+        plan = transforms._exp_plan(shape, form.s_degree, form.z_order)
+        assert plan and _is_plan_value(plan)
 
 
 def test_the_gamma_ratio_blocks_build_no_fraction():

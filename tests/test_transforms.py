@@ -1,11 +1,12 @@
 """The symplectic operators: relabelings, twists, continuation, dressings."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,70 @@ def test_delta_c_specialized_rational_lam_exponents():
     assert entry.mu == (F(3, 10),) * 5
     assert sum(entry.mu) == F(3, 2)
     assert entry.series[0] == 1
+
+
+def _fraction_specialized(pair, c, spec, k_max):
+    """``delta_c_specialized`` as it stood with ``Fraction`` entries, as
+    (half_turns, mu, series) per sector.  This test's oracle."""
+    shift = pair.grading ** c
+    d = pair.fermat.degree
+    weights = pair.fermat.weights
+    entries = {}
+    for g in pair.group.elements:
+        exps = (g * shift).exps
+        exponents = [d - 2 * e * cj for e, cj in zip(exps, weights)]
+        half = F(sum(exponents) if spec == "euler-inverse" else 0, 2 * d)
+        terms = []
+        for e, cj in zip(exps, weights):
+            for k in range(1, k_max + 1):
+                num, den = transforms._log_coefficient(k, e * cj, d)
+                value = F(num * factorial(k - 1), den * cj ** k)
+                terms.append((k, value.numerator, value.denominator))
+        den = lcm(*(q for *_, q in terms))
+        nums = [0] * (k_max + 1)
+        for k, p, q in terms:
+            nums[k] += p * (den // q)
+        scaled = [1]
+        for n in range(1, k_max + 1):
+            scaled.append(sum(k * nums[k] * den ** (k - 1) * perm(n - 1, k - 1) * scaled[n - k]
+                              for k in range(1, n + 1)))
+        entries[g.exps] = (half, tuple(F(x, 2 * d) for x in exponents),
+                           tuple(F(e, den ** n * factorial(n)) for n, e in enumerate(scaled)))
+    return entries
+
+
+def _one_unit_changes(entry):
+    """Every entry that differs from ``entry`` in one of its integers by one."""
+    for field in ("lam_nums", "series_nums"):
+        nums = getattr(entry, field)
+        for i in range(len(nums)):
+            for step in (1, -1):
+                changed = nums[:i] + (nums[i] + step,) + nums[i + 1:]
+                yield dataclasses.replace(entry, **{field: changed})
+    for field in ("lam_den", "series_den"):
+        yield dataclasses.replace(entry, **{field: getattr(entry, field) + 1})
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_specialized_entries_compare_integers_and_read_as_before(pair):
+    """Each entry's Fraction views equal the Fraction entry's fields, its
+    integers are in lowest terms, and a one-unit change of any one of them
+    breaks ``==``, at k_max -1 to 6 on every twist and both specializations."""
+    for k_max in range(-1, 7):
+        for c in pair.valid_twists():
+            for spec in ("euler-inverse", "euler-inverse-signed"):
+                reference = _fraction_specialized(pair, c, spec, k_max)
+                for exps, entry in delta_c_specialized(pair, c, spec, k_max).items():
+                    assert (entry.half_turns, entry.mu, entry.series) == reference[exps]
+                    assert entry.lam_den > 0 and gcd(entry.lam_den, *entry.lam_nums) == 1
+                    assert entry.series_den > 0
+                    assert gcd(entry.series_den, *entry.series_nums) == 1
+                    assert all(type(n) is int for n in entry.lam_nums + entry.series_nums)
+                    if c == 0 and k_max == 4:
+                        assert all(changed != entry for changed in _one_unit_changes(entry))
+                        assert repr(entry) == (
+                            f"SpecializedEntry(half_turns={entry.half_turns!r}, "
+                            f"mu={entry.mu!r}, series={entry.series!r})")
 
 
 # -- golden digests of the operator layer ------------------------------------------
@@ -564,6 +629,89 @@ def test_spoly_exp_drops_multisets_that_cancel(a, b, s_degree, c1, c2, others):
     assert result == _exp_by_powers(form)
     assert (((var, 2),), z_order) not in result.terms
     assert all(coeff != 0 for coeff in result.terms.values())
+
+
+def _enumerated_exp(form):
+    """``SPoly.exp`` as it stood before its multisets were laid out in a
+    plan: one walk over the multisets per call, integer weights, each level
+    lifted to the deepest level's divisor, one reduction.  This test's oracle."""
+    linear = [(mono[0][0], z, a) for (mono, z), a in sorted(form.nums.items())]
+    levels = [{((), 0): 1} if form.z_order >= 0 else {}]
+    level = [(0, 0, (), 0, 1)]
+    for e in range(1, form.s_degree + 1):
+        sums: dict = {}
+        grown = []
+        for last, run, mono, z, weight in level:
+            for i in range(last, len(linear)):
+                var, k, a = linear[i]
+                z_i = z + k
+                if z_i > form.z_order:
+                    continue
+                run_i = run + 1 if i == last else 1
+                weight_i = weight * a * e // run_i
+                if mono and mono[-1][0] == var:
+                    mono_i = mono[:-1] + ((var, mono[-1][1] + 1),)
+                else:
+                    mono_i = mono + ((var, 1),)
+                key = (mono_i, z_i)
+                sums[key] = sums.get(key, 0) + weight_i
+                grown.append((i, run_i, mono_i, z_i, weight_i))
+        if not grown:
+            break
+        levels.append(sums)
+        level = grown
+    top = len(levels) - 1
+    nums = {}
+    for e, sums in enumerate(levels):
+        lift = form.den ** (top - e) * (factorial(top) // factorial(e))
+        for key, total in sums.items():
+            if total:
+                nums[key] = total * lift
+    return SPoly._reduced(form.s_degree, form.z_order, nums,
+                          form.den ** top * factorial(top))
+
+
+def test_spoly_exp_matches_the_enumeration_on_every_delta_c_form(monkeypatch):
+    """On every log form of Delta^c of the four shipped pairs, at k_max 0-6,
+    s-degree 0-3 and z-order -1-7, ``exp`` from the plan gives the value,
+    the denominator and the key order of ``_enumerated_exp``."""
+    forms = {}
+    exp = SPoly.exp
+
+    def recorded(form):
+        forms.setdefault((tuple(form.nums.items()), form.den, form.s_degree,
+                          form.z_order), form)
+        return exp(form)
+
+    monkeypatch.setattr(SPoly, "exp", recorded)
+    for pair in ALL_PAIRS:
+        for k_max in range(7):
+            for s_degree in range(4):
+                for z_order in range(-1, 8):
+                    for c in pair.valid_twists():
+                        delta_c_generic(pair, c, k_max, s_degree, z_order)
+    monkeypatch.undo()
+    assert len(forms) > 1000
+    for form in forms.values():
+        result, expected = form.exp(), _enumerated_exp(form)
+        assert result == expected
+        assert list(result.nums) == list(expected.nums)
+
+
+def test_spoly_exp_plans_once_per_shape():
+    """Two forms of one shape with different coefficients share one plan
+    object and get their own results; the plan holds no coefficient."""
+    a, b = (0, 1), (1, 2)
+    first = SPoly(3, 6, {(((a, 1),), 1): F(1, 2), (((a, 1),), 2): F(3), (((b, 1),), 2): F(-1)})
+    second = SPoly(3, 6, {(((a, 1),), 1): F(5), (((a, 1),), 2): F(-2, 7), (((b, 1),), 2): F(4)})
+    shape = (((0, 1), 1), ((0, 1), 2), ((1, 2), 2))
+    transforms._exp_plan.cache_clear()
+    results = first.exp(), second.exp()
+    info = transforms._exp_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert transforms._exp_plan(shape, 3, 6) is transforms._exp_plan(shape, 3, 6)
+    assert results[0] != results[1]
+    assert list(results) == [_enumerated_exp(first), _enumerated_exp(second)]
 
 
 def test_spoly_constant_refuses_floats():

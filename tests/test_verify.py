@@ -345,7 +345,10 @@ def test_fjrw_pipeline_names_orders_below_t2(pair):
 def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
     """The leading term is read at z^1 from z^0, the t-linear slice (from
     T = 2 on) at z^0 from z^-1: a window without them gets an "orders"
-    witness, decided before any series is built."""
+    witness, decided before any series is built.  ``run_checks`` reads the
+    same rule: from T = 2 on it refuses a run of the check at that window,
+    naming the window needed, before any check runs, and admits the other
+    checks there."""
     def no_series(*_):
         raise AssertionError("built a series for a window the check cannot read")
 
@@ -355,6 +358,16 @@ def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
     assert witness["kind"] == "orders", witness
     assert witness["zWindow"] == list(z_window)
     assert witness["minimum_zWindow"] == [-1 if t_order >= 2 else 0, 1]
+    if t_order < 2:
+        return
+    _refuse_every_check(monkeypatch)
+    message = ("^fjrw-pipeline reads its identities from z\\^-1 to z\\^1, "
+               f"got the z-window \\[{z_window[0]}, {z_window[1]}\\]$")
+    with pytest.raises(ValueError, match=message):
+        run_checks(cubic(), ["residue-lemma", "fjrw-pipeline"], orders)
+    others = [name for name in ALL_CHECKS if name != "fjrw-pipeline"]
+    with pytest.raises(AssertionError, match="a check ran"):
+        run_checks(cubic(), others, orders)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
@@ -554,8 +567,8 @@ def test_mlk_operator_specialized_witness(monkeypatch, pair, spec):
         entries = build(p, c_, spec_, k_max)
         if (c_, spec_) == (c, spec):
             entry = entries[g.exps]
-            series = entry.series[:-1] + (entry.series[-1] + 1,)
-            entries[g.exps] = dataclasses.replace(entry, series=series)
+            series_nums = entry.series_nums[:-1] + (entry.series_nums[-1] + 1,)
+            entries[g.exps] = dataclasses.replace(entry, series_nums=series_nums)
         return entries
 
     assert c > 0
