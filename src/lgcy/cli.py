@@ -74,8 +74,6 @@ def _load(pair_arg: str) -> LGPair:
 
 
 def _orders(args, pair: LGPair) -> Orders:
-    if args.T < 0 or args.lam_order < 0:
-        raise ValueError("truncation orders must be non-negative")
     base = recommended_orders(pair, args.T, args.lam_order)
     z_min = args.z_min if args.z_min is not None else base.z_window[0]
     z_max = args.z_max if args.z_max is not None else base.z_window[1]
@@ -180,6 +178,8 @@ def cmd_verify(args) -> int:
         tuple(name.strip() for name in args.checks.split(","))
     if args.self_test:
         require_known(names)
+        if args.checks != "all":
+            raise ValueError("--self-test runs every check; it takes no --checks list")
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())
         _emit({"pair": pair.name, "injected": len(attempts), "detected": detected,

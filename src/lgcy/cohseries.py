@@ -21,8 +21,8 @@ TOKEN_Q_H = "q^(H/tau)"
 
 @dataclass(frozen=True)
 class Orders:
-    """Truncation orders; they travel with every series.  An empty z-window
-    (z_min > z_max) raises ValueError."""
+    """Truncation orders; they travel with every series.  A negative order
+    or an empty z-window (z_min > z_max) raises ValueError."""
 
     t_order: int = 8
     lam_order: int = 4
@@ -30,6 +30,8 @@ class Orders:
     z_max: int = 2
 
     def __post_init__(self):
+        if self.t_order < 0 or self.lam_order < 0:
+            raise ValueError("truncation orders must be non-negative")
         z_min, z_max = self.z_window
         if z_min > z_max:
             raise ValueError(f"empty z-window: z_min = {z_min} > z_max = {z_max}")
@@ -59,7 +61,10 @@ class CohSeries:
     on a value that is not a ``SectorValue``, and makes each key's sector
     and degree tuples.  Builders whose terms are clean by construction use
     ``_unchecked``.  ``terms`` promises no order: a consumer whose result
-    depends on it sorts the keys itself.
+    depends on it sorts the keys itself.  Surface: ``ring_for``,
+    ``filter_terms``, ``coefficient``, ``is_zero``, ``z_ddt_var``,
+    ``nonequivariant_limit`` and ``compare``, None for equal series; a
+    series has no arithmetic and no ``==``.
     """
 
     __slots__ = ("side", "pair", "c_twist", "variables", "orders", "tokens", "terms")
@@ -115,21 +120,6 @@ class CohSeries:
     def ring_for(self, exps: tuple) -> SeriesRing:
         return SeriesRing(self.pair.fermat.degree, self.orders.lam_order,
                           _sector_nilpotency(self.side, self.pair, exps))
-
-    def signature(self) -> tuple:
-        return (self.side, self.c_twist, self.variables, self.tokens)
-
-    # -- linear structure ----------------------------------------------------
-    def __add__(self, other: "CohSeries") -> "CohSeries":
-        if self.signature() != other.signature():
-            raise ValueError("cannot add series with different signatures")
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            terms[key] = terms[key] + value if key in terms else value
-        return self._replace_terms(terms)
-
-    def scale(self, scalar) -> "CohSeries":
-        return self._replace_terms({k: v * scalar for k, v in self.terms.items()})
 
     def _replace_terms(self, terms: dict) -> "CohSeries":
         return CohSeries(self.side, self.pair, self.variables, self.orders,
@@ -214,27 +204,6 @@ class CohSeries:
         return CohSeries(self.side, self.pair, self.variables, self.orders,
                          terms, tokens, self.c_twist)
 
-    def restricted(self, orders: Orders) -> "CohSeries":
-        """Re-truncate to smaller orders (monotonicity of the checks).
-
-        Raises ValueError when ``orders`` asks for more than the series
-        holds: a larger t-order or lam-order, or a z-window that is not
-        inside the series' own.
-        """
-        (z_min, z_max), (new_min, new_max) = self.orders.z_window, orders.z_window
-        if orders.t_order > self.orders.t_order or \
-                orders.lam_order > self.orders.lam_order or \
-                new_min < z_min or new_max > z_max:
-            raise ValueError(f"cannot restrict a series at {self.orders.as_dict()} "
-                             f"to the larger orders {orders.as_dict()}")
-        terms = {}
-        for (exps, z, degs), value in self.terms.items():
-            ring = SeriesRing(value.ring.order, orders.lam_order,
-                              value.ring.nilpotency)
-            terms[(exps, z, degs)] = value.with_ring(ring)
-        return CohSeries(self.side, self.pair, self.variables, orders,
-                         terms, self.tokens, self.c_twist)
-
     # -- comparison ----------------------------------------------------------------
     def compare(self, other: "CohSeries") -> dict | None:
         """None if equal; otherwise a witness for the first difference.
@@ -266,11 +235,6 @@ class CohSeries:
                         "degree": list(key[2]),
                         "left": str(left), "right": str(right)}
         return None
-
-    def __eq__(self, other):
-        return (isinstance(other, CohSeries)
-                and self.signature() == other.signature()
-                and self.terms == other.terms)
 
     def __repr__(self):
         return (f"CohSeries(side={self.side!r}, pair={self.pair.name}, "

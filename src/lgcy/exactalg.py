@@ -249,9 +249,6 @@ class Cyclotomic:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = self.nums, other.nums
@@ -316,22 +313,6 @@ class Cyclotomic:
         return Cyclotomic._reduced(
             self.order, tuple(x * norm.den for x in others.nums),
             others.den * norm.nums[0])
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Cyclotomic.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -528,6 +509,10 @@ class SectorValue:
     token is invertible); atoms a canonical multiset of GammaAtom powers.
     The public constructor truncates, coerces and drops zeros; ring operations
     whose results are already truncated and zero-free use ``_unchecked``.
+    Surface: ``+``, ``-`` and ``*``, with a scalar on either side but no
+    ``scalar - value``, unary ``-``, ``==``, ``hash``, ``is_zero``,
+    ``constant_term``, ``lambda_valuation``, ``nonequivariant_limit``,
+    ``with_ring``, ``scale_atoms`` and ``map_monomials``.
     """
 
     __slots__ = ("ring", "terms")
@@ -594,9 +579,6 @@ class SectorValue:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, SectorValue):
             self._check(other)
@@ -659,18 +641,6 @@ class SectorValue:
             out[(lam, h, t1 + t2, _merge_atoms(a1, a2))] = c1 * c2
         return SectorValue._unchecked(ring, out)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return series_invert(self) ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if type(other) is not SectorValue:
             if isinstance(other, Cyclotomic) and other.order != self.ring.order:
@@ -691,11 +661,6 @@ class SectorValue:
 
     def constant_term(self) -> Cyclotomic:
         return self.terms.get((0, 0, 0, ()), Cyclotomic.zero(self.ring.order))
-
-    def coefficient(self, lam: int = 0, h: int = 0, tau: int = 0,
-                    atoms: AtomsKey = ()) -> Cyclotomic:
-        return self.terms.get((lam, h, tau, tuple(sorted(atoms))),
-                              Cyclotomic.zero(self.ring.order))
 
     def lambda_valuation(self) -> int:
         """Largest k with lam^k dividing every monomial; inf -> lam_order+1."""
@@ -880,7 +845,9 @@ class ZLaurentSeries:
     The window is part of the value: products clamp to it, so identities
     are checked per fixed truncation.  Windows of operands must agree.
     The public constructor clamps, coerces and drops zeros; ring operations
-    that do so themselves use ``_unchecked``.
+    that do so themselves use ``_unchecked``.  Surface: ``+`` and ``-`` of
+    two series, unary ``-``, ``*`` by a series or a scalar on either side,
+    ``shift``, ``coefficient``, ``==`` and ``hash``.
     """
 
     __slots__ = ("ring", "z_min", "z_max", "terms")
@@ -916,33 +883,23 @@ class ZLaurentSeries:
     def __setattr__(self, *_):
         raise AttributeError("ZLaurentSeries is immutable")
 
-    @staticmethod
-    def constant(ring: SeriesRing, z_min: int, z_max: int, value) -> "ZLaurentSeries":
-        return ZLaurentSeries(ring, z_min, z_max, {0: value})
-
     def _check(self, other: "ZLaurentSeries"):
         if (self.z_min, self.z_max) != (other.z_min, other.z_max) or \
                 self.ring is not other.ring:
             raise OrderMismatchError("z-window or ring mismatch")
 
     def __add__(self, other):
-        if not isinstance(other, ZLaurentSeries):
-            other = ZLaurentSeries.constant(self.ring, self.z_min, self.z_max, other)
         self._check(other)
         terms = dict(self.terms)
         for z, v in other.terms.items():
             terms[z] = terms[z] + v if z in terms else v
         return ZLaurentSeries(self.ring, self.z_min, self.z_max, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
                                          {z: -v for z, v in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, ZLaurentSeries):
-            other = ZLaurentSeries.constant(self.ring, self.z_min, self.z_max, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -976,9 +933,6 @@ class ZLaurentSeries:
 
     def coefficient(self, z: int) -> SectorValue:
         return self.terms.get(z, self.ring.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, ZLaurentSeries)

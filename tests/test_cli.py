@@ -122,7 +122,7 @@ def test_ifun_lg_modification_factor_visible(capsys):
     value = series.coefficient((2,) * 5, -6, (7, 0))
     from fractions import Fraction as F
     import math
-    assert value.coefficient(lam=5) == -1 * F(1, math.factorial(7))
+    assert value.terms[5, 0, 0, ()] == -1 * F(1, math.factorial(7))
 
 
 def test_ifun_t0_leading_term_only(capsys):
@@ -154,6 +154,16 @@ def test_verify_checks_selection_and_exit(capsys):
         code, _, err = run_cli(capsys, "verify", "--pair", "cubic",
                                "--checks", "nonsense", *extra)
         assert code == 2 and "unknown check" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("--T", "-1"), "truncation orders must be non-negative"),
+    (("--lambda-order", "-1"), "truncation orders must be non-negative"),
+    (("--self-test", "--checks", "residue-lemma"), "takes no --checks list"),
+], ids=["T-1", "lambda-1", "self-test-checks"])
+def test_verify_refuses_bad_orders_and_a_self_test_check_list(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "verify", "--pair", "cubic", *argv)
+    assert code == 2 and reason in err and out == ""
 
 
 def test_verify_continuation_subcommand(capsys):

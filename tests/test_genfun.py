@@ -484,8 +484,13 @@ def test_string_equation():
     series = untwisted_j(q, 0, orders)
     idx = series.variables.index(q.identity.exps)
     derivative = series.z_ddt_var(idx)
-    smaller = Orders(t_order=3, lam_order=0)
-    assert derivative.restricted(smaller).compare(series.restricted(smaller)) is None
+    # both sides at T 3: the keys inside its z-window and t-order
+    z_min, z_max = Orders(t_order=3, lam_order=0).z_window
+
+    def kept(key, _):
+        return z_min <= key[1] <= z_max and sum(key[2]) <= 3
+
+    assert derivative.filter_terms(kept).compare(series.filter_terms(kept)) is None
 
 
 # -- the twisted I-function on the quotient-stack side ------------------------------
@@ -494,7 +499,7 @@ def test_modification_factor_m70():
     q = quintic()
     ring = SeriesRing(5, 6, 1)
     factor = modification_factor(q, (7,) * 5, ring, -20, 20)  # r_j = 7/5
-    expected = ZLaurentSeries.constant(ring, -20, 20, ring.one())
+    expected = ZLaurentSeries(ring, -20, 20, {0: ring.one()})
     linear = ZLaurentSeries(ring, -20, 20, {0: -ring.lam(), 1: ring.scalar(F(-2, 5))})
     for _ in range(5):
         expected = expected * linear
@@ -1201,8 +1206,7 @@ def test_builders_match_the_public_constructor_route(pair, kind, side):
         expected, unclipped = _public_route(pair, orders, side, kind)
         if orders is narrow:
             assert len(unclipped) > len(expected.terms)
-        assert built.terms == expected.terms
-        assert built.signature() == expected.signature()
+        assert built.compare(expected) is None and built.c_twist == expected.c_twist
         assert built.terms and all(value.terms for value in built.terms.values())
         z_min, z_max = orders.z_window
         assert all(z_min <= z <= z_max for _, z, _ in built.terms)
@@ -1516,10 +1520,10 @@ def test_h_continued_frozen_degenerate_coefficient():
     [(atom, exponent)] = atoms
     assert exponent == -5 and atom.offset == 0 and atom.weight == 1
     one = Cyclotomic.one(5)
-    assert value.coefficient(0, 0, 0, atoms) == one
-    assert value.coefficient(1, 0, 0, atoms) == one * 2
-    assert value.coefficient(0, 1, 0, atoms) == one * 2
-    assert value.coefficient(1, 1, 0, atoms) == one * 6
+    assert value.terms[0, 0, 0, atoms] == one
+    assert value.terms[1, 0, 0, atoms] == one * 2
+    assert value.terms[0, 1, 0, atoms] == one * 2
+    assert value.terms[1, 1, 0, atoms] == one * 6
 
 
 def test_h_continued_nondegenerate_block_vanishing_constant():
@@ -1655,7 +1659,7 @@ def test_deserialized_series_equals_the_original(pair, maker):
     original, and each of its Gamma atoms is the original's shared instance."""
     series = maker(pair, recommended_orders(pair, 3, 2))
     rebuilt = deserialize_series(json.loads(json.dumps(serialize_series(series))))
-    assert rebuilt == series
+    assert rebuilt.compare(series) is None
 
     def atoms(s):
         return {id(atom): atom for value in s.terms.values()

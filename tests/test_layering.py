@@ -1,12 +1,22 @@
 """Module layering of ``lgcy``: no function-local imports, no import cycles,
 every name that the benchmark tracer wraps exists, and the two routes of
-the J identities stay apart."""
+the J identities stay apart.
+
+A reachability census keeps only the API the program's traffic reaches:
+with every call recorded by ``sys.setprofile``, on a fresh import, it runs
+the benchmark's tiny passes, fault gates and probes, the demos and the
+CLI, and requires every ``def`` under ``src/lgcy`` to be entered or to sit
+in ``NOT_ENTERED_BY_DESIGN`` with its reason."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import fractions
 import importlib
 import importlib.util
+import io
+import json
+import runpy
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -203,6 +213,119 @@ def test_every_workload_meets_the_benchmark_site_predictions():
             errors = tracer.coverage_errors(workload, traced.layer_metrics())
         assert wrong == [], (workload, wrong)
         assert errors == [], (workload, errors)
+
+
+_REPR = "a value's debugging view, which assertion messages and the REPL show"
+_IMMUTABLE = "refuses every write, so a shared value stays as built"
+_HASH = "a value hashes as it compares, so it can key a dict or sit in a set"
+_DESERIALIZE = "reads an atom-valued series back for deserialize_series"
+_WITNESS = "runs only when a check fails: it builds the failure's witness"
+_RESIDUE = ("read by _assert_no_residual's witness and by the per-term reference "
+            "routes of test_genfun")
+_VIEW = "a Fraction view of SpecializedEntry's integer fields, which its repr shows"
+_SPOLY = "the public SPoly constructor and its Fraction view; ROADMAP item 16 decides them"
+
+# defs that no traffic of the program enters, each kept for a reason of its own
+NOT_ENTERED_BY_DESIGN = {
+    **{f"{cls}.__repr__": _REPR for cls in (
+        "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
+        "exactalg.ZLaurentSeries", "lgmodel.GroupElement", "lgmodel.LGPair",
+        "transforms.SPoly", "transforms.SpecializedEntry", "transforms.Transform")},
+    **{f"{cls}.__setattr__": _IMMUTABLE for cls in (
+        "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
+        "exactalg.ZLaurentSeries", "lgmodel.GroupElement")},
+    **{f"exactalg.{cls}.__hash__": _HASH
+       for cls in ("Cyclotomic", "SectorValue", "ZLaurentSeries")},
+    "exactalg.bernoulli_poly": UNCALLED_BY_DESIGN["bernoulli_poly"],
+    "genfun.deserialize_series": UNCALLED_BY_DESIGN["deserialize_series"],
+    "verify.work_estimate": UNCALLED_BY_DESIGN["work_estimate"],
+    "genfun._atom_from_json": _DESERIALIZE,
+    "genfun._value_from_json": _DESERIALIZE,
+    "genfun._atom_to_json": "writes the Gamma atoms of an H-series; no ifun side carries atoms",
+    "genfun._assert_no_residual": _WITNESS,
+    "verify._orders_witness": _WITNESS + "; run_checks refuses such orders first",
+    **{f"exactalg.ZLaurentSeries.{name}": _RESIDUE
+       for name in ("__neg__", "__sub__", "shift", "coefficient")},
+    **{f"transforms.SpecializedEntry.{name}": _VIEW for name in ("half_turns", "mu", "series")},
+    "transforms.SPoly.__init__": _SPOLY,
+    "transforms.SPoly.terms": _SPOLY,
+}
+
+
+def _package_defs() -> dict:
+    """(file, first line, name) of each def's code object -> its dotted name.
+
+    A code object starts at its first decorator, as ``co_firstlineno`` does."""
+    defs = {}
+
+    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                defs[str(path), first, child.name] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(MODULES[path.stem], path.resolve(), f"{path.stem}.")
+    return defs
+
+
+def _program_traffic(tmp_path: Path) -> None:
+    """The benchmark's tiny passes, fault gates and probes, the demos, and
+    the CLI on a pair file: describe, ifun on each side and format, verify
+    and verify --self-test, at T 2."""
+    workloads, probes = _benchmark_module("workloads"), _benchmark_module("probes")
+    pairs = workloads.build_pairs()
+    for workload in workloads.WORKLOADS:
+        for calls in (workloads.pass_calls(workload, pairs, workloads.SCALES["tiny"]),
+                      workloads.gate_calls(workload, pairs, 1)):
+            assert workloads.run_calls(calls) == [], workload
+    assert probes.run_probes(1, "tiny")[1] == []
+    cli = importlib.import_module("lgcy.cli")
+    lgmodel = importlib.import_module("lgcy.lgmodel")
+    pair_file = tmp_path / "cubic.json"
+    pair_file.write_text(json.dumps(lgmodel.pair_to_dict(pairs["cubic"])))
+    common = ("--pair", str(pair_file), "--T", "2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for demo in sorted(ROOT.glob("demos/*.py")):
+            runpy.run_path(str(demo), run_name="__main__")
+        codes = [cli.main(["describe", *common, "--dump", str(tmp_path)])]
+        codes += [cli.main(["ifun", *common, "--side", side, "--format", form])
+                  for side in ("lg", "cy", "fjrw") for form in ("table", "structured")]
+        codes += [cli.main(["verify", *common]), cli.main(["verify", *common, "--self-test"])]
+    # at T 2 kernel-compatibility has no surviving term and fails vacuous
+    assert codes == [0] * 7 + [1, 0], codes
+
+
+def test_every_def_is_reached_outside_the_tests(tmp_path):
+    """Every def of ``lgcy`` is entered by the program's own traffic, on a
+    fresh import (a warm cache would hide calls), or is allowlisted with a
+    reason; every allowlisted def exists and is not entered.  A def that only
+    tests call fails here, even one that shares a name with a used one."""
+    defs = _package_defs()
+    entered = set()
+
+    def record(frame, event, _):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    with _fresh_lgcy():
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            _program_traffic(tmp_path)
+        finally:
+            sys.setprofile(previous)
+    reached = {defs.get((str(Path(code.co_filename).resolve()), code.co_firstlineno,
+                         code.co_name)) for code in entered}
+    names = set(defs.values())
+    allowed = NOT_ENTERED_BY_DESIGN.keys()
+    for wrong in (allowed - names, allowed & reached, names - reached - allowed):
+        assert not wrong, ", ".join(sorted(wrong))
 
 
 def test_gamma_atoms_are_built_through_the_shared_constructor():
