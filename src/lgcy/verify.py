@@ -383,8 +383,7 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
     only at lam-order N_g - 1 or more: below max N_g - 1 the check returns
     an "orders" witness, not a false rank failure.
     """
-    # Orders refuse a negative lam-order: the "orders" witness names it
-    orders = Orders(t_order=0, lam_order=max(lam_order, 0))
+    orders = Orders(t_order=0, lam_order=lam_order)
     d = pair.fermat.degree
     minimum = _rctc_minimum(pair)
 

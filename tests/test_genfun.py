@@ -1614,21 +1614,26 @@ def test_fjrw_witnesses_are_the_sorted_first_bad_key(monkeypatch):
 
 # -- serialization -----------------------------------------------------------------------
 
+def twisted_j(pair, orders):
+    """The closed J at the pair's last twist: a series whose c_twist is set."""
+    return untwisted_j(pair, pair.valid_twists()[-1], orders)
+
+
 @pytest.mark.parametrize("maker", [
     i_function_x,
     i_function_y,
     h_function_x,
     h_continued,
     fjrw_i_function,
+    twisted_j,
 ], ids=lambda fn: fn.__name__)
 def test_serialize_round_trip(maker):
     pair = quintic()
     orders = Orders(t_order=4, lam_order=2)
     series = maker(pair, orders)
     data = serialize_series(series)
-    import json
     rebuilt = deserialize_series(json.loads(json.dumps(data)))
-    assert rebuilt.compare(series) is None
+    assert rebuilt.compare(series) is None and rebuilt.c_twist == series.c_twist
     assert serialize_series(rebuilt) == data
 
 
@@ -1659,7 +1664,7 @@ def test_deserialized_series_equals_the_original(pair, maker):
     original, and each of its Gamma atoms is the original's shared instance."""
     series = maker(pair, recommended_orders(pair, 3, 2))
     rebuilt = deserialize_series(json.loads(json.dumps(serialize_series(series))))
-    assert rebuilt.compare(series) is None
+    assert rebuilt.compare(series) is None and rebuilt.c_twist == series.c_twist
 
     def atoms(s):
         return {id(atom): atom for value in s.terms.values()

@@ -83,14 +83,6 @@ def test_every_exported_name_resolves():
     assert not missing, missing
 
 
-# public names that only tests call, each kept for a reason of its own
-UNCALLED_BY_DESIGN = {
-    "bernoulli_poly": "the reference that tests hold _bernoulli_at to",
-    "deserialize_series": "the serializer's inverse, the round-trip tests' oracle",
-    "work_estimate": "the public query for the work bound that require_bounded enforces",
-}
-
-
 def _names_used(tree: ast.AST, count_imports: bool) -> set[str]:
     """The names and attributes that ``tree`` reads, each outside any def or
     class of that name; with ``count_imports``, the names it imports too.
@@ -117,18 +109,18 @@ def _names_used(tree: ast.AST, count_imports: bool) -> set[str]:
     return used
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    """Every public def or class of ``lgcy`` is used by the package itself,
-    a demo or the benchmark.  A re-export in ``__init__`` is not a use."""
+def test_every_public_class_is_used_outside_the_tests():
+    """Every public class of ``lgcy`` is used by the package itself, a demo
+    or the benchmark.  A re-export in ``__init__`` is not a use.  The census
+    below holds every def to the program's traffic; a class with no method
+    of its own would slip past it."""
     public = {node.name for tree in MODULES.values() for node in ast.walk(tree)
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
+              if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
     used = set().union(*(_names_used(tree, count_imports=False) for tree in MODULES.values()))
     for path in sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("benchmarks/*.py")):
         used |= _names_used(ast.parse(path.read_text(), filename=str(path)),
                             count_imports=True)
-    assert UNCALLED_BY_DESIGN.keys() <= public
-    assert sorted(public - used - UNCALLED_BY_DESIGN.keys()) == []
+    assert sorted(public - used) == []
 
 
 def test_only_verify_takes_a_fault_hook():
@@ -236,9 +228,9 @@ NOT_ENTERED_BY_DESIGN = {
         "exactalg.ZLaurentSeries", "lgmodel.GroupElement")},
     **{f"exactalg.{cls}.__hash__": _HASH
        for cls in ("Cyclotomic", "SectorValue", "ZLaurentSeries")},
-    "exactalg.bernoulli_poly": UNCALLED_BY_DESIGN["bernoulli_poly"],
-    "genfun.deserialize_series": UNCALLED_BY_DESIGN["deserialize_series"],
-    "verify.work_estimate": UNCALLED_BY_DESIGN["work_estimate"],
+    "exactalg.bernoulli_poly": "the reference that tests hold _bernoulli_at to",
+    "genfun.deserialize_series": "the serializer's inverse, the round-trip tests' oracle",
+    "verify.work_estimate": "the public query for the work bound that require_bounded enforces",
     "genfun._atom_from_json": _DESERIALIZE,
     "genfun._value_from_json": _DESERIALIZE,
     "genfun._atom_to_json": "writes the Gamma atoms of an H-series; no ifun side carries atoms",

@@ -92,12 +92,17 @@ def test_empty_z_window_is_refused():
         Orders(t_order=6, lam_order=2, z_max=-9)
 
 
-@pytest.mark.parametrize("t_order, lam_order", [(-1, 2), (4, -1)])
-def test_negative_orders_are_refused(t_order, lam_order):
-    """``Orders`` owns the rule: no check or ``run_checks`` admission sees a
-    negative t-order or lam-order."""
+@pytest.mark.parametrize("build", [
+    lambda: Orders(t_order=-1, lam_order=2),
+    lambda: Orders(t_order=4, lam_order=-1),
+    lambda: check_rctc_conditions(quintic(), -1),
+    lambda: check_oracle_equivalence(quintic(), n_max=-1),
+], ids=["T-1", "lambda-1", "rctc-lambda-1", "oracle-n-1"])
+def test_negative_orders_are_refused(build):
+    """``Orders`` owns the rule: no check, called directly or admitted by
+    ``run_checks``, sees a negative t-order or lam-order."""
     with pytest.raises(ValueError, match="truncation orders must be non-negative"):
-        Orders(t_order=t_order, lam_order=lam_order)
+        build()
 
 
 def test_mlk_untwisted_relabels_the_oracle_once(monkeypatch):
@@ -426,10 +431,8 @@ def test_fjrw_pipeline_reads_the_smallest_z_window(monkeypatch):
     (lambda pair: check_mlk_operator(pair, z_order=-3), "vacuous"),
     (lambda pair: check_mlk_operator(pair, z_order=-2), "vacuous"),
     (lambda pair: check_mlk_operator(pair, z_order=-1), "vacuous"),
-    (lambda pair: check_rctc_conditions(pair, -1), "orders"),
     (lambda pair: check_residue_lemma(pair, m_max=-1), "vacuous"),
-], ids=["mlk-operator-z-3", "mlk-operator-z-2", "mlk-operator-z-1", "rctc-lambda-1",
-        "residue-m-1"])
+], ids=["mlk-operator-z-3", "mlk-operator-z-2", "mlk-operator-z-1", "residue-m-1"])
 def test_out_of_range_arguments_fail_with_a_witness(call, kind):
     # no raise and no pass that checked nothing
     report = call(quintic())
