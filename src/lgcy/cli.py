@@ -38,24 +38,27 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--pair", required=True,
                        help="path to a pair file, or a shipped pair name")
-        p.add_argument("--T", type=int, default=8, help="t-total-degree order")
-        p.add_argument("--lambda-order", type=int, default=4, dest="lam_order")
-        p.add_argument("--z-min", type=int, default=None)
-        p.add_argument("--z-max", type=int, default=None)
         p.add_argument("--format", choices=("table", "structured"),
                        default="table")
         p.add_argument("--dump", default=None,
                        help="directory to write structured series files")
 
+    def add_orders(p):
+        add_common(p)
+        p.add_argument("--T", type=int, default=8, help="t-total-degree order")
+        p.add_argument("--lambda-order", type=int, default=4, dest="lam_order")
+        p.add_argument("--z-min", type=int, default=None)
+        p.add_argument("--z-max", type=int, default=None)
+
     describe = sub.add_parser("describe", help="sector census and flags")
     add_common(describe)
 
     ifun = sub.add_parser("ifun", help="emit a truncated I-function")
-    add_common(ifun)
+    add_orders(ifun)
     ifun.add_argument("--side", choices=("lg", "cy", "fjrw"), required=True)
 
     verify = sub.add_parser("verify", help="run named identity checks")
-    add_common(verify)
+    add_orders(verify)
     verify.add_argument("--checks", default="all",
                         help="comma list of checks, or 'all'")
     verify.add_argument("--self-test", action="store_true",
@@ -184,7 +187,8 @@ def cmd_verify(args) -> int:
         detected = sum(1 for r in attempts if not r.ok())
         _emit({"pair": pair.name, "injected": len(attempts), "detected": detected,
                "reports": [r.to_dict() for r in attempts]}, args)
-        print(f"self-test: {detected}/{len(attempts)} injected faults detected")
+        if args.format == "table":
+            print(f"self-test: {detected}/{len(attempts)} injected faults detected")
         return 0 if detected == len(attempts) else 1
     reports = run_checks(pair, names, orders)
     payload = {"pair": pair.name, "reports": [r.to_dict() for r in reports]}

@@ -43,6 +43,7 @@ __all__ = [
     "divide_or_none",
     "DeltaDiamond",
     "delta_c_generic",
+    "GenericEntry",
     "SpecializedEntry",
     "delta_c_specialized",
 ]
@@ -331,167 +332,18 @@ class DeltaDiamond:
 # Delta^c with generic s-parameters
 # ---------------------------------------------------------------------------
 
-class SPoly:
-    """Polynomial in the variables s^j_k and z, truncated in s-degree and z.
+@dataclass(frozen=True)
+class GenericEntry:
+    """A generic-s entry of Delta^c, a polynomial in the s^j_k and z.
 
-    Monomial keys: (s_mono, z) with s_mono a sorted tuple of ((j, k), e).
-    The coefficients are integer numerators ``nums`` over one positive
-    denominator ``den``, in lowest terms (gcd(den, nums) = 1, no zero
-    numerator, zero stored over 1), ``Cyclotomic``'s layout: the form is
-    unique, so ``==``, ``exp`` and the scalar ``*`` work in integers, and
-    ``terms`` shows them as ``Fraction``s.  A coefficient or scalar that is
-    not an exact rational (a float, say) raises ``TypeError``.
+    nums maps a monomial key (s_mono, z), s_mono a sorted tuple of
+    ((j, k), e), to a nonzero integer numerator over the one positive
+    denominator den, in lowest terms, ``SpecializedEntry``'s layout: the
+    form is unique, so ``==`` compares integers.  An empty entry has den 1.
     """
 
-    __slots__ = ("s_degree", "z_order", "nums", "den")
-
-    def __init__(self, s_degree: int, z_order: int, terms: dict):
-        parts = {(mono, z): _rational_parts(coeff) for (mono, z), coeff in terms.items()
-                 if z <= z_order and sum(e for _, e in mono) <= s_degree}
-        # over the lcm of reduced denominators the numerators share no factor
-        # with it, so the form is already in lowest terms
-        den = lcm(*(q for _, q in parts.values()))
-        self.s_degree, self.z_order, self.den = s_degree, z_order, den
-        self.nums = {key: p * (den // q) for key, (p, q) in parts.items() if p}
-
-    @classmethod
-    def _reduced(cls, s_degree: int, z_order: int, nums: dict, den: int) -> "SPoly":
-        """nums / den, with ``nums`` truncated and nonzero and den > 0, in
-        lowest terms."""
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {key: n // g for key, n in nums.items()}
-            den //= g
-        return cls._lowest(s_degree, z_order, nums, den)
-
-    @classmethod
-    def _lowest(cls, s_degree: int, z_order: int, nums: dict, den: int) -> "SPoly":
-        """nums / den, with ``nums`` truncated and nonzero, already in lowest terms."""
-        poly = object.__new__(cls)
-        poly.s_degree, poly.z_order, poly.nums, poly.den = s_degree, z_order, nums, den
-        return poly
-
-    @property
-    def terms(self) -> dict:
-        """(s_mono, z) -> coefficient, as a new dict of Fractions."""
-        den = self.den
-        return {key: Fraction(n, den) for key, n in self.nums.items()}
-
-    def __mul__(self, scalar) -> "SPoly":
-        p, q = _rational_parts(scalar)
-        nums = {key: n * p for key, n in self.nums.items()} if p else {}
-        return SPoly._reduced(self.s_degree, self.z_order, nums, self.den * q)
-
-    def exp(self) -> "SPoly":
-        """exp of an s-linear form L = sum_i c_i y_i, y_i = s_(v_i) z^(k_i), truncated.
-
-        exp(L) = sum over multisets {y_i^(e_i)} of prod_i c_i^(e_i) / e_i!
-        * y_i^(e_i), whose s-degree is e = sum_i e_i.  Which multisets
-        survive the truncation, and the monomial each one writes, depend
-        only on the form's shape, its sorted (v_i, k_i): ``_exp_plan`` lays
-        them out once per shape and orders, and this pass forms the weights.
-
-        The arithmetic is in integers.  With c_i = a_i / D over the form's
-        denominator D, a multiset of size e is W / (D^e e!) with the integer
-        W = prod_i a_i^(e_i) * e! / prod_i e_i!; extending it by y_i
-        multiplies W by a_i (e + 1) / (e_i + 1), an exact division.
-        Multisets that share a key (one variable at several z-powers) add
-        their W, and sums that cancel are dropped.  Each level's sums are
-        lifted to the divisor D^s s! of the deepest level s reached, and the
-        common factor g of the divisor and every lifted sum is found from
-        each level's own common factor before any is lifted, so the dict is
-        written once, in lowest terms.
-        """
-        shape, coeffs = [], []
-        for (mono, z), a in sorted(self.nums.items()):
-            if len(mono) != 1 or mono[0][1] != 1 or z < 0:
-                raise ValueError("exp needs an s-linear form with z-powers >= 0")
-            shape.append((mono[0][0], z))
-            coeffs.append(a)
-        plan = _exp_plan(tuple(shape), self.s_degree, self.z_order)
-        top, den = len(plan), self.den
-        divisor = den ** top * factorial(top)
-        # (s-degree, keys, sums) of every level that has a multiset
-        levels = [(0, (((), 0),), [1])] if self.z_order >= 0 else []
-        weights = [1]
-        for e, (steps, keys, slots) in enumerate(plan, 1):
-            scaled = [a * e for a in coeffs]
-            weights = [weights[parent] * scaled[i] // run for parent, i, run in steps]
-            if slots is None:
-                levels.append((e, keys, weights))
-                continue
-            totals = [0] * len(keys)
-            for slot, w in zip(slots, weights):
-                totals[slot] += w
-            kept = [i for i, t in enumerate(totals) if t]
-            levels.append((e, [keys[i] for i in kept], [totals[i] for i in kept]))
-        # a sum S of level e is S lift_e / divisor; with G_e the gcd of the
-        # level's sums, S lift_e / g = (S / G_e) (lift_e G_e / g)
-        lifts = [(den ** (top - e) * (factorial(top) // factorial(e)), gcd(*sums))
-                       for e, _, sums in levels]
-        g = gcd(divisor, *(lift * common for lift, common in lifts))
-        nums: dict = {}
-        for (_, keys, sums), (lift, common) in zip(levels, lifts):
-            factor = lift * common // g
-            nums.update(zip(keys, [s // common * factor for s in sums]))
-        return SPoly._lowest(self.s_degree, self.z_order, nums, divisor // g)
-
-    def __eq__(self, other):
-        return (isinstance(other, SPoly) and self.den == other.den
-                and self.nums == other.nums
-                and (self.s_degree, self.z_order) == (other.s_degree, other.z_order))
-
-    def __repr__(self):
-        return f"SPoly({self.terms})"
-
-
-@lru_cache(maxsize=None)
-def _exp_plan(shape: tuple, s_degree: int, z_order: int) -> tuple:
-    """The multisets ``SPoly.exp`` sums for a form of ``shape``, its sorted
-    (variable, z-power) terms, one level per s-degree e = 1, 2, ... up to
-    the deepest one that keeps a multiset of z-degree <= z_order.
-
-    A level is (steps, keys, slots).  steps holds, per multiset, the index
-    of its parent in the level below (the root, the empty multiset, below
-    level 1), the index of the term that extends it and that term's
-    multiplicity in it; keys the level's distinct monomial keys, in order of
-    first appearance; slots each multiset's index into keys, or None when no
-    two multisets share a key.  The plan holds no coefficient.
-
-    Each multiset is visited once: it grows only by terms at or after its
-    last one, and one whose z-degree passes z_order is not kept (z-degrees
-    are non-negative, so no extension of it survives either).  The terms are
-    in order of variable, so a monomial grows by appending a variable or by
-    raising the exponent of its last one.
-    """
-    levels = []
-    # a multiset: (index of its last term, multiplicity of that term,
-    # monomial, z-degree)
-    level = [(0, 0, (), 0)]
-    for _ in range(s_degree):
-        steps, grown, slots, index = [], [], [], {}
-        for parent, (last, run, mono, z) in enumerate(level):
-            for i in range(last, len(shape)):
-                var, k = shape[i]
-                z_i = z + k
-                if z_i > z_order:
-                    continue
-                run_i = run + 1 if i == last else 1
-                if mono and mono[-1][0] == var:
-                    mono_i = mono[:-1] + ((var, mono[-1][1] + 1),)
-                else:
-                    mono_i = mono + ((var, 1),)
-                key = (mono_i, z_i)
-                slots.append(index.setdefault(key, len(index)))
-                steps.append((parent, i, run_i))
-                grown.append((i, run_i, mono_i, z_i))
-        if not grown:
-            break
-        keys = tuple(index)
-        levels.append((tuple(steps), keys,
-                       None if len(keys) == len(steps) else tuple(slots)))
-        level = grown
-    return tuple(levels)
+    nums: dict
+    den: int
 
 
 @lru_cache(maxsize=None)
@@ -514,26 +366,50 @@ def _log_entry(pair: LGPair, shifted: GroupElement, k_max: int) -> dict:
             for k in range(k_max + 1)}
 
 
-def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
-                    z_order: int = 6) -> dict:
-    """Entries of Delta^c with generic s^j_k, k <= k_max: sector exps -> SPoly.
+def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, z_order: int = 6) -> dict:
+    """Entries of Delta^c with generic s^j_k, k <= k_max: sector exps -> GenericEntry.
 
-    Each diagonal entry is exp(sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!),
-    m_j those of g j^c, its log form summed in integers over the lcm of
-    its coefficients' denominators.
+    Each diagonal entry is exp(L), L = sum_{j,k} s^j_k B_{k+1}(m_j) z^k/(k+1)!
+    with m_j those of g j^c, truncated at s-degree 2 and z^z_order: 1 + L +
+    L^2/2.  With L's coefficients a_v / D over the lcm D of their
+    denominators, the entry over the divisor 2 D^2 is 2 D^2 at 1, 2 D a_v
+    at s_v z^k, a_v^2 at s_v^2 z^2k and 2 a_v a_w at s_v s_w z^(k+k') for
+    v < w, each kept when its z-power is at most z_order.  Each variable
+    carries one z-power, so every key is written once: nothing merges.
     """
     pair.require_twist(c)
     shift = pair.grading ** c
     # log terms past the truncation never reach the exp
-    k_top = min(k_max, z_order) if s_degree > 0 else -1
+    k_top = min(k_max, z_order)
+    variables = [(j, k) for j in range(pair.fermat.n_variables) for k in range(k_top + 1)]
+    linear = [(((v, 1),), v[1]) for v in variables]
+    # the terms of L^2/2 below the z-order, as (index of v, index of w,
+    # factor, key) for v <= w: a_v^2 at s_v^2, and 2 a_v a_w at s_v s_w
+    squares = []
+    for i, v in enumerate(variables):
+        for i2 in range(i, len(variables)):
+            w = variables[i2]
+            if v[1] + w[1] <= z_order:
+                mono = ((v, 2),) if i == i2 else ((v, 1), (w, 1))
+                squares.append((i, i2, 1 if i == i2 else 2, (mono, v[1] + w[1])))
     entries = {}
     for g in pair.group.elements:
         log = _log_entry(pair, g * shift, k_top)
         den = lcm(*(q for _, q in log.values()))
-        nums = {((((j, k), 1),), k): p * (den // q)
-                for (j, k), (p, q) in log.items() if p}
-        form = SPoly._reduced(s_degree, z_order, nums, den)
-        entries[g.exps] = form.exp()
+        a = [p * (den // q) for p, q in (log[v] for v in variables)]
+        divisor = 2 * den * den
+        nums = {((), 0): divisor} if z_order >= 0 else {}
+        for key, x in zip(linear, a):
+            if x:
+                nums[key] = 2 * den * x
+        for i, i2, factor, key in squares:
+            n = a[i] * a[i2] * factor
+            if n:
+                nums[key] = n
+        common = gcd(divisor, *nums.values())
+        if common > 1:
+            nums = {key: n // common for key, n in nums.items()}
+        entries[g.exps] = GenericEntry(nums, divisor // common)
     return entries
 
 
@@ -541,7 +417,7 @@ def delta_c_generic(pair: LGPair, c: int, k_max: int = 4, s_degree: int = 2,
 # Delta^c under the closed euler specializations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SpecializedEntry:
     """prod_j (+-lam_j)^(mu_j) * (series in z/lam), lam_j = c_j lam.
 
@@ -551,32 +427,15 @@ class SpecializedEntry:
     series maps n -> coefficient of (z/lam)^n.
 
     The entry is held in integers, each part in lowest terms over one
-    positive denominator, ``SPoly``'s layout: (half_turns, *mu) is
-    lam_nums / lam_den and series is series_nums / series_den.  The form is
-    unique, so ``==`` compares integers; half_turns, mu and series are
-    ``Fraction`` views, built when read.
+    positive denominator: (half_turns, *mu) is lam_nums / lam_den and
+    series is series_nums / series_den.  The form is unique, so ``==``
+    compares integers.
     """
 
     lam_nums: tuple[int, ...]
     lam_den: int
     series_nums: tuple[int, ...]
     series_den: int
-
-    @property
-    def half_turns(self) -> Fraction:
-        return Fraction(self.lam_nums[0], self.lam_den)
-
-    @property
-    def mu(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.lam_den) for n in self.lam_nums[1:])
-
-    @property
-    def series(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.series_den) for n in self.series_nums)
-
-    def __repr__(self):
-        return (f"SpecializedEntry(half_turns={self.half_turns!r}, mu={self.mu!r}, "
-                f"series={self.series!r})")
 
 
 def _lowest_terms(nums: list, den: int) -> tuple[tuple[int, ...], int]:

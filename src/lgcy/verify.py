@@ -9,7 +9,7 @@ check must fail with that exact witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -230,7 +230,7 @@ def check_mlk_operator(pair: LGPair, k_max: int = 4, z_order: int = 6,
                 left = delta_0[(g * shift).exps]
                 right = delta_c[g.exps]
                 if _tamper_sector is not None and g.exps == _tamper_sector and c > 0:
-                    right = right * Fraction(2)
+                    right = replace(right, den=right.den * 2)
                 if left != right:
                     return {"kind": "generic-s", "c": c, "sector": list(g.exps)}
             for spec in specs:

@@ -38,6 +38,15 @@ def test_describe_structured_json(capsys):
     assert len(payload["sectors"]) == 3
 
 
+@pytest.mark.parametrize("option", ["--T", "--lambda-order", "--z-min", "--z-max"])
+def test_describe_refuses_the_order_options(capsys, option):
+    """``describe`` reads no truncation order, so argparse refuses each."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["describe", "--pair", "cubic", option, "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_pair_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "describe", "--pair", "/no/such/file.json")
     assert code == 2
@@ -179,6 +188,14 @@ def test_verify_self_test(capsys):
                            "--lambda-order", "3", "--self-test")
     assert code == 0
     assert "9/9 injected faults detected" in out
+
+
+def test_verify_self_test_structured_is_one_json_document(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--T", "2",
+                           "--self-test", "--format", "structured")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["injected"] == payload["detected"] == 9
 
 
 @pytest.mark.parametrize("checks,t_order,name", [

@@ -113,7 +113,7 @@ def test_every_public_class_is_used_outside_the_tests():
     """Every public class of ``lgcy`` is used by the package itself, a demo
     or the benchmark.  A re-export in ``__init__`` is not a use.  The census
     below holds every def to the program's traffic; a class with no method
-    of its own would slip past it."""
+    of its own, such as the two Delta^c entry records, would slip past it."""
     public = {node.name for tree in MODULES.values() for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
     used = set().union(*(_names_used(tree, count_imports=False) for tree in MODULES.values()))
@@ -214,15 +214,13 @@ _DESERIALIZE = "reads an atom-valued series back for deserialize_series"
 _WITNESS = "runs only when a check fails: it builds the failure's witness"
 _RESIDUE = ("read by _assert_no_residual's witness and by the per-term reference "
             "routes of test_genfun")
-_VIEW = "a Fraction view of SpecializedEntry's integer fields, which its repr shows"
-_SPOLY = "the public SPoly constructor and its Fraction view; ROADMAP item 16 decides them"
 
 # defs that no traffic of the program enters, each kept for a reason of its own
 NOT_ENTERED_BY_DESIGN = {
     **{f"{cls}.__repr__": _REPR for cls in (
         "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
         "exactalg.ZLaurentSeries", "lgmodel.GroupElement", "lgmodel.LGPair",
-        "transforms.SPoly", "transforms.SpecializedEntry", "transforms.Transform")},
+        "transforms.Transform")},
     **{f"{cls}.__setattr__": _IMMUTABLE for cls in (
         "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
         "exactalg.ZLaurentSeries", "lgmodel.GroupElement")},
@@ -238,9 +236,6 @@ NOT_ENTERED_BY_DESIGN = {
     "verify._orders_witness": _WITNESS + "; run_checks refuses such orders first",
     **{f"exactalg.ZLaurentSeries.{name}": _RESIDUE
        for name in ("__neg__", "__sub__", "shift", "coefficient")},
-    **{f"transforms.SpecializedEntry.{name}": _VIEW for name in ("half_turns", "mu", "series")},
-    "transforms.SPoly.__init__": _SPOLY,
-    "transforms.SPoly.terms": _SPOLY,
 }
 
 
@@ -268,8 +263,8 @@ def _package_defs() -> dict:
 
 def _program_traffic(tmp_path: Path) -> None:
     """The benchmark's tiny passes, fault gates and probes, the demos, and
-    the CLI on a pair file: describe, ifun on each side and format, verify
-    and verify --self-test, at T 2."""
+    the CLI on a pair file: describe, and at T 2 ifun on each side and
+    format, verify and verify --self-test."""
     workloads, probes = _benchmark_module("workloads"), _benchmark_module("probes")
     pairs = workloads.build_pairs()
     for workload in workloads.WORKLOADS:
@@ -285,7 +280,7 @@ def _program_traffic(tmp_path: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         for demo in sorted(ROOT.glob("demos/*.py")):
             runpy.run_path(str(demo), run_name="__main__")
-        codes = [cli.main(["describe", *common, "--dump", str(tmp_path)])]
+        codes = [cli.main(["describe", "--pair", str(pair_file), "--dump", str(tmp_path)])]
         codes += [cli.main(["ifun", *common, "--side", side, "--format", form])
                   for side in ("lg", "cy", "fjrw") for form in ("table", "structured")]
         codes += [cli.main(["verify", *common]), cli.main(["verify", *common, "--self-test"])]
@@ -543,75 +538,41 @@ def test_oracle_equivalence_reaches_the_selection_rule(monkeypatch):
     assert reached["check_oracle_equivalence", "line_bundle_degree"] > 0
 
 
-def test_spoly_arithmetic_builds_no_fraction():
-    """``SPoly`` keeps integer numerators over one denominator: of its
-    methods only the public constructor's input parsing and the ``terms``
-    view may call ``Fraction(...)``, so ``exp``, ``==`` and the scalar ``*``
-    work in integers."""
-    [spoly] = [node for node in ast.walk(MODULES["transforms"])
-               if isinstance(node, ast.ClassDef) and node.name == "SPoly"]
-    callers = _functions_calling(spoly, lambda func: isinstance(func, ast.Name)
-                                 and func.id == "Fraction")
-    assert "terms" in callers
-    assert callers <= {"__init__", "terms"}, callers
-
-
-def _is_plan_value(value) -> bool:
-    """An int, None, a monomial key ((((j, k), e), ...), z), or a tuple of those."""
-    if value is None or type(value) is int:
-        return True
-    if (isinstance(value, tuple) and len(value) == 2 and type(value[1]) is int
-            and isinstance(value[0], tuple)
-            and all(isinstance(var, tuple) and len(var) == 2 and type(e) is int
-                    and all(type(x) is int for x in var) for var, e in value[0])):
-        return True
-    return isinstance(value, tuple) and all(_is_plan_value(part) for part in value)
-
-
 def test_the_delta_c_entries_build_no_fraction(monkeypatch):
-    """``delta_c_specialized`` and its helpers call no ``Fraction(...)``;
-    ``SpecializedEntry`` defines no ``==`` of its own, so the dataclass
-    compares its integer fields, and only its views call ``Fraction``; with
-    ``Fraction`` construction made to raise, specialized entries still
-    compare and, their log terms cached, still build; and the plans
-    ``SPoly.exp`` reads hold only ints and monomial keys."""
+    """``delta_c_generic``, ``delta_c_specialized`` and the helpers of the
+    latter call no ``Fraction(...)``; neither entry class defines a method,
+    so each dataclass ``==`` compares integer fields; with ``Fraction``
+    construction made to raise, entries of both kinds still compare and,
+    their log terms cached, still build."""
     def calls_fraction(func):
         return isinstance(func, ast.Name) and func.id == "Fraction"
 
     defs = {node.name: node for node in MODULES["transforms"].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("delta_c_specialized", "_specialized_log_row", "_lowest_terms", "_exp_plan"):
+    for name in ("delta_c_generic", "delta_c_specialized", "_specialized_log_row",
+                 "_lowest_terms"):
         assert not _functions_calling(defs[name], calls_fraction), name
-    entry = defs["SpecializedEntry"]
-    assert _functions_calling(entry, calls_fraction) == {"half_turns", "mu", "series"}
-    assert "__eq__" not in {node.name for node in entry.body
-                            if isinstance(node, ast.FunctionDef)}
+    for name in ("GenericEntry", "SpecializedEntry"):
+        assert not [node for node in defs[name].body if isinstance(node, ast.FunctionDef)]
 
     pair = catalog.quartic()
     c = pair.valid_twists()[-1]
     shift = pair.grading ** c
-    left = transforms.delta_c_specialized(pair, 0, "euler-inverse")
-    right = transforms.delta_c_specialized(pair, c, "euler-inverse")
+    builds = {"generic": lambda twist: transforms.delta_c_generic(pair, twist),
+              "specialized": lambda twist: transforms.delta_c_specialized(
+                  pair, twist, "euler-inverse")}
+    built = {kind: (build(0), build(c)) for kind, build in builds.items()}
 
     def no_fraction(*_, **__):
         raise AssertionError("built a Fraction")
 
     with monkeypatch.context() as patch:
         patch.setattr(fractions.Fraction, "__new__", staticmethod(no_fraction))
-        again = transforms.delta_c_specialized(pair, c, "euler-inverse")
-        assert all(left[(g * shift).exps] == right[g.exps] == again[g.exps]
-                   for g in pair.group.elements)
-
-    forms = []
-    exp = transforms.SPoly.exp
-    monkeypatch.setattr(transforms.SPoly, "exp", lambda form: forms.append(form) or exp(form))
-    for pair in catalog.shipped_pairs().values():
-        transforms.delta_c_generic(pair, pair.valid_twists()[-1], 4, 3, 6)
-    assert forms
-    for form in forms:
-        shape = tuple((mono[0][0], z) for mono, z in sorted(form.nums))
-        plan = transforms._exp_plan(shape, form.s_degree, form.z_order)
-        assert plan and _is_plan_value(plan)
+        for kind, build in builds.items():
+            left, right = built[kind]
+            again = build(c)
+            assert all(left[(g * shift).exps] == right[g.exps] == again[g.exps]
+                       for g in pair.group.elements), kind
 
 
 def test_the_gamma_ratio_blocks_build_no_fraction():
