@@ -656,6 +656,67 @@ def test_generic_entries_are_the_power_sum_of_their_log_form(pair):
                         assert entry == GenericEntry({((), 0): 1}, 1)
 
 
+def test_delta_c_generic_entry_example():
+    """The quintic's Delta^1 entry at the identity, where every m_j = 1/5:
+    a_j = B_1(1/5) = -3/10 at s^j_0 and B_2(1/5)/2 = 1/300 at s^j_1 z."""
+    q = quintic()
+    entry = delta_c_generic(q, 1, k_max=0, z_order=0)[q.identity.exps]
+    # over 2 D^2 = 200: 200 at 1, 2 * 10 * (-3) at s_j, 9 at s_j^2, 18 at s_j s_j'
+    expected = {((), 0): 200}
+    for j in range(5):
+        expected[((((j, 0), 1),), 0)] = -60
+        expected[((((j, 0), 2),), 0)] = 9
+        for j2 in range(j + 1, 5):
+            expected[((((j, 0), 1), ((j2, 0), 1)), 0)] = 18
+    assert entry == GenericEntry(expected, 200)
+
+    entry = delta_c_generic(q, 1, k_max=1, z_order=1)[q.identity.exps]
+    terms = {key: F(n, entry.den) for key, n in entry.nums.items()}
+    assert len(terms) == 1 + 10 + 5 + 10 + 25
+    for j in range(5):
+        assert terms[((((j, 1), 1),), 1)] == F(1, 300)
+        # s^j_1 squared sits at z^2, past the z-order
+        assert ((((j, 1), 2),), 2) not in terms
+        for j2 in range(5):
+            mono = tuple(sorted((((j, 0), 1), ((j2, 1), 1))))
+            assert terms[(mono, 1)] == F(-3, 10) * F(1, 300)
+    # lowest terms: the lcm of the denominators 10, 300, 200, 100 and 1000
+    assert entry.den == 3000
+
+
+def test_delta_c_generic_refuses_an_invalid_twist():
+    q = quintic()
+    for c in (-1, 5):
+        with pytest.raises(ValueError):
+            delta_c_generic(q, c)
+
+
+def _generic_one_unit_changes(entry):
+    """Every entry that differs from ``entry`` in one of its integers by one."""
+    for key, n in entry.nums.items():
+        for step in (1, -1):
+            yield dataclasses.replace(entry, nums={**entry.nums, key: n + step})
+    yield dataclasses.replace(entry, den=entry.den + 1)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_generic_entries_compare_integers(pair):
+    """A one-unit change of any numerator or of the denominator breaks
+    ``==``, and so does the same value over a doubled denominator: the form
+    is unique only in lowest terms.  The records are frozen and their repr
+    shows the integer fields."""
+    for c in pair.valid_twists():
+        for entry in delta_c_generic(pair, c).values():
+            assert all(changed != entry for changed in _generic_one_unit_changes(entry))
+            doubled = GenericEntry({key: 2 * n for key, n in entry.nums.items()}, 2 * entry.den)
+            assert doubled != entry
+            assert entry == GenericEntry(dict(entry.nums), entry.den)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                entry.den = 1
+    entry = delta_c_generic(pair, 0)[pair.identity.exps]
+    assert repr(entry) == f"GenericEntry(nums={entry.nums!r}, den={entry.den!r})"
+
+
 def _ubar_two_variable(d, b, ring):
     """The continuation block written out in (lam, H)."""
     x = ring.lam() + ring.hyperplane()
