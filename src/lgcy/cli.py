@@ -185,10 +185,13 @@ def cmd_verify(args) -> int:
             raise ValueError("--self-test runs every check; it takes no --checks list")
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())
-        _emit({"pair": pair.name, "injected": len(attempts), "detected": detected,
-               "reports": [r.to_dict() for r in attempts]}, args)
+        payload = {"pair": pair.name, "injected": len(attempts), "detected": detected,
+                   "reports": [r.to_dict() for r in attempts]}
+        _emit(payload, args)
         if args.format == "table":
             print(f"self-test: {detected}/{len(attempts)} injected faults detected")
+        if args.dump:
+            _write_dump(args.dump, f"{pair.name}-self-test.json", payload)
         return 0 if detected == len(attempts) else 1
     reports = run_checks(pair, names, orders)
     payload = {"pair": pair.name, "reports": [r.to_dict() for r in reports]}

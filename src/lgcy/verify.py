@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 
 from .cohseries import CohSeries, Orders
@@ -99,25 +100,29 @@ def recommended_orders(pair: LGPair, t_order: int = 8, lam_order: int = 4) -> Or
     return Orders(t_order=t_order, lam_order=lam_order, z_max=top)
 
 
-# The smallest t-order at which a check sees its identity at all.  Below it
-# the check returns an "orders" witness instead of a vacuous pass or a shape
-# mismatch, and ``run_checks`` refuses the run up front.
+# The smallest t-order at which a check sees its identity (oracle-equivalence
+# uses no psi-integral below t-degree 2, every z d/dt of a T = 0 J-series is
+# empty, fjrw-pipeline's t-linear slice comes from t-degree 2); only
+# ``_refusal`` reads it.
 MIN_T_ORDER = {"oracle-equivalence": 2, "mlk-untwisted": 1, "fjrw-pipeline": 2}
 
 
-def _fjrw_missing_window(orders: Orders) -> tuple[int, int] | None:
-    """The z-window fjrw-pipeline reads its identities from, when the
-    window of ``orders`` lacks part of it; None when it holds it.  The
-    leading term (z^1) comes from z^0, and from ``MIN_T_ORDER`` on the
-    t-linear slice (z^0) from z^-1."""
-    low = -1 if orders.t_order >= MIN_T_ORDER["fjrw-pipeline"] else 0
-    z_min, z_max = orders.z_window
-    return None if z_min <= low and z_max >= 1 else (low, 1)
-
-
-def _orders_witness(check: str, orders: Orders, detail: str) -> dict:
-    return {"kind": "orders", "T": orders.t_order, "minimum_T": MIN_T_ORDER[check],
-            "detail": detail}
+def _refusal(name: str, pair: LGPair, orders: Orders) -> str:
+    """Why check ``name`` cannot see its identity on ``pair`` at ``orders``,
+    or "": the one rule for the static floors.  A t-order below
+    ``MIN_T_ORDER``; for fjrw-pipeline a z-window without z^-1 to z^1 (the
+    leading term is read at z^1 from z^0, the t-linear slice at z^0 from
+    z^-1); for rctc-structure a lam-order below ``_rctc_minimum``."""
+    t = orders.t_order
+    if t < MIN_T_ORDER.get(name, 0):
+        return f"{name} needs T >= {MIN_T_ORDER[name]} to see its identity, got T = {t}"
+    if name == "fjrw-pipeline" and not (orders.z_window[0] <= -1 and orders.z_window[1] >= 1):
+        return ("fjrw-pipeline reads its identities from z^-1 to z^1, "
+                f"got the z-window {list(orders.z_window)}")
+    if name == "rctc-structure" and orders.lam_order < _rctc_minimum(pair):
+        return (f"rctc-structure needs lambda >= {_rctc_minimum(pair)}, where its rank "
+                f"columns read H^(N_g - 1), got lambda = {orders.lam_order}")
+    return ""
 
 
 def _require_domain(pair: LGPair) -> None:
@@ -127,8 +132,12 @@ def _require_domain(pair: LGPair) -> None:
 
 
 def _timed(check_name: str, pair: LGPair, orders: Orders, body) -> VerificationReport:
-    """The report of a check's ``body``, run once ``_require_domain`` passes."""
+    """The report of a check's ``body``, run once ``_require_domain`` passes
+    and ``_refusal`` admits the check at ``orders``; ValueError otherwise."""
     _require_domain(pair)
+    refusal = _refusal(check_name.partition("(")[0], pair, orders)
+    if refusal:
+        raise ValueError(refusal)
     start = time.perf_counter()
     report = VerificationReport(check_name, pair.name, orders.as_dict())
     try:
@@ -176,9 +185,6 @@ def check_mlk_untwisted(pair: LGPair, c: int, orders: Orders,
     shares no value with the closed J.
     """
     def body():
-        if orders.t_order < MIN_T_ORDER["mlk-untwisted"]:
-            return _orders_witness("mlk-untwisted", orders,
-                                   "every z d/dt of a T = 0 J-series is empty")
         j_oracle = untwisted_j_oracle(pair, 0, orders)
         j_closed = untwisted_j(pair, c, orders)
         if not (_has_derivative(j_oracle) or _has_derivative(j_closed)):
@@ -260,10 +266,6 @@ def check_oracle_equivalence(pair: LGPair, n_max: int = 6,
     orders = Orders(t_order=n_max, lam_order=0)
 
     def body():
-        if n_max < MIN_T_ORDER["oracle-equivalence"]:
-            return _orders_witness("oracle-equivalence", orders,
-                                   "below t-degree 2 both routes write the unit and "
-                                   "linear terms alike and no psi-integral is used")
         for c in pair.valid_twists():
             closed = untwisted_j(pair, c, orders)
             oracle = untwisted_j_oracle(pair, c, orders)
@@ -380,18 +382,13 @@ def check_rctc_conditions(pair: LGPair, lam_order: int = 6,
     Each off-diagonal block is divided once, in (b).  Every block of a
     compact input (N_g = 0) is off-diagonal, so (d) reads the quotients
     that (b) kept.  Its columns reach H^(N_g - 1), which a quotient keeps
-    only at lam-order N_g - 1 or more: below max N_g - 1 the check returns
-    an "orders" witness, not a false rank failure.
+    only at lam-order N_g - 1 or more: below max N_g - 1 the call raises
+    ValueError (``_refusal``), not a false rank failure.
     """
     orders = Orders(t_order=0, lam_order=lam_order)
     d = pair.fermat.degree
-    minimum = _rctc_minimum(pair)
 
     def body():
-        if lam_order < minimum:
-            return {"kind": "orders", "lambda": lam_order, "minimum_lambda": minimum,
-                    "detail": "the rank columns read H^(N_g - 1) of (lam+H)-quotients, "
-                              "which this lam-order truncates"}
         transform = u_bar(pair, lam_order)
         nilpotencies = sorted({g.fixed_dim() for g in pair.group.elements
                                if g.fixed_dim() > 0})
@@ -459,15 +456,6 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
                         _tamper_stage: str = "derivative") -> VerificationReport:
     """Divisibility, narrow support, and the signed-unit leading term."""
     def body():
-        needed = _fjrw_missing_window(orders)
-        if needed is not None:
-            low, high = needed
-            return {"kind": "orders", "zWindow": list(orders.z_window),
-                    "minimum_zWindow": [low, high],
-                    "detail": f"the identities are read from z^{low} to z^{high}"}
-        if orders.t_order < 1:
-            return _orders_witness("fjrw-pipeline", orders,
-                                   "the leading term comes from t-degree 1")
         derivative = z_ddt_distinguished(i_function_x(pair, orders))
         if _tamper is not None and _tamper_stage == "derivative":
             derivative = _tamper_series(derivative, _tamper)
@@ -486,9 +474,6 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
         # change-of-variables shape: the z^0 t-linear slice is the signed
         # variable identification on narrow images, zero on broad ones; it
         # comes from t-degree 2 of I^X
-        if orders.t_order < MIN_T_ORDER["fjrw-pipeline"]:
-            return _orders_witness("fjrw-pipeline", orders,
-                                   "the t-linear slice comes from t-degree 2")
         for idx, var in enumerate(result.variables):
             base = pair.grading ** 2 if idx == 0 else \
                 GroupElement(pair.fermat, var) * pair.grading
@@ -584,13 +569,19 @@ def check_residue_lemma(pair: LGPair, m_max: int = 6,
 # the batch surface
 # ---------------------------------------------------------------------------
 
+def _rctc_lam_order(pair: LGPair, lam_order: int) -> int:
+    """The first lam-order from ``lam_order`` on that ``_refusal`` admits rctc-structure at."""
+    return next(lam for lam in count(lam_order)
+                if not _refusal("rctc-structure", pair, Orders(t_order=0, lam_order=lam)))
+
+
 # The lam-order each check that builds Ubar blocks works at, from the orders
-# ``run_checks`` hands it: rctc-structure's is at least 6 and at least its
-# own minimum, max N_g - 1; kernel-compatibility's is one above the larger
-# of those orders and the largest sector nilpotency.
+# ``run_checks`` hands it: rctc-structure's is the first one from the larger
+# of those orders and 6 that ``_refusal`` admits; kernel-compatibility's is
+# one above the larger of those orders and the largest sector nilpotency.
 _UBAR_LAM_ORDERS = {
     "continuation": lambda pair, orders: orders.lam_order,
-    "rctc-structure": lambda pair, orders: max(orders.lam_order, 6, _rctc_minimum(pair)),
+    "rctc-structure": lambda pair, orders: _rctc_lam_order(pair, max(orders.lam_order, 6)),
     "kernel-compatibility":
         lambda pair, orders: max(orders.lam_order, _largest_nilpotency(pair)) + 1,
 }
@@ -680,67 +671,65 @@ def require_known(names) -> None:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(ALL_CHECKS)}")
 
 
-def _admit(pair: LGPair, names, short: str, work: Orders) -> None:
-    """Refuse as ``run_checks`` documents; ``short`` is the t-floor refusal or ""."""
-    _require_domain(pair)
-    require_known(names)
-    if short:
-        raise ValueError(short)
-    needed = _fjrw_missing_window(work) if "fjrw-pipeline" in names else None
-    if needed is not None:
-        raise ValueError(f"fjrw-pipeline reads its identities from z^{needed[0]} to "
-                         f"z^{needed[1]}, got the z-window {list(work.z_window)}")
-    require_bounded(pair, work, names)
-
-
 def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     """The reports of the named checks, in the given order, each at its
     ``CHECKS`` orders.  A pair that is not CY with an SL group, an unknown
-    name, a t-order below a named check's ``MIN_T_ORDER``, a z-window
-    without the z-powers fjrw-pipeline reads, or a ``work_estimate`` above
-    ``WORK_BOUND`` raises ValueError first."""
-    t = orders.t_order
-    short = "; ".join(f"{name} needs T >= {MIN_T_ORDER[name]}"
-                      for name in names if t < MIN_T_ORDER.get(name, 0))
-    _admit(pair, names, short and f"{short} to see its identity, got T = {t}", orders)
+    name, a check that ``_refusal`` refuses at the orders it runs at (the
+    refusals joined by "; "), or a ``work_estimate`` above ``WORK_BOUND``
+    raises ValueError first."""
+    _require_domain(pair)
+    require_known(names)
+    rctc = Orders(t_order=0, lam_order=_UBAR_LAM_ORDERS["rctc-structure"](pair, orders))
+    refusal = "; ".join(filter(None, (
+        _refusal(name, pair, rctc if name == "rctc-structure" else orders) for name in names)))
+    if refusal:
+        raise ValueError(refusal)
+    require_bounded(pair, orders, names)
     return [CHECKS[name](pair, orders) for name in names]
 
 
 def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
     """Inject one fault per check, in ``ALL_CHECKS`` order; every report
-    must come back failing with a witness.  A pair that is not CY with an
-    SL group, a t-order below 1, or orders whose ``work_estimate`` exceeds
-    ``WORK_BOUND`` raise ValueError before any check runs."""
-    small = Orders(t_order=min(orders.t_order, 5),
-                   lam_order=min(orders.lam_order, 3))
-    # at T = 0 the mlk-untwisted and fjrw-pipeline faults meet "orders"
-    # witnesses and the t-order cuts the kernel-compatibility fault's key;
-    # the oracle-equivalence fault is placed at T = 4 whatever the orders
-    short = "" if orders.t_order >= 1 else \
-        f"the self-test needs T >= 1 to see every injected fault, got T = {orders.t_order}"
-    _admit(pair, ALL_CHECKS, short, Orders(t_order=max(small.t_order, 4), lam_order=0))
+    must come back failing with a witness.  Each fault runs at its own
+    orders, from T and lambda capped at 5 and 3: oracle-equivalence's at
+    T = 4, rctc-structure's at the first lambda from 4 on that ``_refusal``
+    admits, fjrw-pipeline's at T >= 2.  A pair that is not CY with an SL
+    group, or a fault that ``_refusal`` or ``require_bounded`` refuses at its
+    orders, raises ValueError before any check runs."""
+    _require_domain(pair)
+    small = Orders(t_order=min(orders.t_order, 5), lam_order=min(orders.lam_order, 3))
     wide = recommended_orders(pair, small.t_order, small.lam_order)
+    fixed = Orders(t_order=0, lam_order=0)  # mlk-operator and residue-lemma run at T = lambda = 0
+    runs = {"oracle-equivalence": Orders(t_order=4, lam_order=0), "mlk-untwisted": small,
+            "mlk-operator": fixed, "gamma-factorization": small, "continuation": wide,
+            "rctc-structure": Orders(t_order=0, lam_order=_rctc_lam_order(pair, 4)),
+            "fjrw-pipeline": Orders(t_order=max(small.t_order, 2), lam_order=small.lam_order),
+            "kernel-compatibility": small, "residue-lemma": fixed}
+    refusal = "; ".join(filter(None, (_refusal(name, pair, at) for name, at in runs.items())))
+    if refusal:
+        raise ValueError(refusal)
+    for name, at in runs.items():
+        require_bounded(pair, at, [name], f"the self-test's {name} fault")
     # the mlk-untwisted fault goes on the first key from the middle on that a
     # z d/dt sees (``_has_derivative``)
     keys = sorted(untwisted_j_oracle(pair, 0, small).terms)
     key_oracle = next((key for key in keys[len(keys) // 2:] if key[1] < small.z_window[1]
                        and any(key[2])), keys[len(keys) // 2])
-    key_first = sorted(untwisted_j_oracle(pair, 0, Orders(t_order=4, lam_order=0)).terms)[0]
+    first = runs["oracle-equivalence"]
+    key_first = sorted(untwisted_j_oracle(pair, 0, first).terms)[0]
     pushed = u_bar(pair, small.lam_order).apply(h_function_x(pair, wide))
     key_cont = sorted(pushed.terms)[len(pushed.terms) // 2]
-    g_in = pair.grading.exps
-    g_out = pair.identity.exps
+    g_in, g_out = pair.grading.exps, pair.identity.exps
     n_vars = 1 + len(pair.positive_dim_sectors())
     return [
-        check_oracle_equivalence(pair, n_max=4, _tamper=key_first),
+        check_oracle_equivalence(pair, n_max=first.t_order, _tamper=key_first),
         check_mlk_untwisted(pair, pair.valid_twists()[-1], small, _tamper=key_oracle),
         check_mlk_operator(pair, _tamper_sector=g_in),
         check_gamma_factorization(pair, small, _tamper_side="x"),
         check_continuation(pair, wide, _tamper=key_cont),
-        check_rctc_conditions(pair, 4, _tamper_block=(g_in, g_out)),
-        check_fjrw_pipeline(pair, small, _tamper=(g_out, 1, (0,) * n_vars),
+        check_rctc_conditions(pair, runs["rctc-structure"].lam_order, _tamper_block=(g_in, g_out)),
+        check_fjrw_pipeline(pair, runs["fjrw-pipeline"], _tamper=(g_out, 1, (0,) * n_vars),
                             _tamper_stage="result"),
-        check_kernel_compatibility(pair, small,
-                                   _tamper=(g_out, 0, (1,) + (0,) * (n_vars - 1))),
+        check_kernel_compatibility(pair, small, _tamper=(g_out, 0, (1,) + (0,) * (n_vars - 1))),
         check_residue_lemma(pair, _tamper=True),
     ]

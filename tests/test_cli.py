@@ -190,12 +190,14 @@ def test_verify_self_test(capsys):
     assert "9/9 injected faults detected" in out
 
 
-def test_verify_self_test_structured_is_one_json_document(capsys):
+def test_verify_self_test_structured_is_one_json_document(tmp_path, capsys):
+    """The printed document is also the self-test's dump file."""
     code, out, _ = run_cli(capsys, "verify", "--pair", "cubic", "--T", "2",
-                           "--self-test", "--format", "structured")
+                           "--self-test", "--format", "structured", "--dump", str(tmp_path))
     payload = json.loads(out)
     assert code == 0
     assert payload["injected"] == payload["detected"] == 9
+    assert json.loads((tmp_path / "cubic-self-test.json").read_text()) == payload
 
 
 @pytest.mark.parametrize("checks,t_order,name", [
@@ -210,9 +212,9 @@ def test_verify_self_test_structured_is_one_json_document(capsys):
 def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
                                                   t_order, name):
     """A T below a selected check's floor is refused with exit 2 before any
-    check runs.  The self-test's faults are all seen from T = 1 on, the
-    oracle-equivalence fault sitting at T = 4 whatever the run's T, so
-    ``--self-test`` is refused at T = 0 only."""
+    check runs.  The self-test's oracle-equivalence fault sits at T = 4 and
+    its fjrw-pipeline fault at T >= 2 whatever the run's T, so
+    ``--self-test`` is refused at T = 0 only, by its mlk-untwisted fault."""
     from lgcy import verify
 
     def no_check(*_):
@@ -228,7 +230,7 @@ def test_verify_refuses_orders_too_small_up_front(capsys, monkeypatch, checks,
         code, out, err = run_cli(capsys, "verify", "--pair", "cubic",
                                  "--T", t_order, "--self-test")
         if t_order == "0":
-            assert code == 2 and "the self-test needs T >= 1" in err and out == ""
+            assert code == 2 and "mlk-untwisted needs T >= 1" in err and out == ""
         else:
             assert code == 0 and "9/9 injected faults detected" in out
 
@@ -367,16 +369,17 @@ def test_failing_check_exits_1(capsys, monkeypatch):
 def test_verify_refuses_a_run_above_the_work_bound(tmp_path, capsys):
     """(1,1,1,1; 4) with its maximal SL group walks 814,385 multidegrees at
     T = 4, and kernel-compatibility applies Ubar to 3,502,440 (lambda, H)
-    cells: refused with exit 2, naming the larger count and the bound."""
+    cells: refused with exit 2, naming the bound and the larger count, or
+    for the self-test the count of its first fault above the bound."""
     pair_file = tmp_path / "maximal.json"
     pair_file.write_text(json.dumps({"weights": [1, 1, 1, 1], "degree": 4,
                                      "generators": [[1, 3, 0, 0], [0, 1, 3, 0],
                                                     [0, 0, 1, 3]]}))
-    for extra in ((), ("--self-test",)):
+    for extra, count in (((), "3,502,440"), (("--self-test",), "814,385")):
         code, out, err = run_cli(capsys, "verify", "--pair", str(pair_file),
                                  "--T", "4", "--lambda-order", "2", *extra)
         assert code == 2
-        assert "3,502,440" in err and "100,000" in err
+        assert count in err and "100,000" in err
         assert out == ""
 
 

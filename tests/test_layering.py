@@ -233,7 +233,6 @@ NOT_ENTERED_BY_DESIGN = {
     "genfun._value_from_json": _DESERIALIZE,
     "genfun._atom_to_json": "writes the Gamma atoms of an H-series; no ifun side carries atoms",
     "genfun._assert_no_residual": _WITNESS,
-    "verify._orders_witness": _WITNESS + "; run_checks refuses such orders first",
     **{f"exactalg.ZLaurentSeries.{name}": _RESIDUE
        for name in ("__neg__", "__sub__", "shift", "coefficient")},
 }
@@ -353,13 +352,38 @@ def test_no_genfun_function_reads_an_age():
 
 def test_only_require_domain_tests_the_pair_domain_in_verify():
     """In ``verify`` only ``_require_domain`` calls ``require_cy`` and
-    ``require_sl``; ``_timed`` and the run admission call it."""
+    ``require_sl``; ``_timed``, ``run_checks`` and ``self_test`` call it."""
     for name in ("require_cy", "require_sl"):
         assert _functions_calling(MODULES["verify"], _method_called(name)) == \
             {"_require_domain"}, name
-    assert {"_timed", "_admit"} <= \
+    assert {"_timed", "run_checks", "self_test"} <= \
         _functions_calling(MODULES["verify"], lambda func: isinstance(func, ast.Name)
                            and func.id == "_require_domain")
+
+
+def _read_in(tree: ast.Module, name: str) -> set[str]:
+    """The top-level def or class around each read of ``name`` in ``tree``,
+    or "<module>" for a read in a module-level statement (a table's lambda)."""
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)}
+
+
+def test_only_the_refusal_rule_knows_the_floors_in_verify():
+    """In ``verify`` only ``_refusal`` reads ``MIN_T_ORDER`` and calls
+    ``_rctc_minimum``, anywhere in the module; ``_timed``, ``run_checks`` and
+    ``self_test`` ask it.  No module of ``lgcy`` writes an "orders" witness:
+    orders a check cannot see are refused, not reported."""
+    tree = MODULES["verify"]
+    assert _read_in(tree, "MIN_T_ORDER") == {"_refusal"}
+    assert _read_in(tree, "_rctc_minimum") == {"_refusal"}
+    assert {"_timed", "run_checks", "self_test"} <= \
+        _functions_calling(tree, lambda func: isinstance(func, ast.Name) and func.id == "_refusal")
+    witnesses = [f"{name}:{node.lineno}" for name, module in MODULES.items()
+                 for node in ast.walk(module) if isinstance(node, ast.Dict)
+                 and any(isinstance(key, ast.Constant) and key.value == "kind"
+                         and isinstance(value, ast.Constant) and value.value == "orders"
+                         for key, value in zip(node.keys, node.values))]
+    assert witnesses == []
 
 
 def test_only_clean_builders_skip_the_series_constructor():

@@ -329,65 +329,76 @@ def test_self_test_detects_every_fault_on_the_non_cyclic_group():
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
+# every series builder and operator a check body calls
+CHECK_BUILDERS = ("untwisted_j", "untwisted_j_oracle", "i_function_x", "i_function_y",
+                  "h_function_x", "h_factorization", "h_continued", "z_ddt_distinguished",
+                  "fjrw_limit", "gamma_pole_residue", "i_c", "u_bar", "ubar_block",
+                  "divide_or_none", "delta_c_generic", "delta_c_specialized", "DeltaDiamond",
+                  "PullbackToZ", "series_exp", "SeriesRing")
+
+
+def _build_nothing(monkeypatch, reason="a check built a series it cannot read"):
+    """Make every builder and operator of ``CHECK_BUILDERS`` raise: a
+    refusal must come before any of them."""
+    def no_build(*_, **__):
+        raise AssertionError(reason)
+
+    for builder in CHECK_BUILDERS:
+        monkeypatch.setattr(verify, builder, no_build)
+
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_mlk_untwisted_names_orders_below_t1(pair):
-    # every z d/dt of a T = 0 J-series is empty: no vacuous pass
-    report = check_mlk_untwisted(pair, pair.valid_twists()[-1],
-                                 Orders(t_order=0, lam_order=3))
-    assert not report.ok()
-    assert report.witness["kind"] == "orders"
-    assert (report.witness["T"], report.witness["minimum_T"]) == (0, 1)
+def test_mlk_untwisted_names_orders_below_t1(monkeypatch, pair):
+    # every z d/dt of a T = 0 J-series is empty: refused, not a vacuous pass
     assert check_mlk_untwisted(pair, pair.valid_twists()[-1],
                                Orders(t_order=1, lam_order=3)).ok()
+    _build_nothing(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=r"^mlk-untwisted needs T >= 1 to see its identity, got T = 0$"):
+        check_mlk_untwisted(pair, pair.valid_twists()[-1], Orders(t_order=0, lam_order=3))
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_oracle_equivalence_names_orders_below_t2(pair):
+def test_oracle_equivalence_names_orders_below_t2(monkeypatch, pair):
     # below t-degree 2 neither route calls the psi-integral oracle or the
-    # selection rule: no vacuous pass
-    for n_max in (0, 1):
-        report = check_oracle_equivalence(pair, n_max=n_max)
-        assert not report.ok()
-        assert report.witness["kind"] == "orders", report.witness
-        assert (report.witness["T"], report.witness["minimum_T"]) == (n_max, 2)
+    # selection rule: refused, not a vacuous pass
     assert check_oracle_equivalence(pair, n_max=2).ok()
+    _build_nothing(monkeypatch)
+    for n_max in (0, 1):
+        message = f"^oracle-equivalence needs T >= 2 to see its identity, got T = {n_max}$"
+        with pytest.raises(ValueError, match=message):
+            check_oracle_equivalence(pair, n_max=n_max)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_fjrw_pipeline_names_orders_below_t2(pair):
-    # the t-linear slice comes from t-degree 2: no shape mismatch at T = 1
-    for t_order in (0, 1):
-        report = check_fjrw_pipeline(pair, recommended_orders(pair, t_order, 3))
-        assert not report.ok()
-        assert report.witness["kind"] == "orders", report.witness
-        assert (report.witness["T"], report.witness["minimum_T"]) == (t_order, 2)
+def test_fjrw_pipeline_names_orders_below_t2(monkeypatch, pair):
+    # the t-linear slice comes from t-degree 2: refused, not a shape mismatch
     assert check_fjrw_pipeline(pair, recommended_orders(pair, 2, 3)).ok()
+    _build_nothing(monkeypatch)
+    for t_order in (0, 1):
+        message = f"^fjrw-pipeline needs T >= 2 to see its identity, got T = {t_order}$"
+        with pytest.raises(ValueError, match=message):
+            check_fjrw_pipeline(pair, recommended_orders(pair, t_order, 3))
 
 
 @pytest.mark.parametrize("t_order, z_window", [(3, (-10, 0)), (3, (-1, 0)), (3, (0, 1)),
                                                (1, (1, 4))])
 def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
-    """The leading term is read at z^1 from z^0, the t-linear slice (from
-    T = 2 on) at z^0 from z^-1: a window without them gets an "orders"
-    witness, decided before any series is built.  ``run_checks`` reads the
-    same rule: from T = 2 on it refuses a run of the check at that window,
-    naming the window needed, before any check runs, and admits the other
-    checks there."""
-    def no_series(*_):
-        raise AssertionError("built a series for a window the check cannot read")
-
-    monkeypatch.setattr(verify, "i_function_x", no_series)
+    """The leading term is read at z^1 from z^0, the t-linear slice at z^0
+    from z^-1: a window without them raises ValueError before any series is
+    built, and below T = 2 the t-floor is named first.  ``run_checks`` gives
+    the same reason before any check runs, and admits the other checks at
+    that window."""
+    _build_nothing(monkeypatch)
     orders = Orders(t_order=t_order, lam_order=4, z_min=z_window[0], z_max=z_window[1])
-    witness = check_fjrw_pipeline(cubic(), orders).witness
-    assert witness["kind"] == "orders", witness
-    assert witness["zWindow"] == list(z_window)
-    assert witness["minimum_zWindow"] == [-1 if t_order >= 2 else 0, 1]
+    message = f"^fjrw-pipeline needs T >= 2 to see its identity, got T = {t_order}$" \
+        if t_order < 2 else ("^fjrw-pipeline reads its identities from z\\^-1 to z\\^1, "
+                             f"got the z-window \\[{z_window[0]}, {z_window[1]}\\]$")
+    with pytest.raises(ValueError, match=message):
+        check_fjrw_pipeline(cubic(), orders)
     if t_order < 2:
         return
     _refuse_every_check(monkeypatch)
-    message = ("^fjrw-pipeline reads its identities from z\\^-1 to z\\^1, "
-               f"got the z-window \\[{z_window[0]}, {z_window[1]}\\]$")
     with pytest.raises(ValueError, match=message):
         run_checks(cubic(), ["residue-lemma", "fjrw-pipeline"], orders)
     others = [name for name in ALL_CHECKS if name != "fjrw-pipeline"]
@@ -398,23 +409,22 @@ def test_fjrw_pipeline_names_a_narrow_z_window(monkeypatch, t_order, z_window):
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_fjrw_pipeline_refuses_t0_before_building_a_series(monkeypatch, pair):
     """At T = 0 the leading term has no t-degree 1 to come from: the
-    "orders" witness is decided next to the z-window test, before any
-    series is built."""
+    refusal comes before any series is built."""
     def no_series(*_):
         raise AssertionError("built a series at a t-order the check cannot read")
 
     monkeypatch.setattr(verify, "i_function_x", no_series)
-    witness = check_fjrw_pipeline(pair, recommended_orders(pair, 0, 3)).witness
-    assert witness == {"kind": "orders", "T": 0, "minimum_T": 2,
-                       "detail": "the leading term comes from t-degree 1"}
+    with pytest.raises(ValueError,
+                       match=r"^fjrw-pipeline needs T >= 2 to see its identity, got T = 0$"):
+        check_fjrw_pipeline(pair, recommended_orders(pair, 0, 3))
 
 
 def test_fjrw_pipeline_reads_the_smallest_z_window(monkeypatch):
     pair = cubic()
     assert check_fjrw_pipeline(pair, Orders(t_order=3, lam_order=4, z_min=-1, z_max=1)).ok()
-    # below T = 2 the leading term alone is read, from z^0 and z^1
-    report = check_fjrw_pipeline(pair, Orders(t_order=1, lam_order=4, z_min=0, z_max=1))
-    assert (report.witness["kind"], report.witness["minimum_T"]) == ("orders", 2)
+    # below T = 2 the t-floor refuses even the window of the leading term
+    with pytest.raises(ValueError, match="fjrw-pipeline needs T >= 2"):
+        check_fjrw_pipeline(pair, Orders(t_order=1, lam_order=4, z_min=0, z_max=1))
     # a fault that empties the result still fails at a window that holds it
     limit = verify.fjrw_limit
 
@@ -442,18 +452,62 @@ def test_out_of_range_arguments_fail_with_a_witness(call, kind):
 
 @pytest.mark.parametrize("pair, minimum", [
     (quintic(), 4), (cubic(), 2), (quartic(), 3), (sextic(), 3)], ids=lambda p: getattr(p, "name", p))
-def test_rctc_names_orders_below_its_minimum_lambda_order(pair, minimum):
-    # the rank columns reach H^(N_g - 1): below max N_g - 1 an "orders"
-    # witness, not a false rank failure
+def test_rctc_names_orders_below_its_minimum_lambda_order(monkeypatch, pair, minimum):
+    # the rank columns reach H^(N_g - 1): below max N_g - 1 a refusal, not a
+    # false rank failure
     assert minimum == max(g.fixed_dim() for g in pair.group.elements) - 1
     assert check_rctc_conditions(pair, minimum).ok()
+    _build_nothing(monkeypatch)
     for lam_order in (minimum - 1, 0):
-        report = check_rctc_conditions(pair, lam_order)
-        assert not report.ok()
-        assert report.witness["kind"] == "orders", report.witness
-        assert set(report.witness) == {"kind", "lambda", "minimum_lambda", "detail"}
-        assert (report.witness["lambda"], report.witness["minimum_lambda"]) \
-            == (lam_order, minimum)
+        message = (f"^rctc-structure needs lambda >= {minimum}, where its rank columns read "
+                   f"H\\^\\(N_g - 1\\), got lambda = {lam_order}$")
+        with pytest.raises(ValueError, match=message):
+            check_rctc_conditions(pair, lam_order)
+
+
+# each case below a floor: the check's name, its direct call, the pair and the
+# orders; ``run_checks`` runs every one of these checks at the orders handed
+# to it, except rctc-structure, whose lam-order it lifts to the floor
+DIRECT_CALLS = {
+    "mlk-untwisted": lambda pair, orders: check_mlk_untwisted(pair, 1, orders),
+    "oracle-equivalence":
+        lambda pair, orders: check_oracle_equivalence(pair, n_max=orders.t_order),
+    "fjrw-pipeline": check_fjrw_pipeline,
+    "rctc-structure": lambda pair, orders: check_rctc_conditions(pair, orders.lam_order),
+}
+BELOW_A_FLOOR = [
+    ("mlk-untwisted", cubic(), Orders(t_order=0, lam_order=2)),
+    ("oracle-equivalence", quartic(), Orders(t_order=0, lam_order=0)),
+    ("oracle-equivalence", quartic(), Orders(t_order=1, lam_order=0)),
+    ("fjrw-pipeline", sextic(), Orders(t_order=0, lam_order=2)),
+    ("fjrw-pipeline", sextic(), Orders(t_order=1, lam_order=2)),
+    ("fjrw-pipeline", cubic(), Orders(t_order=3, lam_order=2, z_min=0, z_max=1)),
+    ("fjrw-pipeline", cubic(), Orders(t_order=2, lam_order=2, z_min=-1, z_max=0)),
+    ("rctc-structure", quintic(), Orders(t_order=0, lam_order=3)),
+    ("rctc-structure", cubic(), Orders(t_order=0, lam_order=0)),
+]
+
+
+@pytest.mark.parametrize("name, pair, orders", BELOW_A_FLOOR,
+                         ids=[f"{n}-{p.name}-T{o.t_order}-L{o.lam_order}-z{o.z_window[0]}"
+                              for n, p, o in BELOW_A_FLOOR])
+def test_a_floor_gives_one_reason_to_a_direct_call_and_to_run_checks(monkeypatch, name,
+                                                                     pair, orders):
+    """A direct call below a floor and ``run_checks`` at the same orders
+    raise ValueError with the same reason, before anything is built;
+    ``run_checks`` admits rctc-structure there, at the lam-order it lifts."""
+    _build_nothing(monkeypatch)
+    with pytest.raises(ValueError) as direct:
+        DIRECT_CALLS[name](pair, orders)
+    assert str(direct.value).startswith(f"{name} ")
+    _refuse_every_check(monkeypatch)
+    if name == "rctc-structure":
+        with pytest.raises(AssertionError, match="a check ran"):
+            run_checks(pair, [name], orders)
+        return
+    with pytest.raises(ValueError) as batch:
+        run_checks(pair, ["residue-lemma", name], orders)
+    assert str(batch.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("k_max", [-1, -2])
@@ -466,15 +520,29 @@ def test_mlk_operator_without_a_log_term_is_vacuous(pair, k_max):
     assert check_mlk_operator(pair, k_max=0).ok()
 
 
-@pytest.mark.parametrize("t_order", [1, 2, 3])
-@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_self_test_detects_every_fault_at_small_orders(pair, t_order):
-    reports = self_test(pair, Orders(t_order=t_order, lam_order=3))
+# (1^6; 6) with <j>: its identity sector has N_g = 6, so the rctc fault runs
+# at lambda-order 5; and the census pairs of test_genfun's CENSUS_PAIRS,
+# whose kernel-compatibility fault is above WORK_BOUND from T 4 on
+SIX_VARIABLES = load_pair({"weights": [1] * 6, "degree": 6})
+CENSUS_PAIRS = [
+    load_pair({"weights": [1] * 5, "degree": 5, "generators": [[0, 1, 2, 3, 4]]}),
+    load_pair({"weights": [1, 1, 1, 1, 2], "degree": 6, "generators": [[0, 1, 3, 4, 2]]}),
+]
+SELF_TEST_RUNS = [(pair, t_order, 3) for pair in ALL_PAIRS + [SIX_VARIABLES]
+                  for t_order in (1, 2, 3)] + [(pair, 1, 2) for pair in CENSUS_PAIRS]
+
+
+@pytest.mark.parametrize("pair, t_order, lam_order", SELF_TEST_RUNS,
+                         ids=[f"{p.name}-T{t}-L{lam}" for p, t, lam in SELF_TEST_RUNS])
+def test_self_test_detects_every_fault_at_small_orders(pair, t_order, lam_order):
+    reports = self_test(pair, Orders(t_order=t_order, lam_order=lam_order))
     assert len(reports) == len(ALL_CHECKS)
     for report in reports:
         assert not report.ok(), (t_order, report.check)
-        # a real detection, not a refusal of the orders
-        assert report.witness.get("kind") != "orders", (t_order, report.check)
+        # a real detection, not a truncation that checked nothing
+        assert report.witness.get("kind") != "vacuous", (t_order, report.check)
+    rctc = reports[ALL_CHECKS.index("rctc-structure")]
+    assert rctc.witness["kind"] == "divisibility", rctc.witness
 
 
 @pytest.mark.parametrize("lam_order", [1, 2])
@@ -493,7 +561,7 @@ def test_self_test_puts_the_mlk_fault_where_a_derivative_sees_it(t_order, lam_or
     assert len(reports) == len(ALL_CHECKS)
     for report in reports:
         assert not report.ok(), (t_order, report.check)
-        assert report.witness.get("kind") != "orders", (t_order, report.check)
+        assert report.witness.get("kind") != "vacuous", (t_order, report.check)
 
 
 # -- witness kinds reached by an injected fault ------------------------------------
@@ -688,7 +756,9 @@ def test_run_checks_refuses_the_maximal_sl_quartic_up_front(monkeypatch):
     assert verify.work_estimate(pair, orders, ALL_CHECKS) == 3_502_440
     with pytest.raises(ValueError, match="3,502,440 .* bound of 100,000"):
         run_checks(pair, ALL_CHECKS, orders)
-    with pytest.raises(ValueError, match="3,502,440 .* cells"):
+    # the self-test refuses at its first fault above the bound, at T = 4
+    with pytest.raises(ValueError, match="^the self-test's oracle-equivalence fault would "
+                                         "walk 814,385 terms at T = 4, above"):
         self_test(pair, orders)
     assert time.perf_counter() - start < 1.0
 
@@ -719,10 +789,10 @@ NON_SL = load_pair({"weights": [1, 1, 1, 1, 1], "degree": 5, "generators": [[1, 
     (lambda p, o: run_checks(p, ["residue-lemma", "mlk-untwisted"], o), cubic(), (0, 1),
      r"^mlk-untwisted needs T >= 1 to see its identity, got T = 0$"),
     (lambda p, o: run_checks(p, ALL_CHECKS, o), cubic(), (1, 1),
-     r"^oracle-equivalence needs T >= 2; fjrw-pipeline needs T >= 2 to see its identity, "
-     r"got T = 1$"),
+     r"^oracle-equivalence needs T >= 2 to see its identity, got T = 1; "
+     r"fjrw-pipeline needs T >= 2 to see its identity, got T = 1$"),
     (lambda p, o: self_test(p, o), cubic(), (0, 3),
-     r"^the self-test needs T >= 1 to see every injected fault, got T = 0$"),
+     r"^mlk-untwisted needs T >= 1 to see its identity, got T = 0$"),
     (lambda p, o: run_checks(p, ["rctc-structure"], o), quintic(), (2, 160),
      "2,782,080 coefficient products at lambda-order 160, above the bound of 100,000"),
 ], ids=["run-non-cy", "self-test-non-cy", "run-non-sl", "self-test-non-sl", "run-unknown",
@@ -730,20 +800,12 @@ NON_SL = load_pair({"weights": [1, 1, 1, 1, 1], "degree": 5, "generators": [[1, 
 def test_run_checks_and_self_test_refuse_before_any_check_runs(monkeypatch, run, pair,
                                                                orders, message):
     """``run_checks`` and ``self_test`` own the admission of a run: a pair
-    that is not CY with an SL group, an unknown check, a t-order below a
-    check's floor (T = 1 for every self-test fault) and work above
-    ``WORK_BOUND`` raise ValueError before anything is built."""
+    that is not CY with an SL group, an unknown check, orders below a
+    check's floor (at T = 0 the self-test's mlk-untwisted fault) and work
+    above ``WORK_BOUND`` raise ValueError before anything is built."""
     _refuse_every_check(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run(pair, Orders(t_order=orders[0], lam_order=orders[1]))
-
-
-# every series builder and operator a check body calls
-CHECK_BUILDERS = ("untwisted_j", "untwisted_j_oracle", "i_function_x", "i_function_y",
-                  "h_function_x", "h_factorization", "h_continued", "z_ddt_distinguished",
-                  "fjrw_limit", "gamma_pole_residue", "i_c", "u_bar", "ubar_block",
-                  "divide_or_none", "delta_c_generic", "delta_c_specialized", "DeltaDiamond",
-                  "PullbackToZ", "series_exp", "SeriesRing")
 
 
 @pytest.mark.parametrize("pair, message", [(NON_CY, "Calabi-Yau"), (NON_SL, "SL")],
@@ -755,11 +817,7 @@ def test_every_check_refuses_an_unsupported_pair_before_its_body(monkeypatch, na
     the admission of ``run_checks``) on a pair that is not CY with an SL
     group raises ValueError before it builds anything, so a failing report
     always means a failed identity."""
-    def no_build(*_, **__):
-        raise AssertionError("a check built a series for an unsupported pair")
-
-    for builder in CHECK_BUILDERS:
-        monkeypatch.setattr(verify, builder, no_build)
+    _build_nothing(monkeypatch, "a check built a series for an unsupported pair")
     with pytest.raises(ValueError, match=message):
         verify.CHECKS[name](pair, Orders(t_order=4, lam_order=2))
 
@@ -782,14 +840,16 @@ def test_self_test_builds_no_i_function_and_no_factorization(monkeypatch):
 
 
 def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order():
-    """``run_checks`` runs rctc-structure at max(lambda, 6, max N_g - 1):
-    on (1^8; 8) with <j>, whose identity sector has N_g = 8, that is 7, so
-    the batch run passes where lambda-order 6 returns an "orders" witness,
-    and the work estimate counts lambda-order 7.  Pairs of degree at most
-    6 keep max(lambda, 6)."""
+    """``run_checks`` runs rctc-structure at the first lam-order from
+    max(lambda, 6) that ``_refusal`` admits, max N_g - 1 when larger: on
+    (1^8; 8) with <j>, whose identity sector has N_g = 8, that is 7, so the
+    batch run passes where a direct call at lambda-order 6 is refused, and
+    the work estimate counts lambda-order 7.  Pairs of degree at most 6 keep
+    max(lambda, 6)."""
     pair = load_pair({"weights": [1] * 8, "degree": 8, "generators": [[1] * 8]})
     assert max(g.fixed_dim() for g in pair.group.elements) - 1 == 7
-    assert check_rctc_conditions(pair, 6).witness["kind"] == "orders"
+    with pytest.raises(ValueError, match="^rctc-structure needs lambda >= 7, .* got lambda = 6$"):
+        check_rctc_conditions(pair, 6)
     orders = recommended_orders(pair, 2, 3)
     [report] = run_checks(pair, ["rctc-structure"], orders)
     assert report.ok(), report.witness
