@@ -183,6 +183,9 @@ def cmd_verify(args) -> int:
         require_known(names)
         if args.checks != "all":
             raise ValueError("--self-test runs every check; it takes no --checks list")
+        if args.z_min is not None or args.z_max is not None:
+            raise ValueError("--self-test runs each fault at a z-window of its own; "
+                             "it takes no --z-min or --z-max")
         attempts = self_test(pair, orders)
         detected = sum(1 for r in attempts if not r.ok())
         payload = {"pair": pair.name, "injected": len(attempts), "detected": detected,

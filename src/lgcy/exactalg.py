@@ -845,9 +845,10 @@ class ZLaurentSeries:
     The window is part of the value: products clamp to it, so identities
     are checked per fixed truncation.  Windows of operands must agree.
     The public constructor clamps, coerces and drops zeros; ring operations
-    that do so themselves use ``_unchecked``.  Surface: ``+`` and ``-`` of
-    two series, unary ``-``, ``*`` by a series or a scalar on either side,
-    ``shift``, ``coefficient``, ``==`` and ``hash``.
+    that do so themselves use ``_unchecked``.  Surface: ``+`` of two series,
+    ``*`` by a series or by a nonzero rational on the right, ``==`` and
+    ``hash``: what ``_linear_product``'s callers and the benchmark's probes
+    use.
     """
 
     __slots__ = ("ring", "z_min", "z_max", "terms")
@@ -895,23 +896,12 @@ class ZLaurentSeries:
             terms[z] = terms[z] + v if z in terms else v
         return ZLaurentSeries(self.ring, self.z_min, self.z_max, terms)
 
-    def __neg__(self):
-        return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
-                                         {z: -v for z, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, ZLaurentSeries):
             if isinstance(other, (int, Fraction)) and other:
                 # a nonzero rational keeps every term nonzero
                 return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
                                                  {z: v * other for z, v in self.terms.items()})
-            # scalar or SectorValue multiplier
-            if isinstance(other, SectorValue) or isinstance(other, (int, Fraction, Cyclotomic)):
-                return ZLaurentSeries(self.ring, self.z_min, self.z_max,
-                                      {z: v * other for z, v in self.terms.items()})
             return NotImplemented
         self._check(other)
         out: dict = {}
@@ -924,15 +914,6 @@ class ZLaurentSeries:
                 out[z] = out[z] + prod if z in out else prod
         return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
                                          {z: v for z, v in out.items() if v.terms})
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "ZLaurentSeries":
-        return ZLaurentSeries(self.ring, self.z_min, self.z_max,
-                              {z + k: v for z, v in self.terms.items()})
-
-    def coefficient(self, z: int) -> SectorValue:
-        return self.terms.get(z, self.ring.zero())
 
     def __eq__(self, other):
         return (isinstance(other, ZLaurentSeries)

@@ -702,36 +702,33 @@ def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple, fact: int
                         {"sector": list(sector), "degree": list(degs)})
 
 
-def _assert_no_residual(lhs: ZLaurentSeries, rhs: ZLaurentSeries, side: str,
-                        sector, degs, comb: Fraction, offset: int):
-    """The two sides of one factorization key must agree at every z.  They
-    leave out the index's comb z^offset, which the witness puts back: it
-    names the first bad z plus offset and both coefficients times comb."""
-    if lhs != rhs:
-        z_bad = min((lhs - rhs).terms)
-        raise IdentityError(
-            f"Gamma factorization residual on the {side} side",
-            {"sector": list(sector), "z": z_bad + offset, "degree": list(degs),
-             "left": str(lhs.coefficient(z_bad) * comb),
-             "right": str(rhs.coefficient(z_bad) * comb)})
-
-
-def _equals_shifted(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int) -> bool:
-    """lhs == block.shift(delta), read in place: each term of ``block`` at
-    z + delta inside the window must be lhs's term there, and lhs may have
-    no other term.  No shifted series is built."""
-    if lhs.ring is not block.ring or (lhs.z_min, lhs.z_max) != (block.z_min, block.z_max):
-        return False
+def _assert_no_residual(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int,
+                        side: str, term: IndexTerm):
+    """lhs == block times z^delta inside lhs's window, read in place: each
+    term of ``block`` at z + delta in the window must be lhs's term there,
+    and lhs may have no other term.  No shifted or difference series is
+    built.  Both sides leave out the index's comb z^offset, which a failing
+    key's witness puts back: from the same read it names the first bad z
+    plus offset and both coefficients there times comb."""
     z_min, z_max, terms = lhs.z_min, lhs.z_max, lhs.terms
-    found = 0
+    bad, matched = [], 0
     for z, value in block.terms.items():
         z += delta
         if z_min <= z <= z_max:
             stored = terms.get(z)
             if stored is None or stored.ring is not value.ring or stored.terms != value.terms:
-                return False
-            found += 1
-    return found == len(terms)
+                bad.append(z)
+            else:
+                matched += 1
+    if not bad and matched == len(terms):
+        return
+    bad += [z for z in terms if z - delta not in block.terms]
+    z_bad, zero = min(bad), lhs.ring.zero()
+    raise IdentityError(
+        f"Gamma factorization residual on the {side} side",
+        {"sector": list(term.sector), "z": z_bad + term.offset, "degree": list(term.degs),
+         "left": str(terms.get(z_bad, zero) * term.comb),
+         "right": str(block.terms.get(z_bad - delta, zero) * term.comb)})
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
@@ -821,11 +818,10 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       delta = (shift + 1 - age) - offset the identity reads product times
       I block = operator block times z^delta.  That depends only on
       (product key, (sector, H atoms), delta), so each key is formed once
-      from ``ZLaurentSeries`` products and kept once it has passed.  The
-      operator block is read at z + delta in place (``_equals_shifted``),
-      with the window clamp of ``ZLaurentSeries.shift``; only a failing key
-      builds the shifted block, and raises through ``_assert_no_residual``
-      with the term's comb and offset, which name the witness.
+      from ``ZLaurentSeries`` products and kept once it has passed.
+      ``_assert_no_residual`` reads the operator block at z + delta in
+      place, inside the product's window, and a failing key raises from that
+      same read with the term's comb and offset, which name the witness.
 
     The first two read comb as 1/fact, fact the check's own factorial
     product of ``term.degs`` (all of it on X, all but k0 on Y), not the
@@ -833,8 +829,8 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     kept per walk as the I builder keeps them, the H atoms in a memo of this
     walk, and both blocks per (sector, H atoms), the atoms named by their
     integer key, which fixes everything the pairing reads; each distinct
-    block is one ``gamma_shift_product`` call of this walk.  offset, shift and age are the table's, and its comb
-    names a residual's witness.
+    block is one ``gamma_shift_product`` call of this walk.  offset, shift
+    and age are the table's, and its comb names a residual's witness.
     """
     if side == "x":
         product_of, atoms_of, first = _i_x_product, _x_atoms, 0
@@ -865,10 +861,8 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
         key = (product_key, block_key, delta)
         if key not in passed:
             i_block, block = blocks[block_key]
-            lhs = product if i_block is None else product * i_block
-            if not _equals_shifted(lhs, block, delta):
-                _assert_no_residual(lhs, block.shift(delta), side.upper(), sector,
-                                    term.degs, term.comb, term.offset)
+            _assert_no_residual(product if i_block is None else product * i_block,
+                                block, delta, side.upper(), term)
             passed.add(key)
 
 

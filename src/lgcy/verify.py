@@ -511,8 +511,7 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
     so the (lam+H)-division keeps the lam^0 H^(N_g-1) survivors in its
     trusted range, and the check refuses to pass without any survivor.
     """
-    work = Orders(t_order=orders.t_order,
-                  lam_order=_UBAR_LAM_ORDERS["kernel-compatibility"](pair, orders),
+    work = Orders(t_order=orders.t_order, lam_order=_kernel_lam_order(pair, orders),
                   z_min=orders.z_window[0] - 1, z_max=orders.z_window[1] + 1)
 
     def body():
@@ -575,19 +574,14 @@ def _rctc_lam_order(pair: LGPair, lam_order: int) -> int:
                 if not _refusal("rctc-structure", pair, Orders(t_order=0, lam_order=lam)))
 
 
-# The lam-order each check that builds Ubar blocks works at, from the orders
-# ``run_checks`` hands it: rctc-structure's is the first one from the larger
-# of those orders and 6 that ``_refusal`` admits; kernel-compatibility's is
-# one above the larger of those orders and the largest sector nilpotency.
-_UBAR_LAM_ORDERS = {
-    "continuation": lambda pair, orders: orders.lam_order,
-    "rctc-structure": lambda pair, orders: _rctc_lam_order(pair, max(orders.lam_order, 6)),
-    "kernel-compatibility":
-        lambda pair, orders: max(orders.lam_order, _largest_nilpotency(pair)) + 1,
-}
+def _kernel_lam_order(pair: LGPair, orders: Orders) -> int:
+    """kernel-compatibility's working lam-order: one above the larger of
+    ``orders``' and the largest sector nilpotency."""
+    return max(orders.lam_order, _largest_nilpotency(pair)) + 1
 
-# Every check by name, in report order, at the orders ``run_checks`` runs it
-# at.  Each entry looks its check up in this module when it is called, so a
+
+# Every check by name, in report order, run at the orders it is handed.
+# Each entry looks its check up in this module when it is called, so a
 # wrapper installed on ``verify.check_*`` also sees the calls made from here.
 CHECKS = {
     "oracle-equivalence":
@@ -598,9 +592,7 @@ CHECKS = {
     "mlk-operator": lambda pair, orders: check_mlk_operator(pair),
     "gamma-factorization": lambda pair, orders: check_gamma_factorization(pair, orders),
     "continuation": lambda pair, orders: check_continuation(pair, orders),
-    "rctc-structure":
-        lambda pair, orders: check_rctc_conditions(
-            pair, _UBAR_LAM_ORDERS["rctc-structure"](pair, orders)),
+    "rctc-structure": lambda pair, orders: check_rctc_conditions(pair, orders.lam_order),
     "fjrw-pipeline": lambda pair, orders: check_fjrw_pipeline(pair, orders),
     "kernel-compatibility": lambda pair, orders: check_kernel_compatibility(pair, orders),
     "residue-lemma": lambda pair, orders: check_residue_lemma(pair),
@@ -613,6 +605,7 @@ ALL_CHECKS = tuple(CHECKS)
 _J_WALK_CHECKS = ("oracle-equivalence", "mlk-untwisted")
 _INDEX_WALK_CHECKS = ("gamma-factorization", "continuation", "fjrw-pipeline",
                       "kernel-compatibility")
+_UBAR_CHECKS = ("continuation", "rctc-structure", "kernel-compatibility")
 
 # The largest work a run may start.  It admits every shipped pair at T = 10
 # (the quartic's J walk, 43,758 multidegrees, is the largest) and refuses
@@ -622,44 +615,52 @@ _INDEX_WALK_CHECKS = ("gamma-factorization", "continuation", "fjrw-pipeline",
 WORK_BOUND = 100_000
 
 
-def _work(pair: LGPair, orders: Orders, names) -> list[tuple[int, str]]:
-    """(count, what would be done) of each walk the named checks start at
-    ``orders``, counted before anything is built: C(|G| + T, T)
-    multidegrees for a J check, C(1 + P + T, T) indices for an I/H check,
-    with P the number of positive-dimensional sectors, and, for a check that
-    builds Ubar blocks at lam-order L, about (d - 1) C(L + 2, 3) coefficient
-    products in the d - 1 inversions of their line series, which grow as L^3
-    whatever T is.  kernel-compatibility also applies Ubar to every I^X
-    index: the index count times the (lam, H) cells of one block at its
-    lam-order L and the largest nilpotency N, N (L + 1) - C(N, 2)."""
-    t = orders.t_order
-    indices = comb(1 + len(pair.positive_dim_sectors()) + t, t)
-    walks = [comb(len(pair.group) + t, t)] if set(names) & set(_J_WALK_CHECKS) else []
-    if set(names) & set(_INDEX_WALK_CHECKS):
-        walks.append(indices)
-    work = [(n, f"walk {n:,} terms at T = {t}") for n in walks]
-    for lam in {_UBAR_LAM_ORDERS[name](pair, orders) for name in names if name in _UBAR_LAM_ORDERS}:
-        n = (pair.fermat.degree - 1) * comb(lam + 2, 3)
-        work.append((n, f"form {n:,} coefficient products at lambda-order {lam}"))
-    if "kernel-compatibility" in names:
-        lam = _UBAR_LAM_ORDERS["kernel-compatibility"](pair, orders)
-        nil = _largest_nilpotency(pair)
-        n = indices * (nil * (lam + 1) - comb(nil, 2))
-        work.append((n, f"apply Ubar to {n:,} (lambda, H) cells of {indices:,} indices "
-                        f"at lambda-order {lam}"))
+def _work(pair: LGPair, runs: dict) -> set[tuple[int, str]]:
+    """(count, what would be done) of each walk started by the checks of
+    ``runs``, which maps each check name to the orders it runs at, counted
+    before anything is built: C(|G| + T, T) multidegrees for a J check,
+    C(1 + P + T, T) indices for an I/H check, with P the number of
+    positive-dimensional sectors, and, for a check that builds Ubar blocks
+    at lam-order L, about (d - 1) C(L + 2, 3) coefficient products in the
+    d - 1 inversions of their line series, which grow as L^3 whatever T is.
+    kernel-compatibility also applies Ubar to every I^X index: the index
+    count times the (lam, H) cells of one block at its lam-order L and the
+    largest nilpotency N, N (L + 1) - C(N, 2)."""
+    work = set()
+    for name, orders in runs.items():
+        t, lam = orders.t_order, orders.lam_order
+        indices = comb(1 + len(pair.positive_dim_sectors()) + t, t)
+        walks = [comb(len(pair.group) + t, t)] if name in _J_WALK_CHECKS else []
+        walks += [indices] if name in _INDEX_WALK_CHECKS else []
+        work.update((n, f"walk {n:,} terms at T = {t}") for n in walks)
+        if name == "kernel-compatibility":
+            lam = _kernel_lam_order(pair, orders)
+            nil = _largest_nilpotency(pair)
+            n = indices * (nil * (lam + 1) - comb(nil, 2))
+            work.add((n, f"apply Ubar to {n:,} (lambda, H) cells of {indices:,} indices "
+                         f"at lambda-order {lam}"))
+        if name in _UBAR_CHECKS:
+            n = (pair.fermat.degree - 1) * comb(lam + 2, 3)
+            work.add((n, f"form {n:,} coefficient products at lambda-order {lam}"))
     return work
 
 
 def work_estimate(pair: LGPair, orders: Orders, names) -> int:
-    """The largest count of ``_work``; 0 when the named checks make none."""
-    return max(_work(pair, orders, names), default=(0,))[0]
+    """The largest count of ``_work`` of the named checks at ``orders``; 0
+    when they make none."""
+    return max(_work(pair, dict.fromkeys(names, orders)), default=(0,))[0]
 
 
 def require_bounded(pair: LGPair, orders: Orders, names,
                     subject: str = "the checks") -> None:
+    """``_require_bounded`` on the work of the named checks at ``orders``."""
+    _require_bounded(_work(pair, dict.fromkeys(names, orders)), subject)
+
+
+def _require_bounded(work: set, subject: str) -> None:
     """Raise ValueError, naming ``subject`` and the count, when the largest
-    work of the named checks at ``orders`` exceeds ``WORK_BOUND``."""
-    count, what = max(_work(pair, orders, names), default=(0, ""))
+    of ``work`` exceeds ``WORK_BOUND``."""
+    count, what = max(work, default=(0, ""))
     if count > WORK_BOUND:
         raise ValueError(f"{subject} would {what}, above the bound of {WORK_BOUND:,}")
 
@@ -672,20 +673,21 @@ def require_known(names) -> None:
 
 
 def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
-    """The reports of the named checks, in the given order, each at its
-    ``CHECKS`` orders.  A pair that is not CY with an SL group, an unknown
-    name, a check that ``_refusal`` refuses at the orders it runs at (the
-    refusals joined by "; "), or a ``work_estimate`` above ``WORK_BOUND``
-    raises ValueError first."""
+    """The reports of the named checks, in the given order, each at the
+    orders it runs at: rctc-structure at the first lam-order from the larger
+    of ``orders``' and 6 that ``_refusal`` admits, every other check at
+    ``orders``.  A pair that is not CY with an SL group, an unknown name, a
+    check that ``_refusal`` refuses at those orders (the refusals joined by
+    "; "), or work above ``WORK_BOUND`` there raises ValueError first."""
     _require_domain(pair)
     require_known(names)
-    rctc = Orders(t_order=0, lam_order=_UBAR_LAM_ORDERS["rctc-structure"](pair, orders))
-    refusal = "; ".join(filter(None, (
-        _refusal(name, pair, rctc if name == "rctc-structure" else orders) for name in names)))
+    rctc = Orders(t_order=0, lam_order=_rctc_lam_order(pair, max(orders.lam_order, 6)))
+    runs = {name: rctc if name == "rctc-structure" else orders for name in names}
+    refusal = "; ".join(filter(None, (_refusal(name, pair, runs[name]) for name in names)))
     if refusal:
         raise ValueError(refusal)
-    require_bounded(pair, orders, names)
-    return [CHECKS[name](pair, orders) for name in names]
+    _require_bounded(_work(pair, runs), "the checks")
+    return [CHECKS[name](pair, runs[name]) for name in names]
 
 
 def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:

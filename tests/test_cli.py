@@ -169,7 +169,12 @@ def test_verify_checks_selection_and_exit(capsys):
     (("--T", "-1"), "truncation orders must be non-negative"),
     (("--lambda-order", "-1"), "truncation orders must be non-negative"),
     (("--self-test", "--checks", "residue-lemma"), "takes no --checks list"),
-], ids=["T-1", "lambda-1", "self-test-checks"])
+    (("--self-test", "--z-min", "0"), "takes no --z-min or --z-max"),
+    (("--self-test", "--z-max", "1"), "takes no --z-min or --z-max"),
+    (("--self-test", "--T", "2", "--lambda-order", "2", "--z-min", "0", "--z-max", "1"),
+     "takes no --z-min or --z-max"),
+], ids=["T-1", "lambda-1", "self-test-checks", "self-test-z-min", "self-test-z-max",
+        "self-test-z-window"])
 def test_verify_refuses_bad_orders_and_a_self_test_check_list(capsys, argv, reason):
     code, out, err = run_cli(capsys, "verify", "--pair", "cubic", *argv)
     assert code == 2 and reason in err and out == ""

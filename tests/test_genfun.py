@@ -873,32 +873,49 @@ def test_factorization_catches_a_wrong_h_atom(monkeypatch, side, pair, moved, ma
 
 # -- the per-key factorization check against the per-term route ----------------------
 
-def _i_value(product, comb, offset):
-    """The I coefficient of one index: comb times its product, shifted by
-    its z-offset."""
-    return (product * comb).shift(offset)
+def _clamped(terms, window):
+    """The terms of a z -> SectorValue dict inside ``window``."""
+    z_min, z_max = window
+    return {z: value for z, value in terms.items() if z_min <= z <= z_max}
+
+
+def _i_value(product, comb, offset, window):
+    """The I coefficient of one index as a z -> SectorValue dict: comb times
+    its product at each z + offset inside ``window``."""
+    return _clamped({z + offset: value * comb for z, value in product.terms.items()}, window)
+
+
+def _dict_product(left, right, window):
+    """left times right for z -> SectorValue dicts, clamped to ``window``,
+    with the zeros dropped."""
+    out = {}
+    for z1, v1 in left.items():
+        for z2, v2 in right.items():
+            z = z1 + z2
+            out[z] = out[z] + v1 * v2 if z in out else v1 * v2
+    return {z: value for z, value in _clamped(out, window).items() if not value.is_zero()}
 
 
 def _assert_no_term_residual(lhs, rhs, side, sector, degs):
     """The two sides of one term's factorization agree at every z; the
-    witness is the first bad z of their difference, with both values."""
+    witness is the first z where they differ, with both values."""
     if lhs != rhs:
-        z_bad = min((lhs - rhs).terms)
+        z_bad = min(z for z in lhs.keys() | rhs.keys() if lhs.get(z) != rhs.get(z))
         raise IdentityError(
             f"Gamma factorization residual on the {side} side",
             {"sector": list(sector), "z": z_bad, "degree": list(degs),
-             "left": str(lhs.coefficient(z_bad)),
-             "right": str(rhs.coefficient(z_bad))})
+             "left": str(lhs.get(z_bad, 0)), "right": str(rhs.get(z_bad, 0))})
 
 
 def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
     for the clamp compare and its H closed form as a ``SectorValue``, and
-    forms lhs and rhs as ``ZLaurentSeries`` with comb and z-power in them.
-    comb is 1 over the factorial product of the term's degree, all of it on
-    X and all but k0 on Y, not the table's comb.  The Gamma-ratio blocks
-    come from ``genfun._gamma_ratio_blocks``; their values are checked
-    against the per-factor route in ``test_exactalg``, their pairing against
+    forms lhs and rhs as z -> SectorValue dicts with comb and z-power in
+    them, through no ``ZLaurentSeries`` operation.  comb is 1 over the
+    factorial product of the term's degree, all of it on X and all but k0
+    on Y, not the table's comb.  The Gamma-ratio blocks come from
+    ``genfun._gamma_ratio_blocks``; their values are checked against the
+    per-factor route in ``test_exactalg``, their pairing against
     ``_fraction_ratio_blocks``."""
     if side == "x":
         product_of, atoms_of, first = genfun._i_x_product, genfun._x_atoms, 0
@@ -914,12 +931,11 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
         scale = F(1, math.prod(math.factorial(k) for k in term.degs[first:]))
         _, atoms = atoms_of(pair, term, memo)
         _, product = product_of(pair, term, *window, products)
-        i_value = _i_value(product, scale, term.offset)
+        i_value = _i_value(product, scale, term.offset, window)
         stored = {z: i_series.terms[sector, z, term.degs]
                   for z in range(z_min, z_max + 1)
                   if (sector, z, term.degs) in i_series.terms}
-        clamped = {z: v for z, v in i_value.terms.items() if z_min <= z <= z_max}
-        if stored != clamped:
+        if stored != _clamped(i_value, (z_min, z_max)):
             raise IdentityError(f"I^{side.upper()}: stored series is not the declared clamp",
                                 {"sector": list(sector), "degree": list(term.degs)})
         if z_min <= shift <= z_max and h_series.coefficient(sector, shift, term.degs) \
@@ -931,8 +947,9 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
             blocks[key] = genfun._gamma_ratio_blocks(gamma[sector], atoms, ring, window,
                                                      sector, term.degs, {})
         i_block, block = blocks[key]
-        lhs = i_value if i_block is None else i_value * i_block
-        rhs = (block * ring.scalar(scale)).shift(shift + 1 - age)
+        lhs = i_value if i_block is None else _dict_product(i_value, i_block.terms, window)
+        rhs = _clamped({z + shift + 1 - age: value * scale for z, value in block.terms.items()},
+                       window)
         _assert_no_term_residual(lhs, rhs, side.upper(), sector, term.degs)
 
 

@@ -211,9 +211,6 @@ _REPR = "a value's debugging view, which assertion messages and the REPL show"
 _IMMUTABLE = "refuses every write, so a shared value stays as built"
 _HASH = "a value hashes as it compares, so it can key a dict or sit in a set"
 _DESERIALIZE = "reads an atom-valued series back for deserialize_series"
-_WITNESS = "runs only when a check fails: it builds the failure's witness"
-_RESIDUE = ("read by _assert_no_residual's witness and by the per-term reference "
-            "routes of test_genfun")
 
 # defs that no traffic of the program enters, each kept for a reason of its own
 NOT_ENTERED_BY_DESIGN = {
@@ -232,9 +229,6 @@ NOT_ENTERED_BY_DESIGN = {
     "genfun._atom_from_json": _DESERIALIZE,
     "genfun._value_from_json": _DESERIALIZE,
     "genfun._atom_to_json": "writes the Gamma atoms of an H-series; no ifun side carries atoms",
-    "genfun._assert_no_residual": _WITNESS,
-    **{f"exactalg.ZLaurentSeries.{name}": _RESIDUE
-       for name in ("__neg__", "__sub__", "shift", "coefficient")},
 }
 
 

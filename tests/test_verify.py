@@ -708,21 +708,27 @@ def test_work_estimate_counts_the_walks():
     assert verify.work_estimate(q, orders, ALL_CHECKS) == 1_260
 
 
-def test_work_estimate_counts_the_ubar_line_products():
+def test_work_estimate_counts_the_ubar_line_products(monkeypatch):
     """A check that builds Ubar blocks at lam-order L counts (d - 1)
     C(L + 2, 3) coefficient products, at the lam-order it works at: the
-    quintic's rctc-structure is admitted up to lam-order 52."""
+    orders it is handed, kernel-compatibility's lifted above the largest
+    nilpotency, and in a ``run_checks`` batch rctc-structure's lifted to 6.
+    The quintic's rctc-structure is admitted up to lam-order 52."""
     q = quintic()   # d = 5, largest nilpotency 5
     assert verify.work_estimate(q, Orders(t_order=0, lam_order=4), ["continuation"]) == \
         4 * math.comb(6, 3)
     assert verify.work_estimate(q, Orders(t_order=0, lam_order=4), ["rctc-structure"]) == \
-        4 * math.comb(8, 3)
+        4 * math.comb(6, 3) == 80
     assert verify.work_estimate(q, Orders(t_order=0, lam_order=4),
                                 ["kernel-compatibility"]) == 4 * math.comb(8, 3)
     assert verify.work_estimate(q, Orders(t_order=0, lam_order=52),
                                 ["rctc-structure"]) == 99_216 <= verify.WORK_BOUND
     with pytest.raises(ValueError, match="104,940 coefficient products at lambda-order 53"):
         verify.require_bounded(q, Orders(t_order=0, lam_order=53), ["rctc-structure"])
+    monkeypatch.setattr(verify, "WORK_BOUND", 4 * math.comb(8, 3) - 1)
+    with pytest.raises(ValueError, match="^the checks would form 224 coefficient products "
+                                         "at lambda-order 6, above the bound of 223$"):
+        run_checks(q, ["rctc-structure"], Orders(t_order=0, lam_order=4))
 
 
 def test_work_estimate_counts_the_kernel_ubar_application():
@@ -839,13 +845,13 @@ def test_self_test_builds_no_i_function_and_no_factorization(monkeypatch):
     assert len(calls) == len(ALL_CHECKS) and all(tamper for _, tamper in calls)
 
 
-def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order():
+def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order(monkeypatch):
     """``run_checks`` runs rctc-structure at the first lam-order from
     max(lambda, 6) that ``_refusal`` admits, max N_g - 1 when larger: on
     (1^8; 8) with <j>, whose identity sector has N_g = 8, that is 7, so the
     batch run passes where a direct call at lambda-order 6 is refused, and
-    the work estimate counts lambda-order 7.  Pairs of degree at most 6 keep
-    max(lambda, 6)."""
+    the batch's work bound counts lambda-order 7.  Pairs of degree at most 6
+    keep max(lambda, 6)."""
     pair = load_pair({"weights": [1] * 8, "degree": 8, "generators": [[1] * 8]})
     assert max(g.fixed_dim() for g in pair.group.elements) - 1 == 7
     with pytest.raises(ValueError, match="^rctc-structure needs lambda >= 7, .* got lambda = 6$"):
@@ -854,6 +860,9 @@ def test_batch_rctc_structure_runs_at_its_own_minimum_lambda_order():
     [report] = run_checks(pair, ["rctc-structure"], orders)
     assert report.ok(), report.witness
     assert report.orders["lambda"] == 7
-    assert verify.work_estimate(pair, orders, ["rctc-structure"]) == 7 * math.comb(9, 3)
+    monkeypatch.setattr(verify, "WORK_BOUND", 7 * math.comb(9, 3) - 1)
+    with pytest.raises(ValueError, match="form 588 coefficient products at lambda-order 7"):
+        run_checks(pair, ["rctc-structure"], orders)
+    monkeypatch.setattr(verify, "check_rctc_conditions", lambda _, lam_order: lam_order)
     for shipped in (quintic(), cubic(), quartic(), sextic()):
-        assert verify._UBAR_LAM_ORDERS["rctc-structure"](shipped, orders) == 6
+        assert run_checks(shipped, ["rctc-structure"], orders) == [6]
