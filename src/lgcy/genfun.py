@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import NamedTuple
 
 from .exactalg import (
@@ -73,59 +75,81 @@ class IdentityError(AssertionError):
 # the untwisted J-function and its psi-integral oracle
 # ---------------------------------------------------------------------------
 
-def _multidegree_walk(rows, total: int):
-    """Every exponent tuple of the given total over len(rows) variables,
-    lexicographic, as (degs, sums, fact).
+@lru_cache(maxsize=None)
+def _product_table(exponents: tuple[int, ...], elements: tuple[tuple[int, ...], ...]) -> tuple:
+    """times[a][b]: the position in ``elements`` of the product of elements a
+    and b, their exponent tuples added and reduced mod ``exponents``.
 
-    sums = sum_i degs_i rows[i] is an integer tuple and fact = prod_i degs_i!.
-    Each step is one odometer carry from the previous tuple: of the last
-    nonzero entry v, one unit moves one slot to the left and the other v - 1
-    to the last slot, and sums and fact follow in integers.
+    The group's multiplication table over element positions, formed from the
+    integer exponent tuples alone, so it makes no ``GroupElement``; it is
+    kept per group, keyed by value.
     """
-    last = len(rows) - 1
-    degs = [0] * last + [total]
-    sums = tuple(total * e for e in rows[last])
-    fact = factorial(total)
+    position = {exps: i for i, exps in enumerate(elements)}
+    return tuple(tuple(position[tuple([(x + y) % m for x, y, m in zip(a, b, exponents)])]
+                       for b in elements) for a in elements)
+
+
+def _level_walk(times, coordinates, rows):
+    """The multidegrees over len(coordinates) variables, one level per total
+    0, 1, 2, ..., each a list of (degs, last, sector, fact, sums) in
+    lexicographic order of degs.
+
+    Variable i stands for the element g_i at position coordinates[i] of the
+    product table ``times``; sector is the position of prod_i g_i^degs_i and
+    fact = prod_i degs_i!.  sums = sum_i degs_i rows[i] is an integer tuple,
+    carried only when ``rows`` is not None (else None).  The walk starts at
+    the identity, position 0 since a group's elements are sorted by exponent
+    tuple.  Each multidegree of total t + 1 is its parent of total t with one
+    more unit at a variable i from the last back to the parent's last
+    nonzero one (last), so each comes once and in order; its fact is the
+    parent's times the raised exponent, and its sector one lookup,
+    times[parent's sector][coordinates[i]].  A level is built only when the
+    caller asks for it.
+    """
+    n = len(coordinates)
+    level = [((0,) * n, 0, 0, 1, None if rows is None else (0,) * len(rows[0]))]
     while True:
-        yield tuple(degs), sums, fact
-        t = last
-        while t >= 0 and not degs[t]:
-            t -= 1
-        if t <= 0:
-            return
-        v = degs[t]
-        degs[t] = 0
-        degs[t - 1] += 1
-        degs[last] = v - 1
-        fact = fact // v * degs[t - 1]
-        sums = tuple([s - v * a + b + (v - 1) * e for s, a, b, e
-                      in zip(sums, rows[t], rows[t - 1], rows[last])])
+        yield level
+        children = []
+        append = children.append
+        for degs, last, sector, fact, sums in level:
+            row = times[sector]
+            for i in range(n - 1, last - 1, -1):
+                child = list(degs)
+                k = child[i] = child[i] + 1
+                append((tuple(child), i, row[coordinates[i]], fact * k,
+                        None if rows is None else tuple(map(add, sums, rows[i]))))
+        level = children
 
 
 @lru_cache(maxsize=1)
 def _j_classes(pair: LGPair, orders: Orders) -> tuple:
-    """Per total 0..T, its multidegrees grouped by their exponent sums over
-    the rows ``g.exps`` mod d/c_j: a tuple of classes, each a tuple of
-    members (degs, fact, sector) in walk order, sector being the member's
-    own reduced sums; empty where z = 1 - total is outside the z-window.
+    """Per total 0..T, its multidegrees over the group elements grouped by
+    their sector prod g^a: a tuple of classes, each a tuple of members
+    (degs, fact, sector) in walk order, sector being the exponent tuple of
+    the member's own product, read from the group's product table and
+    shared by its class; empty where z = 1 - total is outside the z-window.
 
     The one walk under both J routes, kept for the last (pair object,
-    orders).  The closed J writes each member under its own sector, the
-    oracle reads only the grouping, so a member in the wrong class splits
-    them.  Over the rows g j^c the sums move by c total j, one translation
-    per total, so the classes hold at every twist c.
+    orders); it stops at the last total the window keeps.  The closed J
+    writes each member under its own sector, the oracle reads only the
+    grouping, so a member in the wrong class splits them.  Over the rows
+    g j^c the products move by j^(c total), one translation per total, so
+    the classes hold at every twist c.
     """
-    exponents = pair.fermat.exponents
     z_min, z_max = orders.z_window
-    rows = [g.exps for g in pair.group.elements]
-    table = []
-    for total in range(orders.t_order + 1):
-        classes: dict = {}
-        if z_min <= 1 - total <= z_max:
-            for degs, sums, fact in _multidegree_walk(rows, total):
-                sector = tuple([s % m for s, m in zip(sums, exponents)])
-                classes.setdefault(sector, []).append((degs, fact, sector))
-        table.append(tuple(map(tuple, classes.values())))
+    elements = tuple(g.exps for g in pair.group.elements)
+    times = _product_table(pair.fermat.exponents, elements)
+    # the totals whose z = 1 - total the window keeps; no level above them is built
+    kept = range(max(0, 1 - z_max), min(orders.t_order, 1 - z_min) + 1)
+    table = [()] * (orders.t_order + 1)
+    walk = _level_walk(times, range(len(elements)), None)
+    for total, level in enumerate(islice(walk, kept.stop if kept else 0)):
+        if total in kept:
+            classes: dict = {}
+            for degs, _, sector, fact, _ in level:
+                classes.setdefault(sector, []).append((degs, fact, elements[sector]))
+            table[total] = tuple(map(tuple, classes.values()))
     return tuple(table)
 
 
@@ -146,7 +170,8 @@ def untwisted_j(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 @lru_cache(maxsize=1)
 def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
     """The closed J's terms (sector, z, degs) -> 1/fact at ``orders``, each
-    member of ``_j_classes`` written under its own sector.
+    member of ``_j_classes`` written under its own sector, the exponent tuple
+    of its product prod g^a read from the group's product table.
 
     Every term is inside the z-window and the t-order, with a nonzero
     ``SectorValue`` under tuple keys.  The last dict is kept per (pair
@@ -261,7 +286,8 @@ class IndexTerm(NamedTuple):
 
     degs = (k0,) + k, so k0 is degs[0].  base, the exponent tuple of
     prod_s g_s^{k_s}, and sector, that of the index's sector on the table's
-    side, are reduced mod d/c_j.  comb and offset are the side's
+    side, are group elements' exponent tuples read from the group's product
+    table, not reduced per index.  comb and offset are the side's
     combinatorial factor and I z-power: 1/(k0! prod_s k_s!) and
     1 - k0 - sum k on X, 1/prod_s k_s! and 1 - sum k on Y.
     r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d - a(k)^j are carried as
@@ -287,66 +313,71 @@ class IndexTerm(NamedTuple):
 @lru_cache(maxsize=1)
 def _index_tables(pair: LGPair, orders: Orders) -> dict:
     """{"x": X table, "y": Y table}: the IndexTerm of every (k0, k) on each
-    side, by total degree, then lexicographic, from one multidegree walk.
+    side, by total degree, then lexicographic, from one level walk.
 
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
-    sector has N_g = 0 are skipped.  The multidegree walk runs over a zero
-    row for k0 and one row per positive-dimensional sector g_s: its
-    exponents, then the column d age(g_s) - d.  Its sums are sum_s k_s
-    k_j(g_s).  Reduced mod d/c_j, they give base, and shifted by +- k0 j
-    they give the two sectors.  They also give r_j, v_j = (k0 +- sums_j)
-    c_j / d and, in the last column, d shift.  base, r_num, v_num and shift
-    are the same on both sides, so a Y term shares them with the X term of
-    its multidegree.
+    sector has N_g = 0 are skipped.  The walk runs over the identity for k0
+    and the positive-dimensional sectors g_s, so its sector is base; j^+-k0
+    base and each sector's age and N_g come from the group's product table
+    and per-element lists.  The walk also carries integer sums over one row
+    per g_s: its exponents, then the column d age(g_s) - d.  They give
+    r_j, v_j = (k0 +- sums_j) c_j / d and, in the last column, d shift.
+    base, r_num, v_num and shift are the same on both sides, so a Y term
+    shares them with the X term of its multidegree.
 
     This is the one place that computes an index's integers; every I/H walk
-    reads its side's table here.  Sectors and bases are exponent tuples,
-    and the tables share one comb per factorial and one interned ring per
-    nilpotency.  The last pair of tables is kept per (pair object, orders);
-    no identity compares an X-table output with a Y-table output, and what
-    each walk derives from a table (atoms, products, Gamma shifts) stays per
-    walk.
+    reads its side's table here.  Sectors and bases are exponent tuples, one
+    shared tuple per group element, and the tables share one comb per
+    factorial and one interned ring per nilpotency.  The last pair of tables
+    is kept per (pair object, orders); no identity compares an X-table
+    output with a Y-table output, and what each walk derives from a table
+    (atoms, products, Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
-    weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
-    grading = pair.grading.exps
+    weights, d = pair.fermat.weights, pair.fermat.degree
+    elements = tuple(g.exps for g in pair.group.elements)
+    times = _product_table(pair.fermat.exponents, elements)
     graded = pair.is_sl
-    # the age column is last, so zip with the weights and the reductions
-    # read the exponent sums alone
+    ages = [sum(e * c for e, c in zip(exps, weights)) // d if graded else None
+            for exps in elements]
+    y_rings = [SeriesRing(d, orders.lam_order, exps.count(0)) if 0 in exps else None
+               for exps in elements]
+    # the positions of j^k and j^-k, k = 0..T
+    j = elements.index(pair.grading.exps)
+    j_inverse = times[j].index(0)
+    up, down = [0], [0]
+    for _ in range(orders.t_order):
+        up.append(times[up[-1]][j])
+        down.append(times[down[-1]][j_inverse])
+    # the age column is last, so zip with the weights reads the exponent
+    # sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
+    coordinates = [0] + [elements.index(g.exps) for g in sectors]
     x_ring = SeriesRing(d, orders.lam_order, 1)
     combs: dict = {}       # factorial -> its inverse
     x_table, y_table = [], []
-    for total in range(orders.t_order + 1):
-        for degs, sums, fact in _multidegree_walk(rows, total):
+    for total, level in enumerate(islice(_level_walk(times, coordinates, rows),
+                                         orders.t_order + 1)):
+        for degs, _, base, fact, sums in level:
             k0 = degs[0]
-            base = tuple([s % m for s, m in zip(sums, exponents)])
-            if k0:
-                # the sectors j^(+-k0) base are the reductions of sums +- k0 j
-                x_sector = tuple([(s + k0 * e) % m for s, e, m in zip(sums, grading, exponents)])
-                y_sector = tuple([(s - k0 * e) % m for s, e, m in zip(sums, grading, exponents)])
-            else:
-                x_sector = y_sector = base
+            x_sector, y_sector = times[base][up[k0]], times[base][down[k0]]
             r_num = tuple([(k0 + s) * cj for s, cj in zip(sums, weights)])
             v_num = tuple([(k0 - s) * cj for s, cj in zip(sums, weights)])
             shift = sums[-1] // d if graded else None
             comb = combs.get(fact)
             if comb is None:
                 comb = combs[fact] = Fraction(1, fact)
-            age = sum(e * c for e, c in zip(x_sector, weights)) // d if graded else None
-            x_table.append(IndexTerm(degs, base, comb, 1 - total, r_num, v_num,
-                                     shift, age, x_sector, x_ring))
-            nilpotency = y_sector.count(0)
-            if not nilpotency:
+            x_table.append(IndexTerm(degs, elements[base], comb, 1 - total, r_num, v_num,
+                                     shift, ages[x_sector], elements[x_sector], x_ring))
+            y_ring = y_rings[y_sector]
+            if y_ring is None:
                 continue   # a Y index on a sector with N_g = 0
-            if k0:   # at k0 = 0 the Y term's sector, comb and age are the X term's
-                # prod_s k_s! is the comb of the X term of (0, k), filed at total - k0
+            if k0:   # prod_s k_s! is the comb of the X term of (0, k), filed at total - k0
                 comb = combs[fact // factorial(k0)]
-                age = sum(e * c for e, c in zip(y_sector, weights)) // d if graded else None
-            y_table.append(IndexTerm(degs, base, comb, 1 - total + k0, r_num, v_num, shift,
-                                     age, y_sector, SeriesRing(d, orders.lam_order, nilpotency)))
+            y_table.append(IndexTerm(degs, elements[base], comb, 1 - total + k0, r_num, v_num,
+                                     shift, ages[y_sector], elements[y_sector], y_ring))
     return {"x": tuple(x_table), "y": tuple(y_table)}
 
 

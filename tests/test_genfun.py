@@ -20,7 +20,6 @@ from lgcy.exactalg import (Cyclotomic, GammaAtom, SectorValue, SeriesRing, ZLaur
 from lgcy.genfun import (
     IdentityError,
     _index_tables,
-    _multidegree_walk,
     _verify_factorization,
     assert_lambda_divisibility,
     deserialize_series,
@@ -146,6 +145,35 @@ def test_invalid_twist_raises_before_the_closed_terms_are_read(monkeypatch):
     assert reads == []
 
 
+def _multidegree_walk(rows, total: int):
+    """The reference enumeration: every exponent tuple of the given total
+    over len(rows) variables, lexicographic, as (degs, sums, fact).
+
+    sums = sum_i degs_i rows[i] is an integer tuple and fact = prod_i degs_i!.
+    Each step is one odometer carry from the previous tuple: of the last
+    nonzero entry v, one unit moves one slot to the left and the other v - 1
+    to the last slot, and sums and fact follow in integers.
+    """
+    last = len(rows) - 1
+    degs = [0] * last + [total]
+    sums = tuple(total * e for e in rows[last])
+    fact = math.factorial(total)
+    while True:
+        yield tuple(degs), sums, fact
+        t = last
+        while t >= 0 and not degs[t]:
+            t -= 1
+        if t <= 0:
+            return
+        v = degs[t]
+        degs[t] = 0
+        degs[t - 1] += 1
+        degs[last] = v - 1
+        fact = fact // v * degs[t - 1]
+        sums = tuple([s - v * a + b + (v - 1) * e for s, a, b, e
+                      in zip(sums, rows[t], rows[t - 1], rows[last])])
+
+
 def _compositions(n_vars: int, total: int) -> list:
     """Every exponent tuple of the given total, in lexicographic order."""
     return sorted(tuple(combo.count(i) for i in range(n_vars))
@@ -166,6 +194,40 @@ def test_multidegree_walk_matches_itertools_reference(rows, total):
         assert sums == tuple(sum(k * row[j] for k, row in zip(degs, rows))
                              for j in range(len(rows[0])))
         assert fact == math.prod(math.factorial(k) for k in degs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), total=st.integers(min_value=0, max_value=6))
+def test_level_walk_matches_itertools_reference(data, total):
+    """Each level of the walk is the compositions of its total in
+    lexicographic order, with their factorial products and sums, and a
+    sector that is the position of prod_i g_i^(k_i) formed with
+    ``GroupElement.__mul__``; sums are None when no rows are given."""
+    pair = data.draw(st.sampled_from(ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR]))
+    elements = pair.group.elements
+    positions = [g.exps for g in elements]
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    coordinates = data.draw(st.lists(st.integers(min_value=0, max_value=len(elements) - 1),
+                                     min_size=n, max_size=n))
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(st.none() | st.lists(st.tuples(*[st.integers(0, 6)] * width),
+                                          min_size=n, max_size=n))
+    times = genfun._product_table(pair.fermat.exponents, tuple(positions))
+    walk = genfun._level_walk(times, coordinates, rows)
+    for level_total, level in zip(range(total + 1), walk):
+        assert [degs for degs, *_ in level] == _compositions(n, level_total)
+        for degs, _, sector, fact, sums in level:
+            assert fact == math.prod(math.factorial(k) for k in degs)
+            if rows is None:
+                assert sums is None
+            else:
+                assert sums == tuple(sum(k * row[j] for k, row in zip(degs, rows))
+                                     for j in range(width))
+            product = pair.identity
+            for i, k in zip(coordinates, degs):
+                for _ in range(k):
+                    product = product * elements[i]
+            assert sector == positions.index(product.exps)
 
 
 def _direct_scan_oracle_terms(pair, c, orders) -> dict:
@@ -295,20 +357,36 @@ def test_twist_leaves_the_residue_partition_unchanged(pair):
             assert sorted(twisted.values()) == sorted(untwisted.values()), (c, total)
 
 
+def _counted_level_walks(monkeypatch) -> list:
+    """Replace ``genfun._level_walk`` by a wrapper and return its record:
+    one list per run of the walk, of the totals of the levels handed out.
+    The walk builds a level only when asked for it, so the record also
+    names every level built."""
+    runs = []
+    walk = genfun._level_walk
+
+    def counted(*args):
+        totals = []
+        runs.append(totals)
+
+        def levels():
+            for level in walk(*args):
+                totals.append(sum(level[0][0]))
+                yield level
+
+        return levels()
+
+    monkeypatch.setattr(genfun, "_level_walk", counted)
+    return runs
+
+
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_oracle_equivalence_walks_once_per_total(pair, monkeypatch, fresh_j_tables):
-    """Both routes at every twist read one table: one walk per total 0..6,
-    however many twists the pair has."""
-    walks = []
-    walk = genfun._multidegree_walk
-
-    def counted(rows, total):
-        walks.append(total)
-        return walk(rows, total)
-
-    monkeypatch.setattr(genfun, "_multidegree_walk", counted)
+    """Both routes at every twist read one table: one run of the level walk,
+    with levels 0..6, however many twists the pair has."""
+    runs = _counted_level_walks(monkeypatch)
     assert check_oracle_equivalence(pair, n_max=6).ok()
-    assert walks == list(range(7))
+    assert runs == [list(range(7))]
 
 
 def _corrupted_j_classes(fault: str):
@@ -1247,20 +1325,13 @@ def test_builders_match_the_public_constructor_route(pair, kind, side):
 
 def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
     """I, H and the factorization check of both sides walk one pair of
-    tables: on a fresh pair object the check makes one multidegree walk per
-    total degree, which serves X and Y."""
+    tables: on a fresh pair object the check makes one run of the level
+    walk, with one level per total degree, which serves X and Y."""
     pair = quartic()
     orders = recommended_orders(pair, 6, 3)
-    walks = []
-    walk = genfun._multidegree_walk
-
-    def counted(rows, total):
-        walks.append(total)
-        return walk(rows, total)
-
-    monkeypatch.setattr(genfun, "_multidegree_walk", counted)
+    runs = _counted_level_walks(monkeypatch)
     assert check_gamma_factorization(pair, orders).ok()
-    assert walks == list(range(orders.t_order + 1))
+    assert runs == [list(range(orders.t_order + 1))]
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
@@ -1422,6 +1493,72 @@ def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
     if side == "y":
         assert len(expected) < sum(1 for total in range(orders.t_order + 1)
                                    for _ in _compositions(len(sectors) + 1, total))
+
+
+# -- the product table and the J table -------------------------------------------------
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR],
+                         ids=lambda p: p.name)
+def test_product_table_is_the_group_multiplication(pair):
+    """times[a][b] is the position of (g_a * g_b).exps, the product formed
+    with ``GroupElement.__mul__``, for every a and b."""
+    elements = pair.group.elements
+    positions = [g.exps for g in elements]
+    times = genfun._product_table(pair.fermat.exponents, tuple(positions))
+    assert [list(row) for row in times] == \
+        [[positions.index((a * b).exps) for b in elements] for a in elements]
+
+
+def _reference_j_classes(pair, orders) -> tuple:
+    """``_j_classes`` from the reference enumeration: per total, the
+    multidegrees grouped by their exponent sums reduced mod d/c_j, each
+    member's sector being its own reduced sums; empty where z = 1 - total
+    is outside the z-window."""
+    exponents = pair.fermat.exponents
+    z_min, z_max = orders.z_window
+    rows = [g.exps for g in pair.group.elements]
+    table = []
+    for total in range(orders.t_order + 1):
+        classes: dict = {}
+        if z_min <= 1 - total <= z_max:
+            for degs, sums, fact in _multidegree_walk(rows, total):
+                sector = tuple([s % m for s, m in zip(sums, exponents)])
+                classes.setdefault(sector, []).append((degs, fact, sector))
+        table.append(tuple(map(tuple, classes.values())))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR],
+                         ids=lambda p: p.name)
+def test_j_classes_equal_the_reference_table(pair, monkeypatch, fresh_j_tables):
+    """``_j_classes`` equals the reference table class by class and member
+    by member, in order, with every field of every member of the reference's
+    value and type, at every T <= 6 (T <= 3 on the groups of order 25 and
+    36, whose total 6 alone has 0.6 and 4.5 million multidegrees), also in
+    windows that drop totals at either end.  The level walk runs once and
+    builds no level above the last total whose z = 1 - total the window
+    keeps."""
+    top = 6 if len(pair.group) < 10 else 3
+    cases = [Orders(t, 0) for t in range(top + 1)] + \
+        [Orders(6, 0, z_min=-2), Orders(top, 0, z_max=-1), Orders(top, 0, z_min=2)]
+    runs = _counted_level_walks(monkeypatch)
+    for orders in cases:
+        runs.clear()
+        table = genfun._j_classes(pair, orders)
+        expected = _reference_j_classes(pair, orders)
+        assert type(table) is tuple and len(table) == len(expected) == orders.t_order + 1
+        for classes, wanted in zip(table, expected):
+            assert type(classes) is tuple and len(classes) == len(wanted), orders
+            for members, reference in zip(classes, wanted):
+                assert type(members) is tuple and len(members) == len(reference)
+                for member, reference_member in zip(members, reference):
+                    assert type(member) is tuple and member == reference_member
+                    degs, fact, sector = member
+                    assert type(degs) is tuple and type(sector) is tuple and type(fact) is int
+                    assert all(type(x) is int for x in degs + sector)
+        z_min, z_max = orders.z_window
+        kept = [total for total in range(orders.t_order + 1) if z_min <= 1 - total <= z_max]
+        assert runs == ([list(range(kept[-1] + 1))] if kept else [[]]), orders
 
 
 # -- the Gamma class as atoms ----------------------------------------------------------

@@ -524,23 +524,33 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
 
 
 def test_the_index_table_and_the_continued_series_build_no_group_element(monkeypatch):
-    """``_index_tables`` and ``h_continued`` read sectors as exponent tuples:
-    while either runs no ``GroupElement`` is made (both constructors store
-    through ``_store``), though the continuation check around them makes
-    some."""
+    """``_index_tables``, ``_j_classes``, the product table both read and
+    ``h_continued`` read sectors as exponent tuples: while any of them runs
+    no ``GroupElement`` is made (both constructors store through
+    ``_store``), though the checks around them make some.  The caches are
+    emptied first, so each builds here."""
     wrap, reached = _reach_counter(monkeypatch)
-    genfun._index_tables.cache_clear()
+    for cache in (genfun._index_tables, genfun._j_classes, genfun._product_table):
+        cache.cache_clear()
     wrap([verify], "check_continuation")
+    wrap([verify], "check_oracle_equivalence")
     wrap([genfun], "_index_tables")
+    wrap([genfun], "_j_classes")
+    wrap([genfun], "_product_table")
     wrap([genfun, verify], "h_continued")
     wrap([GroupElement], "_store")
     pair = catalog.quartic()
     assert verify.check_continuation(pair, verify.recommended_orders(pair, 3, 2)).ok()
+    assert verify.check_oracle_equivalence(pair, n_max=3).ok()
     assert reached["check_continuation", "_index_tables"] > 0
     assert reached["check_continuation", "h_continued"] > 0
     assert reached["check_continuation", "_store"] > 0
-    assert reached["_index_tables", "_store"] == 0
-    assert reached["h_continued", "_store"] == 0
+    assert reached["check_oracle_equivalence", "_j_classes"] > 0
+    assert reached["check_oracle_equivalence", "_store"] > 0
+    assert reached["_index_tables", "_product_table"] > 0
+    assert reached["_j_classes", "_product_table"] > 0
+    for builder in ("_index_tables", "_j_classes", "_product_table", "h_continued"):
+        assert reached[builder, "_store"] == 0, builder
 
 
 def test_oracle_equivalence_reaches_the_selection_rule(monkeypatch):
