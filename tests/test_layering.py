@@ -524,8 +524,8 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
 
 
 def test_the_index_table_and_the_continued_series_build_no_group_element(monkeypatch):
-    """``_index_tables``, ``_j_classes``, the product table both read and
-    ``h_continued`` read sectors as exponent tuples: while any of them runs
+    """``_index_tables``, ``_j_classes``, the product table that both read,
+    and ``h_continued`` read sectors as exponent tuples: while any of them runs
     no ``GroupElement`` is made (both constructors store through
     ``_store``), though the checks around them make some.  The caches are
     emptied first, so each builds here."""
