@@ -14,7 +14,6 @@ from .exactalg import (
     SeriesRing,
     ZLaurentSeries,
     bernoulli_number,
-    bernoulli_poly,
     series_exp,
     series_invert,
 )

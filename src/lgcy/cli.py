@@ -92,17 +92,15 @@ def _emit(payload: dict, args) -> None:
         print(line)
 
 
-def _tabulate(payload: dict, prefix: str = "") -> list[str]:
+def _tabulate(payload: dict) -> list[str]:
+    """One line per key of a flat payload, a list of records as its count."""
     lines = []
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            lines.extend(_tabulate(value, prefix + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{prefix}{key}: [{len(value)} entries]")
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{key}: [{len(value)} entries]")
         else:
-            lines.append(f"{prefix}{key}: {value}")
+            lines.append(f"{key}: {value}")
     return lines
 
 
@@ -221,23 +219,19 @@ def _write_dump(directory: str, filename: str, payload: dict) -> None:
     (path / filename).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
+_COMMANDS = {"describe": cmd_describe, "ifun": cmd_ifun, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "describe":
-            return cmd_describe(args)
-        if args.command == "ifun":
-            return cmd_ifun(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except IdentityError as err:
         print(f"identity failure: {err} {err.witness}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -56,11 +56,11 @@ def _sector_nilpotency(side: str, pair: LGPair, exps: tuple) -> int:
 class CohSeries:
     """Immutable truncated element of H((z^-1)) x state space.
 
-    The public constructor validates every term: it drops the keys outside
-    the z-window or above the t-order and the zero values, raises TypeError
-    on a value that is not a ``SectorValue``, and makes each key's sector
-    and degree tuples.  Builders whose terms are clean by construction use
-    ``_unchecked``.  ``terms`` promises no order: a consumer whose result
+    Keys are (sector exps, z, degree) tuples.  The public constructor
+    validates every term: it drops the keys outside the z-window or above
+    the t-order and the zero values, and raises TypeError on a value that is
+    not a ``SectorValue``.  Builders whose terms are clean by construction
+    use ``_unchecked``.  ``terms`` promises no order: a consumer whose result
     depends on it sorts the keys itself.  Surface: ``ring_for``,
     ``filter_terms``, ``coefficient``, ``is_zero``, ``z_ddt_var``,
     ``nonequivariant_limit`` and ``compare``, None for equal series; a
@@ -71,26 +71,21 @@ class CohSeries:
 
     def __init__(self, side: str, pair: LGPair, variables, orders: Orders,
                  terms: dict, tokens=(), c_twist: int | None = None):
-        """One pass over ``terms``: window, t-degree, type and zero filters;
-        a key is rebuilt only when its sector or degree is not a tuple."""
+        """One pass over ``terms``: window, t-degree, type and zero filters."""
         z_min, z_max = orders.z_window
         t_order = orders.t_order
         clean: dict = {}
         for key, value in terms.items():
-            exps, z, degs = key
-            if z < z_min or z > z_max:
-                continue
+            _, z, degs = key
             # the t-degree counts the positive entries only; the sum of
             # absolute values bounds it, and equals it when none is negative
-            if sum(map(abs, degs)) > t_order and \
-                    sum(d for d in degs if d > 0) > t_order:
+            if not z_min <= z <= z_max or sum(map(abs, degs)) > t_order \
+                    and sum(d for d in degs if d > 0) > t_order:
                 continue
             if not isinstance(value, SectorValue):
                 raise TypeError("series coefficients must be SectorValue")
             if not value.terms:
                 continue
-            if type(exps) is not tuple or type(degs) is not tuple:
-                key = (tuple(exps), z, tuple(degs))
             clean[key] = value
         self._store(side, pair, variables, orders, clean, tokens, c_twist)
 
@@ -209,9 +204,8 @@ class CohSeries:
         """None if equal; otherwise a witness for the first difference.
 
         Equal term dicts are equal series, since neither keeps a zero value.
-        Otherwise the keys of both sides are scanned in sorted order, a
-        missing key read as zero, and the witness is the first key whose
-        values differ.
+        Otherwise the witness is the least key, in sorted order, whose values
+        differ, a key missing on one side read as zero there.
         """
         if self.tokens != other.tokens:
             return {"kind": "token-mismatch",
@@ -222,19 +216,13 @@ class CohSeries:
                     "right": [other.side, list(map(str, other.variables))]}
         if self.terms == other.terms:
             return None
-        for key in sorted(set(self.terms) | set(other.terms)):
-            left = self.terms.get(key)
-            if left is None:
-                left = self.ring_for(key[0]).zero()
-            right = other.terms.get(key)
-            if right is None:
-                right = other.ring_for(key[0]).zero()
-            if left != right:
-                return {"kind": "coefficient",
-                        "sector": list(key[0]), "z": key[1],
-                        "degree": list(key[2]),
-                        "left": str(left), "right": str(right)}
-        return None
+        left, right = self.terms, other.terms
+        key = min(key for key in left.keys() | right.keys() if left.get(key) != right.get(key))
+        zero = self.ring_for(key[0]).zero()
+        return {"kind": "coefficient",
+                "sector": list(key[0]), "z": key[1],
+                "degree": list(key[2]),
+                "left": str(left.get(key, zero)), "right": str(right.get(key, zero))}
 
     def __repr__(self):
         return (f"CohSeries(side={self.side!r}, pair={self.pair.name}, "

@@ -47,7 +47,6 @@ __all__ = [
     "divide_by_lambda_plus_h",
     "gamma_shift_product",
     "bernoulli_number",
-    "bernoulli_poly",
     "euler_phi",
     "cyclotomic_polynomial",
 ]
@@ -322,13 +321,8 @@ class Cyclotomic:
         return not any(self.nums[1:])
 
     def __eq__(self, other):
-        if type(other) is not Cyclotomic:
-            if isinstance(other, (int, Fraction)):
-                num, den = _rational_parts(other)
-                return self.is_rational() and self.nums[0] == num and self.den == den
-            if not isinstance(other, Cyclotomic):
-                return False
-        return (self.order == other.order
+        return (type(other) is Cyclotomic
+                and self.order == other.order
                 and self.den == other.den
                 and self.nums == other.nums)
 
@@ -421,18 +415,11 @@ def _atoms_key(d: int, counts: dict) -> AtomsKey:
 
 
 def _merge_atoms(a: AtomsKey, b: AtomsKey) -> AtomsKey:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc: dict[GammaAtom, int] = dict(a)
-    for atom, exp in b:
-        new = acc.get(atom, 0) + exp
-        if new:
-            acc[atom] = new
-        else:
-            acc.pop(atom, None)
-    return tuple(sorted(acc.items()))
+    """The atoms of a product: atoms only ever dress an atom-free factor, so
+    at most one side carries any."""
+    if a and b:
+        raise ValueError("a product of two atom-carrying factors")
+    return a or b
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +496,11 @@ class SectorValue:
     token is invertible); atoms a canonical multiset of GammaAtom powers.
     The public constructor truncates, coerces and drops zeros; ring operations
     whose results are already truncated and zero-free use ``_unchecked``.
-    Surface: ``+``, ``-`` and ``*``, with a scalar on either side but no
-    ``scalar - value``, unary ``-``, ``==``, ``hash``, ``is_zero``,
-    ``constant_term``, ``lambda_valuation``, ``nonequivariant_limit``,
-    ``with_ring``, ``scale_atoms`` and ``map_monomials``.
+    Surface: ``+`` and ``-`` with a scalar on either side but no ``scalar -
+    value``, ``*`` by a value or a rational on either side, unary ``-``,
+    ``==`` of two values, ``hash``, ``is_zero``, ``constant_term``,
+    ``lambda_valuation``, ``nonequivariant_limit``, ``with_ring``,
+    ``scale_atoms`` and ``map_monomials``.
     """
 
     __slots__ = ("ring", "terms")
@@ -524,11 +512,9 @@ class SectorValue:
                 raise ValueError(f"lam exponent must be a non-negative integer, got {lam!r}")
             if not isinstance(h, int) or h < 0:
                 raise ValueError(f"H exponent must be a non-negative integer, got {h!r}")
-            if lam + h > ring.lam_order or h >= ring.nilpotency:
-                continue
             if not isinstance(coeff, Cyclotomic):
                 coeff = Cyclotomic.from_rational(ring.order, coeff)
-            if coeff.is_zero():
+            if lam + h > ring.lam_order or h >= ring.nilpotency or coeff.is_zero():
                 continue
             clean[(lam, h, tau, atoms)] = coeff
         object.__setattr__(self, "ring", ring)
@@ -580,12 +566,9 @@ class SectorValue:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, SectorValue):
-            self._check(other)
-        elif isinstance(other, (int, Fraction)):
+        if not isinstance(other, SectorValue):
             return self._scaled(other)
-        else:
-            other = self.ring.scalar(other)
+        self._check(other)
         ring = self.ring
         if len(other.terms) == 1:
             return self._times_monomial(other)
@@ -642,14 +625,8 @@ class SectorValue:
         return SectorValue._unchecked(ring, out)
 
     def __eq__(self, other):
-        if type(other) is not SectorValue:
-            if isinstance(other, Cyclotomic) and other.order != self.ring.order:
-                return False
-            if isinstance(other, (int, Fraction, Cyclotomic)):
-                other = self.ring.scalar(other)
-            elif not isinstance(other, SectorValue):
-                return False
-        return self.ring is other.ring and self.terms == other.terms
+        return type(other) is SectorValue and self.ring is other.ring \
+            and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items(),
@@ -664,9 +641,7 @@ class SectorValue:
 
     def lambda_valuation(self) -> int:
         """Largest k with lam^k dividing every monomial; inf -> lam_order+1."""
-        if not self.terms:
-            return self.ring.lam_order + 1
-        return min(key[0] for key in self.terms)
+        return min((key[0] for key in self.terms), default=self.ring.lam_order + 1)
 
     def nonequivariant_limit(self) -> "SectorValue":
         """Set lam to 0: keep only lam-degree-zero monomials."""
@@ -688,20 +663,10 @@ class SectorValue:
                             for (l, h, t, a), c in self.terms.items()})
 
     def map_monomials(self, fn) -> "SectorValue":
-        """fn(key, coeff) -> (key, coeff) or None (drop)."""
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            mapped = fn(key, coeff)
-            if mapped is None:
-                continue
-            k2, c2 = mapped
-            prev = out.get(k2)
-            total = c2 if prev is None else prev + c2
-            if total.is_zero():
-                out.pop(k2, None)
-            else:
-                out[k2] = total
-        return SectorValue(self.ring, out)
+        """fn(key, coeff) -> (key, coeff) or None (drop), one-to-one on the
+        keys it keeps, so no two monomials merge."""
+        return SectorValue(self.ring, dict(filter(None, (fn(key, coeff) for key, coeff
+                                                         in self.terms.items()))))
 
     def __repr__(self):
         return f"SectorValue({self})"
@@ -844,8 +809,8 @@ class ZLaurentSeries:
 
     The window is part of the value: products clamp to it, so identities
     are checked per fixed truncation.  Windows of operands must agree.
-    The public constructor clamps, coerces and drops zeros; ring operations
-    that do so themselves use ``_unchecked``.  Surface: ``+`` of two series,
+    The public constructor clamps and drops zeros; ring operations that do
+    so themselves use ``_unchecked``.  Surface: ``+`` of two series,
     ``*`` by a series or by a nonzero rational on the right, ``==`` and
     ``hash``: what ``_linear_product``'s callers and the benchmark's probes
     use.
@@ -858,11 +823,7 @@ class ZLaurentSeries:
             raise ValueError("empty z window")
         clean = {}
         for z, value in terms.items():
-            if z < z_min or z > z_max:
-                continue
-            if not isinstance(value, SectorValue):
-                value = ring.scalar(value)
-            if value.is_zero():
+            if z < z_min or z > z_max or value.is_zero():
                 continue
             clean[z] = value
         self._store(ring, z_min, z_max, clean)
@@ -898,11 +859,9 @@ class ZLaurentSeries:
 
     def __mul__(self, other):
         if not isinstance(other, ZLaurentSeries):
-            if isinstance(other, (int, Fraction)) and other:
-                # a nonzero rational keeps every term nonzero
-                return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
-                                                 {z: v * other for z, v in self.terms.items()})
-            return NotImplemented
+            # a rational, nonzero as every caller's comb is, keeps every term nonzero
+            return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
+                                             {z: v * other for z, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for z1, v1 in self.terms.items():
@@ -949,10 +908,10 @@ def _cells(lam_order: int, nilpotency: int):
 
 
 def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
-                    inverse=()) -> ZLaurentSeries:
+                    inverse=(), z_power: int = 0) -> ZLaurentSeries:
     """prod (L lam + H H + Z z)/D over ``linear`` (L, H, Z, D) times
-    prod ((H H + Z z)/D)^-1 over ``inverse`` (H, Z, D): the exact product,
-    clamped once, at the end, to the window.
+    prod ((H H + Z z)/D)^-1 over ``inverse`` (H, Z, D) times z^z_power: the
+    exact product, clamped once, at the end, to the window.
 
     Every factor is homogeneous when lam, H and z have degree 1: a linear
     factor has degree 1 and an inverse factor, sum_n D (-H)^n H^n /
@@ -979,14 +938,9 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
     for h_c, z_c, d_c in inverse:
         if not z_c:
             raise ZeroDivisionError("inverse factor with zero z coefficient")
-        if not h_c:
-            # (Z z / D)^-1 = D z^-1 / Z: a scalar on the table, not a convolution
-            if d_c != 1:
-                table = [d_c * x for x in table]
-            den *= z_c
-            continue
-        top = len(h_links)
-        # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1)
+        # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1),
+        # top = 0 when H = 0: a scalar on the table, not a convolution
+        top = len(h_links) if h_c else 0
         coeffs = [d_c * (-h_c) ** n * z_c ** (top - n) for n in range(top + 1)]
         new = [coeffs[0] * x for x in table]
         for n in range(1, top + 1):
@@ -995,7 +949,7 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
                 new[i] += c * table[j]
         table = new
         den *= z_c ** (top + 1)
-    degree = len(linear) - len(inverse)
+    degree = len(linear) - len(inverse) + z_power
     pad = (0,) * (euler_phi(ring.order) - 1)
     by_z: dict = {}
     for key, num in zip(keys, table):
@@ -1020,8 +974,8 @@ def gamma_shift_product(shifts, ring: SeriesRing, z_min: int,
     integers: after undoing the z-grading conjugation, Gamma(1 - L - base) /
     Gamma(1 - L - base - steps) is one entry's z^-steps prod, so a block of
     such ratios is one call; the empty list gives 1.  Each entry's factors
-    go to one ``_linear_product`` over q as they are, and z^-1 as the
-    inverse factor (0 H + 1 z)^-1.  Any other entry raises.
+    go to one ``_linear_product`` over q as they are, and their z^-1 as its
+    z-power.  Any other entry raises.
     """
     linear = []
     for entry in shifts:
@@ -1033,7 +987,7 @@ def gamma_shift_product(shifts, ring: SeriesRing, z_min: int,
         if steps < 0:
             raise ValueError("steps must be non-negative")
         linear += [(-weight, -h_weight, -base - l * q, q) for l in range(steps)]
-    return _linear_product(ring, z_min, z_max, linear, [(0, 1, 1)] * len(linear))
+    return _linear_product(ring, z_min, z_max, linear, z_power=-len(linear))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,18 +1006,6 @@ def bernoulli_number(n: int) -> Fraction:
     for k in range(n):
         acc += comb(n + 1, k) * bernoulli_number(k)
     return -acc / (n + 1)
-
-
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum C(n,k) B_k x^{n-k}, exact.
-
-    Not memoised: a cache keyed on ``x`` would take ``0.5`` for ``1/2`` and
-    return an exact value for a float; ``transforms._log_coefficient`` is
-    the cache, keyed on the integer parts of ``_rational_parts``.
-    """
-    x = Fraction(*_rational_parts(x))
-    return sum((comb(n, k) * bernoulli_number(k) * x ** (n - k)
-                for k in range(n + 1)), Fraction(0))
 
 
 def _bernoulli_at(n: int, p: int, q: int) -> Fraction:

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 from .exactalg import (
     Cyclotomic,
-    GammaAtom,
     SectorValue,
     SeriesRing,
     ZLaurentSeries,
@@ -30,14 +29,8 @@ from .exactalg import (
     _linear_product,
     gamma_shift_product,
 )
-from .cohseries import (
-    CohSeries,
-    Orders,
-    TOKEN_Q_H,
-    TOKEN_T_LAMBDA,
-    _sector_nilpotency,
-)
-from .lgmodel import GroupElement, LGPair, load_pair, pair_to_dict
+from .cohseries import CohSeries, Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
+from .lgmodel import GroupElement, LGPair, pair_to_dict
 from .transforms import delta_circ, gamma_class_op, ubar_block
 
 __all__ = [
@@ -59,7 +52,6 @@ __all__ = [
     "z_ddt_distinguished",
     "assert_lambda_divisibility",
     "serialize_series",
-    "deserialize_series",
 ]
 
 
@@ -87,6 +79,15 @@ def _product_table(exponents: tuple[int, ...], elements: tuple[tuple[int, ...], 
     position = {exps: i for i, exps in enumerate(elements)}
     return tuple(tuple(position[tuple([(x + y) % m for x, y, m in zip(a, b, exponents)])]
                        for b in elements) for a in elements)
+
+
+def _powers(times, g: int, top: int) -> list[int]:
+    """The positions of g^0, g^1, ..., g^top in the product table ``times``,
+    g a position too: each a lookup from the one before."""
+    powers = [0]
+    for _ in range(top):
+        powers.append(times[powers[-1]][g])
+    return powers
 
 
 def _level_walk(times, coordinates, rows):
@@ -193,16 +194,16 @@ def _closed_j_terms(pair: LGPair, orders: Orders) -> dict:
 
 @lru_cache(maxsize=None)
 def psi_integral_oracle(exponents: tuple[int, ...]) -> Fraction:
-    """Genus-zero psi-integral over the moduli of stable curves.
+    """Genus-zero psi-integral over the moduli of stable curves, at
+    exponents a_1..a_n of the moduli's dimension, sum a_i = n - 3, the only
+    ones the J assembly asks for; others raise ValueError.
 
     Computed by the string-equation recursion, never by the closed form
     (n-3)!/prod a_i!, so it can serve as an independent oracle for it.
     """
     n = len(exponents)
-    if n < 3:
-        raise ValueError("need at least three marked points")
-    if sum(exponents) != n - 3:
-        return Fraction(0)
+    if n < 3 or sum(exponents) != n - 3:
+        raise ValueError("need n >= 3 marked points and exponents summing to n - 3")
     if n == 3:
         return Fraction(1)
     exponents = tuple(sorted(exponents))
@@ -265,8 +266,6 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
             insertions = [g_jc for g_jc, k in zip(shifted, members[0][0]) for _ in range(k)]
             passing = [dual_sector.exps for g0_jc, dual_sector in zip(shifted, duals)
                        if pair.is_nonempty(c, 0, [g0_jc] + insertions)]
-            if not passing:
-                continue
             for degs, fact, _ in members:
                 value = scalars.get(fact)
                 if value is None:
@@ -345,11 +344,8 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
                for exps in elements]
     # the positions of j^k and j^-k, k = 0..T
     j = elements.index(pair.grading.exps)
-    j_inverse = times[j].index(0)
-    up, down = [0], [0]
-    for _ in range(orders.t_order):
-        up.append(times[up[-1]][j])
-        down.append(times[down[-1]][j_inverse])
+    up = _powers(times, j, orders.t_order)
+    down = _powers(times, times[j].index(0), orders.t_order)
     # the age column is last, so zip with the weights reads the exponent
     # sums alone
     rows = [(0,) * (len(weights) + 1)] + \
@@ -687,6 +683,7 @@ def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
         found += 1
         stored = terms.get((sector, z, degs))
         if stored is None or stored.ring is not ring \
+                or stored.terms.keys() != value.terms.keys() \
                 or not _scaled_equals(stored, value, fact):
             break
     else:
@@ -697,15 +694,12 @@ def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
 
 
 def _scaled_equals(stored: SectorValue, value: SectorValue, fact: int) -> bool:
-    """stored == value / fact, cell by cell, with each cell's numerators
-    cross-multiplied by the other side's denominator in integers."""
-    if len(stored.terms) != len(value.terms):
-        return False
+    """stored == value / fact for two values on the same keys, cell by cell,
+    with each cell's numerators cross-multiplied by the other side's
+    denominator in integers."""
     cells = stored.terms
     for key, coeff in value.terms.items():
-        cell = cells.get(key)
-        if cell is None:
-            return False
+        cell = cells[key]
         left, right = coeff.den * fact, cell.den
         for x, y in zip(cell.nums, coeff.nums):
             if x * left != y * right:
@@ -742,16 +736,10 @@ def _assert_no_residual(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int,
     key's witness puts back: from the same read it names the first bad z
     plus offset and both coefficients there times comb."""
     z_min, z_max, terms = lhs.z_min, lhs.z_max, lhs.terms
-    bad, matched = [], 0
-    for z, value in block.terms.items():
-        z += delta
-        if z_min <= z <= z_max:
-            stored = terms.get(z)
-            if stored is None or stored.ring is not value.ring or stored.terms != value.terms:
-                bad.append(z)
-            else:
-                matched += 1
-    if not bad and matched == len(terms):
+    kept = [(z + delta, value) for z, value in block.terms.items()
+            if z_min <= z + delta <= z_max]
+    bad = [z for z, value in kept if terms.get(z) != value]
+    if not bad and len(kept) == len(terms):
         return
     bad += [z for z in terms if z - delta not in block.terms]
     z_bad, zero = min(bad), lhs.ring.zero()
@@ -791,7 +779,7 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
 
     # H atom -> [weights, offset numerator, copies left]
     pool = {h: [*over_den(h), -exp] for h, exp in h_atoms}
-    unpaired, i_shifts, shifts = [], [], []
+    i_shifts, shifts = [], []
     for atom, exp in gamma_atoms:
         weights, offset = over_den(atom)
         for _ in range(exp):
@@ -799,8 +787,9 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
                             if left > 0 and h_weights == weights
                             and (h_offset - offset) % den == 0), None)
             if partner is None:
-                unpaired.append(atom)
-                continue
+                raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
+                                    {"sector": list(sector), "degree": list(degs),
+                                     "atom": str(atom)})
             entry = pool[partner]
             entry[2] -= 1
             n = (entry[1] - offset) // den
@@ -811,7 +800,7 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
                 g = gcd(den, *parts)
                 ratio = (den // g, *(x // g for x in parts), abs(n))
                 (shifts if n > 0 else i_shifts).append(ratio)
-    unpaired += [h for h, (_, _, left) in pool.items() if left]
+    unpaired = [h for h, (_, _, left) in pool.items() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
@@ -910,47 +899,47 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
     It walks the X index table, whose shift is the z-power (age - 1) k and
     whose comb is 1/(m! k!); a non-SL pair is refused.
-    Each sheet's sector is the table's base minus b j, reduced mod d/c_j in
-    integers, and its N_g the count of its zero exponents.
+    Each sheet's sector is read from the group's product table, the table's
+    base times j^-b, and its ring from a list per element, in nilpotency
+    N_g, None where N_g = 0.
     """
     pair.require_cy()
     pair.require_sl()
-    d, exponents = pair.fermat.degree, pair.fermat.exponents
-    grading = pair.grading.exps
+    d = pair.fermat.degree
+    elements = tuple(g.exps for g in pair.group.elements)
+    times = _product_table(pair.fermat.exponents, elements)
+    position = {exps: i for i, exps in enumerate(elements)}
+    j = position[pair.grading.exps]
+    sheets = list(enumerate(_powers(times, times[j].index(0), d - 1)))
+    rings = [SeriesRing(d, orders.lam_order, exps.count(0)) if 0 in exps else None
+             for exps in elements]
     terms: dict = {}
     atom_memo: dict = {}
     for term in _index_tables(pair, orders)["x"]:
         _, atoms = _x_atoms(pair, term, atom_memo)
-        for b in range(d):
-            sector = tuple([(e - b * j) % m for e, j, m in zip(term.base, grading, exponents)])
-            n_g = sector.count(0)
-            if n_g == 0:
-                continue
-            ring = SeriesRing(d, orders.lam_order, n_g)
-            terms[(sector, term.shift, term.degs)] = \
-                ubar_block(pair, b + term.degs[0], ring).scale_atoms(atoms) * term.comb
+        row = times[position[term.base]]
+        for b, j_b in sheets:
+            sector = row[j_b]
+            ring = rings[sector]
+            if ring is not None:
+                terms[(elements[sector], term.shift, term.degs)] = \
+                    ubar_block(pair, b + term.degs[0], ring).scale_atoms(atoms) * term.comb
     variables, tokens = _index_signature(pair, "t")
     return CohSeries("y", pair, variables, orders, terms, tokens)
 
 
-def gamma_pole_residue(m: int, b: int, d: int) -> Fraction | None:
+def gamma_pole_residue(m: int, b: int, d: int) -> Fraction:
     """The residue of Gamma(ds + b + d(lam+H)/tau) at its m-th pole, which
-    the residue lemma states is (-1)^m / (d m!); None if the derived pole
-    is not where the argument is -m.
+    the residue lemma states is (-1)^m / (d m!).
 
-    Derivation is symbolic: the pole sits where the argument is -m; the
-    functional equation Gamma(x) = Gamma(x+1)/x applied m+1 times exposes a
-    simple pole with residue 1/((-1)^m m!) in the argument, and the
-    reparameterization s -> argument contributes a Jacobian 1/d.
+    Derivation is symbolic: the pole sits where the argument is -m, at s =
+    -(lam+H)/tau - (b+m)/d; the functional equation Gamma(x) = Gamma(x+1)/x
+    applied m+1 times exposes a simple pole with residue 1/((-1)^m m!) in
+    the argument, and the reparameterization s -> argument contributes a
+    Jacobian 1/d.
     """
     if m < 0 or not 0 <= b < d:
         raise ValueError("need m >= 0 and 0 <= b < d")
-    # pole location: ds + b + d*u = -m at s = -u - (b+m)/d, with u = (lam+H)/tau.
-    s_u, s_const = Fraction(-1), Fraction(-(b + m), d)
-    arg_u = d * s_u + d          # coefficient of u in the argument
-    arg_const = d * s_const + b  # constant part of the argument
-    if arg_u != 0 or arg_const != -m:
-        return None
     # Gamma(-m + y) = Gamma(1 + y) / prod_{i=0}^{m} (y - m + i); residue in y:
     denom = Fraction(1)
     for i in range(m):
@@ -1009,35 +998,18 @@ def fjrw_i_function(pair: LGPair, orders: Orders) -> CohSeries:
 # serialization (structured text with display strings)
 # ---------------------------------------------------------------------------
 
-def _atom_to_json(atom: GammaAtom) -> list:
-    return [str(atom.weight), str(atom.h_weight), str(atom.offset)]
-
-def _atom_from_json(data) -> GammaAtom:
-    """The shared atom of a JSON triple [weight, h_weight, offset]."""
-    weight, h_weight, offset = (Fraction(x) for x in data)
-    den = lcm(weight.denominator, offset.denominator, h_weight.denominator)
-    return GammaAtom.over(den, int(weight * den), int(offset * den), int(h_weight * den))
-
-
 def _value_to_json(value: SectorValue) -> dict:
+    """A value's display string and its monomials; the atoms of an H value
+    as [weight, h_weight, offset] triples with their exponents."""
     monomials = []
     for (lam, h, tau, atoms) in sorted(value.terms):
         coeff = value.terms[(lam, h, tau, atoms)]
         monomials.append({
             "lam": lam, "h": h, "tau": tau,
-            "atoms": [[_atom_to_json(a), e] for a, e in atoms],
+            "atoms": [[[str(a.weight), str(a.h_weight), str(a.offset)], e] for a, e in atoms],
             "coeff": [str(c) for c in coeff.coeffs],
         })
     return {"display": str(value), "monomials": monomials}
-
-
-def _value_from_json(data: dict, ring: SeriesRing) -> SectorValue:
-    terms = {}
-    for mono in data["monomials"]:
-        atoms = tuple(sorted((_atom_from_json(a), int(e)) for a, e in mono["atoms"]))
-        coeff = Cyclotomic(ring.order, tuple(Fraction(c) for c in mono["coeff"]))
-        terms[(mono["lam"], mono["h"], mono["tau"], atoms)] = coeff
-    return SectorValue(ring, terms)
 
 
 def serialize_series(series: CohSeries) -> dict:
@@ -1056,24 +1028,3 @@ def serialize_series(series: CohSeries) -> dict:
             for (exps, z, degs), value in sorted(series.terms.items())
         ],
     }
-
-
-def deserialize_series(data: dict) -> CohSeries:
-    pair = load_pair(data["pair"])
-    orders = Orders(t_order=data["orders"]["T"], lam_order=data["orders"]["lambda"],
-                    z_min=data["orders"]["zWindow"][0],
-                    z_max=data["orders"]["zWindow"][1])
-    variables = tuple(tuple(v) if isinstance(v, list) else v
-                      for v in data["variables"])
-    terms = {}
-    for item in data["terms"]:
-        exps, degs = tuple(item["sector"]), tuple(item["degree"])
-        pair.element(exps)   # refuses a sector outside the pair's group
-        if len(degs) != len(variables):
-            raise ValueError(f"degree {list(degs)} needs one entry per variable")
-        ring = SeriesRing(pair.fermat.degree, orders.lam_order,
-                          _sector_nilpotency(data["side"], pair, exps))
-        terms[(exps, item["z"], degs)] = _value_from_json(item["value"], ring)
-    return CohSeries(data["side"], pair, variables, orders, terms,
-                     tuple((n, e) for n, e in data["tokens"]),
-                     c_twist=data["c_twist"])

@@ -82,8 +82,6 @@ class Transform:
                 piece = value.with_ring(ring)
                 if factor is not None:
                     piece = piece * factor
-                if piece.is_zero():
-                    continue
                 key = (out_exps, z, degs)
                 out_terms[key] = out_terms[key] + piece \
                     if key in out_terms else piece
@@ -256,14 +254,13 @@ class PullbackToZ:
         self.pair = pair
 
     def apply(self, series: CohSeries) -> CohSeries:
+        """Each value's monomials below H^(N_g - 1); the constructor drops
+        the values that keep none."""
         out: dict = {}
         for (exps, z, degs), value in series.terms.items():
             n_g = GroupElement(series.pair.fermat, exps).fixed_dim()
-            kept = value.map_monomials(
+            out[(exps, z, degs)] = value.map_monomials(
                 lambda k, c: (k, c) if k[1] < n_g - 1 else None)
-            if kept.is_zero():
-                continue
-            out[(exps, z, degs)] = kept
         return CohSeries("z", series.pair, series.variables, series.orders,
                          out, series.tokens, series.c_twist)
 
@@ -301,10 +298,10 @@ class DeltaDiamond:
         """Divide every coefficient by d(lam+H) and dress with the sign factor.
 
         The sign monomials, with the -1/d folded in, are built once per ring,
-        so each term takes one monomial product per power of the sign.
+        so each term takes one monomial product per power of the sign; the
+        constructor drops the keys the sign moves out of the z-window.
         Raises ExactDivisionError when a block fails to cancel.
         """
-        z_min, z_max = series.orders.z_window
         scale = Fraction(-1, self.pair.fermat.degree)
         signs: dict = {}   # ring -> the sign monomials times -1/d, per z-power
         out: dict = {}
@@ -316,13 +313,10 @@ class DeltaDiamond:
                     (dz, part * scale)
                     for dz, part in self.sign_exponential(quotient.ring).items()]
             for dz, part in sign:
-                z_out = z + dz
-                if z_out < z_min or z_out > z_max:
-                    continue
                 piece = quotient._times_monomial(part)
                 if piece.is_zero():
                     continue
-                key = (exps, z_out, degs)
+                key = (exps, z + dz, degs)
                 out[key] = out[key] + piece if key in out else piece
         return CohSeries(series.side, series.pair, series.variables,
                          series.orders, out, series.tokens, series.c_twist)

@@ -64,7 +64,6 @@ __all__ = [
     "WORK_BOUND",
     "require_known",
     "require_bounded",
-    "work_estimate",
     "run_checks",
     "self_test",
 ]
@@ -125,6 +124,14 @@ def _refusal(name: str, pair: LGPair, orders: Orders) -> str:
     return ""
 
 
+def _refuse(pair: LGPair, runs: dict) -> None:
+    """Raise ValueError, the ``_refusal`` of each check of ``runs`` (check
+    name -> the orders it runs at) that has one, joined by "; "."""
+    refusal = "; ".join(filter(None, (_refusal(name, pair, at) for name, at in runs.items())))
+    if refusal:
+        raise ValueError(refusal)
+
+
 def _require_domain(pair: LGPair) -> None:
     """Raise ValueError unless the pair is Calabi-Yau with an SL group."""
     pair.require_cy()
@@ -135,9 +142,7 @@ def _timed(check_name: str, pair: LGPair, orders: Orders, body) -> VerificationR
     """The report of a check's ``body``, run once ``_require_domain`` passes
     and ``_refusal`` admits the check at ``orders``; ValueError otherwise."""
     _require_domain(pair)
-    refusal = _refusal(check_name.partition("(")[0], pair, orders)
-    if refusal:
-        raise ValueError(refusal)
+    _refuse(pair, {check_name.partition("(")[0]: orders})
     start = time.perf_counter()
     report = VerificationReport(check_name, pair.name, orders.as_dict())
     try:
@@ -331,32 +336,22 @@ def check_continuation(pair: LGPair, orders: Orders,
 # ---------------------------------------------------------------------------
 
 def _cyclo_matrix_rank(rows: list[list[Cyclotomic]]) -> int:
-    """Gaussian elimination over Q(xi)."""
-    if not rows:
-        return 0
+    """Gaussian elimination over Q(xi) of a nonempty matrix, whose first
+    ``rank`` rows hold the pivots found so far."""
     matrix = [list(r) for r in rows]
-    n_cols = len(matrix[0])
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, len(matrix)):
-            if not matrix[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = matrix[row][col].inverse()
-        matrix[row] = [v * inv for v in matrix[row]]
-        for r in range(len(matrix)):
-            if r != row and not matrix[r][col].is_zero():
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
-        row += 1
-        rank += 1
-        if row == len(matrix):
-            break
+    for col in range(len(matrix[0])):
+        pivot = next((r for r in range(rank, len(matrix)) if not matrix[r][col].is_zero()),
+                     None)
+        if pivot is not None:
+            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+            inv = matrix[rank][col].inverse()
+            matrix[rank] = [v * inv for v in matrix[rank]]
+            for r in range(len(matrix)):
+                if r != rank and not matrix[r][col].is_zero():
+                    factor = matrix[r][col]
+                    matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+            rank += 1
     return rank
 
 
@@ -645,12 +640,6 @@ def _work(pair: LGPair, runs: dict) -> set[tuple[int, str]]:
     return work
 
 
-def work_estimate(pair: LGPair, orders: Orders, names) -> int:
-    """The largest count of ``_work`` of the named checks at ``orders``; 0
-    when they make none."""
-    return max(_work(pair, dict.fromkeys(names, orders)), default=(0,))[0]
-
-
 def require_bounded(pair: LGPair, orders: Orders, names,
                     subject: str = "the checks") -> None:
     """``_require_bounded`` on the work of the named checks at ``orders``."""
@@ -683,9 +672,7 @@ def run_checks(pair: LGPair, names, orders: Orders) -> list[VerificationReport]:
     require_known(names)
     rctc = Orders(t_order=0, lam_order=_rctc_lam_order(pair, max(orders.lam_order, 6)))
     runs = {name: rctc if name == "rctc-structure" else orders for name in names}
-    refusal = "; ".join(filter(None, (_refusal(name, pair, runs[name]) for name in names)))
-    if refusal:
-        raise ValueError(refusal)
+    _refuse(pair, runs)
     _require_bounded(_work(pair, runs), "the checks")
     return [CHECKS[name](pair, runs[name]) for name in names]
 
@@ -707,9 +694,7 @@ def self_test(pair: LGPair, orders: Orders) -> list[VerificationReport]:
             "rctc-structure": Orders(t_order=0, lam_order=_rctc_lam_order(pair, 4)),
             "fjrw-pipeline": Orders(t_order=max(small.t_order, 2), lam_order=small.lam_order),
             "kernel-compatibility": small, "residue-lemma": fixed}
-    refusal = "; ".join(filter(None, (_refusal(name, pair, at) for name, at in runs.items())))
-    if refusal:
-        raise ValueError(refusal)
+    _refuse(pair, runs)
     for name, at in runs.items():
         require_bounded(pair, at, [name], f"the self-test's {name} fault")
     # the mlk-untwisted fault goes on the first key from the middle on that a

@@ -2,11 +2,12 @@
 every name that the benchmark tracer wraps exists, and the two routes of
 the J identities stay apart.
 
-A reachability census keeps only the API the program's traffic reaches:
-with every call recorded by ``sys.setprofile``, on a fresh import, it runs
-the benchmark's tiny passes, fault gates and probes, the demos and the
-CLI, and requires every ``def`` under ``src/lgcy`` to be entered or to sit
-in ``NOT_ENTERED_BY_DESIGN`` with its reason."""
+A line census keeps only the code the program's traffic runs: with every
+line event recorded by ``sys.settrace``, on a fresh import, it runs the
+benchmark's tiny passes, fault gates and probes, the demos and the CLI,
+its refused runs included, and requires every statement inside a ``def``
+under ``src/lgcy`` to run or to sit in ``NOT_RUN_BY_DESIGN`` under one of
+a closed set of kinds, each with a place it may sit."""
 from __future__ import annotations
 
 import ast
@@ -21,11 +22,16 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
+
+import pytest
 
 from lgcy import catalog, genfun, transforms, verify
 from lgcy.exactalg import SectorValue, ZLaurentSeries
 from lgcy.lgmodel import GroupElement, LGPair
 from lgcy.transforms import Transform
+
+import test_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lgcy"
@@ -207,57 +213,14 @@ def test_every_workload_meets_the_benchmark_site_predictions():
         assert errors == [], (workload, errors)
 
 
-_REPR = "a value's debugging view, which assertion messages and the REPL show"
-_IMMUTABLE = "refuses every write, so a shared value stays as built"
-_HASH = "a value hashes as it compares, so it can key a dict or sit in a set"
-_DESERIALIZE = "reads an atom-valued series back for deserialize_series"
-
-# defs that no traffic of the program enters, each kept for a reason of its own
-NOT_ENTERED_BY_DESIGN = {
-    **{f"{cls}.__repr__": _REPR for cls in (
-        "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
-        "exactalg.ZLaurentSeries", "lgmodel.GroupElement", "lgmodel.LGPair",
-        "transforms.Transform")},
-    **{f"{cls}.__setattr__": _IMMUTABLE for cls in (
-        "cohseries.CohSeries", "exactalg.Cyclotomic", "exactalg.SectorValue",
-        "exactalg.ZLaurentSeries", "lgmodel.GroupElement")},
-    **{f"exactalg.{cls}.__hash__": _HASH
-       for cls in ("Cyclotomic", "SectorValue", "ZLaurentSeries")},
-    "exactalg.bernoulli_poly": "the reference that tests hold _bernoulli_at to",
-    "genfun.deserialize_series": "the serializer's inverse, the round-trip tests' oracle",
-    "verify.work_estimate": "the public query for the work bound that require_bounded enforces",
-    "genfun._atom_from_json": _DESERIALIZE,
-    "genfun._value_from_json": _DESERIALIZE,
-    "genfun._atom_to_json": "writes the Gamma atoms of an H-series; no ifun side carries atoms",
-}
-
-
-def _package_defs() -> dict:
-    """(file, first line, name) of each def's code object -> its dotted name.
-
-    A code object starts at its first decorator, as ``co_firstlineno`` does."""
-    defs = {}
-
-    def visit(node: ast.AST, path: Path, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                defs[str(path), first, child.name] = f"{prefix}{child.name}"
-                visit(child, path, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
-            else:
-                visit(child, path, prefix)
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(MODULES[path.stem], path.resolve(), f"{path.stem}.")
-    return defs
-
-
 def _program_traffic(tmp_path: Path) -> None:
     """The benchmark's tiny passes, fault gates and probes, the demos, and
-    the CLI on a pair file: describe, and at T 2 ifun on each side and
-    format, verify and verify --self-test."""
+    the CLI: on a pair file of the cubic, describe and, at T 2, ifun on each
+    side and format, verify and verify --self-test, each with its dump;
+    describe of a shipped pair by name; I^Y at T 3, whose ray factors invert
+    (c_j H + l z) at nilpotency 3; the H-series checks on z-windows that cut
+    off terms; fjrw-pipeline on a pair whose variables have broad images;
+    and every run of ``test_cli.REFUSED_RUNS``, each refused with exit 2."""
     workloads, probes = _benchmark_module("workloads"), _benchmark_module("probes")
     pairs = workloads.build_pairs()
     for workload in workloads.WORKLOADS:
@@ -267,45 +230,370 @@ def _program_traffic(tmp_path: Path) -> None:
     assert probes.run_probes(1, "tiny")[1] == []
     cli = importlib.import_module("lgcy.cli")
     lgmodel = importlib.import_module("lgcy.lgmodel")
-    pair_file = tmp_path / "cubic.json"
-    pair_file.write_text(json.dumps(lgmodel.pair_to_dict(pairs["cubic"])))
-    common = ("--pair", str(pair_file), "--T", "2")
-    with contextlib.redirect_stdout(io.StringIO()):
+    cubic_file, broad_file = tmp_path / "cubic.json", tmp_path / "broad.json"
+    cubic_file.write_text(json.dumps(lgmodel.pair_to_dict(pairs["cubic"])))
+    broad_file.write_text(json.dumps({"weights": [1] * 5, "degree": 5,
+                                      "generators": [[0, 1, 2, 3, 4]]}))
+    common = ("--pair", str(cubic_file), "--T", "2", "--dump", str(tmp_path / "dumps"))
+    h_checks = ("--checks", "gamma-factorization,continuation,kernel-compatibility")
+    runs = [(["describe", "--pair", str(cubic_file), "--dump", str(tmp_path)], 0),
+            (["describe", "--pair", "quintic"], 0)]
+    runs += [(["ifun", *common, "--side", side, "--format", form], 0)
+             for side in ("lg", "cy", "fjrw") for form in ("table", "structured")]
+    # at T 2 kernel-compatibility has no surviving term and fails vacuous
+    runs += [(["verify", *common], 1), (["verify", *common, "--self-test"], 0),
+             (["ifun", "--pair", str(cubic_file), "--side", "cy", "--T", "3"], 0),
+             (["verify", "--pair", "cubic", "--T", "3", "--lambda-order", "2",
+               "--z-min", "-1", "--z-max", "2", *h_checks], 0),
+             (["verify", "--pair", "cubic", "--T", "3", "--lambda-order", "2",
+               "--z-min", "-4", "--z-max", "0", *h_checks], 0),
+             (["verify", "--pair", str(broad_file), "--T", "2", "--lambda-order", "1",
+               "--checks", "fjrw-pipeline"], 0)]
+    for name, pair, argv, _ in test_cli.REFUSED_RUNS:
+        (tmp_path / name).mkdir()
+        runs.append((test_cli.refused_argv(tmp_path / name, pair, argv), 2))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for demo in sorted(ROOT.glob("demos/*.py")):
             runpy.run_path(str(demo), run_name="__main__")
-        codes = [cli.main(["describe", "--pair", str(pair_file), "--dump", str(tmp_path)])]
-        codes += [cli.main(["ifun", *common, "--side", side, "--format", form])
-                  for side in ("lg", "cy", "fjrw") for form in ("table", "structured")]
-        codes += [cli.main(["verify", *common]), cli.main(["verify", *common, "--self-test"])]
-    # at T 2 kernel-compatibility has no surviving term and fails vacuous
-    assert codes == [0] * 7 + [1, 0], codes
+        codes = [cli.main(argv) for argv, _ in runs]
+    assert codes == [code for _, code in runs], [
+        (argv, got) for (argv, code), got in zip(runs, codes) if got != code]
 
 
-def test_every_def_is_reached_outside_the_tests(tmp_path):
-    """Every def of ``lgcy`` is entered by the program's own traffic, on a
-    fresh import (a warm cache would hide calls), or is allowlisted with a
-    reason; every allowlisted def exists and is not entered.  A def that only
-    tests call fails here, even one that shares a name with a used one."""
-    defs = _package_defs()
-    entered = set()
+def _body(node) -> list:
+    """A def's statements, its docstring left out."""
+    body = node.body
+    first = body[0] if body else None
+    if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+            and isinstance(first.value.value, str):
+        return body[1:]
+    return body
 
-    def record(frame, event, _):
-        if event == "call":
-            entered.add(frame.f_code)
+
+class _Statement(NamedTuple):
+    """One statement of a def of ``src/lgcy``: where it is, the dotted name
+    of its innermost def, its first source line stripped, the lines whose
+    line events mean it ran (a compound statement's header only), the AST
+    node, the block of statements it sits in directly and the node that
+    holds that block, and the class around the def, if any."""
+
+    path: Path
+    line: int
+    owner: str
+    text: str
+    span: range
+    node: ast.stmt
+    block: list
+    parent: ast.AST
+    cls: ast.ClassDef | None
+
+
+def _statements() -> list[_Statement]:
+    """Every statement inside a def of ``src/lgcy``, nested defs included
+    (a nested def is one statement of its parent, and its own body that of
+    a def named ``parent.child``)."""
+    found = []
+
+    def add(parent, block, owner, path, lines, cls):
+        for node in block:
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                span = range(first, node.lineno + 1)
+            elif isinstance(node, ast.ClassDef):
+                continue
+            else:
+                heads = [child.lineno for field in ("body", "handlers")
+                         for child in getattr(node, field, ())]
+                span = range(first, min(heads, default=node.end_lineno + 1))
+            found.append(_Statement(path, first, owner, lines[first - 1].strip(), span,
+                                    node, block, parent, cls))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(node, _body(node), f"{owner}.{node.name}", path, lines, cls)
+                continue
+            for field in ("body", "orelse", "finalbody"):
+                add(node, getattr(node, field, ()), owner, path, lines, cls)
+            for handler in getattr(node, "handlers", ()):
+                add(handler, handler.body, owner, path, lines, cls)
+
+    def visit(node, prefix, path, lines, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(child, _body(child), f"{prefix}{child.name}", path, lines, cls)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", path, lines, child)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(MODULES[path.stem], f"{path.stem}.", path.resolve(),
+              path.read_text().splitlines(), None)
+    return found
+
+
+def _run_lines(tmp_path: Path) -> set:
+    """(file, line) of every line event in ``src/lgcy`` during the program's
+    traffic, on a fresh import (a warm cache would hide lines)."""
+    package = str(PACKAGE.resolve())
+    hit: set = set()
+
+    def local(frame, event, _):
+        if event == "line":
+            hit.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, _):
+        return local if frame.f_code.co_filename.startswith(package) else None
 
     with _fresh_lgcy():
-        previous = sys.getprofile()
-        sys.setprofile(record)
+        previous = sys.gettrace()
+        sys.settrace(trace)
         try:
             _program_traffic(tmp_path)
         finally:
-            sys.setprofile(previous)
-    reached = {defs.get((str(Path(code.co_filename).resolve()), code.co_firstlineno,
-                         code.co_name)) for code in entered}
-    names = set(defs.values())
-    allowed = NOT_ENTERED_BY_DESIGN.keys()
-    for wrong in (allowed - names, allowed & reached, names - reached - allowed):
-        assert not wrong, ", ".join(sorted(wrong))
+            sys.settrace(previous)
+    return hit
+
+
+def _is_failure_exit(node: ast.stmt) -> bool:
+    """``raise IdentityError(...)``, ``return False`` or the return of a
+    witness, a dict display."""
+    if isinstance(node, ast.Raise):
+        exc = node.exc
+        return isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) \
+            and exc.func.id == "IdentityError"
+    return isinstance(node, ast.Return) and (
+        isinstance(node.value, ast.Dict)
+        or isinstance(node.value, ast.Constant) and node.value.value is False)
+
+
+def _handles_identity_error(statement: _Statement) -> bool:
+    """Whether ``statement`` sits directly in an ``except IdentityError`` handler."""
+    handler = statement.parent
+    return isinstance(handler, ast.ExceptHandler) and isinstance(handler.type, ast.Name) \
+        and handler.type.id == "IdentityError"
+
+
+def _roadmap_item(number: int) -> str:
+    """The text of ROADMAP.md's open item ``number``."""
+    text = (ROOT / "ROADMAP.md").read_text()
+    start = text.index(f"\n{number}. **")
+    ends = [text.find(mark, start + 1) for mark in (f"\n{number + 1}. **", "\n## ")]
+    return text[start:min((end for end in ends if end > 0), default=len(text))]
+
+
+def _placed(kind: str, statement: _Statement) -> bool:
+    """Whether ``statement`` sits where its allowlist ``kind`` may:
+    repr, immutable and hash in ``__repr__``/``__str__``, ``__setattr__`` and
+    ``__hash__``; guard a ``raise`` of anything but ``IdentityError``, or a
+    line of the checked ``__init__`` of a class that also builds through
+    ``_unchecked``; failure a failure exit (``_is_failure_exit``), or a line
+    directly in a block that ends in one or that handles ``IdentityError``;
+    ``item N`` a def that ROADMAP.md's open item N names in backquotes."""
+    name = statement.owner.rsplit(".", 1)[-1]
+    node = statement.node
+    if kind in _DUNDER_KINDS:
+        return name in _DUNDER_KINDS[kind]
+    if kind == "guard":
+        unchecked = statement.cls is not None and any(
+            isinstance(member, ast.FunctionDef) and member.name == "_unchecked"
+            for member in statement.cls.body)
+        return isinstance(node, ast.Raise) and not _is_failure_exit(node) \
+            or name == "__init__" and unchecked
+    if kind == "failure":
+        return _is_failure_exit(node) or _is_failure_exit(statement.block[-1]) \
+            or _handles_identity_error(statement)
+    if kind.startswith("item "):
+        item = _roadmap_item(int(kind.split()[1]))
+        return any(f"`{part}" in item for part in statement.owner.split(".")[1:])
+    return False
+
+
+_DUNDER_KINDS = {"repr": ("__repr__", "__str__"), "immutable": ("__setattr__",),
+                 "hash": ("__hash__",)}
+ALLOWLIST_KINDS = (*_DUNDER_KINDS, "guard", "failure", "item 14", "item 19")
+
+# (dotted def, stripped first line of the statement) -> why the program's
+# traffic never runs it, one of ALLOWLIST_KINDS
+NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
+    "repr": [
+        ("cohseries.CohSeries.__repr__",
+         'return (f"CohSeries(side={self.side!r}, pair={self.pair.name}, "'),
+        ("exactalg.Cyclotomic.__repr__", 'return f"Cyclotomic({self.order}, {self})"'),
+        ("exactalg.GammaAtom.__str__", 'parts.append(f"- {self.h_weight}*H/tau")'),
+        ("exactalg.SectorValue.__repr__", 'return f"SectorValue({self})"'),
+        ("exactalg.SectorValue.__str__", 'bits.append(f"tau^{tau}")'),
+        ("exactalg.ZLaurentSeries.__repr__",
+         'inner = " + ".join(f"({v})*z^{z}" for z, v in sorted(self.terms.items()))'),
+        ("exactalg.ZLaurentSeries.__repr__",
+         'return f"ZLaurent[{self.z_min},{self.z_max}]({inner or \'0\'})"'),
+        ("lgmodel.GroupElement.__repr__", 'return f"g{self.exps}"'),
+        ("lgmodel.LGPair.__repr__", 'return f"LGPair({self.name}, |G|={len(self.group)})"'),
+        ("lgmodel.PairingValue.__str__", 'return f"{self.coefficient}*lam^{self.lam_exponent}"'),
+        ("transforms.Transform.__repr__",
+         'return f"Transform({self.name}, {self.side_in}->{self.side_out})"'),
+    ],
+    "immutable": [
+        ("cohseries.CohSeries.__setattr__", 'raise AttributeError("CohSeries is immutable")'),
+        ("exactalg.Cyclotomic.__setattr__", 'raise AttributeError("Cyclotomic is immutable")'),
+        ("exactalg.SectorValue.__setattr__", 'raise AttributeError("SectorValue is immutable")'),
+        ("exactalg.ZLaurentSeries.__setattr__",
+         'raise AttributeError("ZLaurentSeries is immutable")'),
+        ("lgmodel.GroupElement.__setattr__", 'raise AttributeError("GroupElement is immutable")'),
+    ],
+    "hash": [
+        ("exactalg.Cyclotomic.__hash__", "return hash((self.order, self.nums, self.den))"),
+        ("exactalg.SectorValue.__hash__",
+         "return hash((self.ring, tuple(sorted(self.terms.items(),"),
+        ("exactalg.ZLaurentSeries.__hash__", "return hash((self.ring, self.z_min, self.z_max,"),
+    ],
+    "guard": [
+        ("cohseries.CohSeries.__init__",
+         'raise TypeError("series coefficients must be SectorValue")'),
+        ("cohseries.CohSeries.z_ddt_var",
+         'raise ValueError(f"variable index {var_index} outside [0, {len(self.variables)})")'),
+        ("exactalg._poly_divide_exact",
+         'raise ExactDivisionError("non-exact polynomial division")'),
+        ("exactalg.cyclotomic_polynomial", 'raise ValueError("order must be positive")'),
+        ("exactalg._rational_parts",
+         'raise TypeError(f"expected a rational scalar, got {type(value).__name__}")'),
+        ("exactalg.Cyclotomic.__init__",
+         'raise ValueError("coefficient vector has wrong length")'),
+        ("exactalg.Cyclotomic._coerce", "raise OrderMismatchError("),
+        ("exactalg.Cyclotomic.inverse", 'raise ZeroDivisionError("inverse of zero cyclotomic")'),
+        ("exactalg._merge_atoms", 'raise ValueError("a product of two atom-carrying factors")'),
+        ("exactalg.SeriesRing.__new__", 'raise ValueError("invalid ring parameters")'),
+        ("exactalg.SeriesRing.scalar",
+         'raise OrderMismatchError("scalar has wrong cyclotomic order")'),
+        ("exactalg.SectorValue.__init__",
+         'raise ValueError(f"lam exponent must be a non-negative integer, got {lam!r}")'),
+        ("exactalg.SectorValue.__init__",
+         'raise ValueError(f"H exponent must be a non-negative integer, got {h!r}")'),
+        ("exactalg.SectorValue._check", "raise OrderMismatchError("),
+        ("exactalg.SectorValue.with_ring",
+         'raise OrderMismatchError("cannot change cyclotomic order")'),
+        ("exactalg.series_exp", 'raise NonUnitError("cannot exponentiate Gamma atoms")'),
+        ("exactalg.series_exp", 'raise NonUnitError("series_exp needs a zero constant term")'),
+        ("exactalg.series_invert", 'raise NonUnitError("series_invert: zero constant term")'),
+        ("exactalg.series_invert", 'raise NonUnitError("cannot invert Gamma atoms")'),
+        ("exactalg.series_invert", 'raise NonUnitError("non-nilpotent correction term")'),
+        ("exactalg.ZLaurentSeries.__init__", 'raise ValueError("empty z window")'),
+        ("exactalg.ZLaurentSeries.__init__", "continue"),
+        ("exactalg.ZLaurentSeries._check",
+         'raise OrderMismatchError("z-window or ring mismatch")'),
+        ("exactalg._linear_product",
+         'raise ZeroDivisionError("inverse factor with zero z coefficient")'),
+        ("exactalg.gamma_shift_product",
+         'raise TypeError(f"expected integers (q, weight, h_weight, base, steps), got'
+         ' {entry!r}")'),
+        ("exactalg.gamma_shift_product", 'raise ValueError("q must be positive")'),
+        ("exactalg.gamma_shift_product", 'raise ValueError("steps must be non-negative")'),
+        ("genfun.psi_integral_oracle",
+         'raise ValueError("need n >= 3 marked points and exponents summing to n - 3")'),
+        ("genfun.gamma_pole_residue", 'raise ValueError("need m >= 0 and 0 <= b < d")'),
+        ("lgmodel.AdmissibleGroup.__post_init__",
+         'raise ValueError("admissibility: grading element must belong to the group")'),
+        ("lgmodel.LGPair.element", 'raise ValueError(f"{g} is not in the group")'),
+        ("lgmodel.LGPair.require_twist",
+         'raise ValueError(f"{self.name}: twist c={c} outside 0 <= c*c_j < d")'),
+        ("lgmodel.LGPair.is_nonempty", 'raise ValueError("need at least one insertion")'),
+        ("lgmodel.SectorBasisElement.__post_init__",
+         'raise ValueError(f"unknown side {self.side!r}")'),
+        ("lgmodel.SectorBasisElement.__post_init__",
+         'raise ValueError("empty Y sector: N_g = 0")'),
+        ("lgmodel.pair_twisted", 'raise ValueError(f"unknown specialization {spec!r}")'),
+        ("transforms.Transform.apply",
+         'raise ValueError(f"{self.name}: expected side {self.side_in!r}, "'),
+        ("transforms.Transform.apply", 'raise ValueError(f"{self.name}: twist mismatch")'),
+        ("transforms.gamma_class_op", 'raise ValueError("side must be \'x\' or \'y\'")'),
+        ("transforms.delta_c_specialized",
+         'raise ValueError("spec must be one of the euler specializations")'),
+    ],
+    "failure": [
+        ("cli.main", 'print(f"identity failure: {err} {err.witness}", file=sys.stderr)'),
+        ("cli.main", "return 1"),
+        ("cohseries.CohSeries.compare", 'return {"kind": "token-mismatch",'),
+        ("cohseries.CohSeries.compare", 'return {"kind": "signature-mismatch",'),
+        ("genfun._assert_h_term",
+         'raise IdentityError("H-function term disagrees with its closed form",'),
+        ("genfun._assert_no_residual",
+         "bad += [z for z in terms if z - delta not in block.terms]"),
+        ("genfun._assert_no_residual", "z_bad, zero = min(bad), lhs.ring.zero()"),
+        ("genfun._assert_no_residual", "raise IdentityError("),
+        ("genfun._gamma_ratio_blocks",
+         'raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",'),
+        ("genfun.fjrw_limit", 'raise IdentityError("FJRW output not narrow-supported",'),
+        ("verify.check_mlk_untwisted.body",
+         'return {"kind": "vacuous", "detail": "no z d/dt of J keeps a term in the z-window"}'),
+        ("verify.check_mlk_operator.body", 'return {"kind": "vacuous",'),
+        ("verify.check_mlk_operator.body",
+         'return {"kind": spec, "c": c, "sector": list(g.exps)}'),
+        ("verify.check_gamma_factorization.body", 'return {"kind": "vacuous",'),
+        ("verify.check_continuation.body", 'return {"kind": "vacuous",'),
+        ("verify.check_rctc_conditions.body",
+         'return {"kind": "geometric-sum", "nilpotency": n_g}'),
+        ("verify.check_rctc_conditions.body",
+         'return {"kind": "degenerate-block", "nilpotency": n_g}'),
+        ("verify.check_rctc_conditions.body",
+         'return {"kind": "polynomiality", "input": list(g.exps),'),
+        ("verify.check_rctc_conditions.body",
+         'return {"kind": "rank", "rank": rank, "expected": expected,'),
+        ("verify.check_fjrw_pipeline.body",
+         'return {"kind": "mirror-map-shape", "variable": idx,'),
+        ("verify.check_fjrw_pipeline.body",
+         'return {"kind": "mirror-map-broad", "variable": idx}'),
+        ("verify.check_kernel_compatibility.body", "key = sorted(residual.terms)[0]"),
+        ("verify.check_kernel_compatibility.body",
+         'return {"kind": "pullback-nonzero", "sector": list(key[0]),'),
+        ("verify.check_residue_lemma.body",
+         'return {"kind": "vacuous", "detail": f"no pole m in 0..{m_max}"}'),
+    ],
+    "item 14": [
+        ("exactalg.ZLaurentSeries.__mul__", "continue"),
+    ],
+    "item 19": [
+        ("lgmodel.pair_twisted", "return PairingValue(Fraction(0))"),
+        ("lgmodel.pair_twisted", "shifted = g1 * (pair.grading ** c)"),
+        ("lgmodel.pair_twisted", "fixed = [j for j in range(pair.fermat.n_variables)"),
+        ("lgmodel.pair_twisted", "coeff = norm"),
+        ("lgmodel.pair_twisted", "for j in fixed:"),
+        ("lgmodel.pair_twisted", "coeff /= pair.fermat.weights[j]"),
+        ("lgmodel.pair_twisted", 'if spec == "euler-inverse" and len(fixed) % 2 == 1:'),
+        ("lgmodel.pair_twisted", "coeff = -coeff"),
+        ("lgmodel.pair_twisted", "return PairingValue(coeff, -len(fixed))"),
+    ],
+}.items() for key in keys}
+
+
+def test_every_line_is_run_outside_the_tests(tmp_path):
+    """Every statement inside a def of ``lgcy`` runs in the program's own
+    traffic (``_program_traffic``), on a fresh import, or is allowlisted in
+    ``NOT_RUN_BY_DESIGN`` with a kind from ``ALLOWLIST_KINDS``; every
+    allowlisted line exists, never runs, and sits where its kind may
+    (``_placed``).  A branch or def that only tests reach fails here."""
+    hit = _run_lines(tmp_path)
+    statements = _statements()
+    unrun = [st for st in statements if not any((str(st.path), line) in hit for line in st.span)]
+    allowed = {(st.owner, st.text) for st in statements} & NOT_RUN_BY_DESIGN.keys()
+    unrun_at = {(st.path, st.line) for st in unrun}
+
+    def fail_on(wrong, why: str) -> None:
+        """Fail listing each statement of ``wrong`` as file:line, by def."""
+        lines, owner = [why], None
+        for st in wrong:
+            if st.owner != owner:
+                lines.append(f"{st.owner}:")
+                owner = st.owner
+            lines.append(f"  {st.path.name}:{st.line}  {st.text}")
+        if wrong:
+            pytest.fail("\n".join(lines), pytrace=False)
+
+    fail_on([st for st in unrun if (st.owner, st.text) not in NOT_RUN_BY_DESIGN],
+            "run by no program traffic:")
+    assert allowed == NOT_RUN_BY_DESIGN.keys(), sorted(NOT_RUN_BY_DESIGN.keys() - allowed)
+    fail_on([st for st in statements if (st.owner, st.text) in allowed
+             and (st.path, st.line) not in unrun_at], "allowlisted but run:")
+    fail_on([st for st in statements if (st.owner, st.text) in allowed
+             and not _placed(NOT_RUN_BY_DESIGN[st.owner, st.text], st)],
+            "allowlisted under a kind that may not sit there:")
+    assert set(NOT_RUN_BY_DESIGN.values()) <= set(ALLOWLIST_KINDS)
 
 
 def test_gamma_atoms_are_built_through_the_shared_constructor():
@@ -365,13 +653,16 @@ def _read_in(tree: ast.Module, name: str) -> set[str]:
 def test_only_the_refusal_rule_knows_the_floors_in_verify():
     """In ``verify`` only ``_refusal`` reads ``MIN_T_ORDER`` and calls
     ``_rctc_minimum``, anywhere in the module; ``_timed``, ``run_checks`` and
-    ``self_test`` ask it.  No module of ``lgcy`` writes an "orders" witness:
-    orders a check cannot see are refused, not reported."""
+    ``self_test`` ask it through ``_refuse``, which raises the refusals of a
+    batch, and ``_rctc_lam_order`` asks it directly.  No module of ``lgcy``
+    writes an "orders" witness: orders a check cannot see are refused, not
+    reported."""
     tree = MODULES["verify"]
     assert _read_in(tree, "MIN_T_ORDER") == {"_refusal"}
     assert _read_in(tree, "_rctc_minimum") == {"_refusal"}
+    assert _read_in(tree, "_refusal") == {"_refuse", "_rctc_lam_order"}
     assert {"_timed", "run_checks", "self_test"} <= \
-        _functions_calling(tree, lambda func: isinstance(func, ast.Name) and func.id == "_refusal")
+        _functions_calling(tree, lambda func: isinstance(func, ast.Name) and func.id == "_refuse")
     witnesses = [f"{name}:{node.lineno}" for name, module in MODULES.items()
                  for node in ast.walk(module) if isinstance(node, ast.Dict)
                  and any(isinstance(key, ast.Constant) and key.value == "kind"
@@ -386,8 +677,8 @@ def test_only_clean_builders_skip_the_series_constructor():
     ``genfun.untwisted_j_oracle``, and by the I and H builders
     ``genfun._i_function`` and ``genfun._h_function``, which write only
     inside the orders; the cleanliness tests rebuild their series through
-    the constructor.  The continued series and the deserializer keep the
-    validating constructor."""
+    the constructor.  The continued series keeps the validating
+    constructor."""
     def unchecked(func):
         return isinstance(func, ast.Attribute) and func.attr == "_unchecked" \
             and isinstance(func.value, ast.Name) and func.value.id == "CohSeries"
@@ -399,7 +690,7 @@ def test_only_clean_builders_skip_the_series_constructor():
     assert _functions_calling(MODULES["cohseries"], unchecked)
     public = _functions_calling(MODULES["genfun"], lambda func: isinstance(func, ast.Name)
                                 and func.id == "CohSeries")
-    assert {"h_continued", "deserialize_series"} <= public, public
+    assert "h_continued" in public, public
 
 
 def _reach_counter(monkeypatch):

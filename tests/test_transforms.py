@@ -20,7 +20,6 @@ from lgcy.exactalg import (
     ExactDivisionError,
     SectorValue,
     SeriesRing,
-    bernoulli_poly,
     divide_by_lambda_plus_h,
     series_exp,
     series_invert,
@@ -41,6 +40,8 @@ from lgcy.transforms import (
     u_bar,
     ubar_block,
 )
+
+from test_exactalg import bernoulli_poly
 
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 
