@@ -10,7 +10,6 @@ Run:  python demos/03_fjrw_limit.py
 from lgcy import Orders, fjrw_i_function, i_function_x
 from lgcy.catalog import cubic, quintic
 from lgcy.genfun import assert_lambda_divisibility, z_ddt_distinguished
-from lgcy.lgmodel import GroupElement
 
 
 def main():
@@ -22,7 +21,7 @@ def main():
               "every positive-dimensional sector coefficient is divisible by "
               "lam^(N_g)")
         for (exps, z, degs), value in sorted(derivative.terms.items())[:4]:
-            n_g = GroupElement(pair.fermat, exps).fixed_dim()
+            n_g = pair.element(exps).fixed_dim()
             print(f"   sector {exps} z^{z} t-deg {degs}: "
                   f"lam-valuation {value.lambda_valuation()} (N_g = {n_g})")
 

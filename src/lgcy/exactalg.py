@@ -597,7 +597,7 @@ class SectorValue:
         """self * value for a rational value: every coefficient's integer
         numerators times value's numerator, over its denominator times
         value's, with no scalar ``SectorValue`` and no ``Cyclotomic`` product."""
-        num, den = value.numerator, value.denominator
+        num, den = _rational_parts(value)
         if not num:
             return SectorValue._unchecked(self.ring, {})
         order, reduced = self.ring.order, Cyclotomic._reduced
@@ -938,9 +938,8 @@ def _linear_product(ring: SeriesRing, z_min: int, z_max: int, linear,
     for h_c, z_c, d_c in inverse:
         if not z_c:
             raise ZeroDivisionError("inverse factor with zero z coefficient")
-        # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1),
-        # top = 0 when H = 0: a scalar on the table, not a convolution
-        top = len(h_links) if h_c else 0
+        # ((H H + Z z)/D)^-1 = sum_{n <= top} D (-H)^n Z^(top-n) H^n z^(-n-1) / Z^(top+1)
+        top = len(h_links)
         coeffs = [d_c * (-h_c) ** n * z_c ** (top - n) for n in range(top + 1)]
         new = [coeffs[0] * x for x in table]
         for n in range(1, top + 1):

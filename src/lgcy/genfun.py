@@ -30,7 +30,7 @@ from .exactalg import (
     gamma_shift_product,
 )
 from .cohseries import CohSeries, Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
-from .lgmodel import GroupElement, LGPair, pair_to_dict
+from .lgmodel import LGPair, pair_to_dict
 from .transforms import delta_circ, gamma_class_op, ubar_block
 
 __all__ = [
@@ -66,20 +66,6 @@ class IdentityError(AssertionError):
 # ---------------------------------------------------------------------------
 # the untwisted J-function and its psi-integral oracle
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _product_table(exponents: tuple[int, ...], elements: tuple[tuple[int, ...], ...]) -> tuple:
-    """times[a][b]: the position in ``elements`` of the product of elements a
-    and b, their exponent tuples added and reduced mod ``exponents``.
-
-    The group's multiplication table over element positions, formed from the
-    integer exponent tuples alone, so it makes no ``GroupElement``; it is
-    kept per group, keyed by value.
-    """
-    position = {exps: i for i, exps in enumerate(elements)}
-    return tuple(tuple(position[tuple([(x + y) % m for x, y, m in zip(a, b, exponents)])]
-                       for b in elements) for a in elements)
-
 
 def _powers(times, g: int, top: int) -> list[int]:
     """The positions of g^0, g^1, ..., g^top in the product table ``times``,
@@ -140,11 +126,10 @@ def _j_classes(pair: LGPair, orders: Orders) -> tuple:
     """
     z_min, z_max = orders.z_window
     elements = tuple(g.exps for g in pair.group.elements)
-    times = _product_table(pair.fermat.exponents, elements)
     # the totals whose z = 1 - total the window keeps; no level above them is built
     kept = range(max(0, 1 - z_max), min(orders.t_order, 1 - z_min) + 1)
     table = [()] * (orders.t_order + 1)
-    walk = _level_walk(times, range(len(elements)), None)
+    walk = _level_walk(pair.group.times, range(len(elements)), None)
     for total, level in enumerate(islice(walk, kept.stop if kept else 0)):
         if total in kept:
             classes: dict = {}
@@ -311,8 +296,9 @@ class IndexTerm(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _index_tables(pair: LGPair, orders: Orders) -> dict:
-    """{"x": X table, "y": Y table}: the IndexTerm of every (k0, k) on each
-    side, by total degree, then lexicographic, from one level walk.
+    """{"x": X table, "y": Y table, "rings": Y rings}: the IndexTerm of every
+    (k0, k) on each side, by total degree, then lexicographic, from one level
+    walk, and the ring of each element's Y sector, by position.
 
     On side "x" an index lives on the sector j^k0 base, in nilpotency 1; on
     side "y" it lives on j^-k0 base, in nilpotency N_g, and indices whose
@@ -336,21 +322,21 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     sectors = pair.positive_dim_sectors()
     weights, d = pair.fermat.weights, pair.fermat.degree
     elements = tuple(g.exps for g in pair.group.elements)
-    times = _product_table(pair.fermat.exponents, elements)
+    times, position = pair.group.times, pair.group.position
     graded = pair.is_sl
     ages = [sum(e * c for e, c in zip(exps, weights)) // d if graded else None
             for exps in elements]
     y_rings = [SeriesRing(d, orders.lam_order, exps.count(0)) if 0 in exps else None
                for exps in elements]
     # the positions of j^k and j^-k, k = 0..T
-    j = elements.index(pair.grading.exps)
+    j = position[pair.grading.exps]
     up = _powers(times, j, orders.t_order)
     down = _powers(times, times[j].index(0), orders.t_order)
     # the age column is last, so zip with the weights reads the exponent
     # sums alone
     rows = [(0,) * (len(weights) + 1)] + \
         [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
-    coordinates = [0] + [elements.index(g.exps) for g in sectors]
+    coordinates = [0] + [position[g.exps] for g in sectors]
     x_ring = SeriesRing(d, orders.lam_order, 1)
     combs: dict = {}       # factorial -> its inverse
     x_table, y_table = [], []
@@ -374,7 +360,7 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
                 comb = combs[fact // factorial(k0)]
             y_table.append(IndexTerm(degs, elements[base], comb, 1 - total + k0, r_num, v_num,
                                      shift, ages[y_sector], elements[y_sector], y_ring))
-    return {"x": tuple(x_table), "y": tuple(y_table)}
+    return {"x": tuple(x_table), "y": tuple(y_table), "rings": y_rings}
 
 
 def _index_signature(pair: LGPair, variable: str) -> tuple:
@@ -900,22 +886,21 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     It walks the X index table, whose shift is the z-power (age - 1) k and
     whose comb is 1/(m! k!); a non-SL pair is refused.
     Each sheet's sector is read from the group's product table, the table's
-    base times j^-b, and its ring from a list per element, in nilpotency
-    N_g, None where N_g = 0.
+    base times j^-b, and its ring from the index tables' Y ring per element,
+    the list the Y table reads too.
     """
     pair.require_cy()
     pair.require_sl()
     d = pair.fermat.degree
     elements = tuple(g.exps for g in pair.group.elements)
-    times = _product_table(pair.fermat.exponents, elements)
-    position = {exps: i for i, exps in enumerate(elements)}
+    times, position = pair.group.times, pair.group.position
     j = position[pair.grading.exps]
     sheets = list(enumerate(_powers(times, times[j].index(0), d - 1)))
-    rings = [SeriesRing(d, orders.lam_order, exps.count(0)) if 0 in exps else None
-             for exps in elements]
+    tables = _index_tables(pair, orders)
+    rings = tables["rings"]
     terms: dict = {}
     atom_memo: dict = {}
-    for term in _index_tables(pair, orders)["x"]:
+    for term in tables["x"]:
         _, atoms = _x_atoms(pair, term, atom_memo)
         row = times[position[term.base]]
         for b, j_b in sheets:
@@ -962,7 +947,7 @@ def assert_lambda_divisibility(series: CohSeries) -> None:
     lam^{N_g}; the degree -1 slice (prefactor derivative) carries lam^1.
     The witness is the first failing key in sorted order."""
     for (exps, z, degs), value in sorted(series.terms.items()):
-        n_g = GroupElement(series.pair.fermat, exps).fixed_dim()
+        n_g = series.pair.element(exps).fixed_dim()
         required = 1 if degs[0] < 0 else n_g
         if n_g > 0 and value.lambda_valuation() < required:
             raise IdentityError(
@@ -982,7 +967,7 @@ def fjrw_limit(pair: LGPair, derivative: CohSeries) -> CohSeries:
     assert_lambda_divisibility(derivative)
     result = delta_circ(pair).apply(derivative.nonequivariant_limit())
     for (exps, _, _) in sorted(result.terms):
-        if not pair.is_narrow(GroupElement(pair.fermat, exps)):
+        if not pair.is_narrow(pair.element(exps)):
             raise IdentityError("FJRW output not narrow-supported",
                                 {"kind": "narrow-support", "sector": list(exps)})
     return result

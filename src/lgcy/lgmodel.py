@@ -72,6 +72,13 @@ class FermatData:
         return sum(self.weights) == self.degree
 
 
+def _product(a: tuple[int, ...], b: tuple[int, ...],
+             exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple of the product of the elements a and b: their sum
+    reduced mod d/c_j, the one place group multiplication is written."""
+    return tuple([(x + y) % m for x, y, m in zip(a, b, exponents)])
+
+
 class GroupElement:
     """Diagonal symmetry by exponent vector; multiplicity m_j = k_j c_j / d.
 
@@ -123,8 +130,7 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement._unchecked(
-            self.fermat, tuple((a + b) % m for a, b, m
-                               in zip(self.exps, other.exps, self.fermat.exponents)))
+            self.fermat, _product(self.exps, other.exps, self.fermat.exponents))
 
     def inverse(self) -> "GroupElement":
         return GroupElement._unchecked(
@@ -177,13 +183,24 @@ class AdmissibleGroup:
     grading: GroupElement
 
     def __post_init__(self):
-        members = frozenset(self.elements)
-        if self.grading not in members:
+        if self.grading not in self:
             raise ValueError("admissibility: grading element must belong to the group")
-        object.__setattr__(self, "_members", members)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self._members
+        return g.fermat == self.fermat and g.exps in self.position
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        """exps -> the index of that element in ``elements``."""
+        return {g.exps: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def times(self) -> tuple[tuple[int, ...], ...]:
+        """times[a][b]: the position of the product of the elements at
+        positions a and b, from exponent tuples alone, with no ``GroupElement``."""
+        exps = [g.exps for g in self.elements]
+        position, exponents = self.position, self.fermat.exponents
+        return tuple(tuple(position[_product(a, b, exponents)] for b in exps) for a in exps)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -235,10 +252,11 @@ class LGPair:
         return tuple(range(top + 1))
 
     def element(self, exps) -> GroupElement:
-        g = GroupElement(self.fermat, exps)
-        if g not in self.group:
-            raise ValueError(f"{g} is not in the group")
-        return g
+        """The group's own element of ``exps``; a non-member raises ValueError."""
+        index = self.group.position.get(tuple(exps))
+        if index is None:
+            raise ValueError(f"{GroupElement(self.fermat, exps)} is not in the group")
+        return self.group.elements[index]
 
     def require_cy(self):
         if not self.is_calabi_yau:

@@ -258,7 +258,7 @@ class PullbackToZ:
         the values that keep none."""
         out: dict = {}
         for (exps, z, degs), value in series.terms.items():
-            n_g = GroupElement(series.pair.fermat, exps).fixed_dim()
+            n_g = series.pair.element(exps).fixed_dim()
             out[(exps, z, degs)] = value.map_monomials(
                 lambda k, c: (k, c) if k[1] < n_g - 1 else None)
         return CohSeries("z", series.pair, series.variables, series.orders,

@@ -470,8 +470,7 @@ def check_fjrw_pipeline(pair: LGPair, orders: Orders, _tamper=None,
         # variable identification on narrow images, zero on broad ones; it
         # comes from t-degree 2 of I^X
         for idx, var in enumerate(result.variables):
-            base = pair.grading ** 2 if idx == 0 else \
-                GroupElement(pair.fermat, var) * pair.grading
+            base = pair.grading ** 2 if idx == 0 else pair.element(var) * pair.grading
             image = base * pair.grading.inverse()
             degs = tuple(1 if i == idx else 0 for i in range(len(result.variables)))
             if pair.is_narrow(image):
@@ -512,8 +511,7 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
     def body():
         derivative = z_ddt_distinguished(i_function_x(pair, work))
         restricted = derivative.filter_terms(
-            lambda key, value: key[2][0] >= 0
-            and GroupElement(pair.fermat, key[0]).fixed_dim() > 0)
+            lambda key, value: key[2][0] >= 0 and pair.element(key[0]).fixed_dim() > 0)
         pushed = u_bar(pair, work.lam_order).apply(restricted)
         divided = DeltaDiamond(pair).apply(pushed)
         survivors = divided.nonequivariant_limit()
@@ -522,7 +520,7 @@ def check_kernel_compatibility(pair: LGPair, orders: Orders,
         if survivors.is_zero():
             return {"kind": "vacuous", "detail": "no surviving terms to test"}
         for (exps, z, degs), value in sorted(survivors.terms.items()):
-            n_g = GroupElement(pair.fermat, exps).fixed_dim()
+            n_g = pair.element(exps).fixed_dim()
             for (lam, h, tau, atoms) in value.terms:
                 if h != n_g - 1:
                     return {"kind": "survivor-shape", "sector": list(exps),

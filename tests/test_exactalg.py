@@ -721,6 +721,16 @@ def test_rational_scaling_matches_the_scalar_product(order, data):
     assert (q == 0) == scaled.is_zero() or x.is_zero()
 
 
+def test_scaling_by_a_non_rational_names_its_type():
+    """A value times an operand that is neither a value nor an int or
+    Fraction is refused with a TypeError that names the operand's type."""
+    x = SeriesRing(3, 3, 3).lam() + 1
+    for operand in (Cyclotomic.one(3), 0.5):
+        with pytest.raises(TypeError, match=f"expected a rational scalar, "
+                                            f"got {type(operand).__name__}"):
+            x * operand
+
+
 # -- mixed layer helpers -------------------------------------------------------
 
 def test_divide_by_lambda_plus_h():

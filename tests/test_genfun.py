@@ -212,8 +212,7 @@ def test_level_walk_matches_itertools_reference(data, total):
     width = data.draw(st.integers(min_value=1, max_value=4))
     rows = data.draw(st.none() | st.lists(st.tuples(*[st.integers(0, 6)] * width),
                                           min_size=n, max_size=n))
-    times = genfun._product_table(pair.fermat.exponents, tuple(positions))
-    walk = genfun._level_walk(times, coordinates, rows)
+    walk = genfun._level_walk(pair.group.times, coordinates, rows)
     for level_total, level in zip(range(total + 1), walk):
         assert [degs for degs, *_ in level] == _compositions(n, level_total)
         for degs, _, sector, fact, sums in level:
@@ -1500,13 +1499,15 @@ def test_index_table_sectors_are_the_grading_power_times_base(pair, side):
 @pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS + [NON_SL_PAIR],
                          ids=lambda p: p.name)
 def test_product_table_is_the_group_multiplication(pair):
-    """times[a][b] is the position of (g_a * g_b).exps, the product formed
-    with ``GroupElement.__mul__``, for every a and b."""
-    elements = pair.group.elements
-    positions = [g.exps for g in elements]
-    times = genfun._product_table(pair.fermat.exponents, tuple(positions))
-    assert [list(row) for row in times] == \
-        [[positions.index((a * b).exps) for b in elements] for a in elements]
+    """``pair.group.times[a][b]`` is the position of the exponent tuples of
+    the elements at positions a and b added mod d/c_j, for every a and b;
+    ``pair.group.position`` inverts ``elements``."""
+    positions = [g.exps for g in pair.group.elements]
+    exponents = pair.fermat.exponents
+    assert pair.group.position == {exps: i for i, exps in enumerate(positions)}
+    assert [list(row) for row in pair.group.times] == \
+        [[positions.index(tuple((x + y) % m for x, y, m in zip(a, b, exponents)))
+          for b in positions] for a in positions]
 
 
 def _reference_j_classes(pair, orders) -> tuple:

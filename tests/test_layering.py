@@ -22,11 +22,12 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
 
-from lgcy import catalog, genfun, transforms, verify
+from lgcy import catalog, genfun, lgmodel, transforms, verify
 from lgcy.exactalg import SectorValue, ZLaurentSeries
 from lgcy.lgmodel import GroupElement, LGPair
 from lgcy.transforms import Transform
@@ -490,7 +491,8 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
         ("genfun.gamma_pole_residue", 'raise ValueError("need m >= 0 and 0 <= b < d")'),
         ("lgmodel.AdmissibleGroup.__post_init__",
          'raise ValueError("admissibility: grading element must belong to the group")'),
-        ("lgmodel.LGPair.element", 'raise ValueError(f"{g} is not in the group")'),
+        ("lgmodel.LGPair.element",
+         'raise ValueError(f"{GroupElement(self.fermat, exps)} is not in the group")'),
         ("lgmodel.LGPair.require_twist",
          'raise ValueError(f"{self.name}: twist c={c} outside 0 <= c*c_j < d")'),
         ("lgmodel.LGPair.is_nonempty", 'raise ValueError("need at least one insertion")'),
@@ -815,22 +817,29 @@ def test_continuation_reaches_the_group_element_constructor(monkeypatch):
 
 
 def test_the_index_table_and_the_continued_series_build_no_group_element(monkeypatch):
-    """``_index_tables``, ``_j_classes``, the product table that both read,
-    and ``h_continued`` read sectors as exponent tuples: while any of them runs
-    no ``GroupElement`` is made (both constructors store through
-    ``_store``), though the checks around them make some.  The caches are
-    emptied first, so each builds here."""
+    """The group's product table and positions are built from exponent
+    tuples: on a fresh pair, building them makes no ``GroupElement`` (both
+    constructors store through ``_store``).  ``_index_tables``,
+    ``_j_classes`` and ``h_continued`` read that table and make no
+    ``GroupElement`` and no group product (``_product``) of their own,
+    though the checks around them make some.  The caches are emptied first,
+    so each builds here."""
     wrap, reached = _reach_counter(monkeypatch)
-    for cache in (genfun._index_tables, genfun._j_classes, genfun._product_table):
+    for cache in (genfun._index_tables, genfun._j_classes):
         cache.cache_clear()
+    tables = SimpleNamespace(build=lambda group: (group.times, group.position))
+    wrap([tables], "build")
     wrap([verify], "check_continuation")
     wrap([verify], "check_oracle_equivalence")
     wrap([genfun], "_index_tables")
     wrap([genfun], "_j_classes")
-    wrap([genfun], "_product_table")
     wrap([genfun, verify], "h_continued")
+    wrap([lgmodel], "_product")
     wrap([GroupElement], "_store")
     pair = catalog.quartic()
+    tables.build(pair.group)
+    assert reached["build", "_product"] == len(pair.group) ** 2
+    assert reached["build", "_store"] == 0
     assert verify.check_continuation(pair, verify.recommended_orders(pair, 3, 2)).ok()
     assert verify.check_oracle_equivalence(pair, n_max=3).ok()
     assert reached["check_continuation", "_index_tables"] > 0
@@ -838,10 +847,28 @@ def test_the_index_table_and_the_continued_series_build_no_group_element(monkeyp
     assert reached["check_continuation", "_store"] > 0
     assert reached["check_oracle_equivalence", "_j_classes"] > 0
     assert reached["check_oracle_equivalence", "_store"] > 0
-    assert reached["_index_tables", "_product_table"] > 0
-    assert reached["_j_classes", "_product_table"] > 0
-    for builder in ("_index_tables", "_j_classes", "_product_table", "h_continued"):
+    for builder in ("_index_tables", "_j_classes", "h_continued"):
         assert reached[builder, "_store"] == 0, builder
+        assert reached[builder, "_product"] == 0, builder
+
+
+def test_only_two_sites_rebuild_a_group_element():
+    """In ``cohseries``, ``genfun``, ``transforms`` and ``verify`` a sector
+    key becomes an element through ``LGPair.element``, which hands out the
+    group's own instance.  Only ``cohseries._sector_nilpotency`` and
+    ``verify.check_mlk_untwisted`` still call ``GroupElement(...)``: the
+    benchmark tracer (``benchmarks/tracer.py:89``) predicts
+    ``GroupElement.__init__`` calls on every workload, and these two sites
+    are what make them."""
+    def calls_constructor(func):
+        return isinstance(func, ast.Name) and func.id == "GroupElement"
+
+    sites = {f"{name}.{getattr(node, 'name', node.lineno)}"
+             for name in ("cohseries", "genfun", "transforms", "verify")
+             for node in MODULES[name].body
+             if any(isinstance(call, ast.Call) and calls_constructor(call.func)
+                    for call in ast.walk(node))}
+    assert sites == {"cohseries._sector_nilpotency", "verify.check_mlk_untwisted"}
 
 
 def test_oracle_equivalence_reaches_the_selection_rule(monkeypatch):

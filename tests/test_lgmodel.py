@@ -24,6 +24,8 @@ from lgcy.lgmodel import (
 )
 from lgcy.transforms import delta_c_generic, delta_c_specialized, i_c
 
+from test_genfun import CENSUS_PAIRS
+
 ALL_PAIRS = [quintic(), cubic(), quartic(), sextic()]
 TWISTED_PAIRS = [(pair, c) for pair in ALL_PAIRS for c in pair.valid_twists()]
 
@@ -119,6 +121,19 @@ def test_group_laws_random(pair):
         assert (a * b) * c == a * (b * c)
         assert a * a.inverse() == pair.identity
         assert a * b in pair.group
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
+def test_element_hands_out_the_groups_own_instance(pair, monkeypatch):
+    """``pair.element(exps)`` is the group's own element of that exponent
+    tuple, found by position, so no ``GroupElement`` is stored for a
+    member."""
+    stored = []
+    monkeypatch.setattr(GroupElement, "_store", lambda *args: stored.append(args))
+    for g in pair.group.elements:
+        assert pair.element(g.exps) is g
+        assert pair.element(list(g.exps)) is g
+    assert stored == []
 
 
 # -- ages, fixed loci, narrow sectors ----------------------------------------------
