@@ -859,9 +859,7 @@ class ZLaurentSeries:
 
     def __mul__(self, other):
         if not isinstance(other, ZLaurentSeries):
-            # a rational, nonzero as every caller's comb is, keeps every term nonzero
-            return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
-                                             {z: v * other for z, v in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         out: dict = {}
         for z1, v1 in self.terms.items():
@@ -873,6 +871,25 @@ class ZLaurentSeries:
                 out[z] = out[z] + prod if z in out else prod
         return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
                                          {z: v for z, v in out.items() if v.terms})
+
+    def _scaled(self, value) -> "ZLaurentSeries":
+        """self * value for a rational value, nonzero as every caller's comb
+        is, so every term stays nonzero: value's numerator and denominator
+        are read once and every cell of every z is scaled in one pass, as
+        ``SectorValue._scaled`` scales one value's cells, with no per-z
+        ``SectorValue`` product."""
+        num, den = _rational_parts(value)
+        ring = self.ring
+        order, reduced, unchecked = ring.order, Cyclotomic._reduced, SectorValue._unchecked
+        out: dict = {}
+        for z, v in self.terms.items():
+            cells = {}
+            for key, c in v.terms.items():
+                # a comb 1/k! leaves the numerators as they are
+                nums = c.nums if num == 1 else tuple([x * num for x in c.nums])
+                cells[key] = reduced(order, nums, c.den * den)
+            out[z] = unchecked(ring, cells)
+        return ZLaurentSeries._unchecked(ring, self.z_min, self.z_max, out)
 
     def __eq__(self, other):
         return (isinstance(other, ZLaurentSeries)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exactalg import (
@@ -306,8 +306,9 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     and the positive-dimensional sectors g_s, so its sector is base; j^+-k0
     base and each sector's age and N_g come from the group's product table
     and per-element lists.  The walk also carries integer sums over one row
-    per g_s: its exponents, then the column d age(g_s) - d.  They give
-    r_j, v_j = (k0 +- sums_j) c_j / d and, in the last column, d shift.
+    per g_s: its exponents times the weights c_j, then the column d age(g_s)
+    - d.  They give r_j, v_j = (k0 c_j +- sums_j) / d, one integer map each,
+    and, in the last column, d shift.
     base, r_num, v_num and shift are the same on both sides, so a Y term
     shares them with the X term of its multidegree.
 
@@ -332,10 +333,12 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     j = position[pair.grading.exps]
     up = _powers(times, j, orders.t_order)
     down = _powers(times, times[j].index(0), orders.t_order)
-    # the age column is last, so zip with the weights reads the exponent
-    # sums alone
+    # the age column is last, so a map over the weights reads the weighted
+    # exponent sums alone
     rows = [(0,) * (len(weights) + 1)] + \
-        [g.exps + (sum(e * c for e, c in zip(g.exps, weights)) - d,) for g in sectors]
+        [tuple(map(mul, g.exps, weights)) + (sum(map(mul, g.exps, weights)) - d,)
+         for g in sectors]
+    k0_weights = [tuple(k0 * cj for cj in weights) for k0 in range(orders.t_order + 1)]
     coordinates = [0] + [position[g.exps] for g in sectors]
     x_ring = SeriesRing(d, orders.lam_order, 1)
     combs: dict = {}       # factorial -> its inverse
@@ -345,8 +348,8 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
         for degs, _, base, fact, sums in level:
             k0 = degs[0]
             x_sector, y_sector = times[base][up[k0]], times[base][down[k0]]
-            r_num = tuple([(k0 + s) * cj for s, cj in zip(sums, weights)])
-            v_num = tuple([(k0 - s) * cj for s, cj in zip(sums, weights)])
+            r_num = tuple(map(add, k0_weights[k0], sums))
+            v_num = tuple(map(sub, k0_weights[k0], sums))
             shift = sums[-1] // d if graded else None
             comb = combs.get(fact)
             if comb is None:
@@ -426,20 +429,22 @@ def _i_function(pair: LGPair, orders: Orders, side: str, product_of,
     product of ``product_of`` on ``_wide_window`` times the table's comb,
     one key per z at z + offset inside the declared window.
 
-    comb times the product is formed once per (product key, comb), keyed
-    on integers, and its nonzero values go straight into the series' terms,
-    which are clean by construction.
+    comb times the product is formed once per (product key, comb), the
+    comb named by its identity: the table holds every comb for the span of
+    the walk, so two different combs are two different objects.  Its
+    nonzero values go straight into the series' terms, which are clean by
+    construction.
     """
     pair.require_cy()
     window = _wide_window(orders, pair)
     z_min, z_max = orders.z_window
     terms: dict = {}
     products: dict = {}
-    scaled: dict = {}   # (product key, comb numerator, denominator) -> comb * product
+    scaled: dict = {}   # (product key, id of comb) -> comb * product
     for term in _index_tables(pair, orders)[side]:
         key, product = product_of(pair, term, *window, products)
         comb, offset = term.comb, term.offset
-        scaled_key = (key, comb.numerator, comb.denominator)
+        scaled_key = (key, id(comb))
         value = scaled.get(scaled_key)
         if value is None:
             value = scaled[scaled_key] = product * comb
@@ -566,38 +571,38 @@ def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple[tuple, tuple]:
     return found
 
 
-def _atom_value(ring: SeriesRing, atoms: tuple, comb: Fraction) -> SectorValue:
-    """The H closed form of one index: comb times the Gamma-atom monomial."""
-    return SectorValue._unchecked(
-        ring, {(0, 0, 0, atoms): Cyclotomic.from_rational(ring.order, comb)})
-
-
 def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
                 variable: str) -> CohSeries:
     """The H-function of one side: comb times the Gamma atoms of
     ``atoms_of`` at every index of the side's table whose z^shift lies in
     the declared window.
 
-    One closed-form value is built per (ring, atoms, comb) and shared by
-    the terms that have it; the table's rings are shared per nilpotency, so
-    the nilpotency stands for the ring, and the atoms' integer key stands
-    for the atoms.  The terms are clean by construction.
+    One closed-form value, comb times the Gamma-atom monomial, is built per
+    (ring, atoms, comb) and shared by the terms that have it; the table's
+    rings are shared per nilpotency, so the nilpotency stands for the ring,
+    the atoms' integer key stands for the atoms, and the comb's identity
+    for the comb, as in ``_i_function``.  Each comb becomes one rational
+    cell per walk.  The terms are clean by construction.
     """
     pair.require_cy()
     pair.require_sl()
     z_min, z_max = orders.z_window
     terms: dict = {}
     memo: dict = {}
-    values: dict = {}   # (nilpotency, atoms key, comb numerator, denominator) -> value
+    cells: dict = {}    # id of comb -> comb as a cell
+    values: dict = {}   # (nilpotency, atoms key, id of comb) -> value
     for term in _index_tables(pair, orders)[side]:
         if not z_min <= term.shift <= z_max:
             continue
         ring, comb = term.ring, term.comb
         atoms_key, atoms = atoms_of(pair, term, memo)
-        key = (ring.nilpotency, atoms_key, comb.numerator, comb.denominator)
+        key = (ring.nilpotency, atoms_key, id(comb))
         value = values.get(key)
         if value is None:
-            value = values[key] = _atom_value(ring, atoms, comb)
+            cell = cells.get(id(comb))
+            if cell is None:
+                cell = cells[id(comb)] = Cyclotomic.from_rational(ring.order, comb)
+            value = values[key] = SectorValue._unchecked(ring, {(0, 0, 0, atoms): cell})
         terms[(term.sector, term.shift, term.degs)] = value
     variables, tokens = _index_signature(pair, variable)
     return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
@@ -638,79 +643,74 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     return gamma, h_series
 
 
-def _stored_counts(series: CohSeries) -> dict:
-    """The number of stored keys per (sector, degree) in the declared window."""
-    z_min, z_max = series.orders.z_window
-    counts: dict = {}
-    for sector, z, degs in series.terms:
-        if z_min <= z <= z_max:
-            counts[sector, degs] = counts.get((sector, degs), 0) + 1
-    return counts
+def _assert_is_clamp(terms: dict, window: tuple[int, int], term: IndexTerm,
+                     product: ZLaurentSeries, fact: int, message: str) -> int:
+    """The stored I ``terms`` of the index must be the ``window`` clamp of
+    its I product over the check's own ``fact`` times z^offset; returns the
+    number of stored keys this matched.
 
-
-def _assert_is_clamp(series: CohSeries, counts: dict, term: IndexTerm,
-                     product: ZLaurentSeries, fact: int, label: str):
-    """The stored series must be the window clamp of the index's I product
-    over the check's own ``fact`` times z^offset.
-
-    Each stored coefficient at z + offset must lie in the product's ring and
-    equal the product's coefficient at z over fact cell by cell, compared by
-    cross-multiplying integer numerators and denominators; ``counts``, from
-    ``_stored_counts``, then rules out a stored z that the product lacks.
+    Each stored coefficient at z + offset must lie in the product's ring, on
+    the product's monomials at z, and equal the product's coefficient there
+    over fact cell by cell: each cell's numerators are cross-multiplied by
+    the other side's denominator in integers.  A stored z that the product
+    lacks is one the walk's count of matched keys leaves out.
     """
-    z_min, z_max = series.orders.z_window
-    ring, terms = product.ring, series.terms
+    z_min, z_max = window
+    ring = product.ring
     sector, degs, offset = term.sector, term.degs, term.offset
     found = 0
     for z, value in product.terms.items():
         z += offset
         if not z_min <= z <= z_max:
             continue
-        found += 1
         stored = terms.get((sector, z, degs))
-        if stored is None or stored.ring is not ring \
-                or stored.terms.keys() != value.terms.keys() \
-                or not _scaled_equals(stored, value, fact):
+        equal = stored is not None and stored.ring is ring \
+            and stored.terms.keys() == value.terms.keys()
+        if equal:
+            cells = stored.terms
+            for key, coeff in value.terms.items():
+                cell = cells[key]
+                left, right = coeff.den * fact, cell.den
+                for x, y in zip(cell.nums, coeff.nums):
+                    if x * left != y * right:
+                        equal = False
+        if not equal:
             break
+        found += 1
     else:
-        if counts.get((sector, degs), 0) == found:
-            return
-    raise IdentityError(f"{label}: stored series is not the declared clamp",
-                        {"sector": list(sector), "degree": list(degs)})
+        return found
+    raise IdentityError(message, {"sector": list(sector), "degree": list(degs)})
 
 
-def _scaled_equals(stored: SectorValue, value: SectorValue, fact: int) -> bool:
-    """stored == value / fact for two values on the same keys, cell by cell,
-    with each cell's numerators cross-multiplied by the other side's
-    denominator in integers."""
-    cells = stored.terms
-    for key, coeff in value.terms.items():
-        cell = cells[key]
-        left, right = coeff.den * fact, cell.den
-        for x, y in zip(cell.nums, coeff.nums):
-            if x * left != y * right:
-                return False
-    return True
+_H_TERM_MESSAGE = "H-function term disagrees with its closed form"
 
 
-def _assert_h_term(h_series: CohSeries, term: IndexTerm, atoms: tuple, fact: int):
+def _assert_h_term(terms: dict, window: tuple[int, int], term: IndexTerm, atoms: tuple,
+                   fact: int) -> int:
     """The stored H term must be its closed form, the atoms monomial over
-    the check's own ``fact`` in the index's ring, wherever the window keeps
+    the check's own ``fact`` in the index's ring, wherever ``window`` keeps
     it: its one cell is compared with (atoms, 1/fact) directly, in integers,
-    with no closed-form value built."""
-    z_min, z_max = h_series.orders.z_window
+    with no closed-form value built.  Returns the number of stored keys this
+    matched, 1 or 0."""
+    z_min, z_max = window
     sector, shift, degs = term.sector, term.shift, term.degs
     if not z_min <= shift <= z_max:
-        return
-    stored = h_series.terms.get((sector, shift, degs))
+        return 0
+    stored = terms.get((sector, shift, degs))
     if stored is not None and stored.ring is term.ring and len(stored.terms) == 1:
         [(key, cell)] = stored.terms.items()
         nums = cell.nums
         if key == (0, 0, 0, atoms) and cell.den == fact \
                 and nums[0] == 1 and not any(nums[1:]):
-            return
-    raise IdentityError("H-function term disagrees with its closed form",
-                        {"sector": list(sector), "degree": list(degs)})
+            return 1
+    raise IdentityError(_H_TERM_MESSAGE, {"sector": list(sector), "degree": list(degs)})
+
+
+def _least_unread(terms: dict, read: set) -> dict:
+    """The witness of a stored key no index reads: the sector and degree of
+    the least key of ``terms`` outside ``read``."""
+    sector, _, degs = min(key for key in terms if key not in read)
+    return {"sector": list(sector), "degree": list(degs)}
 
 
 def _assert_no_residual(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int,
@@ -754,7 +754,8 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
     differ by n den.  Each ratio goes to ``gamma_shift_product`` as its
     integers (q, weight, h_weight, base, steps), in lowest terms over q, and
     ``memo`` keeps each block per (ring, those integers) for the span of one
-    walk.
+    walk, the ring named by its nilpotency: a walk's rings share their order
+    and lam-order.
     """
     den = lcm(*(atom.den for atom, _ in gamma_atoms + h_atoms))
 
@@ -763,37 +764,38 @@ def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
         weight, offset, h_weight = atom.nums
         return (weight * scale, h_weight * scale), offset * scale
 
-    # H atom -> [weights, offset numerator, copies left]
-    pool = {h: [*over_den(h), -exp] for h, exp in h_atoms}
+    # H atom -> [H atom, weights, offset numerator, copies left]
+    pool = {h: [h, *over_den(h), -exp] for h, exp in h_atoms}
     i_shifts, shifts = [], []
     for atom, exp in gamma_atoms:
         weights, offset = over_den(atom)
         for _ in range(exp):
-            partner = next((h for h, (h_weights, h_offset, left) in pool.items()
-                            if left > 0 and h_weights == weights
-                            and (h_offset - offset) % den == 0), None)
-            if partner is None:
+            for entry in pool.values():
+                _, h_weights, h_offset, left = entry
+                if left > 0 and h_weights == weights and (h_offset - offset) % den == 0:
+                    break
+            else:
                 raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                                     {"sector": list(sector), "degree": list(degs),
                                      "atom": str(atom)})
-            entry = pool[partner]
-            entry[2] -= 1
-            n = (entry[1] - offset) // den
+            entry[3] -= 1
+            n = (h_offset - offset) // den
             if n:
                 # the weights and the lower offset over one denominator q,
                 # in lowest terms, so that equal ratios have equal integers
-                parts = (*weights, min(offset, entry[1]))
-                g = gcd(den, *parts)
-                ratio = (den // g, *(x // g for x in parts), abs(n))
-                (shifts if n > 0 else i_shifts).append(ratio)
-    unpaired = [h for h, (_, _, left) in pool.items() if left]
+                weight, h_weight = weights
+                base = min(offset, h_offset)
+                g = gcd(den, weight, h_weight, base)
+                (shifts if n > 0 else i_shifts).append(
+                    (den // g, weight // g, h_weight // g, base // g, abs(n)))
+    unpaired = [h for h, _, _, left in pool.values() if left]
     if unpaired:
         raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",
                             {"sector": list(sector), "degree": list(degs),
                              "atom": str(unpaired[0])})
 
     def block(ratios):
-        key = (ring, tuple(ratios))
+        key = (ring.nilpotency, tuple(ratios))
         found = memo.get(key)
         if found is None:
             found = memo[key] = gamma_shift_product(ratios, ring, *window)
@@ -824,10 +826,17 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       delta = (shift + 1 - age) - offset the identity reads product times
       I block = operator block times z^delta.  That depends only on
       (product key, (sector, H atoms), delta), so each key is formed once
-      from ``ZLaurentSeries`` products and kept once it has passed.
+      from ``ZLaurentSeries`` products and kept once it has passed, as a
+      (product key, delta) of its blocks' entry.
       ``_assert_no_residual`` reads the operator block at z + delta in
       place, inside the product's window, and a failing key raises from that
       same read with the term's comb and offset, which name the witness.
+
+    The first two read each series' z-window once per walk and count the
+    stored keys they match.  A series holds only keys inside its window, so
+    after the walk each count must be the series' number of keys: a stored
+    key that no index reads, at a z its product lacks or under another
+    sector or degree, fails with the least such key's sector and degree.
 
     The first two read comb as 1/fact, fact the check's own factorial
     product of ``term.degs`` (all of it on X, all but k0 on Y), not the
@@ -843,33 +852,42 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     else:
         product_of, atoms_of, first = _i_y_product, _y_atoms, 1
     window = _wide_window(i_series.orders, pair)
-    label = f"I^{side.upper()}"
-    counts = _stored_counts(i_series)
+    clamp = f"I^{side.upper()}: stored series is not the declared clamp"
+    i_terms, i_window = i_series.terms, i_series.orders.z_window
+    h_terms, h_window = h_series.terms, h_series.orders.z_window
+    i_matched = h_matched = 0
     i_products: dict = {}
-    blocks: dict = {}
+    blocks: dict = {}   # (sector, H atoms key) -> (I block, block, passed keys)
     shift_blocks: dict = {}
-    passed: set = set()
     memo: dict = {}
-    for term in _index_tables(pair, i_series.orders)[side]:
+    table = _index_tables(pair, i_series.orders)[side]
+    for term in table:
         sector = term.sector
         atoms_key, atoms = atoms_of(pair, term, memo)
 
         product_key, product = product_of(pair, term, *window, i_products)
         fact = prod(map(factorial, term.degs[first:]))
-        _assert_is_clamp(i_series, counts, term, product, fact, label)
-        _assert_h_term(h_series, term, atoms, fact)
+        i_matched += _assert_is_clamp(i_terms, i_window, term, product, fact, clamp)
+        h_matched += _assert_h_term(h_terms, h_window, term, atoms, fact)
 
-        block_key = (sector, atoms_key)
-        if block_key not in blocks:
-            blocks[block_key] = _gamma_ratio_blocks(gamma[sector], atoms, term.ring, window,
-                                                    sector, term.degs, shift_blocks)
+        found = blocks.get((sector, atoms_key))
+        if found is None:
+            found = blocks[sector, atoms_key] = (
+                *_gamma_ratio_blocks(gamma[sector], atoms, term.ring, window, sector,
+                                     term.degs, shift_blocks), set())
+        i_block, block, passed = found
         delta = term.shift + 1 - term.age - term.offset
-        key = (product_key, block_key, delta)
-        if key not in passed:
-            i_block, block = blocks[block_key]
+        if (product_key, delta) not in passed:
             _assert_no_residual(product if i_block is None else product * i_block,
                                 block, delta, side.upper(), term)
-            passed.add(key)
+            passed.add((product_key, delta))
+    if i_matched != len(i_terms):
+        read = {(term.sector, z + term.offset, term.degs) for term in table
+                for z in product_of(pair, term, *window, i_products)[1].terms}
+        raise IdentityError(clamp, _least_unread(i_terms, read))
+    if h_matched != len(h_terms):
+        raise IdentityError(_H_TERM_MESSAGE, _least_unread(
+            h_terms, {(term.sector, term.shift, term.degs) for term in table}))
 
 
 # ---------------------------------------------------------------------------

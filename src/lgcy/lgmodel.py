@@ -252,9 +252,13 @@ class LGPair:
         return tuple(range(top + 1))
 
     def element(self, exps) -> GroupElement:
-        """The group's own element of ``exps``; a non-member raises ValueError."""
-        index = self.group.position.get(tuple(exps))
-        if index is None:
+        """The group's own element of ``exps``, whose values may be anything
+        that converts to int; a non-member raises ValueError.  A miss of the
+        position lookup retries it on the checked constructor's exponents,
+        converted with int(), and only a second miss is a refusal."""
+        position = self.group.position
+        index = position.get(tuple(exps))
+        if index is None and (index := position.get(GroupElement(self.fermat, exps).exps)) is None:
             raise ValueError(f"{GroupElement(self.fermat, exps)} is not in the group")
         return self.group.elements[index]
 

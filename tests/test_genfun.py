@@ -956,6 +956,12 @@ def _clamped(terms, window):
     return {z: value for z, value in terms.items() if z_min <= z <= z_max}
 
 
+def _atom_value(ring, atoms, comb):
+    """The H closed form of one index: comb times the Gamma-atom monomial,
+    through the public constructor."""
+    return SectorValue(ring, {(0, 0, 0, atoms): comb})
+
+
 def _i_value(product, comb, offset, window):
     """The I coefficient of one index as a z -> SectorValue dict: comb times
     its product at each z + offset inside ``window``."""
@@ -1016,7 +1022,7 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
             raise IdentityError(f"I^{side.upper()}: stored series is not the declared clamp",
                                 {"sector": list(sector), "degree": list(term.degs)})
         if z_min <= shift <= z_max and h_series.coefficient(sector, shift, term.degs) \
-                != genfun._atom_value(ring, atoms, scale):
+                != _atom_value(ring, atoms, scale):
             raise IdentityError("H-function term disagrees with its closed form",
                                 {"sector": list(sector), "degree": list(term.degs)})
         key = (sector, atoms)
@@ -1232,25 +1238,70 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
     assert outcomes == {True, False}
 
 
+def _other_sector(pair, side, sector):
+    """A group element other than ``sector``, on side y one of the same N_g
+    where the group has one, so that a value filed there lies in that
+    sector's ring."""
+    others = [g.exps for g in pair.group.elements if g.exps != sector]
+    if side == "y":
+        return min(others, key=lambda exps: (exps.count(0) != sector.count(0), exps))
+    return others[0]
+
+
+def _stray_key(pair, side, series, place):
+    """A key (key, stray) of ``series`` and a key it lacks, the first at a z
+    of the window its (sector, degree) leaves free (``place`` "z") or at the
+    same z and degree under another sector ("sector")."""
+    z_min, z_max = series.orders.z_window
+    if place == "z":
+        sector, z, degs = next(
+            key for key in sorted(series.terms)
+            if any((key[0], free, key[2]) not in series.terms
+                   for free in range(z_min, z_max + 1)))
+        free = next(w for w in range(z_min, z_max + 1) if (sector, w, degs) not in series.terms)
+        return (sector, z, degs), (sector, free, degs)
+    sector, z, degs = key = sorted(series.terms)[len(series.terms) // 2]
+    stray = (_other_sector(pair, side, sector), z, degs)
+    assert stray not in series.terms
+    return key, stray
+
+
+@pytest.mark.parametrize("place", ["z", "sector"])
 @pytest.mark.parametrize("side", ["x", "y"])
-def test_factorization_refuses_a_stored_z_the_closed_form_lacks(side):
-    """An extra in-window z-key on an index's (sector, degree) fails the
-    clamp assert: each stored key matches its closed form, but the stored
-    keys outnumber the closed form's."""
-    p = quartic()
-    orders = recommended_orders(p, 6, 3)
-    series = (i_function_x if side == "x" else i_function_y)(p, orders)
-    z_min, z_max = orders.z_window
-    sector, z, degs = next(
-        key for key in sorted(series.terms)
-        if any((key[0], free, key[2]) not in series.terms for free in range(z_min, z_max + 1)))
-    free = next(w for w in range(z_min, z_max + 1) if (sector, w, degs) not in series.terms)
-    extra = series._replace_terms({**series.terms,
-                                   (sector, free, degs): series.terms[sector, z, degs]})
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_factorization_refuses_a_stored_z_the_closed_form_lacks(pair, side, place):
+    """A copy of a stored I coefficient filed at an in-window z that its
+    (sector, degree) lacks, or at the same z and degree under another
+    sector, fails the clamp assert: each stored key the indices read
+    matches its closed form, but the stored keys outnumber the ones they
+    read, and the witness is the stray key's sector and degree."""
+    orders = recommended_orders(pair, 4, 2)
+    series = (i_function_x if side == "x" else i_function_y)(pair, orders)
+    key, stray = _stray_key(pair, side, series, place)
+    extra = series._replace_terms({**series.terms, stray: series.terms[key]})
     label = f"I^{side.upper()}: stored series is not the declared clamp"
     with pytest.raises(IdentityError, match=re.escape(label)) as caught:
-        h_factorization(p, extra, side)
-    assert caught.value.witness == {"sector": list(sector), "degree": list(degs)}
+        h_factorization(pair, extra, side)
+    assert caught.value.witness == {"sector": list(stray[0]), "degree": list(stray[2])}
+
+
+@pytest.mark.parametrize("place", ["z", "sector"])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_factorization_refuses_a_stored_h_key_the_closed_form_lacks(pair, side, place):
+    """The same for H: a copy of a stored H term filed at another z of its
+    (sector, degree), or at its z and degree under another sector, fails
+    the H-term assert with the stray key's sector and degree."""
+    orders = recommended_orders(pair, 4, 2)
+    i_series = (i_function_x if side == "x" else i_function_y)(pair, orders)
+    h_series = (h_function_x if side == "x" else h_function_y)(pair, orders)
+    key, stray = _stray_key(pair, side, h_series, place)
+    extra = h_series._replace_terms({**h_series.terms, stray: h_series.terms[key]})
+    gamma = gamma_class_op(pair, side)
+    _verify_factorization(pair, side, i_series, h_series, gamma)
+    with pytest.raises(IdentityError, match="H-function term disagrees") as caught:
+        _verify_factorization(pair, side, i_series, extra, gamma)
+    assert caught.value.witness == {"sector": list(stray[0]), "degree": list(stray[2])}
 
 
 # -- the I and H builders against the route through the public constructors -----------
@@ -1276,7 +1327,7 @@ def _public_route(pair, orders, side, kind):
         else:
             atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
             terms[(term.sector, term.shift, term.degs)] = \
-                genfun._atom_value(term.ring, atoms_of(pair, term, memo)[1], term.comb)
+                _atom_value(term.ring, atoms_of(pair, term, memo)[1], term.comb)
     variable = "t" if side == "x" else "q^(1/d)"
     token = TOKEN_T_LAMBDA if side == "x" else TOKEN_Q_H
     variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())
@@ -1318,6 +1369,30 @@ def test_builders_match_the_public_constructor_route(pair, kind, side):
 
         assert outcome(built) == outcome(expected)
         assert outcome(built)[1]["sector"] == list(key[0])
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_scaling_a_product_matches_the_per_z_route(pair, side):
+    """``ZLaurentSeries * r`` scales every cell of every z in one pass; on
+    every I product of the side's table and for r = 1, -3/7 and 1/120 it
+    equals the per-z route, each z's ``SectorValue`` times r, cell for cell
+    in the same lowest terms, on the product's ring and window."""
+    orders = recommended_orders(pair, 4, 2)
+    window = genfun._wide_window(orders, pair)
+    product_of = genfun._i_x_product if side == "x" else genfun._i_y_product
+    products = {}
+    for term in _index_tables(pair, orders)[side]:
+        product_of(pair, term, *window, products)
+    assert products
+    for product in products.values():
+        for r in (1, F(-3, 7), F(1, 120)):
+            scaled = product * r
+            assert scaled.terms == {z: v * r for z, v in product.terms.items()}
+            assert scaled.ring is product.ring
+            assert (scaled.z_min, scaled.z_max) == (product.z_min, product.z_max)
+            assert all(cell.den > 0 and math.gcd(cell.den, *cell.nums) == 1
+                       for value in scaled.terms.values() for cell in value.terms.values())
 
 
 # -- the kept index table ---------------------------------------------------------------

@@ -514,13 +514,19 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
         ("cohseries.CohSeries.compare", 'return {"kind": "token-mismatch",'),
         ("cohseries.CohSeries.compare", 'return {"kind": "signature-mismatch",'),
         ("genfun._assert_h_term",
-         'raise IdentityError("H-function term disagrees with its closed form",'),
+         'raise IdentityError(_H_TERM_MESSAGE, {"sector": list(sector), "degree": list(degs)})'),
+        ("genfun._least_unread", "sector, _, degs = min(key for key in terms if key not in read)"),
+        ("genfun._least_unread", 'return {"sector": list(sector), "degree": list(degs)}'),
         ("genfun._assert_no_residual",
          "bad += [z for z in terms if z - delta not in block.terms]"),
         ("genfun._assert_no_residual", "z_bad, zero = min(bad), lhs.ring.zero()"),
         ("genfun._assert_no_residual", "raise IdentityError("),
         ("genfun._gamma_ratio_blocks",
          'raise IdentityError("Gamma atom left unpaired by the integer-gap rewrite",'),
+        ("genfun._verify_factorization",
+         "read = {(term.sector, z + term.offset, term.degs) for term in table"),
+        ("genfun._verify_factorization", "raise IdentityError(clamp, _least_unread(i_terms, read))"),
+        ("genfun._verify_factorization", "raise IdentityError(_H_TERM_MESSAGE, _least_unread("),
         ("genfun.fjrw_limit", 'raise IdentityError("FJRW output not narrow-supported",'),
         ("verify.check_mlk_untwisted.body",
          'return {"kind": "vacuous", "detail": "no z d/dt of J keeps a term in the z-window"}'),
@@ -696,24 +702,26 @@ def test_only_clean_builders_skip_the_series_constructor():
 
 
 def _reach_counter(monkeypatch):
-    """(wrap, reached): ``wrap(owners, attr)`` replaces ``attr`` on every
-    owner by a counter, and ``reached[outer, attr]`` counts the wrapped calls
-    to ``attr`` made while the wrapped ``outer`` runs."""
+    """(wrap, reached): ``wrap(owners, attr, name=attr)`` replaces ``attr``
+    on every owner by a counter, and ``reached[outer, name]`` counts the
+    wrapped calls to it made while the wrapped ``outer`` runs; a name tells
+    apart two owners' methods of one attr."""
     running: Counter = Counter()
     reached: Counter = Counter()
 
-    def wrap(owners, attr):
+    def wrap(owners, attr, name=None):
         original = getattr(owners[0], attr)
+        name = name or attr
 
         def counted(*args, **kwargs):
             for outer, depth in list(running.items()):
                 if depth:
-                    reached[outer, attr] += 1
-            running[attr] += 1
+                    reached[outer, name] += 1
+            running[name] += 1
             try:
                 return original(*args, **kwargs)
             finally:
-                running[attr] -= 1
+                running[name] -= 1
 
         for owner in owners:
             monkeypatch.setattr(owner, attr, counted)
@@ -756,15 +764,21 @@ def test_the_traced_layers_stay_on_the_factorization_routes(monkeypatch):
     ``series`` and ``operators`` workloads and ``gamma_shift_product`` calls
     on ``series``: the I builder still reaches the first (comb times each
     distinct product) and the Gamma factorization the second (one call per
-    distinct block)."""
+    distinct block).  comb times a product scales every z's cells in one
+    pass, so the I builder makes no ``SectorValue.__mul__`` call, while the
+    check around it still makes some."""
     wrap, reached = _reach_counter(monkeypatch)
+    wrap([verify], "check_gamma_factorization")
     wrap([genfun, verify], "i_function_x")
     wrap([genfun, verify], "h_factorization")
     wrap([genfun], "gamma_shift_product")
     wrap([ZLaurentSeries], "__mul__")
+    wrap([SectorValue], "__mul__", "SectorValue.__mul__")
     pair = catalog.quartic()
     assert verify.check_gamma_factorization(pair, verify.recommended_orders(pair, 3, 2)).ok()
     assert reached["i_function_x", "__mul__"] > 0
+    assert reached["i_function_x", "SectorValue.__mul__"] == 0
+    assert reached["check_gamma_factorization", "SectorValue.__mul__"] > 0
     assert reached["h_factorization", "gamma_shift_product"] > 0
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -127,13 +128,25 @@ def test_group_laws_random(pair):
 def test_element_hands_out_the_groups_own_instance(pair, monkeypatch):
     """``pair.element(exps)`` is the group's own element of that exponent
     tuple, found by position, so no ``GroupElement`` is stored for a
-    member."""
+    member.  A member given as values that convert to int, strings or
+    floats, is the same instance, and a non-member keeps its refusal."""
     stored = []
-    monkeypatch.setattr(GroupElement, "_store", lambda *args: stored.append(args))
-    for g in pair.group.elements:
-        assert pair.element(g.exps) is g
-        assert pair.element(list(g.exps)) is g
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupElement, "_store", lambda *args: stored.append(args))
+        for g in pair.group.elements:
+            assert pair.element(g.exps) is g
+            assert pair.element(list(g.exps)) is g
     assert stored == []
+    for g in pair.group.elements:
+        assert pair.element(tuple(map(str, g.exps))) is g
+        assert pair.element([float(k) for k in g.exps]) is g
+    bounds = pair.fermat.exponents
+    non_member = next((exps for exps in itertools.product(*map(range, bounds))
+                       if GroupElement(pair.fermat, exps) not in pair.group), None)
+    if non_member is not None:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{GroupElement(pair.fermat, non_member)} is not in the group")):
+            pair.element(tuple(map(str, non_member)))
 
 
 # -- ages, fixed loci, narrow sectors ----------------------------------------------
