@@ -1249,9 +1249,9 @@ def _other_sector(pair, side, sector):
 
 
 def _stray_key(pair, side, series, place):
-    """A key (key, stray) of ``series`` and a key it lacks, the first at a z
-    of the window its (sector, degree) leaves free (``place`` "z") or at the
-    same z and degree under another sector ("sector")."""
+    """(key, stray): a key of ``series`` and a key it lacks, the stray at a
+    z of the window that the key's (sector, degree) leaves free (``place``
+    "z") or at the key's z and degree under another sector ("sector")."""
     z_min, z_max = series.orders.z_window
     if place == "z":
         sector, z, degs = next(
