@@ -144,6 +144,13 @@ def _rational_parts(value) -> tuple[int, int]:
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
+@lru_cache(maxsize=None)
+def _reciprocal(n: int) -> Fraction:
+    """1/n for a nonzero integer n, one shared Fraction per n: a walk that
+    divides by a factorial hands over the integer and builds no Fraction."""
+    return Fraction(1, n)
+
+
 class Cyclotomic:
     """Element of Q(xi_n) in reduced canonical form.
 
@@ -407,11 +414,12 @@ def _shared_atom(den: int, weight: int, offset: int, h_weight: int) -> GammaAtom
 AtomsKey = tuple  # sorted tuple of (GammaAtom, nonzero int exponent)
 
 
-def _atoms_key(d: int, counts: dict) -> AtomsKey:
-    """The atoms key of ``counts``, (weight, offset, h_weight) numerators over
-    d -> exponent.  Over one d the numerators sort as the atoms do, so the
-    key is sorted in integers and each atom is the one ``GammaAtom.over``."""
-    return tuple((GammaAtom.over(d, *parts), exp) for parts, exp in sorted(counts.items()))
+def _atoms_key(d: int, items) -> AtomsKey:
+    """The atoms key of ``items``, sorted ((weight, offset, h_weight)
+    numerators over d, exponent) pairs.  Over one d the numerators sort as
+    the atoms do, so the key is sorted already and each atom is the one
+    ``GammaAtom.over``."""
+    return tuple((GammaAtom.over(d, *parts), exp) for parts, exp in items)
 
 
 def _merge_atoms(a: AtomsKey, b: AtomsKey) -> AtomsKey:
@@ -873,7 +881,7 @@ class ZLaurentSeries:
                                          {z: v for z, v in out.items() if v.terms})
 
     def _scaled(self, value) -> "ZLaurentSeries":
-        """self * value for a rational value, nonzero as every caller's comb
+        """self * value for a rational value, nonzero as every caller's 1/k!
         is, so every term stays nonzero: value's numerator and denominator
         are read once and every cell of every z is scaled in one pass, as
         ``SectorValue._scaled`` scales one value's cells, with no per-z
@@ -885,7 +893,7 @@ class ZLaurentSeries:
         for z, v in self.terms.items():
             cells = {}
             for key, c in v.terms.items():
-                # a comb 1/k! leaves the numerators as they are
+                # a scale 1/k! leaves the numerators as they are
                 nums = c.nums if num == 1 else tuple([x * num for x in c.nums])
                 cells[key] = reduced(order, nums, c.den * den)
             out[z] = unchecked(ring, cells)

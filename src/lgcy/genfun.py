@@ -27,6 +27,7 @@ from .exactalg import (
     ZLaurentSeries,
     _atoms_key,
     _linear_product,
+    _reciprocal,
     gamma_shift_product,
 )
 from .cohseries import CohSeries, Orders, TOKEN_Q_H, TOKEN_T_LAMBDA
@@ -266,25 +267,27 @@ def untwisted_j_oracle(pair: LGPair, c: int, orders: Orders) -> CohSeries:
 # ---------------------------------------------------------------------------
 
 class IndexTerm(NamedTuple):
-    """One index (k0, k) with k0 + sum(k) <= T and the integers it carries.
+    """One index (k0, k) with k0 + sum(k) <= T, its integers and its atoms.
 
     degs = (k0,) + k, so k0 is degs[0].  base, the exponent tuple of
     prod_s g_s^{k_s}, and sector, that of the index's sector on the table's
     side, are group elements' exponent tuples read from the group's product
-    table, not reduced per index.  comb and offset are the side's
-    combinatorial factor and I z-power: 1/(k0! prod_s k_s!) and
-    1 - k0 - sum k on X, 1/prod_s k_s! and 1 - sum k on Y.
+    table, not reduced per index.  fact and offset are the side's factorial,
+    whose inverse every coefficient of the index carries, and I z-power:
+    k0! prod_s k_s! and 1 - k0 - sum k on X, prod_s k_s! and 1 - sum k on Y.
     r_j = k0 c_j / d + a(k)^j and v_j = k0 c_j / d - a(k)^j are carried as
     their integer numerators over d: r_num and v_num.
     shift = sum_s (age(g_s) - 1) k_s is the H z-power and age the age of
     ``sector``; both are None on a non-SL pair, whose z-grading
     ``LGPair.require_sl`` refuses.  ``ring`` is the ring of the index's
-    coefficients on the table's side.
+    coefficients on the table's side.  atoms are the Gamma atoms of the
+    side's H coefficient, which depend on r alone on X and on (k0, v) on Y,
+    and atoms_key names them in integers, as ``_keyed_atoms``.
     """
 
     degs: tuple[int, ...]
     base: tuple[int, ...]
-    comb: Fraction
+    fact: int
     offset: int
     r_num: tuple[int, ...]
     v_num: tuple[int, ...]
@@ -292,6 +295,8 @@ class IndexTerm(NamedTuple):
     age: int | None
     sector: tuple[int, ...]
     ring: SeriesRing
+    atoms_key: tuple
+    atoms: tuple
 
 
 @lru_cache(maxsize=1)
@@ -312,13 +317,15 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     base, r_num, v_num and shift are the same on both sides, so a Y term
     shares them with the X term of its multidegree.
 
-    This is the one place that computes an index's integers; every I/H walk
-    reads its side's table here.  Sectors and bases are exponent tuples, one
-    shared tuple per group element, and the tables share one comb per
-    factorial and one interned ring per nilpotency.  The last pair of tables
-    is kept per (pair object, orders); no identity compares an X-table
-    output with a Y-table output, and what each walk derives from a table
-    (atoms, products, Gamma shifts) stays per walk.
+    This is the one place that computes an index's integers and Gamma
+    atoms; every I/H walk reads its side's table here.  The atoms come from
+    ``_x_atoms`` once per distinct r and from ``_y_atoms`` once per distinct
+    (k0, v), and the terms that have them share them.  Sectors and bases are
+    exponent tuples, one shared tuple per group element, and the tables
+    share one interned ring per nilpotency.  The last pair of tables is kept
+    per (pair object, orders); no identity compares an X-table output with a
+    Y-table output, and what each walk derives from a table (I products,
+    Gamma shifts) stays per walk.
     """
     sectors = pair.positive_dim_sectors()
     weights, d = pair.fermat.weights, pair.fermat.degree
@@ -341,7 +348,8 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
     k0_weights = [tuple(k0 * cj for cj in weights) for k0 in range(orders.t_order + 1)]
     coordinates = [0] + [position[g.exps] for g in sectors]
     x_ring = SeriesRing(d, orders.lam_order, 1)
-    combs: dict = {}       # factorial -> its inverse
+    x_atoms: dict = {}   # r -> (key, atoms) of H^X
+    y_atoms: dict = {}   # (k0, v) -> (key, atoms) of H^Y
     x_table, y_table = [], []
     for total, level in enumerate(islice(_level_walk(times, coordinates, rows),
                                          orders.t_order + 1)):
@@ -351,18 +359,20 @@ def _index_tables(pair: LGPair, orders: Orders) -> dict:
             r_num = tuple(map(add, k0_weights[k0], sums))
             v_num = tuple(map(sub, k0_weights[k0], sums))
             shift = sums[-1] // d if graded else None
-            comb = combs.get(fact)
-            if comb is None:
-                comb = combs[fact] = Fraction(1, fact)
-            x_table.append(IndexTerm(degs, elements[base], comb, 1 - total, r_num, v_num,
-                                     shift, ages[x_sector], elements[x_sector], x_ring))
+            atoms = x_atoms.get(r_num)
+            if atoms is None:
+                atoms = x_atoms[r_num] = _x_atoms(pair, r_num)
+            x_table.append(IndexTerm(degs, elements[base], fact, 1 - total, r_num, v_num,
+                                     shift, ages[x_sector], elements[x_sector], x_ring, *atoms))
             y_ring = y_rings[y_sector]
             if y_ring is None:
                 continue   # a Y index on a sector with N_g = 0
-            if k0:   # prod_s k_s! is the comb of the X term of (0, k), filed at total - k0
-                comb = combs[fact // factorial(k0)]
-            y_table.append(IndexTerm(degs, elements[base], comb, 1 - total + k0, r_num, v_num,
-                                     shift, ages[y_sector], elements[y_sector], y_ring))
+            atoms = y_atoms.get((k0, v_num))
+            if atoms is None:
+                atoms = y_atoms[k0, v_num] = _y_atoms(pair, k0, v_num)
+            y_table.append(IndexTerm(degs, elements[base], fact // factorial(k0),
+                                     1 - total + k0, r_num, v_num, shift, ages[y_sector],
+                                     elements[y_sector], y_ring, *atoms))
     return {"x": tuple(x_table), "y": tuple(y_table), "rings": y_rings}
 
 
@@ -394,8 +404,8 @@ def modification_factor(pair: LGPair, r_num, ring: SeriesRing,
 
 def _i_x_product(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
                  products: dict) -> tuple:
-    """(r, M(k0, k)): the I^X coefficient of one index is M(k0, k) times the
-    table's comb z^offset.
+    """(r, M(k0, k)): the I^X coefficient of one index is M(k0, k) over the
+    table's fact times z^offset.
 
     M(k0, k) depends on r alone; ``products`` keeps it per r for the span
     of one walk over the index table.
@@ -413,7 +423,7 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
 
     The I products and the Gamma-ratio blocks are exact products that
     ``_linear_product`` clamps once, at the end.  The I builders shift
-    nothing: they write each z + offset of comb times the product straight
+    nothing: they write each z + offset of the product over fact straight
     into the declared window.  The padding guards only what the
     factorization check clamps later: its per-key products, I product times
     I block against the operator block shifted by the key's z-offset.
@@ -426,29 +436,26 @@ def _wide_window(orders: Orders, pair: LGPair) -> tuple[int, int]:
 def _i_function(pair: LGPair, orders: Orders, side: str, product_of,
                 variable: str) -> CohSeries:
     """The I-function of one side: at every index of the side's table, the
-    product of ``product_of`` on ``_wide_window`` times the table's comb,
+    product of ``product_of`` on ``_wide_window`` over the table's fact,
     one key per z at z + offset inside the declared window.
 
-    comb times the product is formed once per (product key, comb), the
-    comb named by its identity: the table holds every comb for the span of
-    the walk, so two different combs are two different objects.  Its
-    nonzero values go straight into the series' terms, which are clean by
-    construction.
+    The product over fact is formed once per (product key, fact), fact
+    handed to ``exactalg`` as its integer.  Its nonzero values go straight
+    into the series' terms, which are clean by construction.
     """
     pair.require_cy()
     window = _wide_window(orders, pair)
     z_min, z_max = orders.z_window
     terms: dict = {}
     products: dict = {}
-    scaled: dict = {}   # (product key, id of comb) -> comb * product
+    scaled: dict = {}   # (product key, fact) -> product / fact
     for term in _index_tables(pair, orders)[side]:
         key, product = product_of(pair, term, *window, products)
-        comb, offset = term.comb, term.offset
-        scaled_key = (key, id(comb))
+        scaled_key = (key, term.fact)
         value = scaled.get(scaled_key)
         if value is None:
-            value = scaled[scaled_key] = product * comb
-        sector, degs = term.sector, term.degs
+            value = scaled[scaled_key] = product * _reciprocal(term.fact)
+        sector, degs, offset = term.sector, term.degs, term.offset
         for z, coeff in value.terms.items():
             z += offset
             if z_min <= z <= z_max:
@@ -487,8 +494,8 @@ def y_ray_levels(v: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _i_y_product(pair: LGPair, term: IndexTerm, z_min: int, z_max: int,
                  products: dict) -> tuple:
     """((n_g, k0, v), factors): the I^Y coefficient of one index is the k0
-    fiber factors times the ray factors of every j, times the table's comb
-    z^offset.
+    fiber factors times the ray factors of every j, over the table's fact
+    times z^offset.
 
     The factors depend on (n_g, k0, v) alone; ``products`` keeps their
     product under that key for the span of one walk over the index table.
@@ -537,72 +544,62 @@ def _keyed_atoms(d: int, counts: dict) -> tuple[tuple, tuple]:
     """(key, atoms) of ``counts``, (weight, offset, h_weight) numerators
     over d -> exponent: key is its sorted items, which are equal exactly
     when the atoms are (over one d each atom has one set of numerators) and
-    hash in integers, where an atoms tuple hashes each atom in Python."""
-    return tuple(sorted(counts.items())), _atoms_key(d, counts)
+    hash in integers, where an atoms tuple hashes each atom in Python; the
+    atoms are built from the key."""
+    key = tuple(sorted(counts.items()))
+    return key, _atoms_key(d, key)
 
 
-def _x_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple[tuple, tuple]:
-    """(key, Gamma atoms) of H^X at one index, as ``_keyed_atoms``.  They
-    depend on r alone; ``memo`` keeps them per r for the span of one walk
-    over the table."""
-    found = memo.get(term.r_num)
-    if found is None:
-        d = pair.fermat.degree
-        counts: dict = {}
-        for cj, r in zip(pair.fermat.weights, term.r_num):
-            parts = (cj * d, r, 0)
-            counts[parts] = counts.get(parts, 0) - 1
-        found = memo[term.r_num] = _keyed_atoms(d, counts)
-    return found
+def _x_atoms(pair: LGPair, r_num) -> tuple[tuple, tuple]:
+    """(key, Gamma atoms) of H^X at an index of r_j = r_num[j] / d, as
+    ``_keyed_atoms``."""
+    d = pair.fermat.degree
+    counts: dict = {}
+    for cj, r in zip(pair.fermat.weights, r_num):
+        parts = (cj * d, r, 0)
+        counts[parts] = counts.get(parts, 0) - 1
+    return _keyed_atoms(d, counts)
 
 
-def _y_atoms(pair: LGPair, term: IndexTerm, memo: dict) -> tuple[tuple, tuple]:
-    """(key, Gamma atoms) of H^Y at one index, as ``_keyed_atoms``, kept
-    per (k0, v) in ``memo`` for the span of one walk over the table."""
-    key = (term.degs[0], term.v_num)
-    found = memo.get(key)
-    if found is None:
-        d = pair.fermat.degree
-        counts: dict = {(d * d, term.degs[0] * d, d * d): -1}
-        for cj, v in zip(pair.fermat.weights, term.v_num):
-            parts = (0, -v, -cj * d)
-            counts[parts] = counts.get(parts, 0) - 1
-        found = memo[key] = _keyed_atoms(d, counts)
-    return found
+def _y_atoms(pair: LGPair, k0: int, v_num) -> tuple[tuple, tuple]:
+    """(key, Gamma atoms) of H^Y at an index of k0 and v_j = v_num[j] / d,
+    as ``_keyed_atoms``."""
+    d = pair.fermat.degree
+    counts: dict = {(d * d, k0 * d, d * d): -1}
+    for cj, v in zip(pair.fermat.weights, v_num):
+        parts = (0, -v, -cj * d)
+        counts[parts] = counts.get(parts, 0) - 1
+    return _keyed_atoms(d, counts)
 
 
-def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
-                variable: str) -> CohSeries:
-    """The H-function of one side: comb times the Gamma atoms of
-    ``atoms_of`` at every index of the side's table whose z^shift lies in
-    the declared window.
+def _h_function(pair: LGPair, orders: Orders, side: str, variable: str) -> CohSeries:
+    """The H-function of one side: the table's Gamma atoms over its fact at
+    every index of the side's table whose z^shift lies in the declared
+    window.
 
-    One closed-form value, comb times the Gamma-atom monomial, is built per
-    (ring, atoms, comb) and shared by the terms that have it; the table's
-    rings are shared per nilpotency, so the nilpotency stands for the ring,
-    the atoms' integer key stands for the atoms, and the comb's identity
-    for the comb, as in ``_i_function``.  Each comb becomes one rational
-    cell per walk.  The terms are clean by construction.
+    One closed-form value, the Gamma-atom monomial over fact, is built per
+    (ring, atoms, fact) and shared by the terms that have it; the table's
+    rings are shared per nilpotency, so the nilpotency stands for the ring
+    and the atoms' integer key for the atoms.  Each fact becomes one
+    rational cell per walk.  The terms are clean by construction.
     """
     pair.require_cy()
     pair.require_sl()
     z_min, z_max = orders.z_window
     terms: dict = {}
-    memo: dict = {}
-    cells: dict = {}    # id of comb -> comb as a cell
-    values: dict = {}   # (nilpotency, atoms key, id of comb) -> value
+    cells: dict = {}    # fact -> 1/fact as a cell
+    values: dict = {}   # (nilpotency, atoms key, fact) -> value
     for term in _index_tables(pair, orders)[side]:
         if not z_min <= term.shift <= z_max:
             continue
-        ring, comb = term.ring, term.comb
-        atoms_key, atoms = atoms_of(pair, term, memo)
-        key = (ring.nilpotency, atoms_key, id(comb))
+        ring, fact = term.ring, term.fact
+        key = (ring.nilpotency, term.atoms_key, fact)
         value = values.get(key)
         if value is None:
-            cell = cells.get(id(comb))
+            cell = cells.get(fact)
             if cell is None:
-                cell = cells[id(comb)] = Cyclotomic.from_rational(ring.order, comb)
-            value = values[key] = SectorValue._unchecked(ring, {(0, 0, 0, atoms): cell})
+                cell = cells[fact] = Cyclotomic.from_rational(ring.order, _reciprocal(fact))
+            value = values[key] = SectorValue._unchecked(ring, {(0, 0, 0, term.atoms): cell})
         terms[(term.sector, term.shift, term.degs)] = value
     variables, tokens = _index_signature(pair, variable)
     return CohSeries._unchecked(side, pair, variables, orders, terms, tokens)
@@ -610,7 +607,7 @@ def _h_function(pair: LGPair, orders: Orders, side: str, atoms_of,
 
 def h_function_x(pair: LGPair, orders: Orders) -> CohSeries:
     """H(t, t, z): Gamma denominators as atoms, age-shifted z-powers."""
-    return _h_function(pair, orders, "x", _x_atoms, "t")
+    return _h_function(pair, orders, "x", "t")
 
 
 def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
@@ -619,7 +616,7 @@ def h_function_y(pair: LGPair, orders: Orders) -> CohSeries:
     The Gamma(1 - d(lam+H)/tau) numerator of the displayed form belongs to
     the Gamma-class operator and is not stored here.
     """
-    return _h_function(pair, orders, "y", _y_atoms, "q^(1/d)")
+    return _h_function(pair, orders, "y", "q^(1/d)")
 
 
 def h_factorization(pair: LGPair, series: CohSeries, side: str):
@@ -631,10 +628,10 @@ def h_factorization(pair: LGPair, series: CohSeries, side: str):
     identically zero residual; the first bad coefficient is carried
     on the raised IdentityError.  The residual is formed once per (I product,
     Gamma-ratio blocks, z-offset) key, and a failing key names its first
-    term's z and comb.  The stored I series is compared with comb times the
-    I product in integers, without rebuilding the I value.  The H builder
-    and the verification walk the side's index table at the series' orders,
-    which ``_index_tables`` keeps with the other side's.
+    term's z and coefficients.  The stored I series is compared with the I
+    product over fact in integers, without rebuilding the I value.  The H
+    builder and the verification walk the side's index table at the series'
+    orders, which ``_index_tables`` keeps with the other side's.
     """
     gamma = gamma_class_op(pair, side)
     build = h_function_x if side == "x" else h_function_y
@@ -718,9 +715,9 @@ def _assert_no_residual(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int,
     """lhs == block times z^delta inside lhs's window, read in place: each
     term of ``block`` at z + delta in the window must be lhs's term there,
     and lhs may have no other term.  No shifted or difference series is
-    built.  Both sides leave out the index's comb z^offset, which a failing
-    key's witness puts back: from the same read it names the first bad z
-    plus offset and both coefficients there times comb."""
+    built.  Both sides leave out the index's z^offset / fact, which a
+    failing key's witness puts back: from the same read it names the first
+    bad z plus offset and both coefficients there over the table's fact."""
     z_min, z_max, terms = lhs.z_min, lhs.z_max, lhs.terms
     kept = [(z + delta, value) for z, value in block.terms.items()
             if z_min <= z + delta <= z_max]
@@ -732,8 +729,8 @@ def _assert_no_residual(lhs: ZLaurentSeries, block: ZLaurentSeries, delta: int,
     raise IdentityError(
         f"Gamma factorization residual on the {side} side",
         {"sector": list(term.sector), "z": z_bad + term.offset, "degree": list(term.degs),
-         "left": str(terms.get(z_bad, zero) * term.comb),
-         "right": str(block.terms.get(z_bad - delta, zero) * term.comb)})
+         "left": str(terms.get(z_bad, zero) * _reciprocal(term.fact)),
+         "right": str(block.terms.get(z_bad - delta, zero) * _reciprocal(term.fact))})
 
 
 def _gamma_ratio_blocks(gamma_atoms: tuple, h_atoms: tuple, ring: SeriesRing,
@@ -810,11 +807,11 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     over the side's index table at the orders of ``i_series``.
 
     The I side is the index's product (``_i_x_product`` or ``_i_y_product``)
-    on ``_wide_window``, so clamping cannot mask a residual, times comb
-    z^offset; the operator side is built from the Gamma-class atoms
-    ``gamma[sector]`` and the H atoms alone: each Gamma/H atom ratio is
-    re-expanded by ``_gamma_ratio_blocks``, and I times the I block must equal
-    z^(1 - age) times the operator block and H's coefficient.
+    on ``_wide_window``, so clamping cannot mask a residual, times z^offset
+    over fact; the operator side is built from the Gamma-class atoms
+    ``gamma[sector]`` and the table's H atoms alone: each Gamma/H atom ratio
+    is re-expanded by ``_gamma_ratio_blocks``, and I times the I block must
+    equal z^(1 - age) times the operator block and H's coefficient.
 
     Each term runs three checks, in this order:
 
@@ -822,7 +819,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       integers against the product without rebuilding the I value
       (``_assert_is_clamp``);
     * the stored H term is its closed form (``_assert_h_term``);
-    * the residual.  comb and z^offset are common to both sides, so with
+    * the residual.  1/fact and z^offset are common to both sides, so with
       delta = (shift + 1 - age) - offset the identity reads product times
       I block = operator block times z^delta.  That depends only on
       (product key, (sector, H atoms), delta), so each key is formed once
@@ -830,7 +827,7 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
       (product key, delta) of its blocks' entry.
       ``_assert_no_residual`` reads the operator block at z + delta in
       place, inside the product's window, and a failing key raises from that
-      same read with the term's comb and offset, which name the witness.
+      same read with the term's fact and offset, which name the witness.
 
     The first two read each series' z-window once per walk and count the
     stored keys they match.  A series holds only keys inside its window, so
@@ -838,19 +835,16 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     key that no index reads, at a z its product lacks or under another
     sector or degree, fails with the least such key's sector and degree.
 
-    The first two read comb as 1/fact, fact the check's own factorial
-    product of ``term.degs`` (all of it on X, all but k0 on Y), not the
-    table's comb, so a wrong table comb fails there.  The I products are
-    kept per walk as the I builder keeps them, the H atoms in a memo of this
-    walk, and both blocks per (sector, H atoms), the atoms named by their
-    integer key, which fixes everything the pairing reads; each distinct
-    block is one ``gamma_shift_product`` call of this walk.  offset, shift
-    and age are the table's, and its comb names a residual's witness.
+    The first two divide by the check's own factorial product of
+    ``term.degs`` (all of it on X, all but k0 on Y), not the table's fact,
+    so a wrong table fact fails there.  The I products are kept per walk as
+    the I builder keeps them, and both blocks per (sector, H atoms), the
+    atoms named by the table's integer key, which fixes everything the
+    pairing reads; each distinct block is one ``gamma_shift_product`` call
+    of this walk.  offset, shift, age and the H atoms are the table's, and
+    its fact names a residual's witness.
     """
-    if side == "x":
-        product_of, atoms_of, first = _i_x_product, _x_atoms, 0
-    else:
-        product_of, atoms_of, first = _i_y_product, _y_atoms, 1
+    product_of, first = (_i_x_product, 0) if side == "x" else (_i_y_product, 1)
     window = _wide_window(i_series.orders, pair)
     clamp = f"I^{side.upper()}: stored series is not the declared clamp"
     i_terms, i_window = i_series.terms, i_series.orders.z_window
@@ -859,11 +853,9 @@ def _verify_factorization(pair: LGPair, side: str, i_series: CohSeries,
     i_products: dict = {}
     blocks: dict = {}   # (sector, H atoms key) -> (I block, block, passed keys)
     shift_blocks: dict = {}
-    memo: dict = {}
     table = _index_tables(pair, i_series.orders)[side]
     for term in table:
-        sector = term.sector
-        atoms_key, atoms = atoms_of(pair, term, memo)
+        sector, atoms_key, atoms = term.sector, term.atoms_key, term.atoms
 
         product_key, product = product_of(pair, term, *window, i_products)
         fact = prod(map(factorial, term.degs[first:]))
@@ -901,8 +893,8 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     sum_m t^m/(m! prod_j Gamma-atom) *
     sum_b [(e^{d(lam+H)}-1) / (d(e^{lam+H} xi^{b+m}-1))] on 1~_{j^{-b}} prod g_s^{k_s};
     the block with xi^{b+m} = 1 is the geometric sum; ``ubar_block`` keeps the blocks.
-    It walks the X index table, whose shift is the z-power (age - 1) k and
-    whose comb is 1/(m! k!); a non-SL pair is refused.
+    It walks the X index table, whose shift is the z-power (age - 1) k,
+    whose fact is m! k! and whose atoms are H^X's; a non-SL pair is refused.
     Each sheet's sector is read from the group's product table, the table's
     base times j^-b, and its ring from the index tables' Y ring per element,
     the list the Y table reads too.
@@ -917,16 +909,15 @@ def h_continued(pair: LGPair, orders: Orders) -> CohSeries:
     tables = _index_tables(pair, orders)
     rings = tables["rings"]
     terms: dict = {}
-    atom_memo: dict = {}
     for term in tables["x"]:
-        _, atoms = _x_atoms(pair, term, atom_memo)
         row = times[position[term.base]]
         for b, j_b in sheets:
             sector = row[j_b]
             ring = rings[sector]
             if ring is not None:
                 terms[(elements[sector], term.shift, term.degs)] = \
-                    ubar_block(pair, b + term.degs[0], ring).scale_atoms(atoms) * term.comb
+                    ubar_block(pair, b + term.degs[0], ring).scale_atoms(term.atoms) \
+                    * _reciprocal(term.fact)
     variables, tokens = _index_signature(pair, "t")
     return CohSeries("y", pair, variables, orders, terms, tokens)
 

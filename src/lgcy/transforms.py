@@ -242,7 +242,7 @@ def gamma_class_op(pair: LGPair, side: str) -> dict:
         for e, cj in zip(g.exps, pair.fermat.weights):
             parts = (cj * d, e * cj, 0) if side == "x" else (0, e * cj, -cj * d)
             counts[parts] = counts.get(parts, 0) + 1
-        entries[g.exps] = _atoms_key(d, counts)
+        entries[g.exps] = _atoms_key(d, sorted(counts.items()))
     return entries
 
 

@@ -310,11 +310,12 @@ def check_continuation(pair: LGPair, orders: Orders,
                        _tamper=None) -> VerificationReport:
     """Ubar(H^X) = H^Y' termwise: coefficients, atoms, prefactor tokens.
 
-    ``h_continued`` reads its Gamma atoms from the same ``_x_atoms`` that
-    builds H^X, so a wrong atom there moves both sides of the comparison
+    ``h_continued`` reads its Gamma atoms from the X index table that H^X
+    reads too, so a wrong atom there moves both sides of the comparison
     alike; the check fails through its own ``h_factorization`` call, with the
-    factorization residual as witness (an atom moved by +1 on the quintic at
-    ``recommended_orders(q, 5, 3)``: sector 0^5, z 1, left (1), right 0).
+    factorization residual as witness (the first atom of every X table term
+    moved by +1 on the quintic at ``recommended_orders(q, 5, 3)``: sector
+    0^5, z 1, left (1), right 0).
     """
     def body():
         ix = i_function_x(pair, orders)

@@ -61,6 +61,8 @@ REFUSED_RUNS = [
     ("unknown-check", "cubic", ("verify", "--checks", "nonsense"), "unknown check 'nonsense'"),
     ("self-test-with-checks", "cubic", ("verify", "--self-test", "--checks", "residue-lemma"),
      "takes no --checks list"),
+    ("self-test-with-unknown-checks", "cubic", ("verify", "--self-test", "--checks", "nonsense"),
+     "takes no --checks list"),
     ("self-test-with-z-min", "cubic", ("verify", "--self-test", "--z-min", "0"),
      "takes no --z-min or --z-max"),
     ("t-below-a-floor", "cubic", ("verify", "--checks", "oracle-equivalence", "--T", "1"),
@@ -250,10 +252,8 @@ def test_verify_checks_selection_and_exit(capsys):
                            "--T", "3", "--lambda-order", "2")
     assert code == 0
     assert "PASS" in out
-    for extra in ((), ("--self-test",)):
-        code, _, err = run_cli(capsys, "verify", "--pair", "cubic",
-                               "--checks", "nonsense", *extra)
-        assert code == 2 and "unknown check" in err
+    code, _, err = run_cli(capsys, "verify", "--pair", "cubic", "--checks", "nonsense")
+    assert code == 2 and "unknown check" in err
 
 
 @pytest.mark.parametrize("argv, reason", [

@@ -791,23 +791,21 @@ def _doubled_rewrite(monkeypatch, pair, side):
     monkeypatch.setattr(genfun, "gamma_shift_product", doubled)
 
 
+def _atoms_moved(term, moved):
+    """``term`` with the offset of its first Gamma atom moved by ``moved``."""
+    (atom, exp), *rest = term.atoms
+    atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
+    atoms = tuple(sorted([(atom, exp)] + rest))
+    # keyed by the atoms themselves, equal exactly when the atoms are
+    return term._replace(atoms_key=atoms, atoms=atoms)
+
+
 def _moved_atom(moved, repeated_only=False):
+    """The first H atom of every term of the side's table, or of its first
+    repeated index only, moved by ``moved`` in the table."""
     def inject(monkeypatch, pair, side):
-        name = "_x_atoms" if side == "x" else "_y_atoms"
-        atoms_of = getattr(genfun, name)
         target = _repeated_index(pair, side) if repeated_only else None
-
-        def moved_atoms(p, term, memo):
-            found = atoms_of(p, term, memo)
-            if target not in (None, term.degs):
-                return found
-            (atom, exp), *rest = found[1]
-            atom = GammaAtom(atom.weight, atom.offset + moved, atom.h_weight)
-            atoms = tuple(sorted([(atom, exp)] + rest))
-            # keyed by the atoms themselves, equal exactly when the atoms are
-            return atoms, atoms
-
-        monkeypatch.setattr(genfun, name, moved_atoms)
+        _changed_table_term(monkeypatch, side, target, lambda term: _atoms_moved(term, moved))
     return inject
 
 
@@ -824,13 +822,12 @@ def _flat(value):
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_atoms_keys_are_integers_equal_exactly_when_the_atoms_are(pair, side):
     """The H builders and the factorization walk key their blocks and values
-    on the atoms memo's key: it holds only ints and it names the atoms one
+    on the table's atoms key: it holds only ints and it names the atoms one
     to one on every index of the side's table, so the sharing is that of
     keying on the atoms themselves."""
-    atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
-    memo, by_key, by_atoms = {}, {}, {}
+    by_key, by_atoms = {}, {}
     for term in _index_tables(pair, recommended_orders(pair, 8, 3))[side]:
-        key, atoms = atoms_of(pair, term, memo)
+        key, atoms = term.atoms_key, term.atoms
         assert all(type(leaf) is int for leaf in _flat(key))
         assert by_key.setdefault(key, atoms) == atoms
         assert by_atoms.setdefault(atoms, key) == key
@@ -875,9 +872,9 @@ def test_factorization_residual_names_the_first_bad_coefficient(monkeypatch, sid
 
 
 def _assert_reused_h_term_tamper_fails(side, tamper):
-    """On the first index whose Gamma atoms come out of the per-walk memo,
-    the stored H term changed by ``tamper`` fails naming its sector and
-    degree."""
+    """On the first index whose Gamma atoms an earlier index of the table
+    shares, the stored H term changed by ``tamper`` fails naming its sector
+    and degree."""
     p = quartic()
     orders = recommended_orders(p, 6, 3)
     table = _index_tables(p, orders)[side]
@@ -900,9 +897,9 @@ def _assert_reused_h_term_tamper_fails(side, tamper):
 
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_h_term_check_runs_on_terms_whose_atoms_are_reused(side):
-    """A term whose Gamma atoms come out of the per-walk memo is still
-    checked: tampering its stored H coefficient must fail naming its sector
-    and degree."""
+    """A term whose Gamma atoms an earlier term shares is still checked:
+    tampering its stored H coefficient must fail naming its sector and
+    degree."""
     _assert_reused_h_term_tamper_fails(side, lambda value: value * 2)
 
 
@@ -921,8 +918,8 @@ def test_h_term_check_compares_the_stored_atoms(side):
 
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_h_term_check_compares_every_coordinate_of_the_coefficient(side):
-    """The H-term check compares the stored cell with comb in integers on
-    every coordinate of Q(xi): comb + xi in place of comb fails naming the
+    """The H-term check compares the stored cell with 1/fact in integers on
+    every coordinate of Q(xi): 1/fact + xi in its place fails naming the
     term."""
     def xi_added(value):
         [(key, coeff)] = value.terms.items()
@@ -956,16 +953,16 @@ def _clamped(terms, window):
     return {z: value for z, value in terms.items() if z_min <= z <= z_max}
 
 
-def _atom_value(ring, atoms, comb):
-    """The H closed form of one index: comb times the Gamma-atom monomial,
+def _atom_value(ring, atoms, scale):
+    """The H closed form of one index: scale times the Gamma-atom monomial,
     through the public constructor."""
-    return SectorValue(ring, {(0, 0, 0, atoms): comb})
+    return SectorValue(ring, {(0, 0, 0, atoms): scale})
 
 
-def _i_value(product, comb, offset, window):
-    """The I coefficient of one index as a z -> SectorValue dict: comb times
+def _i_value(product, scale, offset, window):
+    """The I coefficient of one index as a z -> SectorValue dict: scale times
     its product at each z + offset inside ``window``."""
-    return _clamped({z + offset: value * comb for z, value in product.terms.items()}, window)
+    return _clamped({z + offset: value * scale for z, value in product.terms.items()}, window)
 
 
 def _dict_product(left, right, window):
@@ -993,26 +990,25 @@ def _assert_no_term_residual(lhs, rhs, side, sector, degs):
 def _per_term_factorization(pair, side, i_series, h_series, gamma):
     """The factorization check term by term: every term rebuilds its I value
     for the clamp compare and its H closed form as a ``SectorValue``, and
-    forms lhs and rhs as z -> SectorValue dicts with comb and z-power in
-    them, through no ``ZLaurentSeries`` operation.  comb is 1 over the
+    forms lhs and rhs as z -> SectorValue dicts with scale and z-power in
+    them, through no ``ZLaurentSeries`` operation.  scale is 1 over the
     factorial product of the term's degree, all of it on X and all but k0
-    on Y, not the table's comb.  The Gamma-ratio blocks come from
-    ``genfun._gamma_ratio_blocks``; their values are checked against the
-    per-factor route in ``test_exactalg``, their pairing against
-    ``_fraction_ratio_blocks``."""
+    on Y, not over the table's fact.  The H atoms are the table's.  The
+    Gamma-ratio blocks come from ``genfun._gamma_ratio_blocks``; their
+    values are checked against the per-factor route in ``test_exactalg``,
+    their pairing against ``_fraction_ratio_blocks``."""
     if side == "x":
-        product_of, atoms_of, first = genfun._i_x_product, genfun._x_atoms, 0
+        product_of, first = genfun._i_x_product, 0
     else:
-        product_of, atoms_of, first = genfun._i_y_product, genfun._y_atoms, 1
+        product_of, first = genfun._i_y_product, 1
     window = genfun._wide_window(i_series.orders, pair)
     z_min, z_max = i_series.orders.z_window
-    products, blocks, memo = {}, {}, {}
+    products, blocks = {}, {}
     for term in genfun._index_tables(pair, i_series.orders)[side]:
-        sector, ring = term.sector, term.ring
+        sector, ring, atoms = term.sector, term.ring, term.atoms
         age = int(GroupElement(pair.fermat, sector).age())
         shift = term.shift
         scale = F(1, math.prod(math.factorial(k) for k in term.degs[first:]))
-        _, atoms = atoms_of(pair, term, memo)
         _, product = product_of(pair, term, *window, products)
         i_value = _i_value(product, scale, term.offset, window)
         stored = {z: i_series.terms[sector, z, term.degs]
@@ -1038,12 +1034,13 @@ def _per_term_factorization(pair, side, i_series, h_series, gamma):
 
 def _changed_table_term(monkeypatch, side, target, change):
     """``genfun._index_tables`` with ``change`` applied to the term of
-    ``side`` whose degree is ``target``."""
+    ``side`` whose degree is ``target``, or to every term of ``side`` when
+    ``target`` is None."""
     index_tables = genfun._index_tables
 
     def changed(p, orders):
         tables = dict(index_tables(p, orders))
-        tables[side] = tuple(change(term) if term.degs == target else term
+        tables[side] = tuple(change(term) if target in (None, term.degs) else term
                              for term in tables[side])
         return tables
 
@@ -1055,13 +1052,13 @@ def _moved_z_shift_on_a_repeated_index(monkeypatch, pair, side):
                         lambda term: term._replace(shift=term.shift + 1))
 
 
-def _doubled_table_comb(monkeypatch, pair, side):
-    """The table's comb doubled on the side's first index of t-degree >= 2,
-    which the I and H builders read and the check's own comb does not."""
+def _doubled_table_fact(monkeypatch, pair, side):
+    """The table's fact doubled on the side's first index of t-degree >= 2,
+    which the I and H builders read and the check's own factorial does not."""
     table = genfun._index_tables(pair, recommended_orders(pair, 6, 3))[side]
     target = next(term.degs for term in table if sum(term.degs) >= 2)
     _changed_table_term(monkeypatch, side, target,
-                        lambda term: term._replace(comb=term.comb * 2))
+                        lambda term: term._replace(fact=term.fact * 2))
 
 
 def _doubled_product_on_a_repeated_index(monkeypatch, pair, side):
@@ -1088,7 +1085,7 @@ FACTORIZATION_FAULTS = {
     "z-shift-moved-on-a-repeated-index": _moved_z_shift_on_a_repeated_index,
     "h-atom-moved-on-a-repeated-index": _moved_atom(F(1), repeated_only=True),
     "i-product-doubled-on-a-repeated-index": _doubled_product_on_a_repeated_index,
-    "i-comb-doubled": _doubled_table_comb,
+    "i-fact-doubled": _doubled_table_fact,
 }
 
 
@@ -1160,9 +1157,9 @@ def test_per_key_check_agrees_with_the_per_term_route_at_a_narrow_window(
     # no nonzero key of the quintic, or of the cubic's X side, has a Gamma
     # ratio at these orders: a doubled rewrite changes nothing there; the
     # sextic's first Y index of t-degree 2 keeps neither an I key nor its H
-    # term in this window, so its doubled comb changes nothing stored
+    # term in this window, so its doubled fact changes nothing stored
     if fault != "gamma-shift-doubled":
-        invisible = (fault, pair.name, side) == ("i-comb-doubled", "sextic", "y")
+        invisible = (fault, pair.name, side) == ("i-fact-doubled", "sextic", "y")
         assert (expected is None) == (fault == "none" or invisible)
 
 
@@ -1210,7 +1207,6 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
     of the side's table and with its first H atom moved by 1 or by 1/2."""
     orders = recommended_orders(pair, 6, 3)
     window = genfun._wide_window(orders, pair)
-    atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
     gamma = gamma_class_op(pair, side)
 
     def outcome(pairing, *args):
@@ -1219,9 +1215,9 @@ def test_integer_pairing_agrees_with_the_fraction_pairing(pair, side):
         except IdentityError as err:
             return str(err), err.witness
 
-    seen, memo, outcomes = set(), {}, set()
+    seen, outcomes = set(), set()
     for term in _index_tables(pair, orders)[side]:
-        _, atoms = atoms_of(pair, term, memo)
+        atoms = term.atoms
         if (term.sector, atoms) in seen:
             continue
         seen.add((term.sector, atoms))
@@ -1308,7 +1304,7 @@ def test_factorization_refuses_a_stored_h_key_the_closed_form_lacks(pair, side, 
 
 def _public_route(pair, orders, side, kind):
     """I or H of one side the way the builders formed it before they clipped
-    to the window themselves: each I value is comb times the product, shifted
+    to the window themselves: each I value is the product over fact, shifted
     by the public ``ZLaurentSeries`` constructor, each H value one
     ``_atom_value`` per index, and the series is built by the public
     ``CohSeries`` constructor, which drops the keys outside the window.
@@ -1316,18 +1312,18 @@ def _public_route(pair, orders, side, kind):
     terms, memo = {}, {}
     window = genfun._wide_window(orders, pair)
     for term in _index_tables(pair, orders)[side]:
+        scale = F(1, term.fact)
         if kind == "i":
             product_of = genfun._i_x_product if side == "x" else genfun._i_y_product
             _, product = product_of(pair, term, *window, memo)
             value = ZLaurentSeries(product.ring, product.z_min, product.z_max,
-                                   {z + term.offset: coeff * term.comb
+                                   {z + term.offset: coeff * scale
                                     for z, coeff in product.terms.items()})
             for z, coeff in value.terms.items():
                 terms[(term.sector, z, term.degs)] = coeff
         else:
-            atoms_of = genfun._x_atoms if side == "x" else genfun._y_atoms
             terms[(term.sector, term.shift, term.degs)] = \
-                _atom_value(term.ring, atoms_of(pair, term, memo)[1], term.comb)
+                _atom_value(term.ring, term.atoms, scale)
     variable = "t" if side == "x" else "q^(1/d)"
     token = TOKEN_T_LAMBDA if side == "x" else TOKEN_Q_H
     variables = (variable,) + tuple(g.exps for g in pair.positive_dim_sectors())
@@ -1410,13 +1406,13 @@ def test_gamma_factorization_builds_each_index_table_once(monkeypatch):
 
 @pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
-def test_a_doubled_table_comb_fails_the_factorization_check(monkeypatch, pair, side):
-    """The check reads its own comb, so a table comb doubled on one side
+def test_a_doubled_table_fact_fails_the_factorization_check(monkeypatch, pair, side):
+    """The check reads its own factorial, so a table fact doubled on one side
     alone fails gamma-factorization with that side's clamp witness on the
     doubled index; on X, which the continued series reads, continuation
     fails as well."""
     orders = recommended_orders(pair, 4, 2)
-    _doubled_table_comb(monkeypatch, pair, side)
+    _doubled_table_fact(monkeypatch, pair, side)
     target = next(term for term in genfun._index_tables(pair, orders)[side]
                   if sum(term.degs) >= 2)
     build = i_function_x if side == "x" else i_function_y
@@ -1429,11 +1425,29 @@ def test_a_doubled_table_comb_fails_the_factorization_check(monkeypatch, pair, s
 
 
 @pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_a_moved_table_atom_fails_the_factorization_check(monkeypatch, pair, side):
+    """The H builder and the check read one term's atoms from the table, so
+    the first atom of one index of t-degree >= 1 moved by 1 there leaves
+    the H-term assert passing and fails gamma-factorization on the residual
+    of that index."""
+    orders = recommended_orders(pair, 4, 2)
+    target = next(term for term in _index_tables(pair, orders)[side] if sum(term.degs) >= 1)
+    _changed_table_term(monkeypatch, side, target.degs, lambda term: _atoms_moved(term, 1))
+    report = check_gamma_factorization(pair, orders)
+    assert not report.ok()
+    assert set(report.witness) == {"sector", "z", "degree", "left", "right"}
+    assert (report.witness["sector"], report.witness["degree"]) == \
+        (list(target.sector), list(target.degs))
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("fault", ["gamma-shift-doubled", "h-atom-moved-by-1"])
 def test_kept_index_table_keeps_faults_visible(monkeypatch, fault, side):
     """After a clean check, a fault in what the walks derive from the table
-    (atoms, Gamma shifts) fails the same pair object at the same orders with
-    the witness of a fresh pair: the kept table holds nothing a hook replaces."""
+    (Gamma shifts) or in the table's own atoms fails the same pair object at
+    the same orders with the witness of a fresh pair: no walk keeps a copy
+    of either past the check."""
     warm, fresh = quartic(), quartic()
     orders = recommended_orders(warm, 6, 3)
     assert check_gamma_factorization(warm, orders).ok()
@@ -1461,9 +1475,31 @@ CENSUS_PAIRS = [
 ]
 
 
+def _fraction_atoms(pair, degs, a_k, side):
+    """(key, atoms) of one index's H coefficient, formed from the Fraction
+    values r_j = k0 c_j/d + a(k)^j (X) or v_j = k0 c_j/d - a(k)^j (Y)
+    through the ``GammaAtom`` constructor; the key is each atom's fields
+    times d, with its exponent."""
+    weights, d = pair.fermat.weights, pair.fermat.degree
+    k0 = degs[0]
+    if side == "x":
+        gammas = [GammaAtom(F(cj), F(k0 * cj, d) + a) for cj, a in zip(weights, a_k)]
+    else:
+        gammas = [GammaAtom(F(d), F(k0), F(d))] + \
+            [GammaAtom(F(0), -(F(k0 * cj, d) - a), F(-cj)) for cj, a in zip(weights, a_k)]
+    counts = {}
+    for atom in gammas:
+        counts[atom] = counts.get(atom, 0) - 1
+    atoms = tuple(sorted(counts.items()))
+    key = tuple(((int(atom.weight * d), int(atom.offset * d), int(atom.h_weight * d)), exp)
+                for atom, exp in atoms)
+    return key, atoms
+
+
 def _per_side_index_terms(pair, orders, side):
     """The index table of one side from its own multidegree walk, the way
-    each side was built before both came from one walk."""
+    each side was built before both came from one walk; fact and the atoms
+    are formed here from their formulas."""
     sectors = pair.positive_dim_sectors()
     weights, d, exponents = pair.fermat.weights, pair.fermat.degree, pair.fermat.exponents
     graded = pair.is_sl
@@ -1489,8 +1525,12 @@ def _per_side_index_terms(pair, orders, side):
                 fact //= math.factorial(k0)
                 offset = 1 - total + k0
             shift = sums[-1] // d if graded else None
-            table.append(genfun.IndexTerm(degs, base, F(1, fact), offset, r_num, v_num,
-                                          shift, age, sector, ring))
+            a_k = [F(s * cj, d) for s, cj in zip(sums, weights)]
+            atoms_key, atoms = _fraction_atoms(pair, degs, a_k, side)
+            table.append(genfun.IndexTerm(
+                degs=degs, base=base, fact=fact, offset=offset, r_num=r_num, v_num=v_num,
+                shift=shift, age=age, sector=sector, ring=ring, atoms_key=atoms_key,
+                atoms=atoms))
     return table
 
 
@@ -1520,22 +1560,28 @@ def test_joint_index_tables_equal_the_per_side_walks(pair):
 @pytest.mark.parametrize("side", ["x", "y"])
 @pytest.mark.parametrize("pair", ALL_PAIRS + CENSUS_PAIRS, ids=lambda p: p.name)
 def test_index_table_integers_match_the_fraction_formulas(pair, side):
-    """Each term's shift, age, comb and offset, read off the walk's integer
-    sums, are sum_s (age(g_s) - 1) k_s, the age of its sector, and the side's
-    factorial and z-power formulas, all formed here in Fractions."""
+    """Each term's shift, age, fact, offset and atoms, read off the walk's
+    integer sums, are sum_s (age(g_s) - 1) k_s, the age of its sector, the
+    side's factorial and z-power formulas, and the Gamma atoms of r_j or
+    v_j with a(k)^j = sum_s k_s m_j(g_s), all formed here, the atoms in
+    Fractions."""
     sectors = pair.positive_dim_sectors()
+    weights, d = pair.fermat.weights, pair.fermat.degree
     table = _index_tables(pair, recommended_orders(pair, 3, 2))[side]
     for term in table:
         k = term.degs[1:]
         shift = sum((g.age() - 1) * k_s for g, k_s in zip(sectors, k))
-        comb = F(1, math.prod(math.factorial(k_s) for k_s in k))
+        fact = math.prod(math.factorial(k_s) for k_s in k)
         offset = 1 - sum(k)
         if side == "x":
-            comb /= math.factorial(term.degs[0])
+            fact *= math.factorial(term.degs[0])
             offset -= term.degs[0]
-        assert (term.shift, term.age, term.comb, term.offset) == \
-            (shift, GroupElement(pair.fermat, term.sector).age(), comb, offset)
-        assert type(term.shift) is int and type(term.age) is int
+        a_k = [sum((k_s * F(g.exps[j] * cj, d) for g, k_s in zip(sectors, k)), F(0))
+               for j, cj in enumerate(weights)]
+        assert (term.shift, term.age, term.fact, term.offset) == \
+            (shift, GroupElement(pair.fermat, term.sector).age(), fact, offset)
+        assert (term.atoms_key, term.atoms) == _fraction_atoms(pair, term.degs, a_k, side)
+        assert type(term.shift) is int and type(term.age) is int and type(term.fact) is int
     assert any(term.shift != 0 for term in table)
 
 

@@ -640,6 +640,19 @@ def test_no_genfun_function_reads_an_age():
     assert _functions_calling(MODULES["genfun"], _method_called("age")) == set()
 
 
+def test_only_the_index_table_derives_gamma_atoms():
+    """``_index_tables`` is the one ``genfun`` def that calls ``_x_atoms`` and
+    ``_y_atoms``: every walk reads an index's atoms from its table term.  No
+    ``genfun`` def calls ``id(...)``, so no value is keyed on an object's
+    identity."""
+    def calls(name):
+        return lambda func: isinstance(func, ast.Name) and func.id == name
+
+    for name in ("_x_atoms", "_y_atoms"):
+        assert _functions_calling(MODULES["genfun"], calls(name)) == {"_index_tables"}, name
+    assert _functions_calling(MODULES["genfun"], calls("id")) == set()
+
+
 def test_only_require_domain_tests_the_pair_domain_in_verify():
     """In ``verify`` only ``_require_domain`` calls ``require_cy`` and
     ``require_sl``; ``_timed``, ``run_checks`` and ``self_test`` call it."""
@@ -762,9 +775,9 @@ def test_the_two_j_routes_never_reach_each_other(monkeypatch):
 def test_the_traced_layers_stay_on_the_factorization_routes(monkeypatch):
     """The benchmark tracer predicts ``ZLaurentSeries.__mul__`` calls on the
     ``series`` and ``operators`` workloads and ``gamma_shift_product`` calls
-    on ``series``: the I builder still reaches the first (comb times each
-    distinct product) and the Gamma factorization the second (one call per
-    distinct block).  comb times a product scales every z's cells in one
+    on ``series``: the I builder still reaches the first (each distinct
+    product over its fact) and the Gamma factorization the second (one call
+    per distinct block).  A product over fact scales every z's cells in one
     pass, so the I builder makes no ``SectorValue.__mul__`` call, while the
     check around it still makes some."""
     wrap, reached = _reach_counter(monkeypatch)
