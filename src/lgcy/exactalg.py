@@ -23,6 +23,17 @@ homogeneous, so the kernel keeps a dense table of integer numerators over one
 denominator keyed by (lam, H) degree and builds the exact product as a
 ``ZLaurentSeries`` once, clamped to its window only at the end.
 
+``Cyclotomic`` (order, nums, den), ``SectorValue`` (ring, terms) and
+``ZLaurentSeries`` (ring, z_min, z_max, terms) are immutable tuple records:
+each is built by one ``tuple.__new__``, its fields are read by the tuple's
+own getters, and ``==`` and a ``Cyclotomic``'s hash are those of the tuple.
+A record therefore equals the plain tuple of its fields, and never a record
+of another type, whose field count differs.  The general ``SectorValue``
+product puts each operand's cells over one denominator, sums integer
+numerators per output cell (one integer per rational cell, a convolution
+modulo Phi_n, shared with ``Cyclotomic.__mul__``, for xi-valued ones) and
+reduces each output cell once.
+
 No floating point anywhere; equality is equality of canonical forms.
 All values are immutable after construction and safe to share.
 """
@@ -32,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 __all__ = [
     "NonUnitError",
@@ -50,6 +62,9 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
 ]
+
+# builds a record subclass of ``tuple`` from its fields in one call
+_new = tuple.__new__
 
 
 class NonUnitError(ArithmeticError):
@@ -144,6 +159,31 @@ def _rational_parts(value) -> tuple[int, int]:
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
+def _convolve(acc: list, a, b) -> None:
+    """acc += a * b as polynomials in xi, not yet reduced modulo Phi_n: a and
+    b hold phi integers, acc 2 phi - 1.  A zero of a skips its row, so a
+    rational a costs one row."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+
+
+def _fold(order: int, conv: list) -> tuple[int, ...]:
+    """The numerators of conv, of degree < 2 phi - 1, in the canonical basis:
+    conv modulo Phi_n, through the integral rows of ``_power_reduction``."""
+    phi = (len(conv) + 1) // 2
+    out = conv[:phi]
+    table = _power_reduction(order)
+    for m in range(phi, len(conv)):
+        c = conv[m]
+        if c:
+            for i, r in enumerate(table[m - phi]):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _reciprocal(n: int) -> Fraction:
     """1/n for a nonzero integer n, one shared Fraction per n: a walk that
@@ -151,30 +191,35 @@ def _reciprocal(n: int) -> Fraction:
     return Fraction(1, n)
 
 
-class Cyclotomic:
+class _CyclotomicFields(NamedTuple):
+    order: int
+    nums: tuple[int, ...]
+    den: int
+
+
+class Cyclotomic(_CyclotomicFields):
     """Element of Q(xi_n) in reduced canonical form.
 
     The value is (sum_i nums[i] xi^i) / den over the basis 1, xi, ...,
     xi^(phi(n)-1): ``nums`` holds phi(n) integers over one positive integer
     ``den``, in lowest terms (gcd(nums, den) = 1, zero stored as 0/1), the
-    layout of FLINT's fmpq_poly.  The form is unique, so equality and
-    hashing compare integers.  ``coeffs`` shows the same value as
-    ``Fraction``s.  Ring operations work on the integers and build their
-    results through ``_reduced``, which puts them in lowest terms.
+    layout of FLINT's fmpq_poly.  The form is unique, so the record
+    (order, nums, den) compares and hashes as the tuple of those integers.
+    ``coeffs`` shows the same value as ``Fraction``s.  Ring operations work
+    on the integers and build their results through ``_reduced``, which
+    puts them in lowest terms.
     """
 
-    __slots__ = ("order", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
         parts = [_rational_parts(c) for c in coeffs]
         if len(parts) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
         # over the lcm of reduced denominators the numerators share no factor
         # with it, so the result is already in lowest terms
         den = lcm(*(q for _, q in parts))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(p * (den // q) for p, q in parts))
-        object.__setattr__(self, "den", den)
+        return _new(cls, (order, tuple(p * (den // q) for p, q in parts), den))
 
     @classmethod
     def _reduced(cls, order: int, nums: tuple[int, ...], den: int) -> "Cyclotomic":
@@ -186,15 +231,7 @@ class Cyclotomic:
             if g != 1:
                 nums = tuple([x // g for x in nums])
                 den //= g
-        value = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(value, "order", order)
-        setattr_(value, "nums", nums)
-        setattr_(value, "den", den)
-        return value
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cyclotomic is immutable")
+        return _new(cls, (order, nums, den))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -205,8 +242,9 @@ class Cyclotomic:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rational(order: int, value) -> "Cyclotomic":
+        # a rational's own parts are in lowest terms over a positive denominator
         num, den = _rational_parts(value)
-        return Cyclotomic._reduced(order, (num,) + (0,) * (euler_phi(order) - 1), den)
+        return _new(Cyclotomic, (order, (num,) + (0,) * (euler_phi(order) - 1), den))
 
     @staticmethod
     def zero(order: int) -> "Cyclotomic":
@@ -224,62 +262,62 @@ class Cyclotomic:
         if power < phi:
             nums = [0] * phi
             nums[power] = 1
-            return Cyclotomic._reduced(order, tuple(nums), 1)
-        return Cyclotomic._reduced(order, _power_reduction(order)[power - phi], 1)
+            return _new(Cyclotomic, (order, tuple(nums), 1))
+        return _new(Cyclotomic, (order, _power_reduction(order)[power - phi], 1))
 
     # -- ring structure ----------------------------------------------------
-    def _coerce(self, other):
+    def _coerce(self, other) -> "Cyclotomic":
+        """other, which is no value of self's order, as one: a rational is
+        lifted and a value of another order refused."""
         if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise OrderMismatchError(
-                    f"cyclotomic orders differ: {self.order} vs {other.order}")
-            return other
+            raise OrderMismatchError(
+                f"cyclotomic orders differ: {self.order} vs {other.order}")
         return Cyclotomic.from_rational(self.order, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.nums, other.nums
-        da, db = self.den, other.den
+        order, a, da = self
+        _, b, db = other if type(other) is Cyclotomic and other.order == order \
+            else self._coerce(other)
         if da == db:
-            return Cyclotomic._reduced(self.order, tuple(x + y for x, y in zip(a, b)), da)
+            return Cyclotomic._reduced(order, tuple([x + y for x, y in zip(a, b)]), da)
         g = gcd(da, db)
         sa, sb = db // g, da // g
-        return Cyclotomic._reduced(
-            self.order, tuple(x * sa + y * sb for x, y in zip(a, b)), da * sa)
+        return Cyclotomic._reduced(order, tuple([x * sa + y * sb for x, y in zip(a, b)]),
+                                   da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._reduced(self.order, tuple(-x for x in self.nums), self.den)
+        # negation keeps lowest terms
+        order, nums, den = self
+        return _new(Cyclotomic, (order, tuple([-x for x in nums]), den))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        order, a, da = self
+        _, b, db = other if type(other) is Cyclotomic and other.order == order \
+            else self._coerce(other)
+        if da == db:
+            return Cyclotomic._reduced(order, tuple([x - y for x, y in zip(a, b)]), da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return Cyclotomic._reduced(order, tuple([x * sa - y * sb for x, y in zip(a, b)]),
+                                   da * sa)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self.nums, other.nums
-        den = self.den * other.den
+        order, a, da = self
+        _, b, db = other if type(other) is Cyclotomic and other.order == order \
+            else self._coerce(other)
         # a rational operand scales the other's numerators: no convolution
         # and no reduction modulo Phi_n
         if not any(b[1:]):
-            return Cyclotomic._reduced(self.order, tuple(x * b[0] for x in a), den)
+            y = b[0]
+            return Cyclotomic._reduced(order, tuple([x * y for x in a]), da * db)
         if not any(a[1:]):
-            return Cyclotomic._reduced(self.order, tuple(a[0] * y for y in b), den)
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = conv[:phi]
-        table = _power_reduction(self.order)
-        for m in range(phi, len(conv)):
-            c = conv[m]
-            if c:
-                for i, r in enumerate(table[m - phi]):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic._reduced(self.order, tuple(out), den)
+            x = a[0]
+            return Cyclotomic._reduced(order, tuple([x * y for y in b]), da * db)
+        conv = [0] * (2 * len(a) - 1)
+        _convolve(conv, a, b)
+        return Cyclotomic._reduced(order, _fold(order, conv), da * db)
 
     __rmul__ = __mul__
 
@@ -327,15 +365,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def __eq__(self, other):
-        return (type(other) is Cyclotomic
-                and self.order == other.order
-                and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.order, self.nums, self.den))
-
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"
 
@@ -379,10 +408,10 @@ class GammaAtom:
     def __post_init__(self):
         fields = (self.weight, self.offset, self.h_weight)
         den = lcm(*(x.denominator for x in fields))
-        setattr_ = object.__setattr__
-        setattr_(self, "den", den)
-        setattr_(self, "nums", tuple(x.numerator * (den // x.denominator) for x in fields))
-        setattr_(self, "_hash", hash(fields))
+        # a frozen dataclass refuses setattr; its instance dict takes the derived fields
+        self.__dict__.update(
+            den=den, nums=tuple(x.numerator * (den // x.denominator) for x in fields),
+            _hash=hash(fields))
 
     @staticmethod
     def over(d: int, weight: int, offset: int, h_weight: int = 0) -> "GammaAtom":
@@ -495,25 +524,46 @@ class SeriesRing:
         return SectorValue(self, {(lam, h, tau, tuple(sorted(atoms))): coeff})
 
 
-class SectorValue:
+def _is_rational(value: "SectorValue") -> bool:
+    """Whether every coefficient of ``value`` lies in Q."""
+    return all(c.is_rational() for c in value.terms.values())
+
+
+def _common_numerators(terms: dict, scalar: bool) -> tuple[int, list]:
+    """(den, cells): every cell of ``terms`` as (key, numerators) over the
+    least common den of its coefficients; with ``scalar``, every
+    coefficient is rational and its numerators are the one integer."""
+    den = lcm(*[c.den for c in terms.values()])
+    if scalar:
+        return den, [(key, c.nums[0] * (den // c.den)) for key, c in terms.items()]
+    return den, [(key, [x * (den // c.den) for x in c.nums]) for key, c in terms.items()]
+
+
+class _SectorValueFields(NamedTuple):
+    ring: SeriesRing
+    terms: dict
+
+
+class SectorValue(_SectorValueFields):
     """Truncated polynomial over Q(xi): sum of coeff * lam^a H^b tau^t * atoms.
 
     Monomial keys are (lam, h, tau, atoms).  lam is a non-negative integer
     bounded by the ring's lam_order (negative or fractional lam powers are
     rejected at construction); h < nilpotency; tau any integer (the 2*pi*i
     token is invertible); atoms a canonical multiset of GammaAtom powers.
-    The public constructor truncates, coerces and drops zeros; ring operations
-    whose results are already truncated and zero-free use ``_unchecked``.
-    Surface: ``+`` and ``-`` with a scalar on either side but no ``scalar -
-    value``, ``*`` by a value or a rational on either side, unary ``-``,
-    ``==`` of two values, ``hash``, ``is_zero``, ``constant_term``,
-    ``lambda_valuation``, ``nonequivariant_limit``, ``with_ring``,
-    ``scale_atoms`` and ``map_monomials``.
+    The value is the record (ring, terms).  The public constructor
+    truncates, coerces and drops zeros; ring operations whose results are
+    already truncated and zero-free use ``_unchecked``.  Surface: ``+`` and
+    ``-`` with a scalar on either side but no ``scalar - value``, ``*`` by a
+    value or a rational on either side, unary ``-``, ``==`` and ``hash``,
+    ``is_zero``, ``constant_term``, ``lambda_valuation``,
+    ``nonequivariant_limit``, ``with_ring``, ``scale_atoms`` and
+    ``map_monomials``.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring: SeriesRing, terms: dict):
+    def __new__(cls, ring: SeriesRing, terms: dict):
         clean: dict = {}
         for (lam, h, tau, atoms), coeff in terms.items():
             if not isinstance(lam, int) or lam < 0:
@@ -525,20 +575,12 @@ class SectorValue:
             if lam + h > ring.lam_order or h >= ring.nilpotency or coeff.is_zero():
                 continue
             clean[(lam, h, tau, atoms)] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        return _new(cls, (ring, clean))
 
     @classmethod
     def _unchecked(cls, ring: SeriesRing, terms: dict) -> "SectorValue":
         """A value whose terms are already truncated, coerced and nonzero."""
-        value = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(value, "ring", ring)
-        setattr_(value, "terms", terms)
-        return value
-
-    def __setattr__(self, *_):
-        raise AttributeError("SectorValue is immutable")
+        return _new(cls, (ring, terms))
 
     # -- helpers -------------------------------------------------------------
     def _check(self, other: "SectorValue"):
@@ -574,6 +616,17 @@ class SectorValue:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        """self * other, every output cell summed in integers and reduced once.
+
+        Each operand's cells are put over one common denominator.  When
+        both operands are rational a cell is one integer and each output
+        cell sums integer products; otherwise each output cell sums the
+        ``_convolve`` of its pairs of numerator vectors and is folded
+        modulo Phi_n once.  A rational operand goes first, where
+        ``_convolve`` skips the zero numerators of its cells, so a rational
+        times a xi-valued operand costs one row per pair of cells, in either
+        order.
+        """
         if not isinstance(other, SectorValue):
             return self._scaled(other)
         self._check(other)
@@ -582,21 +635,33 @@ class SectorValue:
             return self._times_monomial(other)
         if len(self.terms) == 1:
             return other._times_monomial(self)
-        out: dict = {}
-        for (l1, h1, t1, a1), c1 in self.terms.items():
-            for (l2, h2, t2, a2), c2 in other.terms.items():
+        order, lam_order, nilpotency = ring.order, ring.lam_order, ring.nilpotency
+        first, second = (self, other) if _is_rational(self) else (other, self)
+        scalar = _is_rational(second)
+        da, left = _common_numerators(first.terms, scalar)
+        db, right = _common_numerators(second.terms, scalar)
+        phi = euler_phi(order)
+        sums: dict = {}
+        for (l1, h1, t1, a1), x in left:
+            for (l2, h2, t2, a2), y in right:
                 lam = l1 + l2
                 h = h1 + h2
-                if lam + h > ring.lam_order or h >= ring.nilpotency:
+                if lam + h > lam_order or h >= nilpotency:
                     continue
                 key = (lam, h, t1 + t2, _merge_atoms(a1, a2))
-                prod = c1 * c2
-                prev = out.get(key)
-                total = prod if prev is None else prev + prod
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+                if scalar:
+                    sums[key] = sums.get(key, 0) + x * y
+                    continue
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [0] * (2 * phi - 1)
+                _convolve(acc, x, y)
+        den, pad, reduced = da * db, (0,) * (phi - 1), Cyclotomic._reduced
+        out: dict = {}
+        for key, total in sums.items():
+            nums = (total,) + pad if scalar else _fold(order, total)
+            if any(nums):
+                out[key] = reduced(order, nums, den)
         return SectorValue._unchecked(ring, out)
 
     __rmul__ = __mul__
@@ -631,10 +696,6 @@ class SectorValue:
                 continue
             out[(lam, h, t1 + t2, _merge_atoms(a1, a2))] = c1 * c2
         return SectorValue._unchecked(ring, out)
-
-    def __eq__(self, other):
-        return type(other) is SectorValue and self.ring is other.ring \
-            and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items(),
@@ -812,21 +873,28 @@ def divide_by_lambda_plus_h(x: SectorValue) -> tuple[SectorValue, int]:
 # z-Laurent layer
 # ---------------------------------------------------------------------------
 
-class ZLaurentSeries:
+class _ZLaurentSeriesFields(NamedTuple):
+    ring: SeriesRing
+    z_min: int
+    z_max: int
+    terms: dict
+
+
+class ZLaurentSeries(_ZLaurentSeriesFields):
     """Finitely supported map z-exponent -> SectorValue inside a window.
 
     The window is part of the value: products clamp to it, so identities
     are checked per fixed truncation.  Windows of operands must agree.
-    The public constructor clamps and drops zeros; ring operations that do
-    so themselves use ``_unchecked``.  Surface: ``+`` of two series,
-    ``*`` by a series or by a nonzero rational on the right, ``==`` and
-    ``hash``: what ``_linear_product``'s callers and the benchmark's probes
-    use.
+    The value is the record (ring, z_min, z_max, terms).  The public
+    constructor clamps and drops zeros; ring operations that do so
+    themselves use ``_unchecked``.  Surface: ``+`` of two series, ``*`` by a
+    series or by a nonzero rational on the right, ``==`` and ``hash``: what
+    ``_linear_product``'s callers and the benchmark's probes use.
     """
 
-    __slots__ = ("ring", "z_min", "z_max", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring: SeriesRing, z_min: int, z_max: int, terms: dict):
+    def __new__(cls, ring: SeriesRing, z_min: int, z_max: int, terms: dict):
         if z_min > z_max:
             raise ValueError("empty z window")
         clean = {}
@@ -834,24 +902,13 @@ class ZLaurentSeries:
             if z < z_min or z > z_max or value.is_zero():
                 continue
             clean[z] = value
-        self._store(ring, z_min, z_max, clean)
+        return _new(cls, (ring, z_min, z_max, clean))
 
     @classmethod
     def _unchecked(cls, ring: SeriesRing, z_min: int, z_max: int,
                    terms: dict) -> "ZLaurentSeries":
         """A series whose terms are already inside the window and nonzero."""
-        series = object.__new__(cls)
-        series._store(ring, z_min, z_max, terms)
-        return series
-
-    def _store(self, ring: SeriesRing, z_min: int, z_max: int, terms: dict) -> None:
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "z_min", z_min)
-        object.__setattr__(self, "z_max", z_max)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ZLaurentSeries is immutable")
+        return _new(cls, (ring, z_min, z_max, terms))
 
     def _check(self, other: "ZLaurentSeries"):
         if (self.z_min, self.z_max) != (other.z_min, other.z_max) or \
@@ -898,12 +955,6 @@ class ZLaurentSeries:
                 cells[key] = reduced(order, nums, c.den * den)
             out[z] = unchecked(ring, cells)
         return ZLaurentSeries._unchecked(ring, self.z_min, self.z_max, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, ZLaurentSeries)
-                and self.ring is other.ring
-                and (self.z_min, self.z_max) == (other.z_min, other.z_max)
-                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ring, self.z_min, self.z_max,

@@ -39,6 +39,8 @@ from lgcy.genfun import y_ray_levels
 from lgcy.transforms import delta_circ, i_c, u_bar
 from lgcy.verify import recommended_orders
 
+from test_layering import _benchmark_module
+
 
 # -- cyclotomic field ---------------------------------------------------------
 
@@ -196,6 +198,84 @@ def test_sector_value_monomial_path_matches_general(order, data):
     assert m * x == x * m
 
 
+def _per_pair_product(x: SectorValue, y: SectorValue) -> SectorValue:
+    """x * y by the per-pair route: one ``Cyclotomic`` product and one sum per
+    pair of cells inside the truncation, a zero sum dropped."""
+    ring = x.ring
+    out: dict = {}
+    for (l1, h1, t1, a1), c1 in x.terms.items():
+        for (l2, h2, t2, a2), c2 in y.terms.items():
+            lam, h = l1 + l2, h1 + h2
+            if lam + h > ring.lam_order or h >= ring.nilpotency:
+                continue
+            key = (lam, h, t1 + t2, _merge_atoms(a1, a2))
+            total = out[key] + c1 * c2 if key in out else c1 * c2
+            if total.is_zero():
+                del out[key]
+            else:
+                out[key] = total
+    return SectorValue(ring, out)
+
+
+def _product_operand(data, ring: SeriesRing, xi: bool) -> SectorValue:
+    """An atom-free value of two or more cells, some sharing their (lam, H)
+    degree; its coefficients are rational, or, with ``xi``, drawn by
+    ``_core_value`` with at least one outside Q."""
+    terms = {}
+    for _ in range(data.draw(st.integers(min_value=2, max_value=8))):
+        h = data.draw(st.integers(min_value=0, max_value=ring.nilpotency - 1))
+        lam = data.draw(st.integers(min_value=0, max_value=max(0, ring.lam_order - h)))
+        tau = data.draw(st.integers(min_value=-1, max_value=1))
+        coeff = _core_value(data, ring.order) if xi else data.draw(_core_fractions)
+        terms[(lam, h, tau, ())] = coeff
+    value = SectorValue(ring, terms)
+    assume(len(value.terms) > 1)
+    assume(xi is not all(c.is_rational() for c in value.terms.values()))
+    return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(order=st.integers(min_value=3, max_value=6),
+       lam_order=st.integers(min_value=1, max_value=6),
+       nilpotency=st.integers(min_value=1, max_value=4),
+       xi_left=st.booleans(), xi_right=st.booleans(), data=st.data())
+def test_integer_product_matches_the_per_pair_route(order, lam_order, nilpotency,
+                                                    xi_left, xi_right, data):
+    """The general product, summed in integers per output cell, equals the
+    per-pair route on operands of rational and of xi-valued cells, in each
+    order of the two kinds, and its cells are in canonical form."""
+    ring = SeriesRing(order, lam_order, nilpotency)
+    x = _product_operand(data, ring, xi_left)
+    y = _product_operand(data, ring, xi_right)
+    product = x * y
+    assert product == _per_pair_product(x, y)
+    assert all(_is_canonical(c) and not c.is_zero() for c in product.terms.values())
+
+
+def test_integer_product_matches_the_per_pair_route_on_atoms_and_probe_operands():
+    """One atom-dressed times an atom-free value, in both orders, and the
+    dense operands of the ``lam6.n4`` SectorValue probe, rational and with
+    the xi-valued constant term of the inversion probe, match the per-pair
+    route."""
+    ring = SeriesRing(5, 3, 2)
+    key = ((GammaAtom.over(5, 5, 7), 1),)
+    dressed = ring.monomial(lam=1, atoms=key, coeff=Cyclotomic.root(5)) \
+        + ring.monomial(h=1, atoms=key, coeff=F(2, 3))
+    plain = ring.one() + ring.monomial(lam=1, coeff=Cyclotomic.root(5, 2)) \
+        + ring.hyperplane() * F(-1, 4)
+    for x, y in ((dressed, plain), (plain, dressed)):
+        assert x * y == _per_pair_product(x, y)
+        assert {k[3] for k in (x * y).terms} == {key}
+    probes = _benchmark_module("probes")
+    ring = SeriesRing(probes.SECTOR_ORDER, 6, 4)
+    rng = random.Random(4011)
+    operands = [probes._sector_value(rng, ring, xi_constant=xi)
+                for xi in (False, False, True, True)]
+    for x in operands:
+        for y in operands:
+            assert x * y == _per_pair_product(x, y)
+
+
 # -- property tests of the integer core -----------------------------------------
 
 def _is_canonical(x: Cyclotomic) -> bool:
@@ -234,6 +314,7 @@ def test_integer_core_is_canonical_and_hashes_by_value(order, data):
     for value in (a, b, *results):
         assert _is_canonical(value), (value.nums, value.den)
         assert Cyclotomic(order, value.coeffs) == value
+        assert hash(value) == hash((value.order, value.nums, value.den))
     assert Cyclotomic.zero(order).nums == (0,) * euler_phi(order)
     assert Cyclotomic.zero(order).den == 1
     same = a + b - b
@@ -852,16 +933,22 @@ def test_bernoulli_cache_matches_the_polynomial_sum():
 
 def _cyclotomic_eq_general(value, other) -> bool:
     """Cyclotomic equality by the general route: a Cyclotomic of the same
-    order with the same coefficients as Fractions; nothing else, not even a
-    rational of the same value, is equal."""
+    order with the same coefficients as Fractions, or the plain tuple
+    (order, nums, den) of its fields; nothing else, not a rational of the
+    same value nor a record of another type, is equal."""
+    if type(other) is tuple:
+        return other == (value.order, value.nums, value.den)
     return (isinstance(other, Cyclotomic) and value.order == other.order
             and value.coeffs == other.coeffs)
 
 
 def _sector_value_eq_general(value, other) -> bool:
     """SectorValue equality by the general route: a SectorValue of the same
-    ring with the same terms, each coefficient compared as Fractions;
-    nothing else, not even a scalar of the same value, is equal."""
+    ring with the same terms, each coefficient compared as Fractions, or
+    the plain tuple (ring, terms) of such fields; nothing else, not a scalar
+    of the same value nor a record of another type, is equal."""
+    if type(other) is tuple:
+        return len(other) == 2 and _sector_value_eq_general(value, SectorValue(*other))
     return (isinstance(other, SectorValue) and value.ring == other.ring
             and value.terms.keys() == other.terms.keys()
             and all(c.coeffs == other.terms[k].coeffs for k, c in value.terms.items()))
@@ -875,7 +962,11 @@ def test_cyclotomic_equality_matches_the_general_route():
                 Cyclotomic.from_rational(3, 1), Cyclotomic.root(3),
                 Cyclotomic.from_rational(6, F(1, 2)),
                 # phi(10) = phi(8) = phi(5): the same integers in another order
-                Cyclotomic.from_rational(10, 1), Cyclotomic.from_rational(8, F(1, 2))]
+                Cyclotomic.from_rational(10, 1), Cyclotomic.from_rational(8, F(1, 2)),
+                # records of other types, and the plain tuple of a value's fields
+                SeriesRing(5, 2, 1).one(),
+                ZLaurentSeries(SeriesRing(5, 2, 1), 0, 1, {0: SeriesRing(5, 2, 1).one()}),
+                (5, (1, 0, 0, 0), 2)]
     values = [x for x in operands if isinstance(x, Cyclotomic)]
     for value in values:
         for other in operands:
@@ -896,7 +987,10 @@ def test_sector_value_equality_matches_the_general_route():
     values.append(SeriesRing(5, 2, 2).hyperplane() + 1)
     scalars = [0, 1, 2, True, F(1, 2), None, "1",
                Cyclotomic.from_rational(5, 1), Cyclotomic.from_rational(5, F(1, 2)),
-               Cyclotomic.root(5)]
+               Cyclotomic.root(5),
+               # a record of another type, and plain tuples of a value's fields
+               ZLaurentSeries(ring, 0, 1, {0: ring.one()}),
+               (ring, {(0, 0, 0, ()): Cyclotomic.one(5)}), (ring, {})]
     for value in values:
         for other in values + scalars:
             expected = _sector_value_eq_general(value, other)
@@ -925,6 +1019,21 @@ def test_series_ring_is_one_shared_instance_per_parameters():
     for params in ((0, 2, 1), (5, -1, 1), (5, 2, 0)):
         with pytest.raises(ValueError, match="invalid ring parameters"):
             SeriesRing(*params)
+
+
+def test_the_exact_values_refuse_assignment():
+    """``Cyclotomic``, ``SectorValue`` and ``ZLaurentSeries`` are immutable
+    records: assigning one of their fields, or any other attribute, raises
+    ``AttributeError``."""
+    ring = SeriesRing(5, 2, 1)
+    records = {Cyclotomic.root(5): ("order", "nums", "den"),
+               ring.one(): ("ring", "terms"),
+               ZLaurentSeries(ring, 0, 1, {0: ring.one()}): ("ring", "z_min", "z_max", "terms")}
+    for value, fields in records.items():
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        assert tuple(getattr(value, name) for name in fields) == value
 
 
 def _shared(ring) -> bool:

@@ -384,8 +384,8 @@ def _placed(kind: str, statement: _Statement) -> bool:
     """Whether ``statement`` sits where its allowlist ``kind`` may:
     repr, immutable and hash in ``__repr__``/``__str__``, ``__setattr__`` and
     ``__hash__``; guard a ``raise`` of anything but ``IdentityError``, or a
-    line of the checked ``__init__`` of a class that also builds through
-    ``_unchecked``; failure a failure exit (``_is_failure_exit``), or a line
+    line of the checked ``__init__`` or ``__new__`` of a class that also
+    builds through ``_unchecked``; failure a failure exit (``_is_failure_exit``), or a line
     directly in a block that ends in one or that handles ``IdentityError``;
     ``item N`` a def that ROADMAP.md's open item N names in backquotes."""
     name = statement.owner.rsplit(".", 1)[-1]
@@ -397,7 +397,7 @@ def _placed(kind: str, statement: _Statement) -> bool:
             isinstance(member, ast.FunctionDef) and member.name == "_unchecked"
             for member in statement.cls.body)
         return isinstance(node, ast.Raise) and not _is_failure_exit(node) \
-            or name == "__init__" and unchecked
+            or name in ("__init__", "__new__") and unchecked
     if kind == "failure":
         return _is_failure_exit(node) or _is_failure_exit(statement.block[-1]) \
             or _handles_identity_error(statement)
@@ -433,14 +433,9 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
     ],
     "immutable": [
         ("cohseries.CohSeries.__setattr__", 'raise AttributeError("CohSeries is immutable")'),
-        ("exactalg.Cyclotomic.__setattr__", 'raise AttributeError("Cyclotomic is immutable")'),
-        ("exactalg.SectorValue.__setattr__", 'raise AttributeError("SectorValue is immutable")'),
-        ("exactalg.ZLaurentSeries.__setattr__",
-         'raise AttributeError("ZLaurentSeries is immutable")'),
         ("lgmodel.GroupElement.__setattr__", 'raise AttributeError("GroupElement is immutable")'),
     ],
     "hash": [
-        ("exactalg.Cyclotomic.__hash__", "return hash((self.order, self.nums, self.den))"),
         ("exactalg.SectorValue.__hash__",
          "return hash((self.ring, tuple(sorted(self.terms.items(),"),
         ("exactalg.ZLaurentSeries.__hash__", "return hash((self.ring, self.z_min, self.z_max,"),
@@ -455,7 +450,7 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
         ("exactalg.cyclotomic_polynomial", 'raise ValueError("order must be positive")'),
         ("exactalg._rational_parts",
          'raise TypeError(f"expected a rational scalar, got {type(value).__name__}")'),
-        ("exactalg.Cyclotomic.__init__",
+        ("exactalg.Cyclotomic.__new__",
          'raise ValueError("coefficient vector has wrong length")'),
         ("exactalg.Cyclotomic._coerce", "raise OrderMismatchError("),
         ("exactalg.Cyclotomic.inverse", 'raise ZeroDivisionError("inverse of zero cyclotomic")'),
@@ -463,9 +458,9 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
         ("exactalg.SeriesRing.__new__", 'raise ValueError("invalid ring parameters")'),
         ("exactalg.SeriesRing.scalar",
          'raise OrderMismatchError("scalar has wrong cyclotomic order")'),
-        ("exactalg.SectorValue.__init__",
+        ("exactalg.SectorValue.__new__",
          'raise ValueError(f"lam exponent must be a non-negative integer, got {lam!r}")'),
-        ("exactalg.SectorValue.__init__",
+        ("exactalg.SectorValue.__new__",
          'raise ValueError(f"H exponent must be a non-negative integer, got {h!r}")'),
         ("exactalg.SectorValue._check", "raise OrderMismatchError("),
         ("exactalg.SectorValue.with_ring",
@@ -475,8 +470,8 @@ NOT_RUN_BY_DESIGN = {key: kind for kind, keys in {
         ("exactalg.series_invert", 'raise NonUnitError("series_invert: zero constant term")'),
         ("exactalg.series_invert", 'raise NonUnitError("cannot invert Gamma atoms")'),
         ("exactalg.series_invert", 'raise NonUnitError("non-nilpotent correction term")'),
-        ("exactalg.ZLaurentSeries.__init__", 'raise ValueError("empty z window")'),
-        ("exactalg.ZLaurentSeries.__init__", "continue"),
+        ("exactalg.ZLaurentSeries.__new__", 'raise ValueError("empty z window")'),
+        ("exactalg.ZLaurentSeries.__new__", "continue"),
         ("exactalg.ZLaurentSeries._check",
          'raise OrderMismatchError("z-window or ring mismatch")'),
         ("exactalg._linear_product",
@@ -619,6 +614,27 @@ def test_gamma_atoms_are_built_through_the_shared_constructor():
                 if called == "GammaAtom":
                     offenders.append(f"{name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_the_exact_values_are_tuple_records():
+    """``Cyclotomic``, ``SectorValue`` and ``ZLaurentSeries`` define no
+    ``__init__``, ``__eq__`` or ``__setattr__``, by def or by assignment:
+    each is built by one ``tuple.__new__`` and compares as its tuple, in C.
+    ``exactalg`` reads no ``object.__setattr__``, so no value is stored
+    field by field."""
+    tree = MODULES["exactalg"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("Cyclotomic", "SectorValue", "ZLaurentSeries"):
+        defined = {member.name for member in classes[name].body
+                   if isinstance(member, ast.FunctionDef)}
+        defined |= {target.id for member in classes[name].body
+                    if isinstance(member, ast.Assign) for target in member.targets
+                    if isinstance(target, ast.Name)}
+        assert not defined & {"__init__", "__eq__", "__setattr__"}, (name, sorted(defined))
+    setattrs = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert setattrs == [], setattrs
 
 
 def _functions_calling(tree: ast.AST, matches) -> set[str]:
