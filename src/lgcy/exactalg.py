@@ -888,8 +888,8 @@ class ZLaurentSeries(_ZLaurentSeriesFields):
     The value is the record (ring, z_min, z_max, terms).  The public
     constructor clamps and drops zeros; ring operations that do so
     themselves use ``_unchecked``.  Surface: ``+`` of two series, ``*`` by a
-    series or by a nonzero rational on the right, ``==`` and ``hash``: what
-    ``_linear_product``'s callers and the benchmark's probes use.
+    series or by a nonzero rational on either side, ``==`` and ``hash``:
+    what ``_linear_product``'s callers and the benchmark's probes use.
     """
 
     __slots__ = ()
@@ -922,6 +922,9 @@ class ZLaurentSeries(_ZLaurentSeriesFields):
             terms[z] = terms[z] + v if z in terms else v
         return ZLaurentSeries(self.ring, self.z_min, self.z_max, terms)
 
+    # a left operand reaches these, not the tuple's concatenation and repetition
+    __radd__ = __add__
+
     def __mul__(self, other):
         if not isinstance(other, ZLaurentSeries):
             return self._scaled(other)
@@ -936,6 +939,8 @@ class ZLaurentSeries(_ZLaurentSeriesFields):
                 out[z] = out[z] + prod if z in out else prod
         return ZLaurentSeries._unchecked(self.ring, self.z_min, self.z_max,
                                          {z: v for z, v in out.items() if v.terms})
+
+    __rmul__ = __mul__
 
     def _scaled(self, value) -> "ZLaurentSeries":
         """self * value for a rational value, nonzero as every caller's 1/k!

@@ -894,6 +894,11 @@ def test_zlaurent_window_and_products():
     assert (a * b).terms == {-1: ring.one(), 0: ring.lam(), 2: ring.scalar(3)}
     with pytest.raises(OrderMismatchError):
         a + ZLaurentSeries(ring, -1, 2, {0: ring.one()})
+    # a left operand gets the series' own operations, not the tuple's
+    # repetition or concatenation
+    assert 2 * a == a * 2 != a
+    with pytest.raises(AttributeError):
+        (0,) + a
 
 
 def bernoulli_poly(n: int, x: F) -> F:

@@ -385,9 +385,10 @@ def _placed(kind: str, statement: _Statement) -> bool:
     repr, immutable and hash in ``__repr__``/``__str__``, ``__setattr__`` and
     ``__hash__``; guard a ``raise`` of anything but ``IdentityError``, or a
     line of the checked ``__init__`` or ``__new__`` of a class that also
-    builds through ``_unchecked``; failure a failure exit (``_is_failure_exit``), or a line
-    directly in a block that ends in one or that handles ``IdentityError``;
-    ``item N`` a def that ROADMAP.md's open item N names in backquotes."""
+    builds through ``_unchecked``; failure a failure exit
+    (``_is_failure_exit``), or a line directly in a block that ends in one
+    or that handles ``IdentityError``; ``item N`` a def that ROADMAP.md's
+    open item N names in backquotes."""
     name = statement.owner.rsplit(".", 1)[-1]
     node = statement.node
     if kind in _DUNDER_KINDS:
